@@ -9,15 +9,13 @@ corpora may contain deliberately corrupted tensors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import rational
-from .scalars import DEFAULT_TOL, coerce, is_exact
+from .scalars import DEFAULT_TOL, _scaled, _unscaled, coerce, is_exact
 
 
 class DimensionMismatchError(ValueError):
@@ -63,7 +61,7 @@ class LieAlgebra:
         """
         if dim < 1:
             raise InvalidStructureError("dimension must be positive")
-        zero = Fraction(0) if exact else 0.0
+        zero = coerce(0, exact)
         c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
@@ -104,9 +102,7 @@ class LieAlgebra:
     # -- basic evaluation ---------------------------------------------------
 
     def basis(self, i: int):
-        one = Fraction(1) if self.exact else 1.0
-        zero = Fraction(0) if self.exact else 0.0
-        return [one if k == i else zero for k in range(self.dim)]
+        return [coerce(int(k == i), self.exact) for k in range(self.dim)]
 
     def _check_vector(self, u: Sequence):
         if len(u) != self.dim:
@@ -117,78 +113,57 @@ class LieAlgebra:
         """[u, v] by contraction of the structure tensor; bilinear, antisymmetric."""
         self._check_vector(u)
         self._check_vector(v)
-        n = self.dim
-        zero = Fraction(0) if self.exact else 0.0
-        out = [zero] * n
-        for i in range(n):
-            ui = u[i]
-            if ui == 0:
-                continue
-            for j in range(n):
-                vj = v[j]
-                if vj == 0:
-                    continue
-                row = self.c[i][j]
-                f = ui * vj
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] = out[k] + f * row[k]
-        return out
+        return _bilinear(self.c, u, v, self.exact)
 
     def jacobi_residual(self):
-        """Max-norm of the Jacobi defect over basis triples; 0 iff a Lie algebra.
-
-        The defect [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is
-        alternating once antisymmetry holds, so i < j < k triples suffice.
-        """
-        worst = Fraction(0) if self.exact else 0.0
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            ei, ej, ek = self.basis(i), self.basis(j), self.basis(k)
-            d = self.bracket(self.bracket(ei, ej), ek)
-            for t, x in enumerate(self.bracket(self.bracket(ej, ek), ei)):
-                d[t] += x
-            for t, x in enumerate(self.bracket(self.bracket(ek, ei), ej)):
-                d[t] += x
-            worst = max(worst, max((abs(x) for x in d), default=worst))
-        return worst
+        """Max-norm of the Jacobi defect over basis triples; 0 iff a Lie algebra."""
+        return self.worst_jacobi_triple()[0]
 
     def worst_jacobi_triple(self):
-        """The (residual, (i, j, k)) pair naming a worst Jacobi violation."""
-        worst = Fraction(0) if self.exact else 0.0
-        where = (0, 1, 2) if self.dim >= 3 else (0,) * min(self.dim, 3)
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            ei, ej, ek = self.basis(i), self.basis(j), self.basis(k)
-            d = self.bracket(self.bracket(ei, ej), ek)
-            for t, x in enumerate(self.bracket(self.bracket(ej, ek), ei)):
-                d[t] += x
-            for t, x in enumerate(self.bracket(self.bracket(ek, ei), ej)):
-                d[t] += x
-            here = max((abs(x) for x in d), default=worst)
-            if here > worst:
-                worst, where = here, (i, j, k)
-        return worst, where
+        """The (residual, (i, j, k)) pair naming a worst Jacobi violation.
+
+        The defect [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is
+        alternating once antisymmetry holds, so i < j < k triples suffice;
+        ties go to the lexicographically first triple. One slab per i keeps
+        memory at n^3 entries.
+        """
+        n = self.dim
+        if n < 3:
+            return coerce(0, self.exact), (0,) * n
+        c, s = _scaled(self.c, self.exact)
+        worst = []
+        for i in range(n - 2):
+            rest = slice(i + 1, n)
+            d = (np.einsum("jm,mkt->jkt", c[i, rest], c[:, rest])
+                 + np.einsum("jkm,mt->jkt", c[rest, rest], c[:, i])
+                 + np.einsum("km,mjt->jkt", c[rest, i], c[:, rest]))
+            j, k = np.triu_indices(n - i - 1, 1)
+            worst.append(np.abs(d[j, k]).max(axis=1))
+        worst = np.concatenate(worst)
+        r = np.arange(n)
+        i, j, k = np.nonzero((r[:, None, None] < r[None, :, None])
+                             & (r[None, :, None] < r[None, None, :]))
+        t = int(np.argmax(worst))
+        return _unscaled(worst[t], s * s, self.exact), (int(i[t]), int(j[t]), int(k[t]))
 
     def require_jacobi(self, tol: float = DEFAULT_TOL):
         r = self.jacobi_residual()
-        bad = (r != 0) if self.exact else (abs(r) > tol)
+        bad = (r != 0) if self.exact else not (abs(r) <= tol)
         if bad:
             raise InvalidStructureError(f"Jacobi identity fails, residual {r}")
 
     def adjoint_matrix(self, u: Sequence):
         """Matrix of ad_u = [u, .]; column j is [u, e_j]."""
         self._check_vector(u)
-        cols = [self.bracket(u, self.basis(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        c, sc = _scaled(self.c, self.exact)
+        w, sw = _scaled(u, self.exact)
+        return _unscaled(np.einsum("i,ijk->kj", w, c), sc * sw, self.exact)
 
     # -- derived structure --------------------------------------------------
 
     def ad_traces(self) -> tuple:
-        out = []
-        for i in range(self.dim):
-            m = self.adjoint_matrix(self.basis(i))
-            out.append(sum((m[k][k] for k in range(self.dim)),
-                           Fraction(0) if self.exact else 0.0))
-        return tuple(out)
+        c, s = _scaled(self.c, self.exact)
+        return tuple(_unscaled(np.einsum("ijj->i", c), s, self.exact))
 
     def is_unimodular(self, tol: float = DEFAULT_TOL) -> UnimodularityReport:
         """True iff every adjoint map is trace-free."""
@@ -201,9 +176,8 @@ class LieAlgebra:
 
     def center(self, tol: float = DEFAULT_TOL) -> list:
         """Basis of {v : [u, v] = 0 for all u}, via the stacked adjoints."""
-        stacked = []
-        for i in range(self.dim):
-            stacked.extend(self.adjoint_matrix(self.basis(i)))
+        n = self.dim
+        stacked = [[self.c[i][j][k] for j in range(n)] for i in range(n) for k in range(n)]
         if self.exact:
             return rational.nullspace(stacked)
         m = np.array(stacked, dtype=float)
@@ -222,26 +196,20 @@ class LieAlgebra:
         A congruence action: c'[p][q][l] picks up two copies of p and one of
         its inverse. Exact algebras require exact p.
         """
-        n = self.dim
+        c, sc = _scaled(self.c, self.exact)
         if self.exact:
             p = [[coerce(x, True) for x in row] for row in p]
             pinv = rational.inverse(p)
-            new = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-            for a_, b_ in itertools.product(range(n), repeat=2):
-                fa = [sum((p[i][a_] * self.c[i][j][k] * p[j][b_]
-                           for i in range(n) for j in range(n)), Fraction(0))
-                      for k in range(n)]
-                # fa = [f_a, f_b] in the old coordinates; express in the new basis
-                coords = rational.mat_vec(pinv, fa)
-                new[a_][b_] = coords
-            return LieAlgebra.from_structure(new, exact=True, check_jacobi=check_jacobi,
-                                             name=self.name)
-        parr = np.array(p, dtype=float)
-        pinv = np.linalg.inv(parr)
-        carr = self.structure_array()
-        new = np.einsum("ia,jb,ijk,lk->abl", parr, parr, carr, pinv)
-        return LieAlgebra.from_structure(new.tolist(), exact=False,
-                                         check_jacobi=check_jacobi, name=self.name)
+        else:
+            pinv = np.linalg.inv(np.array(p, dtype=float))
+        parr, sp = _scaled(p, self.exact)
+        pinv, si = _scaled(pinv, self.exact)
+        new = np.einsum("ijk,lk->ijl", c, pinv)
+        new = np.einsum("ia,ijl->ajl", parr, new)
+        new = np.einsum("jb,ajl->abl", parr, new)
+        return LieAlgebra.from_structure(_unscaled(new, sc * sp * sp * si, self.exact),
+                                         exact=self.exact, check_jacobi=check_jacobi,
+                                         name=self.name)
 
     def to_float(self) -> "LieAlgebra":
         if not self.exact:
@@ -250,4 +218,13 @@ class LieAlgebra:
         return LieAlgebra(dim=self.dim, c=_freeze_tensor(c), exact=False, name=self.name)
 
     def structure_array(self) -> np.ndarray:
-        return np.array([[[float(x) for x in row] for row in plane] for plane in self.c])
+        return _scaled(self.c, False)[0]
+
+
+def _bilinear(t, u: Sequence, v: Sequence, exact: bool) -> list:
+    """Contract a rank-3 tensor with two vectors: sum_ij u_i v_j t[i][j]."""
+    t, st = _scaled(t, exact)
+    u, su = _scaled(u, exact)
+    v, sv = _scaled(v, exact)
+    out = np.einsum("j,jk->k", v, np.einsum("i,ijk->jk", u, t))
+    return _unscaled(out, st * su * sv, exact)

@@ -163,7 +163,7 @@ def cmd_search(args, rep: Report) -> int:
     cfg = search.SearchConfig(
         signature_constraint=_parse_signature(args.signature, alg.dim),
         restarts=args.restarts, max_iters=args.max_iters,
-        residual_tol=args.tol if args.tol != DEFAULT_TOL else 1e-10,
+        residual_tol=args.tol,
         rng_seed=args.seed)
     result = search.find_compatible_metric(alg, cfg)
     if result.found:

@@ -16,6 +16,7 @@ Save then load then save reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .algebra import LieAlgebra
@@ -45,9 +46,11 @@ def _parse_float(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise FormatError(f"{where}: numeric entry expected, got {x!r}")
     try:
-        return float(Fraction(x)) if isinstance(x, str) else float(x)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = float(Fraction(x)) if isinstance(x, str) else float(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(f"{where}: bad number {x!r}") from exc
+    _require(math.isfinite(value), f"{where}: non-finite number {x!r}")
+    return value
 
 
 def algebra_to_dict(alg: LieAlgebra) -> dict:
@@ -129,18 +132,25 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _reject_constant(name: str):
+    raise FormatError(f"non-finite literal {name} is not allowed")
+
+
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh, parse_constant=_reject_constant)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+
+
 def save_algebra(alg: LieAlgebra, path):
     with open(path, "w") as fh:
         fh.write(_dump(algebra_to_dict(alg)))
 
 
 def load_algebra(path, *, check_jacobi: bool = True) -> LieAlgebra:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-    return algebra_from_dict(doc, check_jacobi=check_jacobi)
+    return algebra_from_dict(_load_json(path), check_jacobi=check_jacobi)
 
 
 def save_metric(a: Metric, path):
@@ -149,9 +159,4 @@ def save_metric(a: Metric, path):
 
 
 def load_metric(path) -> Metric:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-    return metric_from_dict(doc)
+    return metric_from_dict(_load_json(path))

@@ -13,7 +13,6 @@ triples; ``compatibility_residual`` measures the worst violation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,8 +21,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rational
-from .algebra import DimensionMismatchError, LieAlgebra
-from .scalars import DEFAULT_TOL, coerce, is_exact
+from .algebra import DimensionMismatchError, LieAlgebra, _bilinear, _freeze_tensor
+from .scalars import DEFAULT_TOL, _scaled, _unscaled, coerce, is_exact
 
 DEGENERACY_RTOL = 1e-9
 
@@ -81,7 +80,7 @@ class Metric:
         return [list(row) for row in self.matrix]
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.matrix])
+        return _scaled(self.matrix, False)[0]
 
     def det(self):
         if self.exact:
@@ -90,9 +89,11 @@ class Metric:
 
     def apply(self, u: Sequence, v: Sequence):
         """The value a(u, v)."""
-        zero = Fraction(0) if self.exact else 0.0
-        return sum((u[i] * self.matrix[i][j] * v[j]
-                    for i in range(self.dim) for j in range(self.dim)), zero)
+        m, sm = _scaled(self.matrix, self.exact)
+        u, su = _scaled(u, self.exact)
+        v, sv = _scaled(v, self.exact)
+        return _unscaled(np.einsum("j,j->", np.einsum("i,ij->j", u, m), v),
+                         sm * su * sv, self.exact)
 
     def is_nondegenerate(self, rtol: float = DEGENERACY_RTOL) -> bool:
         if self.exact:
@@ -128,11 +129,10 @@ class Metric:
         """Pullback under the basis change f_q = sum_i p[i][q] e_i (congruence)."""
         if self.exact:
             p = [[coerce(x, True) for x in row] for row in p]
-            pt = rational.transpose(p)
-            return Metric.from_rows(rational.mat_mul(pt, rational.mat_mul(self.rows(), p)),
-                                    exact=True)
-        parr = np.array(p, dtype=float)
-        return Metric.from_rows((parr.T @ self.as_array() @ parr).tolist(), exact=False)
+        m, sm = _scaled(self.matrix, self.exact)
+        p, sp = _scaled(p, self.exact)
+        moved = np.einsum("ia,ib->ab", p, np.einsum("ij,jb->ib", m, p))
+        return Metric.from_rows(_unscaled(moved, sm * sp * sp, self.exact), exact=self.exact)
 
     def to_float(self) -> "Metric":
         if not self.exact:
@@ -165,54 +165,30 @@ class ConnectionTensor:
 
     def apply(self, u: Sequence, v: Sequence) -> list:
         """A_u v by bilinearity."""
-        n = self.dim
-        zero = Fraction(0) if self.exact else 0.0
-        out = [zero] * n
-        for i in range(n):
-            if u[i] == 0:
-                continue
-            for j in range(n):
-                if v[j] == 0:
-                    continue
-                f = u[i] * v[j]
-                row = self.tensor[i][j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] = out[k] + f * row[k]
-        return out
+        return _bilinear(self.tensor, u, v, self.exact)
 
     def as_array(self) -> np.ndarray:
-        return np.array([[[float(x) for x in row] for row in plane]
-                         for plane in self.tensor])
+        return _scaled(self.tensor, False)[0]
 
     def torsion_residual(self, alg: LieAlgebra):
         """Max-norm of A_{e_i}e_j - A_{e_j}e_i - [e_i, e_j] over basis pairs."""
-        worst = Fraction(0) if self.exact else 0.0
-        for i, j in itertools.product(range(self.dim), repeat=2):
-            br = alg.c[i][j]
-            for k in range(self.dim):
-                d = abs(self.tensor[i][j][k] - self.tensor[j][i][k] - br[k])
-                if d > worst:
-                    worst = d
-        return worst
+        exact = self.exact and alg.exact
+        x, sx = _scaled(self.tensor, exact)
+        c, sc = _scaled(alg.c, exact)
+        d = (x - x.transpose(1, 0, 2)) * sc - c * sx
+        return _unscaled(np.max(np.abs(d)), sx * sc, exact)
 
     def skew_residual(self, a: Metric):
         """Max-norm of a(A_{e_i}e_j, e_k) + a(e_j, A_{e_i}e_k) over triples."""
-        n = self.dim
-        worst = Fraction(0) if self.exact else 0.0
-        am = a.matrix
-        for i, j, k in itertools.product(range(n), repeat=3):
-            s = sum((self.tensor[i][j][m] * am[m][k] for m in range(n)),
-                    Fraction(0) if self.exact else 0.0)
-            s += sum((am[j][m] * self.tensor[i][k][m] for m in range(n)),
-                     Fraction(0) if self.exact else 0.0)
-            if abs(s) > worst:
-                worst = abs(s)
-        return worst
+        exact = self.exact and a.exact
+        x, sx = _scaled(self.tensor, exact)
+        m, sm = _scaled(a.matrix, exact)
+        d = np.einsum("ijm,mk->ijk", x, m) + np.einsum("jm,ikm->ijk", m, x)
+        return _unscaled(np.max(np.abs(d)), sx * sm, exact)
 
 
 def levi_civita_product(alg: LieAlgebra, a: Metric) -> ConnectionTensor:
-    """Solve the defining linear systems for A, one per basis pair.
+    """Solve the defining linear systems for A, all basis pairs at once.
 
     For each (i, j) the coordinate vector x of A_{e_i} e_j satisfies
     x . (2a) = b with b_k = a([e_i,e_j], e_k) + a([e_k,e_i], e_j)
@@ -223,43 +199,32 @@ def levi_civita_product(alg: LieAlgebra, a: Metric) -> ConnectionTensor:
     a.require_nondegenerate()
     n = alg.dim
     exact = alg.exact and a.exact
+    c, sc = _scaled(alg.c, exact)
+    m, sm = _scaled(a.matrix, exact)
     if exact:
-        two_a = [[2 * x for x in row] for row in a.rows()]
-        tensor = []
-        for i in range(n):
-            plane = []
-            ei = alg.basis(i)
-            for j in range(n):
-                ej = alg.basis(j)
-                br = alg.bracket(ei, ej)
-                b = []
-                for k in range(n):
-                    ek = alg.basis(k)
-                    b.append(a.apply(br, ek) + a.apply(alg.bracket(ek, ei), ej)
-                             + a.apply(alg.bracket(ek, ej), ei))
-                try:
-                    plane.append(rational.solve(two_a, b))
-                except rational.SingularMatrixError as exc:
-                    raise DegenerateMetricError(str(exc)) from exc
-            tensor.append(plane)
-        return ConnectionTensor(tensor=tuple(tuple(tuple(r) for r in p) for p in tensor),
-                                exact=True)
-    carr = alg.structure_array()
-    aarr = a.as_array()
-    x = _lc_product_array(carr, aarr)
-    return ConnectionTensor(
-        tensor=tuple(tuple(tuple(float(v) for v in x[i, j]) for j in range(n))
-                     for i in range(n)),
-        exact=False)
+        # with c = C/sc and a = M/sm, the solution of 2M y = B(C, M) is sc * x
+        two_m = [[Fraction(2 * v) for v in row] for row in m.tolist()]
+        try:
+            y = rational.solve(two_m, _product_rhs(c, m).reshape(-1, n).T.tolist())
+        except rational.SingularMatrixError as exc:
+            raise DegenerateMetricError(str(exc)) from exc
+        x = np.array(y, dtype=object).T.reshape(n, n, n)
+    else:
+        x = _lc_product_array(c, m)
+    return ConnectionTensor(tensor=_freeze_tensor(_unscaled(x, sc, exact)), exact=exact)
+
+
+def _product_rhs(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Right sides b[i][j][k] of the product's defining systems; linear in a."""
+    return (np.einsum("ijm,mk->ijk", c, a)
+            + np.einsum("kim,mj->ijk", c, a)
+            + np.einsum("kjm,mi->ijk", c, a))
 
 
 def _lc_product_array(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Vectorized float solve of the product's defining systems."""
     n = c.shape[0]
-    b = (np.einsum("ijm,mk->ijk", c, a)
-         + np.einsum("kim,mj->ijk", c, a)
-         + np.einsum("kjm,mi->ijk", c, a))
-    return np.linalg.solve(2.0 * a, b.reshape(-1, n).T).T.reshape(n, n, n)
+    return np.linalg.solve(2.0 * a, _product_rhs(c, a).reshape(-1, n).T).T.reshape(n, n, n)
 
 
 def _defect_array(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -285,23 +250,15 @@ def compatibility_residual(alg: LieAlgebra, a: Metric,
     """
     if conn is None:
         conn = levi_civita_product(alg, a)
-    n = alg.dim
-    if conn.exact:
-        best, best_triple = Fraction(0), (0, 0, 0)
-        for i, j, k in itertools.product(range(n), repeat=3):
-            d = alg.bracket(conn.product(i, j), alg.basis(k))
-            other = alg.bracket(alg.basis(i), conn.product(k, j))
-            sq = sum(((d[t] + other[t]) ** 2 for t in range(n)), Fraction(0))
-            if sq > best:
-                best, best_triple = sq, (i, j, k)
-        return CompatibilityResidual(value=math.sqrt(float(best)),
-                                     worst_triple=best_triple,
-                                     exact_zero=(best == 0))
-    d = _defect_array(alg.structure_array(), conn.as_array())
-    norms = np.sqrt((d ** 2).sum(axis=3))
-    idx = np.unravel_index(int(np.argmax(norms)), norms.shape)
-    return CompatibilityResidual(value=float(norms[idx]), worst_triple=tuple(int(t) for t in idx),
-                                 exact_zero=None)
+    exact = conn.exact and alg.exact
+    c, sc = _scaled(alg.c, exact)
+    x, sx = _scaled(conn.tensor, exact)
+    sq = (_defect_array(c, x) ** 2).sum(axis=3)
+    idx = np.unravel_index(int(np.argmax(sq)), sq.shape)
+    best = _unscaled(sq[idx], (sc * sx) ** 2, exact)
+    return CompatibilityResidual(value=math.sqrt(best),
+                                 worst_triple=tuple(int(t) for t in idx),
+                                 exact_zero=(best == 0) if exact else None)
 
 
 def is_pseudo_riemannian(alg: LieAlgebra, a: Metric, tol: float = DEFAULT_TOL) -> bool:

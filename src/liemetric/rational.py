@@ -1,8 +1,15 @@
 """Dense exact linear algebra over ``fractions.Fraction``.
 
+This is the exact side of the steps whose math differs between the two
+scalar modes: linear solves, inverse, determinant, inertia and null space.
+Tensor contractions do not come here; they run as ``np.einsum`` over integer
+tensors with one common denominator (see ``scalars``), and Fractions appear
+only where a result leaves that representation.
+
 Matrices are lists of lists of Fractions, vectors are lists of Fractions.
 Sizes here are tiny (n <= 10), so plain Gaussian elimination with the first
-nonzero pivot is both exact and fast enough.
+nonzero pivot is both exact and fast enough. ``solve`` takes a matrix right
+side, so one elimination serves many systems.
 """
 
 from __future__ import annotations
@@ -31,20 +38,6 @@ def mat_copy(a):
 
 def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p)]
-            for i in range(n)]
-
-
-def mat_vec(a, v):
-    return [sum((a[i][k] * v[k] for k in range(len(v))), Fraction(0)) for i in range(len(a))]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def solve(a, b):

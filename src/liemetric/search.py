@@ -25,7 +25,7 @@ import numpy as np
 from . import catalog
 from .algebra import LieAlgebra
 from .metric import (DegenerateMetricError, Metric, _defect_array,
-                     _lc_product_array, compatibility_residual)
+                     _lc_product_array, _product_rhs, compatibility_residual)
 from .scalars import RATIONALIZE_MAX_DENOMINATOR, rationalize
 
 _PENALTY = 1e8
@@ -142,12 +142,6 @@ def _adjugate(a: np.ndarray) -> np.ndarray:
     return adj
 
 
-def _rhs_tensor(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return (np.einsum("ijm,mk->ijk", c, a)
-            + np.einsum("kim,mj->ijk", c, a)
-            + np.einsum("kjm,mi->ijk", c, a))
-
-
 def _residual_jacobian(c: np.ndarray, theta: np.ndarray, mode: str,
                        floor: float):
     """Residual vector and its Jacobian at one parameter point.
@@ -169,7 +163,7 @@ def _residual_jacobian(c: np.ndarray, theta: np.ndarray, mode: str,
     dirs = _decode_directions(theta, n, mode)
     cols = []
     for da in dirs:
-        db = _rhs_tensor(c, da)
+        db = _product_rhs(c, da)
         rhs = db - 2.0 * np.einsum("ijm,mk->ijk", x, da)
         dx = np.linalg.solve(2.0 * a, rhs.reshape(-1, n).T).T.reshape(n, n, n)
         ddefect = _defect_array(c, dx)

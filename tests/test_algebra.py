@@ -49,6 +49,39 @@ def test_worst_jacobi_triple_flags_offender():
     assert triple == (0, 1, 2)
 
 
+def test_worst_jacobi_triple_ties_go_to_first_triple():
+    # (0,1,3) and (1,2,3) both have defect 2, (0,1,2) has 1
+    bad = LieAlgebra.from_brackets(
+        4, {(0, 1): [0, 0, 0, 1], (0, 3): [1, 0, 0, 0], (1, 2): [0, 0, 0, 1],
+            (1, 3): [0, 1, 0, 0], (2, 3): [0, 0, 1, 0]},
+        check_jacobi=False)
+    for alg in (bad, bad.to_float()):
+        residual, triple = alg.worst_jacobi_triple()
+        assert residual == 2
+        assert triple == (0, 1, 3)
+
+
+def test_exact_and_float_result_types(rng):
+    alg = solvable_family(1, 2, 3)
+    moved = alg.changed_basis(random_shear(rng, 3))
+    assert all(type(x) is Fraction for plane in moved.c for row in plane for x in row)
+    assert type(moved.jacobi_residual()) is Fraction
+    assert type(moved.worst_jacobi_triple()[0]) is Fraction
+    assert all(type(x) is Fraction for x in moved.bracket(moved.basis(0), moved.basis(1)))
+    flt = moved.to_float().changed_basis([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    assert all(type(x) is float for plane in flt.c for row in plane for x in row)
+    assert type(flt.jacobi_residual()) is float
+    assert all(type(x) is float for x in flt.ad_traces())
+
+
+def test_nan_structure_constant_fails_jacobi():
+    alg = LieAlgebra.from_brackets(3, {(0, 1): [0.0, 0.0, float("nan")]},
+                                   exact=False, check_jacobi=False)
+    assert np.isnan(alg.worst_jacobi_triple()[0])
+    with pytest.raises(InvalidStructureError):
+        alg.require_jacobi()
+
+
 def test_adjoint_matrix_columns_are_brackets():
     alg = sol()
     ad1 = alg.adjoint_matrix(alg.basis(0))

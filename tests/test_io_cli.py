@@ -105,6 +105,14 @@ def test_float_scalar_mode(tmp_path):
     assert m.apply([1, 0], [0, 1]) == 0.25
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400", '"1e400"'])
+def test_non_finite_float_entries_rejected(tmp_path, entry):
+    path = tmp_path / "nonfinite.json"
+    path.write_text('{"matrix": [[%s, 0.0], [0.0, 1.0]], "scalar": "float"}' % entry)
+    with pytest.raises(FormatError):
+        load_metric(path)
+
+
 def test_bundled_catalog_loads():
     names = ["abelian2", "abelian3", "affine_line", "heisenberg",
              "euclidean_motions", "sol"]
@@ -158,6 +166,23 @@ def test_cli_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["validate", str(path)]) == 2
+
+
+def test_cli_validate_nan_bracket_is_input_error(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({
+        "dim": 3, "scalar": "float",
+        "brackets": [{"i": 1, "j": 2, "v": [0.0, 0.0, float("nan")]}],
+    }))
+    assert main(["validate", str(path)]) == 2
+
+
+def test_cli_check_nan_metric_is_input_error(tmp_path, capsys):
+    path = tmp_path / "nan_metric.json"
+    path.write_text(json.dumps({
+        "matrix": [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]],
+        "scalar": "float"}))
+    assert main(["check", algebra_file(tmp_path, heisenberg()), str(path)]) == 2
 
 
 def test_cli_check_compatible_pair(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from liemetric import (
     DegenerateMetricError,
+    LieAlgebra,
     Metric,
     abelian,
     affine_line,
@@ -112,6 +113,57 @@ def test_residual_heisenberg_identity_exact_half():
     assert res.value == Fraction(1, 2)
     assert res.exact_zero is False
     assert res.worst_triple in [(0, 0, 2), (1, 1, 2), (2, 0, 0), (2, 1, 1)]
+
+
+def _defect_squares(alg, conn):
+    """Squared defect norm per triple, by loops over the raw tensors."""
+    n, c, x = alg.dim, alg.c, conn.tensor
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                d = [sum(x[i][j][m] * c[m][k][t] + c[i][m][t] * x[k][j][m] for m in range(n))
+                     for t in range(n)]
+                out[(i, j, k)] = sum(v * v for v in d)
+    return out
+
+
+def test_residual_ties_go_to_first_triple():
+    for alg, a in [(heisenberg(), Metric.identity(3)),
+                   (heisenberg().to_float(), Metric.identity(3, exact=False))]:
+        squares = _defect_squares(alg, levi_civita_product(alg, a))
+        top = max(squares.values())
+        maximal = sorted(t for t, v in squares.items() if v == top)
+        assert len(maximal) > 1
+        assert compatibility_residual(alg, a).worst_triple == maximal[0]
+
+
+def test_exact_and_float_result_types(rng):
+    alg = solvable_family(1, 2, 3)
+    a = random_metric(rng, 3)
+    for mode, kind in [(True, Fraction), (False, float)]:
+        pair_alg, pair_a = (alg, a) if mode else (alg.to_float(), a.to_float())
+        conn = levi_civita_product(pair_alg, pair_a)
+        assert all(type(v) is kind for plane in conn.tensor for row in plane for v in row)
+        assert type(conn.torsion_residual(pair_alg)) is kind
+        assert type(conn.skew_residual(pair_a)) is kind
+        assert type(pair_a.apply([1, 0, 0], [0, 1, 1])) is kind
+        assert type(compatibility_residual(pair_alg, pair_a, conn).value) is float
+
+
+def test_nan_propagates_through_residuals():
+    nan = float("nan")
+    alg = LieAlgebra.from_brackets(3, {(0, 1): [0.0, 0.0, nan]},
+                                   exact=False, check_jacobi=False)
+    a = Metric.identity(3, exact=False)
+    conn = levi_civita_product(alg, a)
+    assert np.isnan(conn.torsion_residual(alg))
+    assert np.isnan(conn.skew_residual(a))
+    assert np.isnan(compatibility_residual(alg, a, conn).value)
+    nan_metric = Metric.from_rows([[1.0, 0.0, 0.0], [0.0, nan, 0.0], [0.0, 0.0, 1.0]],
+                                  exact=False)
+    good = levi_civita_product(heisenberg().to_float(), a)
+    assert np.isnan(good.skew_residual(nan_metric))
 
 
 def test_residual_scale_invariance(rng):
