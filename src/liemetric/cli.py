@@ -112,6 +112,22 @@ def cmd_validate(args, rep: Report) -> int:
     return EXIT_OK
 
 
+def _within(value, exact: bool, tol: float) -> bool:
+    """True when a residual is exactly zero (exact mode) or within tol; NaN fails."""
+    return value == 0 if exact else abs(value) <= tol
+
+
+def _status(value, exact: bool, tol: float) -> str:
+    return "ok" if _within(value, exact, tol) else "failed"
+
+
+def _dual_identities():
+    """Report row names and the dual-side defect builders, in report order."""
+    return (("dual_compatibility", dual._dpi_defects),
+            ("jacobi_cyclic_identity", dual._cyclic_defects),
+            ("metric_transport_identity", dual._transport_defects))
+
+
 def cmd_check(args, rep: Report) -> int:
     alg = _load_algebra(args.algebra, rep, args.tol)
     rep.add_input(args.metric)
@@ -121,8 +137,9 @@ def cmd_check(args, rep: Report) -> int:
     sig = a.signature()
     rep.add("signature", "ok", [sig.p, sig.q])
     conn = metric.levi_civita_product(alg, a)
-    rep.add("product_torsion", "ok", float(conn.torsion_residual(alg)))
-    rep.add("product_metric_skew", "ok", float(conn.skew_residual(a)))
+    torsion, skew = conn.torsion_residual(alg), conn.skew_residual(a)
+    rep.add("product_torsion", _status(torsion, conn.exact, args.tol), float(torsion))
+    rep.add("product_metric_skew", _status(skew, conn.exact, args.tol), float(skew))
     res = metric.compatibility_residual(alg, a, conn)
     compatible = res.exact_zero if res.exact_zero is not None else res.value <= args.tol
     rep.add("compatibility_residual", "ok" if compatible else "failed",
@@ -130,17 +147,19 @@ def cmd_check(args, rep: Report) -> int:
     uni = alg.is_unimodular(args.tol)
     rep.add("unimodular", "yes" if uni.unimodular else "no",
             [float(t) for t in uni.traces])
-    rep.add("dual_compatibility", "ok" if compatible else "failed",
-            dual.dpi_residual(alg, a))
-    rep.add("jacobi_cyclic_identity", "ok", dual.cyclic_schouten_residual(alg, a))
-    rep.add("metric_transport_identity", "ok",
-            dual.metric_derivation_residual(alg, a))
-    worst_mod = 0.0
-    for k in range(alg.dim):
-        f = [1 if t == k else 0 for t in range(alg.dim)]
-        worst_mod = max(worst_mod, abs(dual.modular_field_value(alg, a, f)))
-    rep.add("modular_sweep_max", "ok", worst_mod)
-    return EXIT_OK if compatible else EXIT_CHECK_FAILED
+    fr = dual._DualFrame(alg, a)
+    for name, build in _dual_identities():
+        value = dual._poly_sweep(build(fr), None)
+        rep.add(name, _status(value, fr.exact, args.tol), value)
+    # the modular value of e_k is -tr(ad e_k) (the modular character)
+    worst_mod, modular_ok = 0.0, True
+    for k, trace in enumerate(uni.traces):
+        value = dual._modular_at(dual._modular_terms(fr, fr.de[k]), [0] * fr.n, fr.exact)
+        worst_mod = max(worst_mod, abs(float(value)))
+        modular_ok = modular_ok and _within(value + trace, fr.exact, args.tol)
+    rep.add("modular_sweep_max", "ok" if modular_ok else "failed", worst_mod)
+    failed = any(row["status"] == "failed" for row in rep.doc["checks"])
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _parse_signature(text: str, n: int):
@@ -202,41 +221,36 @@ def cmd_dual_sweep(args, rep: Report) -> int:
     a = io.load_metric(args.metric)
     if args.points_file:
         rep.add_input(args.points_file)
-        with open(args.points_file) as fh:
-            points = json.load(fh)
-        if (not isinstance(points, list)
-                or any(len(p) != alg.dim for p in points)):
-            raise io.FormatError("points file must hold a list of length-n points")
-        points = [[float(x) for x in p] for p in points]
+        points = io.load_points(args.points_file, alg.dim)
     else:
         rng = np.random.default_rng(args.seed)
         points = rng.standard_normal((args.count, alg.dim)).tolist()
-    sweeps = [
-        ("dual_compatibility", lambda pts: dual.dpi_residual(alg, a, pts)),
-        ("jacobi_cyclic_identity", lambda pts: dual.cyclic_schouten_residual(alg, a, pts)),
-        ("metric_transport_identity", lambda pts: dual.metric_derivation_residual(alg, a, pts)),
-    ]
+    # one frame and one set of defect polynomials, evaluated at every point
+    fr = dual._DualFrame(alg, a)
     entries = []
     consistent = True
-    for name, fn in sweeps:
+    for name, build in _dual_identities():
+        defects = [p.to_float() for p in build(fr)]
         worst = 0.0
         for pt in points:
-            v = fn([pt])
+            v = dual._poly_sweep(defects, [pt])
             entries.append({"point": pt, "check": name, "value": v})
             worst = max(worst, v)
         if name != "dual_compatibility":
             consistent = consistent and worst <= args.tol
         rep.add(name + "_max", "ok" if worst <= args.tol else "above_tol", worst)
-    worst_mod = 0.0
-    for k in range(alg.dim):
-        f = [1 if t == k else 0 for t in range(alg.dim)]
+    worst_mod, modular_ok = 0.0, True
+    for k, trace in enumerate(alg.ad_traces()):
+        terms = dual._modular_terms(fr, fr.de[k])
         for pt in points:
-            v = dual.modular_field_value(alg, a, f, pt)
+            value = dual._modular_at(terms, pt, fr.exact)
+            v = float(value)
             entries.append({"point": pt, "check": f"modular_e{k + 1}", "value": v})
             worst_mod = max(worst_mod, abs(v))
-    rep.add("modular_sweep_max", "ok", worst_mod)
+            modular_ok = modular_ok and _within(value + trace, fr.exact, args.tol)
+    rep.add("modular_sweep_max", "ok" if modular_ok else "above_tol", worst_mod)
     rep.doc["sweep"] = _jsonable(entries)
-    return EXIT_OK if consistent else EXIT_CHECK_FAILED
+    return EXIT_OK if consistent and modular_ok else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

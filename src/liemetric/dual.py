@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -276,14 +277,12 @@ def sharp_pi(alg: LieAlgebra, mu, alpha) -> list:
     return [sum((alpha[i] * mat[i][j] for i in range(n)), zero) for j in range(n)]
 
 
-def sharp_form(alg: LieAlgebra, alpha: PolyOneForm) -> tuple:
-    """Polynomial vector field components of the sharp image of a form."""
-    exact, alg, _, (alpha,) = _harmonize(alg, None, [alpha])
-    n = alg.dim
-    pi = _pi_polys(alg)
+def _sharp(pi: list, alpha: PolyOneForm) -> tuple:
+    """Components of the sharp image of alpha, given the matrix pi."""
+    n = alpha.dim
     comps = []
     for m in range(n):
-        total = Polynomial.zero(n, exact)
+        total = Polynomial.zero(n, alpha.exact)
         for i in range(n):
             if alpha.coeffs[i].is_zero() or pi[i][m].is_zero():
                 continue
@@ -292,12 +291,10 @@ def sharp_form(alg: LieAlgebra, alpha: PolyOneForm) -> tuple:
     return tuple(comps)
 
 
-def pi_pairing(alg: LieAlgebra, alpha: PolyOneForm, beta: PolyOneForm) -> Polynomial:
-    """The polynomial pi(alpha, beta)."""
-    exact, alg, _, (alpha, beta) = _harmonize(alg, None, [alpha, beta])
-    n = alg.dim
-    pi = _pi_polys(alg)
-    total = Polynomial.zero(n, exact)
+def _pi_pair(pi: list, alpha: PolyOneForm, beta: PolyOneForm) -> Polynomial:
+    """The polynomial pi(alpha, beta), given the matrix pi."""
+    n = alpha.dim
+    total = Polynomial.zero(n, alpha.exact)
     for i in range(n):
         if alpha.coeffs[i].is_zero():
             continue
@@ -306,6 +303,26 @@ def pi_pairing(alg: LieAlgebra, alpha: PolyOneForm, beta: PolyOneForm) -> Polyno
                 continue
             total = total + alpha.coeffs[i] * beta.coeffs[j] * pi[i][j]
     return total
+
+
+def _bracket(pi: list, alpha: PolyOneForm, beta: PolyOneForm, xa: tuple, xb: tuple,
+             max_degree: int) -> PolyOneForm:
+    """[alpha, beta] from pi and the sharp fields xa, xb of alpha and beta."""
+    out = (lie_derivative_form(xa, beta) - lie_derivative_form(xb, alpha)
+           - differential(_pi_pair(pi, alpha, beta)))
+    return _degree_guard(out, max_degree, "form bracket")
+
+
+def sharp_form(alg: LieAlgebra, alpha: PolyOneForm) -> tuple:
+    """Polynomial vector field components of the sharp image of a form."""
+    _, alg, _, (alpha,) = _harmonize(alg, None, [alpha])
+    return _sharp(_pi_polys(alg), alpha)
+
+
+def pi_pairing(alg: LieAlgebra, alpha: PolyOneForm, beta: PolyOneForm) -> Polynomial:
+    """The polynomial pi(alpha, beta)."""
+    _, alg, _, (alpha, beta) = _harmonize(alg, None, [alpha, beta])
+    return _pi_pair(_pi_polys(alg), alpha, beta)
 
 
 def form_pairing(alpha: PolyOneForm, beta: PolyOneForm, a: Metric) -> Polynomial:
@@ -375,45 +392,69 @@ def form_bracket(alg: LieAlgebra, alpha: PolyOneForm, beta: PolyOneForm,
     d(pi(alpha, beta)). On differentials of linear functions u, v the result
     is the differential of the linear function [u, v].
     """
-    exact, alg, _, (alpha, beta) = _harmonize(alg, None, [alpha, beta])
-    xa = sharp_form(alg, alpha)
-    xb = sharp_form(alg, beta)
-    out = (lie_derivative_form(xa, beta) - lie_derivative_form(xb, alpha)
-           - differential(pi_pairing(alg, alpha, beta)))
-    return _degree_guard(out, max_degree, "form bracket")
+    _, alg, _, (alpha, beta) = _harmonize(alg, None, [alpha, beta])
+    pi = _pi_polys(alg)
+    return _bracket(pi, alpha, beta, _sharp(pi, alpha), _sharp(pi, beta), max_degree)
 
 
-def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
-                             beta: PolyOneForm,
-                             max_degree: int = DEFAULT_MAX_DEGREE) -> PolyOneForm:
-    """The derivative D_alpha beta from the six-term Koszul relation.
+class _DualFrame:
+    """Basis data of one (algebra, metric) pair, built once per public call.
 
-    Pairs the relation against each constant coframe element de_k, then
-    solves the constant fiber-metric system coefficientwise. On constant
-    forms du, dv the output is the constant form of the product A_u v.
+    Holds the scalar mode; the algebra, metric and any extra forms in that
+    mode; the inverse metric; the matrix pi; the constant coframe de and its
+    sharp fields. The n x n basis brackets ``brackets[i][m] = [de_m, de_i]``
+    and Koszul derivatives ``derivs[i][k] = D_{de_i} de_k`` are built on
+    first use, so a call pays only for what it reads. Nothing outlives the
+    call that built the frame.
     """
-    exact, alg, a, (alpha, beta) = _harmonize(alg, a, [alpha, beta])
-    if alg.dim != a.dim:
-        raise DimensionMismatchError("metric dimension does not match the algebra")
-    a.require_nondegenerate()
-    n = alg.dim
-    xa = sharp_form(alg, alpha)
-    xb = sharp_form(alg, beta)
-    ab = form_pairing(alpha, beta, a)
-    bracket_ab = form_bracket(alg, alpha, beta, max_degree=max_degree)
-    half = Fraction(1, 2) if exact else 0.5
+
+    def __init__(self, alg: LieAlgebra, a: Metric, forms=()):
+        self.exact, self.alg, self.a, self.forms = _harmonize(alg, a, forms)
+        if self.alg.dim != self.a.dim:
+            raise DimensionMismatchError("metric dimension does not match the algebra")
+        self.a.require_nondegenerate()
+        self.ainv = self.a.inverse_rows()
+        self.n = self.alg.dim
+        self.pi = _pi_polys(self.alg)
+        self.de = [PolyOneForm.coordinate(self.n, k, self.exact) for k in range(self.n)]
+        self.sharp = [_sharp(self.pi, d) for d in self.de]
+
+    @cached_property
+    def brackets(self) -> list:
+        de, sharp = self.de, self.sharp
+        return [[_bracket(self.pi, de[m], de[i], sharp[m], sharp[i], DEFAULT_MAX_DEGREE)
+                 for m in range(self.n)] for i in range(self.n)]
+
+    @cached_property
+    def derivs(self) -> list:
+        de, sharp, b = self.de, self.sharp, self.brackets
+        return [[_koszul(self, de[i], de[k], sharp[i], sharp[k], b[i], b[k], b[k][i],
+                         DEFAULT_MAX_DEGREE)
+                 for k in range(self.n)] for i in range(self.n)]
+
+
+def _koszul(fr: _DualFrame, alpha: PolyOneForm, beta: PolyOneForm, xa: tuple, xb: tuple,
+            ka: list, kb: list, ab: PolyOneForm, max_degree: int) -> PolyOneForm:
+    """D_alpha beta from the six-term Koszul relation paired against each de_k.
+
+    xa, xb are the sharp fields of alpha and beta, ka[k] = [de_k, alpha],
+    kb[k] = [de_k, beta] and ab = [alpha, beta]; the constant fiber-metric
+    system is then solved coefficientwise.
+    """
+    n, exact, a = fr.n, fr.exact, fr.a
+    ab_pair = form_pairing(alpha, beta, a)
     rhs = []
     for k in range(n):
-        dek = PolyOneForm.coordinate(n, k, exact)
-        xk = sharp_form(alg, dek)
+        dek = fr.de[k]
         term = apply_field(xa, form_pairing(beta, dek, a))
         term = term + apply_field(xb, form_pairing(alpha, dek, a))
-        term = term - apply_field(xk, ab)
-        term = term + form_pairing(form_bracket(alg, dek, alpha, max_degree), beta, a)
-        term = term + form_pairing(form_bracket(alg, dek, beta, max_degree), alpha, a)
-        term = term + form_pairing(bracket_ab, dek, a)
+        term = term - apply_field(fr.sharp[k], ab_pair)
+        term = term + form_pairing(ka[k], beta, a)
+        term = term + form_pairing(kb[k], alpha, a)
+        term = term + form_pairing(ab, dek, a)
         rhs.append(term)
-    ainv = a.inverse_rows()
+    ainv = fr.ainv
+    half = Fraction(1, 2) if exact else 0.5
     coeffs = []
     for j in range(n):
         h = Polynomial.zero(n, exact)
@@ -426,31 +467,78 @@ def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
     return _degree_guard(out, max_degree, "contravariant derivative")
 
 
-def _coframe(n: int, exact: bool) -> list:
-    return [PolyOneForm.coordinate(n, k, exact) for k in range(n)]
+def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
+                             beta: PolyOneForm,
+                             max_degree: int = DEFAULT_MAX_DEGREE) -> PolyOneForm:
+    """The derivative D_alpha beta from the six-term Koszul relation.
 
-
-def _basis_derivatives(alg: LieAlgebra, a: Metric, exact: bool) -> list:
-    """D_{de_i} de_k for all pairs, as a nested list [i][k]."""
-    n = alg.dim
-    de = _coframe(n, exact)
-    return [[contravariant_derivative(alg, a, de[i], de[k]) for k in range(n)]
-            for i in range(n)]
+    Pairs the relation against each constant coframe element de_k, then
+    solves the constant fiber-metric system coefficientwise. On constant
+    forms du, dv the output is the constant form of the product A_u v.
+    """
+    fr = _DualFrame(alg, a, [alpha, beta])
+    alpha, beta = fr.forms
+    xa, xb = _sharp(fr.pi, alpha), _sharp(fr.pi, beta)
+    ka = [_bracket(fr.pi, d, alpha, x, xa, max_degree) for d, x in zip(fr.de, fr.sharp)]
+    kb = [_bracket(fr.pi, d, beta, x, xb, max_degree) for d, x in zip(fr.de, fr.sharp)]
+    ab = _bracket(fr.pi, alpha, beta, xa, xb, max_degree)
+    return _koszul(fr, alpha, beta, xa, xb, ka, kb, ab, max_degree)
 
 
 def _poly_sweep(polys, points) -> float:
-    """Max coefficient magnitude, or max absolute value over sample points."""
-    worst = 0.0
+    """Max coefficient magnitude, or max absolute value over sample points.
+
+    A NaN coefficient or value makes the result NaN, never a smaller number.
+    """
     if points is None:
-        for p in polys:
-            worst = max(worst, p.max_coeff())
-        return worst
-    for pt in points:
-        pt = [float(x) for x in pt]
-        for p in polys:
-            v = abs(float(p.to_float().eval(pt)))
-            worst = max(worst, v)
-    return worst
+        values = [p.max_coeff() for p in polys]
+    else:
+        pts = [[float(x) for x in pt] for pt in points]
+        polys = [p.to_float() for p in polys]
+        values = [abs(float(p.eval(pt))) for pt in pts for p in polys]
+    return float(np.max(values, initial=0.0))
+
+
+def _dpi_defects(fr: _DualFrame) -> list:
+    """pi(D_{de_i} de_k, de_j) + pi(de_i, D_{de_j} de_k) for every (i, j, k)."""
+    pi, de, deriv = fr.pi, fr.de, fr.derivs
+    return [_pi_pair(pi, deriv[i][k], de[j]) + _pi_pair(pi, de[i], deriv[j][k])
+            for i, j, k in itertools.product(range(fr.n), repeat=3)]
+
+
+def _cyclic_defects(fr: _DualFrame) -> list:
+    """Cyclic sums of Dpi over basis coframe triples, repeated indices too."""
+    pi, de, deriv, sharp = fr.pi, fr.de, fr.derivs, fr.sharp
+
+    def dpi(i, j, k):
+        lead = apply_field(sharp[i], _pi_pair(pi, de[j], de[k]))
+        return (lead - _pi_pair(pi, deriv[i][j], de[k])
+                - _pi_pair(pi, de[j], deriv[i][k]))
+
+    sums = []
+    for i, j, k in itertools.combinations(range(fr.n), 3):
+        sums.append(dpi(i, j, k) + dpi(j, k, i) + dpi(k, i, j))
+    for i, j in itertools.product(range(fr.n), repeat=2):
+        # repeated-index triples, which the antisymmetry does not silence
+        sums.append(dpi(i, i, j) + dpi(i, j, i) + dpi(j, i, i))
+    return sums
+
+
+def _transport_defects(fr: _DualFrame) -> list:
+    """Left minus right side of the fiber-metric transport law, per (k, i, j)."""
+    n, a, de, deriv = fr.n, fr.a, fr.de, fr.derivs
+    diffs = []
+    for k in range(n):
+        field = fr.sharp[k]
+        lie = [lie_derivative_form(field, de[i]) for i in range(n)]
+        for i, j in itertools.product(range(n), repeat=2):
+            left = (apply_field(field, form_pairing(de[i], de[j], a))
+                    - form_pairing(lie[i], de[j], a)
+                    - form_pairing(de[i], lie[j], a))
+            right = (form_pairing(deriv[i][k], de[j], a)
+                     + form_pairing(de[i], deriv[j][k], a))
+            diffs.append(left - right)
+    return diffs
 
 
 def dpi_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
@@ -461,17 +549,7 @@ def dpi_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
     returned, which vanishes iff the defect vanishes at every point;
     otherwise the defect is evaluated at the given points.
     """
-    exact = alg.exact and a.exact
-    if not exact:
-        alg, a = alg.to_float(), a.to_float()
-    n = alg.dim
-    de = _coframe(n, exact)
-    deriv = _basis_derivatives(alg, a, exact)
-    defects = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        defects.append(pi_pairing(alg, deriv[i][k], de[j])
-                       + pi_pairing(alg, de[i], deriv[j][k]))
-    return _poly_sweep(defects, points)
+    return _poly_sweep(_dpi_defects(_DualFrame(alg, a)), points)
 
 
 def cyclic_schouten_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
@@ -481,26 +559,7 @@ def cyclic_schouten_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
     cyclically over basis coframe triples. The bivector satisfies the Jacobi
     identity, so the sum must vanish no matter the metric.
     """
-    exact = alg.exact and a.exact
-    if not exact:
-        alg, a = alg.to_float(), a.to_float()
-    n = alg.dim
-    de = _coframe(n, exact)
-    deriv = _basis_derivatives(alg, a, exact)
-    sharp = [sharp_form(alg, de[i]) for i in range(n)]
-
-    def dpi(i, j, k):
-        lead = apply_field(sharp[i], pi_pairing(alg, de[j], de[k]))
-        return (lead - pi_pairing(alg, deriv[i][j], de[k])
-                - pi_pairing(alg, de[j], deriv[i][k]))
-
-    sums = []
-    for i, j, k in itertools.combinations(range(n), 3):
-        sums.append(dpi(i, j, k) + dpi(j, k, i) + dpi(k, i, j))
-    for i, j in itertools.product(range(n), repeat=2):
-        # repeated-index triples, which the antisymmetry does not silence
-        sums.append(dpi(i, i, j) + dpi(i, j, i) + dpi(j, i, i))
-    return _poly_sweep(sums, points)
+    return _poly_sweep(_cyclic_defects(_DualFrame(alg, a)), points)
 
 
 def metric_derivation_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
@@ -510,24 +569,35 @@ def metric_derivation_residual(alg: LieAlgebra, a: Metric, points=None) -> float
     of a linear function, expanded directly. Right side: <D_a df, b> +
     <a, D_b df> through the Koszul solve. Equal for every metric.
     """
-    exact = alg.exact and a.exact
-    if not exact:
-        alg, a = alg.to_float(), a.to_float()
-    n = alg.dim
-    de = _coframe(n, exact)
-    deriv = _basis_derivatives(alg, a, exact)
-    diffs = []
-    for k in range(n):
-        field = sharp_form(alg, de[k])
-        lie = [lie_derivative_form(field, de[i]) for i in range(n)]
-        for i, j in itertools.product(range(n), repeat=2):
-            left = (apply_field(field, form_pairing(de[i], de[j], a))
-                    - form_pairing(lie[i], de[j], a)
-                    - form_pairing(de[i], lie[j], a))
-            right = (form_pairing(deriv[i][k], de[j], a)
-                     + form_pairing(de[i], deriv[j][k], a))
-            diffs.append(left - right)
-    return _poly_sweep(diffs, points)
+    return _poly_sweep(_transport_defects(_DualFrame(alg, a)), points)
+
+
+def _modular_terms(fr: _DualFrame, du: PolyOneForm) -> list:
+    """Pairs (ainv[p][q], <D_{de_p} du, de_q>); their weighted sum is the modular value.
+
+    Each D_{de_p} du is one Koszul solve that reads the frame's sharp fields
+    and basis brackets; only the n brackets [de_m, du] are new.
+    """
+    xu = _sharp(fr.pi, du)
+    ku = [_bracket(fr.pi, d, du, x, xu, DEFAULT_MAX_DEGREE) for d, x in zip(fr.de, fr.sharp)]
+    ainv = fr.ainv
+    terms = []
+    for p in range(fr.n):
+        dp = _koszul(fr, fr.de[p], du, fr.sharp[p], xu, fr.brackets[p], ku, ku[p],
+                     DEFAULT_MAX_DEGREE)
+        for q in range(fr.n):
+            if ainv[p][q] != 0:
+                terms.append((ainv[p][q], form_pairing(dp, fr.de[q], fr.a)))
+    return terms
+
+
+def _modular_at(terms: list, mu, exact: bool):
+    """The weighted sum of _modular_terms at mu: a Fraction in exact mode."""
+    mu = [x if exact else float(x) for x in mu]
+    total = Fraction(0) if exact else 0.0
+    for weight, poly in terms:
+        total += weight * poly.eval(mu)
+    return total
 
 
 def modular_field_value(alg: LieAlgebra, a: Metric, f, mu=None) -> float:
@@ -539,27 +609,10 @@ def modular_field_value(alg: LieAlgebra, a: Metric, f, mu=None) -> float:
     """
     if len(f) != alg.dim:
         raise DimensionMismatchError("linear function has wrong length")
-    exact = alg.exact and a.exact and all(is_exact(x) for x in f)
-    if not exact:
-        alg, a = alg.to_float(), a.to_float()
-        f = [float(x) for x in f]
-    n = alg.dim
-    a.require_nondegenerate()
-    du = PolyOneForm.from_linear(f, exact)
-    de = _coframe(n, exact)
-    ainv = a.inverse_rows()
+    fr = _DualFrame(alg, a, [PolyOneForm.from_linear(f)])
     if mu is None:
-        mu = [Fraction(0) if exact else 0.0] * n
-    mu = list(mu)
-    total = Fraction(0) if exact else 0.0
-    for p in range(n):
-        dp = contravariant_derivative(alg, a, de[p], du)
-        for q in range(n):
-            if ainv[p][q] == 0:
-                continue
-            val = form_pairing(dp, de[q], a).eval([x if exact else float(x) for x in mu])
-            total += ainv[p][q] * val
-    return float(total)
+        mu = [0] * fr.n
+    return float(_modular_at(_modular_terms(fr, fr.forms[0]), mu, fr.exact))
 
 
 def _standard_basis(n: int, exact: bool) -> list:

@@ -11,6 +11,14 @@ Metric files carry the full symmetric matrix and a scalar mode:
 
 Rational entries are strings like "-3/2"; float mode uses JSON numbers.
 Save then load then save reproduces the file byte for byte.
+
+An algebra file may declare at most ``MAX_DIM`` basis vectors: building the
+structure tensor allocates dim^3 entries and the Jacobi check costs dim^5
+operations, so a one-line file with a huge ``dim`` is refused before any of
+that is allocated.
+
+Points files (``dual-sweep --points-file``) hold a JSON list of length-n
+lists of numbers, read like float-mode entries.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from fractions import Fraction
 from .algebra import LieAlgebra
 from .metric import Metric
 from .scalars import scalar_str
+
+MAX_DIM = 32
 
 
 class FormatError(ValueError):
@@ -74,6 +84,7 @@ def algebra_from_dict(doc: dict, *, check_jacobi: bool = True) -> LieAlgebra:
     n = doc["dim"]
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
              "'dim' must be a positive integer")
+    _require(n <= MAX_DIM, f"'dim' {n} is above the cap of {MAX_DIM}")
     mode = doc.get("scalar", "rational")
     _require(mode in ("rational", "float"), f"unknown scalar mode {mode!r}")
     exact = mode == "rational"
@@ -160,3 +171,13 @@ def save_metric(a: Metric, path):
 
 def load_metric(path) -> Metric:
     return metric_from_dict(_load_json(path))
+
+
+def load_points(path, dim: int) -> list:
+    """A points file as a list of float lists, each of length dim."""
+    doc = _load_json(path)
+    _require(isinstance(doc, list)
+             and all(isinstance(p, list) and len(p) == dim for p in doc),
+             "points file must hold a list of length-n points")
+    return [[_parse_float(x, f"points[{i}][{j}]") for j, x in enumerate(p)]
+            for i, p in enumerate(doc)]

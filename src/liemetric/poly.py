@@ -4,12 +4,18 @@ Terms are stored in a dict mapping exponent tuples to coefficients, one
 tuple slot per coordinate. Zero coefficients are dropped as they appear, so
 two polynomials are equal iff their dicts are. Coefficients are Fractions in
 exact mode and floats otherwise; mixing modes is an error.
+
+The public constructor validates and coerces every term. Arithmetic results
+are already in the right mode, so they go through ``_trusted``, which only
+drops zero coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .scalars import coerce
 
@@ -33,8 +39,18 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
+    def _trusted(cls, nvars: int, terms: dict, exact: bool) -> "Polynomial":
+        """A polynomial from well-formed terms in the right mode; drops zeros only."""
+        p = object.__new__(cls)
+        slots = p.__dict__  # frozen: fill the instance dict directly
+        slots["nvars"] = nvars
+        slots["terms"] = {e: c for e, c in terms.items() if c}
+        slots["exact"] = exact
+        return p
+
+    @classmethod
     def zero(cls, nvars: int, exact: bool = True):
-        return cls(nvars, {}, exact)
+        return cls._trusted(nvars, {}, exact)
 
     @classmethod
     def constant(cls, nvars: int, value, exact: bool = True):
@@ -61,11 +77,12 @@ class Polynomial:
         self._check_mate(other)
         terms = dict(self.terms)
         for expo, coef in other.terms.items():
-            terms[expo] = terms.get(expo, 0) + coef
-        return Polynomial(self.nvars, terms, self.exact)
+            terms[expo] = terms[expo] + coef if expo in terms else coef
+        return Polynomial._trusted(self.nvars, terms, self.exact)
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()}, self.exact)
+        return Polynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()},
+                                   self.exact)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Polynomial)
@@ -74,15 +91,16 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = coerce(other, self.exact)
-            return Polynomial(self.nvars, {e: k * c for e, k in self.terms.items()},
-                              self.exact)
+            return Polynomial._trusted(self.nvars, {e: k * c for e, k in self.terms.items()},
+                                       self.exact)
         self._check_mate(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return Polynomial(self.nvars, terms, self.exact)
+                c = c1 * c2
+                terms[e] = terms[e] + c if e in terms else c
+        return Polynomial._trusted(self.nvars, terms, self.exact)
 
     __rmul__ = __mul__
 
@@ -97,8 +115,8 @@ class Polynomial:
                 continue
             e = list(expo)
             e[k] -= 1
-            terms[tuple(e)] = terms.get(tuple(e), 0) + coef * expo[k]
-        return Polynomial(self.nvars, terms, self.exact)
+            terms[tuple(e)] = coef * expo[k]  # distinct exponents stay distinct
+        return Polynomial._trusted(self.nvars, terms, self.exact)
 
     def eval(self, point):
         if len(point) != self.nvars:
@@ -124,16 +142,17 @@ class Polynomial:
         return all(abs(c) <= tol for c in self.terms.values())
 
     def max_coeff(self) -> float:
-        """Largest coefficient magnitude as a float; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0.0
-        return max(abs(float(c)) for c in self.terms.values())
+        """Largest coefficient magnitude as a float; 0 for the zero polynomial.
+
+        A NaN coefficient makes the result NaN.
+        """
+        return float(np.max([abs(float(c)) for c in self.terms.values()], initial=0.0))
 
     def to_float(self) -> "Polynomial":
         if not self.exact:
             return self
-        return Polynomial(self.nvars, {e: float(c) for e, c in self.terms.items()},
-                          exact=False)
+        return Polynomial._trusted(self.nvars, {e: float(c) for e, c in self.terms.items()},
+                                   False)
 
     def __str__(self):
         if not self.terms:

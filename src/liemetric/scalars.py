@@ -31,6 +31,8 @@ def is_exact(x) -> bool:
 def coerce(x, exact: bool):
     """Return x as Fraction (exact) or float; strings parse as rationals."""
     if exact:
+        if type(x) is Fraction:
+            return x
         if isinstance(x, str):
             return Fraction(x)
         if is_exact(x):

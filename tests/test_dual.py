@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from liemetric import (
+    LieAlgebra,
     Metric,
     abelian,
     affine_line,
@@ -42,6 +43,7 @@ from liemetric.dual import (
     LeafRankError,
     PolyOneForm,
     Polynomial,
+    _DualFrame,
     apply_field,
     form_pairing,
     lie_derivative_form,
@@ -198,6 +200,26 @@ def test_derivative_on_constants_is_connection(rng):
                 assert d.coeffs[k] == Polynomial.constant(3, want[k])
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_frame_derivatives_match_public_derivative(rng, exact):
+    """The shared basis data of one call equals the standalone public path."""
+    for n in (2, 3, 4, 4):
+        alg, a = random_algebra(rng, n), random_metric(rng, n)
+        if not exact:
+            alg, a = alg.to_float(), a.to_float()
+        frame = _DualFrame(alg, a)
+        de = coframe(n, exact)
+        for _ in range(4):
+            i, k = (int(x) for x in rng.integers(0, n, size=2))
+            want = contravariant_derivative(alg, a, de[i], de[k])
+            got = frame.derivs[i][k]
+            assert got.exact is exact
+            assert [p.terms for p in got.coeffs] == [p.terms for p in want.coeffs]
+            bracket = form_bracket(alg, de[k], de[i])
+            assert [p.terms for p in frame.brackets[i][k].coeffs] == \
+                [p.terms for p in bracket.coeffs]
+
+
 def test_derivative_heisenberg_identity_example():
     d = contravariant_derivative(heisenberg(), Metric.identity(3),
                                  PolyOneForm.coordinate(3, 0),
@@ -269,6 +291,17 @@ def test_residuals_at_points(rng):
     assert dpi_residual(alg, a, pts) > 0
     assert cyclic_schouten_residual(alg, a, pts) == 0
     assert metric_derivation_residual(alg, a, pts) == 0
+
+
+def test_nan_structure_constant_propagates_to_residuals():
+    """A NaN entry reaches the dual residuals as NaN, not as a smaller number."""
+    c = [[list(row) for row in plane] for plane in sol().to_float().c]
+    c[0][1][1], c[1][0][1] = math.nan, math.nan
+    alg = LieAlgebra.from_structure(c, exact=False, check_jacobi=False)
+    a = Metric.identity(3).to_float()
+    assert math.isnan(dpi_residual(alg, a))
+    assert math.isnan(dpi_residual(alg, a, [[0.5, -1.0, 2.0]]))
+    assert math.isnan(Polynomial(1, {(1,): 2.0, (0,): math.nan}, exact=False).max_coeff())
 
 
 # --- casimirs -----------------------------------------------------------
@@ -378,7 +411,6 @@ def test_kahler_rejects_rank_zero_point():
 def test_kahler_irregular_point_detected():
     # two independent blocks: generic rank 4, but rank 2 where the second
     # block's coordinate nearly vanishes; nearby probes see the jump
-    from liemetric import LieAlgebra
     two_lines = LieAlgebra.from_brackets(
         4, {(0, 1): [0, 1, 0, 0], (2, 3): [0, 0, 0, 1]})
     with pytest.raises(IrregularPointError):

@@ -18,7 +18,12 @@ from liemetric import (
     sol_split_metric,
     solvable_family,
 )
+from liemetric import dual
+from liemetric.algebra import LieAlgebra
 from liemetric.cli import main
+from liemetric.io import MAX_DIM
+from liemetric.metric import ConnectionTensor
+from liemetric.poly import Polynomial
 from conftest import random_algebra, random_metric
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "liemetric" / "data"
@@ -194,6 +199,47 @@ def test_cli_check_compatible_pair(tmp_path, capsys):
     assert "compatibility_residual" in out
 
 
+def _check_rows(tmp_path):
+    report = tmp_path / "check.json"
+    code = main(["check", algebra_file(tmp_path, heisenberg()),
+                 metric_file(tmp_path, Metric.from_rows(
+                     [[0, 0, 1], [0, 1, 0], [1, 0, 0]])),
+                 "--json", str(report)])
+    doc = json.loads(report.read_text())
+    return code, {row["name"]: row["status"] for row in doc["checks"]}
+
+
+def test_cli_check_rows_all_ok_on_compatible_pair(tmp_path, capsys):
+    code, rows = _check_rows(tmp_path)
+    assert code == 0
+    judged = ["product_torsion", "product_metric_skew", "compatibility_residual",
+              "dual_compatibility", "jacobi_cyclic_identity",
+              "metric_transport_identity", "modular_sweep_max"]
+    assert all(rows[name] == "ok" for name in judged)
+
+
+def _nonzero_defects(fr):
+    return [Polynomial.constant(fr.n, Fraction(1, 7))]
+
+
+@pytest.mark.parametrize("row, owner, attr, fake", [
+    ("product_torsion", ConnectionTensor, "torsion_residual", lambda self, alg: Fraction(1)),
+    ("product_metric_skew", ConnectionTensor, "skew_residual", lambda self, a: Fraction(1)),
+    ("dual_compatibility", dual, "_dpi_defects", _nonzero_defects),
+    ("jacobi_cyclic_identity", dual, "_cyclic_defects", _nonzero_defects),
+    ("metric_transport_identity", dual, "_transport_defects", _nonzero_defects),
+    ("modular_sweep_max", dual, "_modular_terms",
+     lambda fr, du: [(Fraction(1), Polynomial.constant(fr.n, 1))]),
+])
+def test_cli_check_row_judged_by_its_value(tmp_path, capsys, monkeypatch,
+                                           row, owner, attr, fake):
+    monkeypatch.setattr(owner, attr, fake)
+    code, rows = _check_rows(tmp_path)
+    assert rows[row] == "failed"
+    assert rows["compatibility_residual"] == "ok"
+    assert code == 1
+
+
 def test_cli_check_incompatible_pair_exits_one(tmp_path, capsys):
     code = main(["check", algebra_file(tmp_path, heisenberg()),
                  metric_file(tmp_path, Metric.identity(3))])
@@ -279,6 +325,42 @@ def test_cli_dual_sweep_points_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "d.json").read_text())
     assert len(doc["sweep"]) > 0
+
+
+@pytest.mark.parametrize("text", [
+    "[[0.1, NaN, 0.3]]",
+    "[[0.1, 0.2, Infinity]]",
+    "[[0.1, 0.2, -Infinity]]",
+    "[[1e400, 0.2, 0.3]]",
+    '[[0.1, "abc", 0.3]]',
+    "[[0.1, null, 0.3]]",
+    "[[0.1, true, 0.3]]",
+    "[[0.1, 0.2]]",
+    '{"points": []}',
+])
+def test_cli_dual_sweep_bad_points_file_is_input_error(tmp_path, capsys, text):
+    pts = tmp_path / "pts.json"
+    pts.write_text(text)
+    code = main(["dual-sweep", algebra_file(tmp_path, heisenberg()),
+                 metric_file(tmp_path, sol_split_metric()), "--points-file", str(pts)])
+    assert code == 2
+
+
+def test_cli_huge_dim_is_refused_before_allocation(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("from_brackets reached past the dimension cap")
+
+    monkeypatch.setattr(LieAlgebra, "from_brackets", refuse)
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 1000000, "brackets": []}')
+    assert main(["validate", str(path)]) == 2
+    assert "above the cap" in capsys.readouterr().out
+
+
+def test_dim_cap_admits_the_cap_itself(tmp_path):
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"dim": MAX_DIM, "brackets": []}))
+    assert load_algebra(path, check_jacobi=False).dim == MAX_DIM
 
 
 def test_cli_version_flag(capsys):

@@ -115,3 +115,24 @@ def test_str_readable():
     x = Polynomial.coordinate(2, 0)
     s = str(x * x * Fraction(3, 2))
     assert "mu1" in s
+
+
+def _validated(p):
+    """The same terms passed through the validating public constructor."""
+    return Polynomial(p.nvars, dict(p.terms), exact=p.exact)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_results_are_well_formed(exact, data):
+    p = data.draw(polys(exact=exact))
+    q = data.draw(polys(exact=exact))
+    s = data.draw(coeffs(exact))
+    kind = Fraction if exact else float
+    for r in (p + q, p - q, -p, p * q, p * s, s * p, p - p, p.diff(0), p.diff(1)):
+        assert r.terms == _validated(r).terms
+        assert list(r.terms) == list(_validated(r).terms)
+        assert all(c != 0 for c in r.terms.values())
+        assert all(type(c) is kind for c in r.terms.values())
+        assert r.exact is exact and r.nvars == p.nvars
