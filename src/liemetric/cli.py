@@ -190,10 +190,12 @@ def cmd_search(args, rep: Report) -> int:
         rep.add("search", "found", result.best_residual,
                 exact_certificate=result.exact_certificate,
                 metric=[[x for x in row] for row in result.best_metric.matrix],
-                metric_file=str(args.out), restarts_run=len(result.log))
+                metric_file=str(args.out), restarts_run=len(result.log),
+                stop_reasons=result.stop_reasons())
         return EXIT_OK
     rep.add("search", "not_found", result.best_residual,
-            restarts_run=len(result.log), seed=cfg.rng_seed,
+            restarts_run=len(result.log), stop_reasons=result.stop_reasons(),
+            seed=cfg.rng_seed,
             note="failure is evidence, not a certificate of nonexistence")
     return EXIT_NOT_FOUND
 
@@ -201,7 +203,7 @@ def cmd_search(args, rep: Report) -> int:
 def cmd_classify(args, rep: Report) -> int:
     dims = (2, 3) if args.dim == "all" else (int(args.dim),)
     cfg = search.SearchConfig(restarts=args.restarts, max_iters=args.max_iters,
-                              rng_seed=args.seed)
+                              residual_tol=args.tol, rng_seed=args.seed)
     report = search.verify_classification(sample_count=args.samples, cfg=cfg,
                                           dims=dims)
     for case in report.cases:
@@ -253,6 +255,30 @@ def cmd_dual_sweep(args, rep: Report) -> int:
     return EXIT_OK if consistent and modular_ok else EXIT_CHECK_FAILED
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liemetric",
@@ -260,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebras, plus the induced dual-space Poisson geometry.")
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="residual tolerance (default %(default)g)")
     common.add_argument("--seed", type=int, default=0,
                         help="random seed for anything sampled")
@@ -284,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--signature", default="any",
                    help="'any', 'riemann', or 'p,q' (default any)")
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--restarts", type=_at_least(1), default=64)
+    p.add_argument("--max-iters", type=_at_least(0), default=500)
     p.add_argument("--out", default="found_metric.json",
                    help="where to write a found metric (default %(default)s)")
     p.set_defaults(func=cmd_search)
@@ -296,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", choices=["2", "3", "all"], default="all")
     p.add_argument("--samples", type=int, default=42,
                    help="family parameter triples to sample (default %(default)s)")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--restarts", type=_at_least(1), default=16)
+    p.add_argument("--max-iters", type=_at_least(0), default=200)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("dual-sweep", parents=[common],
@@ -323,7 +349,7 @@ def main(argv=None) -> int:
     rep = Report(command=["liemetric"] + argv, seed=getattr(args, "seed", None))
     try:
         code = args.func(args, rep)
-    except (io.FormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (io.FormatError, OSError) as exc:
         rep.add("input", "error", str(exc))
         rep.finish(args.json_path)
         return EXIT_INPUT_ERROR

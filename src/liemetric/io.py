@@ -43,11 +43,20 @@ def _require(cond: bool, msg: str):
         raise FormatError(msg)
 
 
+def _fraction(text: str, where: str) -> Fraction:
+    """Fraction(text), refusing an exponent of four or more digits: Fraction
+    builds the integer 10^exponent first, so "1e99999999" would run for
+    minutes."""
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+    _require(len(exponent.lstrip("0")) <= 3, f"{where}: exponent too large in {text!r}")
+    return Fraction(text)
+
+
 def _parse_rational(x, where: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise FormatError(f"{where}: rational entries must be integers or strings, got {x!r}")
     try:
-        return Fraction(x)
+        return _fraction(x, where) if isinstance(x, str) else Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"{where}: bad rational {x!r}") from exc
 
@@ -56,7 +65,7 @@ def _parse_float(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise FormatError(f"{where}: numeric entry expected, got {x!r}")
     try:
-        value = float(Fraction(x)) if isinstance(x, str) else float(x)
+        value = float(_fraction(x, where)) if isinstance(x, str) else float(x)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(f"{where}: bad number {x!r}") from exc
     _require(math.isfinite(value), f"{where}: non-finite number {x!r}")
@@ -89,8 +98,10 @@ def algebra_from_dict(doc: dict, *, check_jacobi: bool = True) -> LieAlgebra:
     _require(mode in ("rational", "float"), f"unknown scalar mode {mode!r}")
     exact = mode == "rational"
     parse = _parse_rational if exact else _parse_float
+    entries = doc.get("brackets", [])
+    _require(isinstance(entries, list), "'brackets' must be a list")
     brackets = {}
-    for pos, entry in enumerate(doc.get("brackets", [])):
+    for pos, entry in enumerate(entries):
         where = f"brackets[{pos}]"
         _require(isinstance(entry, dict), f"{where}: entry must be an object")
         _require({"i", "j", "v"} <= set(entry), f"{where}: needs fields i, j, v")
@@ -148,10 +159,14 @@ def _reject_constant(name: str):
 
 
 def _load_json(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+        except FormatError:
+            raise
+        except ValueError as exc:
+            # bad JSON, bytes that are not UTF-8, or an integer literal past
+            # the interpreter's digit limit
             raise FormatError(f"{path}: {exc}") from exc
 
 

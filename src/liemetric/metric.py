@@ -215,10 +215,14 @@ def levi_civita_product(alg: LieAlgebra, a: Metric) -> ConnectionTensor:
 
 
 def _product_rhs(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Right sides b[i][j][k] of the product's defining systems; linear in a."""
-    return (np.einsum("ijm,mk->ijk", c, a)
-            + np.einsum("kim,mj->ijk", c, a)
-            + np.einsum("kjm,mi->ijk", c, a))
+    """Right sides b[i][j][k] of the product's defining systems; linear in a.
+
+    Leading axes of ``a`` are batch axes: a stack of metrics (or of metric
+    directions) gives the stack of right sides in one contraction.
+    """
+    return (np.einsum("ijm,...mk->...ijk", c, a)
+            + np.einsum("kim,...mj->...ijk", c, a)
+            + np.einsum("kjm,...mi->...ijk", c, a))
 
 
 def _lc_product_array(c: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -228,8 +232,13 @@ def _lc_product_array(c: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _defect_array(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Defect vectors [A_{e_i}e_j, e_k] + [e_i, A_{e_k}e_j], shape (n,n,n,n)."""
-    return np.einsum("ijm,mkl->ijkl", x, c) + np.einsum("iml,kjm->ijkl", c, x)
+    """Defect vectors [A_{e_i}e_j, e_k] + [e_i, A_{e_k}e_j], shape (..., n,n,n,n).
+
+    Leading axes of the product tensor ``x`` are batch axes, as in
+    ``_product_rhs``; the defect is linear in ``x``.
+    """
+    return (np.einsum("...ijm,mkl->...ijkl", x, c)
+            + np.einsum("iml,...kjm->...ijkl", c, x))
 
 
 class CompatibilityResidual(NamedTuple):

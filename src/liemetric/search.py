@@ -16,6 +16,8 @@ search where one should exist is only evidence and is reported as soft.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -54,8 +56,15 @@ class SearchConfig:
             raise ValueError(f"unknown signature constraint {sc!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must not be negative")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
+            raise ValueError("residual_tol must be positive and finite")
+
+
+# why _minimize ended a restart, one name per exit
+STOP_REASONS = ("converged", "stationary", "stalled", "armijo_failed",
+                "left_domain", "damping_blowup", "max_iters")
 
 
 class RestartRecord(NamedTuple):
@@ -63,6 +72,8 @@ class RestartRecord(NamedTuple):
     residual: float
     iterations: int
     admissible: bool
+    stop_reason: str
+    final_lambda: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +89,10 @@ class SearchResult:
     def found(self) -> bool:
         return self.status == "found"
 
+    def stop_reasons(self) -> dict:
+        """How many restarts ended at each exit of the optimizer."""
+        return dict(sorted(Counter(rec.stop_reason for rec in self.log).items()))
+
 
 def _sym_positions(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(i + 1)]
@@ -91,13 +106,20 @@ def param_count(n: int) -> int:
     return n * (n + 1) // 2
 
 
+def _factor(theta: np.ndarray, n: int) -> np.ndarray:
+    """Lower-triangular c with a = c c^T: exp(theta) on the diagonal, then
+    the strictly lower entries in row order."""
+    c = np.zeros((n, n))
+    for k in range(n):
+        c[k, k] = np.exp(theta[k])
+    for t, (i, j) in enumerate(_lower_positions(n)):
+        c[i, j] = theta[n + t]
+    return c
+
+
 def _decode(theta: np.ndarray, n: int, mode: str) -> np.ndarray:
     if mode == "positive_definite":
-        c = np.zeros((n, n))
-        for k in range(n):
-            c[k, k] = np.exp(theta[k])
-        for t, (i, j) in enumerate(_lower_positions(n)):
-            c[i, j] = theta[n + t]
+        c = _factor(theta, n)
         return c @ c.T
     a = np.zeros((n, n))
     for t, (i, j) in enumerate(_sym_positions(n)):
@@ -105,29 +127,28 @@ def _decode(theta: np.ndarray, n: int, mode: str) -> np.ndarray:
     return a
 
 
-def _decode_directions(theta: np.ndarray, n: int, mode: str) -> list:
-    """da/dtheta_t for every parameter, as dense matrices."""
-    out = []
+def _decode_directions(theta: np.ndarray, n: int, mode: str) -> np.ndarray:
+    """da/dtheta_t for every parameter t, stacked as one (m, n, n) array.
+
+    Unconstrained: the symmetric unit matrices in vech order. Positive
+    definite: with a = c c^T, da_t = dc_t c^T + (dc_t c^T)^T, where dc_t is
+    the unit matrix of parameter t scaled by the chain rule (c_kk on the
+    exp diagonal); one batched matmul multiplies the whole stack by c^T.
+    Each entry of dc_t c^T is a single product, so nothing is rounded in a
+    sum and the batched product equals n^2 scalar products bit for bit.
+    """
+    units = np.zeros((param_count(n), n, n))
     if mode == "positive_definite":
-        c = np.zeros((n, n))
-        for k in range(n):
-            c[k, k] = np.exp(theta[k])
-        for t, (i, j) in enumerate(_lower_positions(n)):
-            c[i, j] = theta[n + t]
-        for k in range(n):
-            dc = np.zeros((n, n))
-            dc[k, k] = c[k, k]
-            out.append(dc @ c.T + c @ dc.T)
-        for i, j in _lower_positions(n):
-            dc = np.zeros((n, n))
-            dc[i, j] = 1.0
-            out.append(dc @ c.T + c @ dc.T)
-        return out
-    for i, j in _sym_positions(n):
-        e = np.zeros((n, n))
-        e[i, j] = e[j, i] = 1.0
-        out.append(e)
-    return out
+        c = _factor(theta, n)
+        diag = np.arange(n)
+        units[diag, diag, diag] = c[diag, diag]
+        for t, (i, j) in enumerate(_lower_positions(n), start=n):
+            units[t, i, j] = 1.0
+        half = units @ c.T
+        return half + half.transpose(0, 2, 1)
+    for t, (i, j) in enumerate(_sym_positions(n)):
+        units[t, i, j] = units[t, j, i] = 1.0
+    return units
 
 
 def _adjugate(a: np.ndarray) -> np.ndarray:
@@ -148,7 +169,12 @@ def _residual_jacobian(c: np.ndarray, theta: np.ndarray, mode: str,
 
     The defect is differentiated through the defining solve: perturbing a by
     da perturbs the product tensor X by the solution of the same system with
-    right side dB - 2 da X. A near-degenerate probe in the unconstrained
+    right side dB - 2 X da. All m parameter directions go at once: the
+    right sides of the (m, n, n) direction stack form one (m, n, n, n)
+    tensor, one solve against 2a takes all m n^2 columns, and one defect
+    contraction maps the stack to the m Jacobian columns. The Jacobian is
+    C-ordered, since the Gauss-Newton matrix jac^T jac rounds differently
+    on a transposed layout. A near-degenerate probe in the unconstrained
     modes contributes one extra barrier component instead of raising.
     """
     n = c.shape[0]
@@ -161,14 +187,9 @@ def _residual_jacobian(c: np.ndarray, theta: np.ndarray, mode: str,
     defect = _defect_array(c, x)
     r = defect.ravel()
     dirs = _decode_directions(theta, n, mode)
-    cols = []
-    for da in dirs:
-        db = _product_rhs(c, da)
-        rhs = db - 2.0 * np.einsum("ijm,mk->ijk", x, da)
-        dx = np.linalg.solve(2.0 * a, rhs.reshape(-1, n).T).T.reshape(n, n, n)
-        ddefect = _defect_array(c, dx)
-        cols.append(ddefect.ravel())
-    jac = np.stack(cols, axis=1)
+    rhs = _product_rhs(c, dirs) - 2.0 * np.einsum("ijm,tmk->tijk", x, dirs)
+    dx = np.linalg.solve(2.0 * a, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
+    jac = np.ascontiguousarray(_defect_array(c, dx).reshape(nparams, -1).T)
     if mode != "positive_definite":
         d = float(np.linalg.det(a))
         if abs(d) < floor:
@@ -214,15 +235,19 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float,
 
     The optional stop predicate marks the boundary of the search domain:
     the loop ends as soon as an accepted iterate satisfies it, and that
-    iterate is returned as-is for the caller to judge.
+    iterate is returned as-is for the caller to judge. Returns the final
+    parameters, cost and iteration count, the name of the exit taken (one
+    of STOP_REASONS) and the final damping.
     """
     theta = np.asarray(theta0, dtype=float)
     r, jac = fun(theta)
     cost = float(r @ r)
     lam = 1e-3
     iters = 0
+    reason = "max_iters"
     while iters < max_iters:
         if cost <= cost_tol:
+            reason = "converged"
             break
         iters += 1
         g = jac.T @ r
@@ -230,6 +255,7 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float,
         # that shrink multiplicatively (log-scale parameters) keep the
         # gradient proportional to the cost and must not stop early
         if float(np.max(np.abs(g))) <= 1e-12 * cost:
+            reason = "stationary"
             break
         h = jac.T @ jac
         moved = False
@@ -244,18 +270,22 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float,
                 lam = max(lam / 3.0, 1e-12)
                 moved = True
                 if gain < 1e-15 * max(cost, 1e-30):
+                    reason = "stalled"
                     break
             else:
                 lam *= 4.0
         except np.linalg.LinAlgError:
             theta, r, jac, cost, moved = _armijo_descent(fun, theta, r, jac, cost)
             if not moved:
+                reason = "armijo_failed"
                 break
         if moved and stop is not None and stop(theta):
+            reason = "left_domain"
             break
         if not moved and lam > 1e12:
+            reason = "damping_blowup"
             break
-    return theta, cost, iters
+    return theta, cost, iters, reason, lam
 
 
 def _initial_theta(n: int, mode: str, rng: np.random.Generator) -> np.ndarray:
@@ -337,8 +367,8 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
     for rix in range(cfg.restarts):
         rng = np.random.default_rng([cfg.rng_seed, rix])
         theta0 = _initial_theta(n, mode, rng)
-        theta, cost, iters = _minimize(fun, theta0, cfg.max_iters, cost_tol,
-                                       stop=outside_domain)
+        theta, cost, iters, reason, lam = _minimize(fun, theta0, cfg.max_iters,
+                                                    cost_tol, stop=outside_domain)
         a = _decode(theta, n, mode)
         norm = float(np.linalg.norm(a))
         admissible = norm > 0.0 and np.isfinite(cost)
@@ -357,7 +387,7 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
                 except (DegenerateMetricError, np.linalg.LinAlgError):
                     admissible = False
                     residual = float("inf")
-        log.append(RestartRecord(rix, residual, iters, admissible))
+        log.append(RestartRecord(rix, residual, iters, admissible, reason, lam))
         if admissible and residual < best_res:
             best_res = residual
             best_metric = metric

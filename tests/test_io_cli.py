@@ -182,6 +182,33 @@ def test_cli_validate_nan_bracket_is_input_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("data", [
+    b"\x80\x81 not utf-8",
+    b'{"dim": 2, "brackets": 5}',
+    b'{"dim": 2, "brackets": null}',
+    b'{"dim": 2, "brackets": [{"i": 1, "j": 2, "v": ["0", "1e99999999"]}]}',
+    b'{"dim": 2, "scalar": "float", "brackets": [{"i": 1, "j": 2, "v": [0, "-1E+0099999"]}]}',
+    b'{"dim": 2, "brackets": [{"i": 1, "j": 2, "v": ["0", "' + b"7" * 5000 + b'"]}]}',
+    b'{"dim": ' + b"9" * 5000 + b"}",
+])
+def test_cli_unreadable_bracket_file_is_input_error(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main(["validate", str(path)]) == 2
+    assert "input" in capsys.readouterr().out
+
+
+def test_rational_exponents_up_to_three_digits_still_parse(tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [{"i": 1, "j": 2,
+                                                        "v": ["0", "1e-999"]}]}))
+    assert load_algebra(path).c[0][1][1] == Fraction(1, 10 ** 999)
+
+
+def test_cli_directory_as_input_is_input_error(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+
+
 def test_cli_check_nan_metric_is_input_error(tmp_path, capsys):
     path = tmp_path / "nan_metric.json"
     path.write_text(json.dumps({
@@ -305,6 +332,59 @@ def test_cli_classify_dim2(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "abelian2" in out and "affine_line" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["search", "ALG", "--restarts", "0"],
+    ["search", "ALG", "--restarts", "-3"],
+    ["search", "ALG", "--max-iters", "-1"],
+    ["search", "ALG", "--tol", "nan"],
+    ["search", "ALG", "--tol", "inf"],
+    ["search", "ALG", "--tol", "0"],
+    ["search", "ALG", "--tol", "-1e-9"],
+    ["classify", "--restarts", "0"],
+    ["classify", "--max-iters", "-1"],
+    ["classify", "--tol", "nan"],
+    ["validate", "ALG", "--tol", "-inf"],
+])
+def test_cli_bad_numeric_arguments_are_input_errors(tmp_path, capsys, monkeypatch, args):
+    def refuse(*a, **kw):
+        raise AssertionError("search ran on a rejected argument")
+
+    monkeypatch.setattr("liemetric.search.find_compatible_metric", refuse)
+    alg = algebra_file(tmp_path, heisenberg())
+    assert main([alg if a == "ALG" else a for a in args]) == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err
+
+
+def test_cli_classify_passes_tol_to_the_search(capsys, monkeypatch):
+    from liemetric import search
+    seen = []
+
+    def record(sample_count, cfg, dims):
+        seen.append(cfg)
+        return search.ClassificationReport(cases=(), sample_count=sample_count,
+                                           rng_seed=cfg.rng_seed)
+
+    monkeypatch.setattr(search, "verify_classification", record)
+    assert main(["classify", "--dim", "2", "--tol", "1e-4"]) == 0
+    assert main(["classify", "--dim", "2"]) == 0
+    assert [cfg.residual_tol for cfg in seen] == [1e-4, search.SearchConfig().residual_tol]
+
+
+@pytest.mark.parametrize("name, code, status", [("heisenberg", 0, "found"),
+                                               ("affine_line", 3, "not_found")])
+def test_cli_search_row_tallies_stop_reasons(tmp_path, capsys, name, code, status):
+    from liemetric import by_name
+    from liemetric.search import STOP_REASONS
+    report = tmp_path / "r.json"
+    assert main(["search", algebra_file(tmp_path, by_name(name)), "--restarts", "5",
+                 "--out", str(tmp_path / "m.json"), "--json", str(report)]) == code
+    row = next(r for r in json.loads(report.read_text())["checks"] if r["name"] == "search")
+    assert row["status"] == status
+    assert set(row["stop_reasons"]) <= set(STOP_REASONS)
+    assert sum(row["stop_reasons"].values()) == row["restarts_run"]
 
 
 def test_cli_dual_sweep(tmp_path, capsys):
