@@ -121,11 +121,16 @@ def _status(value, exact: bool, tol: float) -> str:
     return "ok" if _within(value, exact, tol) else "failed"
 
 
-def _dual_identities():
-    """Report row names and the dual-side defect builders, in report order."""
-    return (("dual_compatibility", dual._dpi_defects),
-            ("jacobi_cyclic_identity", dual._cyclic_defects),
-            ("metric_transport_identity", dual._transport_defects))
+# report row names of the dual-side identities and their frame rows, in report order
+DUAL_IDENTITIES = (("dual_compatibility", "dpi"),
+                   ("jacobi_cyclic_identity", "cyclic"),
+                   ("metric_transport_identity", "transport"))
+
+
+def _modular_verdict(fr, traces, tol: float):
+    """Largest |modular value| and whether each equals -tr(ad e_k), the modular character."""
+    worst = max(abs(float(value)) for value in fr.modular)
+    return worst, all(_within(value + t, fr.exact, tol) for value, t in zip(fr.modular, traces))
 
 
 def cmd_check(args, rep: Report) -> int:
@@ -148,15 +153,10 @@ def cmd_check(args, rep: Report) -> int:
     rep.add("unimodular", "yes" if uni.unimodular else "no",
             [float(t) for t in uni.traces])
     fr = dual._DualFrame(alg, a)
-    for name, build in _dual_identities():
-        value = dual._poly_sweep(build(fr), None)
+    for name, identity in DUAL_IDENTITIES:
+        value = fr.sweep(identity)
         rep.add(name, _status(value, fr.exact, args.tol), value)
-    # the modular value of e_k is -tr(ad e_k) (the modular character)
-    worst_mod, modular_ok = 0.0, True
-    for k, trace in enumerate(uni.traces):
-        value = dual._modular_at(dual._modular_terms(fr, fr.de[k]), [0] * fr.n, fr.exact)
-        worst_mod = max(worst_mod, abs(float(value)))
-        modular_ok = modular_ok and _within(value + trace, fr.exact, args.tol)
+    worst_mod, modular_ok = _modular_verdict(fr, uni.traces, args.tol)
     rep.add("modular_sweep_max", "ok" if modular_ok else "failed", worst_mod)
     failed = any(row["status"] == "failed" for row in rep.doc["checks"])
     return EXIT_CHECK_FAILED if failed else EXIT_OK
@@ -227,29 +227,24 @@ def cmd_dual_sweep(args, rep: Report) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         points = rng.standard_normal((args.count, alg.dim)).tolist()
-    # one frame and one set of defect polynomials, evaluated at every point
+    # one frame; each identity's coefficient rows evaluated at every point
     fr = dual._DualFrame(alg, a)
     entries = []
     consistent = True
-    for name, build in _dual_identities():
-        defects = [p.to_float() for p in build(fr)]
-        worst = 0.0
-        for pt in points:
-            v = dual._poly_sweep(defects, [pt])
-            entries.append({"point": pt, "check": name, "value": v})
-            worst = max(worst, v)
+    for name, identity in DUAL_IDENTITIES:
+        values = fr.sweep(identity, points)
+        entries += [{"point": pt, "check": name, "value": float(v)}
+                    for pt, v in zip(points, values)]
+        worst = float(np.max(values, initial=0.0))
         if name != "dual_compatibility":
             consistent = consistent and worst <= args.tol
         rep.add(name + "_max", "ok" if worst <= args.tol else "above_tol", worst)
-    worst_mod, modular_ok = 0.0, True
-    for k, trace in enumerate(alg.ad_traces()):
-        terms = dual._modular_terms(fr, fr.de[k])
-        for pt in points:
-            value = dual._modular_at(terms, pt, fr.exact)
-            v = float(value)
-            entries.append({"point": pt, "check": f"modular_e{k + 1}", "value": v})
-            worst_mod = max(worst_mod, abs(v))
-            modular_ok = modular_ok and _within(value + trace, fr.exact, args.tol)
+    # the modular value does not depend on the point; it is listed at each one
+    for k, value in enumerate(fr.modular):
+        entries += [{"point": pt, "check": f"modular_e{k + 1}", "value": float(value)}
+                    for pt in points]
+    worst_mod, modular_ok = (_modular_verdict(fr, alg.ad_traces(), args.tol) if points
+                             else (0.0, True))
     rep.add("modular_sweep_max", "ok" if modular_ok else "above_tol", worst_mod)
     rep.doc["sweep"] = _jsonable(entries)
     return EXIT_OK if consistent and modular_ok else EXIT_CHECK_FAILED
@@ -351,14 +346,16 @@ def main(argv=None) -> int:
         code = args.func(args, rep)
     except (io.FormatError, OSError) as exc:
         rep.add("input", "error", str(exc))
-        rep.finish(args.json_path)
-        return EXIT_INPUT_ERROR
+        code = EXIT_INPUT_ERROR
     except (InvalidStructureError, DegenerateMetricError,
             dual.DegenerateRestrictionError) as exc:
         rep.add("check", "failed", str(exc))
+        code = EXIT_CHECK_FAILED
+    try:
         rep.finish(args.json_path)
-        return EXIT_CHECK_FAILED
-    rep.finish(args.json_path)
+    except OSError as exc:
+        print(f"cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     return code
 
 

@@ -7,8 +7,11 @@ Poisson bivector is linear in mu:
 
 and every other object here (sharp map, form bracket, contravariant
 derivative, modular value, leaf data) is derived from that single convention.
-Differential forms carry polynomial coefficients so identities can be checked
-coefficient by coefficient in exact mode instead of only at sampled points.
+General differential forms carry polynomial coefficients (``liemetric.poly``).
+On basis data pi is linear and each Koszul derivative D_{de_i} de_k constant,
+so the three basis identities and the modular field are coefficient tensors:
+one ``np.einsum`` expression each, whose defects are rows (c_1 .. c_n | c_0)
+in mu, checked coefficient by coefficient or evaluated at points.
 
 Constant one-forms pair through the metric a: <de_i, de_j> = a[i][j]. The
 contravariant derivative D solves the six-term Koszul relation
@@ -22,7 +25,6 @@ system per coefficient. Points of the dual are plain length-n sequences.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -33,7 +35,7 @@ from . import rational
 from .algebra import DimensionMismatchError, LieAlgebra
 from .metric import Metric
 from .poly import Polynomial
-from .scalars import is_exact
+from .scalars import _scaled, _unscaled, is_exact
 
 # The one sign switch: +1 means pi(de_i, de_j)(mu) = mu([e_i, e_j]), which
 # makes [du, dv] = d[u, v] and D_du dv = d(A_u v) hold with no extra signs.
@@ -81,10 +83,6 @@ class PolyOneForm:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @classmethod
-    def zero(cls, n: int, exact: bool = True):
-        return cls(tuple(Polynomial.zero(n, exact) for _ in range(n)), exact)
-
-    @classmethod
     def coordinate(cls, n: int, k: int, exact: bool = True):
         """The constant coframe element de_k (0-based k)."""
         coeffs = [Polynomial.zero(n, exact) for _ in range(n)]
@@ -114,20 +112,8 @@ class PolyOneForm:
     def __neg__(self):
         return PolyOneForm(tuple(-p for p in self.coeffs), self.exact)
 
-    def scale(self, c):
-        return PolyOneForm(tuple(p * c for p in self.coeffs), self.exact)
-
     def degree(self) -> int:
         return max(p.degree() for p in self.coeffs)
-
-    def eval_at(self, mu) -> list:
-        return [p.eval(list(mu)) for p in self.coeffs]
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(p.is_zero(tol) for p in self.coeffs)
-
-    def max_coeff(self) -> float:
-        return max(p.max_coeff() for p in self.coeffs)
 
     def to_float(self) -> "PolyOneForm":
         if not self.exact:
@@ -240,22 +226,10 @@ def bivector_at(alg: LieAlgebra, mu) -> BivectorAt:
     """Antisymmetric matrix pi[i][j] = mu([e_i, e_j]) times the sign switch."""
     _check_dim(alg, mu)
     exact = alg.exact and _exact_point(mu)
-    if exact:
-        mu = [Fraction(x) for x in mu]
-        zero = Fraction(0)
-        c = alg.c
-    else:
-        mu = [float(x) for x in mu]
-        zero = 0.0
-        c = alg.to_float().c
-    n = alg.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(BIVECTOR_SIGN * sum((c[i][j][k] * mu[k] for k in range(n)), zero))
-        rows.append(tuple(row))
-    return BivectorAt(matrix=tuple(rows), exact=exact)
+    c, sc = _scaled(alg.c, exact)
+    m, sm = _scaled(mu, exact)
+    pi = _unscaled(BIVECTOR_SIGN * np.einsum("ijk,k->ij", c, m), sc * sm, exact)
+    return BivectorAt(matrix=tuple(map(tuple, pi)), exact=exact)
 
 
 def sharp_pi(alg: LieAlgebra, mu, alpha) -> list:
@@ -265,16 +239,9 @@ def sharp_pi(alg: LieAlgebra, mu, alpha) -> list:
         raise DimensionMismatchError("covector has wrong length")
     p = bivector_at(alg, mu)
     exact = p.exact and all(is_exact(x) for x in alpha)
-    if exact:
-        alpha = [Fraction(x) for x in alpha]
-        zero = Fraction(0)
-        mat = p.matrix
-    else:
-        alpha = [float(x) for x in alpha]
-        zero = 0.0
-        mat = tuple(tuple(float(x) for x in row) for row in p.matrix)
-    n = alg.dim
-    return [sum((alpha[i] * mat[i][j] for i in range(n)), zero) for j in range(n)]
+    m, sm = _scaled(p.matrix, exact)
+    w, sw = _scaled(alpha, exact)
+    return _unscaled(np.einsum("i,ij->j", w, m), sm * sw, exact)
 
 
 def _sharp(pi: list, alpha: PolyOneForm) -> tuple:
@@ -403,9 +370,10 @@ class _DualFrame:
     Holds the scalar mode; the algebra, metric and any extra forms in that
     mode; the inverse metric; the matrix pi; the constant coframe de and its
     sharp fields. The n x n basis brackets ``brackets[i][m] = [de_m, de_i]``
-    and Koszul derivatives ``derivs[i][k] = D_{de_i} de_k`` are built on
-    first use, so a call pays only for what it reads. Nothing outlives the
-    call that built the frame.
+    and Koszul derivatives ``derivs[i][k] = D_{de_i} de_k`` come from the
+    polynomial solve; the identity rows and ``modular`` contract ``tensors``.
+    Each is built on first use, so a call pays only for what it reads.
+    Nothing outlives the call that built the frame.
     """
 
     def __init__(self, alg: LieAlgebra, a: Metric, forms=()):
@@ -431,6 +399,77 @@ class _DualFrame:
         return [[_koszul(self, de[i], de[k], sharp[i], sharp[k], b[i], b[k], b[k][i],
                          DEFAULT_MAX_DEGREE)
                  for k in range(self.n)] for i in range(self.n)]
+
+    @cached_property
+    def tensors(self) -> tuple:
+        """(P, D, s) with pi_ij(mu) = sum_t P[i, j, t] mu_t / s and D[i, k] / s
+        the coefficients of the constant form D_{de_i} de_k; P, D share scale s."""
+        zero = (0,) * self.n
+        d = [[[p.terms.get(zero, 0)
+               for p in _degree_guard(form, 0, "basis Koszul derivative").coeffs]
+              for form in row] for row in self.derivs]
+        (c, d), s = _scaled([self.alg.c, d], self.exact)
+        return BIVECTOR_SIGN * c, d, s
+
+    def _rows(self, linear, constant, scale) -> np.ndarray:
+        """Defects sum_t linear[..., t] mu_t + constant[...] as rows (c_1 .. c_n | c_0)."""
+        rows = np.concatenate([linear, constant[..., None]], axis=-1).reshape(-1, self.n + 1)
+        return np.array(_unscaled(rows, scale, self.exact),
+                        dtype=object if self.exact else float)
+
+    @cached_property
+    def dpi(self) -> np.ndarray:
+        """pi(D_{de_i} de_k, de_j) + pi(de_i, D_{de_j} de_k) per (i, j, k); linear in mu."""
+        p, d, s = self.tensors
+        lin = np.einsum("ika,ajt->ijkt", d, p) + np.einsum("jka,iat->ijkt", d, p)
+        return self._rows(lin, np.zeros_like(lin[..., 0]), s * s)
+
+    @cached_property
+    def cyclic(self) -> np.ndarray:
+        """Cyclic sums over every triple (i, j, k) of Dpi(i, j, k) = sharp(de_i).pi_jk
+        - pi(D_{de_i} de_j, de_k) - pi(de_j, D_{de_i} de_k); sharp(de_i)_m = pi_im."""
+        p, d, s = self.tensors
+        dpi = (np.einsum("imt,jkm->ijkt", p, p) - np.einsum("ija,akt->ijkt", d, p)
+               - np.einsum("ika,jat->ijkt", d, p))
+        lin = dpi + np.einsum("jkit->ijkt", dpi) + np.einsum("kijt->ijkt", dpi)
+        return self._rows(lin, np.zeros_like(lin[..., 0]), s * s)
+
+    @cached_property
+    def transport(self) -> np.ndarray:
+        """Left minus right side of the fiber-metric transport law per (k, i, j).
+
+        Along X_k = sharp(de_k), L de_i = sum_l P[k, i, l] de_l and a is constant,
+        so left = -<L de_i, de_j> - <de_i, L de_j> and right =
+        <D_{de_i} de_k, de_j> + <de_i, D_{de_j} de_k> are both constant in mu.
+        """
+        p, d, s = self.tensors
+        am, sa = _scaled(self.a.matrix, self.exact)
+        left = -(np.einsum("kil,lj->kij", p, am) + np.einsum("il,kjl->kij", am, p))
+        right = np.einsum("ikl,lj->kij", d, am) + np.einsum("il,jkl->kij", am, d)
+        const = left - right
+        return self._rows(np.zeros(const.shape + (self.n,), dtype=const.dtype), const,
+                          s * sa)
+
+    def sweep(self, identity: str, points=None):
+        """Largest coefficient magnitude of an identity's rows (points=None), or
+        the largest |defect| at each point, from rows @ [mu, 1]. A NaN
+        coefficient or value gives NaN, never a smaller number.
+        """
+        rows = getattr(self, identity)
+        if points is None:
+            return float(np.max(np.abs(rows), initial=0))
+        points = [list(pt) for pt in points]
+        for pt in points:
+            _check_dim(self.alg, pt)
+        mu = np.array([[*pt, 1] for pt in points], dtype=float).reshape(len(points), self.n + 1)
+        return np.max(np.abs(rows.astype(float) @ mu.T), axis=0, initial=0.0)
+
+    @cached_property
+    def modular(self) -> tuple:
+        """Modular value on each e_k: the Koszul trace sum_p (D_{de_p} de_k)_p, to
+        which sum_pq ainv[p][q] <D_{de_p} de_k, de_q> reduces as ainv inverts a."""
+        _, d, s = self.tensors
+        return tuple(_unscaled(np.einsum("pkp->k", d), s, self.exact))
 
 
 def _koszul(fr: _DualFrame, alpha: PolyOneForm, beta: PolyOneForm, xa: tuple, xb: tuple,
@@ -485,71 +524,19 @@ def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
     return _koszul(fr, alpha, beta, xa, xb, ka, kb, ab, max_degree)
 
 
-def _poly_sweep(polys, points) -> float:
-    """Max coefficient magnitude, or max absolute value over sample points.
-
-    A NaN coefficient or value makes the result NaN, never a smaller number.
-    """
-    if points is None:
-        values = [p.max_coeff() for p in polys]
-    else:
-        pts = [[float(x) for x in pt] for pt in points]
-        polys = [p.to_float() for p in polys]
-        values = [abs(float(p.eval(pt))) for pt in pts for p in polys]
-    return float(np.max(values, initial=0.0))
-
-
-def _dpi_defects(fr: _DualFrame) -> list:
-    """pi(D_{de_i} de_k, de_j) + pi(de_i, D_{de_j} de_k) for every (i, j, k)."""
-    pi, de, deriv = fr.pi, fr.de, fr.derivs
-    return [_pi_pair(pi, deriv[i][k], de[j]) + _pi_pair(pi, de[i], deriv[j][k])
-            for i, j, k in itertools.product(range(fr.n), repeat=3)]
-
-
-def _cyclic_defects(fr: _DualFrame) -> list:
-    """Cyclic sums of Dpi over basis coframe triples, repeated indices too."""
-    pi, de, deriv, sharp = fr.pi, fr.de, fr.derivs, fr.sharp
-
-    def dpi(i, j, k):
-        lead = apply_field(sharp[i], _pi_pair(pi, de[j], de[k]))
-        return (lead - _pi_pair(pi, deriv[i][j], de[k])
-                - _pi_pair(pi, de[j], deriv[i][k]))
-
-    sums = []
-    for i, j, k in itertools.combinations(range(fr.n), 3):
-        sums.append(dpi(i, j, k) + dpi(j, k, i) + dpi(k, i, j))
-    for i, j in itertools.product(range(fr.n), repeat=2):
-        # repeated-index triples, which the antisymmetry does not silence
-        sums.append(dpi(i, i, j) + dpi(i, j, i) + dpi(j, i, i))
-    return sums
-
-
-def _transport_defects(fr: _DualFrame) -> list:
-    """Left minus right side of the fiber-metric transport law, per (k, i, j)."""
-    n, a, de, deriv = fr.n, fr.a, fr.de, fr.derivs
-    diffs = []
-    for k in range(n):
-        field = fr.sharp[k]
-        lie = [lie_derivative_form(field, de[i]) for i in range(n)]
-        for i, j in itertools.product(range(n), repeat=2):
-            left = (apply_field(field, form_pairing(de[i], de[j], a))
-                    - form_pairing(lie[i], de[j], a)
-                    - form_pairing(de[i], lie[j], a))
-            right = (form_pairing(deriv[i][k], de[j], a)
-                     + form_pairing(de[i], deriv[j][k], a))
-            diffs.append(left - right)
-    return diffs
+def _residual(alg: LieAlgebra, a: Metric, identity: str, points) -> float:
+    return float(np.max(_DualFrame(alg, a).sweep(identity, points), initial=0.0))
 
 
 def dpi_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
     """Worst violation of pi(D_a df, b) + pi(a, D_b df) = 0 on basis data.
 
     With alpha = de_i, beta = de_j, f the linear function of e_k, the defect
-    is a polynomial in mu. With points=None the max coefficient magnitude is
+    is linear in mu. With points=None the max coefficient magnitude is
     returned, which vanishes iff the defect vanishes at every point;
     otherwise the defect is evaluated at the given points.
     """
-    return _poly_sweep(_dpi_defects(_DualFrame(alg, a)), points)
+    return _residual(alg, a, "dpi", points)
 
 
 def cyclic_schouten_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
@@ -559,7 +546,7 @@ def cyclic_schouten_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
     cyclically over basis coframe triples. The bivector satisfies the Jacobi
     identity, so the sum must vanish no matter the metric.
     """
-    return _poly_sweep(_cyclic_defects(_DualFrame(alg, a)), points)
+    return _residual(alg, a, "cyclic", points)
 
 
 def metric_derivation_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
@@ -569,50 +556,25 @@ def metric_derivation_residual(alg: LieAlgebra, a: Metric, points=None) -> float
     of a linear function, expanded directly. Right side: <D_a df, b> +
     <a, D_b df> through the Koszul solve. Equal for every metric.
     """
-    return _poly_sweep(_transport_defects(_DualFrame(alg, a)), points)
-
-
-def _modular_terms(fr: _DualFrame, du: PolyOneForm) -> list:
-    """Pairs (ainv[p][q], <D_{de_p} du, de_q>); their weighted sum is the modular value.
-
-    Each D_{de_p} du is one Koszul solve that reads the frame's sharp fields
-    and basis brackets; only the n brackets [de_m, du] are new.
-    """
-    xu = _sharp(fr.pi, du)
-    ku = [_bracket(fr.pi, d, du, x, xu, DEFAULT_MAX_DEGREE) for d, x in zip(fr.de, fr.sharp)]
-    ainv = fr.ainv
-    terms = []
-    for p in range(fr.n):
-        dp = _koszul(fr, fr.de[p], du, fr.sharp[p], xu, fr.brackets[p], ku, ku[p],
-                     DEFAULT_MAX_DEGREE)
-        for q in range(fr.n):
-            if ainv[p][q] != 0:
-                terms.append((ainv[p][q], form_pairing(dp, fr.de[q], fr.a)))
-    return terms
-
-
-def _modular_at(terms: list, mu, exact: bool):
-    """The weighted sum of _modular_terms at mu: a Fraction in exact mode."""
-    mu = [x if exact else float(x) for x in mu]
-    total = Fraction(0) if exact else 0.0
-    for weight, poly in terms:
-        total += weight * poly.eval(mu)
-    return total
+    return _residual(alg, a, "transport", points)
 
 
 def modular_field_value(alg: LieAlgebra, a: Metric, f, mu=None) -> float:
     """Value of the modular field on the linear function f = sum f[k] e_k.
 
     Equals the orthonormal-coframe sum of <D_coframe df, coframe> rewritten
-    through the inverse metric, which also covers indefinite metrics (the
-    signed pseudo-orthonormal sum collapses to the same expression).
+    through the inverse metric, which also covers indefinite metrics, and that
+    reduces to the Koszul trace. It does not depend on the point (Weinstein
+    1997), so mu is only checked for its length.
     """
     if len(f) != alg.dim:
         raise DimensionMismatchError("linear function has wrong length")
-    fr = _DualFrame(alg, a, [PolyOneForm.from_linear(f)])
-    if mu is None:
-        mu = [0] * fr.n
-    return float(_modular_at(_modular_terms(fr, fr.forms[0]), mu, fr.exact))
+    if mu is not None:
+        _check_dim(alg, mu)
+    fr = _DualFrame(alg, a, [PolyOneForm.from_linear(f)])  # df joins the scalar mode
+    w, sw = _scaled(f, fr.exact)
+    m, sm = _scaled(fr.modular, fr.exact)
+    return float(_unscaled(np.einsum("k,k->", w, m), sw * sm, fr.exact))
 
 
 def _standard_basis(n: int, exact: bool) -> list:

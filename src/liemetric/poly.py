@@ -104,9 +104,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        return self * c
-
     def diff(self, k: int) -> "Polynomial":
         """Partial derivative with respect to coordinate k."""
         terms = {}

@@ -39,6 +39,7 @@ from liemetric import (
 from liemetric.dual import (
     BIVECTOR_SIGN,
     DegenerateRestrictionError,
+    DimensionMismatchError,
     IrregularPointError,
     LeafRankError,
     PolyOneForm,
@@ -95,6 +96,26 @@ def test_sharp_matches_pairing(rng):
     pairing = sum(a * b_ij * c for (a, row) in zip(alpha, b.matrix)
                   for (b_ij, c) in zip(row, beta))
     assert sum(x * y for x, y in zip(v, beta)) == pairing
+
+
+def test_bivector_and_sharp_in_both_modes(rng):
+    """Exact entries are Fractions equal to the hand sums; float entries are
+    floats equal to them up to rounding (the contraction order differs)."""
+    alg = random_algebra(rng, 4)
+    mu = [Fraction(int(x), 3) for x in rng.integers(-5, 6, size=4)]
+    alpha = [Fraction(int(x), 2) for x in rng.integers(-5, 6, size=4)]
+    want = [[BIVECTOR_SIGN * sum(alg.c[i][j][k] * mu[k] for k in range(4)) for j in range(4)]
+            for i in range(4)]
+    sharp = [sum(alpha[i] * want[i][j] for i in range(4)) for j in range(4)]
+    exact = bivector_at(alg, mu)
+    assert exact.exact and [list(row) for row in exact.matrix] == want
+    assert sharp_pi(alg, mu, alpha) == sharp
+    flt = bivector_at(alg, [float(x) for x in mu])
+    assert not flt.exact and all(type(x) is float for row in flt.matrix for x in row)
+    assert np.allclose(flt.as_array(), np.array(want, dtype=float), rtol=1e-12, atol=1e-12)
+    got = sharp_pi(alg, mu, [float(x) for x in alpha])
+    assert all(type(x) is float for x in got)
+    assert np.allclose(got, np.array(sharp, dtype=float), rtol=1e-12, atol=1e-12)
 
 
 # --- hamiltonian fields and the form bracket ----------------------------
@@ -304,6 +325,141 @@ def test_nan_structure_constant_propagates_to_residuals():
     assert math.isnan(Polynomial(1, {(1,): 2.0, (0,): math.nan}, exact=False).max_coeff())
 
 
+def _public_sides(alg, a, deriv):
+    """Both sides of every basis identity from the public calculus alone.
+
+    Returns {identity: [(left, right), ...]} in the order of the frame's rows;
+    each defect is left - right, and deriv[i][k] stands in for D_{de_i} de_k.
+    """
+    n = alg.dim
+    de = coframe(n)
+    x = [sharp_form(alg, d) for d in de]
+    zero = Polynomial.zero(n)
+
+    def pi(u, v):
+        return pi_pairing(alg, u, v)
+
+    def pair(u, v):
+        return form_pairing(u, v, a)
+
+    def cyclic(i, j, k):
+        turns = [(i, j, k), (j, k, i), (k, i, j)]
+        return (sum((apply_field(x[p], pi(de[q], de[r])) for p, q, r in turns), zero),
+                sum((pi(deriv[p][q], de[r]) + pi(de[q], deriv[p][r]) for p, q, r in turns),
+                    zero))
+
+    triples = list(itertools.product(range(n), repeat=3))
+    return {
+        "dpi": [(pi(deriv[i][k], de[j]) + pi(de[i], deriv[j][k]), zero)
+                for i, j, k in triples],
+        "cyclic": [cyclic(*t) for t in triples],
+        "transport": [(apply_field(x[k], pair(de[i], de[j]))
+                       - pair(lie_derivative_form(x[k], de[i]), de[j])
+                       - pair(de[i], lie_derivative_form(x[k], de[j])),
+                       pair(deriv[i][k], de[j]) + pair(de[i], deriv[j][k]))
+                      for k, i, j in triples],
+    }
+
+
+def _as_rows(polys, n):
+    """Polynomials of degree <= 1 as coefficient rows (c_1 .. c_n | c_0)."""
+    units = [tuple(int(t == s) for t in range(n)) for s in range(n)] + [(0,) * n]
+    assert all(p.degree() <= 1 for p in polys)
+    return [[p.terms.get(e, 0) for e in units] for p in polys]
+
+
+def _public_derivs(alg, a):
+    de = coframe(alg.dim)
+    return [[contravariant_derivative(alg, a, de[i], de[k]) for k in range(alg.dim)]
+            for i in range(alg.dim)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_identity_rows_match_public_defects(rng, n):
+    """Frame rows equal the defects built from public calls, on compatible and
+    incompatible exact pairs; the float frame agrees to rounding."""
+    pairs = [(random_algebra(rng, n), random_metric(rng, n)) for _ in range(3)]
+    if n == 3:
+        pairs.append((heisenberg(), heisenberg_split_metric()))
+    pts = rng.standard_normal((4, n)).tolist()
+    incompatible = 0
+    for alg, a in pairs:
+        fr, fl = _DualFrame(alg, a), _DualFrame(alg.to_float(), a.to_float())
+        deriv = _public_derivs(alg, a)
+        for identity, sides in _public_sides(alg, a, deriv).items():
+            defects = [left - right for left, right in sides]
+            rows = getattr(fr, identity)
+            assert rows.tolist() == _as_rows(defects, n)
+            assert np.allclose(getattr(fl, identity), rows.astype(float), rtol=1e-12,
+                               atol=1e-12)
+            at_points = [max(abs(float(p.eval(pt))) for p in defects) for pt in pts]
+            assert np.allclose(fr.sweep(identity, pts), at_points, rtol=1e-12, atol=1e-12)
+        incompatible += fr.sweep("dpi") > 0
+        # the inverse-metric coframe sum reduces to the frame's Koszul trace
+        ainv, de = a.inverse_rows(), coframe(n)
+        want = [sum(ainv[p][q] * form_pairing(deriv[p][k], de[q], a).eval([0] * n)
+                    for p in range(n) for q in range(n)) for k in range(n)]
+        assert fr.modular == tuple(want)
+    assert incompatible >= 1
+
+
+def test_identity_sides_are_nonzero_on_their_own():
+    """Neither identity holds because a side is zero. On an incompatible pair
+    both transport sides are nonzero. On a Lie algebra each cyclic side is a
+    Jacobiator and vanishes, so the cyclic sides are checked on a bracket that
+    fails the Jacobi identity: both are nonzero and so is the frame's row."""
+    alg, a = sol(), Metric.identity(3)
+    assert dpi_residual(alg, a) > 0
+    sides = _public_sides(alg, a, _public_derivs(alg, a))["transport"]
+    assert any(not left.is_zero() for left, _ in sides)
+    assert any(not right.is_zero() for _, right in sides)
+    assert all((left - right).is_zero() for left, right in sides)
+
+    bad = LieAlgebra.from_brackets(3, {(0, 1): [1, 0, 1], (0, 2): [0, 1, 0],
+                                       (1, 2): [1, 0, 0]}, check_jacobi=False)
+    assert bad.jacobi_residual() != 0
+    sides = _public_sides(bad, a, _public_derivs(bad, a))["cyclic"]
+    assert any(not left.is_zero() for left, _ in sides)
+    assert any(not right.is_zero() for _, right in sides)
+    assert _DualFrame(bad, a).cyclic.tolist() == _as_rows([l - r for l, r in sides], 3)
+    assert cyclic_schouten_residual(bad, a) > 0
+
+
+def test_identity_rows_read_the_derivative_tensor(rng):
+    """With D replaced by a random tensor no identity holds, and every frame row
+    still equals the public defect built from that tensor."""
+    alg, a = sol(), random_metric(rng, 3)
+    fr = _DualFrame(alg, a)
+    p, _, s = fr.tensors
+    d = np.array([int(x) for x in rng.integers(-4, 5, size=27)], dtype=object).reshape(3, 3, 3)
+    fr.tensors = (p, d, s)
+    deriv = [[PolyOneForm.from_linear([Fraction(x, s) for x in d[i, k]]) for k in range(3)]
+             for i in range(3)]
+    for identity, sides in _public_sides(alg, a, deriv).items():
+        assert fr.sweep(identity) > 0
+        assert getattr(fr, identity).tolist() == _as_rows([l - r for l, r in sides], 3)
+
+
+def test_frame_identities_need_no_polynomial_arithmetic(rng, monkeypatch):
+    """Once the basis derivatives exist, the residuals and the modular value
+    are tensor contractions: polynomial arithmetic is never reached."""
+    alg, a = random_algebra(rng, 4), random_metric(rng, 4)
+    fr = _DualFrame(alg, a)
+    fr.derivs
+
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic after the basis solves")
+
+    for op in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+        monkeypatch.setattr(Polynomial, op, refuse)
+    pts = rng.standard_normal((3, 4)).tolist()
+    assert fr.sweep("dpi") >= 0
+    assert fr.sweep("cyclic") == fr.sweep("transport") == 0
+    for identity in ("dpi", "cyclic", "transport"):
+        assert len(fr.sweep(identity, pts)) == 3
+    assert fr.modular == tuple(-t for t in alg.ad_traces())
+
+
 # --- casimirs -----------------------------------------------------------
 
 def test_center_gives_casimir(rng):
@@ -355,6 +511,15 @@ def test_modular_unimodular_vanishes(rng):
 def test_modular_counter_control():
     got = modular_field_value(affine_line(), Metric.identity(2), [1, 0])
     assert got == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_wrong_length_point_is_rejected():
+    alg, a = heisenberg(), Metric.identity(3)
+    with pytest.raises(DimensionMismatchError):
+        modular_field_value(alg, a, [1, 0, 0], [0, 1])
+    for residual in (dpi_residual, cyclic_schouten_residual, metric_derivation_residual):
+        with pytest.raises(DimensionMismatchError):
+            residual(alg, a, [[0, 0, 1], [0, 1]])
 
 
 def test_modular_metric_independent(rng):

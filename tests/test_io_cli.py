@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liemetric import (
@@ -23,7 +24,6 @@ from liemetric.algebra import LieAlgebra
 from liemetric.cli import main
 from liemetric.io import MAX_DIM
 from liemetric.metric import ConnectionTensor
-from liemetric.poly import Polynomial
 from conftest import random_algebra, random_metric
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "liemetric" / "data"
@@ -209,6 +209,16 @@ def test_cli_directory_as_input_is_input_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("target", ["missing/r.json", "."])
+def test_cli_unwritable_report_path_is_input_error(tmp_path, capsys, target):
+    """A --json path in a missing directory, or a directory, exits 2 after the table."""
+    code = main(["validate", str(DATA / "heisenberg.json"), "--json", str(tmp_path / target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "jacobi_identity" in out
+    assert "cannot write the report" in err
+
+
 def test_cli_check_nan_metric_is_input_error(tmp_path, capsys):
     path = tmp_path / "nan_metric.json"
     path.write_text(json.dumps({
@@ -245,18 +255,18 @@ def test_cli_check_rows_all_ok_on_compatible_pair(tmp_path, capsys):
     assert all(rows[name] == "ok" for name in judged)
 
 
-def _nonzero_defects(fr):
-    return [Polynomial.constant(fr.n, Fraction(1, 7))]
+# one defect row (c_1 .. c_n | c_0) with every coefficient 1/7
+_nonzero_rows = property(lambda fr: np.full((1, fr.n + 1), Fraction(1, 7), dtype=object))
 
 
 @pytest.mark.parametrize("row, owner, attr, fake", [
     ("product_torsion", ConnectionTensor, "torsion_residual", lambda self, alg: Fraction(1)),
     ("product_metric_skew", ConnectionTensor, "skew_residual", lambda self, a: Fraction(1)),
-    ("dual_compatibility", dual, "_dpi_defects", _nonzero_defects),
-    ("jacobi_cyclic_identity", dual, "_cyclic_defects", _nonzero_defects),
-    ("metric_transport_identity", dual, "_transport_defects", _nonzero_defects),
-    ("modular_sweep_max", dual, "_modular_terms",
-     lambda fr, du: [(Fraction(1), Polynomial.constant(fr.n, 1))]),
+    ("dual_compatibility", dual._DualFrame, "dpi", _nonzero_rows),
+    ("jacobi_cyclic_identity", dual._DualFrame, "cyclic", _nonzero_rows),
+    ("metric_transport_identity", dual._DualFrame, "transport", _nonzero_rows),
+    ("modular_sweep_max", dual._DualFrame, "modular",
+     property(lambda fr: (Fraction(1),) * fr.n)),
 ])
 def test_cli_check_row_judged_by_its_value(tmp_path, capsys, monkeypatch,
                                            row, owner, attr, fake):

@@ -1,8 +1,9 @@
-"""Fuzz the bracket and metric file parsers through the command line.
+"""Fuzz the bracket, metric and points file parsers through the command line.
 
-Whatever a file holds, ``liemetric`` must answer with one of its exit codes
-(0 ok, 1 check failed, 2 bad input, 3 nothing found) and never with a
-traceback.
+Whatever a file holds, and wherever ``--json`` points (a writable file, a
+missing directory, a directory), ``liemetric`` must answer with one of its
+exit codes (0 ok, 1 check failed, 2 bad input, 3 nothing found) and never
+with a traceback.
 """
 
 import contextlib
@@ -71,6 +72,14 @@ def metric_docs(draw):
     return doc
 
 
+@st.composite
+def points_docs(draw):
+    n = draw(st.integers(0, 4))
+    point = st.one_of(st.lists(scalars, min_size=n, max_size=n), st.lists(scalars, max_size=4),
+                      json_values)
+    return draw(st.one_of(st.lists(point, max_size=4), json_values))
+
+
 def file_text(doc_strategy):
     """A document as JSON (NaN and Infinity literals allowed), or raw text or bytes."""
     as_json = doc_strategy.map(lambda d: json.dumps(d).encode())
@@ -96,7 +105,12 @@ def workdir(tmp_path_factory):
         save_metric(Metric.identity(n), path / f"identity{n}.json")
     save_algebra(heisenberg(), path / "heisenberg.json")
     save_metric(Metric.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]]), path / "split3.json")
+    (path / "report_dir").mkdir()
     return path
+
+
+# where --json points: a writable file, a file in a missing directory, a directory
+json_targets = st.sampled_from(["report.json", "missing/report.json", "report_dir"])
 
 
 FUZZ = settings(max_examples=120, deadline=None,
@@ -104,24 +118,43 @@ FUZZ = settings(max_examples=120, deadline=None,
 
 
 @FUZZ
-@given(data=file_text(bracket_docs()), paired=st.sampled_from(["identity3", "split3"]))
-def test_bracket_file_fuzz(workdir, data, paired):
+@given(data=file_text(bracket_docs()), paired=st.sampled_from(["identity3", "split3"]),
+       target=json_targets)
+def test_bracket_file_fuzz(workdir, data, paired, target):
     path = workdir / "fuzz.alg.json"
     path.write_bytes(data)
     for argv in (["validate", str(path)],
                  ["check", str(path), str(workdir / f"{paired}.json")]):
-        code, text = _run(argv)
+        code, text = _run(argv + ["--json", str(workdir / target)])
         assert code in EXIT_CODES
         assert "Traceback" not in text
 
 
 @FUZZ
 @given(data=file_text(metric_docs()),
-       algebra=st.sampled_from(["abelian1", "abelian2", "abelian3", "abelian4", "heisenberg"]))
-def test_metric_file_fuzz(workdir, data, algebra):
+       algebra=st.sampled_from(["abelian1", "abelian2", "abelian3", "abelian4", "heisenberg"]),
+       target=json_targets)
+def test_metric_file_fuzz(workdir, data, algebra, target):
     path = workdir / "fuzz.metric.json"
     path.write_bytes(data)
-    code, text = _run(["check", str(workdir / f"{algebra}.json"), str(path)])
+    code, text = _run(["check", str(workdir / f"{algebra}.json"), str(path),
+                       "--json", str(workdir / target)])
+    assert code in EXIT_CODES
+    assert "Traceback" not in text
+
+
+@FUZZ
+@given(data=file_text(points_docs()),
+       pair=st.sampled_from([("abelian2", "identity2"), ("heisenberg", "split3"),
+                             ("heisenberg", "identity3")]),
+       target=json_targets)
+def test_points_file_fuzz(workdir, data, pair, target):
+    path = workdir / "fuzz.points.json"
+    path.write_bytes(data)
+    algebra, metric = pair
+    code, text = _run(["dual-sweep", str(workdir / f"{algebra}.json"),
+                       str(workdir / f"{metric}.json"), "--points-file", str(path),
+                       "--json", str(workdir / target)])
     assert code in EXIT_CODES
     assert "Traceback" not in text
 
