@@ -82,18 +82,19 @@ class LieAlgebra:
                        name: str = ""):
         """Build from a full rank-3 tensor, validating antisymmetry."""
         dim = len(c)
+        if dim < 1:
+            raise InvalidStructureError("dimension must be positive")
         if exact is None:
             exact = all(is_exact(x) for plane in c for row in plane for x in row)
         data = [[[coerce(x, exact) for x in row] for row in plane] for plane in c]
         if any(len(plane) != dim or any(len(row) != dim for row in plane) for plane in data):
             raise DimensionMismatchError("structure tensor is not dim x dim x dim")
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    defect = data[i][j][k] + data[j][i][k]
-                    if (defect != 0) if exact else (abs(defect) > tol):
-                        raise InvalidStructureError(
-                            f"antisymmetry fails at c[{i}][{j}][{k}]")
+        t, _ = _scaled(data, exact)
+        defect = t + t.transpose(1, 0, 2)
+        bad = np.argwhere((defect != 0) if exact else (np.abs(defect) > tol))
+        if len(bad):
+            i, j, k = bad[0]  # row-major order: the lexicographically first entry
+            raise InvalidStructureError(f"antisymmetry fails at c[{i}][{j}][{k}]")
         alg = cls(dim=dim, c=_freeze_tensor(data), exact=exact, name=name)
         if check_jacobi:
             alg.require_jacobi(tol=tol)
@@ -177,13 +178,10 @@ class LieAlgebra:
     def center(self, tol: float = DEFAULT_TOL) -> list:
         """Basis of {v : [u, v] = 0 for all u}, via the stacked adjoints."""
         n = self.dim
-        stacked = [[self.c[i][j][k] for j in range(n)] for i in range(n) for k in range(n)]
+        stacked = np.array(self.c, dtype=object).transpose(0, 2, 1).reshape(n * n, n)
         if self.exact:
-            return rational.nullspace(stacked)
-        m = np.array(stacked, dtype=float)
-        if not stacked:
-            return []
-        _, s, vt = np.linalg.svd(m)
+            return rational.nullspace(stacked.tolist())
+        _, s, vt = np.linalg.svd(stacked.astype(float))
         cutoff = tol * max(1.0, s[0] if len(s) else 1.0)
         null_rows = [vt[r] for r in range(vt.shape[0]) if r >= len(s) or s[r] <= cutoff]
         return [list(map(float, v)) for v in null_rows]

@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare search outcomes against the known "
                             "low-dimensional classification")
     p.add_argument("--dim", choices=["2", "3", "all"], default="all")
-    p.add_argument("--samples", type=int, default=42,
+    p.add_argument("--samples", type=_at_least(0), default=42,
                    help="family parameter triples to sample (default %(default)s)")
     p.add_argument("--restarts", type=_at_least(1), default=16)
     p.add_argument("--max-iters", type=_at_least(0), default=200)
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate the dual-space identities at sample points")
     p.add_argument("algebra")
     p.add_argument("metric")
-    p.add_argument("--count", type=int, default=100,
+    p.add_argument("--count", type=_at_least(0), default=100,
                    help="random points to draw (default %(default)s)")
     p.add_argument("--points-file",
                    help="JSON list of points to use instead of random ones")

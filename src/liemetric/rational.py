@@ -21,17 +21,6 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce ints, rational strings like '-3/7' and Fractions; reject floats."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact scalar: {x!r}")
-
-
 def mat_copy(a):
     return [list(row) for row in a]
 

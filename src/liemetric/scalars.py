@@ -43,10 +43,6 @@ def coerce(x, exact: bool):
     return float(x)
 
 
-def all_exact(values) -> bool:
-    return all(is_exact(x) or isinstance(x, str) for x in values)
-
-
 def scalar_str(x) -> str:
     """Serialize for JSON: exact values as 'p' or 'p/q', floats via repr."""
     if is_exact(x):

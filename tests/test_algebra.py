@@ -22,8 +22,12 @@ def test_bracket_antisymmetry_enforced():
     c = [[[0, 0, 0], [0, 0, 1], [0, 0, 0]],
          [[0, 0, 0], [0, 0, 0], [0, 0, 0]],  # missing the mirror entry
          [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]
-    with pytest.raises(InvalidStructureError):
+    with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[2\]"):
         LieAlgebra.from_structure(c)
+    c[1][2][0] = 5  # fails too, and comes first in column-major order
+    for exact in (True, False):
+        with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[2\]"):
+            LieAlgebra.from_structure(c, exact=exact)
 
 
 def test_from_brackets_heisenberg():

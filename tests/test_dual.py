@@ -598,3 +598,93 @@ def test_kahler_on_found_riemannian_pair():
             continue
         assert out.j_squared_residual < 1e-10
         assert out.metric_residual < 1e-10
+
+
+# --- regularity from the generic rank, and one frame body for both modes --
+
+def two_lines():
+    return LieAlgebra.from_brackets(4, {(0, 1): [0, 1, 0, 0], (2, 3): [0, 0, 0, 1]})
+
+
+def heisenberg_plus_line():
+    return LieAlgebra.from_brackets(4, {(0, 1): [0, 0, 1, 0]})
+
+
+def refuse_witness(monkeypatch):
+    def refuse(n):
+        raise AssertionError("witness point drawn at the parity bound")
+
+    monkeypatch.setattr("liemetric.dual._witness_point", refuse)
+
+
+def test_kahler_dim4_rank2_below_generic_rank4_is_irregular():
+    assert leaf_frame_at(two_lines(), Metric.identity(4), (0, 1, 0, 0)).rank == 2
+    with pytest.raises(IrregularPointError, match="rank 2 at the point, 4 at"):
+        kahler_check_at(two_lines(), Metric.identity(4), (0, 1, 0, 0))
+
+
+def test_kahler_dim4_rank4_is_regular_by_parity(monkeypatch):
+    refuse_witness(monkeypatch)
+    for mu in [(0, 1, 0, 2), (0.3, -1.2, 0.5, 0.8)]:
+        out = kahler_check_at(two_lines(), Metric.identity(4), mu)
+        assert out.rank == 4
+        assert out.j_squared_residual < 1e-10 and out.metric_residual < 1e-10
+
+
+def test_kahler_dim4_rank2_at_generic_rank2_is_regular(rng):
+    alg = heisenberg_plus_line()
+    a = Metric.from_rows([[2, 1, 0, 0], [1, 3, 1, 0], [0, 1, 2, 0], [0, 0, 0, 1]])
+    for mu in [(1, 2, 3, 4), (0, 0, -1, 0), tuple(rng.standard_normal(4))]:
+        out = kahler_check_at(alg, a, mu)
+        assert out.rank == 2
+        assert out.j_squared_residual < 1e-10 and out.metric_residual < 1e-10
+
+
+def test_kahler_dim3_rank2_draws_no_witness(monkeypatch, rng):
+    refuse_witness(monkeypatch)
+    for alg in (heisenberg(), euclidean_motions(), sol()):
+        for mu in [(1, 2, 3), tuple(rng.standard_normal(3))]:
+            assert kahler_check_at(alg, Metric.identity(3), mu).rank == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_leaf_frame_exact_and_float_agree(rng, n):
+    checked = 0
+    for _ in range(12):
+        alg, a = random_algebra(rng, n), random_metric(rng, n)
+        mu = [int(x) for x in rng.integers(-3, 4, size=n)]
+        frames = []
+        for al, aa, m in ((alg, a, mu), (alg.to_float(), a.to_float(), [float(x) for x in mu])):
+            try:
+                frames.append(leaf_frame_at(al, aa, m))
+            except DegenerateRestrictionError:
+                frames.append(None)
+        ex, fl = frames
+        assert (ex is None) == (fl is None)
+        if ex is None:
+            continue
+        assert ex.exact and not fl.exact
+        assert ex.rank == fl.rank == n - len(ex.kernel_basis) == n - len(fl.kernel_basis)
+        pm = bivector_at(alg, mu).matrix
+        for cv, tv in zip(ex.complement_basis, ex.tangent_basis, strict=True):
+            assert list(tv) == [sum(cv[i] * pm[i][j] for i in range(n)) for j in range(n)]
+            assert all(a.apply(cv, kv) == 0 for kv in ex.kernel_basis)
+        assert all(sum(kv[i] * pm[i][j] for i in range(n)) == 0
+                   for kv in ex.kernel_basis for j in range(n))
+        p, am = np.array(pm, dtype=float), a.as_array()
+        k = np.array(fl.kernel_basis).reshape(-1, n)
+        c = np.array(fl.complement_basis).reshape(-1, n)
+        assert np.allclose(k @ p, 0, atol=1e-9)
+        assert np.allclose(c @ am @ k.T, 0, atol=1e-9)
+        assert np.allclose(np.array(fl.tangent_basis).reshape(-1, n), c @ p, atol=1e-9)
+        if len(k):
+            both = np.vstack([np.array(ex.kernel_basis, dtype=float), k])
+            assert np.linalg.matrix_rank(both, tol=1e-9) == len(k)
+        checked += 1
+    assert checked >= 6
+
+
+def test_leaf_frame_float_degenerate_restriction_reports_gram_determinant():
+    bad = Metric.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).to_float()
+    with pytest.raises(DegenerateRestrictionError, match=r"Gram determinant -?\d\.\d{3}e[+-]\d+"):
+        leaf_frame_at(euclidean_motions().to_float(), bad, (0.0, 0.0, 1.0))

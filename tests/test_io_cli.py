@@ -356,6 +356,8 @@ def test_cli_classify_dim2(capsys):
     ["classify", "--max-iters", "-1"],
     ["classify", "--tol", "nan"],
     ["validate", "ALG", "--tol", "-inf"],
+    ["classify", "--samples", "-1"],
+    ["dual-sweep", "ALG", "ALG", "--count", "-1"],
 ])
 def test_cli_bad_numeric_arguments_are_input_errors(tmp_path, capsys, monkeypatch, args):
     def refuse(*a, **kw):
