@@ -73,11 +73,6 @@ def sol_split_metric() -> Metric:
     return Metric.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]], exact=True)
 
 
-def rotation_compatible_pair() -> tuple:
-    """Euclidean-motions algebra with the identity metric; exactly compatible."""
-    return euclidean_motions(), Metric.identity(3)
-
-
 NAMED_ALGEBRAS = {
     "abelian2": lambda: abelian(2),
     "abelian3": lambda: abelian(3),

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -203,9 +202,8 @@ def levi_civita_product(alg: LieAlgebra, a: Metric) -> ConnectionTensor:
     m, sm = _scaled(a.matrix, exact)
     if exact:
         # with c = C/sc and a = M/sm, the solution of 2M y = B(C, M) is sc * x
-        two_m = [[Fraction(2 * v) for v in row] for row in m.tolist()]
         try:
-            y = rational.solve(two_m, _product_rhs(c, m).reshape(-1, n).T.tolist())
+            y = rational.solve((2 * m).tolist(), _product_rhs(c, m).reshape(-1, n).T.tolist())
         except rational.SingularMatrixError as exc:
             raise DegenerateMetricError(str(exc)) from exc
         x = np.array(y, dtype=object).T.reshape(n, n, n)

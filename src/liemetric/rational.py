@@ -1,20 +1,19 @@
-"""Dense exact linear algebra over ``fractions.Fraction``.
+"""Dense exact linear algebra over the rationals, for the exact scalar mode.
 
-This is the exact side of the steps whose math differs between the two
-scalar modes: linear solves, inverse, determinant, inertia and null space.
-Tensor contractions do not come here; they run as ``np.einsum`` over integer
-tensors with one common denominator (see ``scalars``), and Fractions appear
-only where a result leaves that representation.
-
-Matrices are lists of lists of Fractions, vectors are lists of Fractions.
-Sizes here are tiny (n <= 10), so plain Gaussian elimination with the first
-nonzero pivot is both exact and fast enough. ``solve`` takes a matrix right
-side, so one elimination serves many systems.
+Matrices are lists of rows of ints or Fractions; results are Fractions.
+``solve``, ``inverse``, ``det`` and ``nullspace`` share one kernel, ``_reduce``:
+fraction-free Gauss-Jordan with the first nonzero pivot (Bareiss 1968) on the
+ints-over-one-denominator form ``scalars._scaled`` gives every einsum. A step
+sets each other row to ``(pivot * row - f * pivot_row) // previous_pivot``; by
+Sylvester's identity every entry is then a minor of the integer input, so the
+division is exact and no gcd is taken. In the end every pivot equals the last,
+d: RREF is the pivot rows over d, and at full rank d is the determinant up to
+the swaps' sign. ``inertia`` is a symmetric congruence with its own loop.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
+
+from .scalars import _scaled
 
 
 class SingularMatrixError(ValueError):
@@ -25,112 +24,63 @@ def mat_copy(a):
     return [list(row) for row in a]
 
 
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def _reduce(a, b=None):
+    """Fraction-free Gauss-Jordan on [a | b] = [A | B] / scale, pivoting in a. Returns
+    the reduced int rows, the pivot columns, the last pivot d (1 if none), the sign
+    of the row swaps and the scale; row r of RREF([a | b]) is rows[r] / d."""
+    width = len(a[0]) if a else 0
+    aug = a if b is None else [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    m, scale = _scaled(aug, True)
+    m = m.tolist()
+    pivots, d, sign = [], 1, 1
+    for c in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        row, pivot = m[r], m[r][c]
+        for i, other in enumerate(m):
+            if i != r:
+                f = other[c]
+                m[i] = [(pivot * x - f * y) // d for x, y in zip(other, row)]
+        pivots.append(c)
+        d = pivot
+    return m, pivots, d, sign, scale
 
 
 def solve(a, b):
-    """Solve a x = b exactly; b may be a vector or a matrix of columns.
-
-    Raises SingularMatrixError when a is singular.
-    """
+    """Solve a x = b exactly for a matrix b of right sides; SingularMatrixError if a is."""
     n = len(a)
-    vector_rhs = not isinstance(b[0], list)
-    rhs = [[x] for x in b] if vector_rhs else mat_copy(b)
-    m = mat_copy(a)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv_p = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv_p
-            if f == 0:
-                continue
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-            for c in range(len(rhs[0])):
-                rhs[r][c] -= f * rhs[col][c]
-    sol = [[Fraction(0)] * len(rhs[0]) for _ in range(n)]
-    for r in range(n - 1, -1, -1):
-        for c in range(len(rhs[0])):
-            s = rhs[r][c] - sum((m[r][k] * sol[k][c] for k in range(r + 1, n)), Fraction(0))
-            sol[r][c] = s / m[r][r]
-    if vector_rhs:
-        return [row[0] for row in sol]
-    return sol
+    rows, pivots, d, _, _ = _reduce(a, b)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular")
+    return [[Fraction(x, d) for x in row[n:]] for row in rows]
 
 
 def inverse(a):
-    return solve(a, identity(len(a)))
+    n = len(a)
+    return solve(a, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def det(a):
     n = len(a)
-    m = mat_copy(a)
-    d = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            d = -d
-        d *= m[col][col]
-        inv_p = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv_p
-            if f == 0:
-                continue
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return d
-
-
-def rref(a):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = mat_copy(a)
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv_p = 1 / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    _, pivots, d, sign, scale = _reduce(a)
+    return Fraction(sign * d, scale ** n) if len(pivots) == n else Fraction(0)
 
 
 def nullspace(a):
-    """Basis of the right null space as a list of vectors (may be empty)."""
+    """Basis of the right null space, one vector per free column f of RREF(a):
+    1 at f, minus RREF column f at the pivot columns, 0 elsewhere."""
     if not a:
         return []
-    cols = len(a[0])
-    red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
-    return basis
+    rows, pivots, d, _, _ = _reduce(a)
+    row_of = {p: r for r, p in enumerate(pivots)}
+    cols = range(len(a[0]))
+    return [[Fraction(-rows[row_of[c]][f], d) if c in row_of else Fraction(int(c == f))
+             for c in cols] for f in cols if f not in row_of]
 
 
 def inertia(a):

@@ -152,15 +152,14 @@ def _decode_directions(theta: np.ndarray, n: int, mode: str) -> np.ndarray:
 
 
 def _adjugate(a: np.ndarray) -> np.ndarray:
+    """Cofactor transpose; all n^2 minors go to one stacked ``np.linalg.det``."""
     n = a.shape[0]
     if n == 1:
         return np.ones((1, 1))
-    adj = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            adj[j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
-    return adj
+    keep = np.array([np.delete(np.arange(n), i) for i in range(n)])
+    minors = a[keep[:, None, :, None], keep[None, :, None, :]]
+    signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+    return (signs * np.linalg.det(minors)).T
 
 
 def _residual_jacobian(c: np.ndarray, theta: np.ndarray, mode: str,
@@ -196,8 +195,7 @@ def _residual_jacobian(c: np.ndarray, theta: np.ndarray, mode: str,
             rb = _BARRIER_WEIGHT * (floor - abs(d)) / floor
             adj = _adjugate(a)
             sign = 1.0 if d >= 0 else -1.0
-            grad = np.array([-_BARRIER_WEIGHT / floor * sign
-                             * float(np.sum(adj.T * da)) for da in dirs])
+            grad = -_BARRIER_WEIGHT / floor * sign * np.sum(adj.T * dirs, axis=(1, 2))
             r = np.concatenate([r, [rb]])
             jac = np.vstack([jac, grad[None, :]])
     return r, jac
@@ -323,8 +321,6 @@ def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
         n = len(raw)
         sym = [[(raw[i][j] + raw[j][i]) / 2 for j in range(n)] for i in range(n)]
         exact_metric = Metric.from_rows(sym, exact=True)
-        if not exact_metric.is_nondegenerate():
-            return None
         if not _admissible(exact_metric, constraint):
             return None
         res = compatibility_residual(alg, exact_metric)
@@ -369,17 +365,13 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
         theta0 = _initial_theta(n, mode, rng)
         theta, cost, iters, reason, lam = _minimize(fun, theta0, cfg.max_iters,
                                                     cost_tol, stop=outside_domain)
-        a = _decode(theta, n, mode)
-        norm = float(np.linalg.norm(a))
-        admissible = norm > 0.0 and np.isfinite(cost)
+        # a probe that slid toward the degenerate boundary is not a
+        # candidate metric; its vanishing residual is an artifact
+        admissible = np.isfinite(cost) and not outside_domain(theta)
         residual = float("inf")
         if admissible:
-            ahat = a / norm
-            # a probe that slid toward the degenerate boundary is not a
-            # candidate metric; its vanishing residual is an artifact
-            admissible = abs(float(np.linalg.det(ahat))) >= cfg.degeneracy_floor
-        if admissible:
-            metric = Metric.from_rows(ahat.tolist(), exact=False)
+            a = _decode(theta, n, mode)
+            metric = Metric.from_rows((a / float(np.linalg.norm(a))).tolist(), exact=False)
             admissible = _admissible(metric, constraint)
             if admissible:
                 try:

@@ -575,7 +575,7 @@ def test_kahler_rejects_rank_zero_point():
 
 def test_kahler_irregular_point_detected():
     # two independent blocks: generic rank 4, but rank 2 where the second
-    # block's coordinate nearly vanishes; nearby probes see the jump
+    # block's coordinate nearly vanishes; the integer witness has rank 4
     two_lines = LieAlgebra.from_brackets(
         4, {(0, 1): [0, 1, 0, 0], (2, 3): [0, 0, 0, 1]})
     with pytest.raises(IrregularPointError):

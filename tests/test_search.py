@@ -19,8 +19,9 @@ from liemetric import (
     solvable_family,
     verify_classification,
 )
-from liemetric.search import (STOP_REASONS, FamilyParams, _minimize,
-                              _residual_jacobian, param_count)
+from liemetric.search import (_BARRIER_WEIGHT, STOP_REASONS, FamilyParams, _adjugate,
+                              _decode, _decode_directions, _minimize, _residual_jacobian,
+                              param_count)
 
 
 def quick(mode="none", restarts=12, seed=0, iters=200):
@@ -269,6 +270,40 @@ def test_batched_jacobian_matches_per_direction_reference(n, mode, floor):
         assert jac.flags.c_contiguous
         assert np.max(np.abs(r - r_ref)) <= 1e-12 * np.max(np.abs(r_ref))
         assert np.max(np.abs(jac - jac_ref)) <= 1e-12 * np.max(np.abs(jac_ref))
+
+
+def reference_adjugate(a):
+    """Cofactor transpose, one minor and one determinant at a time."""
+    n = a.shape[0]
+    if n == 1:
+        return np.ones((1, 1))
+    adj = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
+            adj[j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_stacked_adjugate_and_barrier_gradient_match_loops_bitwise(n):
+    rng = np.random.default_rng(200 + n)
+    c = _random_structure(rng, n)
+    floor = 1e3  # forces the barrier row
+    for mode in ("unconstrained", "positive_definite"):
+        for _ in range(40):
+            theta = rng.standard_normal(param_count(n))
+            a = _decode(theta, n, mode)
+            adj = _adjugate(a)
+            assert np.array_equal(adj, reference_adjugate(a))
+            dirs = _decode_directions(theta, n, mode)
+            loop = np.array([float(np.sum(adj.T * da)) for da in dirs])
+            assert np.array_equal(np.sum(adj.T * dirs, axis=(1, 2)), loop)
+            if mode == "unconstrained":
+                d = float(np.linalg.det(a))
+                sign = 1.0 if d >= 0 else -1.0
+                _, jac = _residual_jacobian(c, theta, mode, floor)
+                assert np.array_equal(jac[-1], -_BARRIER_WEIGHT / floor * sign * loop)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
