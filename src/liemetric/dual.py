@@ -260,11 +260,11 @@ def _pi_pair(pi: list, alpha: PolyOneForm, beta: PolyOneForm) -> Polynomial:
     return total
 
 
-def _bracket(pi: list, alpha: PolyOneForm, beta: PolyOneForm, xa: tuple, xb: tuple,
-             max_degree: int) -> PolyOneForm:
-    """[alpha, beta] from pi and the sharp fields xa, xb of alpha and beta."""
-    out = (lie_derivative_form(xa, beta) - lie_derivative_form(xb, alpha)
-           - differential(_pi_pair(pi, alpha, beta)))
+def _bracket(pi: list, alpha: PolyOneForm, beta: PolyOneForm, la_b: PolyOneForm,
+             lb_a: PolyOneForm, max_degree: int) -> PolyOneForm:
+    """[alpha, beta] from pi and the Lie derivatives la_b of beta along sharp(alpha)
+    and lb_a of alpha along sharp(beta)."""
+    out = la_b - lb_a - differential(_pi_pair(pi, alpha, beta))
     return _degree_guard(out, max_degree, "form bracket")
 
 
@@ -349,7 +349,8 @@ def form_bracket(alg: LieAlgebra, alpha: PolyOneForm, beta: PolyOneForm,
     """
     _, alg, _, (alpha, beta) = _harmonize(alg, None, [alpha, beta])
     pi = _pi_polys(alg)
-    return _bracket(pi, alpha, beta, _sharp(pi, alpha), _sharp(pi, beta), max_degree)
+    return _bracket(pi, alpha, beta, lie_derivative_form(_sharp(pi, alpha), beta),
+                    lie_derivative_form(_sharp(pi, beta), alpha), max_degree)
 
 
 class _DualFrame:
@@ -357,11 +358,17 @@ class _DualFrame:
 
     Holds the scalar mode; the algebra, metric and any extra forms in that
     mode; the inverse metric; the matrix pi; the constant coframe de and its
-    sharp fields. The n x n basis brackets ``brackets[i][m] = [de_m, de_i]``
+    sharp fields X_k. The n x n basis brackets ``brackets[i][m] = [de_m, de_i]``
     and Koszul derivatives ``derivs[i][k] = D_{de_i} de_k`` come from the
     polynomial solve; the identity rows and ``modular`` contract ``tensors``.
     Each is built on first use, so a call pays only for what it reads.
-    Nothing outlives the call that built the frame.
+
+    The n^2 basis solves share their polynomial work. Each Lie derivative
+    L_{X_m} de_i is computed once for both [de_m, de_i] and [de_i, de_m].
+    ``once`` keeps, keyed on basis indices, the n^2 pairings <de_y, de_z>, the
+    n^3 pairings <[de_x, de_y], de_z> and the n^3 flows X_x.<de_y, de_z>, so
+    every distinct one is computed once for all the solves. These live on the
+    frame and nothing outlives the call that built it.
     """
 
     def __init__(self, alg: LieAlgebra, a: Metric, forms=()):
@@ -374,18 +381,29 @@ class _DualFrame:
         self.pi = _pi_polys(self.alg)
         self.de = [PolyOneForm.coordinate(self.n, k, self.exact) for k in range(self.n)]
         self.sharp = [_sharp(self.pi, d) for d in self.de]
+        self._memo = {}
+
+    def once(self, key, make, *args):
+        """make(*args), computed once per frame for each key; key None computes
+        it anew on every call."""
+        if key is None:
+            return make(*args)
+        if key not in self._memo:
+            self._memo[key] = make(*args)
+        return self._memo[key]
 
     @cached_property
     def brackets(self) -> list:
-        de, sharp = self.de, self.sharp
-        return [[_bracket(self.pi, de[m], de[i], sharp[m], sharp[i], DEFAULT_MAX_DEGREE)
-                 for m in range(self.n)] for i in range(self.n)]
+        de, sharp, n = self.de, self.sharp, self.n
+        lie = [[lie_derivative_form(sharp[m], de[i]) for i in range(n)] for m in range(n)]
+        return [[_bracket(self.pi, de[m], de[i], lie[m][i], lie[i][m], DEFAULT_MAX_DEGREE)
+                 for m in range(n)] for i in range(n)]
 
     @cached_property
     def derivs(self) -> list:
         de, sharp, b = self.de, self.sharp, self.brackets
         return [[_koszul(self, de[i], de[k], sharp[i], sharp[k], b[i], b[k], b[k][i],
-                         DEFAULT_MAX_DEGREE)
+                         DEFAULT_MAX_DEGREE, (i, k))
                  for k in range(self.n)] for i in range(self.n)]
 
     @cached_property
@@ -461,24 +479,36 @@ class _DualFrame:
 
 
 def _koszul(fr: _DualFrame, alpha: PolyOneForm, beta: PolyOneForm, xa: tuple, xb: tuple,
-            ka: list, kb: list, ab: PolyOneForm, max_degree: int) -> PolyOneForm:
-    """D_alpha beta from the six-term Koszul relation paired against each de_k.
+            ka: list, kb: list, ab: PolyOneForm, max_degree: int,
+            basis: tuple | None = None) -> PolyOneForm:
+    """D_alpha beta from the six-term Koszul relation paired against each de_l.
 
-    xa, xb are the sharp fields of alpha and beta, ka[k] = [de_k, alpha],
-    kb[k] = [de_k, beta] and ab = [alpha, beta]; the constant fiber-metric
-    system is then solved coefficientwise.
+    xa, xb are the sharp fields of alpha and beta, ka[l] = [de_l, alpha],
+    kb[l] = [de_l, beta] and ab = [alpha, beta]; the constant fiber-metric
+    system is then solved coefficientwise. basis = (i, k) says alpha = de_i and
+    beta = de_k: each pairing and flow is then keyed on basis indices and
+    computed once per frame (``_DualFrame.once``), as ("de", y, z) for
+    <de_y, de_z>, ("br", x, y, z) for <[de_x, de_y], de_z> and ("flow", x, y, z)
+    for X_x.<de_y, de_z>. General forms pass None and reuse nothing.
     """
     n, exact, a = fr.n, fr.exact, fr.a
-    ab_pair = form_pairing(alpha, beta, a)
+    i, k = basis or (None, None)
+
+    def pair(u, v, *key):
+        return fr.once(key if basis else None, form_pairing, u, v, a)
+
+    def flow(x, p, *key):
+        return fr.once(("flow",) + key if basis else None, apply_field, x, p)
+
+    ab_pair = pair(alpha, beta, "de", i, k)
     rhs = []
-    for k in range(n):
-        dek = fr.de[k]
-        term = apply_field(xa, form_pairing(beta, dek, a))
-        term = term + apply_field(xb, form_pairing(alpha, dek, a))
-        term = term - apply_field(fr.sharp[k], ab_pair)
-        term = term + form_pairing(ka[k], beta, a)
-        term = term + form_pairing(kb[k], alpha, a)
-        term = term + form_pairing(ab, dek, a)
+    for l, (dl, xl) in enumerate(zip(fr.de, fr.sharp)):
+        term = flow(xa, pair(beta, dl, "de", k, l), i, k, l)
+        term = term + flow(xb, pair(alpha, dl, "de", i, l), k, i, l)
+        term = term - flow(xl, ab_pair, l, i, k)
+        term = term + pair(ka[l], beta, "br", l, i, k)
+        term = term + pair(kb[l], alpha, "br", l, k, i)
+        term = term + pair(ab, dl, "br", i, k, l)
         rhs.append(term)
     ainv = fr.ainv
     half = Fraction(1, 2) if exact else 0.5
@@ -506,9 +536,14 @@ def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
     fr = _DualFrame(alg, a, [alpha, beta])
     alpha, beta = fr.forms
     xa, xb = _sharp(fr.pi, alpha), _sharp(fr.pi, beta)
-    ka = [_bracket(fr.pi, d, alpha, x, xa, max_degree) for d, x in zip(fr.de, fr.sharp)]
-    kb = [_bracket(fr.pi, d, beta, x, xb, max_degree) for d, x in zip(fr.de, fr.sharp)]
-    ab = _bracket(fr.pi, alpha, beta, xa, xb, max_degree)
+
+    def bracket(f, g, xf, xg):
+        return _bracket(fr.pi, f, g, lie_derivative_form(xf, g), lie_derivative_form(xg, f),
+                        max_degree)
+
+    ka = [bracket(d, alpha, x, xa) for d, x in zip(fr.de, fr.sharp)]
+    kb = [bracket(d, beta, x, xb) for d, x in zip(fr.de, fr.sharp)]
+    ab = bracket(alpha, beta, xa, xb)
     return _koszul(fr, alpha, beta, xa, xb, ka, kb, ab, max_degree)
 
 

@@ -7,7 +7,9 @@ exact mode and floats otherwise; mixing modes is an error.
 
 The public constructor validates and coerces every term. Arithmetic results
 are already in the right mode, so they go through ``_trusted``, which only
-drops zero coefficients.
+drops zero coefficients. Polynomials are never mutated, so adding or
+subtracting a zero polynomial returns the other operand (or its negation)
+with no copy, after the same variable-count and mode check as any sum.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.nvars, other, self.exact)
         self._check_mate(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for expo, coef in other.terms.items():
             terms[expo] = terms[expo] + coef if expo in terms else coef

@@ -65,7 +65,7 @@ def _scaled(values, exact: bool):
     if not exact:
         return np.asarray(values, dtype=float), 1
     entries = np.array(values, dtype=object)
-    fracs = [Fraction(x) for x in entries.flat]
+    fracs = [x if type(x) is Fraction else Fraction(x) for x in entries.flat]
     scale = math.lcm(*(f.denominator for f in fracs))
     ints = np.array([f.numerator * (scale // f.denominator) for f in fracs], dtype=object)
     return ints.reshape(entries.shape), scale

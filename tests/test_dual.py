@@ -460,6 +460,52 @@ def test_frame_identities_need_no_polynomial_arithmetic(rng, monkeypatch):
     assert fr.modular == tuple(-t for t in alg.ad_traces())
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_frame_computes_each_pairing_flow_and_lie_derivative_once(rng, n, monkeypatch):
+    """One exact frame's n^2 Koszul solves make each distinct pairing
+    <de_y, de_z> or <[de_x, de_y], de_z>, each flow X_x.<de_y, de_z> and each
+    Lie derivative L_{X_m} de_i once, and never reach the algebra-side product
+    solve, which AC2 compares them against."""
+    from liemetric import dual, metric
+
+    calls = {"form_pairing": 0, "apply_field": 0, "lie_derivative_form": 0}
+
+    def counting(name):
+        fun = getattr(dual, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fun(*args)
+        return wrapper
+
+    def refuse(*args):
+        raise AssertionError("the Koszul solve reached the algebra-side product")
+
+    for name in calls:
+        monkeypatch.setattr(dual, name, counting(name))
+    for name in ("levi_civita_product", "_product_rhs"):
+        monkeypatch.setattr(metric, name, refuse)
+    fr = _DualFrame(random_algebra(rng, n), random_metric(rng, n))
+    fr.brackets
+    assert calls["lie_derivative_form"] <= n * n
+    calls["apply_field"] = 0  # the Lie derivatives apply fields of their own
+    fr.derivs
+    assert calls["form_pairing"] <= n ** 3 + n ** 2
+    assert calls["apply_field"] <= n ** 3
+    assert calls["lie_derivative_form"] <= n * n
+    assert fr.modular == tuple(-t for t in fr.alg.ad_traces())
+
+
+def test_no_frame_state_leaks_between_calls():
+    """Each public call builds its own frame: a compatible metric and then an
+    incompatible one on the same algebra object give 0 and then nonzero."""
+    alg = heisenberg()
+    compatible, incompatible = heisenberg_split_metric(), Metric.identity(3)
+    assert dpi_residual(alg, compatible) == 0
+    assert dpi_residual(alg, incompatible) > 0
+    assert dpi_residual(alg, compatible) == 0
+
+
 # --- casimirs -----------------------------------------------------------
 
 def test_center_gives_casimir(rng):

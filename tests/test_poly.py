@@ -136,3 +136,27 @@ def test_arithmetic_results_are_well_formed(exact, data):
         assert all(c != 0 for c in r.terms.values())
         assert all(type(c) is kind for c in r.terms.values())
         assert r.exact is exact and r.nvars == p.nvars
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_zero_operand_gives_the_other(exact, data):
+    p = data.draw(polys(exact=exact))
+    z = Polynomial.zero(2, exact)
+    assert p + z == p and z + p == p
+    assert p - z == p and z - p == -p
+    assert (z + z).is_zero() and (z - z).is_zero()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_zero_operand_still_checks_its_mate(exact):
+    p = Polynomial.coordinate(2, 0, exact)
+    for z in (Polynomial.zero(3, exact), Polynomial.zero(2, not exact)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(ValueError):
+                op(p, z)
+            with pytest.raises(ValueError):
+                op(z, p)
+            with pytest.raises(ValueError):
+                op(z, Polynomial.zero(2, exact))
