@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="residual tolerance (default %(default)g)")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_at_least(0), default=0,
                         help="random seed for anything sampled")
     common.add_argument("--json", dest="json_path", metavar="PATH",
                         help="also write the full report as JSON")

@@ -298,8 +298,14 @@ def form_pairing(alpha: PolyOneForm, beta: PolyOneForm, a: Metric) -> Polynomial
 
 
 def apply_field(field, p: Polynomial) -> Polynomial:
-    """Directional derivative of a polynomial along a polynomial vector field."""
+    """Directional derivative of a polynomial along a polynomial vector field.
+
+    A constant has none; the basis pairings of a Koszul solve are all
+    constants, so their flows take no partial derivative.
+    """
     total = Polynomial.zero(p.nvars, p.exact)
+    if p.degree() <= 0:
+        return total
     for m, comp in enumerate(field):
         if comp.is_zero():
             continue

@@ -224,9 +224,15 @@ def _product_rhs(c: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _lc_product_array(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Vectorized float solve of the product's defining systems."""
+    """Vectorized float solve of the product's defining systems.
+
+    Leading axes of ``a`` are batch axes, as in ``_product_rhs``: one
+    stacked solve takes the n^2 right sides of every metric of the stack.
+    """
     n = c.shape[0]
-    return np.linalg.solve(2.0 * a, _product_rhs(c, a).reshape(-1, n).T).T.reshape(n, n, n)
+    rhs = _product_rhs(c, a)
+    cols = rhs.reshape(a.shape[:-2] + (-1, n)).swapaxes(-1, -2)
+    return np.linalg.solve(2.0 * a, cols).swapaxes(-1, -2).reshape(rhs.shape)
 
 
 def _defect_array(c: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 The objective stacks every component of the basis-triple defect
 [A_{e_i}e_j, e_k] + [e_i, A_{e_k}e_j] into one residual vector; a damped
 Gauss-Newton loop with analytic directional derivatives through the defining
-linear solve drives it down from many random starts. A found metric is only
-reported after an independent recheck: exact arithmetic when the entries
-rationalize, a ten times tighter float tolerance otherwise.
+linear solve drives it down from many random starts. The starts advance in
+lockstep batches, each taking the steps it would take alone. A found metric
+is only reported after an independent recheck: exact arithmetic when the
+entries rationalize, a ten times tighter float tolerance otherwise.
 
 The harness part sweeps the two- and three-dimensional catalog plus a
 stratified sample of the three-parameter solvable family, comparing search
@@ -20,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -54,12 +56,16 @@ class SearchConfig:
             object.__setattr__(self, "signature_constraint", tuple(sc))
         elif sc not in ("none", "positive_definite"):
             raise ValueError(f"unknown signature constraint {sc!r}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must not be negative")
-        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
-            raise ValueError("residual_tol must be positive and finite")
+        for name, low in (("restarts", 1), ("max_iters", 0), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}")
+            object.__setattr__(self, name, int(value))
+        for name in ("residual_tol", "degeneracy_floor"):
+            value = getattr(self, name)
+            if (not isinstance(value, Real) or isinstance(value, bool)
+                    or not (math.isfinite(value) and value > 0)):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 # why _minimize ended a restart, one name per exit
@@ -106,49 +112,91 @@ def param_count(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def _factor(theta: np.ndarray, n: int) -> np.ndarray:
-    """Lower-triangular c with a = c c^T: exp(theta) on the diagonal, then
-    the strictly lower entries in row order."""
-    c = np.zeros((n, n))
-    for k in range(n):
-        c[k, k] = np.exp(theta[k])
-    for t, (i, j) in enumerate(_lower_positions(n)):
-        c[i, j] = theta[n + t]
+# cap on the bytes of one lockstep batch's (restarts, m, n^4) float Jacobian
+# stack; a lockstep step's arrays peak at 3 to 6 times this (1.5 to 2.8 MiB
+# measured at n = 3..6)
+_BATCH_BYTES = 512 * 1024
+
+
+def _batch_size(n: int) -> int:
+    """Restarts per lockstep batch: as many as keep the float Jacobian stack
+    of the batch within _BATCH_BYTES, and at least one."""
+    return max(1, _BATCH_BYTES // (8 * param_count(n) * n ** 4))
+
+
+class _Problem(NamedTuple):
+    """The fixed data of one search, with everything that does not depend
+    on the parameters computed once: the index arrays of the
+    parameterisation and, in the unconstrained modes, the constant direction
+    stack and its right sides."""
+
+    c: np.ndarray
+    n: int
+    mode: str
+    floor: float
+    diag: np.ndarray        # the diagonal, 0..n-1
+    lower: tuple            # strictly lower (rows, cols) in row order
+    vech: tuple             # lower with the diagonal (rows, cols) in row order
+    units: np.ndarray       # unconstrained da/dtheta, (m, n, n); None with pd
+    units_rhs: np.ndarray   # _product_rhs(c, units); None with pd
+
+
+def _positions(pairs: list) -> tuple:
+    return tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)
+
+
+def _problem(c: np.ndarray, mode: str, floor: float) -> _Problem:
+    n = c.shape[0]
+    m = param_count(n)
+    lower, vech = _positions(_lower_positions(n)), _positions(_sym_positions(n))
+    units = units_rhs = None
+    if mode != "positive_definite":
+        units = np.zeros((m, n, n))
+        t = np.arange(m)
+        units[t, vech[0], vech[1]] = units[t, vech[1], vech[0]] = 1.0
+        units_rhs = _product_rhs(c, units)
+    return _Problem(c, n, mode, floor, np.arange(n), lower, vech, units, units_rhs)
+
+
+def _factor(theta: np.ndarray, prob: _Problem) -> np.ndarray:
+    """Lower-triangular c with a = c c^T for each row of theta: exp(theta) on
+    the diagonal, then the strictly lower entries in row order."""
+    n = prob.n
+    c = np.zeros((len(theta), n, n))
+    c[:, prob.diag, prob.diag] = np.exp(theta[:, :n])
+    c[:, prob.lower[0], prob.lower[1]] = theta[:, n:]
     return c
 
 
-def _decode(theta: np.ndarray, n: int, mode: str) -> np.ndarray:
-    if mode == "positive_definite":
-        c = _factor(theta, n)
-        return c @ c.T
-    a = np.zeros((n, n))
-    for t, (i, j) in enumerate(_sym_positions(n)):
-        a[i, j] = a[j, i] = theta[t]
+def _decode(theta: np.ndarray, prob: _Problem) -> np.ndarray:
+    """The (R, n, n) stack of metric matrices of an (R, m) parameter stack."""
+    if prob.mode == "positive_definite":
+        c = _factor(theta, prob)
+        return c @ c.transpose(0, 2, 1)
+    a = np.zeros((len(theta), prob.n, prob.n))
+    i, j = prob.vech
+    a[:, i, j] = a[:, j, i] = theta
     return a
 
 
-def _decode_directions(theta: np.ndarray, n: int, mode: str) -> np.ndarray:
-    """da/dtheta_t for every parameter t, stacked as one (m, n, n) array.
+def _factor_directions(c: np.ndarray, prob: _Problem) -> np.ndarray:
+    """da/dtheta_t of a = c c^T for every factor of a stack and every
+    parameter t, as one (R, m, n, n) array; unconstrained, the directions are
+    the constant ``_Problem.units``.
 
-    Unconstrained: the symmetric unit matrices in vech order. Positive
-    definite: with a = c c^T, da_t = dc_t c^T + (dc_t c^T)^T, where dc_t is
-    the unit matrix of parameter t scaled by the chain rule (c_kk on the
-    exp diagonal); one batched matmul multiplies the whole stack by c^T.
-    Each entry of dc_t c^T is a single product, so nothing is rounded in a
-    sum and the batched product equals n^2 scalar products bit for bit.
+    da_t = dc_t c^T + (dc_t c^T)^T, where dc_t is the unit matrix of
+    parameter t scaled by the chain rule (c_kk on the exp diagonal); one
+    batched matmul multiplies the whole stack by c^T. Each entry of dc_t c^T
+    is a single product, so nothing is rounded in a sum and the batched
+    product equals n^2 scalar products bit for bit.
     """
-    units = np.zeros((param_count(n), n, n))
-    if mode == "positive_definite":
-        c = _factor(theta, n)
-        diag = np.arange(n)
-        units[diag, diag, diag] = c[diag, diag]
-        for t, (i, j) in enumerate(_lower_positions(n), start=n):
-            units[t, i, j] = 1.0
-        half = units @ c.T
-        return half + half.transpose(0, 2, 1)
-    for t, (i, j) in enumerate(_sym_positions(n)):
-        units[t, i, j] = units[t, j, i] = 1.0
-    return units
+    n, d, (i, j) = prob.n, prob.diag, prob.lower
+    m = param_count(n)
+    units = np.zeros((len(c), m, n, n))
+    units[:, d, d, d] = c[:, d, d]
+    units[:, np.arange(n, m), i, j] = 1.0
+    half = units @ c.transpose(0, 2, 1)[:, None]
+    return half + half.transpose(0, 1, 3, 2)
 
 
 def _adjugate(a: np.ndarray) -> np.ndarray:
@@ -162,51 +210,108 @@ def _adjugate(a: np.ndarray) -> np.ndarray:
     return (signs * np.linalg.det(minors)).T
 
 
-def _residual_jacobian(c: np.ndarray, theta: np.ndarray, mode: str,
-                       floor: float):
-    """Residual vector and its Jacobian at one parameter point.
+def _residual_jacobian(prob: _Problem, theta: np.ndarray):
+    """Residual vectors and Jacobians of an (R, m) stack of parameter points.
 
     The defect is differentiated through the defining solve: perturbing a by
     da perturbs the product tensor X by the solution of the same system with
-    right side dB - 2 X da. All m parameter directions go at once: the
-    right sides of the (m, n, n) direction stack form one (m, n, n, n)
-    tensor, one solve against 2a takes all m n^2 columns, and one defect
-    contraction maps the stack to the m Jacobian columns. The Jacobian is
-    C-ordered, since the Gauss-Newton matrix jac^T jac rounds differently
-    on a transposed layout. A near-degenerate probe in the unconstrained
-    modes contributes one extra barrier component instead of raising.
+    right side dB - 2 X da. All points and all m parameter directions go at
+    once: one stacked solve against 2a takes every column of every point,
+    and one defect contraction maps the stack to the Jacobian columns. Each
+    Jacobian is C-ordered, since the Gauss-Newton matrix jac^T jac rounds
+    differently on a transposed layout.
+
+    Returns r (R, L), jac (R, L, m), rows (R,), the length of each point's
+    residual, and the mask of points off the search domain
+    (``_off_domain``). Rows past a point's length are zero. A point has the
+    n^4 defect components, plus one barrier component when its metric is
+    near degenerate in the unconstrained modes (L = n^4 + 1 there, n^4 with
+    positive_definite), or only a penalty component when 2a is singular.
     """
-    n = c.shape[0]
-    a = _decode(theta, n, mode)
-    nparams = len(theta)
+    nr, m = theta.shape
+    n, c, floor = prob.n, prob.c, prob.floor
+    pd = prob.mode == "positive_definite"
+    width = n ** 4 + (0 if pd else 1)
+    if pd:
+        f = _factor(theta, prob)
+        a = f @ f.transpose(0, 2, 1)
+    else:
+        a = _decode(theta, prob)
+    off = _off_domain(prob, a)
     try:
         x = _lc_product_array(c, a)
     except np.linalg.LinAlgError:
-        return np.array([_PENALTY]), np.zeros((1, nparams))
-    defect = _defect_array(c, x)
-    r = defect.ravel()
-    dirs = _decode_directions(theta, n, mode)
-    rhs = _product_rhs(c, dirs) - 2.0 * np.einsum("ijm,tmk->tijk", x, dirs)
-    dx = np.linalg.solve(2.0 * a, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
-    jac = np.ascontiguousarray(_defect_array(c, dx).reshape(nparams, -1).T)
-    if mode != "positive_definite":
-        d = float(np.linalg.det(a))
-        if abs(d) < floor:
-            rb = _BARRIER_WEIGHT * (floor - abs(d)) / floor
-            adj = _adjugate(a)
-            sign = 1.0 if d >= 0 else -1.0
-            grad = -_BARRIER_WEIGHT / floor * sign * np.sum(adj.T * dirs, axis=(1, 2))
-            r = np.concatenate([r, [rb]])
-            jac = np.vstack([jac, grad[None, :]])
-    return r, jac
+        if nr == 1:
+            r = np.zeros((1, width))
+            r[0, 0] = _PENALTY
+            return r, np.zeros((1, width, m)), np.ones(1, dtype=int), off
+        # a singular slice sinks the whole stacked solve: redo each alone
+        parts = [_residual_jacobian(prob, theta[k:k + 1]) for k in range(nr)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    if pd:
+        dirs = _factor_directions(f, prob)
+        rhs = _product_rhs(c, dirs) - 2.0 * np.einsum("rijm,rtmk->rtijk", x, dirs)
+    else:
+        dirs = prob.units
+        rhs = prob.units_rhs - 2.0 * np.einsum("rijm,tmk->rtijk", x, dirs)
+    dx = np.linalg.solve(2.0 * a, rhs.reshape(nr, -1, n).transpose(0, 2, 1))
+    columns = _defect_array(c, dx.transpose(0, 2, 1).reshape(rhs.shape)).reshape(nr, m, -1)
+    rows = np.full(nr, n ** 4)
+    if pd:
+        return (_defect_array(c, x).reshape(nr, -1),
+                np.ascontiguousarray(columns.transpose(0, 2, 1)), rows, off)
+    r = np.zeros((nr, width))
+    r[:, :-1] = _defect_array(c, x).reshape(nr, -1)
+    jac = np.zeros((nr, width, m))
+    jac[:, :-1] = columns.transpose(0, 2, 1)
+    det = np.linalg.det(a)
+    for k in np.flatnonzero(np.abs(det) < floor):
+        d = float(det[k])
+        adj = _adjugate(a[k])
+        sign = 1.0 if d >= 0 else -1.0
+        r[k, -1] = _BARRIER_WEIGHT * (floor - abs(d)) / floor
+        jac[k, -1] = -_BARRIER_WEIGHT / floor * sign * np.sum(adj.T * dirs, axis=(1, 2))
+        rows[k] += 1
+    return r, jac, rows, off
+
+
+def _by_length(rows: np.ndarray) -> list:
+    """The slices of a stack grouped by residual length, each group with its
+    length. A reduction also over a zero row could sum in another order."""
+    sizes = set(rows.tolist())
+    if len(sizes) == 1:
+        return [(slice(None), sizes.pop())]
+    return [(np.flatnonzero(rows == size), size) for size in sorted(sizes)]
+
+
+def _squares(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """r . r for each slice, over the slice's own rows."""
+    out = np.empty(len(rows))
+    for k, size in _by_length(rows):
+        v = r[k, :size]
+        out[k] = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    return out
+
+
+def _normal_equations(r: np.ndarray, jac: np.ndarray, rows: np.ndarray):
+    """jac^T r and jac^T jac for each slice, over the slice's own rows."""
+    nr, _, m = jac.shape
+    g, h = np.empty((nr, m)), np.empty((nr, m, m))
+    for k, size in _by_length(rows):
+        v, j = r[k, :size], jac[k, :size]
+        jt = j.transpose(0, 2, 1)
+        g[k] = (jt @ v[:, :, None])[:, :, 0]
+        h[k] = jt @ j
+    return g, h
 
 
 def compat_objective(alg: LieAlgebra, theta, mode: str = "unconstrained",
                      degeneracy_floor: float = 1e-8):
     """Sum of squared defect components and its analytic gradient."""
     theta = np.asarray(theta, dtype=float)
-    c = alg.structure_array()
-    r, jac = _residual_jacobian(c, theta, mode, degeneracy_floor)
+    prob = _problem(alg.structure_array(), mode, degeneracy_floor)
+    r, jac, rows, _ = _residual_jacobian(prob, theta[None])
+    r, jac = r[0, :rows[0]], jac[0, :rows[0]]
     return float(r @ r), 2.0 * (jac.T @ r)
 
 
@@ -227,63 +332,175 @@ def _armijo_descent(fun, theta, r, jac, cost):
     return theta, r, jac, cost, False
 
 
-def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float,
-              stop=None):
-    """Damped Gauss-Newton with a gradient-descent fallback.
+def _damped_steps(h: np.ndarray, lam: np.ndarray, g: np.ndarray):
+    """Solve (h + lam I) delta = -g for each slice. A singular slice makes
+    the stacked solve raise for the whole stack; only then is each slice
+    solved alone, and the mask of singular slices returned (else None)."""
+    a = h + lam[:, None, None] * np.eye(h.shape[-1])
+    try:
+        return np.linalg.solve(a, -g[:, :, None])[:, :, 0], None
+    except np.linalg.LinAlgError:
+        delta, singular = np.zeros_like(g), np.zeros(len(a), dtype=bool)
+        for k in range(len(a)):
+            try:
+                delta[k] = np.linalg.solve(a[k], -g[k])
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return delta, singular
 
-    The optional stop predicate marks the boundary of the search domain:
-    the loop ends as soon as an accepted iterate satisfies it, and that
-    iterate is returned as-is for the caller to judge. Returns the final
-    parameters, cost and iteration count, the name of the exit taken (one
-    of STOP_REASONS) and the final damping.
+
+class _Stack:
+    """The restarts of one lockstep batch still in the stack, one slice
+    each: restart index, cost and damping as Python lists, so the per-restart
+    decisions run in plain float arithmetic, and parameters, residuals,
+    Jacobians and residual lengths as stacked arrays."""
+
+    LISTS = ("index", "cost", "lam")
+    ARRAYS = ("theta", "r", "jac", "rows")
+
+    def __init__(self, theta, r, jac, rows):
+        self.index = list(range(len(theta)))
+        self.cost = _squares(r, rows).tolist()
+        self.lam = [1e-3] * len(theta)
+        self.theta, self.r, self.jac, self.rows = theta, r, jac, rows
+
+    def keep(self, ks: list):
+        for name in self.LISTS:
+            setattr(self, name, [getattr(self, name)[k] for k in ks])
+        for name in self.ARRAYS:
+            setattr(self, name, getattr(self, name)[ks])
+
+    def put(self, ks: list, *arrays):
+        """Move the slices ks to the point of the same slices of the given
+        (theta, r, jac, rows) stack."""
+        if len(ks) == len(self.index):
+            self.theta, self.r, self.jac, self.rows = arrays
+            return
+        for name, value in zip(self.ARRAYS, arrays):
+            getattr(self, name)[ks] = value[ks]
+
+
+def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=None):
+    """Damped Gauss-Newton with a gradient-descent fallback, run in lockstep
+    on a stack of restarts.
+
+    theta0 is (R, m), one starting point per restart. fun maps a (k, m)
+    stack to residuals, Jacobians, residual lengths and the mask of points
+    off the search domain (or None for no boundary), as
+    ``_residual_jacobian`` does; an accepted step onto such a point ends
+    the restart there, for the caller to judge. Every restart keeps its own
+    damping and exit (one of STOP_REASONS) and takes the same steps as it
+    would alone; the restarts still in the stack have all taken the same
+    number of iterations. A restart leaves the stack as soon as it exits,
+    and the optional ``on_exit(k, theta, cost, iters, reason, lam)`` is
+    called for it; a true return drops every restart of higher index still
+    in the stack. Returns, for each of the R restarts, its final (theta,
+    cost, iters, reason, lam), or None when it was dropped.
     """
-    theta = np.asarray(theta0, dtype=float)
-    r, jac = fun(theta)
-    cost = float(r @ r)
-    lam = 1e-3
+    theta = np.array(theta0, dtype=float)
+    st = _Stack(theta, *fun(theta)[:3])
+    out = [None] * len(theta)
     iters = 0
-    reason = "max_iters"
-    while iters < max_iters:
-        if cost <= cost_tol:
-            reason = "converged"
+
+    def retire(exits: dict, *extra):
+        """Take the slices of ``exits`` (slice -> reason) out of the stack,
+        and the same slices out of each extra array."""
+        keep = [k for k in range(len(st.index)) if k not in exits]
+        for k in sorted(exits):
+            rix = st.index[k]
+            out[rix] = (st.theta[k].copy(), st.cost[k], iters, exits[k], st.lam[k])
+            if on_exit is not None and on_exit(rix, *out[rix]):
+                keep = [j for j in keep if st.index[j] < rix]
+                break
+        st.keep(keep)
+        return [x[keep] for x in extra]
+
+    last_off = [False]
+
+    def fun1(th):
+        """fun on one point, in the form _armijo_descent takes; the domain
+        flag of the last point it saw stays in last_off."""
+        rt, jt, size, off = fun(th[None])
+        last_off[0] = off is not None and bool(off[0])
+        return rt[0, :size[0]], jt[0, :size[0]]
+
+    while st.index:
+        if iters >= max_iters:
+            retire(dict.fromkeys(range(len(st.index)), "max_iters"))
             break
+        exits = {k: "converged" for k, cost in enumerate(st.cost) if cost <= cost_tol}
+        if exits:
+            retire(exits)
+            if not st.index:
+                break
         iters += 1
-        g = jac.T @ r
+        g, h = _normal_equations(st.r, st.jac, st.rows)
         # stationarity is judged relative to the cost: descent directions
         # that shrink multiplicatively (log-scale parameters) keep the
         # gradient proportional to the cost and must not stop early
-        if float(np.max(np.abs(g))) <= 1e-12 * cost:
-            reason = "stationary"
-            break
-        h = jac.T @ jac
-        moved = False
-        try:
-            delta = np.linalg.solve(h + lam * np.eye(len(theta)), -g)
-            trial = theta + delta
-            rt, jt = fun(trial)
-            ct = float(rt @ rt)
-            if ct < cost:
-                gain = cost - ct
-                theta, r, jac, cost = trial, rt, jt, ct
-                lam = max(lam / 3.0, 1e-12)
-                moved = True
-                if gain < 1e-15 * max(cost, 1e-30):
-                    reason = "stalled"
-                    break
-            else:
-                lam *= 4.0
-        except np.linalg.LinAlgError:
-            theta, r, jac, cost, moved = _armijo_descent(fun, theta, r, jac, cost)
-            if not moved:
-                reason = "armijo_failed"
+        gmax = np.abs(g).max(axis=1).tolist()
+        exits = {k: "stationary" for k, (top, cost) in enumerate(zip(gmax, st.cost))
+                 if top <= 1e-12 * cost}
+        if exits:
+            g, h = retire(exits, g, h)
+            if not st.index:
                 break
-        if moved and stop is not None and stop(theta):
-            reason = "left_domain"
-            break
-        if not moved and lam > 1e12:
-            reason = "damping_blowup"
-            break
-    return theta, cost, iters, reason, lam
+        delta, singular = _damped_steps(h, np.array(st.lam), g)
+        trial = st.theta + delta
+        rt, jt, rowt, offt = fun(trial)
+        off = [False] * len(st.index) if offt is None else offt.tolist()
+        moved, exits = [], {}
+        for k, ct in enumerate(_squares(rt, rowt).tolist()):
+            if singular is not None and singular[k]:
+                continue
+            cost = st.cost[k]
+            if ct < cost:
+                moved.append(k)
+                st.cost[k] = ct
+                st.lam[k] = max(st.lam[k] / 3.0, 1e-12)
+                if cost - ct < 1e-15 * max(ct, 1e-30):
+                    exits[k] = "stalled"
+            else:
+                st.lam[k] *= 4.0
+        st.put(moved, trial, rt, jt, rowt)
+        for k in ([] if singular is None else np.flatnonzero(singular).tolist()):
+            size = st.rows[k]
+            th, rk, jk, ck, ok = _armijo_descent(fun1, st.theta[k], st.r[k, :size],
+                                                 st.jac[k, :size], st.cost[k])
+            if not ok:
+                exits[k] = "armijo_failed"
+                continue
+            moved.append(k)
+            off[k] = last_off[0]
+            st.theta[k], st.cost[k], st.rows[k] = th, ck, len(rk)
+            st.r[k], st.jac[k] = 0.0, 0.0
+            st.r[k, :len(rk)], st.jac[k, :len(rk)] = rk, jk
+        for k in moved:
+            if off[k] and k not in exits:
+                exits[k] = "left_domain"
+        moved = set(moved)
+        for k, lam in enumerate(st.lam):
+            if k not in moved and k not in exits and lam > 1e12:
+                exits[k] = "damping_blowup"
+        if exits:
+            retire(exits)
+    return out
+
+
+def _off_domain(prob: _Problem, a: np.ndarray) -> np.ndarray:
+    """Which metrics of a stack lie off the search domain: not finite, zero,
+    or, scaled to unit norm, with a determinant below the degeneracy floor
+    (or NaN)."""
+    flat = a.reshape(len(a), 1, -1)
+    norm = np.sqrt(flat @ flat.transpose(0, 2, 1))
+    bad = None
+    if not all(0.0 < x < math.inf for x in norm.ravel().tolist()):
+        # off already: a stand-in keeps the determinant below quiet
+        bad = ~((norm > 0.0) & (norm < math.inf))[:, 0, 0]
+        norm[bad], a = 1.0, np.where(bad[:, None, None], np.eye(prob.n), a)
+    # |det| <= 1 at unit norm, so only NaN is not finite here
+    off = ~(np.abs(np.linalg.det(a / norm)) >= prob.floor)
+    return off if bad is None else off | bad
 
 
 def _initial_theta(n: int, mode: str, rng: np.random.Generator) -> np.ndarray:
@@ -335,9 +552,14 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
     """Multi-restart search for a metric making the algebra compatible.
 
     Restart streams derive from (rng_seed, restart index), so the log is
-    reproducible and independent of scheduling. The loop stops at the first
-    admissible metric under the residual tolerance. Not finding one is a
-    value, not an error: the log then carries the evidence.
+    reproducible and independent of scheduling. Restart 0 runs alone, so a
+    find there pays for no other restart; the rest advance in lockstep
+    batches of ``_batch_size(n)`` (see ``_minimize``). The result is the
+    lowest-index admissible metric under the residual tolerance: restarts
+    below it run to their end, restarts above it are dropped, and the log
+    is folded in index order, so it equals a one-restart-at-a-time loop
+    that stops at that find. Not finding one is a value, not an error: the
+    log then carries the evidence.
     """
     n = alg.dim
     constraint = cfg.signature_constraint
@@ -345,32 +567,20 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
         raise ValueError("fixed signature counts must add up to the dimension")
     mode = "positive_definite" if constraint == "positive_definite" else "unconstrained"
     algf = alg.to_float()
-    c = algf.structure_array()
     cost_tol = (0.02 * cfg.residual_tol) ** 2
-    fun = lambda th: _residual_jacobian(c, th, mode, cfg.degeneracy_floor)
+    prob = _problem(algf.structure_array(), mode, cfg.degeneracy_floor)
+    fun = lambda th: _residual_jacobian(prob, th)
+    records = {}  # restart index -> (RestartRecord, Metric or None)
+    finds = []    # restarts that ended on an admissible metric within tolerance
 
-    def outside_domain(th):
-        a = _decode(th, n, mode)
-        norm = float(np.linalg.norm(a))
-        if not np.isfinite(norm) or norm == 0.0:
-            return True
-        d = float(np.linalg.det(a / norm))
-        return not np.isfinite(d) or abs(d) < cfg.degeneracy_floor
-
-    log = []
-    best_res = float("inf")
-    best_metric = None
-    for rix in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.rng_seed, rix])
-        theta0 = _initial_theta(n, mode, rng)
-        theta, cost, iters, reason, lam = _minimize(fun, theta0, cfg.max_iters,
-                                                    cost_tol, stop=outside_domain)
+    def judge(rix, theta, cost, iters, reason, lam) -> bool:
         # a probe that slid toward the degenerate boundary is not a
         # candidate metric; its vanishing residual is an artifact
-        admissible = np.isfinite(cost) and not outside_domain(theta)
-        residual = float("inf")
+        a = _decode(theta[None], prob)
+        admissible = bool(np.isfinite(cost)) and not _off_domain(prob, a)[0]
+        residual, metric = float("inf"), None
         if admissible:
-            a = _decode(theta, n, mode)
+            a = a[0]
             metric = Metric.from_rows((a / float(np.linalg.norm(a))).tolist(), exact=False)
             admissible = _admissible(metric, constraint)
             if admissible:
@@ -379,12 +589,26 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
                 except (DegenerateMetricError, np.linalg.LinAlgError):
                     admissible = False
                     residual = float("inf")
-        log.append(RestartRecord(rix, residual, iters, admissible, reason, lam))
-        if admissible and residual < best_res:
-            best_res = residual
-            best_metric = metric
+        records[rix] = (RestartRecord(rix, residual, iters, admissible, reason, lam), metric)
         if admissible and residual <= cfg.residual_tol:
-            break
+            finds.append(rix)
+            return True
+        return False
+
+    lo = 0
+    while lo < cfg.restarts and not finds:
+        hi = min(cfg.restarts, lo + _batch_size(n) if lo else 1)
+        theta0 = np.array([_initial_theta(n, mode, np.random.default_rng([cfg.rng_seed, rix]))
+                           for rix in range(lo, hi)])
+        _minimize(fun, theta0, cfg.max_iters, cost_tol,
+                  on_exit=lambda k, *end: judge(lo + k, *end))
+        lo = hi
+    log, best_res, best_metric = [], float("inf"), None
+    for rix in range(min(finds) + 1 if finds else cfg.restarts):
+        rec, metric = records[rix]
+        log.append(rec)
+        if rec.admissible and rec.residual < best_res:
+            best_res, best_metric = rec.residual, metric
     if best_metric is not None and best_res <= cfg.residual_tol:
         exact_metric = _try_exact_certificate(alg, best_metric, constraint)
         if exact_metric is not None:

@@ -485,14 +485,28 @@ def test_frame_computes_each_pairing_flow_and_lie_derivative_once(rng, n, monkey
         monkeypatch.setattr(dual, name, counting(name))
     for name in ("levi_civita_product", "_product_rhs"):
         monkeypatch.setattr(metric, name, refuse)
-    fr = _DualFrame(random_algebra(rng, n), random_metric(rng, n))
+    diffs = []
+    diff = Polynomial.diff
+
+    def counting_diff(self, k):
+        diffs.append(self.degree())
+        return diff(self, k)
+
+    monkeypatch.setattr(Polynomial, "diff", counting_diff)
+    alg = random_algebra(rng, n)
+    while not any(x for plane in alg.c for row in plane for x in row):
+        alg = random_algebra(rng, n)  # an abelian algebra has no flows at all
+    fr = _DualFrame(alg, random_metric(rng, n))
     fr.brackets
     assert calls["lie_derivative_form"] <= n * n
     calls["apply_field"] = 0  # the Lie derivatives apply fields of their own
+    del diffs[:]
     fr.derivs
     assert calls["form_pairing"] <= n ** 3 + n ** 2
     assert calls["apply_field"] <= n ** 3
     assert calls["lie_derivative_form"] <= n * n
+    # every basis pairing is a constant, so no flow of one takes a derivative
+    assert diffs == []
     assert fr.modular == tuple(-t for t in fr.alg.ad_traces())
 
 

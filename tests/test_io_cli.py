@@ -358,6 +358,8 @@ def test_cli_classify_dim2(capsys):
     ["validate", "ALG", "--tol", "-inf"],
     ["classify", "--samples", "-1"],
     ["dual-sweep", "ALG", "ALG", "--count", "-1"],
+    ["search", "ALG", "--seed", "-1"],
+    ["dual-sweep", "ALG", "ALG", "--seed", "-2"],
 ])
 def test_cli_bad_numeric_arguments_are_input_errors(tmp_path, capsys, monkeypatch, args):
     def refuse(*a, **kw):

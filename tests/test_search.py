@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from liemetric import (
+    DegenerateMetricError,
+    LieAlgebra,
+    Metric,
     SearchConfig,
     abelian,
     affine_line,
+    by_name,
     compat_objective,
     compatibility_residual,
     euclidean_motions,
@@ -19,9 +23,14 @@ from liemetric import (
     solvable_family,
     verify_classification,
 )
-from liemetric.search import (_BARRIER_WEIGHT, STOP_REASONS, FamilyParams, _adjugate,
-                              _decode, _decode_directions, _minimize, _residual_jacobian,
-                              param_count)
+from liemetric.metric import _defect_array, _lc_product_array, _product_rhs
+from liemetric.search import (_BARRIER_WEIGHT, _BATCH_BYTES, _PENALTY, STOP_REASONS,
+                              FamilyParams, RestartRecord, SearchResult, _adjugate,
+                              _admissible, _armijo_descent, _batch_size, _decode, _factor,
+                              _factor_directions, _initial_theta, _lower_positions,
+                              _minimize, _normal_equations, _off_domain, _problem,
+                              _residual_jacobian, _squares, _sym_positions,
+                              _try_exact_certificate, param_count)
 
 
 def quick(mode="none", restarts=12, seed=0, iters=200):
@@ -43,6 +52,34 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(signature_constraint="diagonal")
     SearchConfig(signature_constraint=(2, 1))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("restarts", 2.5),
+    ("restarts", True),
+    ("restarts", "8"),
+    ("max_iters", 3.5),
+    ("max_iters", False),
+    ("rng_seed", -1),
+    ("rng_seed", 1.5),
+    ("rng_seed", True),
+    ("degeneracy_floor", float("nan")),
+    ("degeneracy_floor", -1.0),
+    ("degeneracy_floor", 0.0),
+    ("degeneracy_floor", float("inf")),
+    ("degeneracy_floor", True),
+    ("residual_tol", "1e-10"),
+])
+def test_config_rejects_counts_seeds_and_floors_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**{field: value})
+
+
+def test_config_takes_integral_counts_as_int():
+    cfg = SearchConfig(restarts=np.int64(3), max_iters=np.int32(0), rng_seed=np.uint8(7),
+                       degeneracy_floor=1e-2)
+    assert (cfg.restarts, cfg.max_iters, cfg.rng_seed) == (3, 0, 7)
+    assert all(type(v) is int for v in (cfg.restarts, cfg.max_iters, cfg.rng_seed))
 
 
 def test_fixed_signature_must_fit_dimension():
@@ -252,6 +289,12 @@ def _random_structure(rng, n):
     return c - c.transpose(1, 0, 2)
 
 
+def _solo(c, theta, mode, floor):
+    """The search's residual and Jacobian at one point, trimmed to its rows."""
+    r, jac, rows, _ = _residual_jacobian(_problem(c, mode, floor), theta[None])
+    return r[0, :rows[0]], jac[0, :rows[0]]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("mode,floor", [("unconstrained", 1e-8),
                                         ("positive_definite", 1e-8),
@@ -263,7 +306,7 @@ def test_batched_jacobian_matches_per_direction_reference(n, mode, floor):
         theta = rng.standard_normal(param_count(n)) * 0.6
         if mode == "unconstrained":
             theta[[t * (t + 3) // 2 for t in range(n)]] += 2.0  # diagonal: keep 2a well conditioned
-        r, jac = _residual_jacobian(c, theta, mode, floor)
+        r, jac = _solo(c, theta, mode, floor)
         r_ref, jac_ref = reference_residual_jacobian(c, theta, mode, floor)
         rows = n ** 4 + (1 if floor > 1.0 else 0)  # floor 1e3 forces the barrier row
         assert jac.shape == jac_ref.shape == (rows, param_count(n))
@@ -291,23 +334,24 @@ def test_stacked_adjugate_and_barrier_gradient_match_loops_bitwise(n):
     c = _random_structure(rng, n)
     floor = 1e3  # forces the barrier row
     for mode in ("unconstrained", "positive_definite"):
+        prob = _problem(c, mode, floor)
         for _ in range(40):
             theta = rng.standard_normal(param_count(n))
-            a = _decode(theta, n, mode)
+            a = _decode(theta[None], prob)[0]
             adj = _adjugate(a)
             assert np.array_equal(adj, reference_adjugate(a))
-            dirs = _decode_directions(theta, n, mode)
+            dirs = (prob.units if mode == "unconstrained"
+                    else _factor_directions(_factor(theta[None], prob), prob)[0])
             loop = np.array([float(np.sum(adj.T * da)) for da in dirs])
             assert np.array_equal(np.sum(adj.T * dirs, axis=(1, 2)), loop)
             if mode == "unconstrained":
                 d = float(np.linalg.det(a))
                 sign = 1.0 if d >= 0 else -1.0
-                _, jac = _residual_jacobian(c, theta, mode, floor)
+                _, jac = _solo(c, theta, mode, floor)
                 assert np.array_equal(jac[-1], -_BARRIER_WEIGHT / floor * sign * loop)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_jacobian_makes_two_solves_at_every_dimension(n, monkeypatch):
+def _counting_solve(monkeypatch):
     calls = []
     solve = np.linalg.solve
 
@@ -316,46 +360,539 @@ def test_jacobian_makes_two_solves_at_every_dimension(n, monkeypatch):
         return solve(*args, **kw)
 
     monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_jacobian_makes_two_solves_at_every_dimension(n, monkeypatch):
+    calls = _counting_solve(monkeypatch)
     rng = np.random.default_rng(n)
     c = _random_structure(rng, n)
     for mode, floor in (("unconstrained", 1e-8), ("positive_definite", 1e-8),
                         ("unconstrained", 1e3)):
-        theta = rng.standard_normal(param_count(n)) * 0.6
-        del calls[:]
-        _residual_jacobian(c, theta, mode, floor)
-        assert len(calls) == 2  # the product, then every direction at once
+        for stack in (1, 5):
+            theta = rng.standard_normal((stack, param_count(n))) * 0.6
+            del calls[:]
+            _residual_jacobian(_problem(c, mode, floor), theta)
+            assert len(calls) == 2  # the product, then every direction of every point
 
 
-def _scalar_fun(residual, slope):
-    """A one-parameter problem whose reported Jacobian is ``slope``."""
-    return lambda th: (np.array([residual(th[0])]), np.array([[slope]]))
+# --- one restart at a time: the search before lockstep, kept as reference ---
+# The kernels, the optimizer and the restart loop below are the search as it
+# ran one restart after another, verbatim apart from their names. The
+# lockstep search must reproduce their logs, results and final iterates bit
+# for bit.
+
+def _seq_factor(theta, n):
+    c = np.zeros((n, n))
+    for k in range(n):
+        c[k, k] = np.exp(theta[k])
+    for t, (i, j) in enumerate(_lower_positions(n)):
+        c[i, j] = theta[n + t]
+    return c
+
+
+def _seq_decode(theta, n, mode):
+    if mode == "positive_definite":
+        c = _seq_factor(theta, n)
+        return c @ c.T
+    a = np.zeros((n, n))
+    for t, (i, j) in enumerate(_sym_positions(n)):
+        a[i, j] = a[j, i] = theta[t]
+    return a
+
+
+def _seq_decode_directions(theta, n, mode):
+    units = np.zeros((param_count(n), n, n))
+    if mode == "positive_definite":
+        c = _seq_factor(theta, n)
+        diag = np.arange(n)
+        units[diag, diag, diag] = c[diag, diag]
+        for t, (i, j) in enumerate(_lower_positions(n), start=n):
+            units[t, i, j] = 1.0
+        half = units @ c.T
+        return half + half.transpose(0, 2, 1)
+    for t, (i, j) in enumerate(_sym_positions(n)):
+        units[t, i, j] = units[t, j, i] = 1.0
+    return units
+
+
+def _seq_residual_jacobian(c, theta, mode, floor):
+    n = c.shape[0]
+    a = _seq_decode(theta, n, mode)
+    nparams = len(theta)
+    try:
+        x = _lc_product_array(c, a)
+    except np.linalg.LinAlgError:
+        return np.array([_PENALTY]), np.zeros((1, nparams))
+    defect = _defect_array(c, x)
+    r = defect.ravel()
+    dirs = _seq_decode_directions(theta, n, mode)
+    rhs = _product_rhs(c, dirs) - 2.0 * np.einsum("ijm,tmk->tijk", x, dirs)
+    dx = np.linalg.solve(2.0 * a, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
+    jac = np.ascontiguousarray(_defect_array(c, dx).reshape(nparams, -1).T)
+    if mode != "positive_definite":
+        d = float(np.linalg.det(a))
+        if abs(d) < floor:
+            rb = _BARRIER_WEIGHT * (floor - abs(d)) / floor
+            adj = _adjugate(a)
+            sign = 1.0 if d >= 0 else -1.0
+            grad = -_BARRIER_WEIGHT / floor * sign * np.sum(adj.T * dirs, axis=(1, 2))
+            r = np.concatenate([r, [rb]])
+            jac = np.vstack([jac, grad[None, :]])
+    return r, jac
+
+
+def _seq_minimize(fun, theta0, max_iters, cost_tol, stop=None):
+    theta = np.asarray(theta0, dtype=float)
+    r, jac = fun(theta)
+    cost = float(r @ r)
+    lam = 1e-3
+    iters = 0
+    reason = "max_iters"
+    while iters < max_iters:
+        if cost <= cost_tol:
+            reason = "converged"
+            break
+        iters += 1
+        g = jac.T @ r
+        if float(np.max(np.abs(g))) <= 1e-12 * cost:
+            reason = "stationary"
+            break
+        h = jac.T @ jac
+        moved = False
+        try:
+            delta = np.linalg.solve(h + lam * np.eye(len(theta)), -g)
+            trial = theta + delta
+            rt, jt = fun(trial)
+            ct = float(rt @ rt)
+            if ct < cost:
+                gain = cost - ct
+                theta, r, jac, cost = trial, rt, jt, ct
+                lam = max(lam / 3.0, 1e-12)
+                moved = True
+                if gain < 1e-15 * max(cost, 1e-30):
+                    reason = "stalled"
+                    break
+            else:
+                lam *= 4.0
+        except np.linalg.LinAlgError:
+            theta, r, jac, cost, moved = _armijo_descent(fun, theta, r, jac, cost)
+            if not moved:
+                reason = "armijo_failed"
+                break
+        if moved and stop is not None and stop(theta):
+            reason = "left_domain"
+            break
+        if not moved and lam > 1e12:
+            reason = "damping_blowup"
+            break
+    return theta, cost, iters, reason, lam
+
+
+def _seq_problem(alg, cfg):
+    n = alg.dim
+    mode = ("positive_definite" if cfg.signature_constraint == "positive_definite"
+            else "unconstrained")
+    c = alg.to_float().structure_array()
+    fun = lambda th: _seq_residual_jacobian(c, th, mode, cfg.degeneracy_floor)
+    outside_domain = lambda th: _seq_outside(_seq_decode(th, n, mode), cfg.degeneracy_floor)
+    return n, mode, fun, outside_domain
+
+
+def _seq_outside(a, floor):
+    norm = float(np.linalg.norm(a))
+    if not np.isfinite(norm) or norm == 0.0:
+        return True
+    d = float(np.linalg.det(a / norm))
+    return not np.isfinite(d) or abs(d) < floor
+
+
+def sequential_find(alg, cfg):
+    n, mode, fun, outside_domain = _seq_problem(alg, cfg)
+    constraint = cfg.signature_constraint
+    algf = alg.to_float()
+    cost_tol = (0.02 * cfg.residual_tol) ** 2
+    log = []
+    best_res = float("inf")
+    best_metric = None
+    for rix in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.rng_seed, rix])
+        theta0 = _initial_theta(n, mode, rng)
+        theta, cost, iters, reason, lam = _seq_minimize(fun, theta0, cfg.max_iters,
+                                                        cost_tol, stop=outside_domain)
+        admissible = np.isfinite(cost) and not outside_domain(theta)
+        residual = float("inf")
+        if admissible:
+            a = _seq_decode(theta, n, mode)
+            metric = Metric.from_rows((a / float(np.linalg.norm(a))).tolist(), exact=False)
+            admissible = _admissible(metric, constraint)
+            if admissible:
+                try:
+                    residual = compatibility_residual(algf, metric).value
+                except (DegenerateMetricError, np.linalg.LinAlgError):
+                    admissible = False
+                    residual = float("inf")
+        log.append(RestartRecord(rix, residual, iters, admissible, reason, lam))
+        if admissible and residual < best_res:
+            best_res = residual
+            best_metric = metric
+        if admissible and residual <= cfg.residual_tol:
+            break
+    if best_metric is not None and best_res <= cfg.residual_tol:
+        exact_metric = _try_exact_certificate(alg, best_metric, constraint)
+        if exact_metric is not None:
+            return SearchResult(status="found", best_metric=exact_metric,
+                                best_residual=0.0, exact_certificate=True,
+                                log=tuple(log), config=cfg)
+        if best_res <= cfg.residual_tol / 10.0:
+            return SearchResult(status="found", best_metric=best_metric,
+                                best_residual=best_res, exact_certificate=False,
+                                log=tuple(log), config=cfg)
+    return SearchResult(status="not_found", best_metric=best_metric,
+                        best_residual=best_res, exact_certificate=False,
+                        log=tuple(log), config=cfg)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _sheared(name, n):
+    """heisenberg or sol plus an abelian summand up to dimension n, in the
+    basis of a fixed unipotent integer shear."""
+    base = by_name(name)
+    c = [[[base.c[i][j][k] if max(i, j, k) < base.dim else Fraction(0) for k in range(n)]
+          for j in range(n)] for i in range(n)]
+    shear = [[Fraction(int(i == j) + (i == j + 1) - 2 * (i == j + 2)) for j in range(n)]
+             for i in range(n)]
+    return LieAlgebra.from_structure(c, exact=True).changed_basis(shear)
+
+
+FAMILY_TRIPLES = [(0, -1, 1), (1, 2, -3), (1, 0, 0), (Fraction(1, 2), 3, -2), (0, 1, -1),
+                  (2, 1, 1), (-1, Fraction(1, 3), 2), (1, 1, -1), (0, 2, -2), (3, -1, 2),
+                  (Fraction(-1, 2), -1, Fraction(1, 4)), (1, -2, Fraction(1, 2))]
+CATALOG = ["abelian2", "abelian3", "affine_line", "heisenberg", "euclidean_motions", "sol"]
+
+
+def _lockstep_cases():
+    """(label, algebra factory, SearchConfig keywords): the catalog in the
+    three kinds of constraint, twelve family triples in both modes, sheared
+    heisenberg and sol at n = 4..6, 16 restarts, and a degeneracy floor of
+    1e-2. Barrier rows meet plain rows in one stack at the default floor
+    (see test_barrier_rows_meet_plain_rows_in_one_stack); at 1e-2 the
+    domain test ends a restart before its barrier row appears."""
+    cases = []
+    for name in CATALOG:
+        dim = by_name(name).dim
+        for mode in ("none", "positive_definite", (1, dim - 1)):
+            cases.append((f"{name}/{mode}", lambda name=name: by_name(name),
+                          dict(signature_constraint=mode)))
+        cases.append((f"{name}/floor", lambda name=name: by_name(name),
+                      dict(degeneracy_floor=1e-2)))
+    for name in ("heisenberg", "affine_line", "sol"):
+        for mode in ("none", "positive_definite"):
+            cases.append((f"{name}/{mode}/16", lambda name=name: by_name(name),
+                          dict(signature_constraint=mode, restarts=16)))
+    for t, triple in enumerate(FAMILY_TRIPLES):
+        for mode in ("none", "positive_definite"):
+            cases.append((f"family{t}/{mode}", lambda triple=triple: solvable_family(*triple),
+                          dict(signature_constraint=mode)))
+        if t % 3 == 0:
+            cases.append((f"family{t}/floor", lambda triple=triple: solvable_family(*triple),
+                          dict(degeneracy_floor=1e-2, restarts=16)))
+    for n in (4, 5, 6):
+        for name in ("heisenberg", "sol"):
+            cases.append((f"sheared{n}/{name}", lambda name=name, n=n: _sheared(name, n),
+                          dict(max_iters=50 if n < 6 else 20)))
+    return cases
+
+
+@pytest.mark.parametrize("label,make,kw", _lockstep_cases(),
+                         ids=[case[0] for case in _lockstep_cases()])
+def test_lockstep_search_matches_sequential_reference(label, make, kw):
+    cfg = SearchConfig(**{"restarts": 8, "max_iters": 50, "rng_seed": 11, **kw})
+    alg = make()
+    res, ref = find_compatible_metric(alg, cfg), sequential_find(alg, cfg)
+    assert res.log == ref.log
+    assert [_bits([rec.residual, rec.final_lambda]) for rec in res.log] == \
+        [_bits([rec.residual, rec.final_lambda]) for rec in ref.log]
+    assert (res.status, res.exact_certificate) == (ref.status, ref.exact_certificate)
+    assert _bits(res.best_residual) == _bits(ref.best_residual)
+    if ref.best_metric is None:
+        assert res.best_metric is None
+    else:
+        assert res.best_metric.exact == ref.best_metric.exact
+        assert res.best_metric.matrix == ref.best_metric.matrix
+        if not ref.best_metric.exact:
+            assert _bits(res.best_metric.matrix) == _bits(ref.best_metric.matrix)
+
+
+def test_barrier_rows_meet_plain_rows_in_one_stack(monkeypatch):
+    """heisenberg, unconstrained, as in the reference comparison above: some
+    lockstep stacks hold points with and without the barrier row, so the
+    reductions grouped by length run there."""
+    from liemetric import search
+
+    groups = []
+    by_length = search._by_length
+
+    def spy(rows):
+        groups.append(sorted(set(rows.tolist())))
+        return by_length(rows)
+
+    monkeypatch.setattr(search, "_by_length", spy)
+    find_compatible_metric(heisenberg(), SearchConfig(restarts=8, max_iters=50, rng_seed=11))
+    assert [81, 82] in groups
+
+
+@pytest.mark.parametrize("label,make,kw", [
+    ("heisenberg/positive_definite", heisenberg, dict(signature_constraint="positive_definite")),
+    ("heisenberg/(1, 2)", heisenberg, dict(signature_constraint=(1, 2))),
+    ("sol/none/floor", sol, dict(degeneracy_floor=1e-2)),
+    ("family/none", lambda: solvable_family(1, 2, -3), dict()),
+    ("family/positive_definite", lambda: solvable_family(Fraction(1, 2), 3, -2),
+     dict(signature_constraint="positive_definite")),
+    ("sheared4/heisenberg", lambda: _sheared("heisenberg", 4), dict()),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_lockstep_restarts_end_where_sequential_restarts_end(label, make, kw):
+    """All restarts in one stack, run to their end: each one's final
+    parameters, cost, iterations, exit and damping are those of the same
+    restart run alone by the sequential optimizer."""
+    cfg = SearchConfig(**{"restarts": 16, "max_iters": 60, "rng_seed": 5, **kw})
+    alg = make()
+    n, mode, fun, outside_domain = _seq_problem(alg, cfg)
+    theta0 = np.array([_initial_theta(n, mode, np.random.default_rng([cfg.rng_seed, rix]))
+                       for rix in range(cfg.restarts)])
+    prob = _problem(alg.to_float().structure_array(), mode, cfg.degeneracy_floor)
+    cost_tol = (0.02 * cfg.residual_tol) ** 2
+    ends = _minimize(lambda th: _residual_jacobian(prob, th), theta0, cfg.max_iters, cost_tol)
+    exits = set()
+    for start, (theta, cost, iters, reason, lam) in zip(theta0, ends):
+        ref = _seq_minimize(fun, start, cfg.max_iters, cost_tol, stop=outside_domain)
+        assert _bits(theta) == _bits(ref[0])
+        assert _bits([cost, lam]) == _bits([ref[1], ref[4]])
+        assert (iters, reason) == (ref[2], ref[3])
+        exits.add((iters, reason))
+    assert len(exits) > 1  # the restarts left the stack at different iterations
+
+
+def test_stacked_reductions_match_each_slice_bitwise():
+    """The cost, gradient and Gram matrix of a stack with residuals of three
+    lengths (defect only, defect plus barrier, penalty) equal r @ r,
+    jac.T @ r and jac.T @ jac taken on each slice's own rows. The stack's
+    rows past a slice's length are zero but not summed: a reduction over the
+    padded length, or one written as an einsum, may round differently."""
+    rng = np.random.default_rng(8)
+    # n^4 + 1 wide stacks as in the search, and widths where a padded sum
+    # does round differently here (lengths 3 mod 4 against one zero more)
+    for m, lengths in ((3, (1, 16, 17)), (6, (1, 81, 82)), (10, (1, 256, 257)),
+                       (6, (3, 7, 8)), (6, (1, 31, 32))):
+        width = max(lengths)
+        for _ in range(20):
+            rows = rng.choice(lengths, size=9)
+            rows[:3] = lengths
+            r = rng.standard_normal((9, width)) * 10.0 ** rng.integers(-8, 8, size=(9, width))
+            jac = rng.standard_normal((9, width, m))
+            for k, size in enumerate(rows):
+                r[k, size:], jac[k, size:] = 0.0, 0.0
+            cost = _squares(r, rows)
+            g, h = _normal_equations(r, jac, rows)
+            for k, size in enumerate(rows):
+                rk, jk = r[k, :size], jac[k, :size]
+                assert _bits(cost[k]) == _bits(rk @ rk)
+                assert _bits(g[k]) == _bits(jk.T @ rk)
+                assert _bits(h[k]) == _bits(jk.T @ jk)
+
+
+def test_domain_mask_matches_the_sequential_test_at_its_edge():
+    """Off-domain flags of a stack equal the one-point test, with the floor
+    set to a point's own |det(a / |a|)|: any other rounding of the norm,
+    such as ``np.linalg.norm(a, axis=(1, 2))``, could flip that point."""
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 4, 5, 6):
+        for mode in ("unconstrained", "positive_definite"):
+            thetas = rng.standard_normal((12, param_count(n)))
+            thetas[0] = 0.0  # the zero metric when unconstrained
+            for k in range(1, 12):
+                a = _seq_decode(thetas[k], n, mode)
+                floor = abs(float(np.linalg.det(a / float(np.linalg.norm(a)))))
+                prob = _problem(np.zeros((n, n, n)), mode, floor)
+                got = _off_domain(prob, _decode(thetas, prob)).tolist()
+                assert got == [_seq_outside(_seq_decode(th, n, mode), floor) for th in thetas]
+                assert got[k] is False
+
+
+def test_singular_slice_takes_the_penalty_alone():
+    """A singular metric in the stack makes the stacked product solve raise;
+    that slice alone gets the penalty row, and every other slice keeps what
+    it gets on its own."""
+    rng = np.random.default_rng(12)
+    c = _random_structure(rng, 3)
+    prob = _problem(c, "unconstrained", 1e-8)
+    thetas = rng.standard_normal((5, 6)) + np.array([2.0, 0, 2.0, 0, 0, 2.0])
+    thetas[2] = 0.0  # a = 0
+    r, jac, rows, off = _residual_jacobian(prob, thetas)
+    assert rows.tolist() == [81, 81, 1, 81, 81] and off.tolist()[2] is True
+    assert r[2, 0] == _PENALTY and not r[2, 1:].any() and not jac[2].any()
+    for k in (0, 1, 3, 4):
+        alone = _residual_jacobian(prob, thetas[k:k + 1])
+        assert _bits(r[k]) == _bits(alone[0][0]) and _bits(jac[k]) == _bits(alone[1][0])
+
+
+# --- the exits of the optimizer ---------------------------------------------
+# Test problems over points (t, s, tag): the tag picks the problem and never
+# moves, since its Jacobian column is zero.
+
+def _keeper(t, s):
+    """Steps shrink t by a thousandth: runs to any budget of 100 iterations."""
+    return t, (1e3, 0.0), False
+
+
+def _uphill(t, s):
+    return 1.0 + (t - 1.0) ** 2 + (s - 1.0) ** 2
+
+
+EXIT_PROBLEMS = {
+    "converged": (lambda t, s: (0.0, (1.0, 0.0), False)),
+    "stationary": (lambda t, s: (1.0, (0.0, 0.0), False)),
+    # the accepted step lowers the cost by one unit in the last place
+    "stalled": (lambda t, s: (1.0 if t == 1.0 else 1.0 - 1e-16, (-1.0, 0.0), False)),
+    # h + lam I is exactly singular: 1e20 absorbs the damping
+    "armijo_failed": (lambda t, s: (_uphill(t, s), (1e10, 1e10), False)),
+    "left_domain": (lambda t, s: (t, (1.0, 0.0), True)),
+    "damping_blowup": (lambda t, s: (_uphill(t, s), (-1.0, 0.0), False)),
+    "max_iters": _keeper,
+    # h + lam I singular again, but the gradient step descends, past a boundary
+    "armijo_then_off": (lambda t, s: (1e7 * (t + s), (1e7, 1e7), t + s < 1.5)),
+}
+TAGS = list(EXIT_PROBLEMS)
+
+
+def _tagged_fun(th):
+    rs, jacs, offs = [], [], []
+    for t, s, tag in th:
+        r, (dt, ds), off = EXIT_PROBLEMS[TAGS[int(tag)]](t, s)
+        rs.append([r])
+        jacs.append([[dt, ds, 0.0]])
+        offs.append(off)
+    return np.array(rs), np.array(jacs), np.ones(len(th), dtype=int), np.array(offs)
+
+
+def _start(reason, t=1.0):
+    return [t, 1.0, float(TAGS.index(reason))]
+
+
+def _sequential_end(start, budget):
+    """The one-restart optimizer, kept above as reference, on one tagged point."""
+    def fun(th):
+        r, jac, _, _ = _tagged_fun(th[None])
+        return r[0], jac[0]
+
+    return _seq_minimize(fun, start, budget, 0.0, stop=lambda th: bool(_tagged_fun(th[None])[3][0]))
+
+
+def _check_exit(reason, start, end, budget):
+    theta, cost, used, got, lam = end
+    assert got == reason
+    assert used <= budget
+    assert lam > 1e12 if reason == "damping_blowup" else 0.0 < lam <= 1e12
+    ref = _sequential_end(start, budget)
+    assert _bits(theta) == _bits(ref[0]) and _bits([cost, lam]) == _bits([ref[1], ref[4]])
+    assert (used, got) == (ref[2], ref[3])
 
 
 @pytest.mark.parametrize("reason", STOP_REASONS)
-def test_minimize_names_each_exit(reason, monkeypatch):
-    theta0, iters, stop = np.array([1.0]), 100, None
-    if reason == "converged":
-        fun = _scalar_fun(lambda t: 0.0, 1.0)
-    elif reason == "stationary":
-        fun = _scalar_fun(lambda t: 1.0, 0.0)
-    elif reason == "stalled":
-        # the accepted step lowers the cost by one unit in the last place
-        fun = _scalar_fun(lambda t: 1.0 if t == 1.0 else 1.0 - 1e-16, -1.0)
-    elif reason == "armijo_failed":
-        def singular(*args, **kw):
-            raise np.linalg.LinAlgError("singular")
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        fun = _scalar_fun(lambda t: 1.0 + (t - 1.0) ** 2, 1.0)  # uphill everywhere
-    elif reason == "left_domain":
-        fun, stop = _scalar_fun(lambda t: t, 1.0), (lambda th: True)
-    elif reason == "damping_blowup":
-        fun = _scalar_fun(lambda t: 1.0 + (t - 1.0) ** 2, -1.0)
-    else:
-        fun, iters = _scalar_fun(lambda t: t, 1.0), 1
-    theta, cost, used, got, lam = _minimize(fun, theta0, iters, 0.0, stop=stop)
-    assert got == reason
-    assert used <= iters
-    assert lam > 1e12 if reason == "damping_blowup" else 0.0 < lam <= 1e12
+def test_minimize_names_each_exit(reason):
+    budget = 1 if reason == "max_iters" else 100
+    [end] = _minimize(_tagged_fun, np.array([_start(reason)]), budget, 0.0)
+    _check_exit(reason, _start(reason), end, budget)
+
+
+@pytest.mark.parametrize("reason", STOP_REASONS)
+def test_one_restart_exits_while_the_others_keep_iterating(reason):
+    """The exit under test is taken by the middle slice of a stack whose other
+    slices run on to the budget; every slice ends as it would alone. With
+    armijo_failed, exactly one slice of the stacked solve is singular."""
+    starts = np.array([_start("max_iters", 0.7), _start(reason), _start("max_iters", -0.4)])
+    ends = _minimize(_tagged_fun, starts, 100, 0.0)
+    assert reason == "max_iters" or ends[1][2] < 100
+    for k, start in enumerate(starts):
+        _check_exit(reason if k == 1 else "max_iters", start, ends[k], 100)
+        assert k == 1 or ends[k][2] == 100
+
+
+def test_armijo_step_onto_the_boundary_leaves_the_domain():
+    """A singular slice that the gradient fallback moves is judged against
+    the domain like any accepted step, and keeps its damping."""
+    starts = np.array([_start("max_iters"), _start("armijo_then_off")])
+    ends = _minimize(_tagged_fun, starts, 100, 0.0)
+    assert ends[1][2:] == (1, "left_domain", 1e-3)
+    for start, end in zip(starts, ends):
+        _check_exit(end[3], start, end, 100)
+
+
+def test_a_find_drops_the_restarts_above_it():
+    """on_exit returning true for a restart leaves the restarts below it
+    running to their end and drops those above it still in the stack."""
+    starts = np.array([_start("max_iters"), _start("left_domain"), _start("max_iters"),
+                       _start("stationary")])
+    seen = []
+
+    def on_exit(k, theta, cost, iters, reason, lam):
+        seen.append((k, reason))
+        return reason == "left_domain"
+
+    ends = _minimize(_tagged_fun, starts, 100, 0.0, on_exit=on_exit)
+    assert seen == [(3, "stationary"), (1, "left_domain"), (0, "max_iters")]
+    assert ends[2] is None
+    assert [end[3] for end in ends if end is not None] == ["max_iters", "left_domain",
+                                                            "stationary"]
+
+
+@pytest.mark.parametrize("mode", ["positive_definite", "unconstrained"])
+def test_one_lockstep_iteration_makes_the_same_solves_at_any_stack_size(mode, monkeypatch):
+    prob = _problem(heisenberg().structure_array(), mode, 1e-8)
+    fun = lambda th: _residual_jacobian(prob, th)
+    per_iteration = []
+    for stack in (1, 7, 16):
+        theta0 = np.array([_initial_theta(3, mode, np.random.default_rng([3, k]))
+                           for k in range(stack)])
+        calls = _counting_solve(monkeypatch)
+        _minimize(fun, theta0, 0, 0.0)
+        start = len(calls)
+        ends = _minimize(fun, theta0, 1, 0.0)
+        assert [end[2:4] for end in ends] == [(1, "max_iters")] * stack
+        per_iteration.append(len(calls) - 2 * start)
+        monkeypatch.undo()
+    assert per_iteration == [3, 3, 3]  # the damped step, then the trial's two
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_batch_size_follows_the_byte_cap(n):
+    per_restart = 8 * param_count(n) * n ** 4  # one restart's float Jacobian
+    size = _batch_size(n)
+    assert size * per_restart <= _BATCH_BYTES < (size + 1) * per_restart
+    assert size == {2: 1365, 3: 134, 4: 25, 5: 6, 6: 2}[n]
+
+
+def test_search_runs_restart_zero_alone_then_full_batches(monkeypatch):
+    from liemetric import search
+
+    sizes = []
+    minimize = search._minimize
+
+    def recording(fun, theta0, *args, **kw):
+        sizes.append(len(theta0))
+        return minimize(fun, theta0, *args, **kw)
+
+    monkeypatch.setattr(search, "_minimize", recording)
+    res = find_compatible_metric(_sheared("heisenberg", 5), quick(restarts=15, iters=0))
+    assert res.status == "not_found" and len(res.log) == 15
+    assert sizes == [1, 6, 6, 2]
+    del sizes[:]
+    find_compatible_metric(affine_line(), quick(restarts=20, iters=5))
+    assert sizes == [1, 19]
 
 
 def test_restart_records_carry_stop_reason_and_damping():
