@@ -208,7 +208,9 @@ def cmd_classify(args, rep: Report) -> int:
                                           dims=dims)
     for case in report.cases:
         rep.add(f"{case.name}/{case.mode}", case.outcome, case.residual,
-                predicted=case.predicted, found=case.found, note=case.note)
+                predicted=case.predicted, found=case.found, note=case.note,
+                restarts_run=case.restarts_run, iterations=case.iterations,
+                seconds=round(case.seconds, 4))
     rep.add("classification", "ok" if report.ok else "failed",
             None, agreements=report.tally("agree"),
             soft_disagreements=report.tally("soft_disagree"),
@@ -235,7 +237,7 @@ def cmd_dual_sweep(args, rep: Report) -> int:
         values = fr.sweep(identity, points)
         entries += [{"point": pt, "check": name, "value": float(v)}
                     for pt, v in zip(points, values)]
-        worst = float(np.max(values, initial=0.0))
+        worst = float(np.max(values))
         if name != "dual_compatibility":
             consistent = consistent and worst <= args.tol
         rep.add(name + "_max", "ok" if worst <= args.tol else "above_tol", worst)
@@ -243,8 +245,7 @@ def cmd_dual_sweep(args, rep: Report) -> int:
     for k, value in enumerate(fr.modular):
         entries += [{"point": pt, "check": f"modular_e{k + 1}", "value": float(value)}
                     for pt in points]
-    worst_mod, modular_ok = (_modular_verdict(fr, alg.ad_traces(), args.tol) if points
-                             else (0.0, True))
+    worst_mod, modular_ok = _modular_verdict(fr, alg.ad_traces(), args.tol)
     rep.add("modular_sweep_max", "ok" if modular_ok else "above_tol", worst_mod)
     rep.doc["sweep"] = _jsonable(entries)
     return EXIT_OK if consistent and modular_ok else EXIT_CHECK_FAILED
@@ -325,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate the dual-space identities at sample points")
     p.add_argument("algebra")
     p.add_argument("metric")
-    p.add_argument("--count", type=_at_least(0), default=100,
+    p.add_argument("--count", type=_at_least(1), default=100,
                    help="random points to draw (default %(default)s)")
     p.add_argument("--points-file",
                    help="JSON list of points to use instead of random ones")

@@ -189,10 +189,10 @@ def load_metric(path) -> Metric:
 
 
 def load_points(path, dim: int) -> list:
-    """A points file as a list of float lists, each of length dim."""
+    """A points file as a list of float lists, each of length dim; at least one."""
     doc = _load_json(path)
-    _require(isinstance(doc, list)
+    _require(isinstance(doc, list) and doc
              and all(isinstance(p, list) and len(p) == dim for p in doc),
-             "points file must hold a list of length-n points")
+             "points file must hold a non-empty list of length-n points")
     return [[_parse_float(x, f"points[{i}][{j}]") for j, x in enumerate(p)]
             for i, p in enumerate(doc)]

@@ -20,10 +20,6 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def mat_copy(a):
-    return [list(row) for row in a]
-
-
 def _reduce(a, b=None):
     """Fraction-free Gauss-Jordan on [a | b] = [A | B] / scale, pivoting in a. Returns
     the reduced int rows, the pivot columns, the last pivot d (1 if none), the sign
@@ -87,10 +83,11 @@ def inertia(a):
     """Sylvester inertia (p, q, z) of a symmetric matrix, by congruence.
 
     p/q/z count positive/negative/zero pivots of an exact diagonalizing
-    congruence; z > 0 exactly when the form is degenerate.
+    congruence; z > 0 exactly when the form is degenerate. Int entries are
+    taken as Fractions, so every pivot division is exact.
     """
     n = len(a)
-    m = mat_copy(a)
+    m = [[Fraction(x) for x in row] for row in a]
     p = q = z = 0
     for k in range(n):
         if m[k][k] == 0:

@@ -3,8 +3,9 @@
 The objective stacks every component of the basis-triple defect
 [A_{e_i}e_j, e_k] + [e_i, A_{e_k}e_j] into one residual vector; a damped
 Gauss-Newton loop with analytic directional derivatives through the defining
-linear solve drives it down from many random starts. The starts advance in
-lockstep batches, each taking the steps it would take alone. A found metric
+linear solve drives it down from many random starts, taking a Jacobian only
+where a step was accepted. The starts advance in lockstep batches, each
+taking the steps it would take alone. A found metric
 is only reported after an independent recheck: exact arithmetic when the
 entries rationalize, a ten times tighter float tolerance otherwise.
 
@@ -18,19 +19,20 @@ search where one should exist is only evidence and is reported as soft.
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
-from . import catalog
+from . import catalog, rational
 from .algebra import LieAlgebra
 from .metric import (DegenerateMetricError, Metric, _defect_array,
                      _lc_product_array, _product_rhs, compatibility_residual)
-from .scalars import RATIONALIZE_MAX_DENOMINATOR, rationalize
+from .scalars import RATIONALIZE_MAX_DENOMINATOR, _scaled, rationalize
 
 _PENALTY = 1e8
 _BARRIER_WEIGHT = 10.0
@@ -210,8 +212,76 @@ def _adjugate(a: np.ndarray) -> np.ndarray:
     return (signs * np.linalg.det(minors)).T
 
 
-def _residual_jacobian(prob: _Problem, theta: np.ndarray):
-    """Residual vectors and Jacobians of an (R, m) stack of parameter points.
+def _residuals(prob: _Problem, theta: np.ndarray):
+    """The residual stage: residual vectors of an (R, m) stack of parameter
+    points, keeping what the Jacobian stage needs.
+
+    Returns r (R, L), jac, rows (R,), the length of each point's residual,
+    and the mask of points off the search domain (``_off_domain``). jac is
+    a ``_Jacobians``: indexing it with slices runs the Jacobian stage
+    (``_jacobian``) on those slices only. Rows past a point's length are
+    zero. A point has the n^4 defect components, plus one barrier component
+    when its metric is near degenerate in the unconstrained modes (L = n^4
+    + 1 there, n^4 with positive_definite), or only a penalty component when
+    2a is singular.
+    """
+    nr = len(theta)
+    n, c, floor = prob.n, prob.c, prob.floor
+    pd = prob.mode == "positive_definite"
+    f = det = None
+    if pd:
+        f = _factor(theta, prob)
+        a = f @ f.transpose(0, 2, 1)
+    else:
+        a = _decode(theta, prob)
+    off = _off_domain(prob, a)
+    solved = np.ones(nr, dtype=bool)
+    try:
+        x = _lc_product_array(c, a)
+    except np.linalg.LinAlgError:
+        # a singular slice sinks the whole stacked solve: solve each alone
+        x = np.zeros((nr, n, n, n))
+        for k in range(nr):
+            try:
+                x[k] = _lc_product_array(c, a[k:k + 1])[0]
+            except np.linalg.LinAlgError:
+                solved[k] = False
+    if pd:
+        r = _defect_array(c, x).reshape(nr, -1)
+    else:
+        r = np.zeros((nr, n ** 4 + 1))
+        r[:, :-1] = _defect_array(c, x).reshape(nr, -1)
+    rows = np.full(nr, n ** 4)
+    if not solved.all():
+        r[~solved, 0], rows[~solved] = _PENALTY, 1
+    if not pd:
+        det = np.linalg.det(a)
+        for k, d in enumerate(det.tolist()):
+            if abs(d) < floor and solved[k]:
+                r[k, -1] = _BARRIER_WEIGHT * (floor - abs(d)) / floor
+                rows[k] += 1
+    return r, _Jacobians(prob, a, f, x, det, solved), rows, off
+
+
+class _Jacobians:
+    """The Jacobians of the points of one residual stage, computed only for
+    the slices read: ``jac[ks]`` runs ``_jacobian`` on the slices ks, from
+    the metrics, factors, product tensors and determinants the residual
+    stage kept."""
+
+    def __init__(self, prob: _Problem, *state):
+        self.prob, self.state = prob, state
+
+    def __getitem__(self, ks):
+        return _jacobian(self.prob, *(None if s is None else s[ks] for s in self.state))
+
+
+def _jacobian(prob: _Problem, a, f, x, det, solved) -> np.ndarray:
+    """The Jacobian stage: the (R, L, m) Jacobians of points that the
+    residual stage has solved for, given by their metrics a, factors f
+    (None unless positive_definite), product tensors x, determinants det
+    (None with positive_definite) and the mask of solved points; a penalty
+    point's Jacobian is zero.
 
     The defect is differentiated through the defining solve: perturbing a by
     da perturbs the product tensor X by the solution of the same system with
@@ -220,59 +290,38 @@ def _residual_jacobian(prob: _Problem, theta: np.ndarray):
     and one defect contraction maps the stack to the Jacobian columns. Each
     Jacobian is C-ordered, since the Gauss-Newton matrix jac^T jac rounds
     differently on a transposed layout.
-
-    Returns r (R, L), jac (R, L, m), rows (R,), the length of each point's
-    residual, and the mask of points off the search domain
-    (``_off_domain``). Rows past a point's length are zero. A point has the
-    n^4 defect components, plus one barrier component when its metric is
-    near degenerate in the unconstrained modes (L = n^4 + 1 there, n^4 with
-    positive_definite), or only a penalty component when 2a is singular.
     """
-    nr, m = theta.shape
     n, c, floor = prob.n, prob.c, prob.floor
-    pd = prob.mode == "positive_definite"
-    width = n ** 4 + (0 if pd else 1)
-    if pd:
-        f = _factor(theta, prob)
-        a = f @ f.transpose(0, 2, 1)
-    else:
-        a = _decode(theta, prob)
-    off = _off_domain(prob, a)
-    try:
-        x = _lc_product_array(c, a)
-    except np.linalg.LinAlgError:
-        if nr == 1:
-            r = np.zeros((1, width))
-            r[0, 0] = _PENALTY
-            return r, np.zeros((1, width, m)), np.ones(1, dtype=int), off
-        # a singular slice sinks the whole stacked solve: redo each alone
-        parts = [_residual_jacobian(prob, theta[k:k + 1]) for k in range(nr)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-    if pd:
-        dirs = _factor_directions(f, prob)
-        rhs = _product_rhs(c, dirs) - 2.0 * np.einsum("rijm,rtmk->rtijk", x, dirs)
+    shape = (len(a), n ** 4 + (0 if f is not None else 1), param_count(n))
+    ks = slice(None) if solved.all() else np.flatnonzero(solved)
+    solved_a, solved_x = a[ks], x[ks]
+    if not len(solved_a):
+        return np.zeros(shape)
+    if f is not None:
+        dirs = _factor_directions(f[ks], prob)
+        rhs = _product_rhs(c, dirs) - 2.0 * np.einsum("rijm,rtmk->rtijk", solved_x, dirs)
     else:
         dirs = prob.units
-        rhs = prob.units_rhs - 2.0 * np.einsum("rijm,tmk->rtijk", x, dirs)
-    dx = np.linalg.solve(2.0 * a, rhs.reshape(nr, -1, n).transpose(0, 2, 1))
-    columns = _defect_array(c, dx.transpose(0, 2, 1).reshape(rhs.shape)).reshape(nr, m, -1)
-    rows = np.full(nr, n ** 4)
-    if pd:
-        return (_defect_array(c, x).reshape(nr, -1),
-                np.ascontiguousarray(columns.transpose(0, 2, 1)), rows, off)
-    r = np.zeros((nr, width))
-    r[:, :-1] = _defect_array(c, x).reshape(nr, -1)
-    jac = np.zeros((nr, width, m))
-    jac[:, :-1] = columns.transpose(0, 2, 1)
-    det = np.linalg.det(a)
-    for k in np.flatnonzero(np.abs(det) < floor):
-        d = float(det[k])
-        adj = _adjugate(a[k])
-        sign = 1.0 if d >= 0 else -1.0
-        r[k, -1] = _BARRIER_WEIGHT * (floor - abs(d)) / floor
-        jac[k, -1] = -_BARRIER_WEIGHT / floor * sign * np.sum(adj.T * dirs, axis=(1, 2))
-        rows[k] += 1
-    return r, jac, rows, off
+        rhs = prob.units_rhs - 2.0 * np.einsum("rijm,tmk->rtijk", solved_x, dirs)
+    dx = np.linalg.solve(2.0 * solved_a, rhs.reshape(len(solved_a), -1, n).transpose(0, 2, 1))
+    columns = _defect_array(c, dx.transpose(0, 2, 1).reshape(rhs.shape))
+    jac = np.zeros(shape)  # after the contraction, whose temporaries are the peak
+    jac[ks, :n ** 4] = columns.reshape(len(solved_a), shape[2], -1).transpose(0, 2, 1)
+    if f is None:
+        for k, d in enumerate(det.tolist()):
+            if abs(d) < floor and solved[k]:
+                sign = 1.0 if d >= 0 else -1.0
+                adj = _adjugate(a[k])
+                jac[k, -1] = -_BARRIER_WEIGHT / floor * sign * np.sum(adj.T * dirs, axis=(1, 2))
+    return jac
+
+
+def _residual_jacobian(prob: _Problem, theta: np.ndarray):
+    """Residual vectors and Jacobians of an (R, m) stack of parameter points:
+    the residual stage, then the Jacobian stage on every slice. Returns r
+    (R, L), jac (R, L, m), rows and the domain mask, as ``_residuals``."""
+    r, jac, rows, off = _residuals(prob, theta)
+    return r, jac[:], rows, off
 
 
 def _by_length(rows: np.ndarray) -> list:
@@ -351,18 +400,20 @@ def _damped_steps(h: np.ndarray, lam: np.ndarray, g: np.ndarray):
 
 class _Stack:
     """The restarts of one lockstep batch still in the stack, one slice
-    each: restart index, cost and damping as Python lists, so the per-restart
-    decisions run in plain float arithmetic, and parameters, residuals,
-    Jacobians and residual lengths as stacked arrays."""
+    each in restart order: restart index, cost, damping and iteration count
+    as Python lists, so the per-restart decisions run in plain float
+    arithmetic, and parameters, residuals, Jacobians and residual lengths as
+    stacked arrays."""
 
-    LISTS = ("index", "cost", "lam")
+    LISTS = ("index", "cost", "lam", "iters")
     ARRAYS = ("theta", "r", "jac", "rows")
 
-    def __init__(self, theta, r, jac, rows):
-        self.index = list(range(len(theta)))
+    def __init__(self, index, theta, r, jac, rows):
+        self.index = list(index)
         self.cost = _squares(r, rows).tolist()
         self.lam = [1e-3] * len(theta)
-        self.theta, self.r, self.jac, self.rows = theta, r, jac, rows
+        self.iters = [0] * len(theta)
+        self.theta, self.r, self.jac, self.rows = theta, r, jac[:], rows
 
     def keep(self, ks: list):
         for name in self.LISTS:
@@ -370,70 +421,98 @@ class _Stack:
         for name in self.ARRAYS:
             setattr(self, name, getattr(self, name)[ks])
 
+    def extend(self, other: "_Stack"):
+        """Append the restarts of another stack, numbered after these."""
+        for name in self.LISTS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name in self.ARRAYS:
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+
     def put(self, ks: list, *arrays):
         """Move the slices ks to the point of the same slices of the given
-        (theta, r, jac, rows) stack."""
+        (theta, r, jac, rows) stack; jac is read at ks only."""
+        if not ks:
+            return
         if len(ks) == len(self.index):
-            self.theta, self.r, self.jac, self.rows = arrays
+            self.theta, self.r, self.jac, self.rows = (value[:] for value in arrays)
             return
         for name, value in zip(self.ARRAYS, arrays):
             getattr(self, name)[ks] = value[ks]
 
 
-def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=None):
+def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=None,
+              join=None):
     """Damped Gauss-Newton with a gradient-descent fallback, run in lockstep
     on a stack of restarts.
 
     theta0 is (R, m), one starting point per restart. fun maps a (k, m)
     stack to residuals, Jacobians, residual lengths and the mask of points
-    off the search domain (or None for no boundary), as
-    ``_residual_jacobian`` does; an accepted step onto such a point ends
-    the restart there, for the caller to judge. Every restart keeps its own
-    damping and exit (one of STOP_REASONS) and takes the same steps as it
-    would alone; the restarts still in the stack have all taken the same
-    number of iterations. A restart leaves the stack as soon as it exits,
-    and the optional ``on_exit(k, theta, cost, iters, reason, lam)`` is
-    called for it; a true return drops every restart of higher index still
-    in the stack. Returns, for each of the R restarts, its final (theta,
-    cost, iters, reason, lam), or None when it was dropped.
+    off the search domain (or None for no boundary), as ``_residuals``
+    does; the Jacobians are read only by indexing them with the slices
+    whose step was accepted, so a ``_Jacobians`` computes none at a
+    rejected trial point or Armijo probe. An accepted step onto a point off
+    the domain ends the restart there, for the caller to judge. Every
+    restart keeps its own damping, iteration count and exit (one of
+    STOP_REASONS) and takes the same steps as it would alone. A restart
+    leaves the stack as soon as it exits, and the optional ``on_exit(k,
+    theta, cost, iters, reason, lam)`` is called for it; a true return drops
+    every restart of higher index still in the stack or still to join.
+
+    The optional ``join()`` returns the starting points of further
+    restarts, numbered on from theta0's. It is called once: after the first
+    iteration in which some restart's trial step is rejected, or when every
+    restart has exited, whichever comes first. Returns, for each restart,
+    its final (theta, cost, iters, reason, lam), or None when it was
+    dropped.
     """
-    theta = np.array(theta0, dtype=float)
-    st = _Stack(theta, *fun(theta)[:3])
-    out = [None] * len(theta)
-    iters = 0
+    def start(theta, first):
+        theta = np.array(theta, dtype=float)
+        return _Stack(range(first, first + len(theta)), theta, *fun(theta)[:3])
+
+    st = start(theta0, 0)
+    out = [None] * len(st.index)
 
     def retire(exits: dict, *extra):
         """Take the slices of ``exits`` (slice -> reason) out of the stack,
         and the same slices out of each extra array."""
+        nonlocal join
         keep = [k for k in range(len(st.index)) if k not in exits]
         for k in sorted(exits):
             rix = st.index[k]
-            out[rix] = (st.theta[k].copy(), st.cost[k], iters, exits[k], st.lam[k])
+            out[rix] = (st.theta[k].copy(), st.cost[k], st.iters[k], exits[k], st.lam[k])
             if on_exit is not None and on_exit(rix, *out[rix]):
                 keep = [j for j in keep if st.index[j] < rix]
+                join = None
                 break
         st.keep(keep)
         return [x[keep] for x in extra]
 
-    last_off = [False]
+    last = [None]
 
-    def fun1(th):
-        """fun on one point, in the form _armijo_descent takes; the domain
-        flag of the last point it saw stays in last_off."""
-        rt, jt, size, off = fun(th[None])
-        last_off[0] = off is not None and bool(off[0])
-        return rt[0, :size[0]], jt[0, :size[0]]
+    def probe(th):
+        """fun on one point, residual only, in the form _armijo_descent
+        takes; the whole result for the last point it saw stays in last."""
+        last[0] = fun(th[None])
+        rt, _, size, _ = last[0]
+        return rt[0, :size[0]], None
 
-    while st.index:
-        if iters >= max_iters:
-            retire(dict.fromkeys(range(len(st.index)), "max_iters"))
+    rejected = False
+    while True:
+        if join is not None and (rejected or not st.index):
+            more = start(join(), len(out))
+            out += [None] * len(more.index)
+            st.extend(more)
+            join = None
+        if not st.index:
             break
-        exits = {k: "converged" for k, cost in enumerate(st.cost) if cost <= cost_tol}
+        exits = {k: "max_iters" if used >= max_iters else "converged"
+                 for k, (used, cost) in enumerate(zip(st.iters, st.cost))
+                 if used >= max_iters or cost <= cost_tol}
         if exits:
             retire(exits)
             if not st.index:
-                break
-        iters += 1
+                continue
+        st.iters = [used + 1 for used in st.iters]
         g, h = _normal_equations(st.r, st.jac, st.rows)
         # stationarity is judged relative to the cost: descent directions
         # that shrink multiplicatively (log-scale parameters) keep the
@@ -444,7 +523,7 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=
         if exits:
             g, h = retire(exits, g, h)
             if not st.index:
-                break
+                continue
         delta, singular = _damped_steps(h, np.array(st.lam), g)
         trial = st.theta + delta
         rt, jt, rowt, offt = fun(trial)
@@ -462,19 +541,20 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=
                     exits[k] = "stalled"
             else:
                 st.lam[k] *= 4.0
+                rejected = True
         st.put(moved, trial, rt, jt, rowt)
         for k in ([] if singular is None else np.flatnonzero(singular).tolist()):
             size = st.rows[k]
-            th, rk, jk, ck, ok = _armijo_descent(fun1, st.theta[k], st.r[k, :size],
-                                                 st.jac[k, :size], st.cost[k])
+            th, _, _, ck, ok = _armijo_descent(probe, st.theta[k], st.r[k, :size],
+                                               st.jac[k, :size], st.cost[k])
             if not ok:
                 exits[k] = "armijo_failed"
                 continue
+            rk, jk, sizek, offk = last[0]  # the accepted probe
             moved.append(k)
-            off[k] = last_off[0]
-            st.theta[k], st.cost[k], st.rows[k] = th, ck, len(rk)
-            st.r[k], st.jac[k] = 0.0, 0.0
-            st.r[k, :len(rk)], st.jac[k, :len(rk)] = rk, jk
+            off[k] = offk is not None and bool(offk[0])
+            st.theta[k], st.cost[k] = th, ck
+            st.r[k], st.jac[k], st.rows[k] = rk[0], jk[[0]][0], sizek[0]
         for k in moved:
             if off[k] and k not in exits:
                 exits[k] = "left_domain"
@@ -514,6 +594,15 @@ def _initial_theta(n: int, mode: str, rng: np.random.Generator) -> np.ndarray:
     return np.array([sym[i, j] for i, j in _sym_positions(n)])
 
 
+def _fits(p: int, q: int, constraint) -> bool:
+    """Whether a signature (p, q) meets the signature constraint."""
+    if constraint == "positive_definite":
+        return q == 0
+    if isinstance(constraint, tuple):
+        return (p, q) == constraint
+    return True
+
+
 def _admissible(metric: Metric, constraint) -> bool:
     if not metric.is_nondegenerate():
         return False
@@ -521,15 +610,17 @@ def _admissible(metric: Metric, constraint) -> bool:
         sig = metric.signature()
     except DegenerateMetricError:
         return False
-    if constraint == "positive_definite":
-        return sig.q == 0
-    if isinstance(constraint, tuple):
-        return (sig.p, sig.q) == constraint
-    return True
+    return _fits(sig.p, sig.q, constraint)
 
 
 def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
-    """Rationalize a float metric and re-verify the residual exactly."""
+    """Rationalize a float metric and re-verify the residual exactly.
+
+    All on the integer form M = s a of the rationalized metric: one exact
+    inertia decides nondegeneracy and signature, the integer system 2M y =
+    B(C, M) gives the product up to a positive scale, and the certificate
+    holds when no entry of the integer defect is nonzero.
+    """
     if not alg.exact:
         return None
     try:
@@ -537,29 +628,35 @@ def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
                for row in metric.matrix]
         n = len(raw)
         sym = [[(raw[i][j] + raw[j][i]) / 2 for j in range(n)] for i in range(n)]
-        exact_metric = Metric.from_rows(sym, exact=True)
-        if not _admissible(exact_metric, constraint):
+        m, _ = _scaled(sym, True)
+        p, q, z = rational.inertia(m.tolist())
+        if z or not _fits(p, q, constraint):
             return None
-        res = compatibility_residual(alg, exact_metric)
-    except (DegenerateMetricError, ZeroDivisionError, ValueError):
+        c, _ = _scaled(alg.c, True)
+        y = rational.solve((2 * m).tolist(), _product_rhs(c, m).reshape(-1, n).T.tolist())
+        x, _ = _scaled([list(col) for col in zip(*y)], True)
+        if _defect_array(c, x.reshape(n, n, n)).any():
+            return None
+        return Metric.from_rows(sym, exact=True)
+    except (ZeroDivisionError, ValueError):
         return None
-    if res.exact_zero:
-        return exact_metric
-    return None
 
 
 def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
     """Multi-restart search for a metric making the algebra compatible.
 
     Restart streams derive from (rng_seed, restart index), so the log is
-    reproducible and independent of scheduling. Restart 0 runs alone, so a
-    find there pays for no other restart; the rest advance in lockstep
-    batches of ``_batch_size(n)`` (see ``_minimize``). The result is the
-    lowest-index admissible metric under the residual tolerance: restarts
-    below it run to their end, restarts above it are dropped, and the log
-    is folded in index order, so it equals a one-restart-at-a-time loop
-    that stops at that find. Not finding one is a value, not an error: the
-    log then carries the evidence.
+    reproducible and independent of scheduling. Restarts advance in lockstep
+    batches of ``_batch_size(n)`` (see ``_minimize``). In the first batch,
+    restart 0 starts alone and the rest join it after its first rejected
+    trial step, or when it ends without a find, so a quick find there with
+    every step accepted draws no other restart. Each restart counts its own
+    iterations against ``max_iters``. The result is the lowest-index
+    admissible metric under the residual tolerance: restarts below it run
+    to their end, restarts above it are dropped, and the log is folded in
+    index order, so it equals a one-restart-at-a-time loop that stops at
+    that find. Not finding one is a value, not an error: the log then
+    carries the evidence.
     """
     n = alg.dim
     constraint = cfg.signature_constraint
@@ -569,7 +666,7 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
     algf = alg.to_float()
     cost_tol = (0.02 * cfg.residual_tol) ** 2
     prob = _problem(algf.structure_array(), mode, cfg.degeneracy_floor)
-    fun = lambda th: _residual_jacobian(prob, th)
+    fun = lambda th: _residuals(prob, th)
     records = {}  # restart index -> (RestartRecord, Metric or None)
     finds = []    # restarts that ended on an admissible metric within tolerance
 
@@ -595,14 +692,21 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
             return True
         return False
 
-    lo = 0
-    while lo < cfg.restarts and not finds:
-        hi = min(cfg.restarts, lo + _batch_size(n) if lo else 1)
-        theta0 = np.array([_initial_theta(n, mode, np.random.default_rng([cfg.rng_seed, rix]))
-                           for rix in range(lo, hi)])
+    def starts(lo, hi):
+        return np.array([_initial_theta(n, mode, np.random.default_rng([cfg.rng_seed, rix]))
+                         for rix in range(lo, hi)])
+
+    size = _batch_size(n)
+    for lo in range(0, cfg.restarts, size):
+        if finds:
+            break
+        hi = min(cfg.restarts, lo + size)
+        if lo == 0 and hi > 1:
+            theta0, join = starts(0, 1), lambda: starts(1, hi)
+        else:
+            theta0, join = starts(lo, hi), None
         _minimize(fun, theta0, cfg.max_iters, cost_tol,
-                  on_exit=lambda k, *end: judge(lo + k, *end))
-        lo = hi
+                  on_exit=lambda k, *end: judge(lo + k, *end), join=join)
     log, best_res, best_metric = [], float("inf"), None
     for rix in range(min(finds) + 1 if finds else cfg.restarts):
         rec, metric = records[rix]
@@ -655,6 +759,10 @@ def predicted_existence(params: FamilyParams, positive_definite: bool) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ClassificationCase:
+    """One search of the sweep and its judgement. restarts_run and iterations
+    (summed over the restarts) are deterministic; seconds is the search's
+    wall time, left out of repr and comparisons."""
+
     name: str
     mode: str
     params: FamilyParams | None
@@ -663,6 +771,9 @@ class ClassificationCase:
     outcome: str
     residual: float
     note: str = ""
+    restarts_run: int = 0
+    iterations: int = 0
+    seconds: float = field(default=0.0, repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -790,15 +901,21 @@ def verify_classification(sample_count: int = 42,
                   ("affine_line", catalog.affine_line(), False, False)]
     if 3 in dims:
         fixed += [("heisenberg", catalog.heisenberg(), False, True)]
+    def timed_search(alg, mode):
+        started = time.perf_counter()
+        res = find_compatible_metric(alg, replace(cfg, signature_constraint=mode))
+        return res, dict(restarts_run=len(res.log),
+                         iterations=sum(rec.iterations for rec in res.log),
+                         seconds=time.perf_counter() - started)
+
     for name, alg, pd_pred, any_pred in fixed:
         for mode, predicted in (("positive_definite", pd_pred), ("none", any_pred)):
-            sub = replace(cfg, signature_constraint=mode)
-            res = find_compatible_metric(alg, sub)
+            res, telemetry = timed_search(alg, mode)
             outcome, note = _fixed_outcome(predicted, res.found)
             cases.append(ClassificationCase(
                 name=name, mode=mode, params=None, predicted=predicted,
                 found=res.found, outcome=outcome, residual=res.best_residual,
-                note=note))
+                note=note, **telemetry))
 
     family = _sample_family_params(sample_count, rng) if 3 in dims else []
     for params in family:
@@ -806,12 +923,11 @@ def verify_classification(sample_count: int = 42,
         for mode in ("positive_definite", "none"):
             pd = mode == "positive_definite"
             predicted = predicted_existence(params, pd)
-            sub = replace(cfg, signature_constraint=mode)
-            res = find_compatible_metric(alg, sub)
+            res, telemetry = timed_search(alg, mode)
             outcome, note = _family_outcome(params, pd, predicted, res.found)
             cases.append(ClassificationCase(
                 name=f"family{tuple(params)}", mode=mode, params=params,
                 predicted=predicted, found=res.found, outcome=outcome,
-                residual=res.best_residual, note=note))
+                residual=res.best_residual, note=note, **telemetry))
     return ClassificationReport(cases=tuple(cases), sample_count=sample_count,
                                 rng_seed=cfg.rng_seed)

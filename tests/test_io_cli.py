@@ -12,17 +12,19 @@ from liemetric import (
     FormatError,
     Metric,
     heisenberg,
+    heisenberg_split_metric,
     load_algebra,
     load_metric,
     save_algebra,
     save_metric,
+    sol,
     sol_split_metric,
     solvable_family,
 )
 from liemetric import dual
 from liemetric.algebra import LieAlgebra
 from liemetric.cli import main
-from liemetric.io import MAX_DIM
+from liemetric.io import MAX_DIM, load_points
 from liemetric.metric import ConnectionTensor
 from conftest import random_algebra, random_metric
 
@@ -344,6 +346,18 @@ def test_cli_classify_dim2(capsys):
     assert "abelian2" in out and "affine_line" in out
 
 
+def test_cli_classify_rows_carry_search_telemetry(tmp_path, capsys):
+    j = tmp_path / "rep.json"
+    assert main(["classify", "--dim", "2", "--restarts", "6", "--json", str(j)]) == 0
+    capsys.readouterr()
+    rows = {row["name"]: row for row in json.loads(j.read_text())["checks"]}
+    for name in ("abelian2/positive_definite", "affine_line/none"):
+        row = rows[name]
+        assert row["restarts_run"] >= 1 and row["iterations"] >= 0 and row["seconds"] >= 0.0
+    assert rows["affine_line/none"]["restarts_run"] == 6
+    assert isinstance(rows["affine_line/none"]["value"], float)
+
+
 @pytest.mark.parametrize("args", [
     ["search", "ALG", "--restarts", "0"],
     ["search", "ALG", "--restarts", "-3"],
@@ -360,6 +374,7 @@ def test_cli_classify_dim2(capsys):
     ["dual-sweep", "ALG", "ALG", "--count", "-1"],
     ["search", "ALG", "--seed", "-1"],
     ["dual-sweep", "ALG", "ALG", "--seed", "-2"],
+    ["dual-sweep", "ALG", "ALG", "--count", "0"],
 ])
 def test_cli_bad_numeric_arguments_are_input_errors(tmp_path, capsys, monkeypatch, args):
     def refuse(*a, **kw):
@@ -438,6 +453,29 @@ def test_cli_dual_sweep_bad_points_file_is_input_error(tmp_path, capsys, text):
     code = main(["dual-sweep", algebra_file(tmp_path, heisenberg()),
                  metric_file(tmp_path, sol_split_metric()), "--points-file", str(pts)])
     assert code == 2
+
+
+def test_load_points_requires_at_least_one_point(tmp_path):
+    pts = tmp_path / "pts.json"
+    pts.write_text("[[0.5, -1, 2]]")
+    assert load_points(pts, 3) == [[0.5, -1.0, 2.0]]
+    pts.write_text("[]")
+    with pytest.raises(FormatError, match="non-empty"):
+        load_points(pts, 3)
+
+
+def test_cli_dual_sweep_of_no_points_is_an_input_error(tmp_path, capsys):
+    """An empty sweep has compared nothing, so it may not report ok: sol with
+    the Heisenberg split metric is above tolerance at any point."""
+    alg = algebra_file(tmp_path, sol())
+    metric = metric_file(tmp_path, heisenberg_split_metric())
+    main(["dual-sweep", alg, metric, "--count", "3"])
+    assert "dual_compatibility_max       above_tol" in capsys.readouterr().out
+    pts = tmp_path / "pts.json"
+    pts.write_text("[]")
+    assert main(["dual-sweep", alg, metric, "--points-file", str(pts)]) == 2
+    out = capsys.readouterr()
+    assert "dual_compatibility_max" not in out.out and "Traceback" not in out.err
 
 
 def test_cli_huge_dim_is_refused_before_allocation(tmp_path, capsys, monkeypatch):

@@ -147,3 +147,17 @@ def test_exact_product_on_singular_metric_raises(monkeypatch):
     monkeypatch.setattr(metric_module.Metric, "require_nondegenerate", lambda self: None)
     with pytest.raises(DegenerateMetricError):
         levi_civita_product(heisenberg(), singular)
+
+
+def test_inertia_takes_integer_entries_exactly():
+    """Int entries are taken as Fractions: float division would cancel the
+    determinant -1 of the first form into a zero pivot."""
+    big = 10 ** 17
+    assert rational.inertia([[big + 1, big], [big, big - 1]]) == (1, 1, 0)
+    rng = random.Random(17)
+    for n in range(1, 7):
+        for rank in (None, n - 1):
+            a = draw(rng, n, n, rank=rank, fractions=False)
+            sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+            as_fractions = [[Fraction(x) for x in row] for row in sym]
+            assert rational.inertia(sym) == rational.inertia(as_fractions)

@@ -24,6 +24,7 @@ from liemetric import (
     verify_classification,
 )
 from liemetric.metric import _defect_array, _lc_product_array, _product_rhs
+from liemetric.scalars import RATIONALIZE_MAX_DENOMINATOR, rationalize
 from liemetric.search import (_BARRIER_WEIGHT, _BATCH_BYTES, _PENALTY, STOP_REASONS,
                               FamilyParams, RestartRecord, SearchResult, _adjugate,
                               _admissible, _armijo_descent, _batch_size, _decode, _factor,
@@ -865,7 +866,8 @@ def test_one_lockstep_iteration_makes_the_same_solves_at_any_stack_size(mode, mo
         assert [end[2:4] for end in ends] == [(1, "max_iters")] * stack
         per_iteration.append(len(calls) - 2 * start)
         monkeypatch.undo()
-    assert per_iteration == [3, 3, 3]  # the damped step, then the trial's two
+    # the damped step, the trial products, the directions of the accepted trials
+    assert per_iteration == [3, 3, 3]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -877,22 +879,276 @@ def test_batch_size_follows_the_byte_cap(n):
 
 
 def test_search_runs_restart_zero_alone_then_full_batches(monkeypatch):
+    """Restart 0 starts alone and the rest of the first batch joins it (here
+    when it ends, at once with max_iters 0 and after one iteration on
+    affine_line); every later batch starts full. Each entry is the size of a
+    _minimize stack and of the restarts that joined it."""
     from liemetric import search
 
     sizes = []
     minimize = search._minimize
 
-    def recording(fun, theta0, *args, **kw):
-        sizes.append(len(theta0))
-        return minimize(fun, theta0, *args, **kw)
+    def recording(fun, theta0, *args, join=None, **kw):
+        sizes.append([len(theta0), None])
+        entry = sizes[-1]
+
+        def joining():
+            more = join()
+            entry[1] = len(more)
+            return more
+
+        return minimize(fun, theta0, *args, join=join and joining, **kw)
 
     monkeypatch.setattr(search, "_minimize", recording)
     res = find_compatible_metric(_sheared("heisenberg", 5), quick(restarts=15, iters=0))
     assert res.status == "not_found" and len(res.log) == 15
-    assert sizes == [1, 6, 6, 2]
+    assert sizes == [[1, 5], [6, None], [3, None]]
     del sizes[:]
     find_compatible_metric(affine_line(), quick(restarts=20, iters=5))
-    assert sizes == [1, 19]
+    assert sizes == [[1, 19]]
+
+
+def _count_accepted(fun, start, budget, cost_tol, stop):
+    """The one-restart optimizer on one start: (points evaluated, steps
+    accepted). stop is called after each accepted step, except a stalling
+    one, which ends the restart before the domain test."""
+    evaluated, accepted = [], []
+
+    def counting(theta):
+        evaluated.append(1)
+        return fun(theta)
+
+    def stopping(theta):
+        accepted.append(1)
+        return stop(theta)
+
+    end = _seq_minimize(counting, start, budget, cost_tol, stop=stopping)
+    return len(evaluated), len(accepted) + (end[3] == "stalled")
+
+
+@pytest.mark.parametrize("stack", [1, 16])
+@pytest.mark.parametrize("make,mode", [(heisenberg, "none"), (sol, "positive_definite"),
+                                       (lambda: solvable_family(1, 1, -1), "positive_definite")])
+def test_jacobians_only_at_starts_and_accepted_steps(make, mode, stack, monkeypatch):
+    """The Jacobian stage runs on the starts and on each accepted trial
+    point, never on a rejected one: its rows add up to the starts plus the
+    steps the one-restart optimizer accepts from the same starts."""
+    from liemetric import search
+
+    cfg = SearchConfig(signature_constraint=mode, restarts=stack, max_iters=60, rng_seed=3)
+    alg = make()
+    n, pmode, fun, outside_domain = _seq_problem(alg, cfg)
+    theta0 = np.array([_initial_theta(n, pmode, np.random.default_rng([cfg.rng_seed, rix]))
+                       for rix in range(stack)])
+    cost_tol = (0.02 * cfg.residual_tol) ** 2
+    evaluated = accepted = 0
+    for start in theta0:
+        seen, steps = _count_accepted(fun, start, cfg.max_iters, cost_tol, outside_domain)
+        evaluated, accepted = evaluated + seen, accepted + steps
+    assert evaluated > stack + accepted  # some trial points are rejected
+    rows = []
+    jacobian = search._jacobian
+
+    def counting(prob, a, *state):
+        rows.append(len(a))
+        return jacobian(prob, a, *state)
+
+    monkeypatch.setattr(search, "_jacobian", counting)
+    prob = _problem(alg.to_float().structure_array(), pmode, cfg.degeneracy_floor)
+    _minimize(lambda th: search._residuals(prob, th), theta0, cfg.max_iters, cost_tol)
+    assert sum(rows) == stack + accepted
+
+
+class _CountedJacobians:
+    """Jacobians of a tagged stack that log how many rows each read takes."""
+
+    def __init__(self, jac, reads):
+        self.jac, self.reads = jac, reads
+
+    def __getitem__(self, ks):
+        out = self.jac[ks]
+        self.reads.append(len(out))
+        return out
+
+
+def test_rejected_armijo_probes_read_no_jacobian():
+    """Rows read from the tagged problems: the start of each restart, every
+    step of the keeper, one accepted gradient step for armijo_then_off and
+    nothing for the rejected trials of damping_blowup or the 30 rejected
+    probes of armijo_failed."""
+    reads = []
+
+    def fun(th):
+        r, jac, rows, off = _tagged_fun(th)
+        return r, _CountedJacobians(jac, reads), rows, off
+
+    starts = np.array([_start("max_iters"), _start("damping_blowup"),
+                       _start("armijo_failed"), _start("armijo_then_off")])
+    ends = _minimize(fun, starts, 40, 0.0)
+    assert [end[3] for end in ends] == ["max_iters", "damping_blowup", "armijo_failed",
+                                        "left_domain"]
+    assert sum(reads) == 4 + 40 + 1
+
+
+def _schedule(monkeypatch):
+    """Spies on a search: for each restart drawn, the number of residual
+    stage calls made before it was drawn."""
+    from liemetric import search
+
+    calls, drawn = [], []
+    residuals, initial = search._residuals, search._initial_theta
+
+    def counting(prob, theta):
+        calls.append(len(theta))
+        return residuals(prob, theta)
+
+    def drawing(*args):
+        drawn.append(len(calls))
+        return initial(*args)
+
+    monkeypatch.setattr(search, "_residuals", counting)
+    monkeypatch.setattr(search, "_initial_theta", drawing)
+    return calls, drawn
+
+
+def _first_rejection(alg, cfg):
+    """The iteration at which restart 0, run alone by the one-restart
+    optimizer, first has a trial step rejected, or None."""
+    n, mode, fun, outside_domain = _seq_problem(alg, cfg)
+    costs = []
+
+    def recording(theta):
+        r, jac = fun(theta)
+        costs.append(float(r @ r))
+        return r, jac
+
+    start = _initial_theta(n, mode, np.random.default_rng([cfg.rng_seed, 0]))
+    _seq_minimize(recording, start, cfg.max_iters, (0.02 * cfg.residual_tol) ** 2,
+                  stop=outside_domain)
+    cost = costs[0]
+    for k, trial in enumerate(costs[1:], start=1):
+        if not trial < cost:
+            return k
+        cost = trial
+    return None
+
+
+def test_restart_zero_finding_before_a_rejection_draws_no_other_restart(monkeypatch):
+    cfg = SearchConfig(signature_constraint="positive_definite", restarts=8, max_iters=50,
+                       rng_seed=0)
+    alg = euclidean_motions()
+    assert _first_rejection(alg, cfg) is None
+    calls, drawn = _schedule(monkeypatch)
+    res = find_compatible_metric(alg, cfg)
+    assert res.found and len(res.log) == 1 and res.log[0].iterations > 1
+    assert drawn == [0]
+    assert set(calls) == {1}
+
+
+@pytest.mark.parametrize("make,mode,seed", [(heisenberg, "none", 0),
+                                            (sol, "positive_definite", 1),
+                                            (lambda: solvable_family(1, 1, -1), "none", 1)])
+def test_restart_zero_rejecting_at_iteration_k_admits_its_batch_at_k(make, mode, seed,
+                                                                      monkeypatch):
+    """Restart 0 alone makes one residual call for its start and one per
+    iteration; the other seven restarts are drawn together right after its
+    k-th, the first one rejected."""
+    cfg = SearchConfig(signature_constraint=mode, restarts=8, max_iters=50, rng_seed=seed)
+    alg = make()
+    k = _first_rejection(alg, cfg)
+    assert k is not None and k > 1
+    calls, drawn = _schedule(monkeypatch)
+    res = find_compatible_metric(alg, cfg)
+    assert drawn == [0] + [1 + k] * 7
+    assert calls[:1 + k] == [1] * (1 + k) and calls[1 + k] == 7
+    assert res.log == sequential_find(alg, cfg).log
+
+
+def test_find_above_restart_zero_while_it_runs_keeps_the_sequential_log(monkeypatch):
+    """heisenberg, any signature: restart 2 converges on a find while
+    restarts 0 and 1 are still iterating; they run to their own ends, the
+    restarts above 2 are dropped, and the log is the sequential one."""
+    from liemetric import search
+
+    cfg = SearchConfig(restarts=8, max_iters=50, rng_seed=0)
+    exits = []
+    minimize = search._minimize
+
+    def recording(fun, theta0, *args, on_exit=None, **kw):
+        def noting(k, *end):
+            exits.append((k, end[2], end[3]))
+            return on_exit(k, *end)
+
+        return minimize(fun, theta0, *args, on_exit=noting, **kw)
+
+    monkeypatch.setattr(search, "_minimize", recording)
+    res = find_compatible_metric(heisenberg(), cfg)
+    ref = sequential_find(heisenberg(), cfg)
+    assert [k for k, _, _ in exits] == [2, 0, 1]
+    assert exits[0][2] == "converged" and exits[0][1] < min(it for _, it, _ in exits[1:])
+    assert res.log == ref.log and len(res.log) == 3
+    assert [_bits([rec.residual, rec.final_lambda]) for rec in res.log] == \
+        [_bits([rec.residual, rec.final_lambda]) for rec in ref.log]
+    assert res.best_metric.matrix == ref.best_metric.matrix
+
+
+def reference_certificate(alg, metric, constraint):
+    """The exact certificate through the public exact path: rationalize and
+    symmetrize, then the metric's determinant and signature, the product
+    and the residual, each in Fractions."""
+    raw = [[rationalize(float(x), RATIONALIZE_MAX_DENOMINATOR) for x in row]
+           for row in metric.matrix]
+    n = len(raw)
+    exact = Metric.from_rows([[(raw[i][j] + raw[j][i]) / 2 for j in range(n)]
+                              for i in range(n)], exact=True)
+    if exact.det() == 0:
+        return None
+    p, q = exact.signature()
+    if (constraint == "positive_definite" and q) or (isinstance(constraint, tuple)
+                                                    and (p, q) != constraint):
+        return None
+    return exact if compatibility_residual(alg, exact).exact_zero else None
+
+
+def test_exact_certificate_matches_the_public_exact_path():
+    """Found metrics of several algebras, and the same metrics negated,
+    perturbed, made degenerate or replaced by a diagonal, under three
+    constraints: the certificate is the reference's, None or an equal
+    Metric."""
+    rng = np.random.default_rng(21)
+    certified = 0
+    for alg, mode in ((heisenberg(), "none"), (sol(), "none"), (euclidean_motions(), "none"),
+                      (solvable_family(1, 2, -3), "positive_definite"),
+                      (_sheared("heisenberg", 4), "none")):
+        found = find_compatible_metric(alg, quick(mode, restarts=8, iters=100))
+        assert found.found
+        base = np.array(found.best_metric.to_float().matrix, dtype=float)
+        n = len(base)
+        v = rng.integers(-2, 3, size=n).astype(float)
+        noise = rng.standard_normal((n, n)) * 1e-3
+        for mat in (base, -base, base + noise + noise.T, np.outer(v, v),
+                    np.diag(rng.choice([-1.0, 1.0, 2.0], size=n))):
+            metric = Metric.from_rows(mat.tolist(), exact=False)
+            for constraint in ("none", "positive_definite", (1, n - 1)):
+                got = _try_exact_certificate(alg, metric, constraint)
+                want = reference_certificate(alg, metric, constraint)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    certified += 1
+                    assert got.exact and got.matrix == want.matrix
+    assert certified >= 5
+
+
+def test_classification_cases_carry_search_telemetry():
+    rep = verify_classification(sample_count=2, cfg=quick(restarts=4, iters=30), dims=(2, 3))
+    for case in rep.cases:
+        alg = heisenberg() if case.name == "heisenberg" else (
+            solvable_family(*case.params) if case.params else by_name(case.name))
+        res = find_compatible_metric(alg, quick(case.mode, restarts=4, iters=30))
+        assert case.restarts_run == len(res.log)
+        assert case.iterations == sum(rec.iterations for rec in res.log)
+        assert case.seconds > 0.0
+        assert "seconds" not in repr(case)
 
 
 def test_restart_records_carry_stop_reason_and_damping():
