@@ -8,10 +8,6 @@ Poisson bivector is linear in mu:
 and every other object here (sharp map, form bracket, contravariant
 derivative, modular value, leaf data) is derived from that single convention.
 General differential forms carry polynomial coefficients (``liemetric.poly``).
-On basis data pi is linear and each Koszul derivative D_{de_i} de_k constant,
-so the three basis identities and the modular field are coefficient tensors:
-one ``np.einsum`` expression each, whose defects are rows (c_1 .. c_n | c_0)
-in mu, checked coefficient by coefficient or evaluated at points.
 
 Constant one-forms pair through the metric a: <de_i, de_j> = a[i][j]. The
 contravariant derivative D solves the six-term Koszul relation
@@ -20,7 +16,17 @@ contravariant derivative D solves the six-term Koszul relation
                  + <[a,b], g> + <[g,a], b> + <[g,b], a>
 
 against the constant coordinate coframe, which reduces to one constant linear
-system per coefficient. Points of the dual are plain length-n sequences.
+system per coefficient. On basis data the form brackets [de_x, de_y] still
+come from the polynomial engine (Lie derivatives along sharp fields minus
+d pi), but every pairing <de_y, de_z> is a constant, so the three flow terms
+vanish and each D_{de_i} de_k is constant: one exact contraction of the
+bracket coefficients with a and its inverse. The three basis identities and
+the modular field are then coefficient tensors too, one ``np.einsum``
+expression each, whose defects are rows (c_1 .. c_n | c_0) in mu, checked
+coefficient by coefficient or evaluated at points. The dual-side verdict is
+thus built from dual brackets and a Koszul relation coded here; it never
+reads the algebra-side product of ``liemetric.metric`` that it is compared
+against. Points of the dual are plain length-n sequences.
 """
 
 from __future__ import annotations
@@ -300,8 +306,7 @@ def form_pairing(alpha: PolyOneForm, beta: PolyOneForm, a: Metric) -> Polynomial
 def apply_field(field, p: Polynomial) -> Polynomial:
     """Directional derivative of a polynomial along a polynomial vector field.
 
-    A constant has none; the basis pairings of a Koszul solve are all
-    constants, so their flows take no partial derivative.
+    A constant has none, so its flow takes no partial derivative.
     """
     total = Polynomial.zero(p.nvars, p.exact)
     if p.degree() <= 0:
@@ -365,16 +370,12 @@ class _DualFrame:
     Holds the scalar mode; the algebra, metric and any extra forms in that
     mode; the inverse metric; the matrix pi; the constant coframe de and its
     sharp fields X_k. The n x n basis brackets ``brackets[i][m] = [de_m, de_i]``
-    and Koszul derivatives ``derivs[i][k] = D_{de_i} de_k`` come from the
-    polynomial solve; the identity rows and ``modular`` contract ``tensors``.
-    Each is built on first use, so a call pays only for what it reads.
-
-    The n^2 basis solves share their polynomial work. Each Lie derivative
-    L_{X_m} de_i is computed once for both [de_m, de_i] and [de_i, de_m].
-    ``once`` keeps, keyed on basis indices, the n^2 pairings <de_y, de_z>, the
-    n^3 pairings <[de_x, de_y], de_z> and the n^3 flows X_x.<de_y, de_z>, so
-    every distinct one is computed once for all the solves. These live on the
-    frame and nothing outlives the call that built it.
+    come from the polynomial engine: Lie derivatives along the sharp fields
+    minus d pi, each L_{X_m} de_i computed once for both [de_m, de_i] and
+    [de_i, de_m]. The Koszul stage (``tensors``) is one exact contraction of
+    their constant coefficients with a and its inverse; the identity rows and
+    ``modular`` contract ``tensors``. Each is built on first use, so a call
+    pays only for what it reads, and nothing outlives the call.
     """
 
     def __init__(self, alg: LieAlgebra, a: Metric, forms=()):
@@ -387,16 +388,6 @@ class _DualFrame:
         self.pi = _pi_polys(self.alg)
         self.de = [PolyOneForm.coordinate(self.n, k, self.exact) for k in range(self.n)]
         self.sharp = [_sharp(self.pi, d) for d in self.de]
-        self._memo = {}
-
-    def once(self, key, make, *args):
-        """make(*args), computed once per frame for each key; key None computes
-        it anew on every call."""
-        if key is None:
-            return make(*args)
-        if key not in self._memo:
-            self._memo[key] = make(*args)
-        return self._memo[key]
 
     @cached_property
     def brackets(self) -> list:
@@ -406,21 +397,26 @@ class _DualFrame:
                  for m in range(n)] for i in range(n)]
 
     @cached_property
-    def derivs(self) -> list:
-        de, sharp, b = self.de, self.sharp, self.brackets
-        return [[_koszul(self, de[i], de[k], sharp[i], sharp[k], b[i], b[k], b[k][i],
-                         DEFAULT_MAX_DEGREE, (i, k))
-                 for k in range(self.n)] for i in range(self.n)]
-
-    @cached_property
     def tensors(self) -> tuple:
         """(P, D, s) with pi_ij(mu) = sum_t P[i, j, t] mu_t / s and D[i, k] / s
-        the coefficients of the constant form D_{de_i} de_k; P, D share scale s."""
-        zero = (0,) * self.n
-        d = [[[p.terms.get(zero, 0)
-               for p in _degree_guard(form, 0, "basis Koszul derivative").coeffs]
-              for form in row] for row in self.derivs]
-        (c, d), s = _scaled([self.alg.c, d], self.exact)
+        the coefficients of the constant form D_{de_i} de_k; P, D share scale s.
+
+        Every basis pairing <de_y, de_z> = a[y][z] is constant, so the three
+        flow terms of the Koszul relation vanish. With K[x, y] the coefficients
+        of [de_x, de_y] and B = K a, so that B[x, y, z] = <[de_x, de_y], de_z>,
+        the relation against de_l reads 2 sum_j a[j][l] D[i, k, j] =
+        B[l, i, k] + B[l, k, i] + B[i, k, l].
+        """
+        exact, zero = self.exact, (0,) * self.n
+        k, sk = _scaled([[[p.terms.get(zero, 0)
+                           for p in _degree_guard(form, 0, "basis bracket").coeffs]
+                          for form in row] for row in zip(*self.brackets)], exact)
+        am, sa = _scaled(self.a.matrix, exact)
+        half, sh = _scaled([[x / 2 for x in row] for row in self.ainv], exact)
+        b = np.einsum("xyt,tz->xyz", k, am)
+        rhs = np.einsum("lik->ikl", b) + np.einsum("lki->ikl", b) + b
+        d = _unscaled(np.einsum("jl,ikl->ikj", half, rhs), sh * sk * sa, exact)
+        (c, d), s = _scaled([self.alg.c, d], exact)
         return BIVECTOR_SIGN * c, d, s
 
     def _rows(self, linear, constant, scale) -> np.ndarray:
@@ -484,73 +480,47 @@ class _DualFrame:
         return tuple(_unscaled(np.einsum("pkp->k", d), s, self.exact))
 
 
-def _koszul(fr: _DualFrame, alpha: PolyOneForm, beta: PolyOneForm, xa: tuple, xb: tuple,
-            ka: list, kb: list, ab: PolyOneForm, max_degree: int,
-            basis: tuple | None = None) -> PolyOneForm:
-    """D_alpha beta from the six-term Koszul relation paired against each de_l.
-
-    xa, xb are the sharp fields of alpha and beta, ka[l] = [de_l, alpha],
-    kb[l] = [de_l, beta] and ab = [alpha, beta]; the constant fiber-metric
-    system is then solved coefficientwise. basis = (i, k) says alpha = de_i and
-    beta = de_k: each pairing and flow is then keyed on basis indices and
-    computed once per frame (``_DualFrame.once``), as ("de", y, z) for
-    <de_y, de_z>, ("br", x, y, z) for <[de_x, de_y], de_z> and ("flow", x, y, z)
-    for X_x.<de_y, de_z>. General forms pass None and reuse nothing.
-    """
-    n, exact, a = fr.n, fr.exact, fr.a
-    i, k = basis or (None, None)
-
-    def pair(u, v, *key):
-        return fr.once(key if basis else None, form_pairing, u, v, a)
-
-    def flow(x, p, *key):
-        return fr.once(("flow",) + key if basis else None, apply_field, x, p)
-
-    ab_pair = pair(alpha, beta, "de", i, k)
-    rhs = []
-    for l, (dl, xl) in enumerate(zip(fr.de, fr.sharp)):
-        term = flow(xa, pair(beta, dl, "de", k, l), i, k, l)
-        term = term + flow(xb, pair(alpha, dl, "de", i, l), k, i, l)
-        term = term - flow(xl, ab_pair, l, i, k)
-        term = term + pair(ka[l], beta, "br", l, i, k)
-        term = term + pair(kb[l], alpha, "br", l, k, i)
-        term = term + pair(ab, dl, "br", i, k, l)
-        rhs.append(term)
-    ainv = fr.ainv
-    half = Fraction(1, 2) if exact else 0.5
-    coeffs = []
-    for j in range(n):
-        h = Polynomial.zero(n, exact)
-        for k in range(n):
-            if ainv[j][k] == 0 or rhs[k].is_zero():
-                continue
-            h = h + rhs[k] * ainv[j][k]
-        coeffs.append(h * half)
-    out = PolyOneForm(tuple(coeffs), exact)
-    return _degree_guard(out, max_degree, "contravariant derivative")
-
-
 def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
                              beta: PolyOneForm,
                              max_degree: int = DEFAULT_MAX_DEGREE) -> PolyOneForm:
     """The derivative D_alpha beta from the six-term Koszul relation.
 
-    Pairs the relation against each constant coframe element de_k, then
+    Pairs the relation against each constant coframe element de_l, with
+    [de_l, alpha], [de_l, beta] and [alpha, beta] from the form bracket, then
     solves the constant fiber-metric system coefficientwise. On constant
     forms du, dv the output is the constant form of the product A_u v.
     """
     fr = _DualFrame(alg, a, [alpha, beta])
     alpha, beta = fr.forms
+    n, exact, a = fr.n, fr.exact, fr.a
     xa, xb = _sharp(fr.pi, alpha), _sharp(fr.pi, beta)
 
     def bracket(f, g, xf, xg):
         return _bracket(fr.pi, f, g, lie_derivative_form(xf, g), lie_derivative_form(xg, f),
                         max_degree)
 
-    ka = [bracket(d, alpha, x, xa) for d, x in zip(fr.de, fr.sharp)]
-    kb = [bracket(d, beta, x, xb) for d, x in zip(fr.de, fr.sharp)]
     ab = bracket(alpha, beta, xa, xb)
-    return _koszul(fr, alpha, beta, xa, xb, ka, kb, ab, max_degree)
+    ab_pair = form_pairing(alpha, beta, a)
+    rhs = []
+    for dl, xl in zip(fr.de, fr.sharp):
+        term = apply_field(xa, form_pairing(beta, dl, a))
+        term = term + apply_field(xb, form_pairing(alpha, dl, a))
+        term = term - apply_field(xl, ab_pair)
+        term = term + form_pairing(bracket(dl, alpha, xl, xa), beta, a)
+        term = term + form_pairing(bracket(dl, beta, xl, xb), alpha, a)
+        term = term + form_pairing(ab, dl, a)
+        rhs.append(term)
+    half = Fraction(1, 2) if exact else 0.5
+    coeffs = []
+    for j in range(n):
+        h = Polynomial.zero(n, exact)
+        for l in range(n):
+            if fr.ainv[j][l] == 0 or rhs[l].is_zero():
+                continue
+            h = h + rhs[l] * fr.ainv[j][l]
+        coeffs.append(h * half)
+    out = PolyOneForm(tuple(coeffs), exact)
+    return _degree_guard(out, max_degree, "contravariant derivative")
 
 
 def _residual(alg: LieAlgebra, a: Metric, identity: str, points) -> float:

@@ -91,8 +91,17 @@ class Polynomial:
                                    self.exact)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial)
-                       else Polynomial.constant(self.nvars, other, self.exact).__neg__())
+        if not isinstance(other, Polynomial):
+            other = Polynomial.constant(self.nvars, other, self.exact)
+        self._check_mate(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        terms = dict(self.terms)
+        for expo, coef in other.terms.items():
+            terms[expo] = terms[expo] - coef if expo in terms else -coef
+        return Polynomial._trusted(self.nvars, terms, self.exact)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):

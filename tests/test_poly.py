@@ -160,3 +160,39 @@ def test_zero_operand_still_checks_its_mate(exact):
                 op(z, p)
             with pytest.raises(ValueError):
                 op(z, Polynomial.zero(2, exact))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_sub_cases(exact):
+    """Difference in one pass over both operands' terms: disjoint terms carry
+    over (negated from the right), shared ones subtract, exact cancellation
+    drops the term, and a zero operand returns the other (negated on the left)."""
+    def poly(terms):
+        return Polynomial(2, terms, exact)
+
+    p = poly({(1, 0): 3, (0, 0): Fraction(1, 2)})
+    assert (p - poly({(0, 1): 2})).terms == poly({(1, 0): 3, (0, 0): Fraction(1, 2),
+                                                  (0, 1): -2}).terms
+    assert (p - poly({(1, 0): 1, (0, 2): 5})).terms == poly({(1, 0): 2, (0, 0): Fraction(1, 2),
+                                                             (0, 2): -5}).terms
+    assert (p - poly({(1, 0): 3})).terms == poly({(0, 0): Fraction(1, 2)}).terms
+    assert (p - poly({(1, 0): 3, (0, 0): Fraction(1, 2)})).terms == {}
+    z = Polynomial.zero(2, exact)
+    assert p - z is p
+    assert (z - p).terms == poly({(1, 0): -3, (0, 0): Fraction(-1, 2)}).terms
+    assert (p - 2).terms == poly({(1, 0): 3, (0, 0): Fraction(-3, 2)}).terms
+    for mate in (Polynomial.coordinate(3, 0, exact), Polynomial.coordinate(2, 0, not exact)):
+        with pytest.raises(ValueError):
+            p - mate
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sub_is_sum_with_negation(exact, data):
+    """p - q has the same terms, in the same order, as p + (-q): negation and
+    subtraction round alike in IEEE arithmetic."""
+    p = data.draw(polys(exact=exact))
+    q = data.draw(polys(exact=exact))
+    got, want = p - q, p + (-q)
+    assert list(got.terms.items()) == list(want.terms.items())
