@@ -16,17 +16,17 @@ contravariant derivative D solves the six-term Koszul relation
                  + <[a,b], g> + <[g,a], b> + <[g,b], a>
 
 against the constant coordinate coframe, which reduces to one constant linear
-system per coefficient. On basis data the form brackets [de_x, de_y] still
-come from the polynomial engine (Lie derivatives along sharp fields minus
-d pi), but every pairing <de_y, de_z> is a constant, so the three flow terms
-vanish and each D_{de_i} de_k is constant: one exact contraction of the
-bracket coefficients with a and its inverse. The three basis identities and
-the modular field are then coefficient tensors too, one ``np.einsum``
-expression each, whose defects are rows (c_1 .. c_n | c_0) in mu, checked
-coefficient by coefficient or evaluated at points. The dual-side verdict is
-thus built from dual brackets and a Koszul relation coded here; it never
-reads the algebra-side product of ``liemetric.metric`` that it is compared
-against. Points of the dual are plain length-n sequences.
+system per coefficient. On basis data no polynomial is needed: each form
+bracket [de_x, de_y] is a slice of the coefficient tensor of pi, and every
+pairing <de_y, de_z> is a constant, so the three flow terms vanish and each
+D_{de_i} de_k is constant, one exact contraction of the brackets with a and
+its inverse in scaled integers. The three basis identities and the modular
+field are coefficient tensors too, one ``np.einsum`` expression each, whose
+defects are rows (c_1 .. c_n | c_0) in mu, checked coefficient by
+coefficient or evaluated at points. The dual-side verdict is thus built from
+dual brackets and a Koszul relation coded here; it never reads the
+algebra-side product of ``liemetric.metric`` that it is compared against.
+Points of the dual are plain length-n sequences.
 """
 
 from __future__ import annotations
@@ -364,76 +364,70 @@ def form_bracket(alg: LieAlgebra, alpha: PolyOneForm, beta: PolyOneForm,
                     lie_derivative_form(_sharp(pi, beta), alpha), max_degree)
 
 
+def _basis_brackets(p: np.ndarray) -> np.ndarray:
+    """Coefficients K[x, y, t] of [de_x, de_y] from those of pi, P[i, j, t].
+
+    The sharp field X_x has components pi_xm, so L_{X_x} de_y = d pi_xy,
+    L_{X_y} de_x = d pi_yx and d pi(de_x, de_y) = d pi_xy: each of the three
+    form-bracket terms is a slice of P, on the scale of P.
+    """
+    return p - p.transpose(1, 0, 2) - p
+
+
 class _DualFrame:
     """Basis data of one (algebra, metric) pair, built once per public call.
 
-    Holds the scalar mode; the algebra, metric and any extra forms in that
-    mode; the inverse metric; the matrix pi; the constant coframe de and its
-    sharp fields X_k. The n x n basis brackets ``brackets[i][m] = [de_m, de_i]``
-    come from the polynomial engine: Lie derivatives along the sharp fields
-    minus d pi, each L_{X_m} de_i computed once for both [de_m, de_i] and
-    [de_i, de_m]. The Koszul stage (``tensors``) is one exact contraction of
-    their constant coefficients with a and its inverse; the identity rows and
-    ``modular`` contract ``tensors``. Each is built on first use, so a call
-    pays only for what it reads, and nothing outlives the call.
+    Holds the scalar mode (exact=False forces float), the algebra and metric
+    in that mode and the inverse metric, and builds no polynomial: every
+    basis datum is a coefficient tensor in scaled integers. The brackets
+    slice the tensor of pi (``_basis_brackets``); the Koszul stage
+    (``tensors``) is one exact contraction of them with a and its inverse;
+    the identity rows contract ``tensors`` and stay (integer rows, scale)
+    until ``sweep`` reads them; ``modular`` is the Koszul trace. Each is built
+    on first use, so a call pays only for what it reads, and nothing outlives
+    the call.
     """
 
-    def __init__(self, alg: LieAlgebra, a: Metric, forms=()):
-        self.exact, self.alg, self.a, self.forms = _harmonize(alg, a, forms)
+    def __init__(self, alg: LieAlgebra, a: Metric, exact: bool = True):
+        self.exact, self.alg, self.a, _ = _harmonize(alg if exact else alg.to_float(), a, [])
         if self.alg.dim != self.a.dim:
             raise DimensionMismatchError("metric dimension does not match the algebra")
         self.a.require_nondegenerate()
         self.ainv = self.a.inverse_rows()
         self.n = self.alg.dim
-        self.pi = _pi_polys(self.alg)
-        self.de = [PolyOneForm.coordinate(self.n, k, self.exact) for k in range(self.n)]
-        self.sharp = [_sharp(self.pi, d) for d in self.de]
-
-    @cached_property
-    def brackets(self) -> list:
-        de, sharp, n = self.de, self.sharp, self.n
-        lie = [[lie_derivative_form(sharp[m], de[i]) for i in range(n)] for m in range(n)]
-        return [[_bracket(self.pi, de[m], de[i], lie[m][i], lie[i][m], DEFAULT_MAX_DEGREE)
-                 for m in range(n)] for i in range(n)]
 
     @cached_property
     def tensors(self) -> tuple:
         """(P, D, s) with pi_ij(mu) = sum_t P[i, j, t] mu_t / s and D[i, k] / s
-        the coefficients of the constant form D_{de_i} de_k; P, D share scale s.
+        the coefficients of the constant form D_{de_i} de_k, on one scale s.
 
         Every basis pairing <de_y, de_z> = a[y][z] is constant, so the three
-        flow terms of the Koszul relation vanish. With K[x, y] the coefficients
-        of [de_x, de_y] and B = K a, so that B[x, y, z] = <[de_x, de_y], de_z>,
-        the relation against de_l reads 2 sum_j a[j][l] D[i, k, j] =
+        flow terms of the Koszul relation vanish. With K the basis brackets
+        and B = K a, so that B[x, y, z] = <[de_x, de_y], de_z>, the relation
+        against de_l reads 2 sum_j a[j][l] D[i, k, j] =
         B[l, i, k] + B[l, k, i] + B[i, k, l].
         """
-        exact, zero = self.exact, (0,) * self.n
-        k, sk = _scaled([[[p.terms.get(zero, 0)
-                           for p in _degree_guard(form, 0, "basis bracket").coeffs]
-                          for form in row] for row in zip(*self.brackets)], exact)
-        am, sa = _scaled(self.a.matrix, exact)
-        half, sh = _scaled([[x / 2 for x in row] for row in self.ainv], exact)
-        b = np.einsum("xyt,tz->xyz", k, am)
+        c, sc = _scaled(self.alg.c, self.exact)
+        am, sa = _scaled(self.a.matrix, self.exact)
+        half, sh = _scaled([[x / 2 for x in row] for row in self.ainv], self.exact)
+        p = BIVECTOR_SIGN * c
+        b = np.einsum("xyt,tz->xyz", _basis_brackets(p), am)
         rhs = np.einsum("lik->ikl", b) + np.einsum("lki->ikl", b) + b
-        d = _unscaled(np.einsum("jl,ikl->ikj", half, rhs), sh * sk * sa, exact)
-        (c, d), s = _scaled([self.alg.c, d], exact)
-        return BIVECTOR_SIGN * c, d, s
+        return p * (sh * sa), np.einsum("jl,ikl->ikj", half, rhs), sc * sh * sa
 
-    def _rows(self, linear, constant, scale) -> np.ndarray:
-        """Defects sum_t linear[..., t] mu_t + constant[...] as rows (c_1 .. c_n | c_0)."""
-        rows = np.concatenate([linear, constant[..., None]], axis=-1).reshape(-1, self.n + 1)
-        return np.array(_unscaled(rows, scale, self.exact),
-                        dtype=object if self.exact else float)
+    def _rows(self, linear, constant, scale) -> tuple:
+        """Defects (sum_t linear[..., t] mu_t + constant[...]) / scale as (rows, scale)."""
+        return np.concatenate([linear, constant[..., None]], -1).reshape(-1, self.n + 1), scale
 
     @cached_property
-    def dpi(self) -> np.ndarray:
+    def dpi(self) -> tuple:
         """pi(D_{de_i} de_k, de_j) + pi(de_i, D_{de_j} de_k) per (i, j, k); linear in mu."""
         p, d, s = self.tensors
         lin = np.einsum("ika,ajt->ijkt", d, p) + np.einsum("jka,iat->ijkt", d, p)
         return self._rows(lin, np.zeros_like(lin[..., 0]), s * s)
 
     @cached_property
-    def cyclic(self) -> np.ndarray:
+    def cyclic(self) -> tuple:
         """Cyclic sums over every triple (i, j, k) of Dpi(i, j, k) = sharp(de_i).pi_jk
         - pi(D_{de_i} de_j, de_k) - pi(de_j, D_{de_i} de_k); sharp(de_i)_m = pi_im."""
         p, d, s = self.tensors
@@ -443,7 +437,7 @@ class _DualFrame:
         return self._rows(lin, np.zeros_like(lin[..., 0]), s * s)
 
     @cached_property
-    def transport(self) -> np.ndarray:
+    def transport(self) -> tuple:
         """Left minus right side of the fiber-metric transport law per (k, i, j).
 
         Along X_k = sharp(de_k), L de_i = sum_l P[k, i, l] de_l and a is constant,
@@ -460,17 +454,20 @@ class _DualFrame:
 
     def sweep(self, identity: str, points=None):
         """Largest coefficient magnitude of an identity's rows (points=None), or
-        the largest |defect| at each point, from rows @ [mu, 1]. A NaN
-        coefficient or value gives NaN, never a smaller number.
-        """
-        rows = getattr(self, identity)
+        the largest |defect| at each of a nonempty list of points, from rows @
+        [mu, 1]. Rows meet their scale only here: one exact quotient for the
+        maximum, and for points int / int, rounded as float() of a Fraction. A
+        NaN coefficient or value gives NaN, never a smaller number."""
+        rows, scale = getattr(self, identity)
         if points is None:
-            return float(np.max(np.abs(rows), initial=0))
+            return float(_unscaled(np.max(np.abs(rows)), scale, self.exact))
         points = [list(pt) for pt in points]
+        if not points:
+            raise ValueError("no points to evaluate the identity at")
         for pt in points:
             _check_dim(self.alg, pt)
-        mu = np.array([[*pt, 1] for pt in points], dtype=float).reshape(len(points), self.n + 1)
-        return np.max(np.abs(rows.astype(float) @ mu.T), axis=0, initial=0.0)
+        mu = np.array([[*pt, 1] for pt in points], dtype=float)
+        return np.max(np.abs((rows / scale).astype(float) @ mu.T), axis=0)
 
     @cached_property
     def modular(self) -> tuple:
@@ -490,19 +487,19 @@ def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
     solves the constant fiber-metric system coefficientwise. On constant
     forms du, dv the output is the constant form of the product A_u v.
     """
-    fr = _DualFrame(alg, a, [alpha, beta])
-    alpha, beta = fr.forms
-    n, exact, a = fr.n, fr.exact, fr.a
-    xa, xb = _sharp(fr.pi, alpha), _sharp(fr.pi, beta)
+    exact, alg, a, (alpha, beta) = _harmonize(alg, a, [alpha, beta])
+    ainv, n, pi = _DualFrame(alg, a).ainv, alg.dim, _pi_polys(alg)
+    xa, xb = _sharp(pi, alpha), _sharp(pi, beta)
 
     def bracket(f, g, xf, xg):
-        return _bracket(fr.pi, f, g, lie_derivative_form(xf, g), lie_derivative_form(xg, f),
+        return _bracket(pi, f, g, lie_derivative_form(xf, g), lie_derivative_form(xg, f),
                         max_degree)
 
     ab = bracket(alpha, beta, xa, xb)
     ab_pair = form_pairing(alpha, beta, a)
     rhs = []
-    for dl, xl in zip(fr.de, fr.sharp):
+    for dl in (PolyOneForm.coordinate(n, k, exact) for k in range(n)):
+        xl = _sharp(pi, dl)
         term = apply_field(xa, form_pairing(beta, dl, a))
         term = term + apply_field(xb, form_pairing(alpha, dl, a))
         term = term - apply_field(xl, ab_pair)
@@ -515,16 +512,16 @@ def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
     for j in range(n):
         h = Polynomial.zero(n, exact)
         for l in range(n):
-            if fr.ainv[j][l] == 0 or rhs[l].is_zero():
+            if ainv[j][l] == 0 or rhs[l].is_zero():
                 continue
-            h = h + rhs[l] * fr.ainv[j][l]
+            h = h + rhs[l] * ainv[j][l]
         coeffs.append(h * half)
     out = PolyOneForm(tuple(coeffs), exact)
     return _degree_guard(out, max_degree, "contravariant derivative")
 
 
 def _residual(alg: LieAlgebra, a: Metric, identity: str, points) -> float:
-    return float(np.max(_DualFrame(alg, a).sweep(identity, points), initial=0.0))
+    return float(np.max(_DualFrame(alg, a).sweep(identity, points)))
 
 
 def dpi_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
@@ -570,7 +567,7 @@ def modular_field_value(alg: LieAlgebra, a: Metric, f, mu=None) -> float:
         raise DimensionMismatchError("linear function has wrong length")
     if mu is not None:
         _check_dim(alg, mu)
-    fr = _DualFrame(alg, a, [PolyOneForm.from_linear(f)])  # df joins the scalar mode
+    fr = _DualFrame(alg, a, all(is_exact(x) for x in f))  # f joins the scalar mode
     w, sw = _scaled(f, fr.exact)
     m, sm = _scaled(fr.modular, fr.exact)
     return float(_unscaled(np.einsum("k,k->", w, m), sw * sm, fr.exact))

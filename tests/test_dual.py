@@ -45,12 +45,14 @@ from liemetric.dual import (
     PolyOneForm,
     Polynomial,
     _DualFrame,
+    _basis_brackets,
     apply_field,
     form_pairing,
     lie_derivative_form,
     pi_pairing,
     sharp_form,
 )
+from liemetric.scalars import _unscaled
 from conftest import random_algebra, random_metric
 
 
@@ -239,7 +241,8 @@ def test_frame_derivatives_match_public_derivative(rng, exact):
     """Every basis derivative of the frame's contraction equals the public
     Koszul solve in the polynomial engine: exactly in exact mode, to 1e-12 of
     the largest entry in float mode, where the two sum in different orders.
-    The frame's brackets are the public form brackets, bit for bit."""
+    The basis brackets of the frame's bivector tensor are the public form
+    brackets [de_x, de_y], bit for bit in both modes."""
     for n in (2, 3, 4, 4):
         alg, a = random_algebra(rng, n), random_metric(rng, n)
         if not exact:
@@ -255,10 +258,12 @@ def test_frame_derivatives_match_public_derivative(rng, exact):
             assert all(type(x) is float for row in got for col in row for x in col)
             bound = 1e-12 * max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(np.array(got) - np.array(want, dtype=float))) <= bound
-        for i, k in itertools.product(range(n), repeat=2):
-            bracket = form_bracket(alg, de[k], de[i])
-            assert [p.terms for p in frame.brackets[i][k].coeffs] == \
-                [p.terms for p in bracket.coeffs]
+        p, _, s = frame.tensors
+        unscale = (lambda x: Fraction(x, s)) if exact else float
+        brackets = _basis_brackets(p)
+        for x, y in itertools.product(range(n), repeat=2):
+            assert [unscale(v) for v in brackets[x, y]] == \
+                _constants(form_bracket(alg, de[x], de[y]))
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -397,6 +402,12 @@ def _as_rows(polys, n):
     return [[p.terms.get(e, 0) for e in units] for p in polys]
 
 
+def _unscaled_rows(fr, identity):
+    """A frame's identity rows over their scale: Fractions (exact) or floats."""
+    rows, scale = getattr(fr, identity)
+    return np.array(_unscaled(rows, scale, fr.exact), dtype=object if fr.exact else float)
+
+
 def _public_derivs(alg, a):
     de = coframe(alg.dim)
     return [[contravariant_derivative(alg, a, de[i], de[k]) for k in range(alg.dim)]
@@ -417,9 +428,9 @@ def test_identity_rows_match_public_defects(rng, n):
         deriv = _public_derivs(alg, a)
         for identity, sides in _public_sides(alg, a, deriv).items():
             defects = [left - right for left, right in sides]
-            rows = getattr(fr, identity)
+            rows = _unscaled_rows(fr, identity)
             assert rows.tolist() == _as_rows(defects, n)
-            assert np.allclose(getattr(fl, identity), rows.astype(float), rtol=1e-12,
+            assert np.allclose(_unscaled_rows(fl, identity), rows.astype(float), rtol=1e-12,
                                atol=1e-12)
             at_points = [max(abs(float(p.eval(pt))) for p in defects) for pt in pts]
             assert np.allclose(fr.sweep(identity, pts), at_points, rtol=1e-12, atol=1e-12)
@@ -450,7 +461,8 @@ def test_identity_sides_are_nonzero_on_their_own():
     sides = _public_sides(bad, a, _public_derivs(bad, a))["cyclic"]
     assert any(not left.is_zero() for left, _ in sides)
     assert any(not right.is_zero() for _, right in sides)
-    assert _DualFrame(bad, a).cyclic.tolist() == _as_rows([l - r for l, r in sides], 3)
+    assert _unscaled_rows(_DualFrame(bad, a), "cyclic").tolist() == \
+        _as_rows([l - r for l, r in sides], 3)
     assert cyclic_schouten_residual(bad, a) > 0
 
 
@@ -466,37 +478,50 @@ def test_identity_rows_read_the_derivative_tensor(rng):
              for i in range(3)]
     for identity, sides in _public_sides(alg, a, deriv).items():
         assert fr.sweep(identity) > 0
-        assert getattr(fr, identity).tolist() == _as_rows([l - r for l, r in sides], 3)
+        assert _unscaled_rows(fr, identity).tolist() == _as_rows([l - r for l, r in sides], 3)
 
 
 def test_frame_identities_need_no_polynomial_arithmetic(rng, monkeypatch):
-    """Once the basis brackets exist, the Koszul stage, the residuals and the
-    modular value are tensor contractions: polynomial arithmetic is never
-    reached."""
-    alg, a = random_algebra(rng, 4), random_metric(rng, 4)
-    fr = _DualFrame(alg, a)
-    fr.brackets
+    """The frame builds no polynomial. With Polynomial construction and
+    arithmetic refused, frames are built in both modes and their Koszul
+    stage, identity rows, sweeps and modular value are read, as are the
+    public residuals and modular value that build their own frames. So no
+    basis bracket, pairing, flow, Lie derivative or partial derivative runs
+    in the polynomial engine."""
+    alg = random_algebra(rng, 4)
+    while not any(x for plane in alg.c for row in plane for x in row):
+        alg = random_algebra(rng, 4)  # an abelian algebra has no brackets at all
+    a, pts = random_metric(rng, 4), rng.standard_normal((3, 4)).tolist()
 
-    def refuse(*args):
-        raise AssertionError("polynomial arithmetic after the basis brackets")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dual frame reached the polynomial engine")
 
-    for op in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+    for op in ("__init__", "_trusted", "__add__", "__sub__", "__mul__", "__rmul__",
+               "__neg__", "diff"):
         monkeypatch.setattr(Polynomial, op, refuse)
-    fr.tensors
-    pts = rng.standard_normal((3, 4)).tolist()
-    assert fr.sweep("dpi") >= 0
-    assert fr.sweep("cyclic") == fr.sweep("transport") == 0
-    for identity in ("dpi", "cyclic", "transport"):
-        assert len(fr.sweep(identity, pts)) == 3
-    assert fr.modular == tuple(-t for t in alg.ad_traces())
+    want = [-t for t in alg.ad_traces()]
+    for exact in (True, False):
+        fr = _DualFrame(alg, a, exact)
+        assert fr.exact is exact
+        fr.tensors
+        for identity in ("dpi", "cyclic", "transport"):
+            getattr(fr, identity)
+            assert fr.sweep(identity) >= 0
+            assert len(fr.sweep(identity, pts)) == 3
+        assert np.allclose(np.array(fr.modular, dtype=float), np.array(want, dtype=float),
+                           rtol=1e-12, atol=1e-12)
+    assert cyclic_schouten_residual(alg, a) == metric_derivation_residual(alg, a, pts) == 0
+    assert dpi_residual(alg, a) >= 0
+    assert modular_field_value(alg, a, [1, 0, 0, 0]) == float(want[0])
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_frame_computes_each_pairing_flow_and_lie_derivative_once(rng, n, monkeypatch):
-    """One exact frame's n^2 basis brackets compute each Lie derivative
-    L_{X_m} de_i once; its Koszul stage then makes no pairing, no flow, no
-    further Lie derivative and no partial derivative at all, since every
-    basis pairing is a constant."""
+    """One exact frame computes no pairing, flow, Lie derivative or partial
+    derivative at all, so none runs more than once: its n^2 basis brackets
+    are slices of the bivector tensor, and its Koszul stage contracts them
+    with constant basis pairings. The brackets still equal the public form
+    brackets, which make those calls themselves."""
     from liemetric import dual
 
     calls = {"form_pairing": 0, "apply_field": 0, "lie_derivative_form": 0}
@@ -523,15 +548,63 @@ def test_frame_computes_each_pairing_flow_and_lie_derivative_once(rng, n, monkey
     while not any(x for plane in alg.c for row in plane for x in row):
         alg = random_algebra(rng, n)  # an abelian algebra has no flows at all
     fr = _DualFrame(alg, random_metric(rng, n))
-    fr.brackets
-    assert calls["lie_derivative_form"] == n * n
-    for name in calls:
-        calls[name] = 0
-    del diffs[:]
-    fr.tensors
+    p, _, s = fr.tensors
+    brackets = _basis_brackets(p)
+    for identity in ("dpi", "cyclic", "transport"):
+        getattr(fr, identity)
     assert calls == {"form_pairing": 0, "apply_field": 0, "lie_derivative_form": 0}
     assert diffs == []
     assert fr.modular == tuple(-t for t in fr.alg.ad_traces())
+    de = coframe(n)
+    for x, y in itertools.product(range(n), repeat=2):
+        assert [Fraction(v, s) for v in brackets[x, y]] == \
+            _constants(form_bracket(alg, de[x], de[y]))
+    assert calls["lie_derivative_form"] == 2 * n * n
+
+
+def _large_denominator_pair(rng, n):
+    """A random exact pair with brackets and metric scaled by fractions whose
+    denominators are far beyond float precision; Jacobi survives the scaling."""
+    alg, a = random_algebra(rng, n), random_metric(rng, n)
+    lam, nu = Fraction(10**20 + 39, 3**41), Fraction(7**23, 10**22 + 9)
+    alg = LieAlgebra.from_structure([[[lam * x for x in row] for row in plane]
+                                     for plane in alg.c], exact=True)
+    return alg, Metric.from_rows([[nu * x for x in row] for row in a.matrix])
+
+
+def test_sweep_matches_the_fraction_rows_bit_for_bit(rng):
+    """The identity rows stay integers until ``sweep`` divides them by their
+    scale. Its values at points equal those of the Fraction rows through
+    ``astype(float)`` and the same product with [mu, 1], bit for bit, and its
+    coefficient maximum is float() of the exact maximum, on pairs whose
+    denominators are far beyond float precision."""
+    incompatible = 0
+    for n in (2, 3, 4):
+        alg, a = _large_denominator_pair(rng, n)
+        fr = _DualFrame(alg, a)
+        pts = rng.standard_normal((5, n)).tolist()
+        mu = np.array([[*pt, 1] for pt in pts], dtype=float)
+        for identity in ("dpi", "cyclic", "transport"):
+            rows, scale = getattr(fr, identity)
+            assert scale > 2**64
+            fracs = np.array([[Fraction(x, scale) for x in row] for row in rows.tolist()],
+                             dtype=object)
+            want = np.max(np.abs(fracs.astype(float) @ mu.T), axis=0)
+            assert fr.sweep(identity, pts).tobytes() == want.tobytes()
+            assert fr.sweep(identity) == float(max(abs(x) for x in fracs.flat))
+        incompatible += fr.sweep("dpi") > 0
+    assert incompatible >= 1
+
+
+def test_empty_point_list_is_refused():
+    """A sweep over no point has no value; 0.0 would read as "compatible" even
+    for an incompatible pair, whose coefficient check is nonzero."""
+    alg, a = sol(), Metric.identity(3)
+    assert dpi_residual(alg, a) > 0
+    for residual in (dpi_residual, cyclic_schouten_residual, metric_derivation_residual):
+        for empty in ([], np.empty((0, 3))):
+            with pytest.raises(ValueError):
+                residual(alg, a, empty)
 
 
 @pytest.mark.parametrize("exact", [True, False])

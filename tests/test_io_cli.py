@@ -257,8 +257,8 @@ def test_cli_check_rows_all_ok_on_compatible_pair(tmp_path, capsys):
     assert all(rows[name] == "ok" for name in judged)
 
 
-# one defect row (c_1 .. c_n | c_0) with every coefficient 1/7
-_nonzero_rows = property(lambda fr: np.full((1, fr.n + 1), Fraction(1, 7), dtype=object))
+# one defect row (c_1 .. c_n | c_0) with every coefficient 1/7, as (integer rows, scale)
+_nonzero_rows = property(lambda fr: (np.full((1, fr.n + 1), 1, dtype=object), 7))
 
 
 @pytest.mark.parametrize("row, owner, attr, fake", [
