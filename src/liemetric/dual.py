@@ -39,7 +39,7 @@ import numpy as np
 
 from . import rational
 from .algebra import DimensionMismatchError, LieAlgebra
-from .metric import Metric
+from .metric import Metric, _solve_doubled
 from .poly import Polynomial
 from .scalars import _scaled, _unscaled, is_exact
 
@@ -378,7 +378,9 @@ class _DualFrame:
     """Basis data of one (algebra, metric) pair, built once per public call.
 
     Holds the scalar mode (exact=False forces float), the algebra and metric
-    in that mode and the inverse metric, and builds no polynomial: every
+    in that mode, the metric's scaled form and its half-inverse as (rows,
+    scale): in exact mode the integer rows of one elimination of [2M | I],
+    which is also the nondegeneracy check. It builds no polynomial: every
     basis datum is a coefficient tensor in scaled integers. The brackets
     slice the tensor of pi (``_basis_brackets``); the Koszul stage
     (``tensors``) is one exact contraction of them with a and its inverse;
@@ -392,9 +394,22 @@ class _DualFrame:
         self.exact, self.alg, self.a, _ = _harmonize(alg if exact else alg.to_float(), a, [])
         if self.alg.dim != self.a.dim:
             raise DimensionMismatchError("metric dimension does not match the algebra")
-        self.a.require_nondegenerate()
-        self.ainv = self.a.inverse_rows()
         self.n = self.alg.dim
+        self.scaled_a = _scaled(self.a.matrix, self.exact)
+        if self.exact:
+            # one elimination of [2M | I], M = sa a: 2M R = d I, so a^-1 / 2 = sa R / d
+            m, sa = self.scaled_a
+            r, d = _solve_doubled(m, np.identity(self.n, dtype=int).tolist())
+            self.half = (sa * np.array(r, dtype=object), d)
+        else:
+            self.a.require_nondegenerate()
+            self.half = (np.linalg.inv(self.scaled_a[0]) / 2, 1)
+
+    @property
+    def ainv(self) -> list:
+        """The inverse metric as rows: Fractions (exact) or floats."""
+        h, s = self.half
+        return _unscaled(2 * h, s, self.exact)
 
     @cached_property
     def tensors(self) -> tuple:
@@ -408,8 +423,8 @@ class _DualFrame:
         B[l, i, k] + B[l, k, i] + B[i, k, l].
         """
         c, sc = _scaled(self.alg.c, self.exact)
-        am, sa = _scaled(self.a.matrix, self.exact)
-        half, sh = _scaled([[x / 2 for x in row] for row in self.ainv], self.exact)
+        am, sa = self.scaled_a
+        half, sh = self.half
         p = BIVECTOR_SIGN * c
         b = np.einsum("xyt,tz->xyz", _basis_brackets(p), am)
         rhs = np.einsum("lik->ikl", b) + np.einsum("lki->ikl", b) + b
@@ -445,7 +460,7 @@ class _DualFrame:
         <D_{de_i} de_k, de_j> + <de_i, D_{de_j} de_k> are both constant in mu.
         """
         p, d, s = self.tensors
-        am, sa = _scaled(self.a.matrix, self.exact)
+        am, sa = self.scaled_a
         left = -(np.einsum("kil,lj->kij", p, am) + np.einsum("il,kjl->kij", am, p))
         right = np.einsum("ikl,lj->kij", d, am) + np.einsum("il,jkl->kij", am, d)
         const = left - right

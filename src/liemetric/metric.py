@@ -24,6 +24,7 @@ from .algebra import DimensionMismatchError, LieAlgebra, _bilinear, _freeze_tens
 from .scalars import DEFAULT_TOL, _scaled, _unscaled, coerce, is_exact
 
 DEGENERACY_RTOL = 1e-9
+DEGENERATE_METRIC = "metric is degenerate or numerically near-degenerate"
 
 
 class DegenerateMetricError(ValueError):
@@ -102,7 +103,7 @@ class Metric:
 
     def require_nondegenerate(self, rtol: float = DEGENERACY_RTOL):
         if not self.is_nondegenerate(rtol):
-            raise DegenerateMetricError("metric is degenerate or numerically near-degenerate")
+            raise DegenerateMetricError(DEGENERATE_METRIC)
 
     def signature(self, rtol: float = DEGENERACY_RTOL) -> Signature:
         """Sylvester inertia; raises on a zero eigenvalue (degenerate form)."""
@@ -191,25 +192,34 @@ def levi_civita_product(alg: LieAlgebra, a: Metric) -> ConnectionTensor:
 
     For each (i, j) the coordinate vector x of A_{e_i} e_j satisfies
     x . (2a) = b with b_k = a([e_i,e_j], e_k) + a([e_k,e_i], e_j)
-    + a([e_k,e_j], e_i); nondegeneracy of a makes x unique.
+    + a([e_k,e_j], e_i); nondegeneracy of a makes x unique. In exact mode
+    the one integer elimination is also the nondegeneracy check.
     """
     if alg.dim != a.dim:
         raise DimensionMismatchError("algebra and metric dimensions differ")
-    a.require_nondegenerate()
     n = alg.dim
     exact = alg.exact and a.exact
+    if not exact:
+        a.require_nondegenerate()
     c, sc = _scaled(alg.c, exact)
     m, sm = _scaled(a.matrix, exact)
     if exact:
-        # with c = C/sc and a = M/sm, the solution of 2M y = B(C, M) is sc * x
-        try:
-            y = rational.solve((2 * m).tolist(), _product_rhs(c, m).reshape(-1, n).T.tolist())
-        except rational.SingularMatrixError as exc:
-            raise DegenerateMetricError(str(exc)) from exc
-        x = np.array(y, dtype=object).T.reshape(n, n, n)
+        # with c = C/sc and a = M/sm, 2M y = d B(C, M) gives y = d sc x
+        y, d = _solve_doubled(m, _product_rhs(c, m).reshape(-1, n).T.tolist())
+        x, scale = np.array(y, dtype=object).T.reshape(n, n, n), d * sc
     else:
-        x = _lc_product_array(c, m)
-    return ConnectionTensor(tensor=_freeze_tensor(_unscaled(x, sc, exact)), exact=exact)
+        x, scale = _lc_product_array(c, m), 1
+    return ConnectionTensor(tensor=_freeze_tensor(_unscaled(x, scale, exact)), exact=exact)
+
+
+def _solve_doubled(m: np.ndarray, rhs) -> tuple:
+    """Solve 2M y = rhs in integers for the integer form M of an exact metric:
+    (rows, d) with d > 0 and 2M rows = d rhs, from one elimination. A singular
+    M raises DegenerateMetricError, as ``Metric.require_nondegenerate`` does."""
+    try:
+        return rational._solve_int((2 * m).tolist(), rhs)
+    except rational.SingularMatrixError as exc:
+        raise DegenerateMetricError(DEGENERATE_METRIC) from exc
 
 
 def _product_rhs(c: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -1,14 +1,20 @@
 """Dense exact linear algebra over the rationals, for the exact scalar mode.
 
-Matrices are lists of rows of ints or Fractions; results are Fractions.
-``solve``, ``inverse``, ``det`` and ``nullspace`` share one kernel, ``_reduce``:
-fraction-free Gauss-Jordan with the first nonzero pivot (Bareiss 1968) on the
-ints-over-one-denominator form ``scalars._scaled`` gives every einsum. A step
-sets each other row to ``(pivot * row - f * pivot_row) // previous_pivot``; by
-Sylvester's identity every entry is then a minor of the integer input, so the
-division is exact and no gcd is taken. In the end every pivot equals the last,
-d: RREF is the pivot rows over d, and at full rank d is the determinant up to
-the swaps' sign. ``inertia`` is a symmetric congruence with its own loop.
+Matrices are lists of rows of ints or Fractions. ``solve``, ``inverse``,
+``det``, ``nullspace`` and the integer entry point ``_solve_int`` share one
+kernel, ``_reduce``: fraction-free Gauss-Jordan with the first nonzero pivot
+(Bareiss 1968) on the ints-over-one-denominator form ``scalars._scaled`` gives
+every einsum. A step sets each other row to ``(pivot * row - f * pivot_row) //
+previous_pivot``; by Sylvester's identity every entry is then a minor of the
+integer input, so the division is exact and no gcd is taken. In the end every
+pivot equals the last, d: RREF is the pivot rows over d, and at full rank d is
+the determinant up to the swaps' sign.
+
+``_solve_int`` answers in integers, ``(rows, d)`` with ``a @ rows == d * b``,
+so a caller that stays in scaled integers (the Levi-Civita product solve, the
+dual frame's inverse metric, the search certificate) divides once, at its own
+end; ``solve`` and ``inverse`` are its Fraction wrappers. ``inertia`` is a
+symmetric congruence with its own fraction-free loop.
 """
 
 from fractions import Fraction
@@ -47,13 +53,22 @@ def _reduce(a, b=None):
     return m, pivots, d, sign, scale
 
 
-def solve(a, b):
-    """Solve a x = b exactly for a matrix b of right sides; SingularMatrixError if a is."""
+def _solve_int(a, b):
+    """Solve a x = b in integers: (rows, d) with d > 0 and a @ rows == d * b, so
+    x = rows / d; SingularMatrixError on a missing pivot. One elimination."""
     n = len(a)
     rows, pivots, d, _, _ = _reduce(a, b)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return [[Fraction(x, d) for x in row[n:]] for row in rows]
+    if d < 0:
+        return [[-x for x in row[n:]] for row in rows], -d
+    return [row[n:] for row in rows], d
+
+
+def solve(a, b):
+    """Solve a x = b exactly for a matrix b of right sides; SingularMatrixError if a is."""
+    rows, d = _solve_int(a, b)
+    return [[Fraction(x, d) for x in row] for row in rows]
 
 
 def inverse(a):
@@ -83,12 +98,16 @@ def inertia(a):
     """Sylvester inertia (p, q, z) of a symmetric matrix, by congruence.
 
     p/q/z count positive/negative/zero pivots of an exact diagonalizing
-    congruence; z > 0 exactly when the form is degenerate. Int entries are
-    taken as Fractions, so every pivot division is exact.
+    congruence; z > 0 exactly when the form is degenerate. Fraction-free on
+    the integer form of a: the remaining block is kept as prev times its
+    Schur complement, prev the last pivot taken, so each pivot is a leading
+    minor and its Schur value has the sign of m[k][k] * prev. The update
+    divides by prev exactly, as in ``_reduce``.
     """
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
+    m = _scaled(a, True)[0].tolist()
     p = q = z = 0
+    prev = 1
     for k in range(n):
         if m[k][k] == 0:
             j = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
@@ -107,20 +126,17 @@ def inertia(a):
                     m[k][c] += m[j][c]
                 for r in range(n):
                     m[r][k] += m[r][j]
-        d = m[k][k]
-        if d > 0:
+        d, top = m[k][k], m[k]
+        if (d > 0) == (prev > 0):
             p += 1
         else:
             q += 1
         for r in range(k + 1, n):
-            f = m[r][k] / d
-            if f == 0:
-                continue
-            for c in range(k, n):
-                m[r][c] -= f * m[k][c]
-            # keep symmetry for the remaining block
+            row, f = m[r], m[r][k]
+            row[k] = 0
+            for c in range(k + 1, n):
+                row[c] = (d * row[c] - f * top[c]) // prev
         for c in range(k + 1, n):
-            m[k][c] = Fraction(0)
-        for r in range(k + 1, n):
-            m[r][k] = Fraction(0)
+            top[c] = 0
+        prev = d
     return p, q, z

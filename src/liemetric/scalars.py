@@ -9,12 +9,16 @@ Tensor operations run one ``np.einsum`` contraction for both modes. In exact
 mode a tensor enters it as an object array of Python ints with one common
 denominator (``_scaled``), so the contraction does integer arithmetic with no
 gcd per operation; the result is divided by its scale once, back into
-Fractions (``_unscaled``). Fractions appear only at that boundary.
+Fractions (``_unscaled``). Fractions appear only at that boundary: Python
+ints pass into ``_scaled`` as they are (scale 1, no Fraction per entry),
+and other integers (bool, numpy integers) become Python ints, so no entry
+of the integer form can wrap.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -60,15 +64,23 @@ def _scaled(values, exact: bool):
     """A nested sequence as ``(array, scale)`` with ``values == array / scale``.
 
     Exact mode: an object array of Python ints and the lcm of the entry
-    denominators. Float mode: a float64 array and scale 1.
+    denominators; an int entry is its own numerator over 1. Float mode: a
+    float64 array and scale 1.
     """
     if not exact:
         return np.asarray(values, dtype=float), 1
     entries = np.array(values, dtype=object)
-    fracs = [x if type(x) is Fraction else Fraction(x) for x in entries.flat]
+    fracs = [x if type(x) is int or type(x) is Fraction else _rational(x)
+             for x in entries.flat]
     scale = math.lcm(*(f.denominator for f in fracs))
     ints = np.array([f.numerator * (scale // f.denominator) for f in fracs], dtype=object)
     return ints.reshape(entries.shape), scale
+
+
+def _rational(x):
+    """An entry other than a Python int or Fraction: integers (bool, numpy) as
+    Python ints, anything else (a 'p/q' string) as a Fraction."""
+    return int(x) if isinstance(x, numbers.Integral) else Fraction(x)
 
 
 def _unscaled(x, scale: int, exact: bool):

@@ -31,7 +31,8 @@ import numpy as np
 from . import catalog, rational
 from .algebra import LieAlgebra
 from .metric import (DegenerateMetricError, Metric, _defect_array,
-                     _lc_product_array, _product_rhs, compatibility_residual)
+                     _lc_product_array, _product_rhs, _solve_doubled,
+                     compatibility_residual)
 from .scalars import RATIONALIZE_MAX_DENOMINATOR, _scaled, rationalize
 
 _PENALTY = 1e8
@@ -633,9 +634,8 @@ def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
         if z or not _fits(p, q, constraint):
             return None
         c, _ = _scaled(alg.c, True)
-        y = rational.solve((2 * m).tolist(), _product_rhs(c, m).reshape(-1, n).T.tolist())
-        x, _ = _scaled([list(col) for col in zip(*y)], True)
-        if _defect_array(c, x.reshape(n, n, n)).any():
+        y, _ = _solve_doubled(m, _product_rhs(c, m).reshape(-1, n).T.tolist())
+        if _defect_array(c, np.array(y, dtype=object).T.reshape(n, n, n)).any():
             return None
         return Metric.from_rows(sym, exact=True)
     except (ZeroDivisionError, ValueError):

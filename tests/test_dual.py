@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from liemetric import (
+    DegenerateMetricError,
     LieAlgebra,
     Metric,
     abelian,
@@ -52,6 +53,7 @@ from liemetric.dual import (
     pi_pairing,
     sharp_form,
 )
+from liemetric import rational
 from liemetric.scalars import _unscaled
 from conftest import random_algebra, random_metric
 
@@ -624,6 +626,80 @@ def test_frame_never_reaches_the_algebra_side_product(rng, exact, monkeypatch):
     fr = _DualFrame(alg, a)
     for part in ("tensors", "dpi", "cyclic", "transport", "modular"):
         getattr(fr, part)
+
+
+def test_exact_frame_inverse_and_tensors_equal_their_fraction_forms(rng):
+    """The frame's integer half-inverse, read as Fractions, is the metric's
+    inverse exactly, and its Koszul stage read as Fractions equals the same
+    contraction done in Fractions on a, its inverse and the structure
+    constants, term for term."""
+    for n in (2, 3, 4, 5):
+        alg, a = random_algebra(rng, n), random_metric(rng, n)
+        fr = _DualFrame(alg, a)
+        assert fr.ainv == a.inverse_rows()
+        assert all(type(x) is Fraction for row in fr.ainv for x in row)
+        c = BIVECTOR_SIGN * np.array(alg.c, dtype=object)
+        half = np.array(a.inverse_rows(), dtype=object) / 2
+        b = np.einsum("xyt,tz->xyz", _basis_brackets(c), np.array(a.matrix, dtype=object))
+        rhs = np.einsum("lik->ikl", b) + np.einsum("lki->ikl", b) + b
+        p, d, s = fr.tensors
+        assert _unscaled(p, s, True) == c.tolist()
+        assert _unscaled(d, s, True) == np.einsum("jl,ikl->ikj", half, rhs).tolist()
+
+
+def test_one_elimination_per_exact_product_and_frame(rng, monkeypatch):
+    """An exact product solve and an exact frame each run one fraction-free
+    elimination: the solve itself is the nondegeneracy check, and the frame's
+    [2M | I] gives its inverse metric. Reading every frame part adds none."""
+    calls = []
+    reduce = rational._reduce
+
+    def counting_reduce(*args):
+        calls.append(len(args[0]))
+        return reduce(*args)
+
+    monkeypatch.setattr(rational, "_reduce", counting_reduce)
+    for n in (2, 3, 4):
+        alg, a = random_algebra(rng, n), random_metric(rng, n)
+        calls.clear()  # drawing the metric tested its determinant
+        levi_civita_product(alg, a)
+        assert calls == [n]
+        fr = _DualFrame(alg, a)
+        for part in ("tensors", "dpi", "cyclic", "transport", "modular"):
+            getattr(fr, part)
+        fr.sweep("dpi", [[1] * n])
+        assert calls == [n, n]
+        calls.clear()
+        dpi_residual(alg, a)
+        modular_field_value(alg, a, [1] + [0] * (n - 1))
+        assert calls == [n, n]
+
+
+def test_degenerate_exact_metric_raises_one_error_everywhere(rng):
+    """A singular exact metric raises DegenerateMetricError with the one
+    message of Metric.require_nondegenerate from the product solve, the three
+    dual residuals (in coefficients and at a point), the modular field and the
+    contravariant derivative, though no separate nondegeneracy check runs."""
+    alg4 = random_algebra(rng, 4)
+    rank3 = [[1, 2, 0, 1], [2, 4, 0, 2], [0, 0, 1, 0], [1, 2, 0, 3]]
+    cases = [(heisenberg(), Metric.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]], exact=True)),
+             (sol(), Metric.from_rows([[0] * 3] * 3, exact=True)),
+             (alg4, Metric.from_rows(rank3, exact=True))]
+    for alg, a in cases:
+        n = alg.dim
+        de, mu = coframe(n), [Fraction(k + 1, 3) for k in range(n)]
+        calls = [lambda: levi_civita_product(alg, a),
+                 lambda: dpi_residual(alg, a), lambda: dpi_residual(alg, a, [mu]),
+                 lambda: cyclic_schouten_residual(alg, a),
+                 lambda: cyclic_schouten_residual(alg, a, [mu]),
+                 lambda: metric_derivation_residual(alg, a),
+                 lambda: metric_derivation_residual(alg, a, [mu]),
+                 lambda: modular_field_value(alg, a, [1] + [0] * (n - 1), mu),
+                 lambda: contravariant_derivative(alg, a, de[0], de[1])]
+        for call in calls:
+            with pytest.raises(DegenerateMetricError) as info:
+                call()
+            assert str(info.value) == "metric is degenerate or numerically near-degenerate"
 
 
 def test_no_frame_state_leaks_between_calls():

@@ -1,11 +1,13 @@
-"""Exact linear algebra: solve, inverse, determinant and null space against
-references coded here, on seeded integer and Fraction matrices up to 8x8."""
+"""Exact linear algebra: solve, inverse, determinant, null space and inertia
+against references coded here, on seeded integer and Fraction matrices up to
+8x8, and the integer solve on hypothesis-drawn rational systems."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liemetric import DegenerateMetricError, Metric, heisenberg, levi_civita_product
 from liemetric import metric as metric_module
@@ -143,15 +145,15 @@ def test_exact_product_on_singular_metric_raises(monkeypatch):
     singular = Metric.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]], exact=True)
     with pytest.raises(DegenerateMetricError):
         levi_civita_product(heisenberg(), singular)
-    # past the nondegeneracy check, the exact solve itself reports the degeneracy
+    # the exact solve itself reports the degeneracy, without the separate check
     monkeypatch.setattr(metric_module.Metric, "require_nondegenerate", lambda self: None)
     with pytest.raises(DegenerateMetricError):
         levi_civita_product(heisenberg(), singular)
 
 
 def test_inertia_takes_integer_entries_exactly():
-    """Int entries are taken as Fractions: float division would cancel the
-    determinant -1 of the first form into a zero pivot."""
+    """Int entries are taken exactly, as ints: float division would cancel
+    the determinant -1 of the first form into a zero pivot."""
     big = 10 ** 17
     assert rational.inertia([[big + 1, big], [big, big - 1]]) == (1, 1, 0)
     rng = random.Random(17)
@@ -161,3 +163,127 @@ def test_inertia_takes_integer_entries_exactly():
             sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
             as_fractions = [[Fraction(x) for x in row] for row in sym]
             assert rational.inertia(sym) == rational.inertia(as_fractions)
+
+
+def reference_inertia(a):
+    """The Fraction congruence loop that ``rational.inertia`` replaced, verbatim:
+    every pivot division in Fractions."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    p = q = z = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if j is not None:
+                # symmetric swap of rows/cols k and j
+                m[k], m[j] = m[j], m[k]
+                for row in m:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                if j is None:
+                    z += 1
+                    continue
+                # e_k <- e_k + e_j turns the zero diagonal into 2*m[k][j]
+                for c in range(n):
+                    m[k][c] += m[j][c]
+                for r in range(n):
+                    m[r][k] += m[r][j]
+        d = m[k][k]
+        if d > 0:
+            p += 1
+        else:
+            q += 1
+        for r in range(k + 1, n):
+            f = m[r][k] / d
+            if f == 0:
+                continue
+            for c in range(k, n):
+                m[r][c] -= f * m[k][c]
+            # keep symmetry for the remaining block
+        for c in range(k + 1, n):
+            m[k][c] = Fraction(0)
+        for r in range(k + 1, n):
+            m[r][k] = Fraction(0)
+    return p, q, z
+
+
+def _symmetric_cases(rng, n, fractions):
+    """Seeded symmetric n x n matrices: a random one, zero diagonals (a hollow
+    form and a hyperbolic block sum), congruences P^T D P of an indefinite
+    diagonal D and of D with one and with two zeros (singular), and zero."""
+    def congruent(d):
+        p = draw(rng, n, n, fractions=fractions)
+        pt = [list(col) for col in zip(*p)]
+        return matmul(matmul(pt, [[d[i] if i == j else 0 for j in range(n)]
+                                  for i in range(n)]), p)
+
+    a = draw(rng, n, n, fractions=fractions)
+    hollow = [[0 if i == j else a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+    hyperbolic = [[int(i // 2 == j // 2 and i != j) for j in range(n)] for i in range(n)]
+    signs = [rng.choice([-3, -1, 1, 2]) for _ in range(n)]
+    return [[[a[i][j] + a[j][i] for j in range(n)] for i in range(n)], hollow, hyperbolic,
+            congruent(signs), congruent([0] + signs[1:]), congruent([0, 0] + signs[2:]),
+            [[0] * n for _ in range(n)]]
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_inertia_matches_fraction_reference(seed, fractions):
+    """The fraction-free congruence gives the Fraction loop's (p, q, z) on
+    int and rational forms, n = 1..7, with zero diagonals, singular and
+    indefinite ones among them; p + q + z = n and z is the nullity."""
+    rng = random.Random(40 + seed)
+    seen = set()
+    for n in range(1, 8):
+        for _ in range(3):
+            for a in _symmetric_cases(rng, n, fractions):
+                assert all(a[i][j] == a[j][i] for i in range(n) for j in range(n))
+                got = rational.inertia(a)
+                assert got == reference_inertia(a)
+                assert sum(got) == n and got[2] == len(rational.nullspace(a))
+                seen.add((got[0] > 0 and got[1] > 0, got[2] > 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+_entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def _systems(draw_):
+    """A rational n x n system a x = b, n = 1..6, with 1..3 right sides; about
+    one in four has a row of a made a combination of at most two others (singular)."""
+    n = draw_(st.integers(1, 6))
+    a = draw_(st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw_(st.integers(0, 3)) == 0:
+        i, *others = draw_(st.permutations(range(n)))
+        fs = [draw_(_entries) for _ in others[:2]]
+        a[i] = [sum((f * a[t][c] for f, t in zip(fs, others)), Fraction(0)) for c in range(n)]
+    cols = draw_(st.integers(1, 3))
+    b = draw_(st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                       min_size=n, max_size=n))
+    return a, b
+
+
+@given(_systems())
+@settings(max_examples=150, deadline=None)
+def test_solve_int_answers_in_integers(system):
+    """a @ rows == d * b exactly with int rows and d > 0; a singular a raises;
+    solve and inverse equal plain Gauss-Jordan over Fractions."""
+    a, b = system
+    n = len(a)
+    red, pivots = reference_rref([row + brow for row, brow in zip(a, b)])
+    if len([p for p in pivots if p < n]) < n:
+        for call in (lambda: rational._solve_int(a, b), lambda: rational.solve(a, b),
+                     lambda: rational.inverse(a)):
+            with pytest.raises(SingularMatrixError):
+                call()
+        return
+    rows, d = rational._solve_int(a, b)
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for row in rows for x in row)
+    assert matmul(a, rows) == [[d * x for x in row] for row in b]
+    assert rational.solve(a, b) == [row[n:] for row in red]
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv, _ = reference_rref([row + irow for row, irow in zip(a, ident)])
+    assert rational.inverse(a) == [row[n:] for row in inv]
