@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rational
-from .scalars import DEFAULT_TOL, _scaled, _unscaled, coerce, is_exact
+from .scalars import DEFAULT_TOL, IntegerForm, _scaled, _unscaled, coerce, is_exact
 
 
 class DimensionMismatchError(ValueError):
@@ -42,13 +42,20 @@ def _freeze_tensor(c):
 
 
 @dataclass(frozen=True)
-class LieAlgebra:
-    """Immutable structure-constant presentation of a Lie algebra."""
+class LieAlgebra(IntegerForm):
+    """Immutable structure-constant presentation of a Lie algebra.
+
+    Carries the integer form of ``c`` (``scaled``), built once here; every
+    kernel below reads it.
+    """
 
     dim: int
     c: tuple
     exact: bool
     name: str = ""
+
+    def __post_init__(self):
+        self._hold(_scaled(self.c, self.exact))
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: Mapping, *, exact: bool = True,
@@ -89,13 +96,13 @@ class LieAlgebra:
         data = [[[coerce(x, exact) for x in row] for row in plane] for plane in c]
         if any(len(plane) != dim or any(len(row) != dim for row in plane) for plane in data):
             raise DimensionMismatchError("structure tensor is not dim x dim x dim")
-        t, _ = _scaled(data, exact)
+        alg = cls(dim=dim, c=_freeze_tensor(data), exact=exact, name=name)
+        t, _ = alg.scaled(exact)
         defect = t + t.transpose(1, 0, 2)
         bad = np.argwhere((defect != 0) if exact else (np.abs(defect) > tol))
         if len(bad):
             i, j, k = bad[0]  # row-major order: the lexicographically first entry
             raise InvalidStructureError(f"antisymmetry fails at c[{i}][{j}][{k}]")
-        alg = cls(dim=dim, c=_freeze_tensor(data), exact=exact, name=name)
         if check_jacobi:
             alg.require_jacobi(tol=tol)
         return alg
@@ -114,7 +121,7 @@ class LieAlgebra:
         """[u, v] by contraction of the structure tensor; bilinear, antisymmetric."""
         self._check_vector(u)
         self._check_vector(v)
-        return _bilinear(self.c, u, v, self.exact)
+        return _bilinear(self.scaled(self.exact), u, v, self.exact)
 
     def jacobi_residual(self):
         """Max-norm of the Jacobi defect over basis triples; 0 iff a Lie algebra."""
@@ -131,7 +138,7 @@ class LieAlgebra:
         n = self.dim
         if n < 3:
             return coerce(0, self.exact), (0,) * n
-        c, s = _scaled(self.c, self.exact)
+        c, s = self.scaled(self.exact)
         worst = []
         for i in range(n - 2):
             rest = slice(i + 1, n)
@@ -156,14 +163,14 @@ class LieAlgebra:
     def adjoint_matrix(self, u: Sequence):
         """Matrix of ad_u = [u, .]; column j is [u, e_j]."""
         self._check_vector(u)
-        c, sc = _scaled(self.c, self.exact)
+        c, sc = self.scaled(self.exact)
         w, sw = _scaled(u, self.exact)
         return _unscaled(np.einsum("i,ijk->kj", w, c), sc * sw, self.exact)
 
     # -- derived structure --------------------------------------------------
 
     def ad_traces(self) -> tuple:
-        c, s = _scaled(self.c, self.exact)
+        c, s = self.scaled(self.exact)
         return tuple(_unscaled(np.einsum("ijj->i", c), s, self.exact))
 
     def is_unimodular(self, tol: float = DEFAULT_TOL) -> UnimodularityReport:
@@ -178,10 +185,11 @@ class LieAlgebra:
     def center(self, tol: float = DEFAULT_TOL) -> list:
         """Basis of {v : [u, v] = 0 for all u}, via the stacked adjoints."""
         n = self.dim
-        stacked = np.array(self.c, dtype=object).transpose(0, 2, 1).reshape(n * n, n)
+        # the form is the tensor times a positive scale: the same null space
+        stacked = self.scaled(self.exact)[0].transpose(0, 2, 1).reshape(n * n, n)
         if self.exact:
             return rational.nullspace(stacked.tolist())
-        _, s, vt = np.linalg.svd(stacked.astype(float))
+        _, s, vt = np.linalg.svd(stacked)
         cutoff = tol * max(1.0, s[0] if len(s) else 1.0)
         null_rows = [vt[r] for r in range(vt.shape[0]) if r >= len(s) or s[r] <= cutoff]
         return [list(map(float, v)) for v in null_rows]
@@ -194,7 +202,7 @@ class LieAlgebra:
         A congruence action: c'[p][q][l] picks up two copies of p and one of
         its inverse. Exact algebras require exact p.
         """
-        c, sc = _scaled(self.c, self.exact)
+        c, sc = self.scaled(self.exact)
         if self.exact:
             p = [[coerce(x, True) for x in row] for row in p]
             pinv = rational.inverse(p)
@@ -212,16 +220,17 @@ class LieAlgebra:
     def to_float(self) -> "LieAlgebra":
         if not self.exact:
             return self
-        c = [[[float(x) for x in row] for row in plane] for plane in self.c]
+        c = self.scaled(False)[0].tolist()
         return LieAlgebra(dim=self.dim, c=_freeze_tensor(c), exact=False, name=self.name)
 
     def structure_array(self) -> np.ndarray:
-        return _scaled(self.c, False)[0]
+        return self.scaled(False)[0].copy()
 
 
-def _bilinear(t, u: Sequence, v: Sequence, exact: bool) -> list:
-    """Contract a rank-3 tensor with two vectors: sum_ij u_i v_j t[i][j]."""
-    t, st = _scaled(t, exact)
+def _bilinear(form: tuple, u: Sequence, v: Sequence, exact: bool) -> list:
+    """Contract a rank-3 tensor, given as its form ``(t, st)``, with two vectors:
+    sum_ij u_i v_j t[i][j] / st."""
+    t, st = form
     u, su = _scaled(u, exact)
     v, sv = _scaled(v, exact)
     out = np.einsum("j,jk->k", v, np.einsum("i,ijk->jk", u, t))

@@ -220,7 +220,7 @@ def bivector_at(alg: LieAlgebra, mu) -> BivectorAt:
     """Antisymmetric matrix pi[i][j] = mu([e_i, e_j]) times the sign switch."""
     _check_dim(alg, mu)
     exact = alg.exact and _exact_point(mu)
-    c, sc = _scaled(alg.c, exact)
+    c, sc = alg.scaled(exact)
     m, sm = _scaled(mu, exact)
     pi = _unscaled(BIVECTOR_SIGN * np.einsum("ijk,k->ij", c, m), sc * sm, exact)
     return BivectorAt(matrix=tuple(map(tuple, pi)), exact=exact)
@@ -385,9 +385,9 @@ class _DualFrame:
     slice the tensor of pi (``_basis_brackets``); the Koszul stage
     (``tensors``) is one exact contraction of them with a and its inverse;
     the identity rows contract ``tensors`` and stay (integer rows, scale)
-    until ``sweep`` reads them; ``modular`` is the Koszul trace. Each is built
-    on first use, so a call pays only for what it reads, and nothing outlives
-    the call.
+    until ``sweep`` reads them; ``trace`` is the Koszul trace, which
+    ``modular`` reads as Fractions. Each is built on first use, so a call
+    pays only for what it reads, and nothing outlives the call.
     """
 
     def __init__(self, alg: LieAlgebra, a: Metric, exact: bool = True):
@@ -395,7 +395,7 @@ class _DualFrame:
         if self.alg.dim != self.a.dim:
             raise DimensionMismatchError("metric dimension does not match the algebra")
         self.n = self.alg.dim
-        self.scaled_a = _scaled(self.a.matrix, self.exact)
+        self.scaled_a = self.a.scaled(self.exact)
         if self.exact:
             # one elimination of [2M | I], M = sa a: 2M R = d I, so a^-1 / 2 = sa R / d
             m, sa = self.scaled_a
@@ -422,7 +422,7 @@ class _DualFrame:
         against de_l reads 2 sum_j a[j][l] D[i, k, j] =
         B[l, i, k] + B[l, k, i] + B[i, k, l].
         """
-        c, sc = _scaled(self.alg.c, self.exact)
+        c, sc = self.alg.scaled(self.exact)
         am, sa = self.scaled_a
         half, sh = self.half
         p = BIVECTOR_SIGN * c
@@ -485,11 +485,16 @@ class _DualFrame:
         return np.max(np.abs((rows / scale).astype(float) @ mu.T), axis=0)
 
     @cached_property
+    def trace(self) -> tuple:
+        """The Koszul trace sum_p D[p, k, p] per k as (vector, scale)."""
+        _, d, s = self.tensors
+        return np.einsum("pkp->k", d), s
+
+    @property
     def modular(self) -> tuple:
         """Modular value on each e_k: the Koszul trace sum_p (D_{de_p} de_k)_p, to
         which sum_pq ainv[p][q] <D_{de_p} de_k, de_q> reduces as ainv inverts a."""
-        _, d, s = self.tensors
-        return tuple(_unscaled(np.einsum("pkp->k", d), s, self.exact))
+        return tuple(_unscaled(*self.trace, self.exact))
 
 
 def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
@@ -584,7 +589,7 @@ def modular_field_value(alg: LieAlgebra, a: Metric, f, mu=None) -> float:
         _check_dim(alg, mu)
     fr = _DualFrame(alg, a, all(is_exact(x) for x in f))  # f joins the scalar mode
     w, sw = _scaled(f, fr.exact)
-    m, sm = _scaled(fr.modular, fr.exact)
+    m, sm = fr.trace
     return float(_unscaled(np.einsum("k,k->", w, m), sw * sm, fr.exact))
 
 
@@ -641,7 +646,7 @@ def leaf_frame_at(alg: LieAlgebra, a: Metric, mu,
     exact = p.exact and a.exact
     rank, kernel = _rank_null(p.matrix, exact, rtol)
     pm, sp = _scaled(p.matrix, exact)
-    am, sa = _scaled(a.matrix, exact)
+    am, sa = a.scaled(exact)
     k, sk = _scaled(kernel, exact)
     complement = np.eye(alg.dim, dtype=int).tolist()
     if len(kernel):

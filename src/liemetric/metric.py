@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rational
 from .algebra import DimensionMismatchError, LieAlgebra, _bilinear, _freeze_tensor
-from .scalars import DEFAULT_TOL, _scaled, _unscaled, coerce, is_exact
+from .scalars import DEFAULT_TOL, IntegerForm, _scaled, _unscaled, coerce, is_exact
 
 DEGENERACY_RTOL = 1e-9
 DEGENERATE_METRIC = "metric is degenerate or numerically near-degenerate"
@@ -39,11 +39,17 @@ class Signature(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Metric:
-    """Symmetric nondegenerate bilinear form, exact or float entries."""
+class Metric(IntegerForm):
+    """Symmetric nondegenerate bilinear form, exact or float entries.
+
+    Carries the integer form of ``matrix`` (``scaled``), built once here.
+    """
 
     matrix: tuple
     exact: bool
+
+    def __post_init__(self):
+        self._hold(_scaled(self.matrix, self.exact))
 
     @classmethod
     def from_rows(cls, rows, *, exact: bool | None = None, tol: float = DEFAULT_TOL):
@@ -54,12 +60,14 @@ class Metric:
         n = len(data)
         if any(len(row) != n for row in data):
             raise DimensionMismatchError("metric matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = data[i][j] - data[j][i]
-                if (d != 0) if exact else (abs(d) > tol):
-                    raise ValueError(f"metric is not symmetric at ({i}, {j})")
-        return cls(matrix=tuple(tuple(row) for row in data), exact=exact)
+        a = cls(matrix=tuple(tuple(row) for row in data), exact=exact)
+        m, _ = a.scaled(exact)
+        # the mask is symmetric, so its row-major first entry has i < j
+        bad = np.argwhere((m != m.T) if exact else (np.abs(m - m.T) > tol))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"metric is not symmetric at ({i}, {j})")
+        return a
 
     @classmethod
     def identity(cls, n: int, *, exact: bool = True):
@@ -80,16 +88,17 @@ class Metric:
         return [list(row) for row in self.matrix]
 
     def as_array(self) -> np.ndarray:
-        return _scaled(self.matrix, False)[0]
+        return self.scaled(False)[0].copy()
 
     def det(self):
+        m, sm = self.scaled(self.exact)
         if self.exact:
-            return rational.det(self.rows())
-        return float(np.linalg.det(self.as_array()))
+            return rational.det(m.tolist()) / sm ** self.dim
+        return float(np.linalg.det(m))
 
     def apply(self, u: Sequence, v: Sequence):
         """The value a(u, v)."""
-        m, sm = _scaled(self.matrix, self.exact)
+        m, sm = self.scaled(self.exact)
         u, su = _scaled(u, self.exact)
         v, sv = _scaled(v, self.exact)
         return _unscaled(np.einsum("j,j->", np.einsum("i,ij->j", u, m), v),
@@ -98,7 +107,7 @@ class Metric:
     def is_nondegenerate(self, rtol: float = DEGENERACY_RTOL) -> bool:
         if self.exact:
             return self.det() != 0
-        s = np.linalg.svd(self.as_array(), compute_uv=False)
+        s = np.linalg.svd(self.scaled(False)[0], compute_uv=False)
         return bool(s[-1] > rtol * max(s[0], 1e-300))
 
     def require_nondegenerate(self, rtol: float = DEGENERACY_RTOL):
@@ -107,12 +116,14 @@ class Metric:
 
     def signature(self, rtol: float = DEGENERACY_RTOL) -> Signature:
         """Sylvester inertia; raises on a zero eigenvalue (degenerate form)."""
+        m, _ = self.scaled(self.exact)
         if self.exact:
-            p, q, z = rational.inertia(self.rows())
+            # a positive scale keeps the inertia
+            p, q, z = rational.inertia(m.tolist())
             if z:
                 raise DegenerateMetricError("metric is degenerate")
             return Signature(p, q)
-        eig = np.linalg.eigvalsh(self.as_array())
+        eig = np.linalg.eigvalsh(m)
         scale = max(abs(eig[0]), abs(eig[-1]), 1e-300)
         if np.any(np.abs(eig) <= rtol * scale):
             raise DegenerateMetricError("metric has an eigenvalue at zero within threshold")
@@ -129,7 +140,7 @@ class Metric:
         """Pullback under the basis change f_q = sum_i p[i][q] e_i (congruence)."""
         if self.exact:
             p = [[coerce(x, True) for x in row] for row in p]
-        m, sm = _scaled(self.matrix, self.exact)
+        m, sm = self.scaled(self.exact)
         p, sp = _scaled(p, self.exact)
         moved = np.einsum("ia,ib->ab", p, np.einsum("ij,jb->ib", m, p))
         return Metric.from_rows(_unscaled(moved, sm * sp * sp, self.exact), exact=self.exact)
@@ -142,47 +153,89 @@ class Metric:
     def inverse_rows(self) -> list:
         if self.exact:
             return rational.inverse(self.rows())
-        return np.linalg.inv(self.as_array()).tolist()
+        return np.linalg.inv(self.scaled(False)[0]).tolist()
 
 
 def signature(a: Metric, rtol: float = DEGENERACY_RTOL) -> Signature:
     return a.signature(rtol)
 
 
-@dataclass(frozen=True)
-class ConnectionTensor:
-    """The product A as a rank-3 tensor: A_{e_i} e_j = sum_k A[i][j][k] e_k."""
+class _TensorFromForm:
+    """The ``tensor`` field of a product: kept when passed in, otherwise built
+    from the product's integer form on first read. A solved product reaches
+    every residual through its form, so its Fractions are made only when
+    asked for."""
 
-    tensor: tuple
+    def __get__(self, conn, owner=None):
+        if conn is None:
+            raise AttributeError("tensor")  # a required field: no class default
+        if "tensor" not in conn.__dict__:
+            x, scale = conn._form
+            conn.__dict__["tensor"] = _freeze_tensor(_unscaled(x, scale, conn.exact))
+        return conn.__dict__["tensor"]
+
+    def __set__(self, conn, value):
+        conn.__dict__["tensor"] = value
+
+
+@dataclass(frozen=True)
+class ConnectionTensor(IntegerForm):
+    """The product A as a rank-3 tensor: A_{e_i} e_j = sum_k A[i][j][k] e_k.
+
+    Carries its integer form (``scaled``). ``levi_civita_product`` builds it
+    from the form alone and records the pair it was solved for; the public
+    ``tensor`` is built from the form on first read.
+    """
+
+    tensor: tuple = _TensorFromForm()
     exact: bool
+    _pair = None  # the (algebra, metric) a solve built this product for
+
+    def __post_init__(self):
+        self._hold(_scaled(self.tensor, self.exact))
+
+    @classmethod
+    def _solved(cls, form: tuple, exact: bool, alg: LieAlgebra, a: Metric):
+        conn = object.__new__(cls)
+        object.__setattr__(conn, "exact", exact)
+        object.__setattr__(conn, "_pair", (alg, a))
+        conn._hold(form)
+        return conn
 
     @property
     def dim(self) -> int:
-        return len(self.tensor)
+        return len(self._form[0])
 
     def product(self, i: int, j: int) -> list:
         return list(self.tensor[i][j])
 
     def apply(self, u: Sequence, v: Sequence) -> list:
         """A_u v by bilinearity."""
-        return _bilinear(self.tensor, u, v, self.exact)
+        return _bilinear(self.scaled(self.exact), u, v, self.exact)
 
     def as_array(self) -> np.ndarray:
-        return _scaled(self.tensor, False)[0]
+        return self.scaled(False)[0].copy()
+
+    def _check_dim(self, other):
+        if other.dim != self.dim:
+            raise DimensionMismatchError(
+                f"a product of dimension {self.dim} against dimension {other.dim}")
 
     def torsion_residual(self, alg: LieAlgebra):
         """Max-norm of A_{e_i}e_j - A_{e_j}e_i - [e_i, e_j] over basis pairs."""
+        self._check_dim(alg)
         exact = self.exact and alg.exact
-        x, sx = _scaled(self.tensor, exact)
-        c, sc = _scaled(alg.c, exact)
+        x, sx = self.scaled(exact)
+        c, sc = alg.scaled(exact)
         d = (x - x.transpose(1, 0, 2)) * sc - c * sx
         return _unscaled(np.max(np.abs(d)), sx * sc, exact)
 
     def skew_residual(self, a: Metric):
         """Max-norm of a(A_{e_i}e_j, e_k) + a(e_j, A_{e_i}e_k) over triples."""
+        self._check_dim(a)
         exact = self.exact and a.exact
-        x, sx = _scaled(self.tensor, exact)
-        m, sm = _scaled(a.matrix, exact)
+        x, sx = self.scaled(exact)
+        m, sm = a.scaled(exact)
         d = np.einsum("ijm,mk->ijk", x, m) + np.einsum("jm,ikm->ijk", m, x)
         return _unscaled(np.max(np.abs(d)), sx * sm, exact)
 
@@ -193,7 +246,8 @@ def levi_civita_product(alg: LieAlgebra, a: Metric) -> ConnectionTensor:
     For each (i, j) the coordinate vector x of A_{e_i} e_j satisfies
     x . (2a) = b with b_k = a([e_i,e_j], e_k) + a([e_k,e_i], e_j)
     + a([e_k,e_j], e_i); nondegeneracy of a makes x unique. In exact mode
-    the one integer elimination is also the nondegeneracy check.
+    the one integer elimination is also the nondegeneracy check, and the
+    product keeps its rows y over d * sc as its integer form.
     """
     if alg.dim != a.dim:
         raise DimensionMismatchError("algebra and metric dimensions differ")
@@ -201,15 +255,15 @@ def levi_civita_product(alg: LieAlgebra, a: Metric) -> ConnectionTensor:
     exact = alg.exact and a.exact
     if not exact:
         a.require_nondegenerate()
-    c, sc = _scaled(alg.c, exact)
-    m, sm = _scaled(a.matrix, exact)
+    c, sc = alg.scaled(exact)
+    m, sm = a.scaled(exact)
     if exact:
         # with c = C/sc and a = M/sm, 2M y = d B(C, M) gives y = d sc x
         y, d = _solve_doubled(m, _product_rhs(c, m).reshape(-1, n).T.tolist())
-        x, scale = np.array(y, dtype=object).T.reshape(n, n, n), d * sc
+        form = np.array(y, dtype=object).T.reshape(n, n, n), d * sc
     else:
-        x, scale = _lc_product_array(c, m), 1
-    return ConnectionTensor(tensor=_freeze_tensor(_unscaled(x, scale, exact)), exact=exact)
+        form = _lc_product_array(c, m), 1
+    return ConnectionTensor._solved(form, exact, alg, a)
 
 
 def _solve_doubled(m: np.ndarray, rhs) -> tuple:
@@ -270,18 +324,49 @@ def compatibility_residual(alg: LieAlgebra, a: Metric,
     Value is the max over triples of the Euclidean norm of the defect
     vector, which hands back an argmax certificate for diagnostics. In exact
     mode ``exact_zero`` is authoritative; the float value is for reporting.
+    A passed ``conn`` must be the product of (alg, a): one of another
+    dimension raises DimensionMismatchError, and one not solved for an equal
+    pair must be torsion-free and a-skew, or it raises ValueError.
     """
     if conn is None:
         conn = levi_civita_product(alg, a)
+    else:
+        _require_product_of(conn, alg, a)
     exact = conn.exact and alg.exact
-    c, sc = _scaled(alg.c, exact)
-    x, sx = _scaled(conn.tensor, exact)
+    c, sc = alg.scaled(exact)
+    x, sx = conn.scaled(exact)
     sq = (_defect_array(c, x) ** 2).sum(axis=3)
     idx = np.unravel_index(int(np.argmax(sq)), sq.shape)
     best = _unscaled(sq[idx], (sc * sx) ** 2, exact)
     return CompatibilityResidual(value=math.sqrt(best),
                                  worst_triple=tuple(int(t) for t in idx),
                                  exact_zero=(best == 0) if exact else None)
+
+
+def _require_product_of(conn: ConnectionTensor, alg: LieAlgebra, a: Metric):
+    """Refuse a product that is not the Levi-Civita product of (alg, a).
+
+    One solved for an equal pair passes as it is. Any other must be
+    torsion-free and a-skew for a nondegenerate a, which by uniqueness makes
+    it that product: exactly when all three are exact, otherwise within
+    DEFAULT_TOL relative to the size of the terms of each residual.
+    """
+    if not conn.dim == alg.dim == a.dim:
+        raise DimensionMismatchError(
+            f"product, algebra and metric of dimensions {conn.dim}, {alg.dim}, {a.dim}")
+    if conn._pair is not None and conn._pair == (alg, a):
+        return
+    a.require_nondegenerate()
+    torsion, skew = conn.torsion_residual(alg), conn.skew_residual(a)
+    if conn.exact and alg.exact and a.exact:
+        ok = torsion == 0 and skew == 0
+    else:
+        x, c, m = (np.max(np.abs(o.scaled(False)[0])) for o in (conn, alg, a))
+        ok = (torsion <= DEFAULT_TOL * max(1.0, x, c)
+              and skew <= DEFAULT_TOL * max(1.0, x * m))
+    if not ok:
+        raise ValueError("the product is not the Levi-Civita product of this "
+                         f"algebra and metric (torsion {torsion}, skew {skew})")
 
 
 def is_pseudo_riemannian(alg: LieAlgebra, a: Metric, tol: float = DEFAULT_TOL) -> bool:

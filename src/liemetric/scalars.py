@@ -9,14 +9,20 @@ Tensor operations run one ``np.einsum`` contraction for both modes. In exact
 mode a tensor enters it as an object array of Python ints with one common
 denominator (``_scaled``), so the contraction does integer arithmetic with no
 gcd per operation; the result is divided by its scale once, back into
-Fractions (``_unscaled``). Fractions appear only at that boundary: Python
-ints pass into ``_scaled`` as they are (scale 1, no Fraction per entry),
-and other integers (bool, numpy integers) become Python ints, so no entry
-of the integer form can wrap.
+Fractions (``_unscaled``). Python ints pass into ``_scaled`` as they are
+(scale 1, no Fraction per entry), and other integers (bool, numpy integers)
+become Python ints, so no entry of the integer form can wrap.
+
+The integer form of an algebra, a metric or a product is part of the value
+(``IntegerForm``): built once when the value is made, read-only, and read by
+every kernel through ``scaled(exact)``, so no kernel rescales its inputs.
+Fractions are built only at the public boundary: the fields of a value, and
+the numbers a kernel returns.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from fractions import Fraction
@@ -91,3 +97,43 @@ def _unscaled(x, scale: int, exact: bool):
     if isinstance(x, np.ndarray):
         return [_unscaled(y, scale, exact) for y in x]
     return Fraction(x, scale) if exact else float(x)
+
+
+class IntegerForm:
+    """Base of the frozen values that carry their entries' integer form.
+
+    ``_form`` is ``(array, scale)`` with the entries equal to array / scale:
+    in exact mode an object array of Python ints over a positive int scale,
+    in float mode the float64 array over 1. Subclasses build it once, in
+    ``__post_init__``, through ``_hold``. It is read-only and not a dataclass
+    field, so ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` see the
+    fields alone, and a pickle holds the fields alone: loading one rebuilds
+    the form.
+    """
+
+    def _hold(self, form: tuple):
+        # C order, as an array built from the entries is: a float contraction
+        # then sums in the same order, to the last bit
+        array = np.ascontiguousarray(form[0])
+        array.flags.writeable = False
+        object.__setattr__(self, "_form", (array, form[1]))
+
+    def scaled(self, exact: bool) -> tuple:
+        """The entries as ``(array, scale)`` in the given mode: the integer form
+        (exact), or the float array (float). The float view of an exact value
+        divides int by int, which rounds as ``float(Fraction)`` does, so it is
+        bit-identical to ``np.asarray(entries, float)``."""
+        if exact and not self.exact:
+            raise ValueError("a float value has no exact integer form")
+        if self.exact and not exact:
+            ints, scale = self._form
+            return (ints / scale).astype(float), 1
+        return self._form
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+    def __setstate__(self, state: dict):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()

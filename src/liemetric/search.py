@@ -28,12 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import catalog, rational
+from . import catalog
 from .algebra import LieAlgebra
 from .metric import (DegenerateMetricError, Metric, _defect_array,
                      _lc_product_array, _product_rhs, _solve_doubled,
                      compatibility_residual)
-from .scalars import RATIONALIZE_MAX_DENOMINATOR, _scaled, rationalize
+from .scalars import RATIONALIZE_MAX_DENOMINATOR, rationalize
 
 _PENALTY = 1e8
 _BARRIER_WEIGHT = 10.0
@@ -617,10 +617,11 @@ def _admissible(metric: Metric, constraint) -> bool:
 def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
     """Rationalize a float metric and re-verify the residual exactly.
 
-    All on the integer form M = s a of the rationalized metric: one exact
-    inertia decides nondegeneracy and signature, the integer system 2M y =
-    B(C, M) gives the product up to a positive scale, and the certificate
-    holds when no entry of the integer defect is nonzero.
+    All on the integer form M = s a of the rationalized metric, which the
+    exact metric carries: its signature decides nondegeneracy and the
+    constraint, the integer system 2M y = B(C, M) gives the product up to a
+    positive scale, and the certificate holds when no entry of the integer
+    defect is nonzero.
     """
     if not alg.exact:
         return None
@@ -629,15 +630,15 @@ def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
                for row in metric.matrix]
         n = len(raw)
         sym = [[(raw[i][j] + raw[j][i]) / 2 for j in range(n)] for i in range(n)]
-        m, _ = _scaled(sym, True)
-        p, q, z = rational.inertia(m.tolist())
-        if z or not _fits(p, q, constraint):
+        exact = Metric.from_rows(sym, exact=True)
+        if not _fits(*exact.signature(), constraint):  # degenerate: raises
             return None
-        c, _ = _scaled(alg.c, True)
+        m, _ = exact.scaled(True)
+        c, _ = alg.scaled(True)
         y, _ = _solve_doubled(m, _product_rhs(c, m).reshape(-1, n).T.tolist())
         if _defect_array(c, np.array(y, dtype=object).T.reshape(n, n, n)).any():
             return None
-        return Metric.from_rows(sym, exact=True)
+        return exact
     except (ZeroDivisionError, ValueError):
         return None
 

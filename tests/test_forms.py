@@ -1,0 +1,342 @@
+"""The integer form that algebras, metrics and products carry.
+
+Each value holds ``(ints, scale)`` built once from its public entries; every
+kernel reads it through ``scaled(exact)`` instead of rescaling Fractions.
+"""
+
+import copy
+import dataclasses
+import pickle
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import liemetric
+from liemetric import (
+    ConnectionTensor,
+    DimensionMismatchError,
+    LieAlgebra,
+    Metric,
+    abelian,
+    affine_line,
+    compatibility_residual,
+    euclidean_motions,
+    heisenberg,
+    heisenberg_split_metric,
+    levi_civita_product,
+    sol,
+    sol_split_metric,
+    solvable_family,
+)
+from liemetric import algebra, dual, metric, rational, scalars, search
+from liemetric.dual import _DualFrame
+from liemetric.scalars import _scaled, _unscaled
+from conftest import random_algebra, random_metric
+
+BIG = 2**64 + 13  # a denominator past 64 bits
+
+
+def _big(x: LieAlgebra) -> LieAlgebra:
+    """The algebra with every constant divided by BIG: still a Lie algebra."""
+    c = [[[v / BIG for v in row] for row in plane] for plane in x.c]
+    return LieAlgebra.from_structure(c, exact=True)
+
+
+def _pairs():
+    """Catalog and seeded (algebra, metric) pairs, n = 2..6, some with
+    denominators above 2**64."""
+    rng = np.random.default_rng(20260822)
+    out = [(abelian(2), Metric.identity(2)), (affine_line(), Metric.diagonal([1, -1])),
+           (heisenberg(), heisenberg_split_metric()), (sol(), sol_split_metric()),
+           (euclidean_motions(), Metric.identity(3)),
+           (solvable_family(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)),
+            Metric.diagonal([Fraction(1, 3), 2, Fraction(-5, 7)]))]
+    for n in range(2, 7):
+        alg, a = random_algebra(rng, n), random_metric(rng, n)
+        out.append((alg, a))
+        big = Metric.from_rows([[x * Fraction(3, BIG) + Fraction(1, 3 * BIG + 1) for x in row]
+                                for row in a.rows()])
+        out.append((_big(alg), big))
+    return out
+
+
+PAIRS = _pairs()
+
+
+def _values():
+    """Every algebra, metric and solved product of PAIRS, in both modes."""
+    out = []
+    for alg, a in PAIRS:
+        for x, y in ((alg, a), (alg.to_float(), a.to_float())):
+            out += [(x, x.c), (y, y.matrix)]
+            conn = levi_civita_product(x, y)
+            out.append((conn, conn.tensor))
+    return out
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and \
+        got.tobytes() == want.tobytes()
+
+
+def test_forms_equal_the_scaled_public_entries():
+    """Algebras and metrics hold exactly ``_scaled`` of their public tuples;
+    a solved product holds its rows over d * sc, which read back as its
+    tensor."""
+    for x, public in _values():
+        ints, scale = x.scaled(x.exact)
+        want, want_scale = _scaled(public, x.exact)
+        assert ints.shape == want.shape
+        if isinstance(x, ConnectionTensor):
+            assert _unscaled(ints, scale, x.exact) == \
+                [[list(row) for row in plane] for plane in public]
+            assert scale > 0
+        else:
+            assert (scale, ints.tolist()) == (want_scale, want.tolist())
+        if x.exact:
+            assert all(type(v) is int for v in ints.flat) and type(scale) is int
+
+
+def test_float_views_are_bit_identical_to_float_conversion():
+    """int / int rounds once, as float(Fraction) does: no double rounding even
+    where the ints pass 2**53, and the float accessors read this view."""
+    assert any(max(abs(v) for v in x.scaled(True)[0].flat) > 2**64
+               for x, _ in _values() if x.exact)
+    for x, public in _values():
+        want = np.asarray(public, dtype=float)
+        view, one = x.scaled(False)
+        assert one == 1 and _same_bits(view, want)
+        if isinstance(x, LieAlgebra):
+            assert _same_bits(x.structure_array(), want)
+            assert _same_bits(x.to_float().structure_array(), want)
+            assert x.to_float().c == tuple(tuple(tuple(float(v) for v in row) for row in p)
+                                           for p in public)
+        else:
+            assert _same_bits(x.as_array(), want)
+
+
+def test_a_float_value_has_no_exact_form():
+    with pytest.raises(ValueError):
+        heisenberg().to_float().scaled(True)
+
+
+def test_forms_are_read_only():
+    for x, _ in _values():
+        ints, _ = x.scaled(x.exact)
+        with pytest.raises(ValueError):
+            ints[(0,) * ints.ndim] = 7
+    # the float accessors still hand out arrays of their own
+    arr = Metric.identity(2).as_array()
+    arr[0, 0] = 5.0
+    assert Metric.identity(2).as_array()[0, 0] == 1.0
+
+
+def _fields(x) -> dict:
+    return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+
+
+def test_equality_hash_repr_pickle_and_replace_see_the_fields_alone():
+    for x, _ in _values():
+        kind = type(x)
+        fresh = kind(**_fields(x))
+        assert fresh == x and hash(fresh) == hash(x) and repr(fresh) == repr(x)
+        assert "_form" not in repr(x) and "_pair" not in repr(x)
+        # a pickle holds the fields alone, so it is the one of a value built
+        # from its public entries; loading rebuilds the form
+        assert x.__reduce_ex__(2)[2] == _fields(x)
+        data = pickle.dumps(x)
+        assert data == pickle.dumps(fresh)
+        assert b"_form" not in data and b"_pair" not in data
+        for back in (pickle.loads(data), copy.copy(x), copy.deepcopy(x),
+                     dataclasses.replace(x)):
+            assert back == x and hash(back) == hash(x)
+            ints, scale = back.scaled(x.exact)
+            assert not ints.flags.writeable
+            assert _unscaled(ints, scale, x.exact) == _unscaled(*x.scaled(x.exact), x.exact)
+
+
+def test_replace_rebuilds_the_form():
+    alg = heisenberg()
+    other = dataclasses.replace(alg, c=abelian(3).c)
+    assert not other.scaled(True)[0].any()
+    a = dataclasses.replace(Metric.identity(2), matrix=((Fraction(1, 3), 0), (0, 2)))
+    assert a.scaled(True)[1] == 3 and a.det() == Fraction(2, 3)
+    conn = levi_civita_product(heisenberg(), Metric.identity(3))
+    zero = dataclasses.replace(conn, tensor=levi_civita_product(abelian(3),
+                                                                Metric.identity(3)).tensor)
+    assert not zero.scaled(True)[0].any() and zero != conn
+
+
+def test_a_solved_product_reads_as_its_tensor():
+    """The lazily built tensor is the one the product stands for, with the
+    same dim, product, apply, as_array and residuals as a product built from
+    it, to the last bit in float mode: the form is in C order, so float
+    contractions sum in the same order."""
+    for pair in PAIRS:
+        for alg, a in (pair, (pair[0].to_float(), pair[1].to_float())):
+            conn = levi_civita_product(alg, a)
+            assert "tensor" not in conn.__dict__
+            n = conn.dim
+            assert n == alg.dim and "tensor" not in conn.__dict__
+            built = ConnectionTensor(tensor=conn.tensor, exact=alg.exact)
+            assert built == conn and built.dim == n
+            assert conn.product(1, 0) == built.product(1, 0)
+            u, v = [Fraction(k + 1, 3) for k in range(n)], [0.5 - k for k in range(n)]
+            assert repr(conn.apply(u, v)) == repr(built.apply(u, v))  # repr: every bit
+            assert _same_bits(conn.as_array(), built.as_array())
+            for x, y in ((alg, a), (alg.to_float(), a.to_float())):
+                assert repr(conn.skew_residual(y)) == repr(built.skew_residual(y))
+                assert repr(conn.torsion_residual(x)) == repr(built.torsion_residual(x))
+
+
+@pytest.fixture
+def scaled_calls(monkeypatch):
+    """Records the argument of every ``_scaled`` call in the package."""
+    calls = []
+
+    def spy(values, exact):
+        calls.append(values)
+        return _scaled(values, exact)
+
+    for mod in (scalars, algebra, metric, dual, rational, search):
+        if hasattr(mod, "_scaled"):
+            monkeypatch.setattr(mod, "_scaled", spy)
+    return calls
+
+
+def _holds_fraction(values) -> bool:
+    return any(type(v) is Fraction for v in np.array(values, dtype=object).flat)
+
+
+def test_exact_kernels_never_rescale_prebuilt_values(scaled_calls):
+    """Product, torsion, skew and exact residual on pre-built exact objects:
+    the one ``_scaled`` call left is the elimination's, on integer rows, so
+    neither ``alg.c``, ``a.matrix`` nor the product is rescaled, and the
+    product's Fractions are never built."""
+    for alg, a in PAIRS:
+        scaled_calls.clear()
+        conn = levi_civita_product(alg, a)
+        conn.torsion_residual(alg)
+        conn.skew_residual(a)
+        compatibility_residual(alg, a, conn)
+        assert len(scaled_calls) == 1
+        assert not any(v is alg.c or v is a.matrix or _holds_fraction(v)
+                       for v in scaled_calls)
+        assert "tensor" not in conn.__dict__
+
+
+def test_dual_frames_never_rescale_the_algebra_or_metric(scaled_calls):
+    for alg, a in PAIRS:
+        scaled_calls.clear()
+        fr = _DualFrame(alg, a)
+        for identity in ("dpi", "cyclic", "transport"):
+            fr.sweep(identity)
+            fr.sweep(identity, [[Fraction(1, 3)] * alg.dim])
+        fr.modular
+        assert not any(v is alg.c or v is a.matrix or _holds_fraction(v)
+                       for v in scaled_calls)
+        dual.bivector_at(alg, [1] * alg.dim)
+        assert not any(v is alg.c for v in scaled_calls)
+
+
+def test_certificate_scales_the_rationalized_metric_once(scaled_calls):
+    """The certificate builds its Metric first and reads that metric's form
+    and signature: one scaling of Fractions, the metric's own."""
+    alg, want = heisenberg(), heisenberg_split_metric()
+    split = want.to_float()
+    for constraint, certified in (("none", True), ("positive_definite", False)):
+        scaled_calls.clear()
+        got = search._try_exact_certificate(alg, split, constraint)
+        assert sum(map(_holds_fraction, scaled_calls)) == 1
+        assert (got == want) if certified else got is None
+
+
+def test_construction_checks_read_the_form():
+    with pytest.raises(ValueError, match=r"not symmetric at \(0, 2\)"):
+        Metric.from_rows([[1, 0, 1], [0, 1, 2], [2, 3, 1]])
+    with pytest.raises(ValueError, match=r"not symmetric at \(1, 2\)"):
+        Metric.from_rows([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-9], [0.0, 0.0, 1.0]],
+                         exact=False, tol=1e-12)
+    Metric.from_rows([[1.0, 1e-13], [0.0, 1.0]], exact=False)
+    with pytest.raises(liemetric.InvalidStructureError, match=r"c\[0\]\[1\]\[2\]"):
+        LieAlgebra.from_structure([[[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+                                   [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                                   [[0, 0, 0], [0, 0, 0], [0, 0, 0]]])
+
+
+# -- a product must belong to the pair it is judged with --------------------
+
+def test_a_product_of_another_algebra_is_refused():
+    """Heisenberg with the abelian product read exactly 0 before; without a
+    product its residual is 1/2."""
+    foreign = levi_civita_product(abelian(3), Metric.identity(3))
+    assert compatibility_residual(heisenberg(), Metric.identity(3)).value == 0.5
+    with pytest.raises(ValueError, match="not the Levi-Civita product"):
+        compatibility_residual(heisenberg(), Metric.identity(3), foreign)
+    other_metric = levi_civita_product(heisenberg(), Metric.diagonal([1, 2, 3]))
+    with pytest.raises(ValueError, match="not the Levi-Civita product"):
+        compatibility_residual(heisenberg(), Metric.identity(3), other_metric)
+    with pytest.raises(ValueError, match="not the Levi-Civita product"):
+        compatibility_residual(heisenberg().to_float(), Metric.identity(3, exact=False),
+                               foreign)
+
+
+def test_a_product_of_another_dimension_is_refused():
+    small = levi_civita_product(abelian(2), Metric.identity(2))
+    with pytest.raises(DimensionMismatchError):
+        compatibility_residual(heisenberg(), Metric.identity(3), small)
+    with pytest.raises(DimensionMismatchError):
+        small.torsion_residual(heisenberg())
+    with pytest.raises(DimensionMismatchError):
+        small.skew_residual(Metric.identity(3))
+    conn = levi_civita_product(heisenberg(), Metric.identity(3))
+    with pytest.raises(DimensionMismatchError):
+        compatibility_residual(heisenberg(), Metric.identity(2), conn)
+
+
+def test_the_same_product_is_not_rechecked(monkeypatch):
+    """A product solved for the pair, or for an equal one, adds no contraction."""
+    alg, a = sol(), sol_split_metric()
+    conn = levi_civita_product(alg, a)
+    want = compatibility_residual(alg, a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a product of this pair was checked again")
+
+    for name in ("torsion_residual", "skew_residual"):
+        monkeypatch.setattr(ConnectionTensor, name, forbidden)
+    monkeypatch.setattr(Metric, "require_nondegenerate", forbidden)
+    assert compatibility_residual(alg, a, conn) == want
+    assert compatibility_residual(sol(), sol_split_metric(), conn) == want
+
+
+def test_an_unrecorded_product_is_checked_and_accepted():
+    """A product with no recorded pair (built from a tensor, unpickled, or
+    solved in float mode) passes when it is torsion-free and a-skew."""
+    for alg, a in PAIRS[:8]:
+        conn = levi_civita_product(alg, a)
+        want = compatibility_residual(alg, a)
+        for other in (ConnectionTensor(tensor=conn.tensor, exact=True),
+                      pickle.loads(pickle.dumps(conn))):
+            assert compatibility_residual(alg, a, other) == want
+        flt = levi_civita_product(alg.to_float(), a.to_float())
+        got = compatibility_residual(alg, a, flt)
+        assert got.exact_zero is None
+        assert got == compatibility_residual(alg.to_float(), a.to_float())
+
+
+def test_a_near_product_is_refused_in_float_mode():
+    alg, a = sol().to_float(), sol_split_metric().to_float()
+    x = levi_civita_product(alg, a).as_array()
+    x[0, 1, 2] += 1e-6
+    near = ConnectionTensor(tensor=tuple(map(lambda p: tuple(map(tuple, p)), x.tolist())),
+                            exact=False)
+    with pytest.raises(ValueError, match="not the Levi-Civita product"):
+        compatibility_residual(alg, a, near)
+
+
+def test_a_degenerate_metric_is_refused_with_a_passed_product():
+    conn = ConnectionTensor(tensor=abelian(2).c, exact=True)
+    with pytest.raises(metric.DegenerateMetricError):
+        compatibility_residual(abelian(2), Metric.from_rows([[1, 1], [1, 1]]), conn)
