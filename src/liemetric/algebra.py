@@ -139,20 +139,24 @@ class LieAlgebra(IntegerForm):
         if n < 3:
             return coerce(0, self.exact), (0,) * n
         c, s = self.scaled(self.exact)
+        # pairs j < k in row-major order; slab i takes the tail where j > i,
+        # after the (i + 1)(2n - 2 - i) / 2 pairs with j <= i
+        pj, pk = np.triu_indices(n, 1)
+        tails = [(i + 1) * (2 * n - 2 - i) // 2 for i in range(n - 2)]
         worst = []
-        for i in range(n - 2):
+        for i, tail in enumerate(tails):
             rest = slice(i + 1, n)
             d = (np.einsum("jm,mkt->jkt", c[i, rest], c[:, rest])
                  + np.einsum("jkm,mt->jkt", c[rest, rest], c[:, i])
                  + np.einsum("km,mjt->jkt", c[rest, i], c[:, rest]))
-            j, k = np.triu_indices(n - i - 1, 1)
-            worst.append(np.abs(d[j, k]).max(axis=1))
-        worst = np.concatenate(worst)
-        r = np.arange(n)
-        i, j, k = np.nonzero((r[:, None, None] < r[None, :, None])
-                             & (r[None, :, None] < r[None, None, :]))
-        t = int(np.argmax(worst))
-        return _unscaled(worst[t], s * s, self.exact), (int(i[t]), int(j[t]), int(k[t]))
+            worst.append(np.abs(d[pj[tail:] - i - 1, pk[tail:] - i - 1]).max(axis=1))
+        t = int(np.argmax(np.concatenate(worst)))
+        i = 0
+        while t >= len(worst[i]):  # the slab offsets decode t
+            t -= len(worst[i])
+            i += 1
+        p = tails[i] + t
+        return _unscaled(worst[i][t], s * s, self.exact), (i, int(pj[p]), int(pk[p]))
 
     def require_jacobi(self, tol: float = DEFAULT_TOL):
         r = self.jacobi_residual()

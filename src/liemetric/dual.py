@@ -39,7 +39,7 @@ import numpy as np
 
 from . import rational
 from .algebra import DimensionMismatchError, LieAlgebra
-from .metric import Metric, _solve_doubled
+from .metric import Metric
 from .poly import Polynomial
 from .scalars import _scaled, _unscaled, is_exact
 
@@ -379,15 +379,16 @@ class _DualFrame:
 
     Holds the scalar mode (exact=False forces float), the algebra and metric
     in that mode, the metric's scaled form and its half-inverse as (rows,
-    scale): in exact mode the integer rows of one elimination of [2M | I],
-    which is also the nondegeneracy check. It builds no polynomial: every
-    basis datum is a coefficient tensor in scaled integers. The brackets
-    slice the tensor of pi (``_basis_brackets``); the Koszul stage
-    (``tensors``) is one exact contraction of them with a and its inverse;
-    the identity rows contract ``tensors`` and stay (integer rows, scale)
-    until ``sweep`` reads them; ``trace`` is the Koszul trace, which
-    ``modular`` reads as Fractions. Each is built on first use, so a call
-    pays only for what it reads, and nothing outlives the call.
+    scale), both read from the metric (``Metric._half_inverse``: one
+    elimination per metric, which is also the nondegeneracy check). It
+    builds no polynomial: every basis datum is a coefficient tensor in
+    scaled integers. The brackets slice the tensor of pi
+    (``_basis_brackets``); the Koszul stage (``tensors``) is one exact
+    contraction of them with a and its inverse; the identity rows contract
+    ``tensors`` and stay (integer rows, scale) until ``sweep`` reads them;
+    ``trace`` is the Koszul trace, which ``modular`` reads as Fractions. Each
+    is built on first use, so a call pays only for what it reads. The frame
+    outlives no call; what it reuses lives and dies with the metric.
     """
 
     def __init__(self, alg: LieAlgebra, a: Metric, exact: bool = True):
@@ -396,14 +397,7 @@ class _DualFrame:
             raise DimensionMismatchError("metric dimension does not match the algebra")
         self.n = self.alg.dim
         self.scaled_a = self.a.scaled(self.exact)
-        if self.exact:
-            # one elimination of [2M | I], M = sa a: 2M R = d I, so a^-1 / 2 = sa R / d
-            m, sa = self.scaled_a
-            r, d = _solve_doubled(m, np.identity(self.n, dtype=int).tolist())
-            self.half = (sa * np.array(r, dtype=object), d)
-        else:
-            self.a.require_nondegenerate()
-            self.half = (np.linalg.inv(self.scaled_a[0]) / 2, 1)
+        self.half = self.a._half_inverse()
 
     @property
     def ainv(self) -> list:

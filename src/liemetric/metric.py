@@ -155,6 +155,24 @@ class Metric(IntegerForm):
             return rational.inverse(self.rows())
         return np.linalg.inv(self.scaled(False)[0]).tolist()
 
+    def _half_inverse(self) -> tuple:
+        """Half the inverse metric as (H, s), H / s = a^-1 / 2, built on first
+        read and kept with the metric, read-only, like its form. Exact: with
+        M = sm a, one elimination of [2M | I] gives 2M R = d I, so H = sm R
+        over d; it is also the nondegeneracy check. Float: inv(a) / 2 over 1.
+        A degenerate metric keeps nothing and raises on every read."""
+        if "_half" not in self.__dict__:
+            m, sm = self._form
+            if self.exact:
+                r, d = _solve_doubled(m, np.identity(self.dim, dtype=int).tolist())
+                half = sm * np.array(r, dtype=object), d
+            else:
+                self.require_nondegenerate()
+                half = np.linalg.inv(m) / 2, 1
+            half[0].flags.writeable = False
+            object.__setattr__(self, "_half", half)
+        return self._half
+
 
 def signature(a: Metric, rtol: float = DEGENERACY_RTOL) -> Signature:
     return a.signature(rtol)

@@ -65,6 +65,52 @@ def test_worst_jacobi_triple_ties_go_to_first_triple():
         assert triple == (0, 1, 3)
 
 
+def _reference_worst_jacobi_triple(alg):
+    """Every i < j < k triple in lexicographic order, the largest entry of
+    its Jacobi defect in plain scalar loops; the first strict maximum wins."""
+    n, c = alg.dim, alg.c
+
+    def br(u, w):
+        return [sum(u[p] * w[q] * c[p][q][t] for p in range(n) for q in range(n))
+                for t in range(n)]
+
+    best, where = None, (0,) * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                e = [[int(t == s) for t in range(n)] for s in (i, j, k)]
+                d = [x + y + z for x, y, z in zip(br(br(e[0], e[1]), e[2]),
+                                                  br(br(e[1], e[2]), e[0]),
+                                                  br(br(e[2], e[0]), e[1]))]
+                worst = max(abs(x) for x in d)
+                if best is None or worst > best:
+                    best, where = worst, (i, j, k)
+    return (0 if best is None else best), where
+
+
+def test_worst_jacobi_triple_matches_the_lexicographic_reference():
+    """Seeded antisymmetric tensors n = 3..6, Lie or not, exact and float:
+    small 0/1 entries make many ties, which go to the first triple."""
+    rng = np.random.default_rng(515)
+    for n in range(3, 7):
+        for trial in range(12):
+            c = [[[0] * n for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    for k in range(n):
+                        v = int(rng.integers(0, 2)) if trial % 3 == 0 else \
+                            Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 4)))
+                        c[i][j][k], c[j][i][k] = v, -v
+            alg = LieAlgebra.from_structure(c, exact=True, check_jacobi=False)
+            if trial % 4 == 3:
+                alg = random_algebra(rng, n)  # a Lie algebra: all zero, (0, 1, 2)
+            for x in (alg, alg.to_float()):
+                want = _reference_worst_jacobi_triple(x)
+                got = x.worst_jacobi_triple()
+                assert got[1] == want[1], (n, trial)
+                assert got[0] == want[0] if x.exact else abs(got[0] - want[0]) <= 1e-12
+
+
 def test_exact_and_float_result_types(rng):
     alg = solvable_family(1, 2, 3)
     moved = alg.changed_basis(random_shear(rng, 3))

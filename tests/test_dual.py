@@ -20,6 +20,7 @@ from liemetric import (
     abelian,
     affine_line,
     bivector_at,
+    compatibility_residual,
     contravariant_derivative,
     cyclic_schouten_residual,
     dpi_residual,
@@ -27,6 +28,7 @@ from liemetric import (
     form_bracket,
     heisenberg,
     heisenberg_split_metric,
+    is_pseudo_riemannian,
     kahler_check_at,
     leaf_frame_at,
     levi_civita_product,
@@ -647,10 +649,11 @@ def test_exact_frame_inverse_and_tensors_equal_their_fraction_forms(rng):
         assert _unscaled(d, s, True) == np.einsum("jl,ikl->ikj", half, rhs).tolist()
 
 
-def test_one_elimination_per_exact_product_and_frame(rng, monkeypatch):
-    """An exact product solve and an exact frame each run one fraction-free
-    elimination: the solve itself is the nondegeneracy check, and the frame's
-    [2M | I] gives its inverse metric. Reading every frame part adds none."""
+def test_one_elimination_per_exact_metric_and_product(rng, monkeypatch):
+    """An exact metric eliminates [2M | I] once, when the first frame on it
+    reads its half-inverse; every later frame and dual call on it reads the
+    same one. Each exact product solve still runs its own elimination, which
+    is also its nondegeneracy check."""
     calls = []
     reduce = rational._reduce
 
@@ -661,18 +664,60 @@ def test_one_elimination_per_exact_product_and_frame(rng, monkeypatch):
     monkeypatch.setattr(rational, "_reduce", counting_reduce)
     for n in (2, 3, 4):
         alg, a = random_algebra(rng, n), random_metric(rng, n)
+        de, mu = coframe(n), [Fraction(k + 1, 3) for k in range(n)]
         calls.clear()  # drawing the metric tested its determinant
-        levi_civita_product(alg, a)
+        for _ in range(3):
+            fr = _DualFrame(alg, a)
+            for part in ("tensors", "dpi", "cyclic", "transport", "modular"):
+                getattr(fr, part)
+            fr.sweep("dpi", [[1] * n])
+            for residual in (dpi_residual, cyclic_schouten_residual,
+                             metric_derivation_residual):
+                residual(alg, a)
+                residual(alg, a, [mu])
+            modular_field_value(alg, a, [1] + [0] * (n - 1))
+            contravariant_derivative(alg, a, de[0], de[-1])
         assert calls == [n]
-        fr = _DualFrame(alg, a)
-        for part in ("tensors", "dpi", "cyclic", "transport", "modular"):
-            getattr(fr, part)
-        fr.sweep("dpi", [[1] * n])
-        assert calls == [n, n]
-        calls.clear()
-        dpi_residual(alg, a)
-        modular_field_value(alg, a, [1] + [0] * (n - 1))
-        assert calls == [n, n]
+        for k in range(3):
+            levi_civita_product(alg, a)
+            assert calls == [n] * (k + 2)
+
+
+def test_algebra_side_verdicts_never_read_the_carried_inverse(rng, monkeypatch):
+    """AC2 compares the dual verdict, which reads the metric's half-inverse,
+    against the algebra-side product: the product, the compatibility residual,
+    the pair verdict and the search certificate each solve on their own, so
+    they give the same answers with the half-inverse out of reach."""
+    from liemetric import metric, search
+
+    pairs = [(heisenberg(), heisenberg_split_metric()), (sol(), sol_split_metric()),
+             (heisenberg(), Metric.identity(3)), (sol(), Metric.identity(3))]
+    pairs += [(random_algebra(rng, n), random_metric(rng, n)) for n in (2, 3, 4, 5)]
+    pairs += [(alg.to_float(), a.to_float()) for alg, a in pairs[:6]]
+    certificates = [(heisenberg(), heisenberg_split_metric().to_float(), constraint)
+                    for constraint in ("none", "positive_definite")]
+    certificates.append((sol(), sol_split_metric().to_float(), "none"))
+    certificates.append((heisenberg(), Metric.identity(3, exact=False), "none"))
+
+    def verdicts():
+        out = []
+        for alg, a in pairs:
+            out.append((levi_civita_product(alg, a).scaled(False)[0].tobytes(),
+                        compatibility_residual(alg, a), is_pseudo_riemannian(alg, a)))
+        out += [search._try_exact_certificate(alg, a, constraint)
+                for alg, a, constraint in certificates]
+        return out
+
+    want = verdicts()
+    assert want[-4] == heisenberg_split_metric() and want[-3] is None
+
+    def refuse(self):
+        raise AssertionError("an algebra-side verdict read the carried inverse")
+
+    monkeypatch.setattr(metric.Metric, "_half_inverse", refuse)
+    assert verdicts() == want
+    with pytest.raises(AssertionError):
+        dpi_residual(*pairs[0])
 
 
 def test_degenerate_exact_metric_raises_one_error_everywhere(rng):

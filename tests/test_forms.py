@@ -340,3 +340,83 @@ def test_a_degenerate_metric_is_refused_with_a_passed_product():
     conn = ConnectionTensor(tensor=abelian(2).c, exact=True)
     with pytest.raises(metric.DegenerateMetricError):
         compatibility_residual(abelian(2), Metric.from_rows([[1, 1], [1, 1]]), conn)
+
+
+# -- the half-inverse a metric carries once read ----------------------------
+
+def _fresh_metrics():
+    """Fresh copies of every metric of PAIRS, exact and float: none has been
+    read by a frame yet."""
+    return [dataclasses.replace(m) for _, a in PAIRS for m in (a, a.to_float())]
+
+
+def _same_half(got: tuple, want: tuple, exact: bool) -> bool:
+    if exact:
+        return got[1] == want[1] and got[0].tolist() == want[0].tolist()
+    return got[1] == want[1] == 1 and _same_bits(got[0], want[0])
+
+
+def test_the_half_inverse_is_half_the_inverse():
+    """Exact: 2H / s is the Fraction inverse of the rows, in ints over a
+    positive int scale. Float: H is inv(a) / 2 to the last bit, over 1."""
+    for a in _fresh_metrics():
+        h, s = a._half_inverse()
+        if a.exact:
+            assert type(s) is int and s > 0 and all(type(v) is int for v in h.flat)
+            assert _unscaled(2 * h, s, True) == rational.inverse(a.rows())
+        else:
+            assert s == 1 and _same_bits(h, np.linalg.inv(a.as_array()) / 2)
+
+
+def test_the_half_inverse_is_built_once_and_read_only():
+    for a in _fresh_metrics():
+        half = a._half_inverse()
+        assert a._half_inverse() is half
+        assert not half[0].flags.writeable
+        with pytest.raises(ValueError):
+            half[0][0, 0] = 7
+
+
+def test_the_half_inverse_is_not_a_field():
+    """Reading the half-inverse changes no ``==``, ``hash``, ``repr`` or pickle
+    of the metric; a pickled, copied or replaced metric holds only what a
+    fresh one does and builds its own half-inverse, equal to the original."""
+    for a in _fresh_metrics():
+        fresh = dataclasses.replace(a)
+        half = a._half_inverse()
+        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+        assert pickle.dumps(a) == pickle.dumps(fresh)
+        for back in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a),
+                     dataclasses.replace(a)):
+            assert back == a and set(vars(back)) == set(vars(fresh))
+            rebuilt = back._half_inverse()
+            assert rebuilt[0] is not half[0] and _same_half(rebuilt, half, a.exact)
+
+
+def test_a_degenerate_metric_raises_on_every_read():
+    """A failed read keeps nothing: the metric raises again, as the frame did
+    before it read the metric's half-inverse."""
+    rows = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
+    cases = [Metric.from_rows(rows, exact=True), Metric.from_rows(rows, exact=False),
+             Metric.from_rows([[1.0, 1.0], [1.0, 1.0 + 1e-13]], exact=False),
+             Metric.from_rows([[0, 0], [0, 0]], exact=True)]
+    for a in cases:
+        before = set(vars(a))
+        for _ in range(3):
+            with pytest.raises(metric.DegenerateMetricError, match="degenerate"):
+                a._half_inverse()
+        assert set(vars(a)) == before
+        with pytest.raises(metric.DegenerateMetricError):
+            _DualFrame(heisenberg() if a.dim == 3 else abelian(2), a)
+
+
+def test_each_metric_carries_its_own_half_inverse():
+    """Two metrics, equal or not, never share one: each read answers for its
+    own entries, and an equal metric builds its own."""
+    a, b = Metric.identity(3), Metric.diagonal([1, Fraction(1, 2), -3])
+    assert _unscaled(2 * a._half_inverse()[0], a._half_inverse()[1], True) == \
+        rational.inverse(a.rows())
+    assert _unscaled(2 * b._half_inverse()[0], b._half_inverse()[1], True) == \
+        [[1, 0, 0], [0, 2, 0], [0, 0, Fraction(-1, 3)]]
+    twin = Metric.identity(3)
+    assert twin._half_inverse() is not a._half_inverse()
