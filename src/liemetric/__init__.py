@@ -26,6 +26,11 @@ from .catalog import (
     sol_split_metric,
     solvable_family,
 )
+from .classify import (
+    ClassificationReport,
+    predicted_existence,
+    verify_classification,
+)
 from .dual import (
     BivectorAt,
     PolyOneForm,
@@ -60,13 +65,10 @@ from .metric import (
 )
 from .poly import Polynomial
 from .search import (
-    ClassificationReport,
     SearchConfig,
     SearchResult,
     compat_objective,
     find_compatible_metric,
-    predicted_existence,
-    verify_classification,
 )
 
 __all__ = [

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, dual, io, metric, search
+from . import __version__, classify, dual, io, metric, search
 from .algebra import InvalidStructureError
 from .metric import DegenerateMetricError
 from .scalars import DEFAULT_TOL, scalar_str
@@ -133,12 +133,19 @@ def _modular_verdict(fr, traces, tol: float):
     return worst, all(_within(value + t, fr.exact, tol) for value, t in zip(fr.modular, traces))
 
 
-def cmd_check(args, rep: Report) -> int:
+def _load_pair(args, rep: Report):
+    """The algebra and metric files of a command; a pair whose dimensions
+    differ is bad input."""
     alg = _load_algebra(args.algebra, rep, args.tol)
     rep.add_input(args.metric)
     a = io.load_metric(args.metric)
     if alg.dim != a.dim:
         raise io.FormatError("algebra and metric dimensions differ")
+    return alg, a
+
+
+def cmd_check(args, rep: Report) -> int:
+    alg, a = _load_pair(args, rep)
     sig = a.signature()
     rep.add("signature", "ok", [sig.p, sig.q])
     conn = metric.levi_civita_product(alg, a)
@@ -204,8 +211,8 @@ def cmd_classify(args, rep: Report) -> int:
     dims = (2, 3) if args.dim == "all" else (int(args.dim),)
     cfg = search.SearchConfig(restarts=args.restarts, max_iters=args.max_iters,
                               residual_tol=args.tol, rng_seed=args.seed)
-    report = search.verify_classification(sample_count=args.samples, cfg=cfg,
-                                          dims=dims)
+    report = classify.verify_classification(sample_count=args.samples, cfg=cfg,
+                                            dims=dims)
     for case in report.cases:
         rep.add(f"{case.name}/{case.mode}", case.outcome, case.residual,
                 predicted=case.predicted, found=case.found, note=case.note,
@@ -220,9 +227,7 @@ def cmd_classify(args, rep: Report) -> int:
 
 
 def cmd_dual_sweep(args, rep: Report) -> int:
-    alg = _load_algebra(args.algebra, rep, args.tol)
-    rep.add_input(args.metric)
-    a = io.load_metric(args.metric)
+    alg, a = _load_pair(args, rep)
     if args.points_file:
         rep.add_input(args.points_file)
         points = io.load_points(args.points_file, alg.dim)

@@ -15,7 +15,8 @@ Save then load then save reproduces the file byte for byte.
 An algebra file may declare at most ``MAX_DIM`` basis vectors: building the
 structure tensor allocates dim^3 entries and the Jacobi check costs dim^5
 operations, so a one-line file with a huge ``dim`` is refused before any of
-that is allocated.
+that is allocated. A metric file may hold at most ``MAX_DIM`` rows, refused
+before any entry is parsed.
 
 Points files (``dual-sweep --points-file``) hold a JSON list of length-n
 lists of numbers, read like float-mode entries.
@@ -141,6 +142,7 @@ def metric_from_dict(doc: dict) -> Metric:
     _require(isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows),
              "'matrix' must be a nonempty list of rows")
     n = len(rows)
+    _require(n <= MAX_DIM, f"'matrix' has {n} rows, above the cap of {MAX_DIM}")
     _require(all(len(r) == n for r in rows), "'matrix' must be square")
     data = [[parse(x, f"matrix[{i}][{j}]") for j, x in enumerate(row)]
             for i, row in enumerate(rows)]

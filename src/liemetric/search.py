@@ -1,38 +1,31 @@
-"""Feasibility search for compatible metrics, and the classification harness.
+"""Feasibility search for a metric that makes a Lie algebra compatible.
 
 The objective stacks every component of the basis-triple defect
-[A_{e_i}e_j, e_k] + [e_i, A_{e_k}e_j] into one residual vector; a damped
-Gauss-Newton loop with analytic directional derivatives through the defining
-linear solve drives it down from many random starts, taking a Jacobian only
-where a step was accepted. The starts advance in lockstep batches, each
-taking the steps it would take alone. A found metric
-is only reported after an independent recheck: exact arithmetic when the
-entries rationalize, a ten times tighter float tolerance otherwise.
-
-The harness part sweeps the two- and three-dimensional catalog plus a
-stratified sample of the three-parameter solvable family, comparing search
-outcomes against the classification predicate. A metric found where the
-classification (read invariantly) forbids one is a hard failure; a failed
-search where one should exist is only evidence and is reported as soft.
+[A_{e_i}e_j, e_k] + [e_i, A_{e_k}e_j] into one residual vector. A damped
+Gauss-Newton loop, with analytic directional derivatives through the
+product's defining linear solve, drives it down from many random starts and
+takes a Jacobian only where a step was accepted. The starts advance in
+lockstep batches, each taking the steps it would take alone. A found metric
+is reported only after an independent recheck: an exact certificate through
+the public exact product when the entries rationalize, a ten times tighter
+float tolerance otherwise. Not finding one is a value, whose restart log
+carries the evidence; the classification sweep built on this search lives in
+``classify``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
-from . import catalog
 from .algebra import LieAlgebra
 from .metric import (DegenerateMetricError, Metric, _defect_array,
-                     _lc_product_array, _product_rhs, _solve_doubled,
-                     compatibility_residual)
+                     _lc_product_array, _product_rhs, compatibility_residual)
 from .scalars import RATIONALIZE_MAX_DENOMINATOR, rationalize
 
 _PENALTY = 1e8
@@ -617,11 +610,9 @@ def _admissible(metric: Metric, constraint) -> bool:
 def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
     """Rationalize a float metric and re-verify the residual exactly.
 
-    All on the integer form M = s a of the rationalized metric, which the
-    exact metric carries: its signature decides nondegeneracy and the
-    constraint, the integer system 2M y = B(C, M) gives the product up to a
-    positive scale, and the certificate holds when no entry of the integer
-    defect is nonzero.
+    The symmetrized rationalized metric is the certificate when its exact
+    signature meets the constraint (a degenerate one raises) and its exact
+    compatibility residual, through ``levi_civita_product``, is zero.
     """
     if not alg.exact:
         return None
@@ -633,12 +624,7 @@ def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
         exact = Metric.from_rows(sym, exact=True)
         if not _fits(*exact.signature(), constraint):  # degenerate: raises
             return None
-        m, _ = exact.scaled(True)
-        c, _ = alg.scaled(True)
-        y, _ = _solve_doubled(m, _product_rhs(c, m).reshape(-1, n).T.tolist())
-        if _defect_array(c, np.array(y, dtype=object).T.reshape(n, n, n)).any():
-            return None
-        return exact
+        return exact if compatibility_residual(alg, exact).exact_zero else None
     except (ZeroDivisionError, ValueError):
         return None
 
@@ -727,208 +713,3 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
     return SearchResult(status="not_found", best_metric=best_metric,
                         best_residual=best_res, exact_certificate=False,
                         log=tuple(log), config=cfg)
-
-
-class FamilyParams(NamedTuple):
-    """Parameters of the three-dimensional solvable family."""
-
-    alpha: object
-    beta: object
-    gamma: object
-
-    def discriminant(self):
-        return self.alpha * self.alpha + self.beta * self.gamma
-
-    def mirrored(self) -> "FamilyParams":
-        """Parameters after swapping the second and third basis vectors."""
-        return FamilyParams(-self.alpha, self.gamma, self.beta)
-
-
-def predicted_existence(params: FamilyParams, positive_definite: bool) -> bool:
-    """Stated existence condition for the family, read in the given basis.
-
-    Positive definite: discriminant < 0 and gamma > beta. Indefinite
-    allowed: discriminant nonzero. The positive-definite inequality on
-    gamma - beta is basis-dependent; verify_classification accounts for
-    that separately.
-    """
-    s = params.discriminant()
-    if positive_definite:
-        return s < 0 and params.gamma > params.beta
-    return s != 0
-
-
-@dataclass(frozen=True, eq=False)
-class ClassificationCase:
-    """One search of the sweep and its judgement. restarts_run and iterations
-    (summed over the restarts) are deterministic; seconds is the search's
-    wall time, left out of repr and comparisons."""
-
-    name: str
-    mode: str
-    params: FamilyParams | None
-    predicted: bool
-    found: bool
-    outcome: str
-    residual: float
-    note: str = ""
-    restarts_run: int = 0
-    iterations: int = 0
-    seconds: float = field(default=0.0, repr=False, compare=False)
-
-
-@dataclass(frozen=True, eq=False)
-class ClassificationReport:
-    cases: tuple
-    sample_count: int
-    rng_seed: int
-
-    def tally(self, outcome: str) -> int:
-        return sum(1 for c in self.cases if c.outcome == outcome)
-
-    @property
-    def hard_disagreements(self) -> int:
-        return self.tally("hard_disagree")
-
-    @property
-    def ok(self) -> bool:
-        return self.hard_disagreements == 0
-
-
-def _family_outcome(params: FamilyParams, positive_definite: bool,
-                    predicted: bool, found: bool):
-    """Judge a search outcome against the classification, read invariantly.
-
-    The discriminant sign survives every change of basis preserving the
-    family's shape, while the gamma > beta clause flips under swapping the
-    last two basis vectors; members with zero discriminant and nonzero
-    parameters are nilpotent and isomorphic to the Heisenberg algebra. A
-    found metric only counts as a hard disagreement when no reading allows
-    one.
-    """
-    s = params.discriminant()
-    if positive_definite:
-        exists = s < 0
-    else:
-        exists = True
-    note = ""
-    if found and exists and not predicted:
-        if positive_definite:
-            note = ("stated inequality fails here but holds for the mirrored "
-                    f"presentation {tuple(params.mirrored())}")
-        else:
-            note = ("zero discriminant with nonzero parameters: isomorphic to "
-                    "the Heisenberg algebra, which admits an indefinite metric")
-        return "basis_variance", note
-    if found and not exists:
-        return "hard_disagree", "metric found where the classification forbids one"
-    if not found and exists:
-        return "soft_disagree", "no metric found; search failure is evidence only"
-    return "agree", note
-
-
-def _fixed_outcome(predicted: bool, found: bool):
-    if found and not predicted:
-        return "hard_disagree", "metric found where the classification forbids one"
-    if not found and predicted:
-        return "soft_disagree", "no metric found; search failure is evidence only"
-    return "agree", ""
-
-
-def _sample_family_params(sample_count: int, rng: np.random.Generator) -> list:
-    """Stratified rational triples covering both discriminant signs,
-    both orders of gamma versus beta, and the degenerate boundary."""
-
-    def draw() -> Fraction:
-        num = int(rng.integers(-3, 4))
-        den = int(rng.integers(1, 5))
-        return Fraction(num, den)
-
-    strata = [(-1, 1), (-1, -1), (1, 1), (1, -1), (0, 1), (0, -1)]
-    base = sample_count // len(strata)
-    counts = {key: base for key in strata}
-    for k in range(sample_count - base * len(strata)):
-        counts[strata[k]] += 1
-    out = []
-    for (s_sign, gb_sign), want in counts.items():
-        got = 0
-        while got < want:
-            if s_sign == 0:
-                alpha = draw()
-                beta = draw()
-                if beta == 0:
-                    continue
-                # gamma - beta = -(alpha^2 + beta^2)/beta, so its sign is -sign(beta)
-                if (beta < 0) != (gb_sign > 0):
-                    continue
-                gamma = -alpha * alpha / beta
-                p = FamilyParams(alpha, beta, gamma)
-            else:
-                p = FamilyParams(draw(), draw(), draw())
-                s = p.discriminant()
-                gb = p.gamma - p.beta
-                if s == 0 or gb == 0:
-                    continue
-                if (s > 0) != (s_sign > 0) or (gb > 0) != (gb_sign > 0):
-                    continue
-            if p.alpha == 0 and p.beta == 0 and p.gamma == 0:
-                continue
-            out.append(p)
-            got += 1
-    return out
-
-
-DEFAULT_SWEEP_CONFIG = SearchConfig(restarts=16, max_iters=200, rng_seed=20260822)
-
-
-def verify_classification(sample_count: int = 42,
-                          cfg: SearchConfig | None = None,
-                          dims=(2, 3)) -> ClassificationReport:
-    """Sweep low-dimensional algebras and compare search with prediction.
-
-    Covers the two-dimensional abelian and nonabelian algebras, the
-    Heisenberg algebra, and a stratified sample of the solvable family, in
-    both the positive-definite and unconstrained modes. A hard disagreement
-    means a certified metric exists where the classification says none can.
-    """
-    if cfg is None:
-        cfg = DEFAULT_SWEEP_CONFIG
-    rng = np.random.default_rng([cfg.rng_seed, 104729])
-    cases = []
-
-    fixed = []
-    if 2 in dims:
-        fixed += [("abelian2", catalog.abelian(2), True, True),
-                  ("affine_line", catalog.affine_line(), False, False)]
-    if 3 in dims:
-        fixed += [("heisenberg", catalog.heisenberg(), False, True)]
-    def timed_search(alg, mode):
-        started = time.perf_counter()
-        res = find_compatible_metric(alg, replace(cfg, signature_constraint=mode))
-        return res, dict(restarts_run=len(res.log),
-                         iterations=sum(rec.iterations for rec in res.log),
-                         seconds=time.perf_counter() - started)
-
-    for name, alg, pd_pred, any_pred in fixed:
-        for mode, predicted in (("positive_definite", pd_pred), ("none", any_pred)):
-            res, telemetry = timed_search(alg, mode)
-            outcome, note = _fixed_outcome(predicted, res.found)
-            cases.append(ClassificationCase(
-                name=name, mode=mode, params=None, predicted=predicted,
-                found=res.found, outcome=outcome, residual=res.best_residual,
-                note=note, **telemetry))
-
-    family = _sample_family_params(sample_count, rng) if 3 in dims else []
-    for params in family:
-        alg = catalog.solvable_family(*params)
-        for mode in ("positive_definite", "none"):
-            pd = mode == "positive_definite"
-            predicted = predicted_existence(params, pd)
-            res, telemetry = timed_search(alg, mode)
-            outcome, note = _family_outcome(params, pd, predicted, res.found)
-            cases.append(ClassificationCase(
-                name=f"family{tuple(params)}", mode=mode, params=params,
-                predicted=predicted, found=res.found, outcome=outcome,
-                residual=res.best_residual, note=note, **telemetry))
-    return ClassificationReport(cases=tuple(cases), sample_count=sample_count,
-                                rng_seed=cfg.rng_seed)

@@ -229,6 +229,15 @@ def test_cli_check_nan_metric_is_input_error(tmp_path, capsys):
     assert main(["check", algebra_file(tmp_path, heisenberg()), str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "dual-sweep"])
+def test_cli_mismatched_dimensions_are_input_errors(tmp_path, capsys, command):
+    code = main([command, algebra_file(tmp_path, heisenberg()),
+                 metric_file(tmp_path, Metric.identity(2))])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "algebra and metric dimensions differ" in out and "Traceback" not in err
+
+
 def test_cli_check_compatible_pair(tmp_path, capsys):
     code = main(["check", algebra_file(tmp_path, heisenberg()),
                  metric_file(tmp_path, Metric.from_rows(
@@ -388,15 +397,15 @@ def test_cli_bad_numeric_arguments_are_input_errors(tmp_path, capsys, monkeypatc
 
 
 def test_cli_classify_passes_tol_to_the_search(capsys, monkeypatch):
-    from liemetric import search
+    from liemetric import classify, search
     seen = []
 
     def record(sample_count, cfg, dims):
         seen.append(cfg)
-        return search.ClassificationReport(cases=(), sample_count=sample_count,
-                                           rng_seed=cfg.rng_seed)
+        return classify.ClassificationReport(cases=(), sample_count=sample_count,
+                                             rng_seed=cfg.rng_seed)
 
-    monkeypatch.setattr(search, "verify_classification", record)
+    monkeypatch.setattr(classify, "verify_classification", record)
     assert main(["classify", "--dim", "2", "--tol", "1e-4"]) == 0
     assert main(["classify", "--dim", "2"]) == 0
     assert [cfg.residual_tol for cfg in seen] == [1e-4, search.SearchConfig().residual_tol]
@@ -493,6 +502,25 @@ def test_dim_cap_admits_the_cap_itself(tmp_path):
     path = tmp_path / "cap.json"
     path.write_text(json.dumps({"dim": MAX_DIM, "brackets": []}))
     assert load_algebra(path, check_jacobi=False).dim == MAX_DIM
+
+
+def test_metric_dim_cap_admits_the_cap_itself(tmp_path):
+    path = tmp_path / "cap.metric.json"
+    save_metric(Metric.identity(MAX_DIM), path)
+    assert load_metric(path).dim == MAX_DIM
+
+
+def test_metric_above_the_dim_cap_is_refused_before_parsing(tmp_path, monkeypatch):
+    def refuse(x, where):
+        raise AssertionError("an entry was parsed past the row cap")
+
+    monkeypatch.setattr("liemetric.io._parse_rational", refuse)
+    n = MAX_DIM + 1
+    path = tmp_path / "huge.metric.json"
+    path.write_text(json.dumps({"matrix": [["1" if i == j else "0" for j in range(n)]
+                                           for i in range(n)]}))
+    with pytest.raises(FormatError, match="above the cap"):
+        load_metric(path)
 
 
 def test_cli_version_flag(capsys):

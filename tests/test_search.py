@@ -1,5 +1,7 @@
 """Feasibility search, its gradient, and the classification harness."""
 
+import ast
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +25,12 @@ from liemetric import (
     solvable_family,
     verify_classification,
 )
+from liemetric import classify, search
+from liemetric.classify import FamilyParams
 from liemetric.metric import _defect_array, _lc_product_array, _product_rhs
 from liemetric.scalars import RATIONALIZE_MAX_DENOMINATOR, rationalize
 from liemetric.search import (_BARRIER_WEIGHT, _BATCH_BYTES, _PENALTY, STOP_REASONS,
-                              FamilyParams, RestartRecord, SearchResult, _adjugate,
+                              RestartRecord, SearchResult, _adjugate,
                               _admissible, _armijo_descent, _batch_size, _decode, _factor,
                               _factor_directions, _initial_theta, _lower_positions,
                               _minimize, _normal_equations, _off_domain, _problem,
@@ -221,6 +225,74 @@ def test_classification_dim_filter():
     rep = verify_classification(sample_count=4, dims=(2,))
     assert {c.name for c in rep.cases} == {"abelian2", "affine_line"}
     assert rep.ok
+
+
+_HARD = ("hard_disagree", "metric found where the classification forbids one")
+_SOFT = ("soft_disagree", "no metric found; search failure is evidence only")
+# (found, predicted, exists) -> (outcome, note) of a sweep case; None stands
+# for the case's own basis-variance note
+OUTCOME_TABLE = {
+    (True, True, True): ("agree", ""),
+    (True, True, False): _HARD,
+    (True, False, True): ("basis_variance", None),
+    (True, False, False): _HARD,
+    (False, True, True): _SOFT,
+    (False, True, False): ("agree", ""),
+    (False, False, True): _SOFT,
+    (False, False, False): ("agree", ""),
+}
+
+
+@pytest.mark.parametrize("variance_note", ["", "holds for the mirrored presentation"],
+                         ids=["fixed", "family"])
+@pytest.mark.parametrize("found, predicted, exists", list(OUTCOME_TABLE))
+def test_outcome_table(found, predicted, exists, variance_note):
+    outcome, note = OUTCOME_TABLE[(found, predicted, exists)]
+    want = (outcome, variance_note if note is None else note)
+    assert classify._outcome(found, predicted, exists, variance_note) == want
+
+
+@pytest.mark.parametrize("found", [True, False])
+def test_sweep_judges_each_case_by_its_invariant_existence(monkeypatch, found):
+    """Every search of a sweep forced to one result: fixed cases exist as
+    predicted; family cases exist by the discriminant in positive-definite
+    mode and always otherwise, with the note of their mode."""
+    stub = SearchResult(status="found" if found else "not_found", best_metric=None,
+                        best_residual=0.0, exact_certificate=False, log=(),
+                        config=SearchConfig())
+    monkeypatch.setattr(classify, "find_compatible_metric", lambda alg, cfg: stub)
+    rep = verify_classification(sample_count=12)
+    for case in rep.cases:
+        if case.params is None:
+            exists, variance_note = case.predicted, ""
+        elif case.mode == "positive_definite":
+            exists = case.params.discriminant() < 0
+            variance_note = ("stated inequality fails here but holds for the mirrored "
+                             f"presentation {tuple(case.params.mirrored())}")
+        else:
+            exists = True
+            variance_note = ("zero discriminant with nonzero parameters: isomorphic to "
+                             "the Heisenberg algebra, which admits an indefinite metric")
+        outcome, note = OUTCOME_TABLE[(found, case.predicted, exists)]
+        assert (case.outcome, case.note) == (outcome, variance_note if note is None else note)
+    assert len(rep.cases) == 6 + 24
+    assert {case.outcome for case in rep.cases} == (
+        {"agree", "basis_variance", "hard_disagree"} if found else {"agree", "soft_disagree"})
+
+
+def test_sweep_lives_in_classify_and_search_does_not_import_it():
+    import liemetric
+    for name in ("ClassificationReport", "predicted_existence", "verify_classification"):
+        assert getattr(liemetric, name) is getattr(classify, name)
+        assert not hasattr(search, name)
+    tree = ast.parse(inspect.getsource(search))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not any("classify" in name for name in imported)
 
 
 def test_inadmissible_probes_logged_not_best():
