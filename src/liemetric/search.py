@@ -109,8 +109,9 @@ def param_count(n: int) -> int:
 
 
 # cap on the bytes of one lockstep batch's (restarts, m, n^4) float Jacobian
-# stack; a lockstep step's arrays peak at 3 to 6 times this (1.5 to 2.8 MiB
-# measured at n = 3..6)
+# stack; a lockstep step's arrays peak at 4 to 8 times this (2.0 to 4.1 MiB
+# measured with tracemalloc at n = 6..3), the defect contraction's
+# (..., 2n, n) intermediate being twice the stack
 _BATCH_BYTES = 512 * 1024
 
 

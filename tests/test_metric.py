@@ -22,6 +22,7 @@ from liemetric import (
     sol_split_metric,
     solvable_family,
 )
+from liemetric.metric import _defect_array, _product_rhs
 from conftest import random_algebra, random_metric
 
 
@@ -220,3 +221,117 @@ def test_transported_metric_congruence():
     t = a.transported(p)
     assert t.signature() == a.signature()
     assert t.apply([1, 0], [1, 0]) == 4
+
+
+# ------------------------------------------- one-contraction product kernels ---
+
+def _product_rhs_reference(c, a):
+    """Three contractions, one per term: the reference ``_product_rhs``
+    matches bit for bit."""
+    return (np.einsum("ijm,...mk->...ijk", c, a)
+            + np.einsum("kim,...mj->...ijk", c, a)
+            + np.einsum("kjm,...mi->...ijk", c, a))
+
+
+def _defect_array_reference(c, x):
+    """Two contractions, one per term: the reference ``_defect_array``
+    matches bit for bit."""
+    return (np.einsum("...ijm,mkl->...ijkl", x, c)
+            + np.einsum("iml,...kjm->...ijkl", c, x))
+
+
+def _antisymmetric(rng, n, kind):
+    """A C-ordered (n, n, n) float array antisymmetric in its first two axes:
+    dense normal entries, mostly zero ones, or quarter integers."""
+    if kind == "dense":
+        t = rng.standard_normal((n, n, n))
+    elif kind == "sparse":
+        t = rng.standard_normal((n, n, n)) * (rng.random((n, n, n)) < 0.3)
+    else:
+        t = rng.integers(-8, 9, (n, n, n)) / 4.0
+    return t - t.transpose(1, 0, 2)
+
+
+def _laid_out(rng, batch, tail, layout):
+    """Random entries of shape batch + tail in a given memory layout: C order,
+    the last two axes swapped, every other entry of a wider array, reversed
+    last axis, or the batch axes stored in reverse."""
+    shape = batch + tail
+    if layout == "swapped":
+        return np.swapaxes(rng.standard_normal(shape[:-2] + shape[-2:][::-1]), -1, -2)
+    if layout == "strided":
+        return rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    if layout == "reversed":
+        return rng.standard_normal(shape)[..., ::-1]
+    if layout == "batch_reversed":
+        k = len(batch)
+        return rng.standard_normal(batch[::-1] + tail).transpose(
+            tuple(range(k))[::-1] + tuple(range(k, len(shape))))
+    return rng.standard_normal(shape)
+
+
+_LAYOUTS = ("c_order", "swapped", "strided", "reversed", "batch_reversed")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_one_contraction_kernels_are_bit_identical_to_the_separate_ones(n):
+    """Seeded float corpus: batch shapes (), (R,) and (R, m) with R up to 139;
+    dense, sparse and quarter-integer c; a and x in five memory layouts. The
+    kernels' bytes equal the separate contractions' bytes."""
+    rng = np.random.default_rng([20261019, n])
+    for case in range(150):
+        c = _antisymmetric(rng, n, ("dense", "sparse", "quarter")[case % 3])
+        batch = ((), (int(rng.integers(1, 140)),),
+                 (int(rng.integers(1, 9)), int(rng.integers(1, 7))))[case // 3 % 3]
+        layout = _LAYOUTS[case % 5]
+        a = _laid_out(rng, batch, (n, n), layout)
+        x = _laid_out(rng, batch, (n, n, n), layout)
+        for got, want in ((_product_rhs(c, a), _product_rhs_reference(c, a)),
+                          (_defect_array(c, x), _defect_array_reference(c, x))):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (n, batch, layout)
+
+
+def test_one_contraction_kernels_equal_the_separate_ones_in_big_integers():
+    """Exact mode runs the kernels on object arrays of Python ints; entries
+    above 2**63 would wrap in any fixed-width integer path."""
+    rng = np.random.default_rng(20261020)
+
+    def big(shape):
+        ints = [int(u) * 2 ** 70 + int(v) for u, v in
+                zip(rng.integers(-9, 10, int(np.prod(shape))),
+                    rng.integers(-5, 6, int(np.prod(shape))))]
+        return np.array(ints, dtype=object).reshape(shape)
+
+    for case in range(180):
+        n = 1 + case % 4
+        batch = ((), (2,), (2, 3))[case % 3]
+        c = big((n, n, n))
+        c = c - c.transpose(1, 0, 2)
+        a, x = big(batch + (n, n)), big(batch + (n, n, n))
+        for got, want in ((_product_rhs(c, a), _product_rhs_reference(c, a)),
+                          (_defect_array(c, x), _defect_array_reference(c, x))):
+            assert got.dtype == object and got.shape == want.shape
+            assert (got == want).all()
+            assert all(type(v) is int for v in got.flat)
+
+
+def test_one_contraction_kernels_keep_nan_and_inf_where_the_separate_ones_do():
+    """NaN and inf in c, a or x: NaN at the same positions, equal bits
+    elsewhere (inf - inf makes NaN in both forms alike)."""
+    rng = np.random.default_rng(20261021)
+    for case in range(120):
+        n = 2 + case % 4
+        c = _antisymmetric(rng, n, "dense")
+        a = rng.standard_normal((3, n, n))
+        x = rng.standard_normal((3, n, n, n))
+        for t in ((c,), (a,), (x,), (c, a, x))[case % 4]:
+            flat = t.reshape(-1)
+            flat[rng.integers(0, flat.size, 2)] = (np.nan, np.inf, -np.inf)[case % 3]
+        with np.errstate(invalid="ignore"):
+            pairs = ((_product_rhs(c, a), _product_rhs_reference(c, a)),
+                     (_defect_array(c, x), _defect_array_reference(c, x)))
+        for got, want in pairs:
+            nan = np.isnan(want)
+            assert (np.isnan(got) == nan).all()
+            assert got[~nan].tobytes() == want[~nan].tobytes()
