@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rational
-from .scalars import DEFAULT_TOL, IntegerForm, _scaled, _unscaled, coerce, is_exact
+from .scalars import DEFAULT_TOL, IntegerForm, _scaled, _unscaled, coerce, is_exact, within
 
 
 class DimensionMismatchError(ValueError):
@@ -160,8 +160,7 @@ class LieAlgebra(IntegerForm):
 
     def require_jacobi(self, tol: float = DEFAULT_TOL):
         r = self.jacobi_residual()
-        bad = (r != 0) if self.exact else not (abs(r) <= tol)
-        if bad:
+        if not within(r, self.exact, tol):
             raise InvalidStructureError(f"Jacobi identity fails, residual {r}")
 
     def adjoint_matrix(self, u: Sequence):
@@ -180,11 +179,8 @@ class LieAlgebra(IntegerForm):
     def is_unimodular(self, tol: float = DEFAULT_TOL) -> UnimodularityReport:
         """True iff every adjoint map is trace-free."""
         traces = self.ad_traces()
-        if self.exact:
-            ok = all(t == 0 for t in traces)
-        else:
-            ok = all(abs(t) <= tol for t in traces)
-        return UnimodularityReport(unimodular=ok, traces=traces)
+        return UnimodularityReport(unimodular=all(within(t, self.exact, tol) for t in traces),
+                                   traces=traces)
 
     def center(self, tol: float = DEFAULT_TOL) -> list:
         """Basis of {v : [u, v] = 0 for all u}, via the stacked adjoints."""

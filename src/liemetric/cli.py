@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, classify, dual, io, metric, search
 from .algebra import InvalidStructureError
 from .metric import DegenerateMetricError
-from .scalars import DEFAULT_TOL, scalar_str
+from .scalars import DEFAULT_TOL, scalar_str, within
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,7 +57,7 @@ def _jsonable(x):
 class Report:
     """Accumulates per-check rows and renders them as a table or JSON."""
 
-    def __init__(self, command: list, seed=None):
+    def __init__(self, command: list, seed=None, tol=None):
         self.started = time.monotonic()
         self.doc = {
             "tool": "liemetric",
@@ -66,6 +66,7 @@ class Report:
             "inputs": {},
             "checks": [],
             "seed": seed,
+            "tol": tol,
         }
 
     def add_input(self, path: str):
@@ -95,7 +96,7 @@ def _load_algebra(path, rep: Report, tol: float):
     rep.add_input(path)
     alg = io.load_algebra(path, check_jacobi=False)
     residual, triple = alg.worst_jacobi_triple()
-    ok = (residual == 0) if alg.exact else (abs(residual) <= tol)
+    ok = within(residual, alg.exact, tol)
     rep.add("jacobi_identity", "ok" if ok else "failed",
             float(residual), worst_triple=[t + 1 for t in triple])
     if not ok:
@@ -112,13 +113,8 @@ def cmd_validate(args, rep: Report) -> int:
     return EXIT_OK
 
 
-def _within(value, exact: bool, tol: float) -> bool:
-    """True when a residual is exactly zero (exact mode) or within tol; NaN fails."""
-    return value == 0 if exact else abs(value) <= tol
-
-
 def _status(value, exact: bool, tol: float) -> str:
-    return "ok" if _within(value, exact, tol) else "failed"
+    return "ok" if within(value, exact, tol) else "failed"
 
 
 # report row names of the dual-side identities and their frame rows, in report order
@@ -130,7 +126,7 @@ DUAL_IDENTITIES = (("dual_compatibility", "dpi"),
 def _modular_verdict(fr, traces, tol: float):
     """Largest |modular value| and whether each equals -tr(ad e_k), the modular character."""
     worst = max(abs(float(value)) for value in fr.modular)
-    return worst, all(_within(value + t, fr.exact, tol) for value, t in zip(fr.modular, traces))
+    return worst, all(within(value + t, fr.exact, tol) for value, t in zip(fr.modular, traces))
 
 
 def _load_pair(args, rep: Report):
@@ -153,16 +149,15 @@ def cmd_check(args, rep: Report) -> int:
     rep.add("product_torsion", _status(torsion, conn.exact, args.tol), float(torsion))
     rep.add("product_metric_skew", _status(skew, conn.exact, args.tol), float(skew))
     res = metric.compatibility_residual(alg, a, conn)
-    compatible = res.exact_zero if res.exact_zero is not None else res.value <= args.tol
-    rep.add("compatibility_residual", "ok" if compatible else "failed",
+    rep.add("compatibility_residual", "ok" if res.passes(args.tol) else "failed",
             res.value, worst_triple=[t + 1 for t in res.worst_triple])
     uni = alg.is_unimodular(args.tol)
     rep.add("unimodular", "yes" if uni.unimodular else "no",
             [float(t) for t in uni.traces])
     fr = dual._DualFrame(alg, a)
     for name, identity in DUAL_IDENTITIES:
-        value = fr.sweep(identity)
-        rep.add(name, _status(value, fr.exact, args.tol), value)
+        value = fr.worst(identity)
+        rep.add(name, _status(value, fr.exact, args.tol), float(value))
     worst_mod, modular_ok = _modular_verdict(fr, uni.traces, args.tol)
     rep.add("modular_sweep_max", "ok" if modular_ok else "failed", worst_mod)
     failed = any(row["status"] == "failed" for row in rep.doc["checks"])
@@ -243,9 +238,10 @@ def cmd_dual_sweep(args, rep: Report) -> int:
         entries += [{"point": pt, "check": name, "value": float(v)}
                     for pt, v in zip(points, values)]
         worst = float(np.max(values))
+        ok = within(worst, False, args.tol)
         if name != "dual_compatibility":
-            consistent = consistent and worst <= args.tol
-        rep.add(name + "_max", "ok" if worst <= args.tol else "above_tol", worst)
+            consistent = consistent and ok
+        rep.add(name + "_max", "ok" if ok else "above_tol", worst)
     # the modular value does not depend on the point; it is listed at each one
     for k, value in enumerate(fr.modular):
         entries += [{"point": pt, "check": f"modular_e{k + 1}", "value": float(value)}
@@ -347,7 +343,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; pass that through
         return int(exc.code or 0)
-    rep = Report(command=["liemetric"] + argv, seed=getattr(args, "seed", None))
+    rep = Report(command=["liemetric"] + argv, seed=getattr(args, "seed", None),
+                 tol=getattr(args, "tol", None))
     try:
         code = args.func(args, rep)
     except (io.FormatError, OSError) as exc:

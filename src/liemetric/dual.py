@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import rational
+from . import metric, rational
 from .algebra import DimensionMismatchError, LieAlgebra
 from .metric import Metric
 from .poly import Polynomial
@@ -461,15 +461,21 @@ class _DualFrame:
         return self._rows(np.zeros(const.shape + (self.n,), dtype=const.dtype), const,
                           s * sa)
 
-    def sweep(self, identity: str, points=None):
-        """Largest coefficient magnitude of an identity's rows (points=None), or
-        the largest |defect| at each of a nonempty list of points, from rows @
-        [mu, 1]. Rows meet their scale only here: one exact quotient for the
-        maximum, and for points int / int, rounded as float() of a Fraction. A
-        NaN coefficient or value gives NaN, never a smaller number."""
+    def worst(self, identity: str):
+        """Largest coefficient magnitude of an identity's rows, exact in exact
+        mode, where a nonzero maximum may be 0.0 as a float."""
         rows, scale = getattr(self, identity)
+        return _unscaled(np.max(np.abs(rows)), scale, self.exact)
+
+    def sweep(self, identity: str, points=None):
+        """``worst`` as a float (points=None), or the largest |defect| at each
+        of a nonempty list of points, from rows @ [mu, 1]. Rows meet their
+        scale only here and in ``worst``: for points int / int, rounded as
+        float() of a Fraction. A NaN coefficient or value gives NaN, never a
+        smaller number."""
         if points is None:
-            return float(_unscaled(np.max(np.abs(rows)), scale, self.exact))
+            return float(self.worst(identity))
+        rows, scale = getattr(self, identity)
         points = [list(pt) for pt in points]
         if not points:
             raise ValueError("no points to evaluate the identity at")
@@ -602,21 +608,6 @@ def _rank_null(m, exact: bool, rtol: float):
     return rank, vt[rank:]
 
 
-def _require_nondegenerate_gram(gram, exact: bool, rtol: float):
-    """Raise if the kernel Gram matrix is degenerate: exact det == 0, or a float
-    eigenvalue within rtol of the largest in magnitude."""
-    if exact:
-        gdet = rational.det(gram)
-        degenerate = gdet == 0
-    else:
-        ev = np.abs(np.linalg.eigvalsh(gram))
-        gdet = f"{float(np.linalg.det(gram)):.3e}"
-        degenerate = np.min(ev) <= rtol * max(np.max(ev), 1e-300)
-    if degenerate:
-        raise DegenerateRestrictionError(
-            f"metric degenerates on the sharp kernel (Gram determinant {gdet})")
-
-
 def _frozen(rows) -> tuple:
     return tuple(map(tuple, rows))
 
@@ -627,11 +618,12 @@ def leaf_frame_at(alg: LieAlgebra, a: Metric, mu,
 
     Exact when the algebra, the metric and mu are all exact; the rank is then
     exact, otherwise it counts singular values above rtol times the largest.
-    Requires the metric restricted to the kernel to be nondegenerate; the
-    error reports the kernel Gram determinant when it is not. The tangent
-    basis collects the sharp images of the complement basis. Whether mu is
-    regular is decided by ``kahler_check_at`` from the algebra's generic rank
-    (n - ind(g)), with the Schwartz-Zippel error bound stated there.
+    Requires the metric restricted to the kernel to be nondegenerate, by the
+    metric's own rule (``metric._inertia``, not rtol); the error reports the
+    kernel Gram determinant when it is not. The tangent basis collects the
+    sharp images of the complement basis. Whether mu is regular is decided by
+    ``kahler_check_at`` from the algebra's generic rank (n - ind(g)), with the
+    Schwartz-Zippel error bound stated there.
     """
     _check_dim(alg, mu)
     if alg.dim != a.dim:
@@ -645,8 +637,11 @@ def leaf_frame_at(alg: LieAlgebra, a: Metric, mu,
     complement = np.eye(alg.dim, dtype=int).tolist()
     if len(kernel):
         ka = np.einsum("ui,ij->uj", k, am)
-        _require_nondegenerate_gram(
-            _unscaled(np.einsum("uj,vj->uv", ka, k), sk * sa * sk, exact), exact, rtol)
+        gram = np.einsum("uj,vj->uv", ka, k)  # times a positive scale
+        if metric._inertia(gram, exact)[2]:  # an exact degenerate form has det 0
+            gdet = 0 if exact else f"{float(np.linalg.det(gram)):.3e}"
+            raise DegenerateRestrictionError(
+                f"metric degenerates on the sharp kernel (Gram determinant {gdet})")
         complement = _rank_null(_unscaled(ka, sk * sa, exact), exact, rtol)[1]
     c, sc = _scaled(complement, exact)
     tangents = np.einsum("si,ij->sj", c, pm)

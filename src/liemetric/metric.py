@@ -21,10 +21,28 @@ import numpy as np
 
 from . import rational
 from .algebra import DimensionMismatchError, LieAlgebra, _bilinear, _freeze_tensor
-from .scalars import DEFAULT_TOL, IntegerForm, _scaled, _unscaled, coerce, is_exact
+from .scalars import DEFAULT_TOL, IntegerForm, _scaled, _unscaled, coerce, is_exact, within
 
 DEGENERACY_RTOL = 1e-9
 DEGENERATE_METRIC = "metric is degenerate or numerically near-degenerate"
+
+
+def _inertia(m: np.ndarray, exact: bool) -> tuple:
+    """Sylvester inertia (p, q, z) of a symmetric array: the one degeneracy
+    rule, z > 0 exactly when the form is degenerate.
+
+    Exact: ``rational.inertia`` (a positive scale keeps the inertia). Float: a
+    matrix with a non-finite entry is all zero; otherwise an eigenvalue counts
+    as zero unless its magnitude exceeds DEGENERACY_RTOL times the largest.
+    """
+    if exact:
+        return rational.inertia(m.tolist())
+    if not np.isfinite(m).all():
+        return 0, 0, len(m)
+    ev = np.linalg.eigvalsh(m).tolist()  # ascending: the largest |ev| is at an end
+    cut = DEGENERACY_RTOL * max(abs(ev[0]), abs(ev[-1]))
+    p, q = sum(x > cut for x in ev), sum(x < -cut for x in ev)
+    return p, q, len(ev) - p - q
 
 
 class DegenerateMetricError(ValueError):
@@ -104,37 +122,21 @@ class Metric(IntegerForm):
         return _unscaled(np.einsum("j,j->", np.einsum("i,ij->j", u, m), v),
                          sm * su * sv, self.exact)
 
-    def is_nondegenerate(self, rtol: float = DEGENERACY_RTOL) -> bool:
-        if self.exact:
-            return self.det() != 0
-        s = np.linalg.svd(self.scaled(False)[0], compute_uv=False)
-        return bool(s[-1] > rtol * max(s[0], 1e-300))
+    def is_nondegenerate(self) -> bool:
+        return not _inertia(self._form[0], self.exact)[2]
 
-    def require_nondegenerate(self, rtol: float = DEGENERACY_RTOL):
-        if not self.is_nondegenerate(rtol):
+    def require_nondegenerate(self):
+        self.signature()
+
+    def signature(self) -> Signature:
+        """Sylvester inertia (``_inertia``); raises on a degenerate form."""
+        p, q, z = _inertia(self._form[0], self.exact)
+        if z:
             raise DegenerateMetricError(DEGENERATE_METRIC)
-
-    def signature(self, rtol: float = DEGENERACY_RTOL) -> Signature:
-        """Sylvester inertia; raises on a zero eigenvalue (degenerate form)."""
-        m, _ = self.scaled(self.exact)
-        if self.exact:
-            # a positive scale keeps the inertia
-            p, q, z = rational.inertia(m.tolist())
-            if z:
-                raise DegenerateMetricError("metric is degenerate")
-            return Signature(p, q)
-        eig = np.linalg.eigvalsh(m)
-        scale = max(abs(eig[0]), abs(eig[-1]), 1e-300)
-        if np.any(np.abs(eig) <= rtol * scale):
-            raise DegenerateMetricError("metric has an eigenvalue at zero within threshold")
-        return Signature(int(np.sum(eig > 0)), int(np.sum(eig < 0)))
+        return Signature(p, q)
 
     def is_positive_definite(self) -> bool:
-        try:
-            sig = self.signature()
-        except DegenerateMetricError:
-            return False
-        return sig.q == 0
+        return _inertia(self._form[0], self.exact)[0] == self.dim
 
     def transported(self, p) -> "Metric":
         """Pullback under the basis change f_q = sum_i p[i][q] e_i (congruence)."""
@@ -174,8 +176,8 @@ class Metric(IntegerForm):
         return self._half
 
 
-def signature(a: Metric, rtol: float = DEGENERACY_RTOL) -> Signature:
-    return a.signature(rtol)
+def signature(a: Metric) -> Signature:
+    return a.signature()
 
 
 class _TensorFromForm:
@@ -354,6 +356,12 @@ class CompatibilityResidual(NamedTuple):
     worst_triple: tuple
     exact_zero: bool | None
 
+    def passes(self, tol: float = DEFAULT_TOL) -> bool:
+        """The verdict: ``exact_zero`` in exact mode, ``within`` tol otherwise."""
+        if self.exact_zero is not None:
+            return self.exact_zero
+        return within(self.value, False, tol)
+
 
 def compatibility_residual(alg: LieAlgebra, a: Metric,
                            conn: ConnectionTensor | None = None) -> CompatibilityResidual:
@@ -396,20 +404,14 @@ def _require_product_of(conn: ConnectionTensor, alg: LieAlgebra, a: Metric):
         return
     a.require_nondegenerate()
     torsion, skew = conn.torsion_residual(alg), conn.skew_residual(a)
-    if conn.exact and alg.exact and a.exact:
-        ok = torsion == 0 and skew == 0
-    else:
-        x, c, m = (np.max(np.abs(o.scaled(False)[0])) for o in (conn, alg, a))
-        ok = (torsion <= DEFAULT_TOL * max(1.0, x, c)
-              and skew <= DEFAULT_TOL * max(1.0, x * m))
-    if not ok:
+    exact = conn.exact and alg.exact and a.exact
+    x, c, m = (np.max(np.abs(o.scaled(False)[0])) for o in (conn, alg, a))
+    if not (within(torsion, exact, DEFAULT_TOL * max(1.0, x, c))
+            and within(skew, exact, DEFAULT_TOL * max(1.0, x * m))):
         raise ValueError("the product is not the Levi-Civita product of this "
                          f"algebra and metric (torsion {torsion}, skew {skew})")
 
 
 def is_pseudo_riemannian(alg: LieAlgebra, a: Metric, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the pair is compatible: exact zero residual, or below tol in float."""
-    res = compatibility_residual(alg, a)
-    if res.exact_zero is not None:
-        return res.exact_zero
-    return res.value <= tol
+    """Whether the pair is compatible: exact zero residual, or within tol in float."""
+    return compatibility_residual(alg, a).passes(tol)

@@ -2,7 +2,8 @@
 
 Exact mode holds ``fractions.Fraction`` entries (ints and 'p/q' strings
 coerce); float mode holds machine doubles and every zero test carries an
-explicit tolerance. Mixed arithmetic silently degrades to float, so
+explicit tolerance. ``within`` is that zero test, the one rule every residual
+verdict reads. Mixed arithmetic silently degrades to float, so
 containers track an ``exact`` flag and coerce their entries up front.
 
 Tensor operations run one ``np.einsum`` contraction for both modes. In exact
@@ -36,6 +37,12 @@ RATIONALIZE_MAX_DENOMINATOR = 10**6
 
 def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def within(value, exact: bool, tol: float = DEFAULT_TOL) -> bool:
+    """Whether a residual passes: exactly zero (exact mode), or at most tol in
+    absolute value (float mode), so NaN fails."""
+    return bool(value == 0 if exact else abs(value) <= tol)
 
 
 def coerce(x, exact: bool):

@@ -599,8 +599,6 @@ def _fits(p: int, q: int, constraint) -> bool:
 
 
 def _admissible(metric: Metric, constraint) -> bool:
-    if not metric.is_nondegenerate():
-        return False
     try:
         sig = metric.signature()
     except DegenerateMetricError:

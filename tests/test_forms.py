@@ -342,6 +342,34 @@ def test_a_degenerate_metric_is_refused_with_a_passed_product():
         compatibility_residual(abelian(2), Metric.from_rows([[1, 1], [1, 1]]), conn)
 
 
+def test_every_degeneracy_verdict_reads_the_one_rule(monkeypatch):
+    """Signature, nondegeneracy, positive definiteness, the float product, the
+    search's admissibility and the leaf frame's Gram check each reach
+    ``metric._inertia`` once, in the pair's mode: there is no second rule."""
+    calls = []
+    inertia = metric._inertia
+
+    def spy(m, exact):
+        calls.append(exact)
+        return inertia(m, exact)
+
+    monkeypatch.setattr(metric, "_inertia", spy)
+    for exact in (True, False):
+        a = Metric.identity(3, exact=exact)
+        alg = euclidean_motions() if exact else euclidean_motions().to_float()
+        verdicts = {"signature": a.signature, "is_nondegenerate": a.is_nondegenerate,
+                    "require_nondegenerate": a.require_nondegenerate,
+                    "is_positive_definite": a.is_positive_definite,
+                    "_admissible": lambda: search._admissible(a, "positive_definite"),
+                    "leaf_frame_at": lambda: dual.leaf_frame_at(alg, a, [0, 0, 1])}
+        if not exact:
+            verdicts["levi_civita_product"] = lambda: levi_civita_product(alg, a)
+        for name, verdict in verdicts.items():
+            calls.clear()
+            verdict()
+            assert calls == [exact], name
+
+
 # -- the half-inverse a metric carries once read ----------------------------
 
 def _fresh_metrics():

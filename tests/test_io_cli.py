@@ -10,9 +10,12 @@ import pytest
 
 from liemetric import (
     FormatError,
+    InvalidStructureError,
     Metric,
+    compatibility_residual,
     heisenberg,
     heisenberg_split_metric,
+    is_pseudo_riemannian,
     load_algebra,
     load_metric,
     save_algebra,
@@ -346,6 +349,55 @@ def test_cli_report_carries_input_digest(tmp_path, capsys):
     doc = json.loads(j.read_text())
     digest = doc["inputs"][alg]
     assert len(digest) == 64 and int(digest, 16) >= 0
+
+
+def _every_subcommand(tmp_path):
+    alg = algebra_file(tmp_path, heisenberg())
+    met = metric_file(tmp_path, heisenberg_split_metric())
+    quick = ["--restarts", "1", "--max-iters", "0"]
+    return [["validate", alg], ["check", alg, met],
+            ["search", alg, *quick, "--out", str(tmp_path / "found.json")],
+            ["classify", "--samples", "0", *quick],
+            ["dual-sweep", alg, met, "--count", "2"]]
+
+
+@pytest.mark.parametrize("tol, want", [([], 1e-10), (["--tol", "1e-6"], 1e-6)])
+def test_cli_report_states_its_tolerance(tmp_path, capsys, tol, want):
+    """Every report names the tolerance its float verdicts were judged by."""
+    for k, command in enumerate(_every_subcommand(tmp_path)):
+        report = tmp_path / f"report{k}.json"
+        main(command + tol + ["--json", str(report)])
+        assert json.loads(report.read_text())["tol"] == want, command[0]
+
+
+TINY = Fraction(1, 10**200)  # the product of two such numbers is 0.0 as a float
+
+
+def test_exact_verdicts_never_round(tmp_path, capsys):
+    """Exact residuals that are nonzero but round to 0.0 as floats fail: the
+    Jacobi residual 2e-400 of a table with entries 1e-200, and the
+    compatibility residual and the dual compatibility coefficients of a
+    Heisenberg bracket of 1e-200 with the identity metric."""
+    table = {(0, 1): [0, TINY, 0], (0, 2): [0, 0, TINY], (1, 2): [TINY, 0, 0]}
+    loose = LieAlgebra.from_brackets(3, table, check_jacobi=False)
+    assert float(loose.jacobi_residual()) == 0.0
+    with pytest.raises(InvalidStructureError):
+        loose.require_jacobi()
+    path = tmp_path / "tiny.alg.json"
+    path.write_text(json.dumps({"dim": 3, "scalar": "rational", "brackets": [
+        {"i": i + 1, "j": j + 1, "v": ["1e-200" if x else "0" for x in v]}
+        for (i, j), v in table.items()]}))
+    assert main(["validate", str(path)]) == 1
+
+    heis, a = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, TINY]}), Metric.identity(3)
+    res = compatibility_residual(heis, a)
+    assert res.value == 0.0 and res.exact_zero is False
+    assert not is_pseudo_riemannian(heis, a)
+    report = tmp_path / "check.json"
+    assert main(["check", algebra_file(tmp_path, heis), metric_file(tmp_path, a),
+                 "--json", str(report)]) == 1
+    rows = {row["name"]: row["status"] for row in json.loads(report.read_text())["checks"]}
+    assert rows["compatibility_residual"] == rows["dual_compatibility"] == "failed"
 
 
 def test_cli_classify_dim2(capsys):

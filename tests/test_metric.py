@@ -1,5 +1,6 @@
 """Metric forms, the contraction product, and the compatibility residual."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,8 @@ from liemetric import (
     sol_split_metric,
     solvable_family,
 )
+from liemetric import search
+from liemetric.dual import kahler_check_at
 from liemetric.metric import _defect_array, _product_rhs
 from conftest import random_algebra, random_metric
 
@@ -53,6 +56,33 @@ def test_degenerate_metric_rejected():
 def test_signature_of_degenerate_raises():
     with pytest.raises(DegenerateMetricError):
         Metric.from_rows([[1, 1], [1, 1]]).signature()
+
+
+NON_FINITE = {
+    "nan_off_diagonal_pair": [[1.0, math.nan, 0.0], [math.nan, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "nan_diagonal": [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]],
+    "inf_diagonal": [[1.0, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("rows", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_float_metrics_get_one_answer(rows):
+    """A float metric with a NaN or infinite entry is degenerate to every
+    verdict: the queries answer False, the product and the residual raise
+    DegenerateMetricError, and no LinAlgError (a ValueError too) escapes."""
+    with np.errstate(invalid="ignore"):  # the symmetry check subtracts inf from inf
+        a = Metric.from_rows(rows, exact=False)
+    alg = heisenberg().to_float()
+    for call in (a.signature, lambda: levi_civita_product(alg, a),
+                 lambda: compatibility_residual(alg, a)):
+        with pytest.raises(DegenerateMetricError):
+            call()
+    assert not a.is_nondegenerate()
+    assert not a.is_positive_definite()
+    assert not search._admissible(a, "positive_definite")
+    with pytest.raises(ValueError, match="needs a positive definite metric") as info:
+        kahler_check_at(alg, a, [0.0, 0.0, 1.0])
+    assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 def test_product_abelian_vanishes(rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liemetric.scalars import _scaled, _unscaled
+from liemetric.scalars import DEFAULT_TOL, _scaled, _unscaled, within
 
 
 def _scaled_reference(values):
@@ -74,3 +74,14 @@ def test_numpy_integers_become_python_ints_and_cannot_wrap():
     got, scale = _scaled([[np.int64(2**62), Fraction(1, 4)]], True)
     assert scale == 4 and got.tolist() == [[2**64, 1]]
     assert all(type(x) is int for x in got.flat)
+
+
+def test_within_is_an_exact_zero_or_a_float_tolerance():
+    """Exact mode asks for zero, however small the value; float mode asks for
+    |value| <= tol, so NaN fails."""
+    tiny = Fraction(1, 10**400)  # 0.0 as a float
+    assert within(Fraction(0), True) and not within(tiny, True) and not within(-tiny, True)
+    assert within(DEFAULT_TOL, False) and within(-DEFAULT_TOL, False)
+    assert not within(2 * DEFAULT_TOL, False) and within(2 * DEFAULT_TOL, False, 1e-9)
+    assert not within(math.nan, False) and not within(math.inf, False)
+    assert type(within(np.float64(0.0), False)) is bool
