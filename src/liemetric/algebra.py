@@ -15,7 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rational
-from .scalars import DEFAULT_TOL, IntegerForm, _scaled, _unscaled, coerce, is_exact, within
+from .scalars import (DEFAULT_TOL, IntegerForm, _differ, _scaled, _unscaled, coerce, is_exact,
+                      within)
 
 
 class DimensionMismatchError(ValueError):
@@ -98,8 +99,7 @@ class LieAlgebra(IntegerForm):
             raise DimensionMismatchError("structure tensor is not dim x dim x dim")
         alg = cls(dim=dim, c=_freeze_tensor(data), exact=exact, name=name)
         t, _ = alg.scaled(exact)
-        defect = t + t.transpose(1, 0, 2)
-        bad = np.argwhere((defect != 0) if exact else (np.abs(defect) > tol))
+        bad = np.argwhere(_differ(t, -t.transpose(1, 0, 2), exact, tol))
         if len(bad):
             i, j, k = bad[0]  # row-major order: the lexicographically first entry
             raise InvalidStructureError(f"antisymmetry fails at c[{i}][{j}][{k}]")
@@ -186,9 +186,15 @@ class LieAlgebra(IntegerForm):
         """Basis of {v : [u, v] = 0 for all u}, via the stacked adjoints."""
         n = self.dim
         # the form is the tensor times a positive scale: the same null space
-        stacked = self.scaled(self.exact)[0].transpose(0, 2, 1).reshape(n * n, n)
+        c = self.scaled(self.exact)[0]
+        stacked = c.transpose(0, 2, 1).reshape(n * n, n)
         if self.exact:
             return rational.nullspace(stacked.tolist())
+        bad = np.argwhere(~np.isfinite(c))
+        if len(bad):
+            i, j, k = bad[0]
+            raise ValueError(f"structure constant c[{i}][{j}][{k}] is {c[i, j, k]}; "
+                             "the center needs finite constants")
         _, s, vt = np.linalg.svd(stacked)
         cutoff = tol * max(1.0, s[0] if len(s) else 1.0)
         null_rows = [vt[r] for r in range(vt.shape[0]) if r >= len(s) or s[r] <= cutoff]

@@ -154,7 +154,7 @@ def cmd_check(args, rep: Report) -> int:
     uni = alg.is_unimodular(args.tol)
     rep.add("unimodular", "yes" if uni.unimodular else "no",
             [float(t) for t in uni.traces])
-    fr = dual._DualFrame(alg, a)
+    fr = dual._frame(alg, a)
     for name, identity in DUAL_IDENTITIES:
         value = fr.worst(identity)
         rep.add(name, _status(value, fr.exact, args.tol), float(value))
@@ -230,7 +230,7 @@ def cmd_dual_sweep(args, rep: Report) -> int:
         rng = np.random.default_rng(args.seed)
         points = rng.standard_normal((args.count, alg.dim)).tolist()
     # one frame; each identity's coefficient rows evaluated at every point
-    fr = dual._DualFrame(alg, a)
+    fr = dual._frame(alg, a)
     entries = []
     consistent = True
     for name, identity in DUAL_IDENTITIES:

@@ -23,14 +23,17 @@ D_{de_i} de_k is constant, one exact contraction of the brackets with a and
 its inverse in scaled integers. The three basis identities and the modular
 field are coefficient tensors too, one ``np.einsum`` expression each, whose
 defects are rows (c_1 .. c_n | c_0) in mu, checked coefficient by
-coefficient or evaluated at points. The dual-side verdict is thus built from
-dual brackets and a Koszul relation coded here; it never reads the
-algebra-side product of ``liemetric.metric`` that it is compared against.
-Points of the dual are plain length-n sequences.
+coefficient or evaluated at points. All of this basis data depends on the
+(algebra, metric) pair alone, so it is built once per pair and kept with the
+metric (``_frame``): every public call on the pair after the first reads it.
+The dual-side verdict is thus built from dual brackets and a Koszul relation
+coded here; it never reads the algebra-side product of ``liemetric.metric``
+that it is compared against. Points of the dual are plain length-n sequences.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -140,7 +143,7 @@ class BivectorAt:
         return np.array([[float(x) for x in row] for row in self.matrix])
 
     def rank(self, rtol: float = SHARP_RANK_RTOL) -> int:
-        return _rank_null(self.matrix, self.exact, rtol)[0]
+        return _rank_null(self.matrix, self.exact, rtol, "the bivector")[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,29 +378,30 @@ def _basis_brackets(p: np.ndarray) -> np.ndarray:
 
 
 class _DualFrame:
-    """Basis data of one (algebra, metric) pair, built once per public call.
+    """Basis data of one (algebra, metric) pair, kept with its metric.
 
-    Holds the scalar mode (exact=False forces float), the algebra and metric
-    in that mode, the metric's scaled form and its half-inverse as (rows,
-    scale), both read from the metric (``Metric._half_inverse``: one
-    elimination per metric, which is also the nondegeneracy check). It
-    builds no polynomial: every basis datum is a coefficient tensor in
-    scaled integers. The brackets slice the tensor of pi
+    Holds the scalar mode (exact=False forces float), the algebra in that
+    mode, and the metric's scaled form and half-inverse as (rows, scale),
+    both read from the metric in that mode (``Metric._half_inverse``: one
+    elimination per metric, which is also the nondegeneracy check). It holds
+    no metric, so a metric that keeps its frame (``_frame``) is still freed
+    by refcount. It builds no polynomial: every basis datum is a coefficient
+    tensor in scaled integers. The brackets slice the tensor of pi
     (``_basis_brackets``); the Koszul stage (``tensors``) is one exact
     contraction of them with a and its inverse; the identity rows contract
     ``tensors`` and stay (integer rows, scale) until ``sweep`` reads them;
     ``trace`` is the Koszul trace, which ``modular`` reads as Fractions. Each
-    is built on first use, so a call pays only for what it reads. The frame
-    outlives no call; what it reuses lives and dies with the metric.
+    is built on first use and never written after, so every public call on
+    the pair pays only for what no earlier call read.
     """
 
     def __init__(self, alg: LieAlgebra, a: Metric, exact: bool = True):
-        self.exact, self.alg, self.a, _ = _harmonize(alg if exact else alg.to_float(), a, [])
-        if self.alg.dim != self.a.dim:
+        self.exact, self.alg, a, _ = _harmonize(alg if exact else alg.to_float(), a, [])
+        if self.alg.dim != a.dim:
             raise DimensionMismatchError("metric dimension does not match the algebra")
         self.n = self.alg.dim
-        self.scaled_a = self.a.scaled(self.exact)
-        self.half = self.a._half_inverse()
+        self.scaled_a = a.scaled(self.exact)
+        self.half = a._half_inverse()
 
     @property
     def ainv(self) -> list:
@@ -471,10 +475,13 @@ class _DualFrame:
         """``worst`` as a float (points=None), or the largest |defect| at each
         of a nonempty list of points, from rows @ [mu, 1]. Rows meet their
         scale only here and in ``worst``: for points int / int, rounded as
-        float() of a Fraction. A NaN coefficient or value gives NaN, never a
-        smaller number."""
+        float() of a Fraction. A nonzero exact maximum below the smallest
+        double reads ``math.ulp(0.0)``, never 0.0. A NaN coefficient or value
+        gives NaN, never a smaller number."""
         if points is None:
-            return float(self.worst(identity))
+            worst = self.worst(identity)
+            value = float(worst)
+            return math.ulp(0.0) if value == 0 and worst != 0 else value
         rows, scale = getattr(self, identity)
         points = [list(pt) for pt in points]
         if not points:
@@ -497,6 +504,25 @@ class _DualFrame:
         return tuple(_unscaled(*self.trace, self.exact))
 
 
+def _frame(alg: LieAlgebra, a: Metric, exact: bool = True) -> _DualFrame:
+    """The frame of (alg, a) in the mode of ``_DualFrame``, kept with the metric.
+
+    The metric keeps at most one frame per mode, exact and float, in its
+    ``__dict__`` like its half-inverse, out of its fields (``IntegerForm``).
+    A kept frame answers only for the very algebra object it was built on;
+    any other, equal or not, builds a new frame that takes the slot. A frame
+    whose construction raises (degenerate metric, dimension mismatch) is
+    never kept, so the metric raises again on every call.
+    """
+    exact = exact and alg.exact and a.exact
+    slot = "_exact_frame" if exact else "_float_frame"
+    kept = a.__dict__.get(slot)
+    if kept is None or kept[0] is not alg:
+        kept = alg, _DualFrame(alg, a, exact)
+        object.__setattr__(a, slot, kept)
+    return kept[1]
+
+
 def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
                              beta: PolyOneForm,
                              max_degree: int = DEFAULT_MAX_DEGREE) -> PolyOneForm:
@@ -507,8 +533,9 @@ def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
     solves the constant fiber-metric system coefficientwise. On constant
     forms du, dv the output is the constant form of the product A_u v.
     """
+    ainv = _frame(alg, a, alpha.exact and beta.exact).ainv
     exact, alg, a, (alpha, beta) = _harmonize(alg, a, [alpha, beta])
-    ainv, n, pi = _DualFrame(alg, a).ainv, alg.dim, _pi_polys(alg)
+    n, pi = alg.dim, _pi_polys(alg)
     xa, xb = _sharp(pi, alpha), _sharp(pi, beta)
 
     def bracket(f, g, xf, xg):
@@ -541,7 +568,7 @@ def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
 
 
 def _residual(alg: LieAlgebra, a: Metric, identity: str, points) -> float:
-    return float(np.max(_DualFrame(alg, a).sweep(identity, points)))
+    return float(np.max(_frame(alg, a).sweep(identity, points)))
 
 
 def dpi_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
@@ -550,7 +577,9 @@ def dpi_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
     With alpha = de_i, beta = de_j, f the linear function of e_k, the defect
     is linear in mu. With points=None the max coefficient magnitude is
     returned, which vanishes iff the defect vanishes at every point;
-    otherwise the defect is evaluated at the given points.
+    otherwise the defect is evaluated at the given points. With points=None
+    an exact maximum that is nonzero but below the smallest double reads
+    ``math.ulp(0.0)``, so 0.0 there always means an exact zero.
     """
     return _residual(alg, a, "dpi", points)
 
@@ -560,7 +589,9 @@ def cyclic_schouten_residual(alg: LieAlgebra, a: Metric, points=None) -> float:
 
     Dpi(a, b, g) = sharp(a).pi(b, g) - pi(D_a b, g) - pi(b, D_a g), summed
     cyclically over basis coframe triples. The bivector satisfies the Jacobi
-    identity, so the sum must vanish no matter the metric.
+    identity, so the sum must vanish no matter the metric. With
+    points=None a nonzero exact maximum below the smallest double reads
+    ``math.ulp(0.0)``, never 0.0, as in ``dpi_residual``.
     """
     return _residual(alg, a, "cyclic", points)
 
@@ -570,7 +601,9 @@ def metric_derivation_residual(alg: LieAlgebra, a: Metric, points=None) -> float
 
     Left side: Lie derivative of the fiber metric along the hamiltonian field
     of a linear function, expanded directly. Right side: <D_a df, b> +
-    <a, D_b df> through the Koszul solve. Equal for every metric.
+    <a, D_b df> through the Koszul solve. Equal for every metric. With
+    points=None a nonzero exact maximum below the smallest double reads
+    ``math.ulp(0.0)``, never 0.0, as in ``dpi_residual``.
     """
     return _residual(alg, a, "transport", points)
 
@@ -587,23 +620,30 @@ def modular_field_value(alg: LieAlgebra, a: Metric, f, mu=None) -> float:
         raise DimensionMismatchError("linear function has wrong length")
     if mu is not None:
         _check_dim(alg, mu)
-    fr = _DualFrame(alg, a, all(is_exact(x) for x in f))  # f joins the scalar mode
+    fr = _frame(alg, a, all(is_exact(x) for x in f))  # f joins the scalar mode
     w, sw = _scaled(f, fr.exact)
     m, sm = fr.trace
     return float(_unscaled(np.einsum("k,k->", w, m), sw * sm, fr.exact))
 
 
-def _rank_null(m, exact: bool, rtol: float):
+def _rank_null(m, exact: bool, rtol: float, what: str):
     """Rank of the matrix m and an array whose rows span its right null space.
 
     Exact: ``rational.nullspace``. Float: the SVD rows past the numeric rank,
-    the number of singular values above rtol * s[0].
+    the number of singular values above rtol * s[0]; a non-finite entry of
+    m, which ``what`` names, raises ValueError.
     """
     n = len(m[0])
     if exact:
         rows = rational.nullspace([list(row) for row in m])
         return n - len(rows), np.array(rows, dtype=object).reshape(-1, n)
-    _, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    m = np.asarray(m, dtype=float)
+    bad = np.argwhere(~np.isfinite(m))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"{what} has the non-finite entry {m[i, j]} at ({i}, {j}); "
+                         "its rank needs finite entries")
+    _, s, vt = np.linalg.svd(m)
     rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
     return rank, vt[rank:]
 
@@ -630,7 +670,7 @@ def leaf_frame_at(alg: LieAlgebra, a: Metric, mu,
         raise DimensionMismatchError("metric dimension does not match the algebra")
     p = bivector_at(alg, mu)
     exact = p.exact and a.exact
-    rank, kernel = _rank_null(p.matrix, exact, rtol)
+    rank, kernel = _rank_null(p.matrix, exact, rtol, "the bivector at the point")
     pm, sp = _scaled(p.matrix, exact)
     am, sa = a.scaled(exact)
     k, sk = _scaled(kernel, exact)
@@ -642,7 +682,8 @@ def leaf_frame_at(alg: LieAlgebra, a: Metric, mu,
             gdet = 0 if exact else f"{float(np.linalg.det(gram)):.3e}"
             raise DegenerateRestrictionError(
                 f"metric degenerates on the sharp kernel (Gram determinant {gdet})")
-        complement = _rank_null(_unscaled(ka, sk * sa, exact), exact, rtol)[1]
+        complement = _rank_null(_unscaled(ka, sk * sa, exact), exact, rtol,
+                                "the kernel pairing")[1]
     c, sc = _scaled(complement, exact)
     tangents = np.einsum("si,ij->sj", c, pm)
     return LeafFrame(kernel_basis=_frozen(_unscaled(k, sk, exact)),

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import rational
 from .algebra import DimensionMismatchError, LieAlgebra, _bilinear, _freeze_tensor
-from .scalars import DEFAULT_TOL, IntegerForm, _scaled, _unscaled, coerce, is_exact, within
+from .scalars import (DEFAULT_TOL, IntegerForm, _differ, _scaled, _unscaled, coerce, is_exact,
+                      within)
 
 DEGENERACY_RTOL = 1e-9
 DEGENERATE_METRIC = "metric is degenerate or numerically near-degenerate"
@@ -81,7 +82,7 @@ class Metric(IntegerForm):
         a = cls(matrix=tuple(tuple(row) for row in data), exact=exact)
         m, _ = a.scaled(exact)
         # the mask is symmetric, so its row-major first entry has i < j
-        bad = np.argwhere((m != m.T) if exact else (np.abs(m - m.T) > tol))
+        bad = np.argwhere(_differ(m, m.T, exact, tol))
         if len(bad):
             i, j = bad[0]
             raise ValueError(f"metric is not symmetric at ({i}, {j})")
@@ -148,9 +149,11 @@ class Metric(IntegerForm):
         return Metric.from_rows(_unscaled(moved, sm * sp * sp, self.exact), exact=self.exact)
 
     def to_float(self) -> "Metric":
+        """The float copy, built directly as ``LieAlgebra.to_float`` builds its
+        copy: equal Fractions round to equal floats, so it is symmetric."""
         if not self.exact:
             return self
-        return Metric.from_rows(self.as_array().tolist(), exact=False)
+        return Metric(matrix=tuple(map(tuple, self.as_array().tolist())), exact=False)
 
     def inverse_rows(self) -> list:
         if self.exact:

@@ -45,6 +45,18 @@ def within(value, exact: bool, tol: float = DEFAULT_TOL) -> bool:
     return bool(value == 0 if exact else abs(value) <= tol)
 
 
+def _differ(x: np.ndarray, y: np.ndarray, exact: bool, tol: float) -> np.ndarray:
+    """Where two arrays of one shape differ: exactly (exact mode), or by more
+    than tol (float mode). In float mode equal entries (inf and inf) and two
+    NaNs agree, a NaN and a number differ, and no floating-point warning is
+    raised."""
+    if exact:
+        return x != y
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN; such entries are equal
+        gap = np.abs(x - y)
+    return ~((gap <= tol) | (x == y) | (np.isnan(x) & np.isnan(y)))
+
+
 def coerce(x, exact: bool):
     """Return x as Fraction (exact) or float; strings parse as rationals."""
     if exact:

@@ -1,5 +1,7 @@
 """Structure-constant bookkeeping: construction, Jacobi, adjoints, center."""
 
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,22 @@ def test_bracket_antisymmetry_enforced():
     for exact in (True, False):
         with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[2\]"):
             LieAlgebra.from_structure(c, exact=exact)
+
+
+def test_float_antisymmetry_check_reads_non_finite_entries():
+    """The antisymmetry check is the metric's symmetry check against -c: a NaN
+    mirrored by a number fails, a NaN mirrored by a NaN and an inf mirrored
+    by -inf pass, and no check warns."""
+    nan, inf = math.nan, math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in ((nan, 1.0), (1.0, nan), (inf, inf), (inf, 1.0)):
+            c = [[[0.0, 0.0], [x, 0.0]], [[y, 0.0], [0.0, 0.0]]]
+            with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[0\]"):
+                LieAlgebra.from_structure(c, exact=False, check_jacobi=False)
+        for x, y in ((nan, nan), (inf, -inf), (1.0, -1.0 + 1e-12)):
+            c = [[[0.0, 0.0], [x, 0.0]], [[y, 0.0], [0.0, 0.0]]]
+            assert LieAlgebra.from_structure(c, exact=False, check_jacobi=False).dim == 2
 
 
 def test_from_brackets_heisenberg():

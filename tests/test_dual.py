@@ -985,3 +985,32 @@ def test_leaf_frame_float_degenerate_restriction_reports_gram_determinant():
     bad = Metric.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).to_float()
     with pytest.raises(DegenerateRestrictionError, match=r"Gram determinant -?\d\.\d{3}e[+-]\d+"):
         leaf_frame_at(euclidean_motions().to_float(), bad, (0.0, 0.0, 1.0))
+
+
+def test_exact_maxima_below_the_smallest_double_never_read_zero():
+    """A Heisenberg bracket of 1e-200 with the identity metric has exact dpi
+    coefficients of size 1 / (2 * 10**400), nonzero but 0.0 as a float: the
+    coefficient residual reads the smallest double, while the cyclic and
+    transport identities, exactly zero, still read 0.0."""
+    tiny = Fraction(1, 10**200)
+    alg, a = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, tiny]}), Metric.identity(3)
+    assert _DualFrame(alg, a).worst("dpi") == Fraction(1, 2 * 10**400)
+    assert dpi_residual(alg, a) == math.ulp(0.0)
+    assert cyclic_schouten_residual(alg, a) == 0.0
+    assert metric_derivation_residual(alg, a) == 0.0
+    assert dpi_residual(heisenberg(), Metric.identity(3)) == 0.5
+
+
+def test_non_finite_float_input_gets_a_named_error():
+    """A NaN point, and a float algebra with a NaN constant, raise ValueError
+    naming the non-finite entry, not an SVD failure."""
+    alg, a, mu = heisenberg().to_float(), Metric.identity(3, exact=False), [math.nan, 0.0, 1.0]
+    calls = [(lambda: kahler_check_at(alg, a, mu), "bivector at the point"),
+             (lambda: bivector_at(alg, mu).rank(), "bivector has the non-finite entry nan"),
+             (lambda: LieAlgebra.from_brackets(3, {(0, 1): [0, 0, math.nan]}, exact=False,
+                                               check_jacobi=False).center(),
+              r"c\[0\]\[1\]\[2\] is nan")]
+    for call, match in calls:
+        with pytest.raises(ValueError, match=match) as info:
+            call()
+        assert not isinstance(info.value, np.linalg.LinAlgError)

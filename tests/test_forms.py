@@ -6,7 +6,10 @@ kernel reads it through ``scaled(exact)`` instead of rescaling Fractions.
 
 import copy
 import dataclasses
+import functools
+import gc
 import pickle
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 import liemetric
 from liemetric import (
     ConnectionTensor,
+    DegenerateMetricError,
     DimensionMismatchError,
     LieAlgebra,
     Metric,
@@ -448,3 +452,156 @@ def test_each_metric_carries_its_own_half_inverse():
         [[1, 0, 0], [0, 2, 0], [0, 0, Fraction(-1, 3)]]
     twin = Metric.identity(3)
     assert twin._half_inverse() is not a._half_inverse()
+
+
+# --- the dual frame kept with its metric ----------------------------------
+
+@pytest.fixture
+def frame_builds(monkeypatch):
+    """A record of every frame construction ("init") and Koszul contraction
+    ("tensors") of ``_DualFrame``."""
+    builds = []
+    init, tensors = _DualFrame.__init__, _DualFrame.tensors.func
+
+    def spy_init(self, *args):
+        builds.append("init")
+        init(self, *args)
+
+    def spy_tensors(self):
+        builds.append("tensors")
+        return tensors(self)
+
+    prop = functools.cached_property(spy_tensors)
+    prop.__set_name__(_DualFrame, "tensors")
+    monkeypatch.setattr(_DualFrame, "__init__", spy_init)
+    monkeypatch.setattr(_DualFrame, "tensors", prop)
+    return builds
+
+
+def _dual_answers(alg, a) -> list:
+    """Every public dual answer that reads a frame, on (alg, a): the three
+    residuals in coefficients and at a point, the modular field on each e_k
+    and the contravariant derivative of the first and last coframe forms."""
+    n = alg.dim
+    mu = [Fraction(k + 1, 3) for k in range(n)]
+    out = [residual(alg, a, pts) for residual in (dual.dpi_residual,
+                                                   dual.cyclic_schouten_residual,
+                                                   dual.metric_derivation_residual)
+           for pts in (None, [mu])]
+    out += [dual.modular_field_value(alg, a, [int(k == q) for q in range(n)], mu)
+            for k in range(n)]
+    de = [dual.PolyOneForm.coordinate(n, k) for k in (0, n - 1)]
+    return out + [dual.contravariant_derivative(alg, a, *de)]
+
+
+def _small_pairs() -> list:
+    """The pairs of PAIRS up to n = 4, each with a metric no frame has read."""
+    return [(alg, dataclasses.replace(a)) for alg, a in PAIRS if alg.dim <= 4]
+
+
+def test_a_pair_builds_its_frame_once(frame_builds):
+    """The first public dual call on a pair builds its frame and its Koszul
+    contraction; every later call on the pair, of any kind, builds neither,
+    and answers as before. A float-mode call builds the float frame once."""
+    for alg, a in _small_pairs():
+        frame_builds.clear()
+        want = _dual_answers(alg, a)
+        assert frame_builds == ["init", "tensors"]
+        assert _dual_answers(alg, a) == want
+        assert frame_builds == ["init", "tensors"]
+        f = [1.0] + [0.0] * (alg.dim - 1)
+        value = dual.modular_field_value(alg, a, f)
+        for _ in range(3):
+            assert dual.modular_field_value(alg, a, f) == value
+        assert frame_builds == ["init", "tensors"] * 2
+        assert _dual_answers(alg, a) == want
+        assert frame_builds == ["init", "tensors"] * 2
+
+
+def test_a_kept_frame_answers_only_for_its_own_algebra(frame_builds):
+    """An equal but distinct algebra object misses and takes the slot; a
+    different algebra on the same metric gets its own answers, those of a
+    metric no frame has read."""
+    a = Metric.identity(3)
+    heis = heisenberg()
+    twin = dataclasses.replace(heis)
+    assert twin == heis and twin is not heis
+    want = _dual_answers(heis, a)
+    for alg in (twin, heis, twin):
+        frame_builds.clear()
+        assert _dual_answers(alg, a) == want
+        assert frame_builds == ["init", "tensors"]
+    for alg in (sol(), solvable_family(Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)),
+                heis):
+        assert _dual_answers(alg, a) == _dual_answers(alg, Metric.identity(3))
+
+
+def test_a_failed_frame_is_never_kept():
+    """A degenerate metric, or one of another dimension, keeps nothing and
+    raises the same error on every call."""
+    rows = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
+    cases = [(heisenberg(), Metric.from_rows(rows, exact=True), DegenerateMetricError),
+             (heisenberg(), Metric.from_rows(rows, exact=False), DegenerateMetricError),
+             (sol(), Metric.from_rows([[0] * 3] * 3, exact=True), DegenerateMetricError),
+             (heisenberg(), Metric.identity(2), DimensionMismatchError)]
+    for alg, a, error in cases:
+        before = set(vars(a))
+        for _ in range(3):
+            for call in (lambda: dual.dpi_residual(alg, a),
+                         lambda: dual.cyclic_schouten_residual(alg, a, [[1, 2, 3]]),
+                         lambda: dual.modular_field_value(alg, a, [1, 0, 0]),
+                         lambda: dual.modular_field_value(alg, a, [1.0, 0.0, 0.0]),
+                         lambda: dual._frame(alg, a, exact=False)):
+                with pytest.raises(error):
+                    call()
+        assert set(vars(a)) == before
+
+
+def test_the_kept_frame_is_not_a_field():
+    """Keeping frames changes no ``==``, ``hash``, ``repr`` or pickle of the
+    metric; a pickled, copied or replaced metric keeps no frame."""
+    for alg, a in _small_pairs():
+        fresh = dataclasses.replace(a)
+        _dual_answers(alg, a)
+        dual.modular_field_value(alg, a, [0.5] * alg.dim)
+        assert {"_exact_frame", "_float_frame"} <= set(vars(a))
+        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+        assert pickle.dumps(a) == pickle.dumps(fresh)
+        for back in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a),
+                     dataclasses.replace(a)):
+            assert back == a and set(vars(back)) == set(vars(fresh))
+
+
+def test_float_calls_on_an_exact_metric_invert_it_once(monkeypatch):
+    """Ten float-mode modular values on an exact metric build the float
+    half-inverse once: the kept float frame holds it."""
+    builds = []
+    half = metric.Metric._half_inverse
+
+    def spy(self):
+        if "_half" not in vars(self):
+            builds.append(self.exact)
+        return half(self)
+
+    monkeypatch.setattr(metric.Metric, "_half_inverse", spy)
+    alg, a = sol(), sol_split_metric()
+    values = {dual.modular_field_value(alg, a, [1.0, 0.0, 0.0]) for _ in range(10)}
+    assert builds == [False] and len(values) == 1
+
+
+def test_a_metric_with_kept_frames_is_freed_by_refcount():
+    """The frame holds no metric, so a metric with both frames kept dies at
+    its last reference, with the garbage collector off."""
+    gc.disable()
+    try:
+        alg, a = heisenberg(), heisenberg_split_metric()
+        _dual_answers(alg, a)
+        dual.modular_field_value(alg, a, [1.0, 0.0, 0.0])
+        assert {"_exact_frame", "_float_frame"} <= set(vars(a))
+        ref, alg_ref = weakref.ref(a), weakref.ref(alg)
+        del a
+        assert ref() is None
+        del alg
+        assert alg_ref() is None
+    finally:
+        gc.enable()

@@ -241,6 +241,22 @@ def test_cli_mismatched_dimensions_are_input_errors(tmp_path, capsys, command):
     assert "algebra and metric dimensions differ" in out and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "dual-sweep"])
+def test_cli_dual_rows_read_one_kept_frame(tmp_path, capsys, monkeypatch, command):
+    """Every dual row of a command comes from one frame, taken through the
+    accessor that keeps it with the metric."""
+    taken, built = [], []
+    frame, init = dual._frame, dual._DualFrame.__init__
+    monkeypatch.setattr(dual, "_frame", lambda *args: taken.append(args) or frame(*args))
+    monkeypatch.setattr(dual._DualFrame, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    pair = [algebra_file(tmp_path, heisenberg()),
+            metric_file(tmp_path, Metric.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))]
+    count = ["--count", "3"] if command == "dual-sweep" else []
+    assert main([command, *pair, *count]) == 0
+    assert len(taken) == len(built) == 1
+
+
 def test_cli_check_compatible_pair(tmp_path, capsys):
     code = main(["check", algebra_file(tmp_path, heisenberg()),
                  metric_file(tmp_path, Metric.from_rows(

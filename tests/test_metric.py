@@ -1,6 +1,7 @@
 """Metric forms, the contraction product, and the compatibility residual."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -365,3 +366,19 @@ def test_one_contraction_kernels_keep_nan_and_inf_where_the_separate_ones_do():
             nan = np.isnan(want)
             assert (np.isnan(got) == nan).all()
             assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_float_symmetry_check_reads_non_finite_entries():
+    """A NaN mirrored by a number is not symmetric; a NaN mirrored by a NaN
+    and an inf mirrored by an inf are, and no check warns."""
+    nan, inf = math.nan, math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in ([[1.0, nan], [0.0, 1.0]], [[1.0, 0.0], [nan, 1.0]],
+                     [[1.0, inf], [0.0, 1.0]], [[1.0, inf], [-inf, 1.0]]):
+            with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
+                Metric.from_rows(rows, exact=False)
+        for rows in ([[1.0, nan], [nan, 1.0]], [[inf, 0.0], [0.0, 1.0]],
+                     [[1.0, inf], [inf, 1.0]], [[nan, -inf], [-inf, 1.0]]):
+            assert Metric.from_rows(rows, exact=False).dim == 2
+        assert Metric.from_rows([[1.0, 0.5], [0.5 + 1e-12, 1.0]], exact=False).dim == 2
