@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rational
-from .scalars import (DEFAULT_TOL, IntegerForm, _differ, _scaled, _unscaled, coerce, is_exact,
-                      within)
+from .scalars import (DEFAULT_TOL, IntegerForm, _differ, _scaled, _unscaled, coerce, contract,
+                      is_exact, within)
 
 
 class DimensionMismatchError(ValueError):
@@ -138,7 +138,7 @@ class LieAlgebra(IntegerForm):
         n = self.dim
         if n < 3:
             return coerce(0, self.exact), (0,) * n
-        c, s = self.scaled(self.exact)
+        c, s, b = self.operand(self.exact)
         # pairs j < k in row-major order; slab i takes the tail where j > i,
         # after the (i + 1)(2n - 2 - i) / 2 pairs with j <= i
         pj, pk = np.triu_indices(n, 1)
@@ -146,9 +146,9 @@ class LieAlgebra(IntegerForm):
         worst = []
         for i, tail in enumerate(tails):
             rest = slice(i + 1, n)
-            d = (np.einsum("jm,mkt->jkt", c[i, rest], c[:, rest])
-                 + np.einsum("jkm,mt->jkt", c[rest, rest], c[:, i])
-                 + np.einsum("km,mjt->jkt", c[rest, i], c[:, rest]))
+            d = (contract("jm,mkt->jkt", c[i, rest], c[:, rest], b, b)
+                 + contract("jkm,mt->jkt", c[rest, rest], c[:, i], b, b)
+                 + contract("km,mjt->jkt", c[rest, i], c[:, rest], b, b))
             worst.append(np.abs(d[pj[tail:] - i - 1, pk[tail:] - i - 1]).max(axis=1))
         t = int(np.argmax(np.concatenate(worst)))
         i = 0

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, classify, dual, io, metric, search
 from .algebra import InvalidStructureError
 from .metric import DegenerateMetricError
-from .scalars import DEFAULT_TOL, scalar_str, within
+from .scalars import DEFAULT_TOL, report_float, scalar_str, within
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -98,7 +98,7 @@ def _load_algebra(path, rep: Report, tol: float):
     residual, triple = alg.worst_jacobi_triple()
     ok = within(residual, alg.exact, tol)
     rep.add("jacobi_identity", "ok" if ok else "failed",
-            float(residual), worst_triple=[t + 1 for t in triple])
+            report_float(residual), worst_triple=[t + 1 for t in triple])
     if not ok:
         raise InvalidStructureError(
             f"Jacobi identity fails at basis triple {tuple(t + 1 for t in triple)}")
@@ -146,8 +146,8 @@ def cmd_check(args, rep: Report) -> int:
     rep.add("signature", "ok", [sig.p, sig.q])
     conn = metric.levi_civita_product(alg, a)
     torsion, skew = conn.torsion_residual(alg), conn.skew_residual(a)
-    rep.add("product_torsion", _status(torsion, conn.exact, args.tol), float(torsion))
-    rep.add("product_metric_skew", _status(skew, conn.exact, args.tol), float(skew))
+    rep.add("product_torsion", _status(torsion, conn.exact, args.tol), report_float(torsion))
+    rep.add("product_metric_skew", _status(skew, conn.exact, args.tol), report_float(skew))
     res = metric.compatibility_residual(alg, a, conn)
     rep.add("compatibility_residual", "ok" if res.passes(args.tol) else "failed",
             res.value, worst_triple=[t + 1 for t in res.worst_triple])
@@ -157,7 +157,7 @@ def cmd_check(args, rep: Report) -> int:
     fr = dual._frame(alg, a)
     for name, identity in DUAL_IDENTITIES:
         value = fr.worst(identity)
-        rep.add(name, _status(value, fr.exact, args.tol), float(value))
+        rep.add(name, _status(value, fr.exact, args.tol), report_float(value))
     worst_mod, modular_ok = _modular_verdict(fr, uni.traces, args.tol)
     rep.add("modular_sweep_max", "ok" if modular_ok else "failed", worst_mod)
     failed = any(row["status"] == "failed" for row in rep.doc["checks"])

@@ -33,7 +33,6 @@ that it is compared against. Points of the dual are plain length-n sequences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -44,7 +43,7 @@ from . import metric, rational
 from .algebra import DimensionMismatchError, LieAlgebra
 from .metric import Metric
 from .poly import Polynomial
-from .scalars import _scaled, _unscaled, is_exact
+from .scalars import _scaled, _unscaled, is_exact, report_float
 
 # The one sign switch: +1 means pi(de_i, de_j)(mu) = mu([e_i, e_j]), which
 # makes [du, dv] = d[u, v] and D_du dv = d(A_u v) hold with no extra signs.
@@ -476,12 +475,10 @@ class _DualFrame:
         of a nonempty list of points, from rows @ [mu, 1]. Rows meet their
         scale only here and in ``worst``: for points int / int, rounded as
         float() of a Fraction. A nonzero exact maximum below the smallest
-        double reads ``math.ulp(0.0)``, never 0.0. A NaN coefficient or value
-        gives NaN, never a smaller number."""
+        double reads ``math.ulp(0.0)``, never 0.0 (``report_float``). A NaN
+        coefficient or value gives NaN, never a smaller number."""
         if points is None:
-            worst = self.worst(identity)
-            value = float(worst)
-            return math.ulp(0.0) if value == 0 and worst != 0 else value
+            return report_float(self.worst(identity))
         rows, scale = getattr(self, identity)
         points = [list(pt) for pt in points]
         if not points:

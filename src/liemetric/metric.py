@@ -21,8 +21,8 @@ import numpy as np
 
 from . import rational
 from .algebra import DimensionMismatchError, LieAlgebra, _bilinear, _freeze_tensor
-from .scalars import (DEFAULT_TOL, IntegerForm, _differ, _scaled, _unscaled, coerce, is_exact,
-                      within)
+from .scalars import (DEFAULT_TOL, IntegerForm, _differ, _scaled, _unscaled, coerce, contract,
+                      is_exact, report_float, within)
 
 DEGENERACY_RTOL = 1e-9
 DEGENERATE_METRIC = "metric is degenerate or numerically near-degenerate"
@@ -257,9 +257,9 @@ class ConnectionTensor(IntegerForm):
         """Max-norm of a(A_{e_i}e_j, e_k) + a(e_j, A_{e_i}e_k) over triples."""
         self._check_dim(a)
         exact = self.exact and a.exact
-        x, sx = self.scaled(exact)
-        m, sm = a.scaled(exact)
-        d = np.einsum("ijm,mk->ijk", x, m) + np.einsum("jm,ikm->ijk", m, x)
+        x, sx, bx = self.operand(exact)
+        m, sm, bm = a.operand(exact)
+        d = contract("ijm,mk->ijk", x, m, bx, bm) + contract("jm,ikm->ijk", m, x, bm, bx)
         return _unscaled(np.max(np.abs(d)), sx * sm, exact)
 
 
@@ -270,7 +270,9 @@ def levi_civita_product(alg: LieAlgebra, a: Metric) -> ConnectionTensor:
     x . (2a) = b with b_k = a([e_i,e_j], e_k) + a([e_k,e_i], e_j)
     + a([e_k,e_j], e_i); nondegeneracy of a makes x unique. In exact mode
     the one integer elimination is also the nondegeneracy check, and the
-    product keeps its rows y over d * sc as its integer form.
+    product keeps its rows y over d * sc, divided by the gcd of all of them,
+    as its integer form: the same Fractions, on ints small enough that the
+    residual contractions mostly run in int64 (``contract``).
     """
     if alg.dim != a.dim:
         raise DimensionMismatchError("algebra and metric dimensions differ")
@@ -278,14 +280,17 @@ def levi_civita_product(alg: LieAlgebra, a: Metric) -> ConnectionTensor:
     exact = alg.exact and a.exact
     if not exact:
         a.require_nondegenerate()
-    c, sc = alg.scaled(exact)
-    m, sm = a.scaled(exact)
     if exact:
+        c, sc, bc = alg.operand(True)
+        m, sm, bm = a.operand(True)
         # with c = C/sc and a = M/sm, 2M y = d B(C, M) gives y = d sc x
-        y, d = _solve_doubled(m, _product_rhs(c, m).reshape(-1, n).T.tolist())
-        form = np.array(y, dtype=object).T.reshape(n, n, n), d * sc
+        y, d = _solve_doubled(a.scaled(True)[0],
+                              _product_rhs(c, m, bc, bm).reshape(-1, n).T.tolist())
+        y = np.array(y, dtype=object).T.reshape(n, n, n)
+        g = math.gcd(d * sc, *y.ravel().tolist())
+        form = y // g, d * sc // g
     else:
-        form = _lc_product_array(c, m), 1
+        form = _lc_product_array(alg.scaled(False)[0], a.scaled(False)[0]), 1
     return ConnectionTensor._solved(form, exact, alg, a)
 
 
@@ -299,11 +304,13 @@ def _solve_doubled(m: np.ndarray, rhs) -> tuple:
         raise DegenerateMetricError(DEGENERATE_METRIC) from exc
 
 
-def _product_rhs(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _product_rhs(c: np.ndarray, a: np.ndarray, bc: int | None = None,
+                 ba: int | None = None) -> np.ndarray:
     """Right sides b[i][j][k] of the product's defining systems; linear in a.
 
     Leading axes of ``a`` are batch axes: a stack of metrics (or of metric
-    directions) gives the stack of right sides in one contraction.
+    directions) gives the stack of right sides in one contraction. Exact
+    operands come with their bounds (``contract``); float ones without.
 
     The second and third terms are the first, p[i][j][k] = a([e_i,e_j], e_k),
     read at (k, i, j) and (k, j, i), so one contraction serves all three. The
@@ -314,7 +321,7 @@ def _product_rhs(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     same order. Explicit transpose axes cost less per call than
     ``np.moveaxis``.
     """
-    p = np.einsum("ijm,...mk->...ijk", c, a)
+    p = contract("ijm,...mk->...ijk", c, a, bc, ba)
     i = p.ndim - 3
     lead = tuple(range(i))
     return p + p.transpose(lead + (i + 1, i + 2, i)) + p.transpose(lead + (i + 2, i + 1, i))
@@ -332,11 +339,13 @@ def _lc_product_array(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(2.0 * a, cols).swapaxes(-1, -2).reshape(rhs.shape)
 
 
-def _defect_array(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _defect_array(c: np.ndarray, x: np.ndarray, bc: int | None = None,
+                  bx: int | None = None) -> np.ndarray:
     """Defect vectors [A_{e_i}e_j, e_k] + [e_i, A_{e_k}e_j], shape (..., n,n,n,n).
 
     Leading axes of the product tensor ``x`` are batch axes, as in
-    ``_product_rhs``; the defect is linear in ``x``.
+    ``_product_rhs``; the defect is linear in ``x``. Exact operands come with
+    their bounds, as in ``_product_rhs``.
 
     The second term, [e_i, A_{e_k}e_j] = sum_m x[k,j,m] c[i,m,l], is the
     first term's contraction against c with its first two axes swapped, read
@@ -348,7 +357,8 @@ def _defect_array(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     the same order; only the output is permuted.
     """
     n = c.shape[0]
-    q = np.einsum("...ijm,mkl->...ijkl", x, np.concatenate([c, c.transpose(1, 0, 2)], axis=1))
+    q = contract("...ijm,mkl->...ijkl", x, np.concatenate([c, c.transpose(1, 0, 2)], axis=1),
+                 bx, bc)
     return q[..., :n, :] + np.swapaxes(q[..., n:, :], -4, -2)
 
 
@@ -372,7 +382,8 @@ def compatibility_residual(alg: LieAlgebra, a: Metric,
 
     Value is the max over triples of the Euclidean norm of the defect
     vector, which hands back an argmax certificate for diagnostics. In exact
-    mode ``exact_zero`` is authoritative; the float value is for reporting.
+    mode ``exact_zero`` is authoritative; the float value is for reporting,
+    and reads 0.0 only for an exact zero (``report_float``).
     A passed ``conn`` must be the product of (alg, a): one of another
     dimension raises DimensionMismatchError, and one not solved for an equal
     pair must be torsion-free and a-skew, or it raises ValueError.
@@ -382,12 +393,12 @@ def compatibility_residual(alg: LieAlgebra, a: Metric,
     else:
         _require_product_of(conn, alg, a)
     exact = conn.exact and alg.exact
-    c, sc = alg.scaled(exact)
-    x, sx = conn.scaled(exact)
-    sq = (_defect_array(c, x) ** 2).sum(axis=3)
+    c, sc, bc = alg.operand(exact)
+    x, sx, bx = conn.operand(exact)
+    sq = (_defect_array(c, x, bc, bx) ** 2).sum(axis=3)
     idx = np.unravel_index(int(np.argmax(sq)), sq.shape)
     best = _unscaled(sq[idx], (sc * sx) ** 2, exact)
-    return CompatibilityResidual(value=math.sqrt(best),
+    return CompatibilityResidual(value=math.sqrt(report_float(best)),
                                  worst_triple=tuple(int(t) for t in idx),
                                  exact_zero=(best == 0) if exact else None)
 

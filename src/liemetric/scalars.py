@@ -3,20 +3,33 @@
 Exact mode holds ``fractions.Fraction`` entries (ints and 'p/q' strings
 coerce); float mode holds machine doubles and every zero test carries an
 explicit tolerance. ``within`` is that zero test, the one rule every residual
-verdict reads. Mixed arithmetic silently degrades to float, so
-containers track an ``exact`` flag and coerce their entries up front.
+verdict reads, and ``report_float`` the one rule for showing a residual as a
+float, which reads 0.0 only for an exact zero. Mixed arithmetic silently
+degrades to float, so containers track an ``exact`` flag and coerce their
+entries up front.
 
 Tensor operations run one ``np.einsum`` contraction for both modes. In exact
-mode a tensor enters it as an object array of Python ints with one common
-denominator (``_scaled``), so the contraction does integer arithmetic with no
-gcd per operation; the result is divided by its scale once, back into
-Fractions (``_unscaled``). Python ints pass into ``_scaled`` as they are
-(scale 1, no Fraction per entry), and other integers (bool, numpy integers)
-become Python ints, so no entry of the integer form can wrap.
+mode a tensor enters it as integers with one common denominator
+(``_scaled``), so the contraction does integer arithmetic with no gcd per
+operation; the result is divided by its scale once, back into Fractions
+(``_unscaled``). Python ints pass into ``_scaled`` as they are (scale 1, no
+Fraction per entry), and other integers (bool, numpy integers) become Python
+ints, so no entry of the integer form can wrap.
+
+The two-operand contractions of the Jacobi check, the product solve and the
+skew and compatibility residuals go through ``contract``. Given bounds on |x|
+and |y|, it contracts in int64 only when k * max|x| * max|y| <= 2**63 - 1,
+where k is the number of products each result entry sums: every partial sum
+is then at most that in magnitude, so nothing can wrap. Otherwise it
+contracts object arrays of Python ints. Either way it returns an object array
+of Python ints, so the sums, squares and divisions after it stay unbounded.
+Float arrays contract as they are, through ``np.einsum``.
 
 The integer form of an algebra, a metric or a product is part of the value
 (``IntegerForm``): built once when the value is made, read-only, and read by
 every kernel through ``scaled(exact)``, so no kernel rescales its inputs.
+The exact form also keeps its largest magnitude and, when that fits, an int64
+copy, built on first read (``operand``): that is what ``contract`` reads.
 Fractions are built only at the public boundary: the fields of a value, and
 the numbers a kernel returns.
 """
@@ -32,6 +45,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
+INT64_MAX = 2**63 - 1
+
 RATIONALIZE_MAX_DENOMINATOR = 10**6
 
 
@@ -43,6 +58,14 @@ def within(value, exact: bool, tol: float = DEFAULT_TOL) -> bool:
     """Whether a residual passes: exactly zero (exact mode), or at most tol in
     absolute value (float mode), so NaN fails."""
     return bool(value == 0 if exact else abs(value) <= tol)
+
+
+def report_float(x) -> float:
+    """A residual as the float a report shows: ``float(x)``, except that a
+    nonzero value that rounds to 0.0 reads ``math.ulp(0.0)``, so 0.0 always
+    means an exact zero."""
+    value = float(x)
+    return math.ulp(0.0) if value == 0 and x != 0 else value
 
 
 def _differ(x: np.ndarray, y: np.ndarray, exact: bool, tol: float) -> np.ndarray:
@@ -118,6 +141,51 @@ def _unscaled(x, scale: int, exact: bool):
     return Fraction(x, scale) if exact else float(x)
 
 
+def _bounded(ints: np.ndarray) -> tuple:
+    """An exact integer array as ``(array, bound)`` for ``contract``: bound is
+    the largest |entry| (0 when empty), and the array is an int64 copy when
+    bound fits in int64, otherwise the given object array."""
+    bound = max(map(abs, ints.ravel().tolist()), default=0)
+    return (ints.astype(np.int64) if bound <= INT64_MAX else ints), bound
+
+
+def _summed_terms(spec: str, x: np.ndarray, y: np.ndarray) -> int:
+    """How many products each entry of the explicit einsum ``spec`` over x and
+    y sums: the product of the sizes of the subscripts not in its output,
+    each at the larger of its sizes in x and y (np.einsum broadcasts a
+    labelled axis of size 1). Subscripts after an ellipsis name trailing
+    axes; the ellipsis axes are broadcast into the output (np.einsum refuses
+    one missing from it)."""
+    inputs, output = spec.split("->")
+    sizes = {}
+    for term, shape in zip(inputs.split(","), (x.shape, y.shape)):
+        head, _, tail = term.partition("...")
+        for letter, size in zip(head + tail, shape[:len(head)] + shape[len(shape) - len(tail):]):
+            if letter not in output:
+                sizes[letter] = max(sizes.get(letter, 0), size)
+    return math.prod(sizes.values())
+
+
+def contract(spec: str, x: np.ndarray, y: np.ndarray, bx: int | None = None,
+             by: int | None = None) -> np.ndarray:
+    """The einsum ``spec`` of two operands.
+
+    Without bounds it is ``np.einsum(spec, x, y)`` (float arrays). With bx and
+    by bounding every |entry| of the integer arrays x and y, it runs in int64
+    when k * bx * by <= INT64_MAX, k the number of summed products per entry
+    (``_summed_terms``), so no partial sum can wrap; otherwise in object ints.
+    Exact results are always object arrays of Python ints. x.size * y.size is
+    at least k (an empty operand makes an empty or zero result), so a bound
+    that fits with it needs no count of k.
+    """
+    if bx is None:
+        return np.einsum(spec, x, y)
+    bound = bx * by
+    if x.size * y.size * bound <= INT64_MAX or _summed_terms(spec, x, y) * bound <= INT64_MAX:
+        return np.einsum(spec, x, y).astype(object)
+    return np.einsum(spec, x.astype(object), y.astype(object))
+
+
 class IntegerForm:
     """Base of the frozen values that carry their entries' integer form.
 
@@ -127,7 +195,8 @@ class IntegerForm:
     ``__post_init__``, through ``_hold``. It is read-only and not a dataclass
     field, so ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` see the
     fields alone, and a pickle holds the fields alone: loading one rebuilds
-    the form.
+    the form. An exact form's bound and int64 copy (``operand``) are built on
+    first read and kept the same way.
     """
 
     def _hold(self, form: tuple):
@@ -148,6 +217,20 @@ class IntegerForm:
             ints, scale = self._form
             return (ints / scale).astype(float), 1
         return self._form
+
+    def operand(self, exact: bool) -> tuple:
+        """``scaled(exact)`` for ``contract``, as ``(array, scale, bound)``: in
+        exact mode the form's ints (int64 when they fit, see ``_bounded``) and
+        their largest magnitude, built on first read and kept, read-only; in
+        float mode the float array and no bound."""
+        array, scale = self.scaled(exact)
+        if not exact:
+            return array, scale, None
+        if "_operand" not in self.__dict__:
+            narrow, bound = _bounded(array)
+            narrow.flags.writeable = False
+            object.__setattr__(self, "_operand", (narrow, scale, bound))
+        return self._operand
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}

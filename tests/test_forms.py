@@ -1,7 +1,8 @@
 """The integer form that algebras, metrics and products carry.
 
 Each value holds ``(ints, scale)`` built once from its public entries; every
-kernel reads it through ``scaled(exact)`` instead of rescaling Fractions.
+kernel reads it through ``scaled(exact)``, or ``operand(exact)`` for the
+bounded contractions, instead of rescaling Fractions.
 """
 
 import copy
@@ -170,6 +171,27 @@ def test_replace_rebuilds_the_form():
     zero = dataclasses.replace(conn, tensor=levi_civita_product(abelian(3),
                                                                 Metric.identity(3)).tensor)
     assert not zero.scaled(True)[0].any() and zero != conn
+
+
+def test_the_contraction_operand_is_the_form_built_once_and_read_only():
+    """The exact operand holds the form's ints (int64 when every one fits),
+    its scale and the largest magnitude; it is built on first read, kept,
+    read-only, and no field: a pickle or replace builds its own. The float
+    operand is the float view with no bound."""
+    for x, _ in _values():
+        ints, scale = x.scaled(x.exact)
+        if not x.exact:
+            assert x.operand(False)[1:] == (1, None)
+            continue
+        fresh = dataclasses.replace(x)
+        array, got_scale, bound = x.operand(True)
+        assert x.operand(True)[0] is array and not array.flags.writeable
+        assert got_scale == scale and bound == max(map(abs, ints.ravel().tolist()))
+        assert array.dtype == (np.int64 if bound < 2**63 else object)
+        assert array.tolist() == ints.tolist()
+        assert pickle.dumps(x) == pickle.dumps(fresh) and repr(x) == repr(fresh)
+        assert "_operand" not in vars(fresh) and "_operand" not in vars(copy.copy(x))
+    assert any(x.operand(True)[0].dtype == object for x, _ in _values() if x.exact)
 
 
 def test_a_solved_product_reads_as_its_tensor():

@@ -26,8 +26,8 @@ from liemetric import (
 )
 from liemetric import search
 from liemetric.dual import kahler_check_at
-from liemetric.metric import _defect_array, _product_rhs
-from conftest import random_algebra, random_metric
+from liemetric.metric import ConnectionTensor, _defect_array, _product_rhs
+from conftest import _padded, random_algebra, random_metric
 
 
 def test_from_rows_validates_symmetry():
@@ -324,8 +324,9 @@ def test_one_contraction_kernels_are_bit_identical_to_the_separate_ones(n):
 
 
 def test_one_contraction_kernels_equal_the_separate_ones_in_big_integers():
-    """Exact mode runs the kernels on object arrays of Python ints; entries
-    above 2**63 would wrap in any fixed-width integer path."""
+    """Without bounds the kernels contract object arrays of Python ints as
+    they are; entries above 2**63 would wrap in any fixed-width integer
+    path."""
     rng = np.random.default_rng(20261020)
 
     def big(shape):
@@ -382,3 +383,81 @@ def test_float_symmetry_check_reads_non_finite_entries():
                      [[1.0, inf], [inf, 1.0]], [[nan, -inf], [-inf, 1.0]]):
             assert Metric.from_rows(rows, exact=False).dim == 2
         assert Metric.from_rows([[1.0, 0.5], [0.5 + 1e-12, 1.0]], exact=False).dim == 2
+
+
+def _reduced_pairs():
+    """Catalog pairs, and seeded pairs n = 2..6 with dense shears."""
+    rng = np.random.default_rng(20261102)
+    out = [(heisenberg(), heisenberg_split_metric()), (sol(), sol_split_metric()),
+           (euclidean_motions(), Metric.identity(3)), (affine_line(), Metric.diagonal([1, -1])),
+           (abelian(2), Metric.diagonal([Fraction(1, 3), 2]))]
+    return out + [(random_algebra(rng, n), random_metric(rng, n)) for n in range(2, 7)]
+
+
+def test_a_solved_product_is_kept_in_lowest_terms(monkeypatch):
+    """After the solve the form's scale and entries share no factor, so it is
+    the form of a product built from the same Fractions; every value read
+    from it matches that product's, and the product of the pair is still not
+    checked again."""
+    for alg, a in _reduced_pairs():
+        conn = levi_civita_product(alg, a)
+        ints, scale = conn.scaled(True)
+        assert math.gcd(scale, *ints.ravel().tolist()) == 1
+        built = ConnectionTensor(tensor=conn.tensor, exact=True)
+        got, want = built.scaled(True)
+        assert (scale, ints.tolist()) == (want, got.tolist())
+        assert conn.tensor == built.tensor
+        assert conn.scaled(False)[0].tobytes() == built.scaled(False)[0].tobytes()
+        assert conn.torsion_residual(alg) == built.torsion_residual(alg) == 0
+        assert conn.skew_residual(a) == built.skew_residual(a) == 0
+        assert compatibility_residual(alg, a, conn) == compatibility_residual(alg, a, built)
+    with monkeypatch.context() as m:
+        for name in ("torsion_residual", "skew_residual"):
+            m.setattr(ConnectionTensor, name, lambda *args: pytest.fail("checked again"))
+        for alg, a in _reduced_pairs():
+            conn = levi_civita_product(alg, a)
+            assert compatibility_residual(alg, a, conn) == compatibility_residual(alg, a)
+
+
+def _transvections(n: int) -> list:
+    """The shear of the benchmark's exact pairs: n transvections, step k adding
+    t_k times basis vector k mod n to vector k + 1 mod n."""
+    factors = [1, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3), Fraction(-2, 3), 3]
+    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        i, j = k % n, (k + 1) % n
+        for r in range(n):
+            p[r][j] += factors[k % len(factors)] * p[r][i]
+    return p
+
+
+def test_residual_contractions_of_a_transported_pair_run_in_int64(monkeypatch):
+    """The split Heisenberg pair, padded to n = 6 by an orthogonal abelian
+    summand and moved by a shear, as the benchmark's exact pairs are: every
+    exact contraction of its Jacobi check, product solve, skew and
+    compatibility residual takes the int64 path. The solved product's form
+    reaches 75 bits before it is reduced, so a form that is not kept in
+    lowest terms falls back to object ints and fails here."""
+    n, p = 6, _transvections(6)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(heisenberg_split_metric().rows()):
+        rows[i][:3] = row
+    for i, d in zip(range(3, n), (Fraction(3, 2), Fraction(-1, 3), Fraction(2, 3))):
+        rows[i][i] = d
+    alg = _padded(heisenberg(), n).changed_basis(p)
+    a = Metric.from_rows(rows).transported(p)
+    einsum, seen = np.einsum, []
+
+    def spy(spec, *ops, **kwargs):
+        seen.append((spec, {op.dtype for op in ops}))
+        return einsum(spec, *ops, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    alg.require_jacobi()
+    conn = levi_civita_product(alg, a)
+    assert conn.skew_residual(a) == 0
+    assert compatibility_residual(alg, a, conn).exact_zero
+    specs = {spec for spec, _ in seen}
+    assert {"ijm,...mk->...ijk", "ijm,mk->ijk", "jm,ikm->ijk",
+            "...ijm,mkl->...ijkl", "jm,mkt->jkt"} <= specs
+    assert all(dtypes == {np.dtype(np.int64)} for _, dtypes in seen), seen

@@ -1,12 +1,16 @@
-"""The exact tensor boundary: nested values to ints over one common denominator."""
+"""The exact tensor boundary: nested values to ints over one common
+denominator, and the contraction that runs them in int64 under a proven
+bound."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liemetric.scalars import DEFAULT_TOL, _scaled, _unscaled, within
+from liemetric.scalars import (DEFAULT_TOL, INT64_MAX, _bounded, _scaled, _summed_terms,
+                               _unscaled, contract, report_float, within)
 
 
 def _scaled_reference(values):
@@ -85,3 +89,149 @@ def test_within_is_an_exact_zero_or_a_float_tolerance():
     assert not within(2 * DEFAULT_TOL, False) and within(2 * DEFAULT_TOL, False, 1e-9)
     assert not within(math.nan, False) and not within(math.inf, False)
     assert type(within(np.float64(0.0), False)) is bool
+
+
+def test_report_float_reads_zero_only_for_an_exact_zero():
+    tiny = Fraction(1, 10**400)  # 0.0 as a float
+    assert report_float(tiny) == math.ulp(0.0) and report_float(Fraction(0)) == 0.0
+    assert report_float(Fraction(1, 3)) == float(Fraction(1, 3))
+    assert report_float(0.0) == 0.0 and report_float(2.5) == 2.5
+    assert math.isnan(report_float(math.nan))
+    assert type(report_float(Fraction(7))) is float
+
+
+def _einsum_dtypes(monkeypatch) -> list:
+    """Records the operand dtypes of every np.einsum call."""
+    seen, einsum = [], np.einsum
+
+    def spy(spec, *ops, **kwargs):
+        seen.append((spec, tuple(op.dtype for op in ops)))
+        return einsum(spec, *ops, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return seen
+
+
+def _constant(shape, value) -> np.ndarray:
+    return np.full(shape, value, dtype=object)
+
+
+# (x entry, y entry, k): every entry of x and y is that value, so each result
+# entry is exactly k * x * y, the bound itself
+EDGES = {
+    "2**31-1, k=2, below": (2**31 - 1, 2**31 - 1, 2),
+    "2**31, k=2, above": (2**31, 2**31, 2),
+    "-2**31, k=2, above": (-(2**31), 2**31, 2),
+    "2**31-1, k=3, above": (2**31 - 1, 2**31 - 1, 3),
+    "2**62, k=1, below": (2**62, 1, 1),
+    "-2**62, k=1, below": (-(2**62), -1, 1),
+    "2**62, k=2, above": (2**62, 1, 2),
+    "2**62 times 2, k=1, above": (2**62, 2, 1),
+    "2**63-1, k=1, at the bound": (INT64_MAX, 1, 1),
+    "2**63-1 times -1, k=1, at the bound": (INT64_MAX, -1, 1),
+    "2**63, k=1, past int64": (2**63, 1, 1),
+}
+
+
+@pytest.mark.parametrize("x_entry, y_entry, k", EDGES.values(), ids=EDGES.keys())
+def test_contract_is_exact_at_the_int64_edge(x_entry, y_entry, k, monkeypatch):
+    """Each result entry is k * x * y, so the int64 path is taken exactly when
+    k * max|x| * max|y| fits, and the entries equal the object einsum's
+    either way, as Python ints. A bound without the factor k would pass the
+    k = 2 and k = 3 cases to int64, where they wrap."""
+    x, bx = _bounded(_constant((2, k), x_entry))
+    y, by = _bounded(_constant((k, 3), y_entry))
+    seen = _einsum_dtypes(monkeypatch)
+    got = contract("ij,jk->ik", x, y, bx, by)
+    fits = k * abs(x_entry) * abs(y_entry) <= INT64_MAX
+    assert [dtypes for _, dtypes in seen] == [(np.dtype(np.int64 if fits else object),) * 2]
+    assert got.dtype == object and all(type(v) is int for v in got.flat)
+    assert got.tolist() == [[k * x_entry * y_entry] * 3] * 2
+
+
+def test_contract_counts_every_summed_subscript():
+    """k is the product of the sizes of the subscripts missing from the
+    output, each counted once at its larger size (np.einsum broadcasts a
+    labelled axis of size 1), with ellipsis axes broadcast."""
+    a, b = np.zeros((2, 3, 4)), np.zeros((4, 5))
+    assert _summed_terms("ijm,mk->ijk", a, b) == 4
+    assert _summed_terms("ijm,mk->k", a, b) == 24
+    assert _summed_terms("...jm,mk->...jk", a, b) == 4
+    assert _summed_terms("ijm,...mk->...ijk", a, np.zeros((7, 4, 5))) == 4
+    assert _summed_terms("im,km->ik", np.zeros((3, 3)), np.zeros((3, 3))) == 3
+    assert _summed_terms("ii,i->", np.zeros((3, 3)), np.zeros(3)) == 3
+    assert _summed_terms("ij,jk->ik", np.zeros((2, 0)), np.zeros((0, 2))) == 0
+    assert _summed_terms("ij,jk->ik", np.zeros((2, 1)), np.zeros((3, 2))) == 3
+    assert _summed_terms("ij,jk->ik", np.zeros((2, 3)), np.zeros((1, 2))) == 3
+
+
+def test_contract_counts_a_broadcast_axis_at_its_full_size():
+    """x's summed axis has size 1 and y's size 2: each entry sums two
+    products of 2**62, which would wrap in int64."""
+    x, bx = _bounded(np.array([[2**31]], dtype=object))
+    y, by = _bounded(np.array([[2**31], [2**31]], dtype=object))
+    assert contract("ij,jk->ik", x, y, bx, by).tolist() == [[2**63]]
+
+
+def test_contract_without_bounds_is_np_einsum():
+    rng = np.random.default_rng(20261101)
+    x, y = rng.standard_normal((3, 4, 5)), rng.standard_normal((5, 2))
+    got = contract("ijm,mk->ijk", x, y)
+    assert got.tobytes() == np.einsum("ijm,mk->ijk", x, y).tobytes()
+
+
+def test_contract_of_a_scalar_result_is_a_python_int():
+    x, bx = _bounded(np.array([3, -4], dtype=object))
+    assert type(contract("j,j->", x, x, bx, bx)) is int
+    big, bb = _bounded(np.array([2**70, 1], dtype=object))
+    assert contract("j,j->", big, big, bb, bb) == 2**140 + 1
+
+
+def test_bounded_keeps_int64_only_when_every_entry_fits():
+    ints = np.array([[3, -(2**63 - 1)], [0, 5]], dtype=object)
+    narrow, bound = _bounded(ints)
+    assert narrow.dtype == np.int64 and bound == 2**63 - 1
+    assert narrow.tolist() == ints.tolist()
+    for wide in ([-(2**63), 1], [2**63, 0], [2**80, 1]):
+        array, bound = _bounded(np.array(wide, dtype=object))
+        assert array.dtype == object and bound == max(map(abs, wide))
+    assert _bounded(np.array([], dtype=object))[1] == 0
+
+
+SPECS = ("ijm,mk->ijk", "jm,ikm->ijk", "...ijm,mkl->...ijkl", "ijm,...mk->...ijk",
+         "jm,mkt->jkt", "jkm,mt->jkt", "km,mjt->jkt")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_contract_equals_the_object_einsum(data):
+    """Random specs of the kernels, sizes 0..4 (some axes of one operand 1,
+    broadcast), entries up to 70 bits and bounds at or above the true
+    maxima: equal to the object einsum, entry by entry, and every entry a
+    Python int."""
+    spec = data.draw(st.sampled_from(SPECS))
+    sizes = {letter: data.draw(st.integers(0, 4), label=letter) for letter in "ijkmlt"}
+    batch = tuple(data.draw(st.lists(st.integers(1, 2), max_size=2), label="batch"))
+    inputs = spec.split("->")[0].split(",")
+
+    def operand(term, label):
+        head, _, tail = term.partition("...")
+        ones = data.draw(st.sets(st.sampled_from("ijkmlt")), label=label + " broadcast")
+        size = {t: 1 if t in ones else sizes[t] for t in sizes}
+        shape = tuple(size[t] for t in head) + (batch if "..." in term else ()) + \
+            tuple(size[t] for t in tail)
+        bits = data.draw(st.integers(0, 70), label=label + " bits")
+        entry = st.integers(-(2**bits), 2**bits)
+        flat = data.draw(st.lists(entry, min_size=math.prod(shape),
+                                  max_size=math.prod(shape)), label=label)
+        ints = np.array(flat, dtype=object).reshape(shape)
+        array, bound = _bounded(ints)
+        slack = data.draw(st.integers(0, 3), label=label + " slack")
+        return ints, array, bound * 2**slack
+
+    (xo, x, bx), (yo, y, by) = operand(inputs[0], "x"), operand(inputs[1], "y")
+    got = contract(spec, x, y, bx, by)
+    want = np.einsum(spec, xo, yo)
+    assert got.dtype == object and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+    assert all(type(v) is int for v in got.flat)
