@@ -33,12 +33,9 @@ from .classify import (
 )
 from .dual import (
     BivectorAt,
-    PolyOneForm,
     bivector_at,
-    contravariant_derivative,
     cyclic_schouten_residual,
     dpi_residual,
-    form_bracket,
     kahler_check_at,
     leaf_frame_at,
     metric_derivation_residual,
@@ -83,7 +80,6 @@ __all__ = [
     "LieAlgebra",
     "Metric",
     "NAMED_ALGEBRAS",
-    "PolyOneForm",
     "Polynomial",
     "SearchConfig",
     "SearchResult",
@@ -96,12 +92,10 @@ __all__ = [
     "by_name",
     "compat_objective",
     "compatibility_residual",
-    "contravariant_derivative",
     "cyclic_schouten_residual",
     "dpi_residual",
     "euclidean_motions",
     "find_compatible_metric",
-    "form_bracket",
     "heisenberg",
     "heisenberg_split_metric",
     "is_pseudo_riemannian",

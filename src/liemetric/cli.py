@@ -125,7 +125,7 @@ DUAL_IDENTITIES = (("dual_compatibility", "dpi"),
 
 def _modular_verdict(fr, traces, tol: float):
     """Largest |modular value| and whether each equals -tr(ad e_k), the modular character."""
-    worst = max(abs(float(value)) for value in fr.modular)
+    worst = max(abs(report_float(value)) for value in fr.modular)
     return worst, all(within(value + t, fr.exact, tol) for value, t in zip(fr.modular, traces))
 
 
@@ -153,7 +153,7 @@ def cmd_check(args, rep: Report) -> int:
             res.value, worst_triple=[t + 1 for t in res.worst_triple])
     uni = alg.is_unimodular(args.tol)
     rep.add("unimodular", "yes" if uni.unimodular else "no",
-            [float(t) for t in uni.traces])
+            [report_float(t) for t in uni.traces])
     fr = dual._frame(alg, a)
     for name, identity in DUAL_IDENTITIES:
         value = fr.worst(identity)
@@ -244,7 +244,7 @@ def cmd_dual_sweep(args, rep: Report) -> int:
         rep.add(name + "_max", "ok" if ok else "above_tol", worst)
     # the modular value does not depend on the point; it is listed at each one
     for k, value in enumerate(fr.modular):
-        entries += [{"point": pt, "check": f"modular_e{k + 1}", "value": float(value)}
+        entries += [{"point": pt, "check": f"modular_e{k + 1}", "value": report_float(value)}
                     for pt in points]
     worst_mod, modular_ok = _modular_verdict(fr, alg.ad_traces(), args.tol)
     rep.add("modular_sweep_max", "ok" if modular_ok else "above_tol", worst_mod)

@@ -7,7 +7,8 @@ Poisson bivector is linear in mu:
 
 and every other object here (sharp map, form bracket, contravariant
 derivative, modular value, leaf data) is derived from that single convention.
-General differential forms carry polynomial coefficients (``liemetric.poly``).
+Each of them is taken on basis data, where it is constant or linear in mu, so
+none needs a form with polynomial coefficients.
 
 Constant one-forms pair through the metric a: <de_i, de_j> = a[i][j]. The
 contravariant derivative D solves the six-term Koszul relation
@@ -16,16 +17,16 @@ contravariant derivative D solves the six-term Koszul relation
                  + <[a,b], g> + <[g,a], b> + <[g,b], a>
 
 against the constant coordinate coframe, which reduces to one constant linear
-system per coefficient. On basis data no polynomial is needed: each form
-bracket [de_x, de_y] is a slice of the coefficient tensor of pi, and every
-pairing <de_y, de_z> is a constant, so the three flow terms vanish and each
-D_{de_i} de_k is constant, one exact contraction of the brackets with a and
-its inverse in scaled integers. The three basis identities and the modular
-field are coefficient tensors too, one ``np.einsum`` expression each, whose
-defects are rows (c_1 .. c_n | c_0) in mu, checked coefficient by
-coefficient or evaluated at points. All of this basis data depends on the
-(algebra, metric) pair alone, so it is built once per pair and kept with the
-metric (``_frame``): every public call on the pair after the first reads it.
+system per coefficient. On basis data each form bracket [de_x, de_y] is a
+slice of the coefficient tensor of pi, and every pairing <de_y, de_z> is a
+constant, so the three flow terms vanish and each D_{de_i} de_k is constant,
+one exact contraction of the brackets with a and its inverse in scaled
+integers. The three basis identities and the modular field are coefficient
+tensors too, one ``np.einsum`` expression each, whose defects are rows
+(c_1 .. c_n | c_0) in mu, checked coefficient by coefficient or evaluated at
+points. All of this basis data depends on the (algebra, metric) pair alone,
+so it is built once per pair and kept with the metric (``_frame``): every
+public call on the pair after the first reads it.
 The dual-side verdict is thus built from dual brackets and a Koszul relation
 coded here; it never reads the algebra-side product of ``liemetric.metric``
 that it is compared against. Points of the dual are plain length-n sequences.
@@ -35,27 +36,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 
 from . import metric, rational
 from .algebra import DimensionMismatchError, LieAlgebra
 from .metric import Metric
-from .poly import Polynomial
 from .scalars import _scaled, _unscaled, is_exact, report_float
 
 # The one sign switch: +1 means pi(de_i, de_j)(mu) = mu([e_i, e_j]), which
 # makes [du, dv] = d[u, v] and D_du dv = d(A_u v) hold with no extra signs.
 BIVECTOR_SIGN = 1
 
-DEFAULT_MAX_DEGREE = 3
 SHARP_RANK_RTOL = 1e-9
 EIG_POSITIVITY_TOL = 1e-12
-
-
-class DegreeOverflowError(ValueError):
-    """An operation produced a polynomial form beyond the degree cap."""
 
 
 class DegenerateRestrictionError(ValueError):
@@ -68,63 +62,6 @@ class LeafRankError(ValueError):
 
 class IrregularPointError(ValueError):
     """The bivector rank at the point is below the algebra's generic rank."""
-
-
-@dataclass(frozen=True)
-class PolyOneForm:
-    """One-form sum_k coeffs[k] de_k with polynomial coefficients."""
-
-    coeffs: tuple
-    exact: bool = True
-
-    def __post_init__(self):
-        n = len(self.coeffs)
-        for p in self.coeffs:
-            if not isinstance(p, Polynomial):
-                raise TypeError("coefficients must be Polynomial instances")
-            if p.nvars != n:
-                raise ValueError("coefficient variable count must equal the dimension")
-            if p.exact != self.exact:
-                raise ValueError("coefficient scalar mode mismatch")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    @classmethod
-    def coordinate(cls, n: int, k: int, exact: bool = True):
-        """The constant coframe element de_k (0-based k)."""
-        coeffs = [Polynomial.zero(n, exact) for _ in range(n)]
-        coeffs[k] = Polynomial.constant(n, 1, exact)
-        return cls(tuple(coeffs), exact)
-
-    @classmethod
-    def from_linear(cls, u, exact: bool | None = None):
-        """du for the linear function u = sum_k u[k] e_k; a constant form."""
-        if exact is None:
-            exact = all(is_exact(x) for x in u)
-        n = len(u)
-        return cls(tuple(Polynomial.constant(n, x, exact) for x in u), exact)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-    def __add__(self, other: "PolyOneForm"):
-        return PolyOneForm(tuple(p + q for p, q in zip(self.coeffs, other.coeffs)),
-                           self.exact)
-
-    def __sub__(self, other: "PolyOneForm"):
-        return PolyOneForm(tuple(p - q for p, q in zip(self.coeffs, other.coeffs)),
-                           self.exact)
-
-    def __neg__(self):
-        return PolyOneForm(tuple(-p for p in self.coeffs), self.exact)
-
-    def degree(self) -> int:
-        return max(p.degree() for p in self.coeffs)
-
-    def to_float(self) -> "PolyOneForm":
-        if not self.exact:
-            return self
-        return PolyOneForm(tuple(p.to_float() for p in self.coeffs), exact=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,37 +124,6 @@ def _check_dim(alg: LieAlgebra, mu):
         raise DimensionMismatchError("point has wrong number of coordinates")
 
 
-def _harmonize(alg: LieAlgebra, a: Metric | None, forms):
-    """Put the algebra, metric, and forms in one scalar mode."""
-    exact = alg.exact and (a is None or a.exact) and all(f.exact for f in forms)
-    if not exact:
-        alg = alg.to_float()
-        a = a.to_float() if a is not None else None
-        forms = [f.to_float() for f in forms]
-    for f in forms:
-        if f.dim != alg.dim:
-            raise DimensionMismatchError("form dimension does not match the algebra")
-    return exact, alg, a, list(forms)
-
-
-def _pi_polys(alg: LieAlgebra) -> list:
-    """Matrix of polynomials pi[i][j](mu), linear in mu."""
-    n = alg.dim
-    exact = alg.exact
-    out = [[Polynomial.zero(n, exact) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            terms = {}
-            for k in range(n):
-                coef = alg.c[i][j][k]
-                if coef != 0:
-                    expo = tuple(1 if t == k else 0 for t in range(n))
-                    terms[expo] = BIVECTOR_SIGN * coef
-            if terms:
-                out[i][j] = Polynomial(n, terms, exact)
-    return out
-
-
 def bivector_at(alg: LieAlgebra, mu) -> BivectorAt:
     """Antisymmetric matrix pi[i][j] = mu([e_i, e_j]) times the sign switch."""
     _check_dim(alg, mu)
@@ -238,132 +144,6 @@ def sharp_pi(alg: LieAlgebra, mu, alpha) -> list:
     m, sm = _scaled(p.matrix, exact)
     w, sw = _scaled(alpha, exact)
     return _unscaled(np.einsum("i,ij->j", w, m), sm * sw, exact)
-
-
-def _sharp(pi: list, alpha: PolyOneForm) -> tuple:
-    """Components of the sharp image of alpha, given the matrix pi."""
-    n = alpha.dim
-    comps = []
-    for m in range(n):
-        total = Polynomial.zero(n, alpha.exact)
-        for i in range(n):
-            if alpha.coeffs[i].is_zero() or pi[i][m].is_zero():
-                continue
-            total = total + alpha.coeffs[i] * pi[i][m]
-        comps.append(total)
-    return tuple(comps)
-
-
-def _pi_pair(pi: list, alpha: PolyOneForm, beta: PolyOneForm) -> Polynomial:
-    """The polynomial pi(alpha, beta), given the matrix pi."""
-    n = alpha.dim
-    total = Polynomial.zero(n, alpha.exact)
-    for i in range(n):
-        if alpha.coeffs[i].is_zero():
-            continue
-        for j in range(n):
-            if beta.coeffs[j].is_zero() or pi[i][j].is_zero():
-                continue
-            total = total + alpha.coeffs[i] * beta.coeffs[j] * pi[i][j]
-    return total
-
-
-def _bracket(pi: list, alpha: PolyOneForm, beta: PolyOneForm, la_b: PolyOneForm,
-             lb_a: PolyOneForm, max_degree: int) -> PolyOneForm:
-    """[alpha, beta] from pi and the Lie derivatives la_b of beta along sharp(alpha)
-    and lb_a of alpha along sharp(beta)."""
-    out = la_b - lb_a - differential(_pi_pair(pi, alpha, beta))
-    return _degree_guard(out, max_degree, "form bracket")
-
-
-def sharp_form(alg: LieAlgebra, alpha: PolyOneForm) -> tuple:
-    """Polynomial vector field components of the sharp image of a form."""
-    _, alg, _, (alpha,) = _harmonize(alg, None, [alpha])
-    return _sharp(_pi_polys(alg), alpha)
-
-
-def pi_pairing(alg: LieAlgebra, alpha: PolyOneForm, beta: PolyOneForm) -> Polynomial:
-    """The polynomial pi(alpha, beta)."""
-    _, alg, _, (alpha, beta) = _harmonize(alg, None, [alpha, beta])
-    return _pi_pair(_pi_polys(alg), alpha, beta)
-
-
-def form_pairing(alpha: PolyOneForm, beta: PolyOneForm, a: Metric) -> Polynomial:
-    """The polynomial <alpha, beta> under the constant fiber metric."""
-    exact = alpha.exact and beta.exact and a.exact
-    if not exact:
-        alpha, beta, a = alpha.to_float(), beta.to_float(), a.to_float()
-    n = alpha.dim
-    total = Polynomial.zero(n, exact)
-    for i in range(n):
-        if alpha.coeffs[i].is_zero():
-            continue
-        for j in range(n):
-            if a.matrix[i][j] == 0 or beta.coeffs[j].is_zero():
-                continue
-            total = total + alpha.coeffs[i] * beta.coeffs[j] * a.matrix[i][j]
-    return total
-
-
-def apply_field(field, p: Polynomial) -> Polynomial:
-    """Directional derivative of a polynomial along a polynomial vector field.
-
-    A constant has none, so its flow takes no partial derivative.
-    """
-    total = Polynomial.zero(p.nvars, p.exact)
-    if p.degree() <= 0:
-        return total
-    for m, comp in enumerate(field):
-        if comp.is_zero():
-            continue
-        dm = p.diff(m)
-        if not dm.is_zero():
-            total = total + comp * dm
-    return total
-
-
-def lie_derivative_form(field, beta: PolyOneForm) -> PolyOneForm:
-    """Lie derivative of a one-form along a polynomial vector field.
-
-    Component k is sum_i X^i d_i(b_k) + sum_j b_j d_k(X^j).
-    """
-    n = beta.dim
-    coeffs = []
-    for k in range(n):
-        term = apply_field(field, beta.coeffs[k])
-        for j in range(n):
-            if beta.coeffs[j].is_zero():
-                continue
-            dk = field[j].diff(k)
-            if not dk.is_zero():
-                term = term + beta.coeffs[j] * dk
-        coeffs.append(term)
-    return PolyOneForm(tuple(coeffs), beta.exact)
-
-
-def differential(p: Polynomial) -> PolyOneForm:
-    return PolyOneForm(tuple(p.diff(k) for k in range(p.nvars)), p.exact)
-
-
-def _degree_guard(form: PolyOneForm, max_degree: int, what: str) -> PolyOneForm:
-    if form.degree() > max_degree:
-        raise DegreeOverflowError(
-            f"{what} has degree {form.degree()}, above the cap {max_degree}")
-    return form
-
-
-def form_bracket(alg: LieAlgebra, alpha: PolyOneForm, beta: PolyOneForm,
-                 max_degree: int = DEFAULT_MAX_DEGREE) -> PolyOneForm:
-    """Bracket of one-forms induced by the bivector.
-
-    L along sharp(alpha) of beta, minus the mirror term, minus
-    d(pi(alpha, beta)). On differentials of linear functions u, v the result
-    is the differential of the linear function [u, v].
-    """
-    _, alg, _, (alpha, beta) = _harmonize(alg, None, [alpha, beta])
-    pi = _pi_polys(alg)
-    return _bracket(pi, alpha, beta, lie_derivative_form(_sharp(pi, alpha), beta),
-                    lie_derivative_form(_sharp(pi, beta), alpha), max_degree)
 
 
 def _basis_brackets(p: np.ndarray) -> np.ndarray:
@@ -395,18 +175,14 @@ class _DualFrame:
     """
 
     def __init__(self, alg: LieAlgebra, a: Metric, exact: bool = True):
-        self.exact, self.alg, a, _ = _harmonize(alg if exact else alg.to_float(), a, [])
-        if self.alg.dim != a.dim:
+        self.exact = exact and alg.exact and a.exact
+        if not self.exact:
+            alg, a = alg.to_float(), a.to_float()
+        if alg.dim != a.dim:
             raise DimensionMismatchError("metric dimension does not match the algebra")
-        self.n = self.alg.dim
+        self.alg, self.n = alg, alg.dim
         self.scaled_a = a.scaled(self.exact)
         self.half = a._half_inverse()
-
-    @property
-    def ainv(self) -> list:
-        """The inverse metric as rows: Fractions (exact) or floats."""
-        h, s = self.half
-        return _unscaled(2 * h, s, self.exact)
 
     @cached_property
     def tensors(self) -> tuple:
@@ -520,49 +296,6 @@ def _frame(alg: LieAlgebra, a: Metric, exact: bool = True) -> _DualFrame:
     return kept[1]
 
 
-def contravariant_derivative(alg: LieAlgebra, a: Metric, alpha: PolyOneForm,
-                             beta: PolyOneForm,
-                             max_degree: int = DEFAULT_MAX_DEGREE) -> PolyOneForm:
-    """The derivative D_alpha beta from the six-term Koszul relation.
-
-    Pairs the relation against each constant coframe element de_l, with
-    [de_l, alpha], [de_l, beta] and [alpha, beta] from the form bracket, then
-    solves the constant fiber-metric system coefficientwise. On constant
-    forms du, dv the output is the constant form of the product A_u v.
-    """
-    ainv = _frame(alg, a, alpha.exact and beta.exact).ainv
-    exact, alg, a, (alpha, beta) = _harmonize(alg, a, [alpha, beta])
-    n, pi = alg.dim, _pi_polys(alg)
-    xa, xb = _sharp(pi, alpha), _sharp(pi, beta)
-
-    def bracket(f, g, xf, xg):
-        return _bracket(pi, f, g, lie_derivative_form(xf, g), lie_derivative_form(xg, f),
-                        max_degree)
-
-    ab = bracket(alpha, beta, xa, xb)
-    ab_pair = form_pairing(alpha, beta, a)
-    rhs = []
-    for dl in (PolyOneForm.coordinate(n, k, exact) for k in range(n)):
-        xl = _sharp(pi, dl)
-        term = apply_field(xa, form_pairing(beta, dl, a))
-        term = term + apply_field(xb, form_pairing(alpha, dl, a))
-        term = term - apply_field(xl, ab_pair)
-        term = term + form_pairing(bracket(dl, alpha, xl, xa), beta, a)
-        term = term + form_pairing(bracket(dl, beta, xl, xb), alpha, a)
-        term = term + form_pairing(ab, dl, a)
-        rhs.append(term)
-    half = Fraction(1, 2) if exact else 0.5
-    coeffs = []
-    for j in range(n):
-        h = Polynomial.zero(n, exact)
-        for l in range(n):
-            if ainv[j][l] == 0 or rhs[l].is_zero():
-                continue
-            h = h + rhs[l] * ainv[j][l]
-        coeffs.append(h * half)
-    out = PolyOneForm(tuple(coeffs), exact)
-    return _degree_guard(out, max_degree, "contravariant derivative")
-
 
 def _residual(alg: LieAlgebra, a: Metric, identity: str, points) -> float:
     return float(np.max(_frame(alg, a).sweep(identity, points)))
@@ -620,7 +353,7 @@ def modular_field_value(alg: LieAlgebra, a: Metric, f, mu=None) -> float:
     fr = _frame(alg, a, all(is_exact(x) for x in f))  # f joins the scalar mode
     w, sw = _scaled(f, fr.exact)
     m, sm = fr.trace
-    return float(_unscaled(np.einsum("k,k->", w, m), sw * sm, fr.exact))
+    return report_float(_unscaled(np.einsum("k,k->", w, m), sw * sm, fr.exact))
 
 
 def _rank_null(m, exact: bool, rtol: float, what: str):

@@ -3,7 +3,7 @@
 Exact mode holds ``fractions.Fraction`` entries (ints and 'p/q' strings
 coerce); float mode holds machine doubles and every zero test carries an
 explicit tolerance. ``within`` is that zero test, the one rule every residual
-verdict reads, and ``report_float`` the one rule for showing a residual as a
+verdict reads, and ``report_float`` the one rule for showing a value as a
 float, which reads 0.0 only for an exact zero. Mixed arithmetic silently
 degrades to float, so containers track an ``exact`` flag and coerce their
 entries up front.
@@ -61,11 +61,11 @@ def within(value, exact: bool, tol: float = DEFAULT_TOL) -> bool:
 
 
 def report_float(x) -> float:
-    """A residual as the float a report shows: ``float(x)``, except that a
-    nonzero value that rounds to 0.0 reads ``math.ulp(0.0)``, so 0.0 always
-    means an exact zero."""
+    """A value as the float a report shows: ``float(x)``, except that a
+    nonzero value that rounds to 0.0 reads ``math.ulp(0.0)`` with the sign of
+    x, so 0.0 always means an exact zero."""
     value = float(x)
-    return math.ulp(0.0) if value == 0 and x != 0 else value
+    return math.copysign(math.ulp(0.0), value) if value == 0 and x != 0 else value
 
 
 def _differ(x: np.ndarray, y: np.ndarray, exact: bool, tol: float) -> np.ndarray:

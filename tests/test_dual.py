@@ -3,7 +3,9 @@
 The orientation of the whole module hangs on one sign: the pairing of the
 bivector against two coordinate forms at mu equals mu applied to the bracket
 of the matching basis vectors. Several tests below pin that choice and the
-identities that forced it.
+identities that forced it. Forms with polynomial coefficients, their bracket
+and their Koszul solve come from ``poly_oracle``, the closed-form reference
+the library's basis frame is checked against.
 """
 
 import itertools
@@ -21,11 +23,9 @@ from liemetric import (
     affine_line,
     bivector_at,
     compatibility_residual,
-    contravariant_derivative,
     cyclic_schouten_residual,
     dpi_residual,
     euclidean_motions,
-    form_bracket,
     heisenberg,
     heisenberg_split_metric,
     is_pseudo_riemannian,
@@ -45,19 +45,24 @@ from liemetric.dual import (
     DimensionMismatchError,
     IrregularPointError,
     LeafRankError,
-    PolyOneForm,
-    Polynomial,
     _DualFrame,
     _basis_brackets,
+)
+from liemetric import rational
+from liemetric.poly import Polynomial
+from liemetric.scalars import _unscaled
+from conftest import random_algebra, random_metric
+import poly_oracle
+from poly_oracle import (
+    PolyOneForm,
     apply_field,
+    contravariant_derivative,
+    form_bracket,
     form_pairing,
     lie_derivative_form,
     pi_pairing,
     sharp_form,
 )
-from liemetric import rational
-from liemetric.scalars import _unscaled
-from conftest import random_algebra, random_metric
 
 
 def coframe(n, exact=True):
@@ -242,10 +247,10 @@ def _constants(form):
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_frame_derivatives_match_public_derivative(rng, exact):
-    """Every basis derivative of the frame's contraction equals the public
-    Koszul solve in the polynomial engine: exactly in exact mode, to 1e-12 of
+    """Every basis derivative of the frame's contraction equals the oracle's
+    Koszul solve in polynomial arithmetic: exactly in exact mode, to 1e-12 of
     the largest entry in float mode, where the two sum in different orders.
-    The basis brackets of the frame's bivector tensor are the public form
+    The basis brackets of the frame's bivector tensor are the oracle's form
     brackets [de_x, de_y], bit for bit in both modes."""
     for n in (2, 3, 4, 4):
         alg, a = random_algebra(rng, n), random_metric(rng, n)
@@ -271,8 +276,40 @@ def test_frame_derivatives_match_public_derivative(rng, exact):
 
 
 @pytest.mark.parametrize("exact", [True, False])
+def test_oracle_solves_without_the_frame_or_its_inverse(rng, exact, monkeypatch):
+    """The oracle's Koszul solve reads the inverse metric from the metric
+    itself, not from the frame it is checked against: with
+    ``Metric._half_inverse`` and ``dual._frame`` refused, its derivatives
+    still equal those of a frame built outside the refusal, exactly in exact
+    mode and to 1e-12 of the largest entry in float mode."""
+    from liemetric import dual
+
+    pairs = [(random_algebra(rng, n), random_metric(rng, n)) for n in (2, 3, 4)]
+    if not exact:
+        pairs = [(alg.to_float(), a.to_float()) for alg, a in pairs]
+    frames = [_frame_derivs(_DualFrame(alg, a)) for alg, a in pairs]
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached the frame or its half-inverse")
+
+    monkeypatch.setattr(Metric, "_half_inverse", refuse)
+    monkeypatch.setattr(dual, "_frame", refuse)
+    for (alg, a), got in zip(pairs, frames, strict=True):
+        n, de = alg.dim, coframe(alg.dim, exact)
+        want = [[_constants(contravariant_derivative(alg, a, de[i], de[k])) for k in range(n)]
+                for i in range(n)]
+        if exact:
+            assert got == want
+        else:
+            bound = 1e-12 * max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(np.array(got) - np.array(want, dtype=float))) <= bound
+    with pytest.raises(AssertionError, match="half-inverse"):
+        _DualFrame(*pairs[0])
+
+
+@pytest.mark.parametrize("exact", [True, False])
 def test_frame_derivative_heisenberg_identity_example(exact):
-    """The frame's contraction gives the closed form the public path pins."""
+    """The frame's contraction gives the closed form the oracle pins."""
     alg, a = heisenberg(), Metric.identity(3)
     if not exact:
         alg, a = alg.to_float(), a.to_float()
@@ -363,8 +400,8 @@ def test_nan_structure_constant_propagates_to_residuals():
     assert math.isnan(Polynomial(1, {(1,): 2.0, (0,): math.nan}, exact=False).max_coeff())
 
 
-def _public_sides(alg, a, deriv):
-    """Both sides of every basis identity from the public calculus alone.
+def _oracle_sides(alg, a, deriv):
+    """Both sides of every basis identity from the oracle's calculus alone.
 
     Returns {identity: [(left, right), ...]} in the order of the frame's rows;
     each defect is left - right, and deriv[i][k] stands in for D_{de_i} de_k.
@@ -412,7 +449,7 @@ def _unscaled_rows(fr, identity):
     return np.array(_unscaled(rows, scale, fr.exact), dtype=object if fr.exact else float)
 
 
-def _public_derivs(alg, a):
+def _oracle_derivs(alg, a):
     de = coframe(alg.dim)
     return [[contravariant_derivative(alg, a, de[i], de[k]) for k in range(alg.dim)]
             for i in range(alg.dim)]
@@ -420,7 +457,7 @@ def _public_derivs(alg, a):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_identity_rows_match_public_defects(rng, n):
-    """Frame rows equal the defects built from public calls, on compatible and
+    """Frame rows equal the defects built from oracle calls, on compatible and
     incompatible exact pairs; the float frame agrees to rounding."""
     pairs = [(random_algebra(rng, n), random_metric(rng, n)) for _ in range(3)]
     if n == 3:
@@ -429,8 +466,8 @@ def test_identity_rows_match_public_defects(rng, n):
     incompatible = 0
     for alg, a in pairs:
         fr, fl = _DualFrame(alg, a), _DualFrame(alg.to_float(), a.to_float())
-        deriv = _public_derivs(alg, a)
-        for identity, sides in _public_sides(alg, a, deriv).items():
+        deriv = _oracle_derivs(alg, a)
+        for identity, sides in _oracle_sides(alg, a, deriv).items():
             defects = [left - right for left, right in sides]
             rows = _unscaled_rows(fr, identity)
             assert rows.tolist() == _as_rows(defects, n)
@@ -454,7 +491,7 @@ def test_identity_sides_are_nonzero_on_their_own():
     fails the Jacobi identity: both are nonzero and so is the frame's row."""
     alg, a = sol(), Metric.identity(3)
     assert dpi_residual(alg, a) > 0
-    sides = _public_sides(alg, a, _public_derivs(alg, a))["transport"]
+    sides = _oracle_sides(alg, a, _oracle_derivs(alg, a))["transport"]
     assert any(not left.is_zero() for left, _ in sides)
     assert any(not right.is_zero() for _, right in sides)
     assert all((left - right).is_zero() for left, right in sides)
@@ -462,7 +499,7 @@ def test_identity_sides_are_nonzero_on_their_own():
     bad = LieAlgebra.from_brackets(3, {(0, 1): [1, 0, 1], (0, 2): [0, 1, 0],
                                        (1, 2): [1, 0, 0]}, check_jacobi=False)
     assert bad.jacobi_residual() != 0
-    sides = _public_sides(bad, a, _public_derivs(bad, a))["cyclic"]
+    sides = _oracle_sides(bad, a, _oracle_derivs(bad, a))["cyclic"]
     assert any(not left.is_zero() for left, _ in sides)
     assert any(not right.is_zero() for _, right in sides)
     assert _unscaled_rows(_DualFrame(bad, a), "cyclic").tolist() == \
@@ -472,7 +509,7 @@ def test_identity_sides_are_nonzero_on_their_own():
 
 def test_identity_rows_read_the_derivative_tensor(rng):
     """With D replaced by a random tensor no identity holds, and every frame row
-    still equals the public defect built from that tensor."""
+    still equals the oracle's defect built from that tensor."""
     alg, a = sol(), random_metric(rng, 3)
     fr = _DualFrame(alg, a)
     p, _, s = fr.tensors
@@ -480,7 +517,7 @@ def test_identity_rows_read_the_derivative_tensor(rng):
     fr.tensors = (p, d, s)
     deriv = [[PolyOneForm.from_linear([Fraction(x, s) for x in d[i, k]]) for k in range(3)]
              for i in range(3)]
-    for identity, sides in _public_sides(alg, a, deriv).items():
+    for identity, sides in _oracle_sides(alg, a, deriv).items():
         assert fr.sweep(identity) > 0
         assert _unscaled_rows(fr, identity).tolist() == _as_rows([l - r for l, r in sides], 3)
 
@@ -524,14 +561,12 @@ def test_frame_computes_each_pairing_flow_and_lie_derivative_once(rng, n, monkey
     """One exact frame computes no pairing, flow, Lie derivative or partial
     derivative at all, so none runs more than once: its n^2 basis brackets
     are slices of the bivector tensor, and its Koszul stage contracts them
-    with constant basis pairings. The brackets still equal the public form
+    with constant basis pairings. The brackets still equal the oracle's form
     brackets, which make those calls themselves."""
-    from liemetric import dual
-
     calls = {"form_pairing": 0, "apply_field": 0, "lie_derivative_form": 0}
 
     def counting(name):
-        fun = getattr(dual, name)
+        fun = getattr(poly_oracle, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -539,7 +574,7 @@ def test_frame_computes_each_pairing_flow_and_lie_derivative_once(rng, n, monkey
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(dual, name, counting(name))
+        monkeypatch.setattr(poly_oracle, name, counting(name))
     diffs = []
     diff = Polynomial.diff
 
@@ -638,8 +673,11 @@ def test_exact_frame_inverse_and_tensors_equal_their_fraction_forms(rng):
     for n in (2, 3, 4, 5):
         alg, a = random_algebra(rng, n), random_metric(rng, n)
         fr = _DualFrame(alg, a)
-        assert fr.ainv == a.inverse_rows()
-        assert all(type(x) is Fraction for row in fr.ainv for x in row)
+        assert fr.half is a._half_inverse()
+        h, s = fr.half
+        ainv = _unscaled(2 * h, s, True)
+        assert ainv == a.inverse_rows()
+        assert all(type(x) is Fraction for row in ainv for x in row)
         c = BIVECTOR_SIGN * np.array(alg.c, dtype=object)
         half = np.array(a.inverse_rows(), dtype=object) / 2
         b = np.einsum("xyt,tz->xyz", _basis_brackets(c), np.array(a.matrix, dtype=object))
@@ -664,7 +702,7 @@ def test_one_elimination_per_exact_metric_and_product(rng, monkeypatch):
     monkeypatch.setattr(rational, "_reduce", counting_reduce)
     for n in (2, 3, 4):
         alg, a = random_algebra(rng, n), random_metric(rng, n)
-        de, mu = coframe(n), [Fraction(k + 1, 3) for k in range(n)]
+        mu = [Fraction(k + 1, 3) for k in range(n)]
         calls.clear()  # drawing the metric tested its determinant
         for _ in range(3):
             fr = _DualFrame(alg, a)
@@ -676,7 +714,6 @@ def test_one_elimination_per_exact_metric_and_product(rng, monkeypatch):
                 residual(alg, a)
                 residual(alg, a, [mu])
             modular_field_value(alg, a, [1] + [0] * (n - 1))
-            contravariant_derivative(alg, a, de[0], de[-1])
         assert calls == [n]
         for k in range(3):
             levi_civita_product(alg, a)
@@ -723,8 +760,8 @@ def test_algebra_side_verdicts_never_read_the_carried_inverse(rng, monkeypatch):
 def test_degenerate_exact_metric_raises_one_error_everywhere(rng):
     """A singular exact metric raises DegenerateMetricError with the one
     message of Metric.require_nondegenerate from the product solve, the three
-    dual residuals (in coefficients and at a point), the modular field and the
-    contravariant derivative, though no separate nondegeneracy check runs."""
+    dual residuals (in coefficients and at a point) and the modular field,
+    though no separate nondegeneracy check runs."""
     alg4 = random_algebra(rng, 4)
     rank3 = [[1, 2, 0, 1], [2, 4, 0, 2], [0, 0, 1, 0], [1, 2, 0, 3]]
     cases = [(heisenberg(), Metric.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]], exact=True)),
@@ -732,15 +769,14 @@ def test_degenerate_exact_metric_raises_one_error_everywhere(rng):
              (alg4, Metric.from_rows(rank3, exact=True))]
     for alg, a in cases:
         n = alg.dim
-        de, mu = coframe(n), [Fraction(k + 1, 3) for k in range(n)]
+        mu = [Fraction(k + 1, 3) for k in range(n)]
         calls = [lambda: levi_civita_product(alg, a),
                  lambda: dpi_residual(alg, a), lambda: dpi_residual(alg, a, [mu]),
                  lambda: cyclic_schouten_residual(alg, a),
                  lambda: cyclic_schouten_residual(alg, a, [mu]),
                  lambda: metric_derivation_residual(alg, a),
                  lambda: metric_derivation_residual(alg, a, [mu]),
-                 lambda: modular_field_value(alg, a, [1] + [0] * (n - 1), mu),
-                 lambda: contravariant_derivative(alg, a, de[0], de[1])]
+                 lambda: modular_field_value(alg, a, [1] + [0] * (n - 1), mu)]
         for call in calls:
             with pytest.raises(DegenerateMetricError) as info:
                 call()

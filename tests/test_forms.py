@@ -502,18 +502,16 @@ def frame_builds(monkeypatch):
 
 def _dual_answers(alg, a) -> list:
     """Every public dual answer that reads a frame, on (alg, a): the three
-    residuals in coefficients and at a point, the modular field on each e_k
-    and the contravariant derivative of the first and last coframe forms."""
+    residuals in coefficients and at a point and the modular field on each
+    e_k."""
     n = alg.dim
     mu = [Fraction(k + 1, 3) for k in range(n)]
     out = [residual(alg, a, pts) for residual in (dual.dpi_residual,
                                                    dual.cyclic_schouten_residual,
                                                    dual.metric_derivation_residual)
            for pts in (None, [mu])]
-    out += [dual.modular_field_value(alg, a, [int(k == q) for q in range(n)], mu)
-            for k in range(n)]
-    de = [dual.PolyOneForm.coordinate(n, k) for k in (0, n - 1)]
-    return out + [dual.contravariant_derivative(alg, a, *de)]
+    return out + [dual.modular_field_value(alg, a, [int(k == q) for q in range(n)], mu)
+                  for k in range(n)]
 
 
 def _small_pairs() -> list:

@@ -2,6 +2,7 @@
 code contract: 0 ok, 1 check failed, 2 bad input, 3 nothing found."""
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -418,6 +419,30 @@ def test_exact_verdicts_never_round(tmp_path, capsys):
     assert rows["dual_compatibility"]["status"] == "failed"
     failed = [row for row in rows.values() if row["status"] == "failed"]
     assert all(row["value"] > 0.0 for row in failed), failed
+
+
+def test_tiny_report_values_keep_their_sign(tmp_path, capsys):
+    """[e1, e2] = 1e-400 e2 with the identity metric: the traces of ad are
+    (1e-400, 0) and the modular values (-1e-400, 0), nonzero but 0.0 or -0.0
+    as floats. ``check`` and ``dual-sweep`` report them as the smallest
+    double with their signs, and the exact zeros as 0.0."""
+    tiny = math.ulp(0.0)
+    alg = LieAlgebra.from_brackets(2, {(0, 1): [0, Fraction(1, 10**400)]})
+    files = [algebra_file(tmp_path, alg), metric_file(tmp_path, Metric.identity(2))]
+    report = tmp_path / "check.json"
+    assert main(["check", *files, "--json", str(report)]) == 1
+    rows = {row["name"]: row for row in json.loads(report.read_text())["checks"]}
+    assert rows["unimodular"]["status"] == "no"
+    assert rows["unimodular"]["value"] == [tiny, 0.0]
+    assert rows["modular_sweep_max"]["status"] == "ok"
+    assert rows["modular_sweep_max"]["value"] == tiny
+    report = tmp_path / "sweep.json"
+    assert main(["dual-sweep", *files, "--count", "3", "--json", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    modular = [(e["check"], e["value"]) for e in doc["sweep"] if e["check"].startswith("modular")]
+    assert modular == [("modular_e1", -tiny)] * 3 + [("modular_e2", 0.0)] * 3
+    rows = {row["name"]: row for row in doc["checks"]}
+    assert rows["modular_sweep_max"]["value"] == tiny
 
 
 def test_cli_classify_dim2(capsys):

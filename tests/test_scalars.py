@@ -94,6 +94,7 @@ def test_within_is_an_exact_zero_or_a_float_tolerance():
 def test_report_float_reads_zero_only_for_an_exact_zero():
     tiny = Fraction(1, 10**400)  # 0.0 as a float
     assert report_float(tiny) == math.ulp(0.0) and report_float(Fraction(0)) == 0.0
+    assert report_float(-tiny) == -math.ulp(0.0) and report_float(-10**-400) == 0.0
     assert report_float(Fraction(1, 3)) == float(Fraction(1, 3))
     assert report_float(0.0) == 0.0 and report_float(2.5) == 2.5
     assert math.isnan(report_float(math.nan))
