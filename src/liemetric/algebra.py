@@ -19,6 +19,9 @@ from .scalars import (DEFAULT_TOL, IntegerForm, _differ, _scaled, _unscaled, coe
                       is_exact, within)
 
 
+RANK_RTOL = 1e-9  # the float rank: singular values above this share of the largest
+
+
 class DimensionMismatchError(ValueError):
     pass
 
@@ -60,8 +63,7 @@ class LieAlgebra(IntegerForm):
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: Mapping, *, exact: bool = True,
-                      check_jacobi: bool = True, tol: float = DEFAULT_TOL,
-                      name: str = ""):
+                      check_jacobi: bool = True, name: str = ""):
         """Build from ``{(i, j): coefficient vector of [e_i, e_j]}`` with i < j.
 
         Unlisted pairs are zero. The remaining entries are materialized by
@@ -81,13 +83,12 @@ class LieAlgebra(IntegerForm):
             c[j][i] = [-x for x in row]
         alg = cls(dim=dim, c=_freeze_tensor(c), exact=exact, name=name)
         if check_jacobi:
-            alg.require_jacobi(tol=tol)
+            alg.require_jacobi()
         return alg
 
     @classmethod
     def from_structure(cls, c, *, exact: bool | None = None,
-                       check_jacobi: bool = True, tol: float = DEFAULT_TOL,
-                       name: str = ""):
+                       check_jacobi: bool = True, name: str = ""):
         """Build from a full rank-3 tensor, validating antisymmetry."""
         dim = len(c)
         if dim < 1:
@@ -99,12 +100,12 @@ class LieAlgebra(IntegerForm):
             raise DimensionMismatchError("structure tensor is not dim x dim x dim")
         alg = cls(dim=dim, c=_freeze_tensor(data), exact=exact, name=name)
         t, _ = alg.scaled(exact)
-        bad = np.argwhere(_differ(t, -t.transpose(1, 0, 2), exact, tol))
+        bad = np.argwhere(_differ(t, -t.transpose(1, 0, 2), exact, DEFAULT_TOL))
         if len(bad):
             i, j, k = bad[0]  # row-major order: the lexicographically first entry
             raise InvalidStructureError(f"antisymmetry fails at c[{i}][{j}][{k}]")
         if check_jacobi:
-            alg.require_jacobi(tol=tol)
+            alg.require_jacobi()
         return alg
 
     # -- basic evaluation ---------------------------------------------------
@@ -158,9 +159,9 @@ class LieAlgebra(IntegerForm):
         p = tails[i] + t
         return _unscaled(worst[i][t], s * s, self.exact), (i, int(pj[p]), int(pk[p]))
 
-    def require_jacobi(self, tol: float = DEFAULT_TOL):
+    def require_jacobi(self):
         r = self.jacobi_residual()
-        if not within(r, self.exact, tol):
+        if not within(r, self.exact):
             raise InvalidStructureError(f"Jacobi identity fails, residual {r}")
 
     def adjoint_matrix(self, u: Sequence):
@@ -182,23 +183,18 @@ class LieAlgebra(IntegerForm):
         return UnimodularityReport(unimodular=all(within(t, self.exact, tol) for t in traces),
                                    traces=traces)
 
-    def center(self, tol: float = DEFAULT_TOL) -> list:
-        """Basis of {v : [u, v] = 0 for all u}, via the stacked adjoints."""
+    def center(self) -> list:
+        """Basis of {v : [u, v] = 0 for all u}: the null space of the stacked
+        adjoints, by the one rank rule (``_rank_null``)."""
         n = self.dim
         # the form is the tensor times a positive scale: the same null space
         c = self.scaled(self.exact)[0]
-        stacked = c.transpose(0, 2, 1).reshape(n * n, n)
-        if self.exact:
-            return rational.nullspace(stacked.tolist())
-        bad = np.argwhere(~np.isfinite(c))
-        if len(bad):
-            i, j, k = bad[0]
+        if not (self.exact or np.isfinite(c).all()):
+            i, j, k = np.argwhere(~np.isfinite(c))[0]
             raise ValueError(f"structure constant c[{i}][{j}][{k}] is {c[i, j, k]}; "
                              "the center needs finite constants")
-        _, s, vt = np.linalg.svd(stacked)
-        cutoff = tol * max(1.0, s[0] if len(s) else 1.0)
-        null_rows = [vt[r] for r in range(vt.shape[0]) if r >= len(s) or s[r] <= cutoff]
-        return [list(map(float, v)) for v in null_rows]
+        stacked = c.transpose(0, 2, 1).reshape(n * n, n)
+        return _rank_null(stacked, self.exact, "the stacked adjoints")[1].tolist()
 
     # -- transforms ---------------------------------------------------------
 
@@ -231,6 +227,29 @@ class LieAlgebra(IntegerForm):
 
     def structure_array(self) -> np.ndarray:
         return self.scaled(False)[0].copy()
+
+
+def _rank_null(m, exact: bool, what: str):
+    """Rank of the matrix m and an array whose rows span its right null space.
+
+    Exact: ``rational.nullspace``. Float: the SVD rows past the numeric rank,
+    the number of singular values above RANK_RTOL * s[0], which scaling m
+    does not change; a non-finite entry of m, which ``what`` names, raises
+    ValueError.
+    """
+    n = len(m[0])
+    if exact:
+        rows = rational.nullspace([list(row) for row in m])
+        return n - len(rows), np.array(rows, dtype=object).reshape(-1, n)
+    m = np.asarray(m, dtype=float)
+    bad = np.argwhere(~np.isfinite(m))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"{what} has the non-finite entry {m[i, j]} at ({i}, {j}); "
+                         "its rank needs finite entries")
+    _, s, vt = np.linalg.svd(m)
+    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
+    return rank, vt[rank:]
 
 
 def _bilinear(form: tuple, u: Sequence, v: Sequence, exact: bool) -> list:

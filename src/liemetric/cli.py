@@ -172,7 +172,7 @@ def _parse_signature(text: str, n: int):
     try:
         p, q = (int(x) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise io.FormatError(
             f"signature must be 'any', 'riemann', or 'p,q', got {text!r}") from None
     if p < 0 or q < 0 or p + q != n:
         raise io.FormatError(f"signature ({p},{q}) does not fit dimension {n}")

@@ -3,10 +3,11 @@
 Coordinates mu_1 .. mu_n on the dual pair with the basis e_1 .. e_n. The
 Poisson bivector is linear in mu:
 
-    pi(de_i, de_j)(mu) = BIVECTOR_SIGN * mu([e_i, e_j])
+    pi(de_i, de_j)(mu) = mu([e_i, e_j])
 
 and every other object here (sharp map, form bracket, contravariant
-derivative, modular value, leaf data) is derived from that single convention.
+derivative, modular value, leaf data) is derived from that single convention,
+with which [du, dv] = d[u, v] and D_du dv = d(A_u v) hold with no extra signs.
 Each of them is taken on basis data, where it is constant or linear in mu, so
 none needs a form with polynomial coefficients.
 
@@ -34,21 +35,17 @@ that it is compared against. Points of the dual are plain length-n sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import metric, rational
-from .algebra import DimensionMismatchError, LieAlgebra
+from . import metric
+from .algebra import DimensionMismatchError, LieAlgebra, _rank_null
 from .metric import Metric
 from .scalars import _scaled, _unscaled, is_exact, report_float
 
-# The one sign switch: +1 means pi(de_i, de_j)(mu) = mu([e_i, e_j]), which
-# makes [du, dv] = d[u, v] and D_du dv = d(A_u v) hold with no extra signs.
-BIVECTOR_SIGN = 1
-
-SHARP_RANK_RTOL = 1e-9
 EIG_POSITIVITY_TOL = 1e-12
 
 
@@ -78,8 +75,8 @@ class BivectorAt:
     def as_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.matrix])
 
-    def rank(self, rtol: float = SHARP_RANK_RTOL) -> int:
-        return _rank_null(self.matrix, self.exact, rtol, "the bivector")[0]
+    def rank(self) -> int:
+        return _rank_null(self.matrix, self.exact, "the bivector")[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,12 +122,12 @@ def _check_dim(alg: LieAlgebra, mu):
 
 
 def bivector_at(alg: LieAlgebra, mu) -> BivectorAt:
-    """Antisymmetric matrix pi[i][j] = mu([e_i, e_j]) times the sign switch."""
+    """Antisymmetric matrix pi[i][j] = mu([e_i, e_j])."""
     _check_dim(alg, mu)
     exact = alg.exact and _exact_point(mu)
     c, sc = alg.scaled(exact)
     m, sm = _scaled(mu, exact)
-    pi = _unscaled(BIVECTOR_SIGN * np.einsum("ijk,k->ij", c, m), sc * sm, exact)
+    pi = _unscaled(np.einsum("ijk,k->ij", c, m), sc * sm, exact)
     return BivectorAt(matrix=tuple(map(tuple, pi)), exact=exact)
 
 
@@ -159,23 +156,23 @@ def _basis_brackets(p: np.ndarray) -> np.ndarray:
 class _DualFrame:
     """Basis data of one (algebra, metric) pair, kept with its metric.
 
-    Holds the scalar mode (exact=False forces float), the algebra in that
-    mode, and the metric's scaled form and half-inverse as (rows, scale),
-    both read from the metric in that mode (``Metric._half_inverse``: one
-    elimination per metric, which is also the nondegeneracy check). It holds
-    no metric, so a metric that keeps its frame (``_frame``) is still freed
-    by refcount. It builds no polynomial: every basis datum is a coefficient
-    tensor in scaled integers. The brackets slice the tensor of pi
-    (``_basis_brackets``); the Koszul stage (``tensors``) is one exact
-    contraction of them with a and its inverse; the identity rows contract
-    ``tensors`` and stay (integer rows, scale) until ``sweep`` reads them;
-    ``trace`` is the Koszul trace, which ``modular`` reads as Fractions. Each
-    is built on first use and never written after, so every public call on
-    the pair pays only for what no earlier call read.
+    Holds the pair's scalar mode, the algebra in that mode, and the metric's
+    scaled form and half-inverse as (rows, scale), both read from the metric
+    in that mode (``Metric._half_inverse``: one elimination per metric, which
+    is also the nondegeneracy check). It holds no metric, so a metric that
+    keeps its frame (``_frame``) is still freed by refcount. It builds no
+    polynomial: every basis datum is a coefficient tensor in scaled
+    integers. The brackets slice the tensor of pi (``_basis_brackets``); the
+    Koszul stage (``tensors``) is one exact contraction of them with a and
+    its inverse; the identity rows contract ``tensors`` and stay (integer
+    rows, scale) until ``sweep`` reads them; ``trace`` is the Koszul trace,
+    which ``modular`` reads as Fractions. Each is built on first use and
+    never written after, so every public call on the pair pays only for what
+    no earlier call read.
     """
 
-    def __init__(self, alg: LieAlgebra, a: Metric, exact: bool = True):
-        self.exact = exact and alg.exact and a.exact
+    def __init__(self, alg: LieAlgebra, a: Metric):
+        self.exact = alg.exact and a.exact
         if not self.exact:
             alg, a = alg.to_float(), a.to_float()
         if alg.dim != a.dim:
@@ -198,10 +195,9 @@ class _DualFrame:
         c, sc = self.alg.scaled(self.exact)
         am, sa = self.scaled_a
         half, sh = self.half
-        p = BIVECTOR_SIGN * c
-        b = np.einsum("xyt,tz->xyz", _basis_brackets(p), am)
+        b = np.einsum("xyt,tz->xyz", _basis_brackets(c), am)
         rhs = np.einsum("lik->ikl", b) + np.einsum("lki->ikl", b) + b
-        return p * (sh * sa), np.einsum("jl,ikl->ikj", half, rhs), sc * sh * sa
+        return c * (sh * sa), np.einsum("jl,ikl->ikj", half, rhs), sc * sh * sa
 
     def _rows(self, linear, constant, scale) -> tuple:
         """Defects (sum_t linear[..., t] mu_t + constant[...]) / scale as (rows, scale)."""
@@ -248,11 +244,14 @@ class _DualFrame:
 
     def sweep(self, identity: str, points=None):
         """``worst`` as a float (points=None), or the largest |defect| at each
-        of a nonempty list of points, from rows @ [mu, 1]. Rows meet their
-        scale only here and in ``worst``: for points int / int, rounded as
-        float() of a Fraction. A nonzero exact maximum below the smallest
-        double reads ``math.ulp(0.0)``, never 0.0 (``report_float``). A NaN
-        coefficient or value gives NaN, never a smaller number."""
+        of a nonempty list of points, taken as floats, from rows @ [mu, 1].
+        Rows meet their scale only here and in ``worst``: for points int /
+        int, rounded as float() of a Fraction, when scale < 2**1074 (no
+        nonzero coefficient reads 0.0) and no quotient overflows; otherwise
+        exactly at the points (``_exact_at``). A nonzero exact maximum below
+        the smallest double reads ``math.ulp(0.0)``, never 0.0
+        (``report_float``). A NaN coefficient or value gives NaN, never a
+        smaller number."""
         if points is None:
             return report_float(self.worst(identity))
         rows, scale = getattr(self, identity)
@@ -262,7 +261,12 @@ class _DualFrame:
         for pt in points:
             _check_dim(self.alg, pt)
         mu = np.array([[*pt, 1] for pt in points], dtype=float)
-        return np.max(np.abs((rows / scale).astype(float) @ mu.T), axis=0)
+        if scale.bit_length() <= 1074:
+            try:
+                return np.max(np.abs((rows / scale).astype(float) @ mu.T), axis=0)
+            except OverflowError:  # an int / int quotient past the float range
+                pass
+        return np.array([_exact_at(rows, scale, pt) for pt in mu.tolist()])
 
     @cached_property
     def trace(self) -> tuple:
@@ -277,24 +281,30 @@ class _DualFrame:
         return tuple(_unscaled(*self.trace, self.exact))
 
 
-def _frame(alg: LieAlgebra, a: Metric, exact: bool = True) -> _DualFrame:
-    """The frame of (alg, a) in the mode of ``_DualFrame``, kept with the metric.
+def _exact_at(rows, scale: int, pt: list) -> float:
+    """The largest |defect| of exact rows at one point, as ``report_float``
+    shows it; NaN at a point with a non-finite coordinate."""
+    if not all(map(math.isfinite, pt)):
+        return math.nan
+    m, sm = _scaled(pt, True)
+    return report_float(_unscaled(np.max(np.abs(rows.dot(m))), scale * sm, True))
 
-    The metric keeps at most one frame per mode, exact and float, in its
-    ``__dict__`` like its half-inverse, out of its fields (``IntegerForm``).
-    A kept frame answers only for the very algebra object it was built on;
-    any other, equal or not, builds a new frame that takes the slot. A frame
-    whose construction raises (degenerate metric, dimension mismatch) is
-    never kept, so the metric raises again on every call.
+
+def _frame(alg: LieAlgebra, a: Metric) -> _DualFrame:
+    """The frame of (alg, a), kept with the metric.
+
+    The metric keeps at most one frame, in its ``__dict__`` like its
+    half-inverse, out of its fields (``IntegerForm``). A kept frame answers
+    only for the very algebra object it was built on; any other, equal or
+    not, builds a new frame that takes the slot. A frame whose construction
+    raises (degenerate metric, dimension mismatch) is never kept, so the
+    metric raises again on every call.
     """
-    exact = exact and alg.exact and a.exact
-    slot = "_exact_frame" if exact else "_float_frame"
-    kept = a.__dict__.get(slot)
+    kept = a.__dict__.get("_dual_frame")
     if kept is None or kept[0] is not alg:
-        kept = alg, _DualFrame(alg, a, exact)
-        object.__setattr__(a, slot, kept)
+        kept = alg, _DualFrame(alg, a)
+        object.__setattr__(a, "_dual_frame", kept)
     return kept[1]
-
 
 
 def _residual(alg: LieAlgebra, a: Metric, identity: str, points) -> float:
@@ -344,53 +354,34 @@ def modular_field_value(alg: LieAlgebra, a: Metric, f, mu=None) -> float:
     Equals the orthonormal-coframe sum of <D_coframe df, coframe> rewritten
     through the inverse metric, which also covers indefinite metrics, and that
     reduces to the Koszul trace. It does not depend on the point (Weinstein
-    1997), so mu is only checked for its length.
+    1997), so mu is only checked for its length. Unless f and the pair are
+    all exact, f pairs in floats with the exact trace rounded once.
     """
     if len(f) != alg.dim:
         raise DimensionMismatchError("linear function has wrong length")
     if mu is not None:
         _check_dim(alg, mu)
-    fr = _frame(alg, a, all(is_exact(x) for x in f))  # f joins the scalar mode
-    w, sw = _scaled(f, fr.exact)
+    fr = _frame(alg, a)
+    exact = fr.exact and all(is_exact(x) for x in f)
     m, sm = fr.trace
-    return report_float(_unscaled(np.einsum("k,k->", w, m), sw * sm, fr.exact))
-
-
-def _rank_null(m, exact: bool, rtol: float, what: str):
-    """Rank of the matrix m and an array whose rows span its right null space.
-
-    Exact: ``rational.nullspace``. Float: the SVD rows past the numeric rank,
-    the number of singular values above rtol * s[0]; a non-finite entry of
-    m, which ``what`` names, raises ValueError.
-    """
-    n = len(m[0])
-    if exact:
-        rows = rational.nullspace([list(row) for row in m])
-        return n - len(rows), np.array(rows, dtype=object).reshape(-1, n)
-    m = np.asarray(m, dtype=float)
-    bad = np.argwhere(~np.isfinite(m))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(f"{what} has the non-finite entry {m[i, j]} at ({i}, {j}); "
-                         "its rank needs finite entries")
-    _, s, vt = np.linalg.svd(m)
-    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
-    return rank, vt[rank:]
+    if not exact:
+        m, sm = np.array([report_float(t) for t in fr.modular]), 1
+    w, sw = _scaled(f, exact)
+    return report_float(_unscaled(np.einsum("k,k->", w, m), sw * sm, exact))
 
 
 def _frozen(rows) -> tuple:
     return tuple(map(tuple, rows))
 
 
-def leaf_frame_at(alg: LieAlgebra, a: Metric, mu,
-                  rtol: float = SHARP_RANK_RTOL) -> LeafFrame:
+def leaf_frame_at(alg: LieAlgebra, a: Metric, mu) -> LeafFrame:
     """Split covectors at mu into the sharp kernel and its metric complement.
 
     Exact when the algebra, the metric and mu are all exact; the rank is then
-    exact, otherwise it counts singular values above rtol times the largest.
-    Requires the metric restricted to the kernel to be nondegenerate, by the
-    metric's own rule (``metric._inertia``, not rtol); the error reports the
-    kernel Gram determinant when it is not. The tangent basis collects the
+    exact, otherwise it is the float rank of ``algebra._rank_null``. Requires
+    the metric restricted to the kernel to be nondegenerate, by the metric's
+    own rule (``metric._inertia``); the error reports the kernel Gram
+    determinant when it is not. The tangent basis collects the
     sharp images of the complement basis. Whether mu is regular is decided by
     ``kahler_check_at`` from the algebra's generic rank (n - ind(g)), with the
     Schwartz-Zippel error bound stated there.
@@ -400,7 +391,7 @@ def leaf_frame_at(alg: LieAlgebra, a: Metric, mu,
         raise DimensionMismatchError("metric dimension does not match the algebra")
     p = bivector_at(alg, mu)
     exact = p.exact and a.exact
-    rank, kernel = _rank_null(p.matrix, exact, rtol, "the bivector at the point")
+    rank, kernel = _rank_null(p.matrix, exact, "the bivector at the point")
     pm, sp = _scaled(p.matrix, exact)
     am, sa = a.scaled(exact)
     k, sk = _scaled(kernel, exact)
@@ -412,8 +403,7 @@ def leaf_frame_at(alg: LieAlgebra, a: Metric, mu,
             gdet = 0 if exact else f"{float(np.linalg.det(gram)):.3e}"
             raise DegenerateRestrictionError(
                 f"metric degenerates on the sharp kernel (Gram determinant {gdet})")
-        complement = _rank_null(_unscaled(ka, sk * sa, exact), exact, rtol,
-                                "the kernel pairing")[1]
+        complement = _rank_null(_unscaled(ka, sk * sa, exact), exact, "the kernel pairing")[1]
     c, sc = _scaled(complement, exact)
     tangents = np.einsum("si,ij->sj", c, pm)
     return LeafFrame(kernel_basis=_frozen(_unscaled(k, sk, exact)),
@@ -427,9 +417,7 @@ def _witness_point(n: int) -> list:
     return np.random.default_rng(0).integers(-2**31, 2**31, size=n).tolist()
 
 
-def kahler_check_at(alg: LieAlgebra, a: Metric, mu, *,
-                    rtol: float = SHARP_RANK_RTOL,
-                    eig_tol: float = EIG_POSITIVITY_TOL) -> LeafGeometryAt:
+def kahler_check_at(alg: LieAlgebra, a: Metric, mu) -> LeafGeometryAt:
     """Leaf symplectic form, induced metric, and complex structure at a point.
 
     Needs a positive definite metric and a regular point of rank r >= 2, r
@@ -444,19 +432,19 @@ def kahler_check_at(alg: LieAlgebra, a: Metric, mu, *,
     (Schwartz 1980) a witness uniform in [-2**31, 2**31)^n misses it with
     probability at most n / 2**33, below 4e-9 for n <= 32. The seed is fixed,
     so the verdict is deterministic, and a miss can only call an irregular
-    point regular (for float data, up to the rank tolerance rtol).
+    point regular (for float data, up to the float rank rule).
 
     J is built as A(-A^2)^(-1/2) with the square root taken in the leaf
     metric's inner product via a Cholesky change of frame.
     """
     if not a.is_positive_definite():
         raise ValueError("leaf geometry needs a positive definite metric")
-    frame = leaf_frame_at(alg, a, mu, rtol)
+    frame = leaf_frame_at(alg, a, mu)
     rank, n = frame.rank, alg.dim
     if rank < 2:
         raise LeafRankError(f"bivector rank {rank} at the point; need at least 2")
     if rank < n - n % 2:
-        witness = bivector_at(alg, _witness_point(n)).rank(rtol)
+        witness = bivector_at(alg, _witness_point(n)).rank()
         if witness > rank:
             raise IrregularPointError(
                 f"bivector rank {rank} at the point, {witness} at an integer witness point")
@@ -473,7 +461,7 @@ def kahler_check_at(alg: LieAlgebra, a: Metric, mu, *,
     s = b.T @ b
     s = (s + s.T) / 2.0
     w, v = np.linalg.eigh(s)
-    if w[-1] <= 0.0 or w[0] <= eig_tol * w[-1]:
+    if w[-1] <= 0.0 or w[0] <= EIG_POSITIVITY_TOL * w[-1]:
         raise LeafRankError("leaf pairing is numerically degenerate")
     inv_sqrt = (v * (w ** -0.5)) @ v.T
     j_b = b @ inv_sqrt

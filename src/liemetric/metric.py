@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -71,7 +72,7 @@ class Metric(IntegerForm):
         self._hold(_scaled(self.matrix, self.exact))
 
     @classmethod
-    def from_rows(cls, rows, *, exact: bool | None = None, tol: float = DEFAULT_TOL):
+    def from_rows(cls, rows, *, exact: bool | None = None):
         if exact is None:
             exact = all(is_exact(x) or isinstance(x, str)
                         for row in rows for x in row)
@@ -82,7 +83,7 @@ class Metric(IntegerForm):
         a = cls(matrix=tuple(tuple(row) for row in data), exact=exact)
         m, _ = a.scaled(exact)
         # the mask is symmetric, so its row-major first entry has i < j
-        bad = np.argwhere(_differ(m, m.T, exact, tol))
+        bad = np.argwhere(_differ(m, m.T, exact, DEFAULT_TOL))
         if len(bad):
             i, j = bad[0]
             raise ValueError(f"metric is not symmetric at ({i}, {j})")
@@ -383,7 +384,8 @@ def compatibility_residual(alg: LieAlgebra, a: Metric,
     Value is the max over triples of the Euclidean norm of the defect
     vector, which hands back an argmax certificate for diagnostics. In exact
     mode ``exact_zero`` is authoritative; the float value is for reporting,
-    and reads 0.0 only for an exact zero (``report_float``).
+    and is the float nearest the exact value (``_root``): 0.0 only for an
+    exact zero, inf only past the float range.
     A passed ``conn`` must be the product of (alg, a): one of another
     dimension raises DimensionMismatchError, and one not solved for an equal
     pair must be torsion-free and a-skew, or it raises ValueError.
@@ -397,10 +399,24 @@ def compatibility_residual(alg: LieAlgebra, a: Metric,
     x, sx, bx = conn.operand(exact)
     sq = (_defect_array(c, x, bc, bx) ** 2).sum(axis=3)
     idx = np.unravel_index(int(np.argmax(sq)), sq.shape)
-    best = _unscaled(sq[idx], (sc * sx) ** 2, exact)
-    return CompatibilityResidual(value=math.sqrt(report_float(best)),
+    best = sq[idx]
+    return CompatibilityResidual(value=_root(best, sc * sx) if exact else math.sqrt(best),
                                  worst_triple=tuple(int(t) for t in idx),
                                  exact_zero=(best == 0) if exact else None)
+
+
+def _root(square: int, scale: int) -> float:
+    """sqrt(square) / scale for ints square >= 0 and scale > 0, rounded once
+    to the nearest float and shown as ``report_float`` shows it, so a square
+    past the float range (a defect near 1e200 squares to 1e400) still gives
+    its root. r = isqrt(4**m square / scale**2) has at least 55 bits, and an
+    inexact r gets a sticky low bit, so r / 2**m rounds as the root does."""
+    den = scale * scale
+    m = 56 - (square.bit_length() - den.bit_length()) // 2
+    num, den = square << max(2 * m, 0), den << max(-2 * m, 0)
+    r = math.isqrt(num // den)
+    r |= r * r * den != num
+    return report_float(Fraction(r, 1 << m) if m >= 0 else r << -m)
 
 
 def _require_product_of(conn: ConnectionTensor, alg: LieAlgebra, a: Metric):
@@ -426,6 +442,6 @@ def _require_product_of(conn: ConnectionTensor, alg: LieAlgebra, a: Metric):
                          f"algebra and metric (torsion {torsion}, skew {skew})")
 
 
-def is_pseudo_riemannian(alg: LieAlgebra, a: Metric, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the pair is compatible: exact zero residual, or within tol in float."""
-    return compatibility_residual(alg, a).passes(tol)
+def is_pseudo_riemannian(alg: LieAlgebra, a: Metric) -> bool:
+    """Whether the pair is compatible: exact zero residual, or within DEFAULT_TOL in float."""
+    return compatibility_residual(alg, a).passes()

@@ -63,8 +63,12 @@ def within(value, exact: bool, tol: float = DEFAULT_TOL) -> bool:
 def report_float(x) -> float:
     """A value as the float a report shows: ``float(x)``, except that a
     nonzero value that rounds to 0.0 reads ``math.ulp(0.0)`` with the sign of
-    x, so 0.0 always means an exact zero."""
-    value = float(x)
+    x, so 0.0 always means an exact zero, and a finite value past the float
+    range reads inf with its sign."""
+    try:
+        value = float(x)
+    except OverflowError:  # only an exact value can be too large for a float
+        return math.inf if x > 0 else -math.inf
     return math.copysign(math.ulp(0.0), value) if value == 0 and x != 0 else value
 
 
@@ -103,9 +107,9 @@ def scalar_str(x) -> str:
     return repr(float(x))
 
 
-def rationalize(x: float, max_denominator: int = RATIONALIZE_MAX_DENOMINATOR) -> Fraction:
+def rationalize(x: float) -> Fraction:
     """Nearest rational with a bounded denominator (continued fractions)."""
-    return Fraction(x).limit_denominator(max_denominator)
+    return Fraction(x).limit_denominator(RATIONALIZE_MAX_DENOMINATOR)
 
 
 def _scaled(values, exact: bool):

@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import LieAlgebra
 from .metric import (DegenerateMetricError, Metric, _defect_array,
                      _lc_product_array, _product_rhs, compatibility_residual)
-from .scalars import RATIONALIZE_MAX_DENOMINATOR, rationalize
+from .scalars import rationalize
 
 _PENALTY = 1e8
 _BARRIER_WEIGHT = 10.0
@@ -349,11 +349,11 @@ def _normal_equations(r: np.ndarray, jac: np.ndarray, rows: np.ndarray):
     return g, h
 
 
-def compat_objective(alg: LieAlgebra, theta, mode: str = "unconstrained",
-                     degeneracy_floor: float = 1e-8):
-    """Sum of squared defect components and its analytic gradient."""
+def compat_objective(alg: LieAlgebra, theta, mode: str = "unconstrained"):
+    """Sum of squared defect components and its analytic gradient, at the
+    default degeneracy floor of ``SearchConfig``."""
     theta = np.asarray(theta, dtype=float)
-    prob = _problem(alg.structure_array(), mode, degeneracy_floor)
+    prob = _problem(alg.structure_array(), mode, SearchConfig.degeneracy_floor)
     r, jac, rows, _ = _residual_jacobian(prob, theta[None])
     r, jac = r[0, :rows[0]], jac[0, :rows[0]]
     return float(r @ r), 2.0 * (jac.T @ r)
@@ -616,8 +616,7 @@ def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
     if not alg.exact:
         return None
     try:
-        raw = [[rationalize(float(x), RATIONALIZE_MAX_DENOMINATOR) for x in row]
-               for row in metric.matrix]
+        raw = [[rationalize(float(x)) for x in row] for row in metric.matrix]
         n = len(raw)
         sym = [[(raw[i][j] + raw[j][i]) / 2 for j in range(n)] for i in range(n)]
         exact = Metric.from_rows(sym, exact=True)

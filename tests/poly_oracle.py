@@ -6,7 +6,8 @@ the independent path the tests check it against. It holds general one-forms
 on the dual, sum_k p_k(mu) de_k with ``Polynomial`` coefficients, and builds
 the form bracket, sharp fields, Lie derivatives and the six-term Koszul solve
 of ``contravariant_derivative`` term by term in sparse polynomial arithmetic.
-It shares only the sign switch ``BIVECTOR_SIGN`` with the frame; the inverse
+It shares nothing with the frame: it writes its own sign convention,
+pi(de_i, de_j)(mu) = +mu([e_i, e_j]) (``BIVECTOR_SIGN``), and the inverse
 metric of the Koszul solve comes from ``Metric.inverse_rows``, not from the
 frame's half-inverse.
 """
@@ -17,10 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from liemetric.algebra import DimensionMismatchError, LieAlgebra
-from liemetric.dual import BIVECTOR_SIGN
 from liemetric.metric import Metric
 from liemetric.poly import Polynomial
 from liemetric.scalars import is_exact
+
+# +1: pi(de_i, de_j)(mu) = mu([e_i, e_j]), the convention of ``liemetric.dual``
+BIVECTOR_SIGN = 1
 
 DEFAULT_MAX_DEGREE = 3
 

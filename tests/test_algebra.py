@@ -194,6 +194,20 @@ def test_center_empty_for_sol():
     assert sol().center() == []
 
 
+def test_float_center_does_not_change_with_the_scale_of_the_algebra():
+    """The float rank rule is relative to the largest singular value: at
+    brackets of 1, 1e-11 and 1e-30 the affine line has no center and the
+    Heisenberg algebra a 1-dimensional one, as in exact mode."""
+    assert affine_line().center() == [] and len(heisenberg().center()) == 1
+    for scale in (1.0, 1e-11, 1e-30):
+        line = LieAlgebra.from_brackets(2, {(0, 1): [0, scale]}, exact=False)
+        assert line.center() == [], scale
+        heis = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, scale]}, exact=False)
+        center = heis.center()
+        assert len(center) == 1, scale
+        assert abs(center[0][2]) == pytest.approx(1.0) and center[0][:2] == pytest.approx([0, 0])
+
+
 def test_changed_basis_preserves_jacobi(rng):
     alg = heisenberg()
     p = random_shear(rng, 3)

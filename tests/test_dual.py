@@ -40,7 +40,6 @@ from liemetric import (
     solvable_family,
 )
 from liemetric.dual import (
-    BIVECTOR_SIGN,
     DegenerateRestrictionError,
     DimensionMismatchError,
     IrregularPointError,
@@ -74,7 +73,6 @@ def coframe(n, exact=True):
 def test_bivector_sign_convention():
     """pi(de1, de2) at mu = e3* equals mu([e1,e2]) = +1 on the nilpotent
     3D algebra. This single entry orients every other sign in the module."""
-    assert BIVECTOR_SIGN == 1
     b = bivector_at(heisenberg(), (0, 0, 1))
     assert b.matrix[0][1] == 1
     assert b.matrix[1][0] == -1
@@ -115,7 +113,7 @@ def test_bivector_and_sharp_in_both_modes(rng):
     alg = random_algebra(rng, 4)
     mu = [Fraction(int(x), 3) for x in rng.integers(-5, 6, size=4)]
     alpha = [Fraction(int(x), 2) for x in rng.integers(-5, 6, size=4)]
-    want = [[BIVECTOR_SIGN * sum(alg.c[i][j][k] * mu[k] for k in range(4)) for j in range(4)]
+    want = [[sum(alg.c[i][j][k] * mu[k] for k in range(4)) for j in range(4)]
             for i in range(4)]
     sharp = [sum(alpha[i] * want[i][j] for i in range(4)) for j in range(4)]
     exact = bivector_at(alg, mu)
@@ -541,8 +539,8 @@ def test_frame_identities_need_no_polynomial_arithmetic(rng, monkeypatch):
                "__neg__", "diff"):
         monkeypatch.setattr(Polynomial, op, refuse)
     want = [-t for t in alg.ad_traces()]
-    for exact in (True, False):
-        fr = _DualFrame(alg, a, exact)
+    for exact, pair in ((True, (alg, a)), (False, (alg.to_float(), a.to_float()))):
+        fr = _DualFrame(*pair)
         assert fr.exact is exact
         fr.tensors
         for identity in ("dpi", "cyclic", "transport"):
@@ -678,7 +676,7 @@ def test_exact_frame_inverse_and_tensors_equal_their_fraction_forms(rng):
         ainv = _unscaled(2 * h, s, True)
         assert ainv == a.inverse_rows()
         assert all(type(x) is Fraction for row in ainv for x in row)
-        c = BIVECTOR_SIGN * np.array(alg.c, dtype=object)
+        c = np.array(alg.c, dtype=object)
         half = np.array(a.inverse_rows(), dtype=object) / 2
         b = np.einsum("xyt,tz->xyz", _basis_brackets(c), np.array(a.matrix, dtype=object))
         rhs = np.einsum("lik->ikl", b) + np.einsum("lki->ikl", b) + b
@@ -831,6 +829,18 @@ def test_modular_equals_negative_adjoint_trace(rng):
             got = modular_field_value(alg, a, f)
             tr = sum(alg.adjoint_matrix(f)[i][i] for i in range(n))
             assert math.isclose(got, -float(tr), abs_tol=1e-9)
+
+
+def test_a_float_f_on_an_exact_pair_reads_the_exact_trace_rounded_once(rng):
+    """On an exact pair a float f pairs with the exact Koszul trace rounded
+    once to floats: at a basis f the value is the exact one to the last bit."""
+    for n in (2, 3, 4, 5):
+        for _ in range(4):
+            alg, a = random_algebra(rng, n), random_metric(rng, n)
+            for k in range(n):
+                f = [int(q == k) for q in range(n)]
+                want = modular_field_value(alg, a, f)
+                assert modular_field_value(alg, a, [float(x) for x in f]) == want
 
 
 def test_modular_unimodular_vanishes(rng):
@@ -1035,6 +1045,25 @@ def test_exact_maxima_below_the_smallest_double_never_read_zero():
     assert cyclic_schouten_residual(alg, a) == 0.0
     assert metric_derivation_residual(alg, a) == 0.0
     assert dpi_residual(heisenberg(), Metric.identity(3)) == 0.5
+
+
+def test_point_sweeps_past_the_float_range_are_exact_at_the_points():
+    """[e1, e2] = c e2 with the identity metric, c = 10**400 or 10**-400: the
+    dpi rows are nonzero multiples of c**2 (a quotient too large for a float,
+    or a scale of more than 2**1074), so they are evaluated exactly at the
+    points. A nonzero defect reads inf or the smallest double, the exactly
+    zero identities read 0.0, and a NaN point reads NaN. The modular value
+    -c reads the same way for an exact and a float f."""
+    pts = [[1.0, 2.0], [0.5, -3.0], [0.0, 0.0]]
+    for c, want in ((Fraction(10**400), math.inf), (Fraction(1, 10**400), math.ulp(0.0))):
+        alg, a = LieAlgebra.from_brackets(2, {(0, 1): [0, c]}), Metric.identity(2)
+        fr = _DualFrame(alg, a)
+        assert list(fr.sweep("dpi", pts)) == [want, want, 0.0]
+        assert list(fr.sweep("cyclic", pts)) == list(fr.sweep("transport", pts)) == [0.0] * 3
+        assert math.isnan(fr.sweep("dpi", [[math.nan, 1.0]])[0])
+        assert dpi_residual(alg, a, pts) == want
+        assert modular_field_value(alg, a, [1, 0]) == modular_field_value(alg, a, [1.0, 0.0]) \
+            == -want
 
 
 def test_non_finite_float_input_gets_a_named_error():

@@ -283,7 +283,7 @@ def test_construction_checks_read_the_form():
         Metric.from_rows([[1, 0, 1], [0, 1, 2], [2, 3, 1]])
     with pytest.raises(ValueError, match=r"not symmetric at \(1, 2\)"):
         Metric.from_rows([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-9], [0.0, 0.0, 1.0]],
-                         exact=False, tol=1e-12)
+                         exact=False)
     Metric.from_rows([[1.0, 1e-13], [0.0, 1.0]], exact=False)
     with pytest.raises(liemetric.InvalidStructureError, match=r"c\[0\]\[1\]\[2\]"):
         LieAlgebra.from_structure([[[0, 0, 0], [0, 0, 1], [0, 0, 0]],
@@ -521,8 +521,9 @@ def _small_pairs() -> list:
 
 def test_a_pair_builds_its_frame_once(frame_builds):
     """The first public dual call on a pair builds its frame and its Koszul
-    contraction; every later call on the pair, of any kind, builds neither,
-    and answers as before. A float-mode call builds the float frame once."""
+    contraction; every later call on the pair, of any kind and with float or
+    exact arguments, builds neither, and answers as before. The metric holds
+    that one frame."""
     for alg, a in _small_pairs():
         frame_builds.clear()
         want = _dual_answers(alg, a)
@@ -533,9 +534,10 @@ def test_a_pair_builds_its_frame_once(frame_builds):
         value = dual.modular_field_value(alg, a, f)
         for _ in range(3):
             assert dual.modular_field_value(alg, a, f) == value
-        assert frame_builds == ["init", "tensors"] * 2
+        assert frame_builds == ["init", "tensors"]
         assert _dual_answers(alg, a) == want
-        assert frame_builds == ["init", "tensors"] * 2
+        assert frame_builds == ["init", "tensors"]
+        assert [k for k in vars(a) if k.endswith("frame")] == ["_dual_frame"]
 
 
 def test_a_kept_frame_answers_only_for_its_own_algebra(frame_builds):
@@ -571,7 +573,7 @@ def test_a_failed_frame_is_never_kept():
                          lambda: dual.cyclic_schouten_residual(alg, a, [[1, 2, 3]]),
                          lambda: dual.modular_field_value(alg, a, [1, 0, 0]),
                          lambda: dual.modular_field_value(alg, a, [1.0, 0.0, 0.0]),
-                         lambda: dual._frame(alg, a, exact=False)):
+                         lambda: dual._frame(alg, a)):
                 with pytest.raises(error):
                     call()
         assert set(vars(a)) == before
@@ -584,7 +586,7 @@ def test_the_kept_frame_is_not_a_field():
         fresh = dataclasses.replace(a)
         _dual_answers(alg, a)
         dual.modular_field_value(alg, a, [0.5] * alg.dim)
-        assert {"_exact_frame", "_float_frame"} <= set(vars(a))
+        assert "_dual_frame" in vars(a)
         assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
         assert pickle.dumps(a) == pickle.dumps(fresh)
         for back in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a),
@@ -593,8 +595,8 @@ def test_the_kept_frame_is_not_a_field():
 
 
 def test_float_calls_on_an_exact_metric_invert_it_once(monkeypatch):
-    """Ten float-mode modular values on an exact metric build the float
-    half-inverse once: the kept float frame holds it."""
+    """Ten modular values of a float f on an exact metric invert the metric
+    once, exactly: the one kept frame, exact, holds the half-inverse."""
     builds = []
     half = metric.Metric._half_inverse
 
@@ -606,18 +608,18 @@ def test_float_calls_on_an_exact_metric_invert_it_once(monkeypatch):
     monkeypatch.setattr(metric.Metric, "_half_inverse", spy)
     alg, a = sol(), sol_split_metric()
     values = {dual.modular_field_value(alg, a, [1.0, 0.0, 0.0]) for _ in range(10)}
-    assert builds == [False] and len(values) == 1
+    assert builds == [True] and len(values) == 1
 
 
 def test_a_metric_with_kept_frames_is_freed_by_refcount():
-    """The frame holds no metric, so a metric with both frames kept dies at
+    """The frame holds no metric, so a metric with its frame kept dies at
     its last reference, with the garbage collector off."""
     gc.disable()
     try:
         alg, a = heisenberg(), heisenberg_split_metric()
         _dual_answers(alg, a)
         dual.modular_field_value(alg, a, [1.0, 0.0, 0.0])
-        assert {"_exact_frame", "_float_frame"} <= set(vars(a))
+        assert "_dual_frame" in vars(a)
         ref, alg_ref = weakref.ref(a), weakref.ref(alg)
         del a
         assert ref() is None

@@ -445,6 +445,52 @@ def test_tiny_report_values_keep_their_sign(tmp_path, capsys):
     assert rows["modular_sweep_max"]["value"] == tiny
 
 
+CHECK_ROWS = ["jacobi_identity", "signature", "product_torsion", "product_metric_skew",
+              "compatibility_residual", "unimodular", "dual_compatibility",
+              "jacobi_cyclic_identity", "metric_transport_identity", "modular_sweep_max"]
+SWEEP_ROWS = ["jacobi_identity", "dual_compatibility_max", "jacobi_cyclic_identity_max",
+              "metric_transport_identity_max", "modular_sweep_max"]
+
+
+@pytest.mark.parametrize("constant", [Fraction(10**200), Fraction(10**400),
+                                      Fraction(1, 10**400)], ids=["1e200", "1e400", "1e-400"])
+def test_extreme_exact_constants_give_a_full_report(tmp_path, capsys, constant):
+    """[e1, e2] = c e2 with the identity metric, c at or past the ends of the
+    float range: ``check`` and ``dual-sweep`` finish without a traceback and
+    write every row, and the nonzero dual defect at each point reads nonzero
+    (inf past the float range, the smallest double below it)."""
+    alg = LieAlgebra.from_brackets(2, {(0, 1): [0, constant]})
+    files = [algebra_file(tmp_path, alg), metric_file(tmp_path, Metric.identity(2))]
+    report = tmp_path / "check.json"
+    assert main(["check", *files, "--json", str(report)]) == 1
+    rows = json.loads(report.read_text())["checks"]
+    assert [row["name"] for row in rows] == CHECK_ROWS
+    assert float(rows[CHECK_ROWS.index("compatibility_residual")]["value"]) > 0.0
+    report = tmp_path / "sweep.json"
+    assert main(["dual-sweep", *files, "--count", "3", "--json", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert [row["name"] for row in doc["checks"]] == SWEEP_ROWS
+    assert len(doc["sweep"]) == 3 * 3 + 2 * 3
+    dpi = [float(e["value"]) for e in doc["sweep"] if e["check"] == "dual_compatibility"]
+    assert len(dpi) == 3 and all(v > 0.0 for v in dpi)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signature", ["foo", "1,x"])
+def test_cli_malformed_signature_is_an_input_error(tmp_path, capsys, monkeypatch, signature):
+    def refuse(*a, **kw):
+        raise AssertionError("search ran on a rejected signature")
+
+    monkeypatch.setattr("liemetric.search.find_compatible_metric", refuse)
+    report = tmp_path / "search.json"
+    assert main(["search", algebra_file(tmp_path, heisenberg()), "--signature", signature,
+                 "--json", str(report)]) == 2
+    row = json.loads(report.read_text())["checks"][-1]
+    assert (row["name"], row["status"]) == ("input", "error")
+    assert repr(signature) in row["value"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_classify_dim2(capsys):
     code = main(["classify", "--dim", "2", "--restarts", "6", "--samples", "4"])
     assert code == 0

@@ -147,6 +147,19 @@ def test_residual_heisenberg_identity_exact_half():
     assert res.worst_triple in [(0, 0, 2), (1, 1, 2), (2, 0, 0), (2, 1, 1)]
 
 
+@pytest.mark.parametrize("exponent, want", [(100, 1e200), (-100, 1e-200), (150, 1e300),
+                                             (-150, 1e-300), (200, math.inf),
+                                             (-200, math.ulp(0.0))])
+def test_residual_is_the_nearest_float_when_its_square_is_past_the_float_range(exponent, want):
+    """[e1, e2] = 10**e e2 with the identity metric has the exact residual
+    10**(2e), whose square 10**(4e) is no float: the value is the float
+    nearest 10**(2e), not an OverflowError or the root of a rounded square;
+    inf past the float range and the smallest double below it."""
+    alg = LieAlgebra.from_brackets(2, {(0, 1): [0, Fraction(10) ** exponent]})
+    res = compatibility_residual(alg, Metric.identity(2))
+    assert res.value == want and res.exact_zero is False
+
+
 def _defect_squares(alg, conn):
     """Squared defect norm per triple, by loops over the raw tensors."""
     n, c, x = alg.dim, alg.c, conn.tensor

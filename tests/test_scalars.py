@@ -101,6 +101,13 @@ def test_report_float_reads_zero_only_for_an_exact_zero():
     assert type(report_float(Fraction(7))) is float
 
 
+def test_report_float_reads_inf_only_past_the_float_range():
+    huge = Fraction(10**400)  # float() of it raises OverflowError
+    assert report_float(huge) == math.inf and report_float(-huge) == -math.inf
+    assert report_float(10**400) == math.inf and report_float(-(10**400)) == -math.inf
+    assert report_float(Fraction(10**300)) == 1e300
+
+
 def _einsum_dtypes(monkeypatch) -> list:
     """Records the operand dtypes of every np.einsum call."""
     seen, einsum = [], np.einsum

@@ -28,7 +28,7 @@ from liemetric import (
 from liemetric import classify, search
 from liemetric.classify import FamilyParams
 from liemetric.metric import _defect_array, _lc_product_array, _product_rhs
-from liemetric.scalars import RATIONALIZE_MAX_DENOMINATOR, rationalize
+from liemetric.scalars import rationalize
 from liemetric.search import (_BARRIER_WEIGHT, _BATCH_BYTES, _PENALTY, STOP_REASONS,
                               RestartRecord, SearchResult, _adjugate,
                               _admissible, _armijo_descent, _batch_size, _decode, _factor,
@@ -1168,7 +1168,7 @@ def reference_certificate(alg, metric, constraint):
     """The exact certificate through the public exact path: rationalize and
     symmetrize, then the metric's determinant and signature, the product
     and the residual, each in Fractions."""
-    raw = [[rationalize(float(x), RATIONALIZE_MAX_DENOMINATOR) for x in row]
+    raw = [[rationalize(float(x)) for x in row]
            for row in metric.matrix]
     n = len(raw)
     exact = Metric.from_rows([[(raw[i][j] + raw[j][i]) / 2 for j in range(n)]
