@@ -18,6 +18,14 @@ operations, so a one-line file with a huge ``dim`` is refused before any of
 that is allocated. A metric file may hold at most ``MAX_DIM`` rows, refused
 before any entry is parsed.
 
+A float-mode entry may be at most ``MAX_FLOAT_ENTRY`` (1e50) in magnitude.
+The widest products a check forms are quartic in the constants (the squared
+compatibility defect), times the metric's condition, which the degeneracy
+rule keeps below 1e9 (``metric.DEGENERACY_RTOL``): at the cap they stay near
+1e220, far inside the double range, where constants near 1e200 overflow to
+inf and then to NaN (inf - inf). Exact files have no cap: their kernels do
+not overflow.
+
 Points files (``dual-sweep --points-file``) hold a JSON list of length-n
 lists of numbers, read like float-mode entries.
 """
@@ -33,6 +41,8 @@ from .metric import Metric
 from .scalars import scalar_str
 
 MAX_DIM = 32
+
+MAX_FLOAT_ENTRY = 1e50
 
 
 class FormatError(ValueError):
@@ -70,6 +80,8 @@ def _parse_float(x, where: str) -> float:
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(f"{where}: bad number {x!r}") from exc
     _require(math.isfinite(value), f"{where}: non-finite number {x!r}")
+    _require(abs(value) <= MAX_FLOAT_ENTRY,
+             f"{where}: {x!r} is above the float-mode cap of {MAX_FLOAT_ENTRY:g}")
     return value
 
 

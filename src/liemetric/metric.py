@@ -311,18 +311,23 @@ def _product_rhs(c: np.ndarray, a: np.ndarray, bc: int | None = None,
 
     Leading axes of ``a`` are batch axes: a stack of metrics (or of metric
     directions) gives the stack of right sides in one contraction. Exact
-    operands come with their bounds (``contract``); float ones without.
+    operands come with their bounds and go through ``contract``; float ones
+    come without and go through one ``np.matmul``, c as an (n^2, n) matrix
+    against each (n, n) slice of ``a``.
 
     The second and third terms are the first, p[i][j][k] = a([e_i,e_j], e_k),
-    read at (k, i, j) and (k, j, i), so one contraction serves all three. The
-    sum is bit-identical to one contraction per term: the one einsum runs on
-    the same operands in the same layouts (``c`` C-ordered, as every
-    ``scaled`` array is), so each entry sums the same products over m in the
-    same order; only the output is permuted, and the terms are added in the
-    same order. Explicit transpose axes cost less per call than
-    ``np.moveaxis``.
+    read at (k, i, j) and (k, j, i), so one contraction serves all three.
+    Each entry of p is one sum over m, and the terms are its permutations, so
+    the sum is bit-identical to one matmul per term added in the same order.
+    A slice's matmul does not see the other slices, so a slice's right sides
+    do not depend on its batch. Explicit transpose axes cost less per call
+    than ``np.moveaxis``.
     """
-    p = contract("ijm,...mk->...ijk", c, a, bc, ba)
+    n = c.shape[0]
+    if bc is None:
+        p = (c.reshape(n * n, n) @ a).reshape(a.shape[:-2] + (n, n, n))
+    else:
+        p = contract("ijm,...mk->...ijk", c, a, bc, ba)
     i = p.ndim - 3
     lead = tuple(range(i))
     return p + p.transpose(lead + (i + 1, i + 2, i)) + p.transpose(lead + (i + 2, i + 1, i))
@@ -350,16 +355,23 @@ def _defect_array(c: np.ndarray, x: np.ndarray, bc: int | None = None,
 
     The second term, [e_i, A_{e_k}e_j] = sum_m x[k,j,m] c[i,m,l], is the
     first term's contraction against c with its first two axes swapped, read
-    with i and k swapped. So one contraction runs against [c | c swapped],
-    stacked along the k axis, giving an (..., n, n, 2n, n) intermediate whose
-    halves are the two terms. The sum is bit-identical to one contraction per
-    term: with ``c`` C-ordered (as every ``scaled`` array is), the stacked
-    operand is C-ordered too, so each entry sums the same products over m in
-    the same order; only the output is permuted.
+    with i and k swapped. So one contraction runs against K = [c | c
+    swapped], stacked along the k axis, giving an (..., n, n, 2n, n)
+    intermediate whose halves are the two terms. In float mode it is one
+    2-D ``np.matmul`` of every (i, j) row of every batch entry, x as a
+    (rows, n) matrix, against K as an (n, 2n^2) matrix. Each entry is the
+    same sum over m as in one matmul per term, with the same bits on the
+    BLAS builds the tests ran on; only the output is permuted.
+    A row's result is the same at any row count of at least two (BLAS gemm;
+    checked in the tests), and at n = 1 every entry is a single product, so
+    a batch entry's defect does not depend on its batch.
     """
     n = c.shape[0]
-    q = contract("...ijm,mkl->...ijkl", x, np.concatenate([c, c.transpose(1, 0, 2)], axis=1),
-                 bx, bc)
+    both = np.concatenate([c, c.transpose(1, 0, 2)], axis=1)
+    if bx is None:
+        q = (x.reshape(-1, n) @ both.reshape(n, 2 * n * n)).reshape(x.shape[:-1] + (2 * n, n))
+    else:
+        q = contract("...ijm,mkl->...ijkl", x, both, bx, bc)
     return q[..., :n, :] + np.swapaxes(q[..., n:, :], -4, -2)
 
 

@@ -8,11 +8,16 @@ float, which reads 0.0 only for an exact zero. Mixed arithmetic silently
 degrades to float, so containers track an ``exact`` flag and coerce their
 entries up front.
 
-Tensor operations run one ``np.einsum`` contraction for both modes. In exact
-mode a tensor enters it as integers with one common denominator
+Tensor operations run one contraction per tensor expression in both modes.
+In exact mode a tensor enters it as integers with one common denominator
 (``_scaled``), so the contraction does integer arithmetic with no gcd per
 operation; the result is divided by its scale once, back into Fractions
-(``_unscaled``). Python ints pass into ``_scaled`` as they are (scale 1, no
+(``_unscaled``). In float mode the contraction is ``np.einsum``, except in
+the search's two hot kernels, the product's right sides and the
+compatibility defect (``metric._product_rhs``, ``metric._defect_array``),
+which run one ``np.matmul`` each: BLAS, whose bits are fixed for one BLAS
+build but may differ between builds, within the rounding bound of exact
+arithmetic. Python ints pass into ``_scaled`` as they are (scale 1, no
 Fraction per entry), and other integers (bool, numpy integers) become Python
 ints, so no entry of the integer form can wrap.
 
@@ -23,7 +28,8 @@ where k is the number of products each result entry sums: every partial sum
 is then at most that in magnitude, so nothing can wrap. Otherwise it
 contracts object arrays of Python ints. Either way it returns an object array
 of Python ints, so the sums, squares and divisions after it stay unbounded.
-Float arrays contract as they are, through ``np.einsum``.
+Float arrays contract as they are, through ``np.einsum``; the two kernels'
+float operands do not reach it.
 
 The integer form of an algebra, a metric or a product is part of the value
 (``IntegerForm``): built once when the value is made, read-only, and read by

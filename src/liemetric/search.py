@@ -109,9 +109,9 @@ def param_count(n: int) -> int:
 
 
 # cap on the bytes of one lockstep batch's (restarts, m, n^4) float Jacobian
-# stack; a lockstep step's arrays peak at 4 to 8 times this (2.0 to 4.1 MiB
-# measured with tracemalloc at n = 6..3), the defect contraction's
-# (..., 2n, n) intermediate being twice the stack
+# stack; the residual and Jacobian stage of a full batch peaks at 3 to 4.3
+# times this (1.5 to 2.1 MiB measured with tracemalloc at n = 6..3), the
+# defect matmul's (rows, 2n^2) product being twice the stack
 _BATCH_BYTES = 512 * 1024
 
 

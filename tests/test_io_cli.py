@@ -3,6 +3,7 @@ code contract: 0 ok, 1 check failed, 2 bad input, 3 nothing found."""
 
 import json
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from liemetric import (
 from liemetric import dual
 from liemetric.algebra import LieAlgebra
 from liemetric.cli import main
-from liemetric.io import MAX_DIM, load_points
+from liemetric.io import MAX_DIM, MAX_FLOAT_ENTRY, load_points
 from liemetric.metric import ConnectionTensor
 from conftest import random_algebra, random_metric
 
@@ -231,6 +232,52 @@ def test_cli_check_nan_metric_is_input_error(tmp_path, capsys):
         "matrix": [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]],
         "scalar": "float"}))
     assert main(["check", algebra_file(tmp_path, heisenberg()), str(path)]) == 2
+
+
+def _values(row):
+    """The numbers of a report row's value, however nested."""
+    v = row.get("value")
+    return [x for x in np.ravel(v if isinstance(v, list) else [v]).tolist()
+            if isinstance(x, float)]
+
+
+def _float_files(tmp_path, brackets, matrix):
+    n = len(matrix)
+    alg, met = tmp_path / "cap.alg.json", tmp_path / "cap.metric.json"
+    entries = [{"i": 1, "j": j + 1, "v": [0.0] + [float(b) for b in brackets[:, j - 1]]}
+               for j in range(1, n)]
+    alg.write_text(json.dumps({"dim": n, "scalar": "float", "brackets": entries}))
+    met.write_text(json.dumps({"scalar": "float", "matrix": np.asarray(matrix).tolist()}))
+    return str(alg), str(met)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_float_entries_at_the_cap_run_without_nan_and_above_it_exit_2(tmp_path, capsys, n):
+    """Float files at MAX_FLOAT_ENTRY: [e1, e_j] = ad e_j with a dense ad of
+    entries up to the cap (a Lie algebra for any ad), against metrics at the
+    cap with condition up to 1e8. ``check`` and ``dual-sweep`` run with
+    warnings as errors and report no NaN or inf. One float above the cap,
+    in either file, exits 2 before any kernel runs."""
+    rng = np.random.default_rng([20261025, n])
+    ad = rng.uniform(-1.0, 1.0, (n - 1, n - 1)) * MAX_FLOAT_ENTRY
+    ad[0, 0] = -MAX_FLOAT_ENTRY
+    metrics = [np.identity(n), np.diag([MAX_FLOAT_ENTRY / 1e8] + [MAX_FLOAT_ENTRY] * (n - 1)),
+               np.diag([MAX_FLOAT_ENTRY] + [-MAX_FLOAT_ENTRY] * (n - 1))]
+    report = tmp_path / "report.json"
+    for matrix in metrics:
+        alg, met = _float_files(tmp_path, ad, matrix)
+        for command in (["check"], ["dual-sweep", "--count", "3"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(command + [alg, met, "--json", str(report)]) in (0, 1)
+            rows = json.loads(report.read_text())["checks"]
+            assert all(math.isfinite(x) for row in rows for x in _values(row)), rows
+    above = np.nextafter(MAX_FLOAT_ENTRY, math.inf)
+    for brackets, matrix in ((np.where(ad == -MAX_FLOAT_ENTRY, -above, ad), np.identity(n)),
+                             (ad, np.diag([above] + [1.0] * (n - 1)))):
+        alg, met = _float_files(tmp_path, brackets, matrix)
+        assert main(["check", alg, met]) == 2
+    assert "above the float-mode cap" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["check", "dual-sweep"])

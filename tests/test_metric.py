@@ -270,18 +270,30 @@ def test_transported_metric_congruence():
 # ------------------------------------------- one-contraction product kernels ---
 
 def _product_rhs_reference(c, a):
-    """Three contractions, one per term: the reference ``_product_rhs``
-    matches bit for bit."""
-    return (np.einsum("ijm,...mk->...ijk", c, a)
-            + np.einsum("kim,...mj->...ijk", c, a)
-            + np.einsum("kjm,...mi->...ijk", c, a))
+    """Three matmuls, one per term, each against its own C-ordered copy of c
+    whose rows are the term's two free output axes; the reference
+    ``_product_rhs`` matches bit for bit."""
+    n, lead = c.shape[0], a.shape[:-2]
+    k = len(lead)
+
+    def term(rows, axes):
+        out = (np.ascontiguousarray(rows).reshape(n * n, n) @ a).reshape(lead + (n, n, n))
+        return out.transpose(tuple(range(k)) + tuple(k + t for t in axes))
+
+    swapped = c.transpose(1, 0, 2)
+    # sum_m c[i,j,m] a[m,k]; sum_m c[k,i,m] a[m,j] on rows (i, k); sum_m c[k,j,m] a[m,i] on rows (j, k)
+    return term(c, (0, 1, 2)) + term(swapped, (0, 2, 1)) + term(swapped, (2, 0, 1))
 
 
 def _defect_array_reference(c, x):
-    """Two contractions, one per term: the reference ``_defect_array``
-    matches bit for bit."""
-    return (np.einsum("...ijm,mkl->...ijkl", x, c)
-            + np.einsum("iml,...kjm->...ijkl", c, x))
+    """Two matmuls, one per term, each against its own (n, n^2) copy of c;
+    the reference ``_defect_array`` matches bit for bit."""
+    n = c.shape[0]
+    rows, shape = x.reshape(-1, n), x.shape[:-1] + (n, n)
+    first = (rows @ c.reshape(n, n * n)).reshape(shape)
+    # sum_m x[k,j,m] c[i,m,l], laid out as (k, j, i, l)
+    second = (rows @ np.ascontiguousarray(c.transpose(1, 0, 2)).reshape(n, n * n)).reshape(shape)
+    return first + np.swapaxes(second, -4, -2)
 
 
 def _antisymmetric(rng, n, kind):
@@ -380,6 +392,67 @@ def test_one_contraction_kernels_keep_nan_and_inf_where_the_separate_ones_do():
             nan = np.isnan(want)
             assert (np.isnan(got) == nan).all()
             assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_float_kernel_rows_do_not_depend_on_their_batch(n):
+    """Each batch entry of a float kernel, computed alone, has the bytes it
+    has inside the batch: batch shapes (R,) and (R, m) at the lockstep cap
+    R = ``_batch_size(n)``, m = ``param_count(n)``, every entry. The lockstep
+    search relies on this: a restart takes the steps it would take alone.
+    It holds on OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernels) with numpy
+    2.4.6 on x86-64, where a gemm row's bits are the same at every row count
+    of at least two and at every offset; at n = 1 every entry is a single
+    product. A BLAS build without that property fails here first."""
+    rng = np.random.default_rng([20261023, n])
+    c = _antisymmetric(rng, n, "dense")
+    r, m = search._batch_size(n), search.param_count(n)
+    for batch in ((r,), (r, m)):
+        a = rng.standard_normal(batch + (n, n))
+        x = rng.standard_normal(batch + (n, n, n))
+        rhs, defect = _product_rhs(c, a), _defect_array(c, x)
+        for k in np.ndindex(batch):
+            assert _product_rhs(c, a[k]).tobytes() == rhs[k].tobytes(), (batch, k)
+            assert _defect_array(c, x[k]).tobytes() == defect[k].tobytes(), (batch, k)
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2**-53, as a Fraction."""
+    ku = Fraction(k, 2 ** 53)
+    return ku / (1 - ku)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_float_kernels_are_within_the_rounding_bound_of_exact_arithmetic(n):
+    """Every entry of a float kernel is within gamma_k * sum |x||y| of the
+    exact value of its sum of products, both computed in Fractions from the
+    same float operands. k counts the roundings a product can meet: n in
+    its dot product (whatever the summation order, with or without fused
+    multiply-add), then two more additions of terms for the right sides
+    and one for the defect."""
+    rng = np.random.default_rng([20261024, n])
+
+    def exact(t):
+        return np.vectorize(Fraction, otypes=[object])(t)
+
+    def rhs(c, a):
+        return (np.einsum("ijm,...mk->...ijk", c, a) + np.einsum("kim,...mj->...ijk", c, a)
+                + np.einsum("kjm,...mi->...ijk", c, a))
+
+    def defect(c, x):
+        return (np.einsum("...ijm,mkl->...ijkl", x, c)
+                + np.einsum("iml,...kjm->...ijkl", c, x))
+
+    for case in range(3):
+        c = _antisymmetric(rng, n, ("dense", "sparse", "quarter")[case])
+        batch = ((), (3,), (2, 2))[case]
+        a, x = rng.standard_normal(batch + (n, n)), rng.standard_normal(batch + (n, n, n))
+        cf, af, xf = exact(c), exact(a), exact(x)
+        for got, want, mass, k in (
+                (_product_rhs(c, a), rhs(cf, af), rhs(abs(cf), abs(af)), n + 2),
+                (_defect_array(c, x), defect(cf, xf), defect(abs(cf), abs(xf)), n + 1)):
+            error = abs(exact(got) - want)
+            assert (error <= _gamma(k) * mass).all(), (case, k)
 
 
 def test_float_symmetry_check_reads_non_finite_entries():
