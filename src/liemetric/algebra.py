@@ -50,7 +50,11 @@ class LieAlgebra(IntegerForm):
     """Immutable structure-constant presentation of a Lie algebra.
 
     Carries the integer form of ``c`` (``scaled``), built once here; every
-    kernel below reads it.
+    kernel below reads it. Every stored tensor is exactly antisymmetric in
+    its first two axes (``metric._defect_array`` relies on it): one that
+    is not raises InvalidStructureError, except that float entries may miss
+    antisymmetry by DEFAULT_TOL, and such a tensor is stored as
+    (c - c^T) / 2. An exactly antisymmetric one keeps its bits.
     """
 
     dim: int
@@ -60,6 +64,17 @@ class LieAlgebra(IntegerForm):
 
     def __post_init__(self):
         self._hold(_scaled(self.c, self.exact))
+        t = self._form[0]
+        mirror = t.transpose(1, 0, 2)
+        bad = np.argwhere(_differ(t, -mirror, self.exact, DEFAULT_TOL))
+        if len(bad):
+            i, j, k = bad[0]  # row-major order: the lexicographically first entry
+            raise InvalidStructureError(f"antisymmetry fails at c[{i}][{j}][{k}]")
+        if not self.exact and not (t == -mirror).all():
+            # halves first: no overflow, and each pair's two halves are negatives
+            t = np.where(t == -mirror, t, 0.5 * t - 0.5 * mirror)
+            object.__setattr__(self, "c", _freeze_tensor(t.tolist()))
+            self._hold((t, 1))
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: Mapping, *, exact: bool = True,
@@ -89,7 +104,8 @@ class LieAlgebra(IntegerForm):
     @classmethod
     def from_structure(cls, c, *, exact: bool | None = None,
                        check_jacobi: bool = True, name: str = ""):
-        """Build from a full rank-3 tensor, validating antisymmetry."""
+        """Build from a full rank-3 tensor; the constructor validates
+        antisymmetry."""
         dim = len(c)
         if dim < 1:
             raise InvalidStructureError("dimension must be positive")
@@ -99,11 +115,6 @@ class LieAlgebra(IntegerForm):
         if any(len(plane) != dim or any(len(row) != dim for row in plane) for plane in data):
             raise DimensionMismatchError("structure tensor is not dim x dim x dim")
         alg = cls(dim=dim, c=_freeze_tensor(data), exact=exact, name=name)
-        t, _ = alg.scaled(exact)
-        bad = np.argwhere(_differ(t, -t.transpose(1, 0, 2), exact, DEFAULT_TOL))
-        if len(bad):
-            i, j, k = bad[0]  # row-major order: the lexicographically first entry
-            raise InvalidStructureError(f"antisymmetry fails at c[{i}][{j}][{k}]")
         if check_jacobi:
             alg.require_jacobi()
         return alg

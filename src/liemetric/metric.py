@@ -312,8 +312,9 @@ def _product_rhs(c: np.ndarray, a: np.ndarray, bc: int | None = None,
     Leading axes of ``a`` are batch axes: a stack of metrics (or of metric
     directions) gives the stack of right sides in one contraction. Exact
     operands come with their bounds and go through ``contract``; float ones
-    come without and go through one ``np.matmul``, c as an (n^2, n) matrix
-    against each (n, n) slice of ``a``.
+    (and the int64 residues of the search certificate's screen) come without
+    and go through one ``np.matmul``, c as an (n^2, n) matrix against each
+    (n, n) slice of ``a``.
 
     The second and third terms are the first, p[i][j][k] = a([e_i,e_j], e_k),
     read at (k, i, j) and (k, j, i), so one contraction serves all three.
@@ -353,26 +354,29 @@ def _defect_array(c: np.ndarray, x: np.ndarray, bc: int | None = None,
     ``_product_rhs``; the defect is linear in ``x``. Exact operands come with
     their bounds, as in ``_product_rhs``.
 
-    The second term, [e_i, A_{e_k}e_j] = sum_m x[k,j,m] c[i,m,l], is the
-    first term's contraction against c with its first two axes swapped, read
-    with i and k swapped. So one contraction runs against K = [c | c
-    swapped], stacked along the k axis, giving an (..., n, n, 2n, n)
-    intermediate whose halves are the two terms. In float mode it is one
-    2-D ``np.matmul`` of every (i, j) row of every batch entry, x as a
-    (rows, n) matrix, against K as an (n, 2n^2) matrix. Each entry is the
-    same sum over m as in one matmul per term, with the same bits on the
-    BLAS builds the tests ran on; only the output is permuted.
-    A row's result is the same at any row count of at least two (BLAS gemm;
-    checked in the tests), and at n = 1 every entry is a single product, so
-    a batch entry's defect does not depend on its batch.
+    The defect is antisymmetric in (i, k) because the bracket is. Its first
+    term is q[i,j,k,l] = sum_m x[i,j,m] c[m,k,l], and when c[i,m,l] =
+    -c[m,i,l] its second term, sum_m x[k,j,m] c[i,m,l], is -q[k,j,i,l]. So
+    one contraction against c alone, an (n, n^2) matrix, gives both: the
+    defect is q minus q with i and k swapped. The precondition is that c is
+    exactly antisymmetric in its first two axes, which every ``LieAlgebra``
+    form is. Negation is exact in both modes, and a float sum of negated
+    products is the negated sum, so the result has the bits of one matmul
+    per term added, on the BLAS builds the tests ran on. In float mode the
+    contraction is one 2-D ``np.matmul`` of every (i, j) row of every batch
+    entry, x as a (rows, n) matrix. A row's result is the same at any row
+    count of at least two (BLAS gemm; checked in the tests), and at n = 1
+    every entry is a single product, so a batch entry's defect does not
+    depend on its batch. Int64 arrays without bounds (the residues of the
+    search certificate's screen, whose sums it keeps within int64) take the
+    same matmul.
     """
     n = c.shape[0]
-    both = np.concatenate([c, c.transpose(1, 0, 2)], axis=1)
     if bx is None:
-        q = (x.reshape(-1, n) @ both.reshape(n, 2 * n * n)).reshape(x.shape[:-1] + (2 * n, n))
+        q = (x.reshape(-1, n) @ c.reshape(n, n * n)).reshape(x.shape[:-1] + (n, n))
     else:
-        q = contract("...ijm,mkl->...ijkl", x, both, bx, bc)
-    return q[..., :n, :] + np.swapaxes(q[..., n:, :], -4, -2)
+        q = contract("...ijm,mkl->...ijkl", x, c, bx, bc)
+    return q - np.swapaxes(q, -4, -2)
 
 
 class CompatibilityResidual(NamedTuple):

@@ -17,9 +17,11 @@ the search's two hot kernels, the product's right sides and the
 compatibility defect (``metric._product_rhs``, ``metric._defect_array``),
 which run one ``np.matmul`` each: BLAS, whose bits are fixed for one BLAS
 build but may differ between builds, within the rounding bound of exact
-arithmetic. Python ints pass into ``_scaled`` as they are (scale 1, no
-Fraction per entry), and other integers (bool, numpy integers) become Python
-ints, so no entry of the integer form can wrap.
+arithmetic. The defect kernel reads c as exactly antisymmetric, which every
+``LieAlgebra`` form is. An input of Python ints alone passes through
+``_scaled`` as it is, in one pass (scale 1, no Fraction per entry); other
+integers (bool, numpy integers) become Python ints, so no entry of the
+integer form can wrap.
 
 The two-operand contractions of the Jacobi check, the product solve and the
 skew and compatibility residuals go through ``contract``. Given bounds on |x|
@@ -29,7 +31,9 @@ is then at most that in magnitude, so nothing can wrap. Otherwise it
 contracts object arrays of Python ints. Either way it returns an object array
 of Python ints, so the sums, squares and divisions after it stay unbounded.
 Float arrays contract as they are, through ``np.einsum``; the two kernels'
-float operands do not reach it.
+float operands do not reach it. Neither do the int64 residues mod a prime of
+the search certificate's screen (``search._may_be_compatible``): they take
+the kernels' matmul, whose sums the prime keeps within int64.
 
 The integer form of an algebra, a metric or a product is part of the value
 (``IntegerForm``): built once when the value is made, read-only, and read by
@@ -122,14 +126,17 @@ def _scaled(values, exact: bool):
     """A nested sequence as ``(array, scale)`` with ``values == array / scale``.
 
     Exact mode: an object array of Python ints and the lcm of the entry
-    denominators; an int entry is its own numerator over 1. Float mode: a
-    float64 array and scale 1.
+    denominators; an int entry is its own numerator over 1, and an input of
+    Python ints alone is its own form over 1, found in one pass. Float mode:
+    a float64 array and scale 1.
     """
     if not exact:
         return np.asarray(values, dtype=float), 1
     entries = np.array(values, dtype=object)
-    fracs = [x if type(x) is int or type(x) is Fraction else _rational(x)
-             for x in entries.flat]
+    flat = entries.ravel().tolist()
+    if all(type(x) is int for x in flat):
+        return entries, 1
+    fracs = [x if type(x) is int or type(x) is Fraction else _rational(x) for x in flat]
     scale = math.lcm(*(f.denominator for f in fracs))
     ints = np.array([f.numerator * (scale // f.denominator) for f in fracs], dtype=object)
     return ints.reshape(entries.shape), scale

@@ -26,10 +26,15 @@ import numpy as np
 from .algebra import LieAlgebra
 from .metric import (DegenerateMetricError, Metric, _defect_array,
                      _lc_product_array, _product_rhs, compatibility_residual)
-from .scalars import rationalize
+from .scalars import INT64_MAX, rationalize
 
 _PENALTY = 1e8
 _BARRIER_WEIGHT = 10.0
+
+# the exact certificate's screen works mod this prime, the largest below
+# 2**25: a residue right side sums at most 3 n (P - 1)**2, within int64 up
+# to n = 2730
+_SCREEN_PRIME = 33554393
 
 
 @dataclass(frozen=True)
@@ -109,9 +114,9 @@ def param_count(n: int) -> int:
 
 
 # cap on the bytes of one lockstep batch's (restarts, m, n^4) float Jacobian
-# stack; the residual and Jacobian stage of a full batch peaks at 3 to 4.3
-# times this (1.5 to 2.1 MiB measured with tracemalloc at n = 6..3), the
-# defect matmul's (rows, 2n^2) product being twice the stack
+# stack; the residual and Jacobian stage of a full batch peaks at 2.1 to 3.2
+# times this (1.06 to 1.58 MiB measured with tracemalloc at n = 6..3), the
+# defect matmul's (rows, n^2) product being the size of the stack
 _BATCH_BYTES = 512 * 1024
 
 
@@ -611,7 +616,10 @@ def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
 
     The symmetrized rationalized metric is the certificate when its exact
     signature meets the constraint (a degenerate one raises) and its exact
-    compatibility residual, through ``levi_civita_product``, is zero.
+    compatibility residual, through ``levi_civita_product``, is zero. The
+    screen mod a prime (``_may_be_compatible``) refuses first a metric
+    whose defect it proves nonzero, without the exact elimination; the
+    exact residual stays the check of every certificate.
     """
     if not alg.exact:
         return None
@@ -622,9 +630,58 @@ def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
         exact = Metric.from_rows(sym, exact=True)
         if not _fits(*exact.signature(), constraint):  # degenerate: raises
             return None
+        if not _may_be_compatible(alg, exact):
+            return None
         return exact if compatibility_residual(alg, exact).exact_zero else None
     except (ZeroDivisionError, ValueError):
         return None
+
+
+def _may_be_compatible(alg: LieAlgebra, a: Metric) -> bool:
+    """The certificate's screen: False only when the compatibility defect of
+    the exact pair (alg, a) is nonzero, shown mod P = _SCREEN_PRIME.
+
+    With c = C / sc and a = M / sm on their integer forms, the product is
+    X / sc for X = (2M)^-1 B(C, M), B the right sides (``_product_rhs``), and
+    the defect is D(C, X) / sc^2. The denominators of X divide det 2M, so
+    when P does not divide it, reduction mod P is a ring map on every entry
+    involved: D(C, X) mod P is D(C mod P, X mod P), and a nonzero residue
+    proves D nonzero. The two kernels run on int64 residues below P, whose
+    sums stay within int64 (see _SCREEN_PRIME). A zero residue, a 2M that is
+    singular mod P, or a dimension past that bound answers True: the exact
+    residual decides.
+    """
+    n, p = alg.dim, _SCREEN_PRIME
+    if 3 * n * (p - 1) ** 2 > INT64_MAX:
+        return True
+    c = (alg.scaled(True)[0] % p).astype(np.int64)
+    m = (a.scaled(True)[0] % p).astype(np.int64)
+    inv = _inverse_mod((2 * m).tolist(), p)
+    if inv is None:
+        return True
+    # 2M x = b for each (i, j); 2M is symmetric, so each row is b @ inv
+    x = (_product_rhs(c, m).reshape(-1, n) % p) @ np.array(inv, dtype=np.int64) % p
+    return not (_defect_array(c, x.reshape(n, n, n)) % p).any()
+
+
+def _inverse_mod(a: list, p: int):
+    """The inverse of the square int matrix a mod the prime p, as rows of
+    residues, by Gauss-Jordan over the field of p elements; None when a is
+    singular mod p."""
+    n = len(a)
+    m = [[x % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        r = next((r for r in range(col, n) if m[r][col]), None)
+        if r is None:
+            return None
+        m[col], m[r] = m[r], m[col]
+        inv = pow(m[col][col], -1, p)
+        top = m[col] = [x * inv % p for x in m[col]]
+        for i in range(n):
+            f = m[i][col]
+            if i != col and f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], top)]
+    return [row[n:] for row in m]
 
 
 def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:

@@ -1,5 +1,6 @@
 """Structure-constant bookkeeping: construction, Jacobi, adjoints, center."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -252,3 +253,39 @@ def test_structure_array_matches_constants():
     assert arr.shape == (3, 3, 3)
     assert arr[0, 1, 2] == 1.0 and arr[1, 0, 2] == -1.0
     assert np.count_nonzero(arr) == 2
+
+
+def _exactly_antisymmetric(alg):
+    n = alg.dim
+    return all(alg.c[i][j][k] == -alg.c[j][i][k]
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+def test_every_float_tensor_is_stored_exactly_antisymmetric(rng):
+    """Float input that misses antisymmetry within DEFAULT_TOL, and every
+    float changed_basis result, reads c[i][j][k] == -c[j][i][k] exactly; an
+    exactly antisymmetric tensor keeps its bits. The constructor itself
+    holds the rule, so a tensor built without from_structure cannot skip
+    it: the compatibility defect reads only antisymmetric tensors."""
+    c = [[[0.0, 0.0], [0.25, 1.0]], [[-0.25 + 1e-12, -1.0 - 3e-13], [0.0, 1e-12]]]
+    alg = LieAlgebra.from_structure(c, exact=False, check_jacobi=False)
+    assert _exactly_antisymmetric(alg)
+    assert alg.c[0][1] == (0.5 * 0.25 - 0.5 * (-0.25 + 1e-12), 0.5 * 1.0 - 0.5 * (-1.0 - 3e-13))
+    assert alg.c[0][0] == (0.0, 0.0) and alg.c[1][1] == (0.0, 0.0)
+    for n in (2, 3, 4, 5, 6):
+        base = random_algebra(rng, n).to_float()
+        p = rng.standard_normal((n, n)) + 3 * np.identity(n)
+        moved = base.changed_basis(p.tolist())
+        assert _exactly_antisymmetric(moved)
+        again = LieAlgebra.from_structure(moved.c, exact=False)
+        assert again.c == moved.c
+        assert np.array(again.c).tobytes() == np.array(moved.c).tobytes()
+    z = Fraction(0)
+    half = (((z, z), (z, Fraction(1))), ((z, z), (z, z)))  # no mirror of [e0, e1]
+    with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[1\]"):
+        LieAlgebra(dim=2, c=half, exact=True)
+    one_sided = np.zeros((3, 3, 3))
+    one_sided[0, 1, 0] = 1.0
+    with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[0\]"):
+        dataclasses.replace(heisenberg().to_float(), c=one_sided.tolist())
+    assert LieAlgebra(dim=2, c=c, exact=False).c == alg.c

@@ -375,16 +375,25 @@ def test_one_contraction_kernels_equal_the_separate_ones_in_big_integers():
 
 def test_one_contraction_kernels_keep_nan_and_inf_where_the_separate_ones_do():
     """NaN and inf in c, a or x: NaN at the same positions, equal bits
-    elsewhere (inf - inf makes NaN in both forms alike)."""
+    elsewhere (inf - inf makes NaN in both forms alike). c takes them as
+    off-diagonal antisymmetric pairs, c[i,j,k] = v and c[j,i,k] = -v, the
+    only form in which a structure tensor holds them."""
     rng = np.random.default_rng(20261021)
     for case in range(120):
         n = 2 + case % 4
         c = _antisymmetric(rng, n, "dense")
         a = rng.standard_normal((3, n, n))
         x = rng.standard_normal((3, n, n, n))
+        value = (np.nan, np.inf, -np.inf)[case % 3]
         for t in ((c,), (a,), (x,), (c, a, x))[case % 4]:
-            flat = t.reshape(-1)
-            flat[rng.integers(0, flat.size, 2)] = (np.nan, np.inf, -np.inf)[case % 3]
+            if t is c:
+                for _ in range(2):
+                    i, j = rng.choice(n, 2, replace=False)
+                    k = rng.integers(n)
+                    c[i, j, k], c[j, i, k] = value, -value
+            else:
+                flat = t.reshape(-1)
+                flat[rng.integers(0, flat.size, 2)] = value
         with np.errstate(invalid="ignore"):
             pairs = ((_product_rhs(c, a), _product_rhs_reference(c, a)),
                      (_defect_array(c, x), _defect_array_reference(c, x)))

@@ -72,6 +72,23 @@ def test_all_int_input_builds_no_fraction(monkeypatch):
     assert all(type(x) is int for x in got.flat)
 
 
+def test_all_int_input_is_its_own_form_in_one_pass(monkeypatch):
+    """Python ints alone come back as they are, over 1: no lcm, no per-entry
+    conversion, the same int objects."""
+    from liemetric import scalars
+
+    def refuse(*args):
+        raise AssertionError("the all-int input took the general path")
+
+    monkeypatch.setattr(scalars, "_rational", refuse)
+    monkeypatch.setattr(math, "lcm", refuse)
+    values = [[2**80 + 1, -3], [0, 7]]
+    got, scale = _scaled(values, True)
+    assert scale == 1 and got.dtype == object and got.shape == (2, 2)
+    assert all(x is y for x, y in zip(got.flat, [v for row in values for v in row]))
+    assert _scaled([], True)[1] == 1 and _scaled([[]], True)[0].shape == (1, 0)
+
+
 def test_numpy_integers_become_python_ints_and_cannot_wrap():
     """A numpy integer scaled by a large common denominator stays exact: as an
     int64 numerator, 2**62 * 4 would wrap to 0."""

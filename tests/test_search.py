@@ -1221,6 +1221,131 @@ def test_exact_certificate_matches_the_public_exact_path():
     assert certified >= 5
 
 
+# ------------------------------------------- the certificate's screen mod P ---
+
+def _attempts(monkeypatch, run):
+    """The (algebra, metric, constraint) of every certificate attempt that
+    ``run`` makes through find_compatible_metric."""
+    seen, attempt = [], search._try_exact_certificate
+
+    def record(alg, metric, constraint):
+        seen.append((alg, metric, constraint))
+        return attempt(alg, metric, constraint)
+
+    monkeypatch.setattr(search, "_try_exact_certificate", record)
+    run()
+    monkeypatch.setattr(search, "_try_exact_certificate", attempt)
+    return seen
+
+
+def _bench_search_jobs(monkeypatch, tmp_path, seeds):
+    from pathlib import Path
+
+    import liemetric
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    workload = workloads.make("search", str(bench.parent / "src"))
+    for seed in seeds:
+        rng = np.random.default_rng([seed, workloads.WORKLOADS.index("search")])
+        for job in workload.generate(liemetric, rng, str(tmp_path), False):
+            workload.run(liemetric, job)
+
+
+def test_screened_certificates_equal_the_unscreened_ones(monkeypatch, tmp_path):
+    """Every attempt of the lockstep corpus and of the benchmark's search
+    jobs at seeds 1, 7 and 31337: the certificate is the one of the public
+    exact path without a screen, and the screen refuses a share of them."""
+    def corpus():
+        for _, make, kw in _lockstep_cases():
+            find_compatible_metric(make(), SearchConfig(
+                **{"restarts": 8, "max_iters": 50, "rng_seed": 11, **kw}))
+        _bench_search_jobs(monkeypatch, tmp_path, (1, 7, 31337))
+
+    attempts = _attempts(monkeypatch, corpus)
+    verdicts, screen = [], search._may_be_compatible
+
+    def recorded(alg, a):
+        verdicts.append(screen(alg, a))
+        return verdicts[-1]
+
+    monkeypatch.setattr(search, "_may_be_compatible", recorded)
+    certified = 0
+    for alg, metric, constraint in attempts:
+        want = reference_certificate(alg, metric, constraint)
+        assert _try_exact_certificate(alg, metric, constraint) == want
+        certified += want is not None
+    assert len(attempts) >= 200 and certified >= 90 and verdicts.count(False) >= 110
+
+
+def test_screen_passes_compatible_pairs_and_refuses_without_the_elimination(monkeypatch):
+    """Compatible rational pairs, also in a sheared basis, pass the screen
+    and are certified; heisenberg with the identity metric is refused before
+    the exact product's elimination (``metric._solve_doubled``)."""
+    from liemetric import heisenberg_split_metric, metric, sol_split_metric
+
+    shear = [[Fraction(1), Fraction(1, 2), 0], [0, Fraction(1), Fraction(-2, 3)],
+             [0, 0, Fraction(3)]]
+    pairs = [(heisenberg(), heisenberg_split_metric()), (sol(), sol_split_metric()),
+             (abelian(3), Metric.diagonal([1, -2, Fraction(1, 3)]))]
+    pairs += [(alg.changed_basis(shear), a.transported(shear)) for alg, a in pairs[:2]]
+    for alg, a in pairs:
+        assert search._may_be_compatible(alg, a)
+        assert _try_exact_certificate(alg, a.to_float(), "none") == a
+
+    def refuse(*args):
+        raise AssertionError("the exact elimination ran")
+
+    monkeypatch.setattr(metric, "_solve_doubled", refuse)
+    assert not search._may_be_compatible(heisenberg(), Metric.identity(3))
+    assert _try_exact_certificate(heisenberg(), Metric.identity(3, exact=False), "none") is None
+
+
+def test_a_metric_singular_mod_p_reaches_the_exact_check(monkeypatch):
+    """2M singular mod P says nothing about the defect: the exact residual
+    decides, certifying a compatible metric and refusing another."""
+    from liemetric import heisenberg_split_metric, metric
+
+    p = search._SCREEN_PRIME
+    calls, solve = [], metric._solve_doubled
+    monkeypatch.setattr(metric, "_solve_doubled", lambda *a: calls.append(1) or solve(*a))
+    split = heisenberg_split_metric().matrix
+    for rows, want in (([[p * x for x in row] for row in split], True),
+                       ([[p, 0, 0], [0, 1, 0], [0, 0, 1]], False)):
+        a = Metric.from_rows(rows)
+        assert search._inverse_mod((2 * a.scaled(True)[0]).tolist(), p) is None
+        assert search._may_be_compatible(heisenberg(), a)
+        calls.clear()
+        got = _try_exact_certificate(heisenberg(), a.to_float(), "none")
+        assert calls and (got == a if want else got is None)
+
+
+def test_screen_prime_and_int64_bound(monkeypatch):
+    """P is prime and every residue sum stays within int64 up to io.MAX_DIM;
+    with a prime past that bound the screen is skipped."""
+    from liemetric import io
+    from liemetric.scalars import INT64_MAX
+
+    p = search._SCREEN_PRIME
+    assert p < 2 ** 25 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+    assert 3 * io.MAX_DIM * (p - 1) ** 2 <= INT64_MAX
+    assert not search._may_be_compatible(heisenberg(), Metric.identity(3))
+    monkeypatch.setattr(search, "_SCREEN_PRIME", 2 ** 31 - 1)
+    assert search._may_be_compatible(heisenberg(), Metric.identity(3))
+
+
+def test_inverse_mod_p_inverts_or_reports_singular():
+    rng = np.random.default_rng(24)
+    p = search._SCREEN_PRIME
+    for n in range(1, 7):
+        a = rng.integers(-10 ** 12, 10 ** 12, (n, n)).tolist()
+        inv = search._inverse_mod(a, p)
+        product = (np.array(a, dtype=object) % p).dot(np.array(inv, dtype=object)) % p
+        assert (product == np.identity(n, dtype=int)).all()
+    assert search._inverse_mod([[1, 2], [3, 6 + p]], p) is None
+
+
 def test_classification_cases_carry_search_telemetry():
     rep = verify_classification(sample_count=2, cfg=quick(restarts=4, iters=30), dims=(2, 3))
     for case in rep.cases:
