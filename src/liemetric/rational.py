@@ -12,7 +12,10 @@ the determinant up to the swaps' sign.
 
 ``_solve_int`` answers in integers, ``(rows, d)`` with ``a @ rows == d * b``,
 so a caller that stays in scaled integers (the Levi-Civita product solve, the
-dual frame's inverse metric) divides once, at its own end; ``solve`` and ``inverse`` are its Fraction wrappers. ``inertia`` is a
+dual frame's inverse metric) divides once, at its own end. The search
+certificate's screen reduces rows and d mod a prime: for a of Python ints, d
+is |det a|, a unit mod the prime exactly when a is invertible mod it.
+``solve`` and ``inverse`` are its Fraction wrappers. ``inertia`` is a
 symmetric congruence with its own fraction-free loop.
 """
 

@@ -5,11 +5,15 @@ The objective stacks every component of the basis-triple defect
 Gauss-Newton loop, with analytic directional derivatives through the
 product's defining linear solve, drives it down from many random starts and
 takes a Jacobian only where a step was accepted. The starts advance in
-lockstep batches, each taking the steps it would take alone. A found metric
+lockstep batches, each taking the steps it would take alone. Positive
+definite metrics, and the definite signatures (n, 0) and (0, n), are
+searched through a Cholesky factor; any other constraint searches all
+symmetric metrics and judges the signature of each end point. A found metric
 is reported only after an independent recheck: an exact certificate through
-the public exact product when the entries rationalize, a ten times tighter
-float tolerance otherwise. Not finding one is a value, whose restart log
-carries the evidence; the classification sweep built on this search lives in
+the public exact product when the entries rationalize, screened first mod a
+prime on ``rational``'s elimination kernel, and a ten times tighter float
+tolerance otherwise. Not finding one is a value, whose restart log carries
+the evidence; the classification sweep built on this search lives in
 ``classify``.
 """
 
@@ -26,6 +30,7 @@ import numpy as np
 from .algebra import LieAlgebra
 from .metric import (DegenerateMetricError, Metric, _defect_array,
                      _lc_product_array, _product_rhs, compatibility_residual)
+from .rational import SingularMatrixError, _solve_int
 from .scalars import INT64_MAX, rationalize
 
 _PENALTY = 1e8
@@ -36,6 +41,15 @@ _BARRIER_WEIGHT = 10.0
 # to n = 2730
 _SCREEN_PRIME = 33554393
 
+# a metric whose determinant, scaled to unit norm, is below this in absolute
+# value is off the search domain; unconstrained, the barrier row starts here
+DEGENERACY_FLOOR = 1e-8
+
+
+def _is_count(value, low: int) -> bool:
+    """Whether value is an integer (an Integral other than bool) of at least low."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -45,28 +59,25 @@ class SearchConfig:
     restarts: int = 64
     max_iters: int = 500
     residual_tol: float = 1e-10
-    degeneracy_floor: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self):
         sc = self.signature_constraint
         if isinstance(sc, (tuple, list)):
-            if (len(sc) != 2 or any(not isinstance(x, int) or isinstance(x, bool)
-                                    or x < 0 for x in sc)):
+            if len(sc) != 2 or not all(_is_count(x, 0) for x in sc):
                 raise ValueError("fixed signature must be a pair of counts")
-            object.__setattr__(self, "signature_constraint", tuple(sc))
+            object.__setattr__(self, "signature_constraint", tuple(int(x) for x in sc))
         elif sc not in ("none", "positive_definite"):
             raise ValueError(f"unknown signature constraint {sc!r}")
         for name, low in (("restarts", 1), ("max_iters", 0), ("rng_seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
+            if not _is_count(value, low):
                 raise ValueError(f"{name} must be an integer of at least {low}")
             object.__setattr__(self, name, int(value))
-        for name in ("residual_tol", "degeneracy_floor"):
-            value = getattr(self, name)
-            if (not isinstance(value, Real) or isinstance(value, bool)
-                    or not (math.isfinite(value) and value > 0)):
-                raise ValueError(f"{name} must be positive and finite")
+        tol = self.residual_tol
+        if (not isinstance(tol, Real) or isinstance(tol, bool)
+                or not (math.isfinite(tol) and tol > 0)):
+            raise ValueError("residual_tol must be positive and finite")
 
 
 # why _minimize ended a restart, one name per exit
@@ -99,14 +110,6 @@ class SearchResult:
     def stop_reasons(self) -> dict:
         """How many restarts ended at each exit of the optimizer."""
         return dict(sorted(Counter(rec.stop_reason for rec in self.log).items()))
-
-
-def _sym_positions(n: int) -> list:
-    return [(i, j) for i in range(n) for j in range(i + 1)]
-
-
-def _lower_positions(n: int) -> list:
-    return [(i, j) for i in range(n) for j in range(i)]
 
 
 def param_count(n: int) -> int:
@@ -143,14 +146,10 @@ class _Problem(NamedTuple):
     units_rhs: np.ndarray   # _product_rhs(c, units); None with pd
 
 
-def _positions(pairs: list) -> tuple:
-    return tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)
-
-
 def _problem(c: np.ndarray, mode: str, floor: float) -> _Problem:
     n = c.shape[0]
     m = param_count(n)
-    lower, vech = _positions(_lower_positions(n)), _positions(_sym_positions(n))
+    lower, vech = np.tril_indices(n, -1), np.tril_indices(n)
     units = units_rhs = None
     if mode != "positive_definite":
         units = np.zeros((m, n, n))
@@ -170,15 +169,16 @@ def _factor(theta: np.ndarray, prob: _Problem) -> np.ndarray:
     return c
 
 
-def _decode(theta: np.ndarray, prob: _Problem) -> np.ndarray:
-    """The (R, n, n) stack of metric matrices of an (R, m) parameter stack."""
+def _decode(theta: np.ndarray, prob: _Problem):
+    """The (R, n, n) stack of metric matrices of an (R, m) parameter stack,
+    and the stack of their factors (None unless positive_definite)."""
     if prob.mode == "positive_definite":
-        c = _factor(theta, prob)
-        return c @ c.transpose(0, 2, 1)
+        f = _factor(theta, prob)
+        return f @ f.transpose(0, 2, 1), f
     a = np.zeros((len(theta), prob.n, prob.n))
     i, j = prob.vech
     a[:, i, j] = a[:, j, i] = theta
-    return a
+    return a, None
 
 
 def _factor_directions(c: np.ndarray, prob: _Problem) -> np.ndarray:
@@ -212,6 +212,23 @@ def _adjugate(a: np.ndarray) -> np.ndarray:
     return (signs * np.linalg.det(minors)).T
 
 
+def _solve_slices(solve, shape: tuple, *stacks):
+    """solve(*stacks), whose answer has the given shape, and the mask of
+    singular slices, None when no slice is singular. A singular slice makes
+    the stacked solve raise for the whole stack; only then is each slice
+    solved alone, a singular one left zero."""
+    try:
+        return solve(*stacks), None
+    except np.linalg.LinAlgError:
+        out, singular = np.zeros(shape), np.zeros(shape[0], dtype=bool)
+        for k in range(shape[0]):
+            try:
+                out[k] = solve(*(s[k:k + 1] for s in stacks))[0]
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return out, singular
+
+
 def _residuals(prob: _Problem, theta: np.ndarray):
     """The residual stage: residual vectors of an (R, m) stack of parameter
     points, keeping what the Jacobian stage needs.
@@ -228,24 +245,11 @@ def _residuals(prob: _Problem, theta: np.ndarray):
     nr = len(theta)
     n, c, floor = prob.n, prob.c, prob.floor
     pd = prob.mode == "positive_definite"
-    f = det = None
-    if pd:
-        f = _factor(theta, prob)
-        a = f @ f.transpose(0, 2, 1)
-    else:
-        a = _decode(theta, prob)
+    det = None
+    a, f = _decode(theta, prob)
     off = _off_domain(prob, a)
-    solved = np.ones(nr, dtype=bool)
-    try:
-        x = _lc_product_array(c, a)
-    except np.linalg.LinAlgError:
-        # a singular slice sinks the whole stacked solve: solve each alone
-        x = np.zeros((nr, n, n, n))
-        for k in range(nr):
-            try:
-                x[k] = _lc_product_array(c, a[k:k + 1])[0]
-            except np.linalg.LinAlgError:
-                solved[k] = False
+    x, singular = _solve_slices(lambda a: _lc_product_array(c, a), (nr, n, n, n), a)
+    solved = np.ones(nr, dtype=bool) if singular is None else ~singular
     if pd:
         r = _defect_array(c, x).reshape(nr, -1)
     else:
@@ -355,10 +359,16 @@ def _normal_equations(r: np.ndarray, jac: np.ndarray, rows: np.ndarray):
 
 
 def compat_objective(alg: LieAlgebra, theta, mode: str = "unconstrained"):
-    """Sum of squared defect components and its analytic gradient, at the
-    default degeneracy floor of ``SearchConfig``."""
+    """Sum of squared defect components and its analytic gradient at the
+    parameter vector theta of the search in the given mode, "unconstrained"
+    (theta the lower triangle of the metric, barrier row at
+    ``DEGENERACY_FLOOR``) or "positive_definite" (theta the log diagonal,
+    then the strictly lower entries, of a Cholesky factor); ValueError on
+    any other mode."""
+    if mode not in ("unconstrained", "positive_definite"):
+        raise ValueError(f"unknown search mode {mode!r}")
     theta = np.asarray(theta, dtype=float)
-    prob = _problem(alg.structure_array(), mode, SearchConfig.degeneracy_floor)
+    prob = _problem(alg.structure_array(), mode, DEGENERACY_FLOOR)
     r, jac, rows, _ = _residual_jacobian(prob, theta[None])
     r, jac = r[0, :rows[0]], jac[0, :rows[0]]
     return float(r @ r), 2.0 * (jac.T @ r)
@@ -379,23 +389,6 @@ def _armijo_descent(fun, theta, r, jac, cost):
             return trial, rt, jt, ct, True
         step /= 2.0
     return theta, r, jac, cost, False
-
-
-def _damped_steps(h: np.ndarray, lam: np.ndarray, g: np.ndarray):
-    """Solve (h + lam I) delta = -g for each slice. A singular slice makes
-    the stacked solve raise for the whole stack; only then is each slice
-    solved alone, and the mask of singular slices returned (else None)."""
-    a = h + lam[:, None, None] * np.eye(h.shape[-1])
-    try:
-        return np.linalg.solve(a, -g[:, :, None])[:, :, 0], None
-    except np.linalg.LinAlgError:
-        delta, singular = np.zeros_like(g), np.zeros(len(a), dtype=bool)
-        for k in range(len(a)):
-            try:
-                delta[k] = np.linalg.solve(a[k], -g[k])
-            except np.linalg.LinAlgError:
-                singular[k] = True
-        return delta, singular
 
 
 class _Stack:
@@ -524,7 +517,10 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=
             g, h = retire(exits, g, h)
             if not st.index:
                 continue
-        delta, singular = _damped_steps(h, np.array(st.lam), g)
+        # the damped steps: (h + lam I) delta = -g for each slice
+        damped = h + np.array(st.lam)[:, None, None] * np.eye(h.shape[-1])
+        delta, singular = _solve_slices(lambda a, b: np.linalg.solve(a, b)[:, :, 0], g.shape,
+                                        damped, -g[:, :, None])
         trial = st.theta + delta
         rt, jt, rowt, offt = fun(trial)
         off = [False] * len(st.index) if offt is None else offt.tolist()
@@ -587,11 +583,13 @@ def _initial_theta(n: int, mode: str, rng: np.random.Generator) -> np.ndarray:
     if mode == "positive_definite":
         # unit-mean log-normal diagonal for the factor, plain normal below it
         diag = rng.normal(-0.125, 0.5, size=n)
-        low = rng.standard_normal(len(_lower_positions(n)))
+        low = rng.standard_normal(param_count(n) - n)
         return np.concatenate([diag, low])
     m = rng.standard_normal((n, n))
     sym = (m + m.T) / 2.0
-    return np.array([sym[i, j] for i, j in _sym_positions(n)])
+    # a boolean mask reads in row order, as np.tril_indices(n), at a fifth
+    # of its cost (np.tril_indices(3) takes about 14 us)
+    return sym[np.tri(n, dtype=bool)]
 
 
 def _fits(p: int, q: int, constraint) -> bool:
@@ -646,42 +644,30 @@ def _may_be_compatible(alg: LieAlgebra, a: Metric) -> bool:
     the defect is D(C, X) / sc^2. The denominators of X divide det 2M, so
     when P does not divide it, reduction mod P is a ring map on every entry
     involved: D(C, X) mod P is D(C mod P, X mod P), and a nonzero residue
-    proves D nonzero. The two kernels run on int64 residues below P, whose
-    sums stay within int64 (see _SCREEN_PRIME). A zero residue, a 2M that is
-    singular mod P, or a dimension past that bound answers True: the exact
-    residual decides.
+    proves D nonzero. ``rational``'s kernel eliminates 2M' for M' = M mod P,
+    giving 2M' R = d I with d = |det 2M'| and R = +-adj 2M'. When P does not
+    divide d, d is a unit mod P and R is d (2M')^-1 there, so x' = B' R is
+    d X mod P: the defect, linear in X, has D(C, x') = d D(C, X), zero mod P
+    exactly when D(C, X) is. The two kernels run on int64 residues below P,
+    whose sums stay within int64 (see _SCREEN_PRIME). A zero residue, a 2M
+    that is singular mod P, or a dimension past that bound answers True:
+    the exact residual decides.
     """
     n, p = alg.dim, _SCREEN_PRIME
     if 3 * n * (p - 1) ** 2 > INT64_MAX:
         return True
     c = (alg.scaled(True)[0] % p).astype(np.int64)
     m = (a.scaled(True)[0] % p).astype(np.int64)
-    inv = _inverse_mod((2 * m).tolist(), p)
-    if inv is None:
+    try:
+        adj, d = _solve_int((2 * m).tolist(), np.eye(n, dtype=int).tolist())
+    except SingularMatrixError:
         return True
-    # 2M x = b for each (i, j); 2M is symmetric, so each row is b @ inv
-    x = (_product_rhs(c, m).reshape(-1, n) % p) @ np.array(inv, dtype=np.int64) % p
+    if d % p == 0:
+        return True
+    # 2M' x' = d b for each (i, j); R is symmetric, so each row is b @ R
+    r = np.array([[x % p for x in row] for row in adj], dtype=np.int64)
+    x = (_product_rhs(c, m).reshape(-1, n) % p) @ r % p
     return not (_defect_array(c, x.reshape(n, n, n)) % p).any()
-
-
-def _inverse_mod(a: list, p: int):
-    """The inverse of the square int matrix a mod the prime p, as rows of
-    residues, by Gauss-Jordan over the field of p elements; None when a is
-    singular mod p."""
-    n = len(a)
-    m = [[x % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        r = next((r for r in range(col, n) if m[r][col]), None)
-        if r is None:
-            return None
-        m[col], m[r] = m[r], m[col]
-        inv = pow(m[col][col], -1, p)
-        top = m[col] = [x * inv % p for x in m[col]]
-        for i in range(n):
-            f = m[i][col]
-            if i != col and f:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], top)]
-    return [row[n:] for row in m]
 
 
 def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
@@ -704,10 +690,15 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
     constraint = cfg.signature_constraint
     if isinstance(constraint, tuple) and sum(constraint) != n:
         raise ValueError("fixed signature counts must add up to the dimension")
-    mode = "positive_definite" if constraint == "positive_definite" else "unconstrained"
+    # a definite signature searches positive definite metrics, and (0, n)
+    # negates each candidate: a -> -a changes neither the product nor the
+    # defect, since the Koszul relation is linear in a
+    definite = constraint == "positive_definite" or constraint in ((n, 0), (0, n))
+    mode = "positive_definite" if definite else "unconstrained"
+    sign = -1.0 if constraint == (0, n) else 1.0
     algf = alg.to_float()
     cost_tol = (0.02 * cfg.residual_tol) ** 2
-    prob = _problem(algf.structure_array(), mode, cfg.degeneracy_floor)
+    prob = _problem(algf.structure_array(), mode, DEGENERACY_FLOOR)
     fun = lambda th: _residuals(prob, th)
     records = {}  # restart index -> (RestartRecord, Metric or None)
     finds = []    # restarts that ended on an admissible metric within tolerance
@@ -715,7 +706,7 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
     def judge(rix, theta, cost, iters, reason, lam) -> bool:
         # a probe that slid toward the degenerate boundary is not a
         # candidate metric; its vanishing residual is an artifact
-        a = _decode(theta[None], prob)
+        a = sign * _decode(theta[None], prob)[0]
         admissible = bool(np.isfinite(cost)) and not _off_domain(prob, a)[0]
         residual, metric = float("inf"), None
         if admissible:
@@ -755,16 +746,12 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
         log.append(rec)
         if rec.admissible and rec.residual < best_res:
             best_res, best_metric = rec.residual, metric
+    status, metric, residual, exact = "not_found", best_metric, best_res, False
     if best_metric is not None and best_res <= cfg.residual_tol:
-        exact_metric = _try_exact_certificate(alg, best_metric, constraint)
-        if exact_metric is not None:
-            return SearchResult(status="found", best_metric=exact_metric,
-                                best_residual=0.0, exact_certificate=True,
-                                log=tuple(log), config=cfg)
-        if best_res <= cfg.residual_tol / 10.0:
-            return SearchResult(status="found", best_metric=best_metric,
-                                best_residual=best_res, exact_certificate=False,
-                                log=tuple(log), config=cfg)
-    return SearchResult(status="not_found", best_metric=best_metric,
-                        best_residual=best_res, exact_certificate=False,
-                        log=tuple(log), config=cfg)
+        certificate = _try_exact_certificate(alg, best_metric, constraint)
+        if certificate is not None:
+            status, metric, residual, exact = "found", certificate, 0.0, True
+        elif best_res <= cfg.residual_tol / 10.0:
+            status = "found"
+    return SearchResult(status=status, best_metric=metric, best_residual=residual,
+                        exact_certificate=exact, log=tuple(log), config=cfg)

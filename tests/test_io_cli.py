@@ -385,6 +385,15 @@ def test_cli_search_not_found_exits_three(tmp_path, capsys):
     assert code == 3
 
 
+def test_cli_search_definite_signature_finds_a_riemannian_metric(tmp_path, capsys):
+    """--signature 3,0 searches as riemann does: euclidean_motions carries
+    a positive definite compatible metric, and 3,0 finds one."""
+    out_metric = tmp_path / "found.json"
+    assert main(["search", str(DATA / "euclidean_motions.json"), "--signature", "3,0",
+                 "--out", str(out_metric)]) == 0
+    assert load_metric(out_metric).signature() == (3, 0)
+
+
 def test_cli_search_report_is_reproducible(tmp_path, capsys):
     alg = algebra_file(tmp_path, heisenberg())
     j1, j2 = tmp_path / "r1.json", tmp_path / "r2.json"

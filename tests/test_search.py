@@ -25,17 +25,27 @@ from liemetric import (
     solvable_family,
     verify_classification,
 )
-from liemetric import classify, search
+from liemetric import classify, rational, search
 from liemetric.classify import FamilyParams
 from liemetric.metric import _defect_array, _lc_product_array, _product_rhs
 from liemetric.scalars import rationalize
 from liemetric.search import (_BARRIER_WEIGHT, _BATCH_BYTES, _PENALTY, STOP_REASONS,
                               RestartRecord, SearchResult, _adjugate,
                               _admissible, _armijo_descent, _batch_size, _decode, _factor,
-                              _factor_directions, _initial_theta, _lower_positions,
-                              _minimize, _normal_equations, _off_domain, _problem,
-                              _residual_jacobian, _squares, _sym_positions,
-                              _try_exact_certificate, param_count)
+                              _factor_directions, _initial_theta, _minimize,
+                              _normal_equations, _off_domain, _problem,
+                              _residual_jacobian, _squares, _try_exact_certificate,
+                              param_count)
+
+_FLOOR = search.DEGENERACY_FLOOR
+
+
+def _config(monkeypatch, kw, **base):
+    """SearchConfig(**base, **kw), with kw's "floor", else the default, set
+    as the search's degeneracy floor."""
+    kw = dict(kw)
+    monkeypatch.setattr(search, "DEGENERACY_FLOOR", kw.pop("floor", _FLOOR))
+    return SearchConfig(**{**base, **kw})
 
 
 def quick(mode="none", restarts=12, seed=0, iters=200):
@@ -68,11 +78,6 @@ def test_config_validation():
     ("rng_seed", -1),
     ("rng_seed", 1.5),
     ("rng_seed", True),
-    ("degeneracy_floor", float("nan")),
-    ("degeneracy_floor", -1.0),
-    ("degeneracy_floor", 0.0),
-    ("degeneracy_floor", float("inf")),
-    ("degeneracy_floor", True),
     ("residual_tol", "1e-10"),
 ])
 def test_config_rejects_counts_seeds_and_floors_at_construction(field, value):
@@ -81,8 +86,7 @@ def test_config_rejects_counts_seeds_and_floors_at_construction(field, value):
 
 
 def test_config_takes_integral_counts_as_int():
-    cfg = SearchConfig(restarts=np.int64(3), max_iters=np.int32(0), rng_seed=np.uint8(7),
-                       degeneracy_floor=1e-2)
+    cfg = SearchConfig(restarts=np.int64(3), max_iters=np.int32(0), rng_seed=np.uint8(7))
     assert (cfg.restarts, cfg.max_iters, cfg.rng_seed) == (3, 0, 7)
     assert all(type(v) is int for v in (cfg.restarts, cfg.max_iters, cfg.rng_seed))
 
@@ -90,6 +94,51 @@ def test_config_takes_integral_counts_as_int():
 def test_fixed_signature_must_fit_dimension():
     with pytest.raises(ValueError):
         find_compatible_metric(abelian(2), SearchConfig(signature_constraint=(2, 1)))
+
+
+def test_config_takes_a_signature_pair_of_integral_counts_as_int():
+    cfg = SearchConfig(signature_constraint=(np.int64(2), np.int64(1)))
+    assert cfg.signature_constraint == (2, 1)
+    assert all(type(v) is int for v in cfg.signature_constraint)
+    for pair in ((True, 2), (2.0, 1), (np.int64(-1), 4), (1, 2, 0)):
+        with pytest.raises(ValueError, match="pair of counts"):
+            SearchConfig(signature_constraint=pair)
+
+
+def test_objective_refuses_an_unknown_mode():
+    theta = np.zeros(param_count(3))
+    assert compat_objective(heisenberg(), theta, "positive_definite")[0] == 1.0
+    for mode in ("positive-definite", "none", "pd"):
+        with pytest.raises(ValueError, match="mode"):
+            compat_objective(heisenberg(), theta, mode)
+
+
+@pytest.mark.parametrize("make", [euclidean_motions, heisenberg,
+                                  lambda: solvable_family(Fraction(1, 2), -2, 3),
+                                  lambda: solvable_family(Fraction(1, 3), -1, 1)],
+                         ids=["euclidean_motions", "heisenberg", "family(1/2,-2,3)",
+                              "family(1/3,-1,1)"])
+def test_definite_signatures_search_positive_definite_metrics(make):
+    """(3, 0) runs the positive definite search itself; (0, 3) runs it too
+    and negates each candidate, so its restarts end alike and its metric is
+    negative definite. Residual bits of (0, 3) are not compared: the
+    negated metric's product solve may round differently."""
+    alg = make()
+    for seed in range(4):
+        pd, plus, minus = (find_compatible_metric(alg, quick(mode, 8, seed, iters=100))
+                           for mode in ("positive_definite", (3, 0), (0, 3)))
+        assert plus.log == pd.log
+        assert (plus.status, plus.exact_certificate) == (pd.status, pd.exact_certificate)
+        assert _bits(plus.best_residual) == _bits(pd.best_residual)
+        assert (plus.best_metric is None) == (pd.best_metric is None)
+        if pd.best_metric is not None:
+            assert plus.best_metric.matrix == pd.best_metric.matrix
+        assert [(r.index, r.iterations, r.stop_reason, r.admissible) for r in minus.log] == \
+            [(r.index, r.iterations, r.stop_reason, r.admissible) for r in pd.log]
+        assert minus.status == pd.status
+        if minus.found:
+            assert minus.best_metric.signature() == (0, 3)
+        assert pd.found == (make is not heisenberg)
 
 
 def test_abelian_found_immediately():
@@ -165,8 +214,7 @@ def test_objective_zero_on_certificate():
     n = 3
     theta = np.zeros(param_count(n))
     # identity in vech order
-    from liemetric.search import _sym_positions
-    for t, (i, j) in enumerate(_sym_positions(n)):
+    for t, (i, j) in enumerate(_seq_vech(n)):
         theta[t] = 1.0 if i == j else 0.0
     val, _ = compat_objective(euclidean_motions(), theta)
     assert val < 1e-28
@@ -420,7 +468,7 @@ def test_stacked_adjugate_and_barrier_gradient_match_loops_bitwise(n):
         prob = _problem(c, mode, floor)
         for _ in range(40):
             theta = rng.standard_normal(param_count(n))
-            a = _decode(theta[None], prob)[0]
+            a = _decode(theta[None], prob)[0][0]
             adj = _adjugate(a)
             assert np.array_equal(adj, reference_adjugate(a))
             dirs = (prob.units if mode == "unconstrained"
@@ -466,11 +514,19 @@ def test_jacobian_makes_two_solves_at_every_dimension(n, monkeypatch):
 # lockstep search must reproduce their logs, results and final iterates bit
 # for bit.
 
+def _seq_vech(n):
+    return [(i, j) for i in range(n) for j in range(i + 1)]
+
+
+def _seq_lower(n):
+    return [(i, j) for i in range(n) for j in range(i)]
+
+
 def _seq_factor(theta, n):
     c = np.zeros((n, n))
     for k in range(n):
         c[k, k] = np.exp(theta[k])
-    for t, (i, j) in enumerate(_lower_positions(n)):
+    for t, (i, j) in enumerate(_seq_lower(n)):
         c[i, j] = theta[n + t]
     return c
 
@@ -480,7 +536,7 @@ def _seq_decode(theta, n, mode):
         c = _seq_factor(theta, n)
         return c @ c.T
     a = np.zeros((n, n))
-    for t, (i, j) in enumerate(_sym_positions(n)):
+    for t, (i, j) in enumerate(_seq_vech(n)):
         a[i, j] = a[j, i] = theta[t]
     return a
 
@@ -491,11 +547,11 @@ def _seq_decode_directions(theta, n, mode):
         c = _seq_factor(theta, n)
         diag = np.arange(n)
         units[diag, diag, diag] = c[diag, diag]
-        for t, (i, j) in enumerate(_lower_positions(n), start=n):
+        for t, (i, j) in enumerate(_seq_lower(n), start=n):
             units[t, i, j] = 1.0
         half = units @ c.T
         return half + half.transpose(0, 2, 1)
-    for t, (i, j) in enumerate(_sym_positions(n)):
+    for t, (i, j) in enumerate(_seq_vech(n)):
         units[t, i, j] = units[t, j, i] = 1.0
     return units
 
@@ -578,8 +634,9 @@ def _seq_problem(alg, cfg):
     mode = ("positive_definite" if cfg.signature_constraint == "positive_definite"
             else "unconstrained")
     c = alg.to_float().structure_array()
-    fun = lambda th: _seq_residual_jacobian(c, th, mode, cfg.degeneracy_floor)
-    outside_domain = lambda th: _seq_outside(_seq_decode(th, n, mode), cfg.degeneracy_floor)
+    floor = search.DEGENERACY_FLOOR
+    fun = lambda th: _seq_residual_jacobian(c, th, mode, floor)
+    outside_domain = lambda th: _seq_outside(_seq_decode(th, n, mode), floor)
     return n, mode, fun, outside_domain
 
 
@@ -671,8 +728,7 @@ def _lockstep_cases():
         for mode in ("none", "positive_definite", (1, dim - 1)):
             cases.append((f"{name}/{mode}", lambda name=name: by_name(name),
                           dict(signature_constraint=mode)))
-        cases.append((f"{name}/floor", lambda name=name: by_name(name),
-                      dict(degeneracy_floor=1e-2)))
+        cases.append((f"{name}/floor", lambda name=name: by_name(name), dict(floor=1e-2)))
     for name in ("heisenberg", "affine_line", "sol"):
         for mode in ("none", "positive_definite"):
             cases.append((f"{name}/{mode}/16", lambda name=name: by_name(name),
@@ -683,7 +739,7 @@ def _lockstep_cases():
                           dict(signature_constraint=mode)))
         if t % 3 == 0:
             cases.append((f"family{t}/floor", lambda triple=triple: solvable_family(*triple),
-                          dict(degeneracy_floor=1e-2, restarts=16)))
+                          dict(floor=1e-2, restarts=16)))
     for n in (4, 5, 6):
         for name in ("heisenberg", "sol"):
             cases.append((f"sheared{n}/{name}", lambda name=name, n=n: _sheared(name, n),
@@ -693,8 +749,8 @@ def _lockstep_cases():
 
 @pytest.mark.parametrize("label,make,kw", _lockstep_cases(),
                          ids=[case[0] for case in _lockstep_cases()])
-def test_lockstep_search_matches_sequential_reference(label, make, kw):
-    cfg = SearchConfig(**{"restarts": 8, "max_iters": 50, "rng_seed": 11, **kw})
+def test_lockstep_search_matches_sequential_reference(label, make, kw, monkeypatch):
+    cfg = _config(monkeypatch, kw, restarts=8, max_iters=50, rng_seed=11)
     alg = make()
     res, ref = find_compatible_metric(alg, cfg), sequential_find(alg, cfg)
     assert res.log == ref.log
@@ -732,22 +788,22 @@ def test_barrier_rows_meet_plain_rows_in_one_stack(monkeypatch):
 @pytest.mark.parametrize("label,make,kw", [
     ("heisenberg/positive_definite", heisenberg, dict(signature_constraint="positive_definite")),
     ("heisenberg/(1, 2)", heisenberg, dict(signature_constraint=(1, 2))),
-    ("sol/none/floor", sol, dict(degeneracy_floor=1e-2)),
+    ("sol/none/floor", sol, dict(floor=1e-2)),
     ("family/none", lambda: solvable_family(1, 2, -3), dict()),
     ("family/positive_definite", lambda: solvable_family(Fraction(1, 2), 3, -2),
      dict(signature_constraint="positive_definite")),
     ("sheared4/heisenberg", lambda: _sheared("heisenberg", 4), dict()),
 ], ids=lambda x: x if isinstance(x, str) else "")
-def test_lockstep_restarts_end_where_sequential_restarts_end(label, make, kw):
+def test_lockstep_restarts_end_where_sequential_restarts_end(label, make, kw, monkeypatch):
     """All restarts in one stack, run to their end: each one's final
     parameters, cost, iterations, exit and damping are those of the same
     restart run alone by the sequential optimizer."""
-    cfg = SearchConfig(**{"restarts": 16, "max_iters": 60, "rng_seed": 5, **kw})
+    cfg = _config(monkeypatch, kw, restarts=16, max_iters=60, rng_seed=5)
     alg = make()
     n, mode, fun, outside_domain = _seq_problem(alg, cfg)
     theta0 = np.array([_initial_theta(n, mode, np.random.default_rng([cfg.rng_seed, rix]))
                        for rix in range(cfg.restarts)])
-    prob = _problem(alg.to_float().structure_array(), mode, cfg.degeneracy_floor)
+    prob = _problem(alg.to_float().structure_array(), mode, search.DEGENERACY_FLOOR)
     cost_tol = (0.02 * cfg.residual_tol) ** 2
     ends = _minimize(lambda th: _residual_jacobian(prob, th), theta0, cfg.max_iters, cost_tol)
     exits = set()
@@ -801,7 +857,7 @@ def test_domain_mask_matches_the_sequential_test_at_its_edge():
                 a = _seq_decode(thetas[k], n, mode)
                 floor = abs(float(np.linalg.det(a / float(np.linalg.norm(a)))))
                 prob = _problem(np.zeros((n, n, n)), mode, floor)
-                got = _off_domain(prob, _decode(thetas, prob)).tolist()
+                got = _off_domain(prob, _decode(thetas, prob)[0]).tolist()
                 assert got == [_seq_outside(_seq_decode(th, n, mode), floor) for th in thetas]
                 assert got[k] is False
 
@@ -1036,7 +1092,7 @@ def test_jacobians_only_at_starts_and_accepted_steps(make, mode, stack, monkeypa
         return jacobian(prob, a, *state)
 
     monkeypatch.setattr(search, "_jacobian", counting)
-    prob = _problem(alg.to_float().structure_array(), pmode, cfg.degeneracy_floor)
+    prob = _problem(alg.to_float().structure_array(), pmode, search.DEGENERACY_FLOOR)
     _minimize(lambda th: search._residuals(prob, th), theta0, cfg.max_iters, cost_tol)
     assert sum(rows) == stack + accepted
 
@@ -1259,8 +1315,9 @@ def test_screened_certificates_equal_the_unscreened_ones(monkeypatch, tmp_path):
     exact path without a screen, and the screen refuses a share of them."""
     def corpus():
         for _, make, kw in _lockstep_cases():
-            find_compatible_metric(make(), SearchConfig(
-                **{"restarts": 8, "max_iters": 50, "rng_seed": 11, **kw}))
+            find_compatible_metric(make(), _config(monkeypatch, kw, restarts=8, max_iters=50,
+                                                   rng_seed=11))
+        monkeypatch.setattr(search, "DEGENERACY_FLOOR", _FLOOR)
         _bench_search_jobs(monkeypatch, tmp_path, (1, 7, 31337))
 
     attempts = _attempts(monkeypatch, corpus)
@@ -1314,7 +1371,7 @@ def test_a_metric_singular_mod_p_reaches_the_exact_check(monkeypatch):
     for rows, want in (([[p * x for x in row] for row in split], True),
                        ([[p, 0, 0], [0, 1, 0], [0, 0, 1]], False)):
         a = Metric.from_rows(rows)
-        assert search._inverse_mod((2 * a.scaled(True)[0]).tolist(), p) is None
+        assert rational.det((2 * a.scaled(True)[0] % p).tolist()) % p == 0
         assert search._may_be_compatible(heisenberg(), a)
         calls.clear()
         got = _try_exact_certificate(heisenberg(), a.to_float(), "none")
@@ -1335,15 +1392,48 @@ def test_screen_prime_and_int64_bound(monkeypatch):
     assert search._may_be_compatible(heisenberg(), Metric.identity(3))
 
 
-def test_inverse_mod_p_inverts_or_reports_singular():
-    rng = np.random.default_rng(24)
+def test_screen_falls_through_on_a_singular_elimination_and_on_p_dividing_d(monkeypatch):
+    """Both ways the screen learns that 2M is singular mod P lead on to the
+    exact residual: the elimination of 2M' raises (P times the split metric,
+    diag(P, 1, 1)), or it returns a d that P divides (M of det P, whose
+    reduction M' is nonsingular: 2M' has det 4P in dimension 2, and 4 (78 -
+    8192^2) in dimension 3). The exact check certifies a compatible metric
+    and refuses another in each. Where P divides d, the adjugate that stands
+    in for the inverse proves nothing: read as one, it would refuse
+    heisenberg with the 3-d metric before the exact check."""
+    from liemetric import heisenberg_split_metric, metric
+
     p = search._SCREEN_PRIME
-    for n in range(1, 7):
-        a = rng.integers(-10 ** 12, 10 ** 12, (n, n)).tolist()
-        inv = search._inverse_mod(a, p)
-        product = (np.array(a, dtype=object) % p).dot(np.array(inv, dtype=object)) % p
-        assert (product == np.identity(n, dtype=int)).all()
-    assert search._inverse_mod([[1, 2], [3, 6 + p]], p) is None
+    branches, solve_int = [], search._solve_int
+
+    def spy_int(*args):
+        try:
+            rows, d = solve_int(*args)
+        except rational.SingularMatrixError:
+            branches.append("singular")
+            raise
+        branches.append("divides" if d % p == 0 else "unit")
+        return rows, d
+
+    calls, solve = [], metric._solve_doubled
+    monkeypatch.setattr(search, "_solve_int", spy_int)
+    monkeypatch.setattr(metric, "_solve_doubled", lambda *a: calls.append(1) or solve(*a))
+    split = heisenberg_split_metric().matrix
+    det_p = [[2, 1], [1, (p + 1) // 2]]
+    # flat for euclidean_motions, as its rotation e1 mixes with e3
+    det_p3 = [[p + 8192 ** 2, 0, 8192], [0, 1, 0], [8192, 0, 1]]
+    for alg, rows, want, branch in (
+            (heisenberg(), [[p * x for x in row] for row in split], True, "singular"),
+            (heisenberg(), [[p, 0, 0], [0, 1, 0], [0, 0, 1]], False, "singular"),
+            (abelian(2), det_p, True, "divides"),
+            (affine_line(), det_p, False, "divides"),
+            (euclidean_motions(), det_p3, True, "divides"),
+            (heisenberg(), det_p3, False, "divides")):
+        a = Metric.from_rows(rows)
+        branches.clear(), calls.clear()
+        assert search._may_be_compatible(alg, a) and branches == [branch]
+        got = _try_exact_certificate(alg, a.to_float(), "none")
+        assert calls and (got == a if want else got is None)
 
 
 def test_classification_cases_carry_search_telemetry():
