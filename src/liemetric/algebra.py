@@ -50,11 +50,11 @@ class LieAlgebra(IntegerForm):
     """Immutable structure-constant presentation of a Lie algebra.
 
     Carries the integer form of ``c`` (``scaled``), built once here; every
-    kernel below reads it. Every stored tensor is exactly antisymmetric in
-    its first two axes (``metric._defect_array`` relies on it): one that
-    is not raises InvalidStructureError, except that float entries may miss
-    antisymmetry by DEFAULT_TOL, and such a tensor is stored as
-    (c - c^T) / 2. An exactly antisymmetric one keeps its bits.
+    kernel below reads it. However it is built, ``c`` is dim x dim x dim,
+    dim >= 1, and exactly antisymmetric in its first two axes (the kernels
+    rely on it): one that is not raises InvalidStructureError, except that
+    float entries may miss antisymmetry by DEFAULT_TOL, and such a tensor
+    is stored as (c - c^T) / 2. An exactly antisymmetric one keeps its bits.
     """
 
     dim: int
@@ -63,6 +63,12 @@ class LieAlgebra(IntegerForm):
     name: str = ""
 
     def __post_init__(self):
+        n = self.dim
+        if n < 1:
+            raise InvalidStructureError("dimension must be positive")
+        if len(self.c) != n or any(len(plane) != n or any(len(row) != n for row in plane)
+                                   for plane in self.c):
+            raise DimensionMismatchError("structure tensor is not dim x dim x dim")
         self._hold(_scaled(self.c, self.exact))
         t = self._form[0]
         mirror = t.transpose(1, 0, 2)
@@ -84,8 +90,6 @@ class LieAlgebra(IntegerForm):
         Unlisted pairs are zero. The remaining entries are materialized by
         antisymmetry, which removes one class of inconsistent input.
         """
-        if dim < 1:
-            raise InvalidStructureError("dimension must be positive")
         zero = coerce(0, exact)
         c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), coeffs in brackets.items():
@@ -105,16 +109,11 @@ class LieAlgebra(IntegerForm):
     def from_structure(cls, c, *, exact: bool | None = None,
                        check_jacobi: bool = True, name: str = ""):
         """Build from a full rank-3 tensor; the constructor validates
-        antisymmetry."""
-        dim = len(c)
-        if dim < 1:
-            raise InvalidStructureError("dimension must be positive")
+        shape and antisymmetry."""
         if exact is None:
             exact = all(is_exact(x) for plane in c for row in plane for x in row)
         data = [[[coerce(x, exact) for x in row] for row in plane] for plane in c]
-        if any(len(plane) != dim or any(len(row) != dim for row in plane) for plane in data):
-            raise DimensionMismatchError("structure tensor is not dim x dim x dim")
-        alg = cls(dim=dim, c=_freeze_tensor(data), exact=exact, name=name)
+        alg = cls(dim=len(c), c=_freeze_tensor(data), exact=exact, name=name)
         if check_jacobi:
             alg.require_jacobi()
         return alg
@@ -153,14 +152,11 @@ class LieAlgebra(IntegerForm):
         c, s, b = self.operand(self.exact)
         # pairs j < k in row-major order; slab i takes the tail where j > i,
         # after the (i + 1)(2n - 2 - i) / 2 pairs with j <= i
-        pj, pk = np.triu_indices(n, 1)
+        pj, pk = np.nonzero(~np.tri(n, dtype=bool))
         tails = [(i + 1) * (2 * n - 2 - i) // 2 for i in range(n - 2)]
         worst = []
         for i, tail in enumerate(tails):
-            rest = slice(i + 1, n)
-            d = (contract("jm,mkt->jkt", c[i, rest], c[:, rest], b, b)
-                 + contract("jkm,mt->jkt", c[rest, rest], c[:, i], b, b)
-                 + contract("km,mjt->jkt", c[rest, i], c[:, rest], b, b))
+            d = _jacobi_slab(c, i, b)
             worst.append(np.abs(d[pj[tail:] - i - 1, pk[tail:] - i - 1]).max(axis=1))
         t = int(np.argmax(np.concatenate(worst)))
         i = 0
@@ -209,7 +205,7 @@ class LieAlgebra(IntegerForm):
 
     # -- transforms ---------------------------------------------------------
 
-    def changed_basis(self, p, *, check_jacobi: bool = False) -> "LieAlgebra":
+    def changed_basis(self, p) -> "LieAlgebra":
         """Structure tensor in the basis f_q = sum_i p[i][q] e_i.
 
         A congruence action: c'[p][q][l] picks up two copies of p and one of
@@ -226,9 +222,8 @@ class LieAlgebra(IntegerForm):
         new = np.einsum("ijk,lk->ijl", c, pinv)
         new = np.einsum("ia,ijl->ajl", parr, new)
         new = np.einsum("jb,ajl->abl", parr, new)
-        return LieAlgebra.from_structure(_unscaled(new, sc * sp * sp * si, self.exact),
-                                         exact=self.exact, check_jacobi=check_jacobi,
-                                         name=self.name)
+        new = _freeze_tensor(_unscaled(new, sc * sp * sp * si, self.exact))
+        return LieAlgebra(dim=self.dim, c=new, exact=self.exact, name=self.name)
 
     def to_float(self) -> "LieAlgebra":
         if not self.exact:
@@ -238,6 +233,16 @@ class LieAlgebra(IntegerForm):
 
     def structure_array(self) -> np.ndarray:
         return self.scaled(False)[0].copy()
+
+
+def _jacobi_slab(c: np.ndarray, i: int, b: int | None) -> np.ndarray:
+    """Jacobi defects d[j - i - 1, k - i - 1] of (e_i, e_j, e_k), j, k > i. As
+    c[k, i, m] = -c[i, k, m], the third term is the first with j and k
+    swapped and negated, which is exact in both modes."""
+    rest = slice(i + 1, len(c))
+    first = contract("jm,mkt->jkt", c[i, rest], c[:, rest], b, b)
+    return (first + contract("jkm,mt->jkt", c[rest, rest], c[:, i], b, b)
+            - first.transpose(1, 0, 2))
 
 
 def _rank_null(m, exact: bool, what: str):

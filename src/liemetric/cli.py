@@ -188,12 +188,13 @@ def cmd_search(args, rep: Report) -> int:
         rng_seed=args.seed)
     result = search.find_compatible_metric(alg, cfg)
     if result.found:
-        io.save_metric(result.best_metric, args.out)
+        if args.out is not None:
+            io.save_metric(result.best_metric, args.out)
         rep.add("search", "found", result.best_residual,
                 exact_certificate=result.exact_certificate,
                 metric=[[x for x in row] for row in result.best_metric.matrix],
-                metric_file=str(args.out), restarts_run=len(result.log),
-                stop_reasons=result.stop_reasons())
+                **({} if args.out is None else {"metric_file": str(args.out)}),
+                restarts_run=len(result.log), stop_reasons=result.stop_reasons())
         return EXIT_OK
     rep.add("search", "not_found", result.best_residual,
             restarts_run=len(result.log), stop_reasons=result.stop_reasons(),
@@ -309,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'any', 'riemann', or 'p,q' (default any)")
     p.add_argument("--restarts", type=_at_least(1), default=64)
     p.add_argument("--max-iters", type=_at_least(0), default=500)
-    p.add_argument("--out", default="found_metric.json",
-                   help="where to write a found metric (default %(default)s)")
+    p.add_argument("--out", help="write a found metric to this file, replacing "
+                                 "it if it exists (default: write no file)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("classify", parents=[common],

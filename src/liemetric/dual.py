@@ -18,12 +18,12 @@ contravariant derivative D solves the six-term Koszul relation
                  + <[a,b], g> + <[g,a], b> + <[g,b], a>
 
 against the constant coordinate coframe, which reduces to one constant linear
-system per coefficient. On basis data each form bracket [de_x, de_y] is a
-slice of the coefficient tensor of pi, and every pairing <de_y, de_z> is a
-constant, so the three flow terms vanish and each D_{de_i} de_k is constant,
+system per coefficient. On basis data each form bracket [de_x, de_y] is
+d[e_x, e_y], the coefficient tensor of pi, and every pairing <de_y, de_z> is
+a constant, so the three flow terms vanish and each D_{de_i} de_k is constant,
 one exact contraction of the brackets with a and its inverse in scaled
 integers. The three basis identities and the modular field are coefficient
-tensors too, one ``np.einsum`` expression each, whose defects are rows
+tensors too, a few ``np.einsum`` contractions each, whose defects are rows
 (c_1 .. c_n | c_0) in mu, checked coefficient by coefficient or evaluated at
 points. All of this basis data depends on the (algebra, metric) pair alone,
 so it is built once per pair and kept with the metric (``_frame``): every
@@ -143,32 +143,22 @@ def sharp_pi(alg: LieAlgebra, mu, alpha) -> list:
     return _unscaled(np.einsum("i,ij->j", w, m), sm * sw, exact)
 
 
-def _basis_brackets(p: np.ndarray) -> np.ndarray:
-    """Coefficients K[x, y, t] of [de_x, de_y] from those of pi, P[i, j, t].
-
-    The sharp field X_x has components pi_xm, so L_{X_x} de_y = d pi_xy,
-    L_{X_y} de_x = d pi_yx and d pi(de_x, de_y) = d pi_xy: each of the three
-    form-bracket terms is a slice of P, on the scale of P.
-    """
-    return p - p.transpose(1, 0, 2) - p
-
-
 class _DualFrame:
     """Basis data of one (algebra, metric) pair, kept with its metric.
 
     Holds the pair's scalar mode, the algebra in that mode, and the metric's
     scaled form and half-inverse as (rows, scale), both read from the metric
-    in that mode (``Metric._half_inverse``: one elimination per metric, which
-    is also the nondegeneracy check). It holds no metric, so a metric that
-    keeps its frame (``_frame``) is still freed by refcount. It builds no
-    polynomial: every basis datum is a coefficient tensor in scaled
-    integers. The brackets slice the tensor of pi (``_basis_brackets``); the
-    Koszul stage (``tensors``) is one exact contraction of them with a and
-    its inverse; the identity rows contract ``tensors`` and stay (integer
-    rows, scale) until ``sweep`` reads them; ``trace`` is the Koszul trace,
-    which ``modular`` reads as Fractions. Each is built on first use and
-    never written after, so every public call on the pair pays only for what
-    no earlier call read.
+    in that mode, the frame being where the half-inverse is kept
+    (``Metric._half_inverse``: one elimination per frame, which is also the
+    nondegeneracy check). It holds no metric, so a metric that keeps its
+    frame (``_frame``) is still freed by refcount. It builds no polynomial:
+    every basis datum is a coefficient tensor in scaled integers. The Koszul
+    stage (``tensors``) is one exact contraction of the brackets, the tensor
+    of pi, with a and its inverse; the identity rows contract ``tensors``
+    and stay (integer rows, scale) until ``sweep`` reads them; ``trace`` is
+    the Koszul trace, which ``modular`` reads as Fractions. Each is built on
+    first use and never written after, so every public call on the pair
+    pays only for what no earlier call read.
     """
 
     def __init__(self, alg: LieAlgebra, a: Metric):
@@ -187,15 +177,16 @@ class _DualFrame:
         the coefficients of the constant form D_{de_i} de_k, on one scale s.
 
         Every basis pairing <de_y, de_z> = a[y][z] is constant, so the three
-        flow terms of the Koszul relation vanish. With K the basis brackets
-        and B = K a, so that B[x, y, z] = <[de_x, de_y], de_z>, the relation
+        flow terms of the Koszul relation vanish. As pi is antisymmetric,
+        [de_x, de_y] = d pi_xy - d pi_yx - d pi_xy = d pi_xy has coefficients
+        c[x, y]; with B = c a, B[x, y, z] = <[de_x, de_y], de_z>, the relation
         against de_l reads 2 sum_j a[j][l] D[i, k, j] =
         B[l, i, k] + B[l, k, i] + B[i, k, l].
         """
         c, sc = self.alg.scaled(self.exact)
         am, sa = self.scaled_a
         half, sh = self.half
-        b = np.einsum("xyt,tz->xyz", _basis_brackets(c), am)
+        b = np.einsum("xyt,tz->xyz", c, am)
         rhs = np.einsum("lik->ikl", b) + np.einsum("lki->ikl", b) + b
         return c * (sh * sa), np.einsum("jl,ikl->ikj", half, rhs), sc * sh * sa
 
@@ -205,18 +196,22 @@ class _DualFrame:
 
     @cached_property
     def dpi(self) -> tuple:
-        """pi(D_{de_i} de_k, de_j) + pi(de_i, D_{de_j} de_k) per (i, j, k); linear in mu."""
+        """pi(D_{de_i} de_k, de_j) + pi(de_i, D_{de_j} de_k) per (i, j, k); linear in mu.
+        With T[i, k, j] = sum_a D[i, k, a] P[a, j] the first, the second is
+        -T[j, k, i] as P is antisymmetric, a negation exact in both modes."""
         p, d, s = self.tensors
-        lin = np.einsum("ika,ajt->ijkt", d, p) + np.einsum("jka,iat->ijkt", d, p)
+        t = np.einsum("ika,ajt->ikjt", d, p)
+        lin = np.einsum("ikjt->ijkt", t) - np.einsum("jkit->ijkt", t)
         return self._rows(lin, np.zeros_like(lin[..., 0]), s * s)
 
     @cached_property
     def cyclic(self) -> tuple:
         """Cyclic sums over every triple (i, j, k) of Dpi(i, j, k) = sharp(de_i).pi_jk
-        - pi(D_{de_i} de_j, de_k) - pi(de_j, D_{de_i} de_k); sharp(de_i)_m = pi_im."""
+        - pi(D_{de_i} de_j, de_k) - pi(de_j, D_{de_i} de_k); sharp(de_i)_m = pi_im.
+        With T as in ``dpi``, the two D.P terms are T[i, j, k] and -T[i, k, j]."""
         p, d, s = self.tensors
-        dpi = (np.einsum("imt,jkm->ijkt", p, p) - np.einsum("ija,akt->ijkt", d, p)
-               - np.einsum("ika,jat->ijkt", d, p))
+        t = np.einsum("ika,ajt->ikjt", d, p)
+        dpi = np.einsum("imt,jkm->ijkt", p, p) - t + np.einsum("ikjt->ijkt", t)
         lin = dpi + np.einsum("jkit->ijkt", dpi) + np.einsum("kijt->ijkt", dpi)
         return self._rows(lin, np.zeros_like(lin[..., 0]), s * s)
 
@@ -293,8 +288,8 @@ def _exact_at(rows, scale: int, pt: list) -> float:
 def _frame(alg: LieAlgebra, a: Metric) -> _DualFrame:
     """The frame of (alg, a), kept with the metric.
 
-    The metric keeps at most one frame, in its ``__dict__`` like its
-    half-inverse, out of its fields (``IntegerForm``). A kept frame answers
+    The metric keeps at most one frame, in its ``__dict__`` like its integer
+    form, out of its fields (``IntegerForm``). A kept frame answers
     only for the very algebra object it was built on; any other, equal or
     not, builds a new frame that takes the slot. A frame whose construction
     raises (degenerate metric, dimension mismatch) is never kept, so the

@@ -63,31 +63,32 @@ class Metric(IntegerForm):
     """Symmetric nondegenerate bilinear form, exact or float entries.
 
     Carries the integer form of ``matrix`` (``scaled``), built once here.
+    However it is built, the matrix is square and symmetric (in float mode
+    within DEFAULT_TOL), or construction raises.
     """
 
     matrix: tuple
     exact: bool
 
     def __post_init__(self):
+        n = len(self.matrix)
+        if any(len(row) != n for row in self.matrix):
+            raise DimensionMismatchError("metric matrix must be square")
         self._hold(_scaled(self.matrix, self.exact))
+        m = self._form[0]
+        # the mask is symmetric, so its row-major first entry has i < j
+        bad = np.argwhere(_differ(m, m.T, self.exact, DEFAULT_TOL))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"metric is not symmetric at ({i}, {j})")
 
     @classmethod
     def from_rows(cls, rows, *, exact: bool | None = None):
         if exact is None:
             exact = all(is_exact(x) or isinstance(x, str)
                         for row in rows for x in row)
-        data = [[coerce(x, exact) for x in row] for row in rows]
-        n = len(data)
-        if any(len(row) != n for row in data):
-            raise DimensionMismatchError("metric matrix must be square")
-        a = cls(matrix=tuple(tuple(row) for row in data), exact=exact)
-        m, _ = a.scaled(exact)
-        # the mask is symmetric, so its row-major first entry has i < j
-        bad = np.argwhere(_differ(m, m.T, exact, DEFAULT_TOL))
-        if len(bad):
-            i, j = bad[0]
-            raise ValueError(f"metric is not symmetric at ({i}, {j})")
-        return a
+        return cls(matrix=tuple(tuple(coerce(x, exact) for x in row) for row in rows),
+                   exact=exact)
 
     @classmethod
     def identity(cls, n: int, *, exact: bool = True):
@@ -162,22 +163,17 @@ class Metric(IntegerForm):
         return np.linalg.inv(self.scaled(False)[0]).tolist()
 
     def _half_inverse(self) -> tuple:
-        """Half the inverse metric as (H, s), H / s = a^-1 / 2, built on first
-        read and kept with the metric, read-only, like its form. Exact: with
+        """Half the inverse metric as (H, s), H / s = a^-1 / 2. Exact: with
         M = sm a, one elimination of [2M | I] gives 2M R = d I, so H = sm R
         over d; it is also the nondegeneracy check. Float: inv(a) / 2 over 1.
-        A degenerate metric keeps nothing and raises on every read."""
-        if "_half" not in self.__dict__:
-            m, sm = self._form
-            if self.exact:
-                r, d = _solve_doubled(m, np.identity(self.dim, dtype=int).tolist())
-                half = sm * np.array(r, dtype=object), d
-            else:
-                self.require_nondegenerate()
-                half = np.linalg.inv(m) / 2, 1
-            half[0].flags.writeable = False
-            object.__setattr__(self, "_half", half)
-        return self._half
+        A degenerate metric raises. Each call computes it: the dual frame
+        kept with the metric (``dual._frame``) is where it is kept."""
+        m, sm = self._form
+        if self.exact:
+            r, d = _solve_doubled(m, np.identity(self.dim, dtype=int).tolist())
+            return sm * np.array(r, dtype=object), d
+        self.require_nondegenerate()
+        return np.linalg.inv(m) / 2, 1
 
 
 def signature(a: Metric) -> Signature:

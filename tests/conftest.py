@@ -75,6 +75,19 @@ def random_metric(rng: np.random.Generator, dim: int,
             return cand
 
 
+def random_antisymmetric(rng: np.random.Generator, n: int, exact: bool) -> list:
+    """A seeded tensor, exactly antisymmetric in its first two axes, that
+    need not satisfy the Jacobi identity: Fractions p/q, or normal floats
+    spread over six decades."""
+    if exact:
+        x = [[[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(n)]
+              for _ in range(n)] for _ in range(n)]
+        return [[[x[i][j][k] - x[j][i][k] for k in range(n)] for j in range(n)]
+                for i in range(n)]
+    x = rng.standard_normal((n, n, n)) * 10.0 ** rng.integers(-3, 4, size=(n, n, n))
+    return (x - x.transpose(1, 0, 2)).tolist()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)

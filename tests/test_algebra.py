@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liemetric import (
+    DimensionMismatchError,
     InvalidStructureError,
     LieAlgebra,
     abelian,
@@ -18,7 +19,7 @@ from liemetric import (
     sol,
     solvable_family,
 )
-from conftest import random_algebra, random_metric, random_shear
+from conftest import random_algebra, random_antisymmetric, random_metric, random_shear
 
 
 def test_bracket_antisymmetry_enforced():
@@ -289,3 +290,46 @@ def test_every_float_tensor_is_stored_exactly_antisymmetric(rng):
     with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[0\]"):
         dataclasses.replace(heisenberg().to_float(), c=one_sided.tolist())
     assert LieAlgebra(dim=2, c=c, exact=False).c == alg.c
+
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_jacobi_slabs_equal_the_three_term_sum_bit_for_bit(exact):
+    """Each slab's two contractions equal the three-term defect
+    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j], written out here
+    with one contraction per term: equal ints in exact mode, equal bits in
+    float mode."""
+    from liemetric.algebra import _jacobi_slab
+    from liemetric.scalars import contract
+
+    rng = np.random.default_rng(26)
+    for n in range(2, 9):
+        for _ in range(3 if exact else 12):
+            alg = LieAlgebra.from_structure(random_antisymmetric(rng, n, exact), exact=exact,
+                                            check_jacobi=False)
+            c, _, b = alg.operand(exact)
+            for i in range(n):
+                rest = slice(i + 1, n)
+                want = (contract("jm,mkt->jkt", c[i, rest], c[:, rest], b, b)
+                        + contract("jkm,mt->jkt", c[rest, rest], c[:, i], b, b)
+                        + contract("km,mjt->jkt", c[rest, i], c[:, rest], b, b))
+                got = _jacobi_slab(c, i, b)
+                assert got.shape == want.shape == (n - i - 1, n - i - 1, n)
+                if exact:
+                    assert got.tolist() == want.tolist()
+                else:
+                    assert got.tobytes() == want.tobytes()
+
+
+def test_a_structure_tensor_of_another_dimension_is_refused():
+    """The constructor checks the shape against dim: a 3-d tensor declared
+    2-d would skip the Jacobi check (n < 3) and read residual 0."""
+    with pytest.raises(DimensionMismatchError, match="not dim x dim x dim"):
+        LieAlgebra(dim=2, c=heisenberg().c, exact=True)
+
+
+def test_a_replaced_dimension_is_refused():
+    with pytest.raises(DimensionMismatchError, match="not dim x dim x dim"):
+        dataclasses.replace(heisenberg(), dim=4)
+    with pytest.raises(InvalidStructureError, match="dimension must be positive"):
+        LieAlgebra(dim=0, c=(), exact=True)

@@ -45,12 +45,12 @@ from liemetric.dual import (
     IrregularPointError,
     LeafRankError,
     _DualFrame,
-    _basis_brackets,
+    _frame,
 )
 from liemetric import rational
 from liemetric.poly import Polynomial
 from liemetric.scalars import _unscaled
-from conftest import random_algebra, random_metric
+from conftest import random_algebra, random_antisymmetric, random_metric
 import poly_oracle
 from poly_oracle import (
     PolyOneForm,
@@ -248,8 +248,8 @@ def test_frame_derivatives_match_public_derivative(rng, exact):
     """Every basis derivative of the frame's contraction equals the oracle's
     Koszul solve in polynomial arithmetic: exactly in exact mode, to 1e-12 of
     the largest entry in float mode, where the two sum in different orders.
-    The basis brackets of the frame's bivector tensor are the oracle's form
-    brackets [de_x, de_y], bit for bit in both modes."""
+    The frame's bivector tensor is the oracle's form brackets [de_x, de_y],
+    bit for bit in both modes: [de_x, de_y] = d[e_x, e_y]."""
     for n in (2, 3, 4, 4):
         alg, a = random_algebra(rng, n), random_metric(rng, n)
         if not exact:
@@ -267,9 +267,8 @@ def test_frame_derivatives_match_public_derivative(rng, exact):
             assert np.max(np.abs(np.array(got) - np.array(want, dtype=float))) <= bound
         p, _, s = frame.tensors
         unscale = (lambda x: Fraction(x, s)) if exact else float
-        brackets = _basis_brackets(p)
         for x, y in itertools.product(range(n), repeat=2):
-            assert [unscale(v) for v in brackets[x, y]] == \
+            assert [unscale(v) for v in p[x, y]] == \
                 _constants(form_bracket(alg, de[x], de[y]))
 
 
@@ -586,7 +585,6 @@ def test_frame_computes_each_pairing_flow_and_lie_derivative_once(rng, n, monkey
         alg = random_algebra(rng, n)  # an abelian algebra has no flows at all
     fr = _DualFrame(alg, random_metric(rng, n))
     p, _, s = fr.tensors
-    brackets = _basis_brackets(p)
     for identity in ("dpi", "cyclic", "transport"):
         getattr(fr, identity)
     assert calls == {"form_pairing": 0, "apply_field": 0, "lie_derivative_form": 0}
@@ -594,7 +592,7 @@ def test_frame_computes_each_pairing_flow_and_lie_derivative_once(rng, n, monkey
     assert fr.modular == tuple(-t for t in fr.alg.ad_traces())
     de = coframe(n)
     for x, y in itertools.product(range(n), repeat=2):
-        assert [Fraction(v, s) for v in brackets[x, y]] == \
+        assert [Fraction(v, s) for v in p[x, y]] == \
             _constants(form_bracket(alg, de[x], de[y]))
     assert calls["lie_derivative_form"] == 2 * n * n
 
@@ -664,32 +662,60 @@ def test_frame_never_reaches_the_algebra_side_product(rng, exact, monkeypatch):
 
 
 def test_exact_frame_inverse_and_tensors_equal_their_fraction_forms(rng):
-    """The frame's integer half-inverse, read as Fractions, is the metric's
-    inverse exactly, and its Koszul stage read as Fractions equals the same
-    contraction done in Fractions on a, its inverse and the structure
-    constants, term for term."""
+    """The kept frame's integer half-inverse, read as Fractions, is the
+    metric's inverse exactly, and its Koszul stage read as Fractions equals
+    the same contraction done in Fractions on a, its inverse and the
+    structure constants, term for term."""
     for n in (2, 3, 4, 5):
         alg, a = random_algebra(rng, n), random_metric(rng, n)
-        fr = _DualFrame(alg, a)
-        assert fr.half is a._half_inverse()
+        fr = _frame(alg, a)
+        assert _frame(alg, a) is fr
         h, s = fr.half
         ainv = _unscaled(2 * h, s, True)
         assert ainv == a.inverse_rows()
         assert all(type(x) is Fraction for row in ainv for x in row)
         c = np.array(alg.c, dtype=object)
         half = np.array(a.inverse_rows(), dtype=object) / 2
-        b = np.einsum("xyt,tz->xyz", _basis_brackets(c), np.array(a.matrix, dtype=object))
+        b = np.einsum("xyt,tz->xyz", c, np.array(a.matrix, dtype=object))
         rhs = np.einsum("lik->ikl", b) + np.einsum("lki->ikl", b) + b
         p, d, s = fr.tensors
         assert _unscaled(p, s, True) == c.tolist()
         assert _unscaled(d, s, True) == np.einsum("jl,ikl->ikj", half, rhs).tolist()
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_dpi_and_cyclic_rows_equal_one_contraction_per_term(exact):
+    """The dpi and cyclic rows, which read both D.P terms of each off one
+    contraction, equal the sums written out here with one contraction per
+    term: equal ints in exact mode, equal bits in float mode, on seeded
+    antisymmetric tensors (Jacobi not needed) and random metrics."""
+    rng = np.random.default_rng(26)
+    for n in range(2, 9):
+        for _ in range(2 if exact else 10):
+            alg = LieAlgebra.from_structure(random_antisymmetric(rng, n, exact), exact=exact,
+                                            check_jacobi=False)
+            a = random_metric(rng, n)
+            fr = _DualFrame(alg, a if exact else a.to_float())
+            p, d, s = fr.tensors
+            dpi = np.einsum("ika,ajt->ijkt", d, p) + np.einsum("jka,iat->ijkt", d, p)
+            term = (np.einsum("imt,jkm->ijkt", p, p) - np.einsum("ija,akt->ijkt", d, p)
+                    - np.einsum("ika,jat->ijkt", d, p))
+            cyclic = term + np.einsum("jkit->ijkt", term) + np.einsum("kijt->ijkt", term)
+            for identity, want in (("dpi", dpi), ("cyclic", cyclic)):
+                rows, scale = getattr(fr, identity)
+                got = rows.reshape(n, n, n, n + 1)
+                assert scale == s * s and not got[..., n].any()
+                if exact:
+                    assert got[..., :n].tolist() == want.tolist()
+                else:
+                    assert got[..., :n].tobytes() == want.tobytes()
+
+
 def test_one_elimination_per_exact_metric_and_product(rng, monkeypatch):
-    """An exact metric eliminates [2M | I] once, when the first frame on it
-    reads its half-inverse; every later frame and dual call on it reads the
-    same one. Each exact product solve still runs its own elimination, which
-    is also its nondegeneracy check."""
+    """An exact metric eliminates [2M | I] once, when its kept frame is
+    built; every later dual call on the pair reads that frame's
+    half-inverse. Each exact product solve still runs its own elimination,
+    which is also its nondegeneracy check."""
     calls = []
     reduce = rational._reduce
 
@@ -703,7 +729,7 @@ def test_one_elimination_per_exact_metric_and_product(rng, monkeypatch):
         mu = [Fraction(k + 1, 3) for k in range(n)]
         calls.clear()  # drawing the metric tested its determinant
         for _ in range(3):
-            fr = _DualFrame(alg, a)
+            fr = _frame(alg, a)
             for part in ("tensors", "dpi", "cyclic", "transport", "modular"):
                 getattr(fr, part)
             fr.sweep("dpi", [[1] * n])

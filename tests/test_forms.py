@@ -422,15 +422,6 @@ def test_the_half_inverse_is_half_the_inverse():
             assert s == 1 and _same_bits(h, np.linalg.inv(a.as_array()) / 2)
 
 
-def test_the_half_inverse_is_built_once_and_read_only():
-    for a in _fresh_metrics():
-        half = a._half_inverse()
-        assert a._half_inverse() is half
-        assert not half[0].flags.writeable
-        with pytest.raises(ValueError):
-            half[0][0, 0] = 7
-
-
 def test_the_half_inverse_is_not_a_field():
     """Reading the half-inverse changes no ``==``, ``hash``, ``repr`` or pickle
     of the metric; a pickled, copied or replaced metric holds only what a
@@ -601,8 +592,7 @@ def test_float_calls_on_an_exact_metric_invert_it_once(monkeypatch):
     half = metric.Metric._half_inverse
 
     def spy(self):
-        if "_half" not in vars(self):
-            builds.append(self.exact)
+        builds.append(self.exact)
         return half(self)
 
     monkeypatch.setattr(metric.Metric, "_half_inverse", spy)

@@ -378,6 +378,24 @@ def test_cli_search_found_writes_metric(tmp_path, capsys):
     assert compatibility_residual(heisenberg(), found).exact_zero is True
 
 
+def test_cli_search_without_out_writes_no_file(tmp_path, capsys, monkeypatch):
+    """A found metric goes to a file only when --out names one: the working
+    directory stays empty, and the report row names no file. A named file
+    is replaced."""
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    report = tmp_path / "r.json"
+    search = ["search", str(DATA / "heisenberg.json"), "--restarts", "8"]
+    assert main([*search, "--json", str(report)]) == 0
+    assert list(run.iterdir()) == []
+    row = next(r for r in json.loads(report.read_text())["checks"] if r["name"] == "search")
+    assert row["status"] == "found" and "metric_file" not in row
+    (run / "m.json").write_text("stale")
+    assert main([*search, "--out", "m.json"]) == 0
+    assert load_metric(run / "m.json").dim == 3
+
+
 def test_cli_search_not_found_exits_three(tmp_path, capsys):
     from liemetric import affine_line
     code = main(["search", algebra_file(tmp_path, affine_line()),

@@ -1,5 +1,6 @@
 """Metric forms, the contraction product, and the compatibility residual."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -556,3 +557,20 @@ def test_residual_contractions_of_a_transported_pair_run_in_int64(monkeypatch):
     assert {"ijm,...mk->...ijk", "ijm,mk->ijk", "jm,ikm->ijk",
             "...ijm,mkl->...ijkl", "jm,mkt->jkt"} <= specs
     assert all(dtypes == {np.dtype(np.int64)} for _, dtypes in seen), seen
+
+
+def test_a_constructed_asymmetric_metric_is_refused():
+    """The constructor checks symmetry as ``from_rows`` does: read from one
+    triangle, this matrix would have signature (3, 0) and give heisenberg a
+    residual of 1.0."""
+    with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
+        Metric(matrix=((1, 2, 0), (0, 1, 0), (0, 0, 1)), exact=True)
+    with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
+        dataclasses.replace(Metric.identity(2, exact=False), matrix=((1.0, 1e-9), (0.0, 1.0)))
+
+
+def test_a_constructed_non_square_metric_is_refused():
+    from liemetric import DimensionMismatchError
+
+    with pytest.raises(DimensionMismatchError, match="must be square"):
+        Metric(matrix=((1, 0), (0, 1, 0)), exact=True)

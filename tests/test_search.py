@@ -631,8 +631,8 @@ def _seq_minimize(fun, theta0, max_iters, cost_tol, stop=None):
 
 def _seq_problem(alg, cfg):
     n = alg.dim
-    mode = ("positive_definite" if cfg.signature_constraint == "positive_definite"
-            else "unconstrained")
+    definite = cfg.signature_constraint in ("positive_definite", (n, 0), (0, n))
+    mode = "positive_definite" if definite else "unconstrained"
     c = alg.to_float().structure_array()
     floor = search.DEGENERACY_FLOOR
     fun = lambda th: _seq_residual_jacobian(c, th, mode, floor)
@@ -651,6 +651,7 @@ def _seq_outside(a, floor):
 def sequential_find(alg, cfg):
     n, mode, fun, outside_domain = _seq_problem(alg, cfg)
     constraint = cfg.signature_constraint
+    sign = -1.0 if constraint == (0, n) else 1.0  # (0, n) judges -a
     algf = alg.to_float()
     cost_tol = (0.02 * cfg.residual_tol) ** 2
     log = []
@@ -664,7 +665,7 @@ def sequential_find(alg, cfg):
         admissible = np.isfinite(cost) and not outside_domain(theta)
         residual = float("inf")
         if admissible:
-            a = _seq_decode(theta, n, mode)
+            a = sign * _seq_decode(theta, n, mode)
             metric = Metric.from_rows((a / float(np.linalg.norm(a))).tolist(), exact=False)
             admissible = _admissible(metric, constraint)
             if admissible:
@@ -718,10 +719,11 @@ CATALOG = ["abelian2", "abelian3", "affine_line", "heisenberg", "euclidean_motio
 def _lockstep_cases():
     """(label, algebra factory, SearchConfig keywords): the catalog in the
     three kinds of constraint, twelve family triples in both modes, sheared
-    heisenberg and sol at n = 4..6, 16 restarts, and a degeneracy floor of
-    1e-2. Barrier rows meet plain rows in one stack at the default floor
-    (see test_barrier_rows_meet_plain_rows_in_one_stack); at 1e-2 the
-    domain test ends a restart before its barrier row appears."""
+    heisenberg and sol at n = 4..6, 16 restarts, a degeneracy floor of
+    1e-2, and the definite signatures (3, 0) and (0, 3). Barrier rows meet
+    plain rows in one stack at the default floor (see
+    test_barrier_rows_meet_plain_rows_in_one_stack); at 1e-2 the domain
+    test ends a restart before its barrier row appears."""
     cases = []
     for name in CATALOG:
         dim = by_name(name).dim
@@ -744,6 +746,13 @@ def _lockstep_cases():
         for name in ("heisenberg", "sol"):
             cases.append((f"sheared{n}/{name}", lambda name=name, n=n: _sheared(name, n),
                           dict(max_iters=50 if n < 6 else 20)))
+    # definite signatures: algebras whose ad_e1 has a negative discriminant,
+    # which find at once, and heisenberg, which finds nothing in 8 restarts
+    for label, make in (("euclidean_motions", euclidean_motions), ("heisenberg", heisenberg),
+                        ("family1", lambda: solvable_family(*FAMILY_TRIPLES[1])),
+                        ("family3", lambda: solvable_family(*FAMILY_TRIPLES[3]))):
+        for mode in ((3, 0), (0, 3)):
+            cases.append((f"{label}/{mode}", make, dict(signature_constraint=mode)))
     return cases
 
 
@@ -765,6 +774,18 @@ def test_lockstep_search_matches_sequential_reference(label, make, kw, monkeypat
         assert res.best_metric.matrix == ref.best_metric.matrix
         if not ref.best_metric.exact:
             assert _bits(res.best_metric.matrix) == _bits(ref.best_metric.matrix)
+
+
+def test_triangle_masks_index_as_numpys_triangle_indices():
+    """The search's index arrays, and the Jacobi check's pairs j < k, come
+    from boolean masks; they equal numpy's triangle indices, values and
+    dtype, so the parameter order and the slab offsets are those."""
+    for n in range(1, 33):
+        prob = _problem(np.zeros((n, n, n)), "positive_definite", _FLOOR)
+        for got, want in ((prob.lower, np.tril_indices(n, -1)), (prob.vech, np.tril_indices(n)),
+                          (np.nonzero(~np.tri(n, dtype=bool)), np.triu_indices(n, 1))):
+            assert all(g.dtype == w.dtype and np.array_equal(g, w)
+                       for g, w in zip(got, want, strict=True))
 
 
 def test_barrier_rows_meet_plain_rows_in_one_stack(monkeypatch):
