@@ -10,6 +10,7 @@ corpora may contain deliberately corrupted tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -121,17 +122,12 @@ class LieAlgebra(IntegerForm):
     # -- basic evaluation ---------------------------------------------------
 
     def basis(self, i: int):
+        if not (isinstance(i, Integral) and 0 <= i < self.dim):
+            raise IndexError(f"basis index {i!r} is not an integer in 0..{self.dim - 1}")
         return [coerce(int(k == i), self.exact) for k in range(self.dim)]
-
-    def _check_vector(self, u: Sequence):
-        if len(u) != self.dim:
-            raise DimensionMismatchError(
-                f"vector of length {len(u)} in a {self.dim}-dimensional algebra")
 
     def bracket(self, u: Sequence, v: Sequence) -> list:
         """[u, v] by contraction of the structure tensor; bilinear, antisymmetric."""
-        self._check_vector(u)
-        self._check_vector(v)
         return _bilinear(self.scaled(self.exact), u, v, self.exact)
 
     def jacobi_residual(self):
@@ -173,7 +169,7 @@ class LieAlgebra(IntegerForm):
 
     def adjoint_matrix(self, u: Sequence):
         """Matrix of ad_u = [u, .]; column j is [u, e_j]."""
-        self._check_vector(u)
+        _check_lengths(self.dim, u)
         c, sc = self.scaled(self.exact)
         w, sw = _scaled(u, self.exact)
         return _unscaled(np.einsum("i,ijk->kj", w, c), sc * sw, self.exact)
@@ -268,10 +264,17 @@ def _rank_null(m, exact: bool, what: str):
     return rank, vt[rank:]
 
 
+def _check_lengths(n: int, *vectors: Sequence):
+    for u in vectors:
+        if len(u) != n:
+            raise DimensionMismatchError(f"vector of length {len(u)} in dimension {n}")
+
+
 def _bilinear(form: tuple, u: Sequence, v: Sequence, exact: bool) -> list:
     """Contract a rank-3 tensor, given as its form ``(t, st)``, with two vectors:
     sum_ij u_i v_j t[i][j] / st."""
     t, st = form
+    _check_lengths(len(t), u, v)
     u, su = _scaled(u, exact)
     v, sv = _scaled(v, exact)
     out = np.einsum("j,jk->k", v, np.einsum("i,ijk->jk", u, t))

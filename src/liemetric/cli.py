@@ -264,8 +264,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _integer(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than ``low`` and, when given, no
+    larger than ``high``."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -273,6 +274,8 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
 
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="residual tolerance (default %(default)g)")
-    common.add_argument("--seed", type=_at_least(0), default=0,
+    common.add_argument("--seed", type=_integer(0), default=0,
                         help="random seed for anything sampled")
     common.add_argument("--json", dest="json_path", metavar="PATH",
                         help="also write the full report as JSON")
@@ -308,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--signature", default="any",
                    help="'any', 'riemann', or 'p,q' (default any)")
-    p.add_argument("--restarts", type=_at_least(1), default=64)
-    p.add_argument("--max-iters", type=_at_least(0), default=500)
+    p.add_argument("--restarts", type=_integer(1), default=64)
+    p.add_argument("--max-iters", type=_integer(0), default=500)
     p.add_argument("--out", help="write a found metric to this file, replacing "
                                  "it if it exists (default: write no file)")
     p.set_defaults(func=cmd_search)
@@ -318,18 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare search outcomes against the known "
                             "low-dimensional classification")
     p.add_argument("--dim", choices=["2", "3", "all"], default="all")
-    p.add_argument("--samples", type=_at_least(0), default=42,
+    p.add_argument("--samples", type=_integer(0), default=42,
                    help="family parameter triples to sample (default %(default)s)")
-    p.add_argument("--restarts", type=_at_least(1), default=16)
-    p.add_argument("--max-iters", type=_at_least(0), default=200)
+    p.add_argument("--restarts", type=_integer(1), default=16)
+    p.add_argument("--max-iters", type=_integer(0), default=200)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("dual-sweep", parents=[common],
                        help="evaluate the dual-space identities at sample points")
     p.add_argument("algebra")
     p.add_argument("metric")
-    p.add_argument("--count", type=_at_least(1), default=100,
-                   help="random points to draw (default %(default)s)")
+    p.add_argument("--count", type=_integer(1, io.MAX_POINTS), default=100,
+                   help=f"random points to draw, at most {io.MAX_POINTS} (default %(default)s)")
     p.add_argument("--points-file",
                    help="JSON list of points to use instead of random ones")
     p.set_defaults(func=cmd_dual_sweep)

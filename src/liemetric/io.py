@@ -27,7 +27,9 @@ inf and then to NaN (inf - inf). Exact files have no cap: their kernels do
 not overflow.
 
 Points files (``dual-sweep --points-file``) hold a JSON list of length-n
-lists of numbers, read like float-mode entries.
+lists of numbers, read like float-mode entries. A points file may hold at
+most ``MAX_POINTS`` points, refused before any entry is parsed, since a
+sweep's time and its report grow with the points.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .scalars import scalar_str
 MAX_DIM = 32
 
 MAX_FLOAT_ENTRY = 1e50
+
+MAX_POINTS = 10_000
 
 
 class FormatError(ValueError):
@@ -205,6 +209,8 @@ def load_metric(path) -> Metric:
 def load_points(path, dim: int) -> list:
     """A points file as a list of float lists, each of length dim; at least one."""
     doc = _load_json(path)
+    _require(not isinstance(doc, list) or len(doc) <= MAX_POINTS,
+             f"points file holds more points than the cap of {MAX_POINTS}")
     _require(isinstance(doc, list) and doc
              and all(isinstance(p, list) and len(p) == dim for p in doc),
              "points file must hold a non-empty list of length-n points")

@@ -21,7 +21,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rational
-from .algebra import DimensionMismatchError, LieAlgebra, _bilinear, _freeze_tensor
+from .algebra import (DimensionMismatchError, LieAlgebra, _bilinear, _check_lengths,
+                      _freeze_tensor)
 from .scalars import (DEFAULT_TOL, IntegerForm, _differ, _scaled, _unscaled, coerce, contract,
                       is_exact, report_float, within)
 
@@ -119,6 +120,7 @@ class Metric(IntegerForm):
 
     def apply(self, u: Sequence, v: Sequence):
         """The value a(u, v)."""
+        _check_lengths(self.dim, u, v)
         m, sm = self.scaled(self.exact)
         u, su = _scaled(u, self.exact)
         v, sv = _scaled(v, self.exact)

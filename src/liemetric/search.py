@@ -81,8 +81,8 @@ class SearchConfig:
 
 
 # why _minimize ended a restart, one name per exit
-STOP_REASONS = ("converged", "stationary", "stalled", "armijo_failed",
-                "left_domain", "damping_blowup", "max_iters")
+STOP_REASONS = ("converged", "stationary", "stalled", "left_domain", "damping_blowup",
+                "max_iters")
 
 
 class RestartRecord(NamedTuple):
@@ -375,23 +375,6 @@ def compat_objective(alg: LieAlgebra, theta, mode: str = "unconstrained"):
     return float(r @ r), 2.0 * (jac.T @ r)
 
 
-def _armijo_descent(fun, theta, r, jac, cost):
-    """One backtracking gradient step; used when normal equations fail."""
-    g = 2.0 * (jac.T @ r)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm == 0.0:
-        return theta, r, jac, cost, False
-    step = 1.0 / max(gnorm, 1.0)
-    for _ in range(30):
-        trial = theta - step * g
-        rt, jt = fun(trial)
-        ct = float(rt @ rt)
-        if ct < cost - 1e-4 * step * gnorm ** 2:
-            return trial, rt, jt, ct, True
-        step /= 2.0
-    return theta, r, jac, cost, False
-
-
 class _Stack:
     """The restarts of one lockstep batch still in the stack, one slice
     each in restart order: restart index, cost, damping and iteration count
@@ -436,16 +419,17 @@ class _Stack:
 
 def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=None,
               join=None):
-    """Damped Gauss-Newton with a gradient-descent fallback, run in lockstep
-    on a stack of restarts.
+    """Damped Gauss-Newton, run in lockstep on a stack of restarts.
 
     theta0 is (R, m), one starting point per restart. fun maps a (k, m)
     stack to residuals, Jacobians, residual lengths and the mask of points
-    off the search domain (or None for no boundary), as ``_residuals``
-    does; the Jacobians are read only by indexing them with the slices
-    whose step was accepted, so a ``_Jacobians`` computes none at a
-    rejected trial point or Armijo probe. An accepted step onto a point off
-    the domain ends the restart there, for the caller to judge. Every
+    off the search domain, as ``_residuals`` does; the Jacobians are read
+    only by indexing them with the slices whose step was accepted, so a
+    ``_Jacobians`` computes none at a rejected trial point. A step is
+    rejected when it does not lower the cost or when its damped system is
+    singular; either way the restart stays put and its damping grows, and
+    past 1e12 the restart ends. An accepted step onto a point off the
+    domain ends the restart there, for the caller to judge. Every
     restart keeps its own damping, iteration count and exit (one of
     STOP_REASONS) and takes the same steps as it would alone. A restart
     leaves the stack as soon as it exits, and the optional ``on_exit(k,
@@ -481,15 +465,6 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=
         st.keep(keep)
         return [x[keep] for x in extra]
 
-    last = [None]
-
-    def probe(th):
-        """fun on one point, residual only, in the form _armijo_descent
-        takes; the whole result for the last point it saw stays in last."""
-        last[0] = fun(th[None])
-        rt, _, size, _ = last[0]
-        return rt[0, :size[0]], None
-
     rejected = False
     while True:
         if join is not None and (rejected or not st.index):
@@ -524,41 +499,25 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=
                                         damped, -g[:, :, None])
         trial = st.theta + delta
         rt, jt, rowt, offt = fun(trial)
-        off = [False] * len(st.index) if offt is None else offt.tolist()
+        off = offt.tolist()
+        solvable = [True] * len(off) if singular is None else (~singular).tolist()
         moved, exits = [], {}
         for k, ct in enumerate(_squares(rt, rowt).tolist()):
-            if singular is not None and singular[k]:
-                continue
             cost = st.cost[k]
-            if ct < cost:
+            if solvable[k] and ct < cost:
                 moved.append(k)
                 st.cost[k] = ct
                 st.lam[k] = max(st.lam[k] / 3.0, 1e-12)
                 if cost - ct < 1e-15 * max(ct, 1e-30):
                     exits[k] = "stalled"
+                elif off[k]:
+                    exits[k] = "left_domain"
             else:
                 st.lam[k] *= 4.0
                 rejected = True
+                if st.lam[k] > 1e12:
+                    exits[k] = "damping_blowup"
         st.put(moved, trial, rt, jt, rowt)
-        for k in ([] if singular is None else np.flatnonzero(singular).tolist()):
-            size = st.rows[k]
-            th, _, _, ck, ok = _armijo_descent(probe, st.theta[k], st.r[k, :size],
-                                               st.jac[k, :size], st.cost[k])
-            if not ok:
-                exits[k] = "armijo_failed"
-                continue
-            rk, jk, sizek, offk = last[0]  # the accepted probe
-            moved.append(k)
-            off[k] = offk is not None and bool(offk[0])
-            st.theta[k], st.cost[k] = th, ck
-            st.r[k], st.jac[k], st.rows[k] = rk[0], jk[[0]][0], sizek[0]
-        for k in moved:
-            if off[k] and k not in exits:
-                exits[k] = "left_domain"
-        moved = set(moved)
-        for k, lam in enumerate(st.lam):
-            if k not in moved and k not in exits and lam > 1e12:
-                exits[k] = "damping_blowup"
         if exits:
             retire(exits)
     return out
@@ -705,7 +664,7 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
     finds = []    # restarts that ended on an admissible metric within tolerance
 
     def judge(rix, theta, cost, iters, reason, lam) -> bool:
-        # a probe that slid toward the degenerate boundary is not a
+        # a restart that slid toward the degenerate boundary is not a
         # candidate metric; its vanishing residual is an artifact
         a = sign * _decode(theta[None], prob)[0]
         admissible = bool(np.isfinite(cost)) and not _off_domain(prob, a)[0]

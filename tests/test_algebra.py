@@ -333,3 +333,14 @@ def test_a_replaced_dimension_is_refused():
         dataclasses.replace(heisenberg(), dim=4)
     with pytest.raises(InvalidStructureError, match="dimension must be positive"):
         LieAlgebra(dim=0, c=(), exact=True)
+
+
+def test_basis_refuses_an_index_outside_the_dimension():
+    """basis(7), basis(-1) and basis(1.5) once read as the zero vector, so
+    that a bracket with them read 0."""
+    alg = heisenberg()
+    assert [alg.basis(i) for i in range(3)] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert alg.basis(np.int64(2)) == [0, 0, 1]
+    for i in (-1, 3, 7, 1.5):
+        with pytest.raises(IndexError, match=f"basis index {i} is not an integer in 0..2"):
+            alg.basis(i)

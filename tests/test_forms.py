@@ -455,16 +455,16 @@ def test_a_degenerate_metric_raises_on_every_read():
             _DualFrame(heisenberg() if a.dim == 3 else abelian(2), a)
 
 
-def test_each_metric_carries_its_own_half_inverse():
-    """Two metrics, equal or not, never share one: each read answers for its
-    own entries, and an equal metric builds its own."""
+def test_the_half_inverse_of_each_metric_is_half_its_inverse():
+    """Each read answers for its own metric's entries; an equal twin metric
+    gets its own kept frame, which holds that half-inverse."""
     a, b = Metric.identity(3), Metric.diagonal([1, Fraction(1, 2), -3])
     assert _unscaled(2 * a._half_inverse()[0], a._half_inverse()[1], True) == \
         rational.inverse(a.rows())
     assert _unscaled(2 * b._half_inverse()[0], b._half_inverse()[1], True) == \
         [[1, 0, 0], [0, 2, 0], [0, 0, Fraction(-1, 3)]]
-    twin = Metric.identity(3)
-    assert twin._half_inverse() is not a._half_inverse()
+    alg, twin = heisenberg(), Metric.identity(3)
+    assert dual._frame(alg, twin) is not dual._frame(alg, a)
 
 
 # --- the dual frame kept with its metric ----------------------------------

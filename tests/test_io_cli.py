@@ -14,6 +14,7 @@ from liemetric import (
     FormatError,
     InvalidStructureError,
     Metric,
+    abelian,
     compatibility_residual,
     heisenberg,
     heisenberg_split_metric,
@@ -28,8 +29,8 @@ from liemetric import (
 )
 from liemetric import dual
 from liemetric.algebra import LieAlgebra
-from liemetric.cli import main
-from liemetric.io import MAX_DIM, MAX_FLOAT_ENTRY, load_points
+from liemetric.cli import build_parser, main
+from liemetric.io import MAX_DIM, MAX_FLOAT_ENTRY, MAX_POINTS, load_points
 from liemetric.metric import ConnectionTensor
 from conftest import random_algebra, random_metric
 
@@ -702,6 +703,33 @@ def test_cli_dual_sweep_of_no_points_is_an_input_error(tmp_path, capsys):
     assert main(["dual-sweep", alg, metric, "--points-file", str(pts)]) == 2
     out = capsys.readouterr()
     assert "dual_compatibility_max" not in out.out and "Traceback" not in out.err
+
+
+def _line_pair(tmp_path) -> list:
+    """Files of the one-dimensional algebra and metric: points of length 1."""
+    return [algebra_file(tmp_path, abelian(1)), metric_file(tmp_path, Metric.identity(1))]
+
+
+def test_cli_count_above_the_points_cap_is_a_usage_error(tmp_path, capsys):
+    pair = _line_pair(tmp_path)
+    args = build_parser().parse_args(["dual-sweep", *pair, "--count", str(MAX_POINTS)])
+    assert args.count == MAX_POINTS
+    assert main(["dual-sweep", *pair, "--count", str(MAX_POINTS + 1)]) == 2
+    assert f"must be at most {MAX_POINTS}, got {MAX_POINTS + 1}" in capsys.readouterr().err
+
+
+def test_points_file_above_the_cap_is_refused_before_parsing(tmp_path, capsys, monkeypatch):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[0.5]] * MAX_POINTS))
+    assert len(load_points(pts, 1)) == MAX_POINTS
+
+    def refuse(x, where):
+        raise AssertionError("a point was parsed past the points cap")
+
+    monkeypatch.setattr("liemetric.io._parse_float", refuse)
+    pts.write_text(json.dumps([[0.5]] * (MAX_POINTS + 1)))
+    assert main(["dual-sweep", *_line_pair(tmp_path), "--points-file", str(pts)]) == 2
+    assert f"more points than the cap of {MAX_POINTS}" in capsys.readouterr().out
 
 
 def test_cli_huge_dim_is_refused_before_allocation(tmp_path, capsys, monkeypatch):

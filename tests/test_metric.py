@@ -10,6 +10,7 @@ import pytest
 
 from liemetric import (
     DegenerateMetricError,
+    DimensionMismatchError,
     LieAlgebra,
     Metric,
     abelian,
@@ -574,3 +575,21 @@ def test_a_constructed_non_square_metric_is_refused():
 
     with pytest.raises(DimensionMismatchError, match="must be square"):
         Metric(matrix=((1, 0), (0, 1, 0)), exact=True)
+
+
+def test_metric_apply_refuses_a_vector_of_another_length():
+    a = Metric.identity(3)
+    assert a.apply([1, 2, 3], [1, 0, 0]) == 1
+    for u, v in (([1, 0], [1, 0, 0]), ([1, 0, 0], [1, 0, 0, 0])):
+        with pytest.raises(DimensionMismatchError, match="vector of length"):
+            a.apply(u, v)
+
+
+def test_product_apply_refuses_a_vector_of_another_length():
+    """ConnectionTensor.apply and the bracket share one length check."""
+    alg = heisenberg()
+    x = levi_civita_product(alg, Metric.identity(3))
+    for call in (x.apply, alg.bracket):
+        for u, v in (([1, 0], [1, 0, 0]), ([1, 0, 0], [1, 0, 0, 0])):
+            with pytest.raises(DimensionMismatchError, match="vector of length"):
+                call(u, v)

@@ -31,7 +31,7 @@ from liemetric.metric import _defect_array, _lc_product_array, _product_rhs
 from liemetric.scalars import rationalize
 from liemetric.search import (_BARRIER_WEIGHT, _BATCH_BYTES, _PENALTY, STOP_REASONS,
                               RestartRecord, SearchResult, _adjugate,
-                              _admissible, _armijo_descent, _batch_size, _decode, _factor,
+                              _admissible, _batch_size, _decode, _factor,
                               _factor_directions, _initial_theta, _minimize,
                               _normal_equations, _off_domain, _problem,
                               _residual_jacobian, _squares, _try_exact_certificate,
@@ -616,10 +616,7 @@ def _seq_minimize(fun, theta0, max_iters, cost_tol, stop=None):
             else:
                 lam *= 4.0
         except np.linalg.LinAlgError:
-            theta, r, jac, cost, moved = _armijo_descent(fun, theta, r, jac, cost)
-            if not moved:
-                reason = "armijo_failed"
-                break
+            lam *= 4.0
         if moved and stop is not None and stop(theta):
             reason = "left_domain"
             break
@@ -918,13 +915,14 @@ EXIT_PROBLEMS = {
     "stationary": (lambda t, s: (1.0, (0.0, 0.0), False)),
     # the accepted step lowers the cost by one unit in the last place
     "stalled": (lambda t, s: (1.0 if t == 1.0 else 1.0 - 1e-16, (-1.0, 0.0), False)),
-    # h + lam I is exactly singular: 1e20 absorbs the damping
-    "armijo_failed": (lambda t, s: (_uphill(t, s), (1e10, 1e10), False)),
     "left_domain": (lambda t, s: (t, (1.0, 0.0), True)),
     "damping_blowup": (lambda t, s: (_uphill(t, s), (-1.0, 0.0), False)),
     "max_iters": _keeper,
-    # h + lam I singular again, but the gradient step descends, past a boundary
-    "armijo_then_off": (lambda t, s: (1e7 * (t + s), (1e7, 1e7), t + s < 1.5)),
+    # h + lam I is singular, 1e20 absorbing the damping, until lam passes 1e12
+    "singular_blowup": (lambda t, s: (_uphill(t, s), (1e10, 1e10), False)),
+    # h + lam I is singular until 1e14 no longer absorbs lam; that damped
+    # step descends, past a boundary
+    "singular_then_off": (lambda t, s: (1e7 * (t + s), (1e7, 1e7), t + s < 1.5)),
 }
 TAGS = list(EXIT_PROBLEMS)
 
@@ -937,6 +935,26 @@ def _tagged_fun(th):
         jacs.append([[dt, ds, 0.0]])
         offs.append(off)
     return np.array(rs), np.array(jacs), np.ones(len(th), dtype=int), np.array(offs)
+
+
+class _TaggedJacobians:
+    """Jacobians of a tagged stack that log the tag of each row read."""
+
+    def __init__(self, th, jac, reads):
+        self.th, self.jac, self.reads = th, jac, reads
+
+    def __getitem__(self, ks):
+        self.reads += self.th[ks, 2].tolist()
+        return self.jac[ks]
+
+
+def _reading_fun(reads: list):
+    """_tagged_fun, logging into reads the tag of each Jacobian row read."""
+    def fun(th):
+        r, jac, rows, off = _tagged_fun(th)
+        return r, _TaggedJacobians(th, jac, reads), rows, off
+
+    return fun
 
 
 def _start(reason, t=1.0):
@@ -972,8 +990,7 @@ def test_minimize_names_each_exit(reason):
 @pytest.mark.parametrize("reason", STOP_REASONS)
 def test_one_restart_exits_while_the_others_keep_iterating(reason):
     """The exit under test is taken by the middle slice of a stack whose other
-    slices run on to the budget; every slice ends as it would alone. With
-    armijo_failed, exactly one slice of the stacked solve is singular."""
+    slices run on to the budget; every slice ends as it would alone."""
     starts = np.array([_start("max_iters", 0.7), _start(reason), _start("max_iters", -0.4)])
     ends = _minimize(_tagged_fun, starts, 100, 0.0)
     assert reason == "max_iters" or ends[1][2] < 100
@@ -982,14 +999,37 @@ def test_one_restart_exits_while_the_others_keep_iterating(reason):
         assert k == 1 or ends[k][2] == 100
 
 
-def test_armijo_step_onto_the_boundary_leaves_the_domain():
-    """A singular slice that the gradient fallback moves is judged against
-    the domain like any accepted step, and keeps its damping."""
-    starts = np.array([_start("max_iters"), _start("armijo_then_off")])
-    ends = _minimize(_tagged_fun, starts, 100, 0.0)
-    assert ends[1][2:] == (1, "left_domain", 1e-3)
-    for start, end in zip(starts, ends):
-        _check_exit(end[3], start, end, 100)
+@pytest.mark.parametrize("problem,reason,used", [("singular_blowup", "damping_blowup", 25),
+                                                  ("singular_then_off", "left_domain", 3)])
+def test_a_singular_damped_system_is_a_rejected_step(problem, reason, used, monkeypatch):
+    """The middle slice's damped system is singular for its first iterations,
+    the only singular slice of the stacked solve: each is a rejected step,
+    lam growing by 4 with no Jacobian read. singular_blowup stays singular
+    or uphill until lam passes 1e12; singular_then_off takes the damped step
+    once its system is solvable, onto a point off the domain. Every slice
+    ends as the one-restart optimizer ends it alone."""
+    damped, masks, reads = [], [], []
+    solve_slices = search._solve_slices
+
+    def spy(solve, shape, *stacks):
+        out = solve_slices(solve, shape, *stacks)
+        damped.append(stacks[0][1].copy())
+        masks.append(out[1])
+        return out
+
+    monkeypatch.setattr(search, "_solve_slices", spy)
+    starts = np.array([_start("max_iters", 0.7), _start(problem), _start("max_iters", -0.4)])
+    ends = _minimize(_reading_fun(reads), starts, 100, 0.0)
+    assert ends[1][2:4] == (used, reason)
+    singular = [mask is not None and bool(mask[1]) for mask in masks[:used]]
+    assert all(mask is None or mask.tolist() == [False, True, False] for mask in masks)
+    first = (singular + [False]).index(False)
+    assert first > 1 and singular == [True] * first + [False] * (used - first)
+    lams = [m[2, 2] for m in damped[:used]]  # the tag column of h is zero
+    assert lams[0] == 1e-3 and all(b == 4.0 * a for a, b in zip(lams, lams[1:]))
+    assert reads.count(TAGS.index(problem)) == 1 + (reason == "left_domain")
+    for k, start in enumerate(starts):
+        _check_exit(reason if k == 1 else "max_iters", start, ends[k], 100)
 
 
 def test_a_find_drops_the_restarts_above_it():
@@ -1118,35 +1158,18 @@ def test_jacobians_only_at_starts_and_accepted_steps(make, mode, stack, monkeypa
     assert sum(rows) == stack + accepted
 
 
-class _CountedJacobians:
-    """Jacobians of a tagged stack that log how many rows each read takes."""
-
-    def __init__(self, jac, reads):
-        self.jac, self.reads = jac, reads
-
-    def __getitem__(self, ks):
-        out = self.jac[ks]
-        self.reads.append(len(out))
-        return out
-
-
 def test_rejected_armijo_probes_read_no_jacobian():
     """Rows read from the tagged problems: the start of each restart, every
-    step of the keeper, one accepted gradient step for armijo_then_off and
-    nothing for the rejected trials of damping_blowup or the 30 rejected
-    probes of armijo_failed."""
+    step of the keeper, the one accepted step of singular_then_off and
+    nothing for the rejected trials of damping_blowup or for the rejected
+    steps of singular_blowup, singular or uphill."""
     reads = []
-
-    def fun(th):
-        r, jac, rows, off = _tagged_fun(th)
-        return r, _CountedJacobians(jac, reads), rows, off
-
     starts = np.array([_start("max_iters"), _start("damping_blowup"),
-                       _start("armijo_failed"), _start("armijo_then_off")])
-    ends = _minimize(fun, starts, 40, 0.0)
-    assert [end[3] for end in ends] == ["max_iters", "damping_blowup", "armijo_failed",
+                       _start("singular_blowup"), _start("singular_then_off")])
+    ends = _minimize(_reading_fun(reads), starts, 40, 0.0)
+    assert [end[3] for end in ends] == ["max_iters", "damping_blowup", "damping_blowup",
                                         "left_domain"]
-    assert sum(reads) == 4 + 40 + 1
+    assert len(reads) == 4 + 40 + 1
 
 
 def _schedule(monkeypatch):
