@@ -30,6 +30,9 @@ Points files (``dual-sweep --points-file``) hold a JSON list of length-n
 lists of numbers, read like float-mode entries. A points file may hold at
 most ``MAX_POINTS`` points, refused before any entry is parsed, since a
 sweep's time and its report grow with the points.
+
+Any input file may be at most ``MAX_FILE_BYTES`` (16 MiB), refused before it
+is parsed; the largest points file the other caps admit is 7.7 MB.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ MAX_DIM = 32
 MAX_FLOAT_ENTRY = 1e50
 
 MAX_POINTS = 10_000
+
+MAX_FILE_BYTES = 16 * 2 ** 20
 
 
 class FormatError(ValueError):
@@ -177,15 +182,18 @@ def _reject_constant(name: str):
 
 
 def _load_json(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh, parse_constant=_reject_constant)
-        except FormatError:
-            raise
-        except ValueError as exc:
-            # bad JSON, bytes that are not UTF-8, or an integer literal past
-            # the interpreter's digit limit
-            raise FormatError(f"{path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_FILE_BYTES + 1)
+    _require(len(data) <= MAX_FILE_BYTES,
+             f"{path}: file is longer than the cap of {MAX_FILE_BYTES} bytes")
+    try:
+        return json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
+    except FormatError:
+        raise
+    except ValueError as exc:
+        # bad JSON, bytes that are not UTF-8, or an integer literal past the
+        # interpreter's digit limit
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_algebra(alg: LieAlgebra, path):

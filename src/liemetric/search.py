@@ -42,7 +42,7 @@ _BARRIER_WEIGHT = 10.0
 _SCREEN_PRIME = 33554393
 
 # a metric whose determinant, scaled to unit norm, is below this in absolute
-# value is off the search domain; unconstrained, the barrier row starts here
+# value is off the search domain; unconstrained, the barrier is active below it
 DEGENERACY_FLOOR = 1e-8
 
 
@@ -234,14 +234,14 @@ def _residuals(prob: _Problem, theta: np.ndarray):
     """The residual stage: residual vectors of an (R, m) stack of parameter
     points, keeping what the Jacobian stage needs.
 
-    Returns r (R, L), jac, rows (R,), the length of each point's residual,
-    and the mask of points off the search domain (``_off_domain``). jac is
-    a ``_Jacobians``: indexing it with slices runs the Jacobian stage
-    (``_jacobian``) on those slices only. Rows past a point's length are
-    zero. A point has the n^4 defect components, plus one barrier component
-    when its metric is near degenerate in the unconstrained modes (L = n^4
-    + 1 there, n^4 with positive_definite), or only a penalty component when
-    2a is singular.
+    Returns r (R, L), jac and the mask of points off the search domain
+    (``_off_domain``). jac is a ``_Jacobians``: indexing it with slices runs
+    the Jacobian stage (``_jacobian``) on those slices only. Every point of
+    a mode has the one length L: the n^4 defect components with
+    positive_definite, and those plus the barrier component in the
+    unconstrained modes, 0.0 while |det a| is at least the floor. A point
+    whose 2a is singular has the penalty as its first component and zeros
+    after it.
     """
     nr = len(theta)
     n, c, floor = prob.n, prob.c, prob.floor
@@ -251,21 +251,15 @@ def _residuals(prob: _Problem, theta: np.ndarray):
     off = _off_domain(prob, a)
     x, singular = _solve_slices(lambda a: _lc_product_array(c, a), (nr, n, n, n), a)
     solved = np.ones(nr, dtype=bool) if singular is None else ~singular
-    if pd:
-        r = _defect_array(c, x).reshape(nr, -1)
-    else:
-        r = np.zeros((nr, n ** 4 + 1))
-        r[:, :-1] = _defect_array(c, x).reshape(nr, -1)
-    rows = np.full(nr, n ** 4)
-    if not solved.all():
-        r[~solved, 0], rows[~solved] = _PENALTY, 1
+    r = np.zeros((nr, n ** 4 + (0 if pd else 1)))
+    r[:, :n ** 4] = _defect_array(c, x).reshape(nr, -1)
+    r[~solved, 0] = _PENALTY  # an unsolved point's product and defect are zero
     if not pd:
         det = np.linalg.det(a)
         for k, d in enumerate(det.tolist()):
             if abs(d) < floor and solved[k]:
                 r[k, -1] = _BARRIER_WEIGHT * (floor - abs(d)) / floor
-                rows[k] += 1
-    return r, _Jacobians(prob, a, f, x, det, solved), rows, off
+    return r, _Jacobians(prob, a, f, x, det, solved), off
 
 
 class _Jacobians:
@@ -286,7 +280,7 @@ def _jacobian(prob: _Problem, a, f, x, det, solved) -> np.ndarray:
     residual stage has solved for, given by their metrics a, factors f
     (None unless positive_definite), product tensors x, determinants det
     (None with positive_definite) and the mask of solved points; a penalty
-    point's Jacobian is zero.
+    point's Jacobian, and a barrier row at or above the floor, are zero.
 
     The defect is differentiated through the defining solve: perturbing a by
     da perturbs the product tensor X by the solution of the same system with
@@ -324,45 +318,27 @@ def _jacobian(prob: _Problem, a, f, x, det, solved) -> np.ndarray:
 def _residual_jacobian(prob: _Problem, theta: np.ndarray):
     """Residual vectors and Jacobians of an (R, m) stack of parameter points:
     the residual stage, then the Jacobian stage on every slice. Returns r
-    (R, L), jac (R, L, m), rows and the domain mask, as ``_residuals``."""
-    r, jac, rows, off = _residuals(prob, theta)
-    return r, jac[:], rows, off
+    (R, L), jac (R, L, m) and the domain mask, L the one length of the mode,
+    as ``_residuals``."""
+    r, jac, off = _residuals(prob, theta)
+    return r, jac[:], off
 
 
-def _by_length(rows: np.ndarray) -> list:
-    """The slices of a stack grouped by residual length, each group with its
-    length. A reduction also over a zero row could sum in another order."""
-    sizes = set(rows.tolist())
-    if len(sizes) == 1:
-        return [(slice(None), sizes.pop())]
-    return [(np.flatnonzero(rows == size), size) for size in sorted(sizes)]
+def _squares(r: np.ndarray) -> np.ndarray:
+    """r . r for each slice of an (R, L) stack of one length L."""
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def _squares(r: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """r . r for each slice, over the slice's own rows."""
-    out = np.empty(len(rows))
-    for k, size in _by_length(rows):
-        v = r[k, :size]
-        out[k] = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
-    return out
-
-
-def _normal_equations(r: np.ndarray, jac: np.ndarray, rows: np.ndarray):
-    """jac^T r and jac^T jac for each slice, over the slice's own rows."""
-    nr, _, m = jac.shape
-    g, h = np.empty((nr, m)), np.empty((nr, m, m))
-    for k, size in _by_length(rows):
-        v, j = r[k, :size], jac[k, :size]
-        jt = j.transpose(0, 2, 1)
-        g[k] = (jt @ v[:, :, None])[:, :, 0]
-        h[k] = jt @ j
-    return g, h
+def _normal_equations(r: np.ndarray, jac: np.ndarray):
+    """jac^T r and jac^T jac for each slice of a stack of one length L."""
+    jt = jac.transpose(0, 2, 1)
+    return (jt @ r[:, :, None])[:, :, 0], jt @ jac
 
 
 def compat_objective(alg: LieAlgebra, theta, mode: str = "unconstrained"):
     """Sum of squared defect components and its analytic gradient at the
     parameter vector theta of the search in the given mode, "unconstrained"
-    (theta the lower triangle of the metric, barrier row at
+    (theta the lower triangle of the metric, barrier component at
     ``DEGENERACY_FLOOR``) or "positive_definite" (theta the log diagonal,
     then the strictly lower entries, of a Cholesky factor); ValueError on
     any other mode."""
@@ -370,8 +346,8 @@ def compat_objective(alg: LieAlgebra, theta, mode: str = "unconstrained"):
         raise ValueError(f"unknown search mode {mode!r}")
     theta = np.asarray(theta, dtype=float)
     prob = _problem(alg.structure_array(), mode, DEGENERACY_FLOOR)
-    r, jac, rows, _ = _residual_jacobian(prob, theta[None])
-    r, jac = r[0, :rows[0]], jac[0, :rows[0]]
+    r, jac, _ = _residual_jacobian(prob, theta[None])
+    r, jac = r[0], jac[0]
     return float(r @ r), 2.0 * (jac.T @ r)
 
 
@@ -379,18 +355,18 @@ class _Stack:
     """The restarts of one lockstep batch still in the stack, one slice
     each in restart order: restart index, cost, damping and iteration count
     as Python lists, so the per-restart decisions run in plain float
-    arithmetic, and parameters, residuals, Jacobians and residual lengths as
-    stacked arrays."""
+    arithmetic, and parameters, residuals and Jacobians as stacked arrays,
+    every residual of the one length of the search mode."""
 
     LISTS = ("index", "cost", "lam", "iters")
-    ARRAYS = ("theta", "r", "jac", "rows")
+    ARRAYS = ("theta", "r", "jac")
 
-    def __init__(self, index, theta, r, jac, rows):
+    def __init__(self, index, theta, r, jac):
         self.index = list(index)
-        self.cost = _squares(r, rows).tolist()
+        self.cost = _squares(r).tolist()
         self.lam = [1e-3] * len(theta)
         self.iters = [0] * len(theta)
-        self.theta, self.r, self.jac, self.rows = theta, r, jac[:], rows
+        self.theta, self.r, self.jac = theta, r, jac[:]
 
     def keep(self, ks: list):
         for name in self.LISTS:
@@ -407,11 +383,11 @@ class _Stack:
 
     def put(self, ks: list, *arrays):
         """Move the slices ks to the point of the same slices of the given
-        (theta, r, jac, rows) stack; jac is read at ks only."""
+        (theta, r, jac) stack; jac is read at ks only."""
         if not ks:
             return
         if len(ks) == len(self.index):
-            self.theta, self.r, self.jac, self.rows = (value[:] for value in arrays)
+            self.theta, self.r, self.jac = (value[:] for value in arrays)
             return
         for name, value in zip(self.ARRAYS, arrays):
             getattr(self, name)[ks] = value[ks]
@@ -422,7 +398,7 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=
     """Damped Gauss-Newton, run in lockstep on a stack of restarts.
 
     theta0 is (R, m), one starting point per restart. fun maps a (k, m)
-    stack to residuals, Jacobians, residual lengths and the mask of points
+    stack to residuals, all of one length, Jacobians and the mask of points
     off the search domain, as ``_residuals`` does; the Jacobians are read
     only by indexing them with the slices whose step was accepted, so a
     ``_Jacobians`` computes none at a rejected trial point. A step is
@@ -445,7 +421,7 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=
     """
     def start(theta, first):
         theta = np.array(theta, dtype=float)
-        return _Stack(range(first, first + len(theta)), theta, *fun(theta)[:3])
+        return _Stack(range(first, first + len(theta)), theta, *fun(theta)[:2])
 
     st = start(theta0, 0)
     out = [None] * len(st.index)
@@ -482,7 +458,7 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=
             if not st.index:
                 continue
         st.iters = [used + 1 for used in st.iters]
-        g, h = _normal_equations(st.r, st.jac, st.rows)
+        g, h = _normal_equations(st.r, st.jac)
         # stationarity is judged relative to the cost: descent directions
         # that shrink multiplicatively (log-scale parameters) keep the
         # gradient proportional to the cost and must not stop early
@@ -498,11 +474,11 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=
         delta, singular = _solve_slices(lambda a, b: np.linalg.solve(a, b)[:, :, 0], g.shape,
                                         damped, -g[:, :, None])
         trial = st.theta + delta
-        rt, jt, rowt, offt = fun(trial)
+        rt, jt, offt = fun(trial)
         off = offt.tolist()
         solvable = [True] * len(off) if singular is None else (~singular).tolist()
         moved, exits = [], {}
-        for k, ct in enumerate(_squares(rt, rowt).tolist()):
+        for k, ct in enumerate(_squares(rt).tolist()):
             cost = st.cost[k]
             if solvable[k] and ct < cost:
                 moved.append(k)
@@ -517,7 +493,7 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=
                 rejected = True
                 if st.lam[k] > 1e12:
                     exits[k] = "damping_blowup"
-        st.put(moved, trial, rt, jt, rowt)
+        st.put(moved, trial, rt, jt)
         if exits:
             retire(exits)
     return out

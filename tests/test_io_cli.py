@@ -30,7 +30,7 @@ from liemetric import (
 from liemetric import dual
 from liemetric.algebra import LieAlgebra
 from liemetric.cli import build_parser, main
-from liemetric.io import MAX_DIM, MAX_FLOAT_ENTRY, MAX_POINTS, load_points
+from liemetric.io import MAX_DIM, MAX_FILE_BYTES, MAX_FLOAT_ENTRY, MAX_POINTS, load_points
 from liemetric.metric import ConnectionTensor
 from conftest import random_algebra, random_metric
 
@@ -730,6 +730,30 @@ def test_points_file_above_the_cap_is_refused_before_parsing(tmp_path, capsys, m
     pts.write_text(json.dumps([[0.5]] * (MAX_POINTS + 1)))
     assert main(["dual-sweep", *_line_pair(tmp_path), "--points-file", str(pts)]) == 2
     assert f"more points than the cap of {MAX_POINTS}" in capsys.readouterr().out
+
+
+def test_file_above_the_byte_cap_is_refused_before_parsing(tmp_path, capsys, monkeypatch):
+    """A well-formed points file padded to the byte cap loads; one byte more
+    exits 2, and no document that long reaches the JSON parser. The algebra
+    and metric loaders share the cap."""
+    parsed = []
+    loads = json.loads
+
+    def measuring(text, **kw):
+        parsed.append(len(text))
+        return loads(text, **kw)
+
+    monkeypatch.setattr(json, "loads", measuring)
+    pts = tmp_path / "pts.json"
+    pts.write_bytes(b"[[0.5]]".ljust(MAX_FILE_BYTES))
+    assert load_points(pts, 1) == [[0.5]]
+    pts.write_bytes(b"[[0.5]]".ljust(MAX_FILE_BYTES + 1))
+    assert main(["dual-sweep", *_line_pair(tmp_path), "--points-file", str(pts)]) == 2
+    assert f"longer than the cap of {MAX_FILE_BYTES} bytes" in capsys.readouterr().out
+    assert max(parsed) == MAX_FILE_BYTES
+    for load in (load_algebra, load_metric):
+        with pytest.raises(FormatError, match="longer than the cap"):
+            load(pts)
 
 
 def test_cli_huge_dim_is_refused_before_allocation(tmp_path, capsys, monkeypatch):

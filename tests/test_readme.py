@@ -19,4 +19,4 @@ def test_readme_states_the_input_caps():
     stated = {name: float(value.replace(",", "")) for name, value in
               re.findall(r"`liemetric\.io\.(MAX_\w+)` \(([\d,.e]+)\)", README)}
     assert stated == {"MAX_DIM": io.MAX_DIM, "MAX_FLOAT_ENTRY": io.MAX_FLOAT_ENTRY,
-                      "MAX_POINTS": io.MAX_POINTS}
+                      "MAX_POINTS": io.MAX_POINTS, "MAX_FILE_BYTES": io.MAX_FILE_BYTES}

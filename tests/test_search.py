@@ -414,9 +414,9 @@ def _random_structure(rng, n):
 
 
 def _solo(c, theta, mode, floor):
-    """The search's residual and Jacobian at one point, trimmed to its rows."""
-    r, jac, rows, _ = _residual_jacobian(_problem(c, mode, floor), theta[None])
-    return r[0, :rows[0]], jac[0, :rows[0]]
+    """The search's residual and Jacobian at one point."""
+    r, jac, _ = _residual_jacobian(_problem(c, mode, floor), theta[None])
+    return r[0], jac[0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -429,7 +429,8 @@ def test_batched_jacobian_matches_per_direction_reference(n, mode, floor):
     does not depend on the metric, so the reference Jacobian is rounding
     noise (1e-16 to 1e-14) and only S gives the bound a size; at n >= 3 S is
     below max|jac_ref| in every case here, so the bound is relative to the
-    Jacobian."""
+    Jacobian. The reference has a barrier row only where the barrier is
+    active; where it has none, the search's barrier row is exactly zero."""
     rng = np.random.default_rng(100 + n)
     for _ in range(3):
         c = _random_structure(rng, n)
@@ -439,8 +440,12 @@ def test_batched_jacobian_matches_per_direction_reference(n, mode, floor):
         r, jac = _solo(c, theta, mode, floor)
         r_ref, jac_ref, scale = reference_residual_jacobian(c, theta, mode, floor)
         rows = n ** 4 + (1 if floor > 1.0 else 0)  # floor 1e3 forces the barrier row
-        assert jac.shape == jac_ref.shape == (rows, param_count(n))
+        assert jac_ref.shape == (rows, param_count(n))
+        assert jac.shape == (n ** 4 + (mode == "unconstrained"), param_count(n))
         assert jac.flags.c_contiguous
+        if len(r) > rows:  # the barrier is inactive
+            assert r[-1] == 0.0 and not jac[-1].any()
+            r, jac = r[:rows], jac[:rows]
         assert np.max(np.abs(r - r_ref)) <= 1e-12 * np.max(np.abs(r_ref))
         assert n == 2 or scale <= np.max(np.abs(jac_ref))
         assert np.max(np.abs(jac - jac_ref)) <= 1e-12 * max(np.max(np.abs(jac_ref)), scale)
@@ -572,13 +577,14 @@ def _seq_residual_jacobian(c, theta, mode, floor):
     jac = np.ascontiguousarray(_defect_array(c, dx).reshape(nparams, -1).T)
     if mode != "positive_definite":
         d = float(np.linalg.det(a))
+        rb, grad = 0.0, np.zeros(nparams)
         if abs(d) < floor:
             rb = _BARRIER_WEIGHT * (floor - abs(d)) / floor
             adj = _adjugate(a)
             sign = 1.0 if d >= 0 else -1.0
             grad = -_BARRIER_WEIGHT / floor * sign * np.sum(adj.T * dirs, axis=(1, 2))
-            r = np.concatenate([r, [rb]])
-            jac = np.vstack([jac, grad[None, :]])
+        r = np.concatenate([r, [rb]])
+        jac = np.vstack([jac, grad[None, :]])
     return r, jac
 
 
@@ -717,10 +723,10 @@ def _lockstep_cases():
     """(label, algebra factory, SearchConfig keywords): the catalog in the
     three kinds of constraint, twelve family triples in both modes, sheared
     heisenberg and sol at n = 4..6, 16 restarts, a degeneracy floor of
-    1e-2, and the definite signatures (3, 0) and (0, 3). Barrier rows meet
-    plain rows in one stack at the default floor (see
-    test_barrier_rows_meet_plain_rows_in_one_stack); at 1e-2 the domain
-    test ends a restart before its barrier row appears."""
+    1e-2, and the definite signatures (3, 0) and (0, 3). Points with the
+    barrier active meet points with it inactive in one stack at the default
+    floor (see test_barrier_active_and_inactive_points_meet_in_one_stack);
+    at 1e-2 the domain test ends a restart before its barrier is active."""
     cases = []
     for name in CATALOG:
         dim = by_name(name).dim
@@ -785,22 +791,22 @@ def test_triangle_masks_index_as_numpys_triangle_indices():
                        for g, w in zip(got, want, strict=True))
 
 
-def test_barrier_rows_meet_plain_rows_in_one_stack(monkeypatch):
+def test_barrier_active_and_inactive_points_meet_in_one_stack(monkeypatch):
     """heisenberg, unconstrained, as in the reference comparison above: some
-    lockstep stacks hold points with and without the barrier row, so the
-    reductions grouped by length run there."""
-    from liemetric import search
+    residual stage holds points whose barrier component is active and
+    points whose barrier component is 0.0, all of one length."""
+    stages = []
+    residuals = search._residuals
 
-    groups = []
-    by_length = search._by_length
+    def spy(prob, theta):
+        out = residuals(prob, theta)
+        stages.append(sorted(set((out[0][:, -1] > 0.0).tolist())))
+        assert out[0].shape == (len(theta), 82)
+        return out
 
-    def spy(rows):
-        groups.append(sorted(set(rows.tolist())))
-        return by_length(rows)
-
-    monkeypatch.setattr(search, "_by_length", spy)
+    monkeypatch.setattr(search, "_residuals", spy)
     find_compatible_metric(heisenberg(), SearchConfig(restarts=8, max_iters=50, rng_seed=11))
-    assert [81, 82] in groups
+    assert [False, True] in stages
 
 
 @pytest.mark.parametrize("label,make,kw", [
@@ -835,31 +841,26 @@ def test_lockstep_restarts_end_where_sequential_restarts_end(label, make, kw, mo
 
 
 def test_stacked_reductions_match_each_slice_bitwise():
-    """The cost, gradient and Gram matrix of a stack with residuals of three
-    lengths (defect only, defect plus barrier, penalty) equal r @ r,
-    jac.T @ r and jac.T @ jac taken on each slice's own rows. The stack's
-    rows past a slice's length are zero but not summed: a reduction over the
-    padded length, or one written as an einsum, may round differently."""
+    """The cost, gradient and Gram matrix of a stack of residuals of one
+    width, n^4 or n^4 + 1 as in the search, equal r @ r, jac.T @ r and
+    jac.T @ jac taken on each slice alone, whatever else is in the stack:
+    batch invariance, on which the lockstep schedule relies."""
     rng = np.random.default_rng(8)
-    # n^4 + 1 wide stacks as in the search, and widths where a padded sum
-    # does round differently here (lengths 3 mod 4 against one zero more)
-    for m, lengths in ((3, (1, 16, 17)), (6, (1, 81, 82)), (10, (1, 256, 257)),
-                       (6, (3, 7, 8)), (6, (1, 31, 32))):
-        width = max(lengths)
-        for _ in range(20):
-            rows = rng.choice(lengths, size=9)
-            rows[:3] = lengths
-            r = rng.standard_normal((9, width)) * 10.0 ** rng.integers(-8, 8, size=(9, width))
-            jac = rng.standard_normal((9, width, m))
-            for k, size in enumerate(rows):
-                r[k, size:], jac[k, size:] = 0.0, 0.0
-            cost = _squares(r, rows)
-            g, h = _normal_equations(r, jac, rows)
-            for k, size in enumerate(rows):
-                rk, jk = r[k, :size], jac[k, :size]
-                assert _bits(cost[k]) == _bits(rk @ rk)
-                assert _bits(g[k]) == _bits(jk.T @ rk)
-                assert _bits(h[k]) == _bits(jk.T @ jk)
+    for n in (2, 3, 4, 5, 6):
+        m = param_count(n)
+        for width in (n ** 4, n ** 4 + 1):
+            for _ in range(20):
+                r = rng.standard_normal((9, width)) * 10.0 ** rng.integers(-8, 8, size=(9, width))
+                jac = rng.standard_normal((9, width, m))
+                r[:3, -1], jac[:3, -1] = 0.0, 0.0  # inactive barriers, at n^4 + 1
+                r[3, 1:], jac[3] = 0.0, 0.0       # a penalty point
+                cost = _squares(r)
+                g, h = _normal_equations(r, jac)
+                for k in range(9):
+                    rk, jk = r[k], jac[k]
+                    assert _bits(cost[k]) == _bits(rk @ rk)
+                    assert _bits(g[k]) == _bits(jk.T @ rk)
+                    assert _bits(h[k]) == _bits(jk.T @ jk)
 
 
 def test_domain_mask_matches_the_sequential_test_at_its_edge():
@@ -889,12 +890,47 @@ def test_singular_slice_takes_the_penalty_alone():
     prob = _problem(c, "unconstrained", 1e-8)
     thetas = rng.standard_normal((5, 6)) + np.array([2.0, 0, 2.0, 0, 0, 2.0])
     thetas[2] = 0.0  # a = 0
-    r, jac, rows, off = _residual_jacobian(prob, thetas)
-    assert rows.tolist() == [81, 81, 1, 81, 81] and off.tolist()[2] is True
+    r, jac, off = _residual_jacobian(prob, thetas)
+    assert r.shape == (5, 82) and off.tolist()[2] is True
     assert r[2, 0] == _PENALTY and not r[2, 1:].any() and not jac[2].any()
     for k in (0, 1, 3, 4):
         alone = _residual_jacobian(prob, thetas[k:k + 1])
         assert _bits(r[k]) == _bits(alone[0][0]) and _bits(jac[k]) == _bits(alone[1][0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_every_unconstrained_point_has_the_barrier_component(n):
+    """A stack of points with the barrier active, with it inactive and with
+    the penalty: every residual has n^4 + 1 components. An inactive barrier
+    is a 0.0 component with a zero Jacobian row, a penalty point is
+    [_PENALTY, 0, ...] with a zero Jacobian, and each slice's cost, gradient
+    and Gram matrix equal those of the slice run alone."""
+    rng = np.random.default_rng(30 + n)
+    c = _random_structure(rng, n)
+    thetas = rng.standard_normal((7, param_count(n))) * 0.3
+    thetas[:, [t * (t + 3) // 2 for t in range(n)]] += 2.0
+    thetas[3] = 0.0  # a = 0: the penalty
+    dets = [abs(float(np.linalg.det(a))) for a in _decode(thetas, _problem(c, "unconstrained", 1.0))[0]]
+    floor = float(np.median([d for k, d in enumerate(dets) if k != 3]))
+    prob = _problem(c, "unconstrained", floor)
+    r, jac, _ = _residual_jacobian(prob, thetas)
+    assert r.shape == (7, n ** 4 + 1) and jac.shape == (7, n ** 4 + 1, param_count(n))
+    active = [k for k in range(7) if k != 3 and dets[k] < floor]
+    inactive = [k for k in range(7) if k != 3 and dets[k] >= floor]
+    assert len(active) == 3 and len(inactive) == 3
+    assert all(r[k, -1] > 0.0 and jac[k, -1].any() for k in active)
+    assert all(r[k, -1] == 0.0 and not jac[k, -1].any() for k in inactive)
+    assert r[3, 0] == _PENALTY and not r[3, 1:].any() and not jac[3].any()
+    cost = _squares(r)
+    g, h = _normal_equations(r, jac)
+    assert cost[3] == _PENALTY ** 2
+    for k in range(7):
+        rk, jk, _ = _residual_jacobian(prob, thetas[k:k + 1])
+        assert _bits(r[k]) == _bits(rk[0]) and _bits(jac[k]) == _bits(jk[0])
+        gk, hk = _normal_equations(rk, jk)
+        assert _bits(cost[k]) == _bits(_squares(rk)) == _bits(rk[0] @ rk[0])
+        assert _bits(g[k]) == _bits(gk) == _bits(jk[0].T @ rk[0])
+        assert _bits(h[k]) == _bits(hk) == _bits(jk[0].T @ jk[0])
 
 
 # --- the exits of the optimizer ---------------------------------------------
@@ -934,7 +970,7 @@ def _tagged_fun(th):
         rs.append([r])
         jacs.append([[dt, ds, 0.0]])
         offs.append(off)
-    return np.array(rs), np.array(jacs), np.ones(len(th), dtype=int), np.array(offs)
+    return np.array(rs), np.array(jacs), np.array(offs)
 
 
 class _TaggedJacobians:
@@ -951,8 +987,8 @@ class _TaggedJacobians:
 def _reading_fun(reads: list):
     """_tagged_fun, logging into reads the tag of each Jacobian row read."""
     def fun(th):
-        r, jac, rows, off = _tagged_fun(th)
-        return r, _TaggedJacobians(th, jac, reads), rows, off
+        r, jac, off = _tagged_fun(th)
+        return r, _TaggedJacobians(th, jac, reads), off
 
     return fun
 
@@ -964,10 +1000,10 @@ def _start(reason, t=1.0):
 def _sequential_end(start, budget):
     """The one-restart optimizer, kept above as reference, on one tagged point."""
     def fun(th):
-        r, jac, _, _ = _tagged_fun(th[None])
+        r, jac, _ = _tagged_fun(th[None])
         return r[0], jac[0]
 
-    return _seq_minimize(fun, start, budget, 0.0, stop=lambda th: bool(_tagged_fun(th[None])[3][0]))
+    return _seq_minimize(fun, start, budget, 0.0, stop=lambda th: bool(_tagged_fun(th[None])[2][0]))
 
 
 def _check_exit(reason, start, end, budget):
