@@ -86,12 +86,16 @@ def _differ(x: np.ndarray, y: np.ndarray, exact: bool, tol: float) -> np.ndarray
     """Where two arrays of one shape differ: exactly (exact mode), or by more
     than tol (float mode). In float mode equal entries (inf and inf) and two
     NaNs agree, a NaN and a number differ, and no floating-point warning is
-    raised."""
+    raised. Arrays equal entry by entry (no NaN then) skip the tolerance
+    pass."""
     if exact:
         return x != y
+    same = x == y
+    if same.all():
+        return ~same
     with np.errstate(invalid="ignore"):  # inf - inf is NaN; such entries are equal
         gap = np.abs(x - y)
-    return ~((gap <= tol) | (x == y) | (np.isnan(x) & np.isnan(y)))
+    return ~((gap <= tol) | same | (np.isnan(x) & np.isnan(y)))
 
 
 def coerce(x, exact: bool):

@@ -1,14 +1,17 @@
 """Feasibility search for a metric that makes a Lie algebra compatible.
 
-The objective stacks every component of the basis-triple defect
-[A_{e_i}e_j, e_k] + [e_i, A_{e_k}e_j] into one residual vector. A damped
-Gauss-Newton loop, with analytic directional derivatives through the
-product's defining linear solve, drives it down from many random starts and
-takes a Jacobian only where a step was accepted. The starts advance in
-lockstep batches, each taking the steps it would take alone. Positive
-definite metrics, and the definite signatures (n, 0) and (0, n), are
-searched through a Cholesky factor; any other constraint searches all
-symmetric metrics and judges the signature of each end point. A found metric
+The objective stacks the n^4 components of the basis-triple defect
+[A_{e_i}e_j, e_k] + [e_i, A_{e_k}e_j] into one residual vector, in every
+mode. A damped Gauss-Newton loop, with analytic directional derivatives
+through the product's defining linear solve, drives it down from many
+random starts and takes a Jacobian only where a step was accepted. The
+starts advance in lockstep batches, each taking the steps it would take
+alone. A restart whose accepted step leaves the search domain
+(``_off_domain``) ends there, and its end point is no candidate: that is
+the one guard against degenerate metrics. Positive definite metrics, and
+the definite signatures (n, 0) and (0, n), are searched through a Cholesky
+factor; any other constraint searches all symmetric metrics and judges the
+signature of each end point. A found metric
 is reported only after an independent recheck: an exact certificate through
 the public exact product when the entries rationalize, screened first mod a
 prime on ``rational``'s elimination kernel, and a ten times tighter float
@@ -34,7 +37,6 @@ from .rational import SingularMatrixError, _solve_int
 from .scalars import INT64_MAX, rationalize
 
 _PENALTY = 1e8
-_BARRIER_WEIGHT = 10.0
 
 # the exact certificate's screen works mod this prime, the largest below
 # 2**25: a residue right side sums at most 3 n (P - 1)**2, within int64 up
@@ -42,7 +44,7 @@ _BARRIER_WEIGHT = 10.0
 _SCREEN_PRIME = 33554393
 
 # a metric whose determinant, scaled to unit norm, is below this in absolute
-# value is off the search domain; unconstrained, the barrier is active below it
+# value is off the search domain
 DEGENERACY_FLOOR = 1e-8
 
 
@@ -202,17 +204,6 @@ def _factor_directions(c: np.ndarray, prob: _Problem) -> np.ndarray:
     return half + half.transpose(0, 1, 3, 2)
 
 
-def _adjugate(a: np.ndarray) -> np.ndarray:
-    """Cofactor transpose; all n^2 minors go to one stacked ``np.linalg.det``."""
-    n = a.shape[0]
-    if n == 1:
-        return np.ones((1, 1))
-    keep = np.array([np.delete(np.arange(n), i) for i in range(n)])
-    minors = a[keep[:, None, :, None], keep[None, :, None, :]]
-    signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
-    return (signs * np.linalg.det(minors)).T
-
-
 def _solve_slices(solve, shape: tuple, *stacks):
     """solve(*stacks), whose answer has the given shape, and the mask of
     singular slices, None when no slice is singular. A singular slice makes
@@ -234,39 +225,27 @@ def _residuals(prob: _Problem, theta: np.ndarray):
     """The residual stage: residual vectors of an (R, m) stack of parameter
     points, keeping what the Jacobian stage needs.
 
-    Returns r (R, L), jac and the mask of points off the search domain
-    (``_off_domain``). jac is a ``_Jacobians``: indexing it with slices runs
-    the Jacobian stage (``_jacobian``) on those slices only. Every point of
-    a mode has the one length L: the n^4 defect components with
-    positive_definite, and those plus the barrier component in the
-    unconstrained modes, 0.0 while |det a| is at least the floor. A point
-    whose 2a is singular has the penalty as its first component and zeros
-    after it.
+    Returns r (R, n^4), the defect components of each point, jac and the
+    mask of points off the search domain (``_off_domain``). jac is a
+    ``_Jacobians``: indexing it with slices runs the Jacobian stage
+    (``_jacobian``) on those slices only. A point whose 2a is singular has
+    the penalty as its first component and zeros after it.
     """
     nr = len(theta)
-    n, c, floor = prob.n, prob.c, prob.floor
-    pd = prob.mode == "positive_definite"
-    det = None
+    n, c = prob.n, prob.c
     a, f = _decode(theta, prob)
     off = _off_domain(prob, a)
     x, singular = _solve_slices(lambda a: _lc_product_array(c, a), (nr, n, n, n), a)
     solved = np.ones(nr, dtype=bool) if singular is None else ~singular
-    r = np.zeros((nr, n ** 4 + (0 if pd else 1)))
-    r[:, :n ** 4] = _defect_array(c, x).reshape(nr, -1)
+    r = _defect_array(c, x).reshape(nr, -1)
     r[~solved, 0] = _PENALTY  # an unsolved point's product and defect are zero
-    if not pd:
-        det = np.linalg.det(a)
-        for k, d in enumerate(det.tolist()):
-            if abs(d) < floor and solved[k]:
-                r[k, -1] = _BARRIER_WEIGHT * (floor - abs(d)) / floor
-    return r, _Jacobians(prob, a, f, x, det, solved), off
+    return r, _Jacobians(prob, a, f, x, solved), off
 
 
 class _Jacobians:
     """The Jacobians of the points of one residual stage, computed only for
     the slices read: ``jac[ks]`` runs ``_jacobian`` on the slices ks, from
-    the metrics, factors, product tensors and determinants the residual
-    stage kept."""
+    the metrics, factors and product tensors the residual stage kept."""
 
     def __init__(self, prob: _Problem, *state):
         self.prob, self.state = prob, state
@@ -275,12 +254,11 @@ class _Jacobians:
         return _jacobian(self.prob, *(None if s is None else s[ks] for s in self.state))
 
 
-def _jacobian(prob: _Problem, a, f, x, det, solved) -> np.ndarray:
-    """The Jacobian stage: the (R, L, m) Jacobians of points that the
+def _jacobian(prob: _Problem, a, f, x, solved) -> np.ndarray:
+    """The Jacobian stage: the (R, n^4, m) Jacobians of points that the
     residual stage has solved for, given by their metrics a, factors f
-    (None unless positive_definite), product tensors x, determinants det
-    (None with positive_definite) and the mask of solved points; a penalty
-    point's Jacobian, and a barrier row at or above the floor, are zero.
+    (None unless positive_definite), product tensors x and the mask of
+    solved points; a penalty point's Jacobian is zero.
 
     The defect is differentiated through the defining solve: perturbing a by
     da perturbs the product tensor X by the solution of the same system with
@@ -290,8 +268,8 @@ def _jacobian(prob: _Problem, a, f, x, det, solved) -> np.ndarray:
     Jacobian is C-ordered, since the Gauss-Newton matrix jac^T jac rounds
     differently on a transposed layout.
     """
-    n, c, floor = prob.n, prob.c, prob.floor
-    shape = (len(a), n ** 4 + (0 if f is not None else 1), param_count(n))
+    n, c = prob.n, prob.c
+    shape = (len(a), n ** 4, param_count(n))
     ks = slice(None) if solved.all() else np.flatnonzero(solved)
     solved_a, solved_x = a[ks], x[ks]
     if not len(solved_a):
@@ -300,37 +278,29 @@ def _jacobian(prob: _Problem, a, f, x, det, solved) -> np.ndarray:
         dirs = _factor_directions(f[ks], prob)
         rhs = _product_rhs(c, dirs) - 2.0 * np.einsum("rijm,rtmk->rtijk", solved_x, dirs)
     else:
-        dirs = prob.units
-        rhs = prob.units_rhs - 2.0 * np.einsum("rijm,tmk->rtijk", solved_x, dirs)
+        rhs = prob.units_rhs - 2.0 * np.einsum("rijm,tmk->rtijk", solved_x, prob.units)
     dx = np.linalg.solve(2.0 * solved_a, rhs.reshape(len(solved_a), -1, n).transpose(0, 2, 1))
     columns = _defect_array(c, dx.transpose(0, 2, 1).reshape(rhs.shape))
     jac = np.zeros(shape)  # after the contraction, whose temporaries are the peak
-    jac[ks, :n ** 4] = columns.reshape(len(solved_a), shape[2], -1).transpose(0, 2, 1)
-    if f is None:
-        for k, d in enumerate(det.tolist()):
-            if abs(d) < floor and solved[k]:
-                sign = 1.0 if d >= 0 else -1.0
-                adj = _adjugate(a[k])
-                jac[k, -1] = -_BARRIER_WEIGHT / floor * sign * np.sum(adj.T * dirs, axis=(1, 2))
+    jac[ks] = columns.reshape(len(solved_a), shape[2], -1).transpose(0, 2, 1)
     return jac
 
 
 def _residual_jacobian(prob: _Problem, theta: np.ndarray):
     """Residual vectors and Jacobians of an (R, m) stack of parameter points:
     the residual stage, then the Jacobian stage on every slice. Returns r
-    (R, L), jac (R, L, m) and the domain mask, L the one length of the mode,
-    as ``_residuals``."""
+    (R, n^4), jac (R, n^4, m) and the domain mask, as ``_residuals``."""
     r, jac, off = _residuals(prob, theta)
     return r, jac[:], off
 
 
 def _squares(r: np.ndarray) -> np.ndarray:
-    """r . r for each slice of an (R, L) stack of one length L."""
+    """r . r for each slice of an (R, L) stack."""
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
 def _normal_equations(r: np.ndarray, jac: np.ndarray):
-    """jac^T r and jac^T jac for each slice of a stack of one length L."""
+    """jac^T r and jac^T jac for each slice of a stack."""
     jt = jac.transpose(0, 2, 1)
     return (jt @ r[:, :, None])[:, :, 0], jt @ jac
 
@@ -338,10 +308,9 @@ def _normal_equations(r: np.ndarray, jac: np.ndarray):
 def compat_objective(alg: LieAlgebra, theta, mode: str = "unconstrained"):
     """Sum of squared defect components and its analytic gradient at the
     parameter vector theta of the search in the given mode, "unconstrained"
-    (theta the lower triangle of the metric, barrier component at
-    ``DEGENERACY_FLOOR``) or "positive_definite" (theta the log diagonal,
-    then the strictly lower entries, of a Cholesky factor); ValueError on
-    any other mode."""
+    (theta the lower triangle of the metric) or "positive_definite" (theta
+    the log diagonal, then the strictly lower entries, of a Cholesky
+    factor); ValueError on any other mode."""
     if mode not in ("unconstrained", "positive_definite"):
         raise ValueError(f"unknown search mode {mode!r}")
     theta = np.asarray(theta, dtype=float)
@@ -355,8 +324,8 @@ class _Stack:
     """The restarts of one lockstep batch still in the stack, one slice
     each in restart order: restart index, cost, damping and iteration count
     as Python lists, so the per-restart decisions run in plain float
-    arithmetic, and parameters, residuals and Jacobians as stacked arrays,
-    every residual of the one length of the search mode."""
+    arithmetic, and parameters, n^4-component residuals and Jacobians as
+    stacked arrays."""
 
     LISTS = ("index", "cost", "lam", "iters")
     ARRAYS = ("theta", "r", "jac")

@@ -1,5 +1,5 @@
-"""README states what the code defines: the search's stop reasons and the
-input caps."""
+"""README states what the code defines: the search's stop reasons and batch
+sizes, and the input caps."""
 
 import re
 from pathlib import Path
@@ -13,6 +13,15 @@ def test_readme_lists_the_stop_reasons():
     """The sentence that lists them runs from "(`stop_reasons`):" to its period."""
     sentence = README.split("(`stop_reasons`):", 1)[1].split(".", 1)[0]
     assert tuple(re.findall(r"`(\w+)`", sentence)) == search.STOP_REASONS
+
+
+def test_readme_states_the_batch_sizes():
+    """The sentence that gives them runs from "within 512 KiB:" to its period."""
+    sentence = " ".join(README.split("within 512 KiB:", 1)[1].split(".", 1)[0].split())
+    stated = {int(n): int(size) for size, n in re.findall(r"(\d+) (?:restarts )?at n = (\d+)",
+                                                          sentence)}
+    assert stated == {n: search._batch_size(n) for n in (3, 4, 5, 6)}
+    assert search._BATCH_BYTES == 512 * 1024
 
 
 def test_readme_states_the_input_caps():
