@@ -2,22 +2,23 @@
 
 The objective stacks the n^4 components of the basis-triple defect
 [A_{e_i}e_j, e_k] + [e_i, A_{e_k}e_j] into one residual vector, in every
-mode. A damped Gauss-Newton loop, with analytic directional derivatives
-through the product's defining linear solve, drives it down from many
-random starts and takes a Jacobian only where a step was accepted. The
-starts advance in lockstep batches, each taking the steps it would take
-alone. A restart whose accepted step leaves the search domain
-(``_off_domain``) ends there, and its end point is no candidate: that is
-the one guard against degenerate metrics. Positive definite metrics, and
-the definite signatures (n, 0) and (0, n), are searched through a Cholesky
-factor; any other constraint searches all symmetric metrics and judges the
-signature of each end point. A found metric
-is reported only after an independent recheck: an exact certificate through
-the public exact product when the entries rationalize, screened first mod a
-prime on ``rational``'s elimination kernel, and a ten times tighter float
-tolerance otherwise. Not finding one is a value, whose restart log carries
-the evidence; the classification sweep built on this search lives in
-``classify``.
+mode. A damped Gauss-Newton loop drives it down from many random starts,
+with analytic directional derivatives through the product's defining
+linear system: 2a is inverted once per point, and the product and all its
+perturbations are right sides times that inverse. The loop takes a
+Jacobian only where a step was accepted. The starts advance in lockstep
+batches, each taking the steps it would take alone. A restart whose
+accepted step leaves the search domain (``_off_domain``) ends there, and
+its end point is no candidate: that is the one guard against degenerate
+metrics. Positive definite metrics, and the definite signatures (n, 0) and
+(0, n), are searched through a Cholesky factor; any other constraint
+searches all symmetric metrics and judges the signature of each end point.
+A found metric is reported only after an independent recheck: an exact
+certificate through the public exact product when the entries rationalize,
+screened first mod a prime on ``rational``'s elimination kernel, and a ten
+times tighter float tolerance otherwise. Not finding one is a value, whose
+restart log carries the evidence; the classification sweep built on this
+search lives in ``classify``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import LieAlgebra
-from .metric import (DegenerateMetricError, Metric, _defect_array,
-                     _lc_product_array, _product_rhs, compatibility_residual)
+from .metric import (DegenerateMetricError, Metric, _defect_array, _product_rhs,
+                     compatibility_residual)
 from .rational import SingularMatrixError, _solve_int
 from .scalars import INT64_MAX, rationalize
 
@@ -119,8 +120,8 @@ def param_count(n: int) -> int:
 
 
 # cap on the bytes of one lockstep batch's (restarts, m, n^4) float Jacobian
-# stack; the residual and Jacobian stage of a full batch peaks at 2.1 to 3.2
-# times this (1.06 to 1.58 MiB measured with tracemalloc at n = 6..3), the
+# stack; the residual and Jacobian stage of a full batch peaks at 2.0 to 2.8
+# times this (0.99 to 1.41 MiB measured with tracemalloc at n = 6..3), the
 # defect matmul's (rows, n^2) product being the size of the stack
 _BATCH_BYTES = 512 * 1024
 
@@ -228,24 +229,28 @@ def _residuals(prob: _Problem, theta: np.ndarray):
     Returns r (R, n^4), the defect components of each point, jac and the
     mask of points off the search domain (``_off_domain``). jac is a
     ``_Jacobians``: indexing it with slices runs the Jacobian stage
-    (``_jacobian``) on those slices only. A point whose 2a is singular has
-    the penalty as its first component and zeros after it.
+    (``_jacobian``) on those slices only. Each point's 2a is inverted once,
+    and its product tensor is its right sides times that inverse. A point
+    whose 2a is singular has the penalty as its first component and zeros
+    after it.
     """
     nr = len(theta)
     n, c = prob.n, prob.c
     a, f = _decode(theta, prob)
     off = _off_domain(prob, a)
-    x, singular = _solve_slices(lambda a: _lc_product_array(c, a), (nr, n, n, n), a)
+    inv, singular = _solve_slices(np.linalg.inv, (nr, n, n), 2.0 * a)
     solved = np.ones(nr, dtype=bool) if singular is None else ~singular
+    x = (_product_rhs(c, a).reshape(nr, -1, n) @ inv).reshape(nr, n, n, n)
     r = _defect_array(c, x).reshape(nr, -1)
-    r[~solved, 0] = _PENALTY  # an unsolved point's product and defect are zero
-    return r, _Jacobians(prob, a, f, x, solved), off
+    r[~solved, 0] = _PENALTY  # an unsolved point's inverse, product and defect are zero
+    return r, _Jacobians(prob, inv, f, x, solved), off
 
 
 class _Jacobians:
     """The Jacobians of the points of one residual stage, computed only for
     the slices read: ``jac[ks]`` runs ``_jacobian`` on the slices ks, from
-    the metrics, factors and product tensors the residual stage kept."""
+    the inverses of 2a, factors and product tensors the residual stage
+    kept."""
 
     def __init__(self, prob: _Problem, *state):
         self.prob, self.state = prob, state
@@ -254,35 +259,40 @@ class _Jacobians:
         return _jacobian(self.prob, *(None if s is None else s[ks] for s in self.state))
 
 
-def _jacobian(prob: _Problem, a, f, x, solved) -> np.ndarray:
+def _jacobian(prob: _Problem, inv, f, x, solved) -> np.ndarray:
     """The Jacobian stage: the (R, n^4, m) Jacobians of points that the
-    residual stage has solved for, given by their metrics a, factors f
-    (None unless positive_definite), product tensors x and the mask of
-    solved points; a penalty point's Jacobian is zero.
+    residual stage has solved for, given by the inverses inv of their 2a,
+    their factors f (None unless positive_definite), product tensors x and
+    the mask of solved points; a penalty point's Jacobian is zero.
 
-    The defect is differentiated through the defining solve: perturbing a by
-    da perturbs the product tensor X by the solution of the same system with
-    right side dB - 2 X da. All points and all m parameter directions go at
-    once: one stacked solve against 2a takes every column of every point,
-    and one defect contraction maps the stack to the Jacobian columns. Each
-    Jacobian is C-ordered, since the Gauss-Newton matrix jac^T jac rounds
-    differently on a transposed layout.
+    The defect is differentiated through the defining system: perturbing a
+    by da perturbs the product tensor X by the solution of the same system
+    with right side dB - 2 X da, which is that right side times the kept
+    inverse. All points and all m parameter directions go at once: one
+    broadcast matmul forms X da for every direction of every point, one
+    stacked matmul by the inverses takes every perturbed right side, and one
+    defect contraction maps the stack to the Jacobian columns. Each Jacobian
+    is C-ordered, since the Gauss-Newton matrix jac^T jac rounds differently
+    on a transposed layout.
     """
     n, c = prob.n, prob.c
-    shape = (len(a), n ** 4, param_count(n))
+    shape = (len(inv), n ** 4, param_count(n))
     ks = slice(None) if solved.all() else np.flatnonzero(solved)
-    solved_a, solved_x = a[ks], x[ks]
-    if not len(solved_a):
+    solved_inv, solved_x = inv[ks], x[ks]
+    nr = len(solved_inv)
+    if not nr:
         return np.zeros(shape)
     if f is not None:
         dirs = _factor_directions(f[ks], prob)
-        rhs = _product_rhs(c, dirs) - 2.0 * np.einsum("rijm,rtmk->rtijk", solved_x, dirs)
+        dirs_rhs = _product_rhs(c, dirs)
     else:
-        rhs = prob.units_rhs - 2.0 * np.einsum("rijm,tmk->rtijk", solved_x, prob.units)
-    dx = np.linalg.solve(2.0 * solved_a, rhs.reshape(len(solved_a), -1, n).transpose(0, 2, 1))
-    columns = _defect_array(c, dx.transpose(0, 2, 1).reshape(rhs.shape))
+        dirs, dirs_rhs = prob.units, prob.units_rhs
+    rhs = dirs_rhs - 2.0 * (solved_x.reshape(nr, 1, n * n, n) @ dirs).reshape(nr, -1, n, n, n)
+    dx = rhs.reshape(nr, -1, n) @ solved_inv
+    del rhs, dirs_rhs  # only dx lives through the contraction below
+    columns = _defect_array(c, dx.reshape(nr, -1, n, n, n))
     jac = np.zeros(shape)  # after the contraction, whose temporaries are the peak
-    jac[ks] = columns.reshape(len(solved_a), shape[2], -1).transpose(0, 2, 1)
+    jac[ks] = columns.reshape(nr, shape[2], -1).transpose(0, 2, 1)
     return jac
 
 

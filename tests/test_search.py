@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from liemetric import (
     euclidean_motions,
     find_compatible_metric,
     heisenberg,
+    levi_civita_product,
     predicted_existence,
     sol,
     solvable_family,
@@ -28,7 +30,7 @@ from liemetric import (
 )
 from liemetric import classify, rational, search
 from liemetric.classify import FamilyParams
-from liemetric.metric import _defect_array, _lc_product_array, _product_rhs
+from liemetric.metric import _defect_array, _product_rhs
 from liemetric.scalars import rationalize
 from liemetric.search import (_BATCH_BYTES, _PENALTY, STOP_REASONS, RestartRecord,
                               SearchResult, _admissible, _batch_size, _decode,
@@ -455,29 +457,76 @@ def test_batched_jacobian_matches_per_direction_reference(n, mode, floor):
         assert np.max(np.abs(jac - jac_ref)) <= 1e-12 * max(np.max(np.abs(jac_ref)), scale)
 
 
-def _counting_solve(monkeypatch):
-    calls = []
-    solve = np.linalg.solve
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_residual_stage_product_is_within_the_rounding_bound_of_exact_arithmetic(n):
+    """The product tensor x of the residual stage, at the first four seeded
+    starting points in the domain of each mode, is within k n u kappa(2a)
+    max|X| of X, the product of the same float metric read exactly as
+    Fractions, solved by ``levi_civita_product``; u is the unit roundoff and
+    k = 4. The structure constants are integers, so c is exact in float
+    too. x passes three rounding stages, each adding at most about
+    n u kappa(2a) max|X| when the right sides cancel no more than their
+    terms do: the right sides (sums of n products), the inverse of 2a by an
+    LU factorisation with partial pivoting, whose pivot growth is small at
+    these sizes, and the sums of n products by that inverse. The fourth unit
+    is headroom for that growth; the worst ratio of the error to the bound
+    at k = 1 is 0.33, at n = 3."""
+    u = np.finfo(float).eps / 2
+    algebras = [affine_line()] if n == 2 else [_sheared("heisenberg", n), _sheared("sol", n)]
+    for alg in algebras:
+        c = alg.to_float().structure_array()
+        for mode in ("unconstrained", "positive_definite"):
+            prob = _problem(c, mode, _FLOOR)
+            rng = np.random.default_rng([20261020, n, mode == "unconstrained"])
+            points = 0
+            while points < 4:
+                theta = _initial_theta(n, mode, rng)
+                a = _decode(theta[None], prob)[0]
+                if _off_domain(prob, a)[0]:
+                    continue
+                points += 1
+                _, _, x, _ = search._residuals(prob, theta[None])[1].state
+                x = x[0]
+                exact = Metric.from_rows([[Fraction(v) for v in row] for row in a[0].tolist()],
+                                         exact=True)
+                want = levi_civita_product(alg, exact).as_array()
+                error = max(abs(Fraction(got) - w)
+                            for got, w in zip(x.ravel().tolist(), want.ravel().tolist()))
+                scale = max(abs(w) for w in want.ravel().tolist())
+                bound = 4 * n * u * np.linalg.cond(2.0 * a[0]) * float(scale)
+                assert error <= Fraction(bound), (alg.name, mode)
 
-    def counting(*args, **kw):
-        calls.append(1)
-        return solve(*args, **kw)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+def _counting_linalg(monkeypatch):
+    """Count the calls of np.linalg.solve and np.linalg.inv by name."""
+    calls = Counter()
+
+    def counted(name):
+        call = getattr(np.linalg, name)
+
+        def counting(*args, **kw):
+            calls[name] += 1
+            return call(*args, **kw)
+        return counting
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
     return calls
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_jacobian_makes_two_solves_at_every_dimension(n, monkeypatch):
-    calls = _counting_solve(monkeypatch)
+def test_residual_and_jacobian_stage_inverts_once_and_solves_nothing(n, monkeypatch):
+    """One stacked inversion of 2a serves the products and every direction
+    of every point, in both modes and at any stack size."""
+    calls = _counting_linalg(monkeypatch)
     rng = np.random.default_rng(n)
     c = _random_structure(rng, n)
     for mode in ("unconstrained", "positive_definite"):
         for stack in (1, 5):
             theta = rng.standard_normal((stack, param_count(n))) * 0.6
-            del calls[:]
+            calls.clear()
             _residual_jacobian(_problem(c, mode, _FLOOR), theta)
-            assert len(calls) == 2  # the product, then every direction of every point
+            assert (calls["inv"], calls["solve"]) == (1, 0)
 
 
 # --- one restart at a time: the search before lockstep, kept as reference ---
@@ -533,14 +582,16 @@ def _seq_residual_jacobian(c, theta, mode, floor):
     a = _seq_decode(theta, n, mode)
     nparams = len(theta)
     try:
-        x = _lc_product_array(c, a)
+        inv = np.linalg.inv(2.0 * a)
     except np.linalg.LinAlgError:
         return np.array([_PENALTY]), np.zeros((1, nparams))
+    x = (_product_rhs(c, a).reshape(-1, n) @ inv).reshape(n, n, n)
     defect = _defect_array(c, x)
     r = defect.ravel()
     dirs = _seq_decode_directions(theta, n, mode)
-    rhs = _product_rhs(c, dirs) - 2.0 * np.einsum("ijm,tmk->tijk", x, dirs)
-    dx = np.linalg.solve(2.0 * a, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
+    x_da = (x.reshape(1, n * n, n) @ dirs).reshape(nparams, n, n, n)
+    rhs = _product_rhs(c, dirs) - 2.0 * x_da
+    dx = (rhs.reshape(-1, n) @ inv).reshape(rhs.shape)
     jac = np.ascontiguousarray(_defect_array(c, dx).reshape(nparams, -1).T)
     return r, jac
 
@@ -1047,15 +1098,16 @@ def test_one_lockstep_iteration_makes_the_same_solves_at_any_stack_size(mode, mo
     for stack in (1, 7, 16):
         theta0 = np.array([_initial_theta(3, mode, np.random.default_rng([3, k]))
                            for k in range(stack)])
-        calls = _counting_solve(monkeypatch)
+        calls = _counting_linalg(monkeypatch)
         _minimize(fun, theta0, 0, 0.0)
-        start = len(calls)
+        start = calls.copy()
         ends = _minimize(fun, theta0, 1, 0.0)
         assert [end[2:4] for end in ends] == [(1, "max_iters")] * stack
-        per_iteration.append(len(calls) - 2 * start)
+        per_iteration.append({name: calls[name] - 2 * start[name] for name in ("solve", "inv")})
         monkeypatch.undo()
-    # the damped step, the trial products, the directions of the accepted trials
-    assert per_iteration == [3, 3, 3]
+    # the damped step is a solve; the trial products and the directions of
+    # the accepted trials share one inversion
+    assert per_iteration == [{"solve": 1, "inv": 1}] * 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
