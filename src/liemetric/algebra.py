@@ -20,7 +20,10 @@ from .scalars import (DEFAULT_TOL, IntegerForm, _differ, _scaled, _unscaled, coe
                       is_exact, within)
 
 
-RANK_RTOL = 1e-9  # the float rank: singular values above this share of the largest
+# the one float zero cutoff: a singular value (``_rank_null``) or the magnitude
+# of a symmetric form's eigenvalue (``metric._inertia``) is zero unless above
+# this share of the largest
+RANK_RTOL = 1e-9
 
 
 class DimensionMismatchError(ValueError):

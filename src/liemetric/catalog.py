@@ -6,6 +6,7 @@ basis e_1 .. e_n; only pairs i < j with a nonzero bracket are listed.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import LieAlgebra
@@ -48,16 +49,12 @@ def solvable_family(alpha, beta, gamma) -> LieAlgebra:
 
 def euclidean_motions() -> LieAlgebra:
     """Rotation plus translations of the plane: family(0, -1, 1)."""
-    alg = solvable_family(0, -1, 1)
-    return LieAlgebra.from_structure(alg.c, exact=True, check_jacobi=False,
-                                     name="euclidean_motions")
+    return replace(solvable_family(0, -1, 1), name="euclidean_motions")
 
 
 def sol() -> LieAlgebra:
     """Diagonal hyperbolic action: [e1,e2] = e2, [e1,e3] = -e3."""
-    alg = solvable_family(1, 0, 0)
-    return LieAlgebra.from_structure(alg.c, exact=True, check_jacobi=False,
-                                     name="sol")
+    return replace(solvable_family(1, 0, 0), name="sol")
 
 
 def heisenberg_split_metric() -> Metric:

@@ -112,10 +112,6 @@ class LeafGeometryAt:
     frame: LeafFrame
 
 
-def _exact_point(mu) -> bool:
-    return all(is_exact(x) for x in mu)
-
-
 def _check_dim(alg: LieAlgebra, mu):
     if len(mu) != alg.dim:
         raise DimensionMismatchError("point has wrong number of coordinates")
@@ -124,7 +120,7 @@ def _check_dim(alg: LieAlgebra, mu):
 def bivector_at(alg: LieAlgebra, mu) -> BivectorAt:
     """Antisymmetric matrix pi[i][j] = mu([e_i, e_j])."""
     _check_dim(alg, mu)
-    exact = alg.exact and _exact_point(mu)
+    exact = alg.exact and all(is_exact(x) for x in mu)
     c, sc = alg.scaled(exact)
     m, sm = _scaled(mu, exact)
     pi = _unscaled(np.einsum("ijk,k->ij", c, m), sc * sm, exact)
@@ -136,11 +132,11 @@ def sharp_pi(alg: LieAlgebra, mu, alpha) -> list:
     _check_dim(alg, mu)
     if len(alpha) != alg.dim:
         raise DimensionMismatchError("covector has wrong length")
-    p = bivector_at(alg, mu)
-    exact = p.exact and all(is_exact(x) for x in alpha)
-    m, sm = _scaled(p.matrix, exact)
+    exact = alg.exact and all(is_exact(x) for x in (*mu, *alpha))
+    c, sc = alg.scaled(exact)
+    m, sm = _scaled(mu, exact)
     w, sw = _scaled(alpha, exact)
-    return _unscaled(np.einsum("i,ij->j", w, m), sm * sw, exact)
+    return _unscaled(np.einsum("i,ij->j", w, np.einsum("ijk,k->ij", c, m)), sc * sm * sw, exact)
 
 
 class _DualFrame:
@@ -429,8 +425,12 @@ def kahler_check_at(alg: LieAlgebra, a: Metric, mu) -> LeafGeometryAt:
     so the verdict is deterministic, and a miss can only call an irregular
     point regular (for float data, up to the float rank rule).
 
-    J is built as A(-A^2)^(-1/2) with the square root taken in the leaf
-    metric's inner product via a Cholesky change of frame.
+    J is the orthogonal polar factor of A = -G^(-1) Omega in the leaf
+    metric's inner product: with G = L L^T (Cholesky), A is the skew map
+    B = -L^(-1) Omega L^(-T) in a G-orthonormal frame, and J = L^(-T) U V^T L^T
+    for the SVD B = U S V^T, which is A(-A^2)^(-1/2). The point is refused as
+    degenerate when the smallest squared singular value of B, an eigenvalue of
+    -A^2, is at most EIG_POSITIVITY_TOL times the largest.
     """
     if not a.is_positive_definite():
         raise ValueError("leaf geometry needs a positive definite metric")
@@ -450,17 +450,10 @@ def kahler_check_at(alg: LieAlgebra, a: Metric, mu) -> LeafGeometryAt:
     g = (g + g.T) / 2.0
     a_op = -np.linalg.solve(g, omega)
     ell = np.linalg.cholesky(g)
-    inv_lt = np.linalg.solve(ell.T, np.eye(rank))
-    b = ell.T @ a_op @ inv_lt
-    b = (b - b.T) / 2.0
-    s = b.T @ b
-    s = (s + s.T) / 2.0
-    w, v = np.linalg.eigh(s)
-    if w[-1] <= 0.0 or w[0] <= EIG_POSITIVITY_TOL * w[-1]:
+    u, s, vt = np.linalg.svd(-np.linalg.solve(ell, np.linalg.solve(ell, omega).T).T)
+    if s[0] <= 0.0 or s[-1] ** 2 <= EIG_POSITIVITY_TOL * s[0] ** 2:
         raise LeafRankError("leaf pairing is numerically degenerate")
-    inv_sqrt = (v * (w ** -0.5)) @ v.T
-    j_b = b @ inv_sqrt
-    j = np.linalg.solve(ell.T, j_b @ ell.T)
+    j = np.linalg.solve(ell.T, u @ vt @ ell.T)
     j_sq = float(np.max(np.abs(j @ j + np.eye(rank))))
     met = float(np.max(np.abs(j.T @ g @ j - g)))
     return LeafGeometryAt(omega=omega, g=g, a_op=a_op, j=j, rank=rank,

@@ -21,7 +21,7 @@ before any entry is parsed.
 A float-mode entry may be at most ``MAX_FLOAT_ENTRY`` (1e50) in magnitude.
 The widest products a check forms are quartic in the constants (the squared
 compatibility defect), times the metric's condition, which the degeneracy
-rule keeps below 1e9 (``metric.DEGENERACY_RTOL``): at the cap they stay near
+rule keeps below 1e9 (``algebra.RANK_RTOL``): at the cap they stay near
 1e220, far inside the double range, where constants near 1e200 overflow to
 inf and then to NaN (inf - inf). Exact files have no cap: their kernels do
 not overflow.

@@ -21,12 +21,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rational
-from .algebra import (DimensionMismatchError, LieAlgebra, _bilinear, _check_lengths,
-                      _freeze_tensor)
+from .algebra import (RANK_RTOL, DimensionMismatchError, LieAlgebra, _bilinear,
+                      _check_lengths, _freeze_tensor)
 from .scalars import (DEFAULT_TOL, IntegerForm, _differ, _scaled, _unscaled, coerce, contract,
                       is_exact, report_float, within)
 
-DEGENERACY_RTOL = 1e-9
 DEGENERATE_METRIC = "metric is degenerate or numerically near-degenerate"
 
 
@@ -36,14 +35,16 @@ def _inertia(m: np.ndarray, exact: bool) -> tuple:
 
     Exact: ``rational.inertia`` (a positive scale keeps the inertia). Float: a
     matrix with a non-finite entry is all zero; otherwise an eigenvalue counts
-    as zero unless its magnitude exceeds DEGENERACY_RTOL times the largest.
+    as zero unless its magnitude exceeds RANK_RTOL times the largest, the cut
+    of the float rank (``algebra._rank_null``): the singular values of a
+    symmetric matrix are the magnitudes of its eigenvalues.
     """
     if exact:
         return rational.inertia(m.tolist())
     if not np.isfinite(m).all():
         return 0, 0, len(m)
     ev = np.linalg.eigvalsh(m).tolist()  # ascending: the largest |ev| is at an end
-    cut = DEGENERACY_RTOL * max(abs(ev[0]), abs(ev[-1]))
+    cut = RANK_RTOL * max(abs(ev[0]), abs(ev[-1]))
     p, q = sum(x > cut for x in ev), sum(x < -cut for x in ev)
     return p, q, len(ev) - p - q
 
@@ -93,8 +94,7 @@ class Metric(IntegerForm):
 
     @classmethod
     def identity(cls, n: int, *, exact: bool = True):
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return cls.from_rows(rows, exact=exact)
+        return cls.diagonal([1] * n, exact=exact)
 
     @classmethod
     def diagonal(cls, entries, *, exact: bool | None = None):
@@ -277,8 +277,6 @@ def levi_civita_product(alg: LieAlgebra, a: Metric) -> ConnectionTensor:
         raise DimensionMismatchError("algebra and metric dimensions differ")
     n = alg.dim
     exact = alg.exact and a.exact
-    if not exact:
-        a.require_nondegenerate()
     if exact:
         c, sc, bc = alg.operand(True)
         m, sm, bm = a.operand(True)
@@ -289,7 +287,10 @@ def levi_civita_product(alg: LieAlgebra, a: Metric) -> ConnectionTensor:
         g = math.gcd(d * sc, *y.ravel().tolist())
         form = y // g, d * sc // g
     else:
-        form = _lc_product_array(alg.scaled(False)[0], a.scaled(False)[0]), 1
+        a.require_nondegenerate()
+        m = a.scaled(False)[0]
+        cols = _product_rhs(alg.scaled(False)[0], m).reshape(-1, n).T
+        form = np.linalg.solve(2.0 * m, cols).T.reshape(n, n, n), 1
     return ConnectionTensor._solved(form, exact, alg, a)
 
 
@@ -330,18 +331,6 @@ def _product_rhs(c: np.ndarray, a: np.ndarray, bc: int | None = None,
     i = p.ndim - 3
     lead = tuple(range(i))
     return p + p.transpose(lead + (i + 1, i + 2, i)) + p.transpose(lead + (i + 2, i + 1, i))
-
-
-def _lc_product_array(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Vectorized float solve of the product's defining systems.
-
-    Leading axes of ``a`` are batch axes, as in ``_product_rhs``: one
-    stacked solve takes the n^2 right sides of every metric of the stack.
-    """
-    n = c.shape[0]
-    rhs = _product_rhs(c, a)
-    cols = rhs.reshape(a.shape[:-2] + (-1, n)).swapaxes(-1, -2)
-    return np.linalg.solve(2.0 * a, cols).swapaxes(-1, -2).reshape(rhs.shape)
 
 
 def _defect_array(c: np.ndarray, x: np.ndarray, bc: int | None = None,

@@ -1,10 +1,10 @@
 """README states what the code defines: the search's stop reasons and batch
-sizes, and the input caps."""
+sizes, the input caps and the numeric cutoffs."""
 
 import re
 from pathlib import Path
 
-from liemetric import io, search
+from liemetric import algebra, dual, io, scalars, search
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -29,3 +29,15 @@ def test_readme_states_the_input_caps():
               re.findall(r"`liemetric\.io\.(MAX_\w+)` \(([\d,.e]+)\)", README)}
     assert stated == {"MAX_DIM": io.MAX_DIM, "MAX_FLOAT_ENTRY": io.MAX_FLOAT_ENTRY,
                       "MAX_POINTS": io.MAX_POINTS, "MAX_FILE_BYTES": io.MAX_FILE_BYTES}
+
+
+def test_readme_states_the_numeric_cutoffs():
+    """Each cutoff is named in full with its value, as the caps are, and
+    README names no other tolerance constant."""
+    stated = {(module, name, float(value)) for module, name, value in
+              re.findall(r"`liemetric\.(\w+)\.(\w+)`\s+\(([\d.e-]+)\)", README)
+              if name.endswith("TOL")}
+    assert stated == {("algebra", "RANK_RTOL", algebra.RANK_RTOL),
+                      ("dual", "EIG_POSITIVITY_TOL", dual.EIG_POSITIVITY_TOL),
+                      ("scalars", "DEFAULT_TOL", scalars.DEFAULT_TOL)}
+    assert set(re.findall(r"\b[A-Z_]+_R?TOL\b", README)) == {name for _, name, _ in stated}
