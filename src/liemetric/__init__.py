@@ -60,7 +60,7 @@ from .metric import (
     levi_civita_product,
     signature,
 )
-from .poly import Polynomial
+from . import poly  # noqa: F401  (empty: imported only for bench/tracer.py's lookup)
 from .search import (
     SearchConfig,
     SearchResult,
@@ -80,7 +80,6 @@ __all__ = [
     "LieAlgebra",
     "Metric",
     "NAMED_ALGEBRAS",
-    "Polynomial",
     "SearchConfig",
     "SearchResult",
     "Signature",

@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rational
-from .scalars import (DEFAULT_TOL, IntegerForm, _differ, _scaled, _unscaled, coerce, contract,
-                      is_exact, within)
+from .scalars import (DEFAULT_TOL, MAX_FLOAT_ENTRY, IntegerForm, _differ, _scaled, _unscaled,
+                      coerce, contract, is_exact, within)
 
 
 # the one float zero cutoff: a singular value (``_rank_null``) or the magnitude
@@ -55,10 +55,12 @@ class LieAlgebra(IntegerForm):
 
     Carries the integer form of ``c`` (``scaled``), built once here; every
     kernel below reads it. However it is built, ``c`` is dim x dim x dim,
-    dim >= 1, and exactly antisymmetric in its first two axes (the kernels
-    rely on it): one that is not raises InvalidStructureError, except that
-    float entries may miss antisymmetry by DEFAULT_TOL, and such a tensor
-    is stored as (c - c^T) / 2. An exactly antisymmetric one keeps its bits.
+    dim >= 1, float entries are finite and at most MAX_FLOAT_ENTRY in
+    magnitude, and c is exactly antisymmetric in its first two axes (the
+    kernels rely on it): one that is not raises InvalidStructureError, except
+    that float entries may miss antisymmetry by DEFAULT_TOL, and such a
+    tensor is stored as (c - c^T) / 2. An exactly antisymmetric one keeps its
+    bits.
     """
 
     dim: int
@@ -75,6 +77,11 @@ class LieAlgebra(IntegerForm):
             raise DimensionMismatchError("structure tensor is not dim x dim x dim")
         self._hold(_scaled(self.c, self.exact))
         t = self._form[0]
+        if not (self.exact or np.abs(t).max() <= MAX_FLOAT_ENTRY):  # NaN fails too
+            i, j, k = np.argwhere(~(np.abs(t) <= MAX_FLOAT_ENTRY))[0]
+            raise InvalidStructureError(
+                f"structure constant c[{i}][{j}][{k}] is {t[i, j, k]}; a float constant "
+                f"must be finite and at most {MAX_FLOAT_ENTRY:g} in magnitude")
         mirror = t.transpose(1, 0, 2)
         bad = np.argwhere(_differ(t, -mirror, self.exact, DEFAULT_TOL))
         if len(bad):
@@ -195,10 +202,6 @@ class LieAlgebra(IntegerForm):
         n = self.dim
         # the form is the tensor times a positive scale: the same null space
         c = self.scaled(self.exact)[0]
-        if not (self.exact or np.isfinite(c).all()):
-            i, j, k = np.argwhere(~np.isfinite(c))[0]
-            raise ValueError(f"structure constant c[{i}][{j}][{k}] is {c[i, j, k]}; "
-                             "the center needs finite constants")
         stacked = c.transpose(0, 2, 1).reshape(n * n, n)
         return _rank_null(stacked, self.exact, "the stacked adjoints")[1].tolist()
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, classify, dual, io, metric, search
 from .algebra import InvalidStructureError
 from .metric import DegenerateMetricError
-from .scalars import DEFAULT_TOL, report_float, scalar_str, within
+from .scalars import DEFAULT_TOL, report_float, within
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -40,7 +40,7 @@ def _digest(path: str) -> str:
 
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return scalar_str(x)
+        return str(x)
     if isinstance(x, (np.floating, np.integer)):
         x = x.item()
     if isinstance(x, float) and not math.isfinite(x):

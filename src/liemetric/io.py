@@ -18,13 +18,10 @@ operations, so a one-line file with a huge ``dim`` is refused before any of
 that is allocated. A metric file may hold at most ``MAX_DIM`` rows, refused
 before any entry is parsed.
 
-A float-mode entry may be at most ``MAX_FLOAT_ENTRY`` (1e50) in magnitude.
-The widest products a check forms are quartic in the constants (the squared
-compatibility defect), times the metric's condition, which the degeneracy
-rule keeps below 1e9 (``algebra.RANK_RTOL``): at the cap they stay near
-1e220, far inside the double range, where constants near 1e200 overflow to
-inf and then to NaN (inf - inf). Exact files have no cap: their kernels do
-not overflow.
+A float-mode entry may be at most ``MAX_FLOAT_ENTRY`` (1e50) in magnitude:
+the cap under which every float algebra and metric is built, defined (with
+its reason) in ``scalars``. Exact files have no cap: their kernels do not
+overflow.
 
 Points files (``dual-sweep --points-file``) hold a JSON list of length-n
 lists of numbers, read like float-mode entries. A points file may hold at
@@ -43,11 +40,9 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra
 from .metric import Metric
-from .scalars import scalar_str
+from .scalars import MAX_FLOAT_ENTRY
 
 MAX_DIM = 32
-
-MAX_FLOAT_ENTRY = 1e50
 
 MAX_POINTS = 10_000
 
@@ -100,7 +95,7 @@ def algebra_to_dict(alg: LieAlgebra) -> dict:
         for j in range(i + 1, alg.dim):
             coeffs = alg.c[i][j]
             if any(x != 0 for x in coeffs):
-                v = [scalar_str(x) if alg.exact else float(x) for x in coeffs]
+                v = [str(x) if alg.exact else float(x) for x in coeffs]
                 entries.append({"i": i + 1, "j": j + 1, "v": v})
     out = {"dim": alg.dim, "scalar": "rational" if alg.exact else "float",
            "brackets": entries}
@@ -146,7 +141,7 @@ def algebra_from_dict(doc: dict, *, check_jacobi: bool = True) -> LieAlgebra:
 
 def metric_to_dict(a: Metric) -> dict:
     if a.exact:
-        rows = [[scalar_str(x) for x in row] for row in a.matrix]
+        rows = [[str(x) for x in row] for row in a.matrix]
     else:
         rows = [[float(x) for x in row] for row in a.matrix]
     return {"matrix": rows, "scalar": "rational" if a.exact else "float"}

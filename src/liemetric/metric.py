@@ -23,8 +23,8 @@ import numpy as np
 from . import rational
 from .algebra import (RANK_RTOL, DimensionMismatchError, LieAlgebra, _bilinear,
                       _check_lengths, _freeze_tensor)
-from .scalars import (DEFAULT_TOL, IntegerForm, _differ, _scaled, _unscaled, coerce, contract,
-                      is_exact, report_float, within)
+from .scalars import (DEFAULT_TOL, MAX_FLOAT_ENTRY, IntegerForm, _differ, _scaled, _unscaled,
+                      coerce, contract, is_exact, report_float, within)
 
 DEGENERATE_METRIC = "metric is degenerate or numerically near-degenerate"
 
@@ -33,16 +33,14 @@ def _inertia(m: np.ndarray, exact: bool) -> tuple:
     """Sylvester inertia (p, q, z) of a symmetric array: the one degeneracy
     rule, z > 0 exactly when the form is degenerate.
 
-    Exact: ``rational.inertia`` (a positive scale keeps the inertia). Float: a
-    matrix with a non-finite entry is all zero; otherwise an eigenvalue counts
-    as zero unless its magnitude exceeds RANK_RTOL times the largest, the cut
-    of the float rank (``algebra._rank_null``): the singular values of a
-    symmetric matrix are the magnitudes of its eigenvalues.
+    Exact: ``rational.inertia`` (a positive scale keeps the inertia). Float:
+    an eigenvalue counts as zero unless its magnitude exceeds RANK_RTOL times
+    the largest, the cut of the float rank (``algebra._rank_null``): the
+    singular values of a symmetric matrix are the magnitudes of its
+    eigenvalues.
     """
     if exact:
         return rational.inertia(m.tolist())
-    if not np.isfinite(m).all():
-        return 0, 0, len(m)
     ev = np.linalg.eigvalsh(m).tolist()  # ascending: the largest |ev| is at an end
     cut = RANK_RTOL * max(abs(ev[0]), abs(ev[-1]))
     p, q = sum(x > cut for x in ev), sum(x < -cut for x in ev)
@@ -66,7 +64,8 @@ class Metric(IntegerForm):
 
     Carries the integer form of ``matrix`` (``scaled``), built once here.
     However it is built, the matrix is square and symmetric (in float mode
-    within DEFAULT_TOL), or construction raises.
+    within DEFAULT_TOL, with finite entries at most MAX_FLOAT_ENTRY in
+    magnitude), or construction raises.
     """
 
     matrix: tuple
@@ -78,6 +77,10 @@ class Metric(IntegerForm):
             raise DimensionMismatchError("metric matrix must be square")
         self._hold(_scaled(self.matrix, self.exact))
         m = self._form[0]
+        if not (self.exact or np.abs(m).max(initial=0.0) <= MAX_FLOAT_ENTRY):  # NaN fails too
+            i, j = np.argwhere(~(np.abs(m) <= MAX_FLOAT_ENTRY))[0]
+            raise ValueError(f"metric entry ({i}, {j}) is {m[i, j]}; a float entry must be "
+                             f"finite and at most {MAX_FLOAT_ENTRY:g} in magnitude")
         # the mask is symmetric, so its row-major first entry has i < j
         bad = np.argwhere(_differ(m, m.T, self.exact, DEFAULT_TOL))
         if len(bad):

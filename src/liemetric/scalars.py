@@ -59,6 +59,13 @@ INT64_MAX = 2**63 - 1
 
 RATIONALIZE_MAX_DENOMINATOR = 10**6
 
+# the largest magnitude of a float entry of an algebra, a metric or an input
+# file: the widest products a check forms are quartic in the entries (the
+# squared compatibility defect), times the metric's condition, which the
+# degeneracy rule keeps below 1e9, so at the cap they stay near 1e220, inside
+# the double range; entries near 1e200 overflow to inf and then to NaN
+MAX_FLOAT_ENTRY = 1e50
+
 
 def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
@@ -84,18 +91,14 @@ def report_float(x) -> float:
 
 def _differ(x: np.ndarray, y: np.ndarray, exact: bool, tol: float) -> np.ndarray:
     """Where two arrays of one shape differ: exactly (exact mode), or by more
-    than tol (float mode). In float mode equal entries (inf and inf) and two
-    NaNs agree, a NaN and a number differ, and no floating-point warning is
-    raised. Arrays equal entry by entry (no NaN then) skip the tolerance
-    pass."""
+    than tol (float mode, finite entries). Arrays equal entry by entry skip
+    the tolerance pass."""
     if exact:
         return x != y
     same = x == y
     if same.all():
         return ~same
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN; such entries are equal
-        gap = np.abs(x - y)
-    return ~((gap <= tol) | same | (np.isnan(x) & np.isnan(y)))
+    return np.abs(x - y) > tol
 
 
 def coerce(x, exact: bool):
@@ -111,14 +114,6 @@ def coerce(x, exact: bool):
     if isinstance(x, str):
         return float(Fraction(x))
     return float(x)
-
-
-def scalar_str(x) -> str:
-    """Serialize for JSON: exact values as 'p' or 'p/q', floats via repr."""
-    if is_exact(x):
-        f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    return repr(float(x))
 
 
 def rationalize(x: float) -> Fraction:

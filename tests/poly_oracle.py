@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from liemetric.algebra import DimensionMismatchError, LieAlgebra
 from liemetric.metric import Metric
-from liemetric.poly import Polynomial
 from liemetric.scalars import is_exact
+from polynomial import Polynomial
 
 # +1: pi(de_i, de_j)(mu) = mu([e_i, e_j]), the convention of ``liemetric.dual``
 BIVECTOR_SIGN = 1

@@ -19,6 +19,7 @@ from liemetric import (
     sol,
     solvable_family,
 )
+from liemetric.scalars import MAX_FLOAT_ENTRY
 from conftest import random_algebra, random_antisymmetric, random_metric, random_shear
 
 
@@ -34,20 +35,46 @@ def test_bracket_antisymmetry_enforced():
             LieAlgebra.from_structure(c, exact=exact)
 
 
-def test_float_antisymmetry_check_reads_non_finite_entries():
-    """The antisymmetry check is the metric's symmetry check against -c: a NaN
-    mirrored by a number fails, a NaN mirrored by a NaN and an inf mirrored
-    by -inf pass, and no check warns."""
-    nan, inf = math.nan, math.inf
+def test_float_constants_are_finite_and_capped_before_antisymmetry():
+    """A float constant that is not finite or is above MAX_FLOAT_ENTRY in
+    magnitude is refused, and named, before antisymmetry is checked: a NaN
+    mirrored by a NaN and an inf mirrored by -inf fail, and a pair whose
+    mirror is the bad entry names the mirror. The cap itself passes, and no
+    check warns."""
+    nan, inf, above = math.nan, math.inf, np.nextafter(MAX_FLOAT_ENTRY, math.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x, y in ((nan, 1.0), (1.0, nan), (inf, inf), (inf, 1.0)):
+        for x, y, where in ((nan, 1.0, r"c\[0\]\[1\]\[0\] is nan"),
+                            (1.0, nan, r"c\[1\]\[0\]\[0\] is nan"),
+                            (nan, nan, r"c\[0\]\[1\]\[0\] is nan"),
+                            (inf, -inf, r"c\[0\]\[1\]\[0\] is inf"),
+                            (-1.0, -inf, r"c\[1\]\[0\]\[0\] is -inf"),
+                            (above, -above, r"c\[0\]\[1\]\[0\] is 1\.0+3e\+50")):
             c = [[[0.0, 0.0], [x, 0.0]], [[y, 0.0], [0.0, 0.0]]]
-            with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[0\]"):
+            with pytest.raises(InvalidStructureError, match=where + r"; .* at most 1e\+50"):
                 LieAlgebra.from_structure(c, exact=False, check_jacobi=False)
-        for x, y in ((nan, nan), (inf, -inf), (1.0, -1.0 + 1e-12)):
+        for x, y in ((MAX_FLOAT_ENTRY, -MAX_FLOAT_ENTRY), (1.0, -1.0 + 1e-12)):
             c = [[[0.0, 0.0], [x, 0.0]], [[y, 0.0], [0.0, 0.0]]]
             assert LieAlgebra.from_structure(c, exact=False, check_jacobi=False).dim == 2
+
+
+def test_library_built_float_algebras_are_capped_and_exact_ones_are_not():
+    """The cap covers every way to build a float algebra, so a constant near
+    1e200 raises instead of reaching a float kernel as inf or NaN; an exact
+    algebra keeps any constant, until it is converted to floats."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[1\] is 1e\+200"):
+            LieAlgebra.from_brackets(2, {(0, 1): [0.0, 1e200]}, exact=False)
+        small = LieAlgebra.from_brackets(2, {(0, 1): [0.0, 1e30]}, exact=False)
+        with pytest.raises(InvalidStructureError, match=r"at most 1e\+50"):
+            small.changed_basis([[1e30, 0.0], [0.0, 1.0]])
+        with pytest.raises(InvalidStructureError, match=r"at most 1e\+50"):
+            dataclasses.replace(small, c=((((0.0, 0.0), (0.0, 1e60)), ((0.0, -1e60), (0.0, 0.0)))))
+        huge = LieAlgebra.from_brackets(2, {(0, 1): [0, 10**60]})
+        assert huge.c[0][1][1] == 10**60
+        with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[1\] is 1e\+60"):
+            huge.to_float()
 
 
 def test_from_brackets_heisenberg():
@@ -144,12 +171,13 @@ def test_exact_and_float_result_types(rng):
     assert all(type(x) is float for x in flt.ad_traces())
 
 
-def test_nan_structure_constant_fails_jacobi():
-    alg = LieAlgebra.from_brackets(3, {(0, 1): [0.0, 0.0, float("nan")]},
-                                   exact=False, check_jacobi=False)
-    assert np.isnan(alg.worst_jacobi_triple()[0])
-    with pytest.raises(InvalidStructureError):
-        alg.require_jacobi()
+def test_nan_structure_constant_is_refused_before_jacobi():
+    """A NaN constant is refused when the algebra is built, whether or not
+    the Jacobi check is asked for, so no Jacobi residual reads NaN."""
+    for check in (False, True):
+        with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[2\] is nan"):
+            LieAlgebra.from_brackets(3, {(0, 1): [0.0, 0.0, float("nan")]},
+                                     exact=False, check_jacobi=check)
 
 
 def test_adjoint_matrix_columns_are_brackets():

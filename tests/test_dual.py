@@ -18,6 +18,7 @@ import pytest
 from liemetric import (
     NAMED_ALGEBRAS,
     DegenerateMetricError,
+    InvalidStructureError,
     LieAlgebra,
     Metric,
     abelian,
@@ -49,9 +50,9 @@ from liemetric.dual import (
     _frame,
 )
 from liemetric import rational
-from liemetric.poly import Polynomial
 from liemetric.scalars import _unscaled
 from conftest import random_algebra, random_antisymmetric, random_metric, random_shear
+from polynomial import Polynomial
 import poly_oracle
 from poly_oracle import (
     PolyOneForm,
@@ -387,14 +388,16 @@ def test_residuals_at_points(rng):
     assert metric_derivation_residual(alg, a, pts) == 0
 
 
-def test_nan_structure_constant_propagates_to_residuals():
-    """A NaN entry reaches the dual residuals as NaN, not as a smaller number."""
+def test_nan_structure_constant_is_refused_and_a_nan_point_reads_nan():
+    """A NaN constant is refused when the algebra is built, so it cannot reach
+    the dual residuals; a NaN point, which nothing refuses, reaches them as
+    NaN, not as a smaller number."""
     c = [[list(row) for row in plane] for plane in sol().to_float().c]
     c[0][1][1], c[1][0][1] = math.nan, math.nan
-    alg = LieAlgebra.from_structure(c, exact=False, check_jacobi=False)
+    with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[1\] is nan"):
+        LieAlgebra.from_structure(c, exact=False, check_jacobi=False)
     a = Metric.identity(3).to_float()
-    assert math.isnan(dpi_residual(alg, a))
-    assert math.isnan(dpi_residual(alg, a, [[0.5, -1.0, 2.0]]))
+    assert math.isnan(dpi_residual(sol().to_float(), a, [[math.nan, -1.0, 2.0]]))
     assert math.isnan(Polynomial(1, {(1,): 2.0, (0,): math.nan}, exact=False).max_coeff())
 
 

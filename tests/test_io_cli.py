@@ -404,6 +404,15 @@ def test_cli_search_not_found_exits_three(tmp_path, capsys):
     assert code == 3
 
 
+def test_cli_search_of_an_exact_algebra_past_the_float_cap_exits_one(tmp_path, capsys):
+    """An exact file has no cap, but the search runs in floats: a constant
+    above MAX_FLOAT_ENTRY is refused when the search converts the algebra,
+    and the command exits 1 with the reason instead of reporting not_found."""
+    alg = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 10**60]})
+    assert main(["search", algebra_file(tmp_path, alg), "--restarts", "2"]) == 1
+    assert "c[0][1][2] is 1e+60" in capsys.readouterr().out
+
+
 def test_cli_search_definite_signature_finds_a_riemannian_metric(tmp_path, capsys):
     """--signature 3,0 searches as riemann does: euclidean_motions carries
     a positive definite compatible metric, and 3,0 finds one."""

@@ -11,6 +11,7 @@ import pytest
 from liemetric import (
     DegenerateMetricError,
     DimensionMismatchError,
+    InvalidStructureError,
     LieAlgebra,
     Metric,
     abelian,
@@ -27,8 +28,8 @@ from liemetric import (
     solvable_family,
 )
 from liemetric import search
-from liemetric.dual import kahler_check_at
 from liemetric.metric import ConnectionTensor, _defect_array, _product_rhs
+from liemetric.scalars import MAX_FLOAT_ENTRY
 from conftest import _padded, random_algebra, random_metric
 
 
@@ -62,30 +63,29 @@ def test_signature_of_degenerate_raises():
 
 
 NON_FINITE = {
-    "nan_off_diagonal_pair": [[1.0, math.nan, 0.0], [math.nan, 1.0, 0.0], [0.0, 0.0, 1.0]],
-    "nan_diagonal": [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]],
-    "inf_diagonal": [[1.0, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, 1.0]],
+    "nan_off_diagonal_pair": ([[1.0, math.nan, 0.0], [math.nan, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                              r"\(0, 1\) is nan"),
+    "nan_diagonal": ([[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]],
+                     r"\(1, 1\) is nan"),
+    "inf_diagonal": ([[1.0, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, 1.0]],
+                     r"\(1, 1\) is inf"),
 }
 
 
-@pytest.mark.parametrize("rows", NON_FINITE.values(), ids=NON_FINITE.keys())
-def test_non_finite_float_metrics_get_one_answer(rows):
-    """A float metric with a NaN or infinite entry is degenerate to every
-    verdict: the queries answer False, the product and the residual raise
-    DegenerateMetricError, and no LinAlgError (a ValueError too) escapes."""
-    with np.errstate(invalid="ignore"):  # the symmetry check subtracts inf from inf
-        a = Metric.from_rows(rows, exact=False)
-    alg = heisenberg().to_float()
-    for call in (a.signature, lambda: levi_civita_product(alg, a),
-                 lambda: compatibility_residual(alg, a)):
-        with pytest.raises(DegenerateMetricError):
-            call()
-    assert not a.is_nondegenerate()
-    assert not a.is_positive_definite()
-    assert not search._admissible(a, "positive_definite")
-    with pytest.raises(ValueError, match="needs a positive definite metric") as info:
-        kahler_check_at(alg, a, [0.0, 0.0, 1.0])
-    assert not isinstance(info.value, np.linalg.LinAlgError)
+@pytest.mark.parametrize("rows, where", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_float_metrics_get_one_answer(rows, where):
+    """A float metric with a NaN or infinite entry gets one answer, however it
+    is built: a ValueError naming the first such entry, not a LinAlgError
+    (a ValueError too), and no floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: Metric.from_rows(rows, exact=False),
+                      lambda: Metric(matrix=tuple(map(tuple, rows)), exact=False),
+                      lambda: dataclasses.replace(Metric.identity(3, exact=False),
+                                                  matrix=tuple(map(tuple, rows)))):
+            with pytest.raises(ValueError, match=r"metric entry " + where) as info:
+                build()
+            assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 def test_product_abelian_vanishes(rng):
@@ -199,18 +199,23 @@ def test_exact_and_float_result_types(rng):
 
 
 def test_nan_propagates_through_residuals():
+    """A NaN constant or metric entry is refused when built. A product is not
+    capped, so one with a NaN entry can be built: its residuals read NaN, and
+    the compatibility residual refuses it as not the pair's product."""
     nan = float("nan")
-    alg = LieAlgebra.from_brackets(3, {(0, 1): [0.0, 0.0, nan]},
-                                   exact=False, check_jacobi=False)
-    a = Metric.identity(3, exact=False)
-    conn = levi_civita_product(alg, a)
+    with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[2\] is nan"):
+        LieAlgebra.from_brackets(3, {(0, 1): [0.0, 0.0, nan]}, exact=False, check_jacobi=False)
+    with pytest.raises(ValueError, match=r"metric entry \(1, 1\) is nan"):
+        Metric.from_rows([[1.0, 0.0, 0.0], [0.0, nan, 0.0], [0.0, 0.0, 1.0]], exact=False)
+    alg, a = heisenberg().to_float(), Metric.identity(3, exact=False)
+    x = levi_civita_product(alg, a).as_array()
+    x[0, 1, 2] = nan
+    conn = ConnectionTensor(tensor=tuple(map(lambda p: tuple(map(tuple, p)), x.tolist())),
+                            exact=False)
     assert np.isnan(conn.torsion_residual(alg))
     assert np.isnan(conn.skew_residual(a))
-    assert np.isnan(compatibility_residual(alg, a, conn).value)
-    nan_metric = Metric.from_rows([[1.0, 0.0, 0.0], [0.0, nan, 0.0], [0.0, 0.0, 1.0]],
-                                  exact=False)
-    good = levi_civita_product(heisenberg().to_float(), a)
-    assert np.isnan(good.skew_residual(nan_metric))
+    with pytest.raises(ValueError, match="not the Levi-Civita product"):
+        compatibility_residual(alg, a, conn)
 
 
 def test_residual_scale_invariance(rng):
@@ -466,20 +471,31 @@ def test_float_kernels_are_within_the_rounding_bound_of_exact_arithmetic(n):
             assert (error <= _gamma(k) * mass).all(), (case, k)
 
 
-def test_float_symmetry_check_reads_non_finite_entries():
-    """A NaN mirrored by a number is not symmetric; a NaN mirrored by a NaN
-    and an inf mirrored by an inf are, and no check warns."""
-    nan, inf = math.nan, math.inf
+def test_float_metric_entries_are_finite_and_capped_before_symmetry():
+    """A float entry that is not finite or is above MAX_FLOAT_ENTRY in
+    magnitude is refused, and named, before symmetry is checked: a NaN
+    mirrored by a NaN and an inf by an inf fail, and a NaN below the
+    diagonal is named where it is. The cap itself passes, and no check
+    warns. An exact entry has no cap until the metric is converted to
+    floats."""
+    nan, inf, above = math.nan, math.inf, np.nextafter(MAX_FLOAT_ENTRY, math.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for rows in ([[1.0, nan], [0.0, 1.0]], [[1.0, 0.0], [nan, 1.0]],
-                     [[1.0, inf], [0.0, 1.0]], [[1.0, inf], [-inf, 1.0]]):
-            with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
+        for rows, where in (([[1.0, nan], [0.0, 1.0]], r"\(0, 1\) is nan"),
+                            ([[1.0, 0.0], [nan, 1.0]], r"\(1, 0\) is nan"),
+                            ([[1.0, nan], [nan, 1.0]], r"\(0, 1\) is nan"),
+                            ([[inf, 0.0], [0.0, 1.0]], r"\(0, 0\) is inf"),
+                            ([[1.0, inf], [inf, 1.0]], r"\(0, 1\) is inf"),
+                            ([[1.0, 0.0], [0.0, -above]], r"\(1, 1\) is -1\.0+3e\+50")):
+            with pytest.raises(ValueError, match=rf"metric entry {where}; .* at most 1e\+50"):
                 Metric.from_rows(rows, exact=False)
-        for rows in ([[1.0, nan], [nan, 1.0]], [[inf, 0.0], [0.0, 1.0]],
-                     [[1.0, inf], [inf, 1.0]], [[nan, -inf], [-inf, 1.0]]):
-            assert Metric.from_rows(rows, exact=False).dim == 2
+        cap = MAX_FLOAT_ENTRY
+        assert Metric.from_rows([[cap, -cap], [-cap, 1.0]], exact=False).dim == 2
         assert Metric.from_rows([[1.0, 0.5], [0.5 + 1e-12, 1.0]], exact=False).dim == 2
+        huge = Metric.diagonal([10**60, 1])
+        assert huge.matrix[0][0] == 10**60
+        with pytest.raises(ValueError, match=r"metric entry \(0, 0\) is 1e\+60"):
+            huge.to_float()
 
 
 def _reduced_pairs():

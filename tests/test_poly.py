@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liemetric import Polynomial
+from polynomial import Polynomial
 
 
 def coeffs(exact=True):

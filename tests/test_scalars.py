@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liemetric.scalars import (DEFAULT_TOL, INT64_MAX, _bounded, _differ, _scaled,
-                               _summed_terms, _unscaled, contract, report_float, within)
+from liemetric.scalars import (DEFAULT_TOL, INT64_MAX, MAX_FLOAT_ENTRY, _bounded, _differ,
+                               _scaled, _summed_terms, _unscaled, contract, report_float,
+                               within)
 
 
 def _scaled_reference(values):
@@ -110,31 +111,26 @@ def test_within_is_an_exact_zero_or_a_float_tolerance():
 
 def _differ_reference(x, y, tol):
     """The float tolerance pass alone, with no equality shortcut."""
-    with np.errstate(invalid="ignore"):
-        gap = np.abs(x - y)
-    return ~((gap <= tol) | (x == y) | (np.isnan(x) & np.isnan(y)))
+    return ~(np.abs(x - y) <= tol)
 
 
 def test_equal_arrays_skip_the_tolerance_pass_with_the_same_mask():
-    """Float mode: the mask is the tolerance pass's on arrays with NaN, +-inf
-    and near-equal entries, and on arrays equal entry by entry, which return
-    before it. No floating-point warning is raised (pytest turns them into
-    errors)."""
+    """Float mode: the mask is the tolerance pass's on arrays with entries at
+    the cap (``MAX_FLOAT_ENTRY``: every float algebra and metric is finite
+    and within it, so no other entry reaches the check) and near-equal
+    entries, and on arrays equal entry by entry, which return before it."""
     rng = np.random.default_rng(4)
-    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 1.0 + 1e-11, 1.0 + 1e-9]
+    specials = [-MAX_FLOAT_ENTRY, MAX_FLOAT_ENTRY, 0.0, -0.0, 1.0, 1.0 + 1e-11, 1.0 + 1e-9]
     for _ in range(200):
         shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
         x = rng.choice(specials, size=shape)
         near = x + rng.choice([0.0, 1e-11], size=shape)
         for y in (x.copy(), rng.choice(specials, size=shape), near,
-                  np.where(rng.random(shape) < 0.2, math.nan, x)):
+                  np.where(rng.random(shape) < 0.2, -x, x)):
             got = _differ(x, y, False, DEFAULT_TOL)
             assert got.dtype == bool and np.array_equal(got, _differ_reference(x, y, DEFAULT_TOL))
-    flat = np.array([1.0, -math.inf, math.inf, 2.5])
+    flat = np.array([1.0, -MAX_FLOAT_ENTRY, MAX_FLOAT_ENTRY, 2.5])
     assert not _differ(flat, flat.copy(), False, DEFAULT_TOL).any()
-    nan = np.array([math.nan, 1.0])
-    assert _differ(nan, nan, False, DEFAULT_TOL).tolist() == [False, False]
-    assert _differ(nan, np.array([1.0, math.nan]), False, DEFAULT_TOL).tolist() == [True, True]
 
 
 def test_report_float_reads_zero_only_for_an_exact_zero():

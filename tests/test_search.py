@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 
 from liemetric import (
     DegenerateMetricError,
+    InvalidStructureError,
     LieAlgebra,
     Metric,
     SearchConfig,
@@ -22,6 +24,7 @@ from liemetric import (
     euclidean_motions,
     find_compatible_metric,
     heisenberg,
+    heisenberg_split_metric,
     levi_civita_product,
     predicted_existence,
     sol,
@@ -1577,3 +1580,67 @@ def test_no_restart_is_logged_converged_off_the_domain():
     for n, mode in ((8, "positive_definite"), (12, "none")):
         log = _abelian_search(n, mode).log
         assert not [rec for rec in log if not rec.admissible and rec.stop_reason == "converged"]
+
+
+def test_an_exact_constant_past_the_float_cap_is_refused_not_searched():
+    """An exact algebra has no cap, but the search runs on its float copy,
+    which is capped: a constant of 10**60 raises InvalidStructureError with
+    the reason, instead of a not_found whose residual reads 1e117."""
+    alg = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 10**60]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[2\] is 1e\+60"):
+            find_compatible_metric(alg, SearchConfig())
+
+
+# --- two symmetries of compatibility that the search does not use ----------
+# Scaling the constants by t scales the product by t and the defect by t^2,
+# and a -> -a keeps both: neither changes which metrics are compatible. The
+# search at a fixed seed still answers differently across each. The premises
+# are exact and pass; the pinned searches pass once the search uses the
+# symmetry.
+
+_EIGHT_RESTARTS = SearchConfig(signature_constraint="none", restarts=8, max_iters=200)
+
+
+def _heisenberg_times_10_4():
+    return LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 10**4]})
+
+
+def test_heisenberg_times_10_4_keeps_the_split_metric():
+    """[e1, e2] = 10^4 e3 is exactly compatible with the split metric, and
+    with the constant 1 the same search finds an exactly certified metric
+    at restart 2."""
+    assert compatibility_residual(_heisenberg_times_10_4(), heisenberg_split_metric()).exact_zero
+    res = find_compatible_metric(heisenberg(), _EIGHT_RESTARTS)
+    assert res.found and res.exact_certificate and len(res.log) == 3
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the search is not scale invariant: 7 restarts leave the domain "
+                          "and 1 ends in damping_blowup")
+def test_heisenberg_times_10_4_has_a_find():
+    assert find_compatible_metric(_heisenberg_times_10_4(), _EIGHT_RESTARTS).found
+
+
+def _split(signature):
+    return SearchConfig(signature_constraint=signature, restarts=8, max_iters=200, rng_seed=0)
+
+
+def test_the_negated_find_of_signature_1_2_has_signature_2_1():
+    """With signature (1, 2) the search finds a metric on Heisenberg (restart
+    2 at seed 0); its negation has signature (2, 1) and is exactly
+    compatible."""
+    res = find_compatible_metric(heisenberg(), _split((1, 2)))
+    assert res.found and res.exact_certificate and len(res.log) == 3
+    negated = Metric.from_rows([[-x for x in row] for row in res.best_metric.rows()])
+    assert negated.signature() == (2, 1)
+    assert compatibility_residual(heisenberg(), negated).exact_zero
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the search negates candidates for signature (0, n) only: at (2, 1) "
+                          "restarts 2 and 6 converge on metrics it does not admit")
+def test_heisenberg_has_a_find_of_signature_2_1():
+    res = find_compatible_metric(heisenberg(), _split((2, 1)))
+    assert res.found
