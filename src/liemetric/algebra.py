@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rational
 from .scalars import (DEFAULT_TOL, MAX_FLOAT_ENTRY, IntegerForm, _differ, _scaled, _unscaled,
-                      coerce, contract, is_exact, within)
+                      coerce, contract, infer_exact, within)
 
 
 # the one float zero cutoff: a singular value (``_rank_null``) or the magnitude
@@ -122,7 +122,7 @@ class LieAlgebra(IntegerForm):
         """Build from a full rank-3 tensor; the constructor validates
         shape and antisymmetry."""
         if exact is None:
-            exact = all(is_exact(x) for plane in c for row in plane for x in row)
+            exact = infer_exact(x for plane in c for row in plane for x in row)
         data = [[[coerce(x, exact) for x in row] for row in plane] for plane in c]
         alg = cls(dim=len(c), c=_freeze_tensor(data), exact=exact, name=name)
         if check_jacobi:
@@ -230,8 +230,8 @@ class LieAlgebra(IntegerForm):
     def to_float(self) -> "LieAlgebra":
         if not self.exact:
             return self
-        c = self.scaled(False)[0].tolist()
-        return LieAlgebra(dim=self.dim, c=_freeze_tensor(c), exact=False, name=self.name)
+        return LieAlgebra(dim=self.dim, c=_freeze_tensor(self._float_entries()), exact=False,
+                          name=self.name)
 
     def structure_array(self) -> np.ndarray:
         return self.scaled(False)[0].copy()

@@ -181,6 +181,9 @@ def _parse_signature(text: str, n: int):
 
 def cmd_search(args, rep: Report) -> int:
     alg = _load_algebra(args.algebra, rep, args.tol)
+    if alg.dim > search.MAX_SEARCH_DIM:
+        raise io.FormatError(f"dimension {alg.dim} is above the search's cap of "
+                             f"{search.MAX_SEARCH_DIM}")
     cfg = search.SearchConfig(
         signature_constraint=_parse_signature(args.signature, alg.dim),
         restarts=args.restarts, max_iters=args.max_iters,

@@ -24,7 +24,7 @@ from . import rational
 from .algebra import (RANK_RTOL, DimensionMismatchError, LieAlgebra, _bilinear,
                       _check_lengths, _freeze_tensor)
 from .scalars import (DEFAULT_TOL, MAX_FLOAT_ENTRY, IntegerForm, _differ, _scaled, _unscaled,
-                      coerce, contract, is_exact, report_float, within)
+                      coerce, contract, infer_exact, report_float, within)
 
 DEGENERATE_METRIC = "metric is degenerate or numerically near-degenerate"
 
@@ -90,8 +90,7 @@ class Metric(IntegerForm):
     @classmethod
     def from_rows(cls, rows, *, exact: bool | None = None):
         if exact is None:
-            exact = all(is_exact(x) or isinstance(x, str)
-                        for row in rows for x in row)
+            exact = infer_exact(x for row in rows for x in row)
         return cls(matrix=tuple(tuple(coerce(x, exact) for x in row) for row in rows),
                    exact=exact)
 
@@ -160,7 +159,7 @@ class Metric(IntegerForm):
         copy: equal Fractions round to equal floats, so it is symmetric."""
         if not self.exact:
             return self
-        return Metric(matrix=tuple(map(tuple, self.as_array().tolist())), exact=False)
+        return Metric(matrix=tuple(map(tuple, self._float_entries())), exact=False)
 
     def inverse_rows(self) -> list:
         if self.exact:

@@ -71,6 +71,12 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def infer_exact(entries) -> bool:
+    """The mode of entries given without one: exact when every entry is an
+    int, a Fraction or a 'p/q' string, as ``coerce`` reads strings."""
+    return all(is_exact(x) or isinstance(x, str) for x in entries)
+
+
 def within(value, exact: bool, tol: float = DEFAULT_TOL) -> bool:
     """Whether a residual passes: exactly zero (exact mode), or at most tol in
     absolute value (float mode), so NaN fails."""
@@ -233,6 +239,17 @@ class IntegerForm:
             ints, scale = self._form
             return (ints / scale).astype(float), 1
         return self._form
+
+    def _float_entries(self) -> list:
+        """The float view as nested lists, for the float copy (``to_float``):
+        an entry past the float range reads +-inf there, which the float
+        constructor's cap refuses, naming the entry."""
+        try:
+            return self.scaled(False)[0].tolist()
+        except OverflowError:
+            ints, scale = self._form
+            return np.array([report_float(Fraction(x, scale)) for x in ints.ravel().tolist()]
+                            ).reshape(ints.shape).tolist()
 
     def operand(self, exact: bool) -> tuple:
         """``scaled(exact)`` for ``contract``, as ``(array, scale, bound)``: in

@@ -9,16 +9,17 @@ perturbations are right sides times that inverse. The loop takes a
 Jacobian only where a step was accepted. The starts advance in lockstep
 batches, each taking the steps it would take alone. A restart whose
 accepted step leaves the search domain (``_off_domain``) ends there, and
-its end point is no candidate: that is the one guard against degenerate
-metrics. Positive definite metrics, and the definite signatures (n, 0) and
-(0, n), are searched through a Cholesky factor; any other constraint
-searches all symmetric metrics and judges the signature of each end point.
-A found metric is reported only after an independent recheck: an exact
-certificate through the public exact product when the entries rationalize,
-screened first mod a prime on ``rational``'s elimination kernel, and a ten
-times tighter float tolerance otherwise. Not finding one is a value, whose
-restart log carries the evidence; the classification sweep built on this
-search lives in ``classify``.
+no end point off the domain is a candidate: that is the one guard against
+degenerate metrics, and it depends on neither the scale of the metric nor
+the dimension. As a -> -a keeps the product and the defect, an end point
+counts when its signature or its negation's is the target: a signature
+with a zero count is searched through a Cholesky factor, any other over
+all symmetric metrics. A found metric is reported only after an
+independent recheck: an exact certificate through the public exact product
+when the entries rationalize, screened first mod a prime on ``rational``'s
+elimination kernel, and a ten times tighter float tolerance otherwise. Not
+finding one is a value, whose restart log carries the evidence; the
+classification sweep built on this search lives in ``classify``.
 """
 
 from __future__ import annotations
@@ -44,9 +45,15 @@ _PENALTY = 1e8
 # to n = 2730
 _SCREEN_PRIME = 33554393
 
-# a metric whose determinant, scaled to unit norm, is below this in absolute
-# value is off the search domain
+# the search domain: m(a) = |det a|^(1/n) / (|a|_F / sqrt(n)), 1 at the identity
+# at every n, is at least sqrt(3) DEGENERACY_FLOOR^(1/3); at n = 3 that is
+# |det(a / |a|_F)| >= DEGENERACY_FLOOR
 DEGENERACY_FLOOR = 1e-8
+
+# the largest dimension searched: a restart's Jacobian holds n^4 n(n+1)/2
+# doubles, so memory grows about as n^6; a one-restart search of abelian(16)
+# that takes no step peaks at 146 MiB (tracemalloc), at n = 20 about 0.5 GiB
+MAX_SEARCH_DIM = 16
 
 
 def _is_count(value, low: int) -> bool:
@@ -56,7 +63,8 @@ def _is_count(value, low: int) -> bool:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for find_compatible_metric; defaults suit dimensions up to 6."""
+    """Knobs for find_compatible_metric, which searches algebras of dimension
+    at most MAX_SEARCH_DIM."""
 
     signature_constraint: object = "none"
     restarts: int = 64
@@ -83,7 +91,7 @@ class SearchConfig:
             raise ValueError("residual_tol must be positive and finite")
 
 
-# why _minimize ended a restart, one name per exit
+# why a restart ended; any end point off the search domain reads left_domain
 STOP_REASONS = ("converged", "stationary", "stalled", "left_domain", "damping_blowup",
                 "max_iters")
 
@@ -141,7 +149,7 @@ class _Problem(NamedTuple):
     c: np.ndarray
     n: int
     mode: str
-    floor: float
+    floor: float            # the domain's floor on |det(a / |a|_F)|
     diag: np.ndarray        # the diagonal, 0..n-1
     lower: tuple            # strictly lower (rows, cols) in row order
     vech: tuple             # lower with the diagonal (rows, cols) in row order
@@ -149,8 +157,13 @@ class _Problem(NamedTuple):
     units_rhs: np.ndarray   # _product_rhs(c, units); None with pd
 
 
-def _problem(c: np.ndarray, mode: str, floor: float) -> _Problem:
+def _problem(c: np.ndarray, mode: str) -> _Problem:
+    """The problem of the structure constants c. Its floor is the domain
+    rule at this n: |det(a / |a|_F)| >= (3/n)^(n/2) DEGENERACY_FLOOR^(n/3)."""
     n = c.shape[0]
+    if n > MAX_SEARCH_DIM:
+        raise ValueError(f"dimension {n} is above the search's cap of {MAX_SEARCH_DIM}")
+    floor = (3 / n) ** (n / 2) * DEGENERACY_FLOOR ** (n / 3)
     m = param_count(n)
     # boolean masks index in row order, as np.tril_indices, at a third of its cost
     lower, vech = np.nonzero(np.tri(n, k=-1, dtype=bool)), np.nonzero(np.tri(n, dtype=bool))
@@ -323,8 +336,8 @@ def compat_objective(alg: LieAlgebra, theta, mode: str = "unconstrained"):
     factor); ValueError on any other mode."""
     if mode not in ("unconstrained", "positive_definite"):
         raise ValueError(f"unknown search mode {mode!r}")
+    prob = _problem(alg.to_float().structure_array(), mode)
     theta = np.asarray(theta, dtype=float)
-    prob = _problem(alg.structure_array(), mode, DEGENERACY_FLOOR)
     r, jac, _ = _residual_jacobian(prob, theta[None])
     r, jac = r[0], jac[0]
     return float(r @ r), 2.0 * (jac.T @ r)
@@ -480,7 +493,7 @@ def _minimize(fun, theta0: np.ndarray, max_iters: int, cost_tol: float, on_exit=
 
 def _off_domain(prob: _Problem, a: np.ndarray) -> np.ndarray:
     """Which metrics of a stack lie off the search domain: not finite, zero,
-    or, scaled to unit norm, with a determinant below the degeneracy floor
+    or, scaled to unit norm, with a determinant below the problem's floor
     (or NaN)."""
     flat = a.reshape(len(a), 1, -1)
     norm = np.sqrt(flat @ flat.transpose(0, 2, 1))
@@ -507,28 +520,26 @@ def _initial_theta(n: int, mode: str, rng: np.random.Generator) -> np.ndarray:
     return sym[np.tri(n, dtype=bool)]
 
 
-def _fits(p: int, q: int, constraint) -> bool:
-    """Whether a signature (p, q) meets the signature constraint."""
-    if constraint == "positive_definite":
-        return q == 0
-    if isinstance(constraint, tuple):
-        return (p, q) == constraint
-    return True
-
-
-def _admissible(metric: Metric, constraint) -> bool:
+def _oriented(metric: Metric, target):
+    """The metric or its negation, whichever has the target signature (any
+    nondegenerate one for "none"), or None: a -> -a keeps the product and
+    the defect, since the product's defining system is linear in a."""
     try:
-        sig = metric.signature()
+        p, q = metric.signature()
     except DegenerateMetricError:
-        return False
-    return _fits(sig.p, sig.q, constraint)
+        return None
+    if target == "none" or (p, q) == target:
+        return metric
+    if (q, p) == target:
+        return Metric.from_rows([[-x for x in row] for row in metric.matrix], exact=metric.exact)
+    return None
 
 
-def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
+def _try_exact_certificate(alg: LieAlgebra, metric: Metric, target):
     """Rationalize a float metric and re-verify the residual exactly.
 
-    The symmetrized rationalized metric is the certificate when its exact
-    signature meets the constraint (a degenerate one raises) and its exact
+    The symmetrized rationalized metric, oriented to the target signature
+    (``_oriented``, on its exact signature), is the certificate when its exact
     compatibility residual, through ``levi_civita_product``, is zero. The
     screen mod a prime (``_may_be_compatible``) refuses first a metric
     whose defect it proves nonzero, without the exact elimination; the
@@ -540,10 +551,8 @@ def _try_exact_certificate(alg: LieAlgebra, metric: Metric, constraint):
         raw = [[rationalize(float(x)) for x in row] for row in metric.matrix]
         n = len(raw)
         sym = [[(raw[i][j] + raw[j][i]) / 2 for j in range(n)] for i in range(n)]
-        exact = Metric.from_rows(sym, exact=True)
-        if not _fits(*exact.signature(), constraint):  # degenerate: raises
-            return None
-        if not _may_be_compatible(alg, exact):
+        exact = _oriented(Metric.from_rows(sym, exact=True), target)
+        if exact is None or not _may_be_compatible(alg, exact):
             return None
         return exact if compatibility_residual(alg, exact).exact_zero else None
     except (ZeroDivisionError, ValueError):
@@ -599,42 +608,35 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
     to their end, restarts above it are dropped, and the log is folded in
     index order, so it equals a one-restart-at-a-time loop that stops at
     that find. Not finding one is a value, not an error: the log then
-    carries the evidence.
+    carries the evidence. An algebra of dimension above MAX_SEARCH_DIM
+    raises ValueError before the search allocates anything.
     """
     n = alg.dim
-    constraint = cfg.signature_constraint
-    if isinstance(constraint, tuple) and sum(constraint) != n:
+    target = cfg.signature_constraint
+    if target == "positive_definite":
+        target = (n, 0)
+    elif target != "none" and sum(target) != n:
         raise ValueError("fixed signature counts must add up to the dimension")
-    # a definite signature searches positive definite metrics, and (0, n)
-    # negates each candidate: a -> -a changes neither the product nor the
-    # defect, since the Koszul relation is linear in a
-    definite = constraint == "positive_definite" or constraint in ((n, 0), (0, n))
-    mode = "positive_definite" if definite else "unconstrained"
-    sign = -1.0 if constraint == (0, n) else 1.0
+    # a signature with a zero count is definite up to negation
+    mode = "positive_definite" if target != "none" and 0 in target else "unconstrained"
     algf = alg.to_float()
     cost_tol = (0.02 * cfg.residual_tol) ** 2
-    prob = _problem(algf.structure_array(), mode, DEGENERACY_FLOOR)
+    prob = _problem(algf.structure_array(), mode)
     fun = lambda th: _residuals(prob, th)
     records = {}  # restart index -> (RestartRecord, Metric or None)
     finds = []    # restarts that ended on an admissible metric within tolerance
 
     def judge(rix, theta, cost, iters, reason, lam) -> bool:
-        # a restart that slid toward the degenerate boundary is not a
-        # candidate metric; its vanishing residual is an artifact
-        a = sign * _decode(theta[None], prob)[0]
-        admissible = bool(np.isfinite(cost)) and not _off_domain(prob, a)[0]
-        residual, metric = float("inf"), None
-        if admissible:
-            a = a[0]
-            metric = Metric.from_rows((a / float(np.linalg.norm(a))).tolist(), exact=False)
-            admissible = _admissible(metric, constraint)
-            if admissible:
-                try:
-                    residual = compatibility_residual(algf, metric).value
-                except (DegenerateMetricError, np.linalg.LinAlgError):
-                    admissible = False
-                    residual = float("inf")
-        records[rix] = (RestartRecord(rix, residual, iters, admissible, reason, lam), metric)
+        # an end point off the domain is no candidate, whatever exit ended it
+        a = _decode(theta[None], prob)[0]
+        off = bool(_off_domain(prob, a)[0])
+        metric = None if off or not math.isfinite(cost) else _oriented(
+            Metric.from_rows((a[0] / float(np.linalg.norm(a[0]))).tolist(), exact=False), target)
+        # _oriented refuses a degenerate metric by the float product's own rule
+        residual = math.inf if metric is None else compatibility_residual(algf, metric).value
+        admissible = metric is not None
+        records[rix] = (RestartRecord(rix, residual, iters, admissible,
+                                      "left_domain" if off else reason, lam), metric)
         if admissible and residual <= cfg.residual_tol:
             finds.append(rix)
             return True
@@ -663,7 +665,7 @@ def find_compatible_metric(alg: LieAlgebra, cfg: SearchConfig) -> SearchResult:
             best_res, best_metric = rec.residual, metric
     status, metric, residual, exact = "not_found", best_metric, best_res, False
     if best_metric is not None and best_res <= cfg.residual_tol:
-        certificate = _try_exact_certificate(alg, best_metric, constraint)
+        certificate = _try_exact_certificate(alg, best_metric, target)
         if certificate is not None:
             status, metric, residual, exact = "found", certificate, 0.0, True
         elif best_res <= cfg.residual_tol / 10.0:

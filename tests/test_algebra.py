@@ -77,6 +77,26 @@ def test_library_built_float_algebras_are_capped_and_exact_ones_are_not():
             huge.to_float()
 
 
+def test_an_exact_constant_past_the_float_range_is_refused_by_the_float_copy():
+    """A constant whose float view overflows, such as 10**400 or the
+    string '1e400', is refused as the cap refuses 10**60: the float copy
+    raises InvalidStructureError naming the entry, not OverflowError."""
+    for v in (10**400, "-1e400", Fraction(10**401, 3)):
+        alg = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, v]})
+        with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[2\] is -?inf; .* 1e\+50"):
+            alg.to_float()
+
+
+def test_from_structure_reads_rational_strings_as_exact():
+    """Without a mode, 'p/q' strings are exact, as in Metric.from_rows and
+    the scalar rules: a tensor holding '1/2' is exact, and its constant is
+    Fraction(1, 2), not the float 0.5."""
+    alg = LieAlgebra.from_structure([[[0, 0], [0, "1/2"]], [[0, "-1/2"], [0, 0]]])
+    assert alg.exact and alg.c[0][1] == (0, Fraction(1, 2))
+    assert all(type(x) is Fraction for x in alg.c[0][1])
+    assert not LieAlgebra.from_structure([[[0, 0], [0, 0.5]], [[0, "-1/2"], [0, 0]]]).exact
+
+
 def test_from_brackets_heisenberg():
     alg = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1]})
     assert alg.bracket(alg.basis(0), alg.basis(1)) == [0, 0, 1]

@@ -370,7 +370,7 @@ def test_a_degenerate_metric_is_refused_with_a_passed_product():
 
 def test_every_degeneracy_verdict_reads_the_one_rule(monkeypatch):
     """Signature, nondegeneracy, positive definiteness, the float product, the
-    search's admissibility and the leaf frame's Gram check each reach
+    search's signature rule and the leaf frame's Gram check each reach
     ``metric._inertia`` once, in the pair's mode: there is no second rule."""
     calls = []
     inertia = metric._inertia
@@ -386,7 +386,7 @@ def test_every_degeneracy_verdict_reads_the_one_rule(monkeypatch):
         verdicts = {"signature": a.signature, "is_nondegenerate": a.is_nondegenerate,
                     "require_nondegenerate": a.require_nondegenerate,
                     "is_positive_definite": a.is_positive_definite,
-                    "_admissible": lambda: search._admissible(a, "positive_definite"),
+                    "_oriented": lambda: search._oriented(a, (3, 0)),
                     "leaf_frame_at": lambda: dual.leaf_frame_at(alg, a, [0, 0, 1])}
         if not exact:
             verdicts["levi_civita_product"] = lambda: levi_civita_product(alg, a)

@@ -413,6 +413,26 @@ def test_cli_search_of_an_exact_algebra_past_the_float_cap_exits_one(tmp_path, c
     assert "c[0][1][2] is 1e+60" in capsys.readouterr().out
 
 
+def test_cli_search_of_a_constant_past_the_float_range_exits_one(tmp_path, capsys):
+    """A constant whose float view overflows ("1e400") is refused as the
+    cap refuses 1e60: exit 1 with the entry named, not a traceback."""
+    path = tmp_path / "huge.json"
+    brackets = [{"i": 1, "j": 2, "v": ["0", "0", "1e400"]}]
+    path.write_text(json.dumps({"dim": 3, "brackets": brackets}))
+    assert main(["search", str(path), "--restarts", "2"]) == 1
+    assert "c[0][1][2] is inf" in capsys.readouterr().out
+
+
+def test_cli_search_above_the_search_cap_exits_two(tmp_path, capsys):
+    """An algebra file of one dimension above the search's cap loads, and
+    search refuses it with exit 2 and the reason, before searching."""
+    from liemetric import abelian, search
+
+    n = search.MAX_SEARCH_DIM + 1
+    assert main(["search", algebra_file(tmp_path, abelian(n)), "--restarts", "1"]) == 2
+    assert f"dimension {n} is above the search's cap of {n - 1}" in capsys.readouterr().out
+
+
 def test_cli_search_definite_signature_finds_a_riemannian_metric(tmp_path, capsys):
     """--signature 3,0 searches as riemann does: euclidean_motions carries
     a positive definite compatible metric, and 3,0 finds one."""

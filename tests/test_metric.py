@@ -496,6 +496,10 @@ def test_float_metric_entries_are_finite_and_capped_before_symmetry():
         assert huge.matrix[0][0] == 10**60
         with pytest.raises(ValueError, match=r"metric entry \(0, 0\) is 1e\+60"):
             huge.to_float()
+        # past the float range the float view overflows; it is refused alike
+        for v in (10**400, Fraction(-10**401, 7)):
+            with pytest.raises(ValueError, match=r"metric entry \(1, 1\) is -?inf; .* 1e\+50"):
+                Metric.diagonal([1, v]).to_float()
 
 
 def _reduced_pairs():

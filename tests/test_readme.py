@@ -1,5 +1,5 @@
-"""README states what the code defines: the search's stop reasons and batch
-sizes, the input caps and the numeric cutoffs."""
+"""README states what the code defines: the search's stop reasons, batch
+sizes and dimension cap, the input caps and the numeric cutoffs."""
 
 import re
 from pathlib import Path
@@ -29,6 +29,11 @@ def test_readme_states_the_input_caps():
               re.findall(r"`liemetric\.io\.(MAX_\w+)` \(([\d,.e]+)\)", README)}
     assert stated == {"MAX_DIM": io.MAX_DIM, "MAX_FLOAT_ENTRY": io.MAX_FLOAT_ENTRY,
                       "MAX_POINTS": io.MAX_POINTS, "MAX_FILE_BYTES": io.MAX_FILE_BYTES}
+
+
+def test_readme_states_the_search_cap():
+    stated = re.findall(r"`liemetric\.search\.(MAX_\w+)` \((\d+)\)", README)
+    assert stated == [("MAX_SEARCH_DIM", str(search.MAX_SEARCH_DIM))]
 
 
 def test_readme_states_the_numeric_cutoffs():

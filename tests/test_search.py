@@ -36,7 +36,7 @@ from liemetric.classify import FamilyParams
 from liemetric.metric import _defect_array, _product_rhs
 from liemetric.scalars import rationalize
 from liemetric.search import (_BATCH_BYTES, _PENALTY, STOP_REASONS, RestartRecord,
-                              SearchResult, _admissible, _batch_size, _decode,
+                              SearchResult, _batch_size, _decode,
                               _initial_theta, _minimize, _normal_equations, _off_domain,
                               _problem, _residual_jacobian, _squares,
                               _try_exact_certificate, param_count)
@@ -118,32 +118,37 @@ def test_objective_refuses_an_unknown_mode():
             compat_objective(heisenberg(), theta, mode)
 
 
-@pytest.mark.parametrize("make", [euclidean_motions, heisenberg,
-                                  lambda: solvable_family(Fraction(1, 2), -2, 3),
-                                  lambda: solvable_family(Fraction(1, 3), -1, 1)],
-                         ids=["euclidean_motions", "heisenberg", "family(1/2,-2,3)",
-                              "family(1/3,-1,1)"])
-def test_definite_signatures_search_positive_definite_metrics(make):
-    """(3, 0) runs the positive definite search itself; (0, 3) runs it too
-    and negates each candidate, so its restarts end alike and its metric is
-    negative definite. Residual bits of (0, 3) are not compared: the
-    negated metric's product solve may round differently."""
+@pytest.mark.parametrize("make,definite", [
+    (euclidean_motions, True), (heisenberg, False),
+    (lambda: solvable_family(Fraction(1, 2), -2, 3), True),
+    (lambda: solvable_family(Fraction(1, 3), -1, 1), True),
+    (lambda: abelian(2), True), (lambda: abelian(3), True), (affine_line, False), (sol, False),
+], ids=["euclidean_motions", "heisenberg", "family(1/2,-2,3)", "family(1/3,-1,1)",
+        "abelian2", "abelian3", "affine_line", "sol"])
+def test_definite_signatures_search_positive_definite_metrics(make, definite):
+    """A signature with a zero count searches the Cholesky factor: (n, 0) is
+    the positive definite search, bit for bit, and (0, n) is the same search
+    with each end point negated, so its log is that search's, residual bits
+    included, and its metric is that metric negated."""
     alg = make()
+    n = alg.dim
     for seed in range(4):
         pd, plus, minus = (find_compatible_metric(alg, quick(mode, 8, seed, iters=100))
-                           for mode in ("positive_definite", (3, 0), (0, 3)))
-        assert plus.log == pd.log
-        assert (plus.status, plus.exact_certificate) == (pd.status, pd.exact_certificate)
-        assert _bits(plus.best_residual) == _bits(pd.best_residual)
-        assert (plus.best_metric is None) == (pd.best_metric is None)
-        if pd.best_metric is not None:
+                           for mode in ("positive_definite", (n, 0), (0, n)))
+        for res in (plus, minus):
+            assert res.log == pd.log
+            assert [_bits([rec.residual, rec.final_lambda]) for rec in res.log] == \
+                [_bits([rec.residual, rec.final_lambda]) for rec in pd.log]
+            assert (res.status, res.exact_certificate) == (pd.status, pd.exact_certificate)
+            assert _bits(res.best_residual) == _bits(pd.best_residual)
+        if pd.best_metric is None:
+            assert plus.best_metric is minus.best_metric is None
+        else:
             assert plus.best_metric.matrix == pd.best_metric.matrix
-        assert [(r.index, r.iterations, r.stop_reason, r.admissible) for r in minus.log] == \
-            [(r.index, r.iterations, r.stop_reason, r.admissible) for r in pd.log]
-        assert minus.status == pd.status
+            assert minus.best_metric.matrix == tuple(map(tuple, _negated(pd.best_metric)))
         if minus.found:
-            assert minus.best_metric.signature() == (0, 3)
-        assert pd.found == (make is not heisenberg)
+            assert minus.best_metric.signature() == (0, n)
+        assert pd.found == definite
 
 
 def test_abelian_found_immediately():
@@ -430,8 +435,8 @@ def _random_structure(rng, n):
 
 
 def _solo(c, theta, mode, floor):
-    """The search's residual and Jacobian at one point."""
-    r, jac, _ = _residual_jacobian(_problem(c, mode, floor), theta[None])
+    """The search's residual and Jacobian at one point, with the given floor."""
+    r, jac, _ = _residual_jacobian(_problem(c, mode)._replace(floor=floor), theta[None])
     return r[0], jac[0]
 
 
@@ -479,7 +484,7 @@ def test_residual_stage_product_is_within_the_rounding_bound_of_exact_arithmetic
     for alg in algebras:
         c = alg.to_float().structure_array()
         for mode in ("unconstrained", "positive_definite"):
-            prob = _problem(c, mode, _FLOOR)
+            prob = _problem(c, mode)
             rng = np.random.default_rng([20261020, n, mode == "unconstrained"])
             points = 0
             while points < 4:
@@ -528,15 +533,16 @@ def test_residual_and_jacobian_stage_inverts_once_and_solves_nothing(n, monkeypa
         for stack in (1, 5):
             theta = rng.standard_normal((stack, param_count(n))) * 0.6
             calls.clear()
-            _residual_jacobian(_problem(c, mode, _FLOOR), theta)
+            _residual_jacobian(_problem(c, mode), theta)
             assert (calls["inv"], calls["solve"]) == (1, 0)
 
 
 # --- one restart at a time: the search before lockstep, kept as reference ---
-# The kernels, the optimizer and the restart loop below are the search as it
-# ran one restart after another, verbatim apart from their names. The
-# lockstep search must reproduce their logs, results and final iterates bit
-# for bit.
+# The kernels and the optimizer below are the search as it ran one restart
+# after another, verbatim apart from their names; the domain rule, the
+# signature rule and the certificate of the restart loop are coded from
+# their definitions. The lockstep search must reproduce their logs, results
+# and final iterates bit for bit.
 
 def _seq_vech(n):
     return [(i, j) for i in range(n) for j in range(i + 1)]
@@ -580,7 +586,7 @@ def _seq_decode_directions(theta, n, mode):
     return units
 
 
-def _seq_residual_jacobian(c, theta, mode, floor):
+def _seq_residual_jacobian(c, theta, mode):
     n = c.shape[0]
     a = _seq_decode(theta, n, mode)
     nparams = len(theta)
@@ -644,28 +650,54 @@ def _seq_minimize(fun, theta0, max_iters, cost_tol, stop=None):
 
 
 def _seq_problem(alg, cfg):
+    """n, mode, the one-point residual and Jacobian and the domain test of the
+    search of alg under cfg. A signature with a zero count is definite up to
+    negation, so it searches positive definite metrics."""
     n = alg.dim
-    definite = cfg.signature_constraint in ("positive_definite", (n, 0), (0, n))
-    mode = "positive_definite" if definite else "unconstrained"
+    target = _seq_target(cfg.signature_constraint, n)
+    mode = "positive_definite" if target != "none" and 0 in target else "unconstrained"
     c = alg.to_float().structure_array()
-    floor = search.DEGENERACY_FLOOR
-    fun = lambda th: _seq_residual_jacobian(c, th, mode, floor)
-    outside_domain = lambda th: _seq_outside(_seq_decode(th, n, mode), floor)
+    fun = lambda th: _seq_residual_jacobian(c, th, mode)
+    outside_domain = lambda th: _seq_outside(_seq_decode(th, n, mode))
     return n, mode, fun, outside_domain
 
 
-def _seq_outside(a, floor):
+def _seq_target(constraint, n):
+    return (n, 0) if constraint == "positive_definite" else constraint
+
+
+def _seq_outside(a):
+    """The domain rule from its definition: m(a) = |det a|^(1/n) / (|a|_F /
+    sqrt(n)), the ratio of the geometric to the quadratic mean of the
+    eigenvalue magnitudes, must be at least sqrt(3) DEGENERACY_FLOOR^(1/3).
+    The metric is first scaled to unit norm, which m does not see, so the
+    determinant stays in range."""
+    n = len(a)
     norm = float(np.linalg.norm(a))
     if not np.isfinite(norm) or norm == 0.0:
         return True
-    d = float(np.linalg.det(a / norm))
-    return not np.isfinite(d) or abs(d) < floor
+    m = abs(float(np.linalg.det(a / norm))) ** (1 / n) * np.sqrt(n)
+    return not m >= np.sqrt(3) * search.DEGENERACY_FLOOR ** (1 / 3)
+
+
+def _seq_signed(metric, target):
+    """metric if its signature is the target (any for "none"), its negation
+    if the negation's is, else None; a degenerate metric is None."""
+    try:
+        p, q = metric.signature()
+    except DegenerateMetricError:
+        return None
+    if target == "none" or (p, q) == tuple(target):
+        return metric
+    if (q, p) == tuple(target):
+        return Metric.from_rows([[-x for x in row] for row in metric.matrix],
+                                exact=metric.exact)
+    return None
 
 
 def sequential_find(alg, cfg):
     n, mode, fun, outside_domain = _seq_problem(alg, cfg)
-    constraint = cfg.signature_constraint
-    sign = -1.0 if constraint == (0, n) else 1.0  # (0, n) judges -a
+    target = _seq_target(cfg.signature_constraint, n)
     algf = alg.to_float()
     cost_tol = (0.02 * cfg.residual_tol) ** 2
     log = []
@@ -676,18 +708,18 @@ def sequential_find(alg, cfg):
         theta0 = _initial_theta(n, mode, rng)
         theta, cost, iters, reason, lam = _seq_minimize(fun, theta0, cfg.max_iters,
                                                         cost_tol, stop=outside_domain)
-        admissible = np.isfinite(cost) and not outside_domain(theta)
+        off = outside_domain(theta)
+        if off:
+            reason = "left_domain"
+        metric = None
         residual = float("inf")
-        if admissible:
-            a = sign * _seq_decode(theta, n, mode)
-            metric = Metric.from_rows((a / float(np.linalg.norm(a))).tolist(), exact=False)
-            admissible = _admissible(metric, constraint)
-            if admissible:
-                try:
-                    residual = compatibility_residual(algf, metric).value
-                except (DegenerateMetricError, np.linalg.LinAlgError):
-                    admissible = False
-                    residual = float("inf")
+        if np.isfinite(cost) and not off:
+            a = _seq_decode(theta, n, mode)
+            metric = _seq_signed(Metric.from_rows((a / float(np.linalg.norm(a))).tolist(),
+                                                  exact=False), target)
+            if metric is not None:
+                residual = compatibility_residual(algf, metric).value
+        admissible = metric is not None
         log.append(RestartRecord(rix, residual, iters, admissible, reason, lam))
         if admissible and residual < best_res:
             best_res = residual
@@ -695,7 +727,7 @@ def sequential_find(alg, cfg):
         if admissible and residual <= cfg.residual_tol:
             break
     if best_metric is not None and best_res <= cfg.residual_tol:
-        exact_metric = _try_exact_certificate(alg, best_metric, constraint)
+        exact_metric = reference_certificate(alg, best_metric, target)
         if exact_metric is not None:
             return SearchResult(status="found", best_metric=exact_metric,
                                 best_residual=0.0, exact_certificate=True,
@@ -793,9 +825,11 @@ def test_triangle_masks_index_as_numpys_triangle_indices():
     from boolean masks; they equal numpy's triangle indices, values and
     dtype, so the parameter order and the slab offsets are those."""
     for n in range(1, 33):
-        prob = _problem(np.zeros((n, n, n)), "positive_definite", _FLOOR)
-        for got, want in ((prob.lower, np.tril_indices(n, -1)), (prob.vech, np.tril_indices(n)),
-                          (np.nonzero(~np.tri(n, dtype=bool)), np.triu_indices(n, 1))):
+        pairs = [(np.nonzero(~np.tri(n, dtype=bool)), np.triu_indices(n, 1))]
+        if n <= search.MAX_SEARCH_DIM:
+            prob = _problem(np.zeros((n, n, n)), "positive_definite")
+            pairs += [(prob.lower, np.tril_indices(n, -1)), (prob.vech, np.tril_indices(n))]
+        for got, want in pairs:
             assert all(g.dtype == w.dtype and np.array_equal(g, w)
                        for g, w in zip(got, want, strict=True))
 
@@ -818,7 +852,7 @@ def test_lockstep_restarts_end_where_sequential_restarts_end(label, make, kw, mo
     n, mode, fun, outside_domain = _seq_problem(alg, cfg)
     theta0 = np.array([_initial_theta(n, mode, np.random.default_rng([cfg.rng_seed, rix]))
                        for rix in range(cfg.restarts)])
-    prob = _problem(alg.to_float().structure_array(), mode, search.DEGENERACY_FLOOR)
+    prob = _problem(alg.to_float().structure_array(), mode)
     cost_tol = (0.02 * cfg.residual_tol) ** 2
     ends = _minimize(lambda th: _residual_jacobian(prob, th), theta0, cfg.max_iters, cost_tol)
     exits = set()
@@ -852,22 +886,42 @@ def test_stacked_reductions_match_each_slice_bitwise():
                 assert _bits(h[k]) == _bits(jk.T @ jk)
 
 
+def _unit_det(a):
+    """|det(a / |a|_F)| of one metric, 0.0 for the zero metric."""
+    norm = float(np.linalg.norm(a))
+    return abs(float(np.linalg.det(a / norm))) if norm else 0.0
+
+
 def test_domain_mask_matches_the_sequential_test_at_its_edge():
-    """Off-domain flags of a stack equal the one-point test, with the floor
-    set to a point's own |det(a / |a|)|: any other rounding of the norm,
-    such as ``np.linalg.norm(a, axis=(1, 2))``, could flip that point."""
+    """Off-domain flags of a stack equal the one-point test |det(a / |a|)| >=
+    floor, with the problem's floor set to a point's own |det(a / |a|)|: any
+    other rounding of the norm, such as ``np.linalg.norm(a, axis=(1, 2))``,
+    could flip that point."""
     rng = np.random.default_rng(9)
     for n in (2, 3, 4, 5, 6):
         for mode in ("unconstrained", "positive_definite"):
             thetas = rng.standard_normal((12, param_count(n)))
             thetas[0] = 0.0  # the zero metric when unconstrained
             for k in range(1, 12):
-                a = _seq_decode(thetas[k], n, mode)
-                floor = abs(float(np.linalg.det(a / float(np.linalg.norm(a)))))
-                prob = _problem(np.zeros((n, n, n)), mode, floor)
+                floor = _unit_det(_seq_decode(thetas[k], n, mode))
+                prob = _problem(np.zeros((n, n, n)), mode)._replace(floor=floor)
                 got = _off_domain(prob, _decode(thetas, prob)[0]).tolist()
-                assert got == [_seq_outside(_seq_decode(th, n, mode), floor) for th in thetas]
+                assert got == [not _unit_det(_seq_decode(th, n, mode)) >= floor for th in thetas]
                 assert got[k] is False
+
+
+def test_the_identity_is_on_the_domain_at_every_dimension_up_to_the_cap():
+    """The floor on |det(a / |a|_F)| is DEGENERACY_FLOOR at n = 3 and the
+    rule on m elsewhere; the identity, where m is 1, is on the domain from
+    n = 1 to the cap, in both modes."""
+    assert _problem(np.zeros((3, 3, 3)), "unconstrained").floor == _FLOOR
+    for n in range(1, search.MAX_SEARCH_DIM + 1):
+        for mode in ("unconstrained", "positive_definite"):
+            prob = _problem(np.zeros((n, n, n)), mode)
+            assert prob.floor == pytest.approx(
+                (np.sqrt(3) * _FLOOR ** (1 / 3) / np.sqrt(n)) ** n, rel=1e-12)
+            assert _off_domain(prob, np.eye(n)[None]).tolist() == [False]
+            assert not _seq_outside(np.eye(n))
 
 
 def test_singular_slice_takes_the_penalty_alone():
@@ -876,7 +930,7 @@ def test_singular_slice_takes_the_penalty_alone():
     it gets on its own."""
     rng = np.random.default_rng(12)
     c = _random_structure(rng, 3)
-    prob = _problem(c, "unconstrained", 1e-8)
+    prob = _problem(c, "unconstrained")
     thetas = rng.standard_normal((5, 6)) + np.array([2.0, 0, 2.0, 0, 0, 2.0])
     thetas[2] = 0.0  # a = 0
     r, jac, off = _residual_jacobian(prob, thetas)
@@ -904,7 +958,7 @@ def test_every_point_of_both_modes_has_n4_components(n):
             thetas[3] = 0.0
         else:
             thetas[3, 0] = -800.0
-        prob = _problem(c, mode, _FLOOR)
+        prob = _problem(c, mode)
         r, jac, off = _residual_jacobian(prob, thetas)
         assert r.shape == (7, n ** 4) and jac.shape == (7, n ** 4, param_count(n))
         assert r[3, 0] == _PENALTY and not r[3, 1:].any() and not jac[3].any()
@@ -1095,7 +1149,7 @@ def test_a_find_drops_the_restarts_above_it():
 
 @pytest.mark.parametrize("mode", ["positive_definite", "unconstrained"])
 def test_one_lockstep_iteration_makes_the_same_solves_at_any_stack_size(mode, monkeypatch):
-    prob = _problem(heisenberg().structure_array(), mode, 1e-8)
+    prob = _problem(heisenberg().structure_array(), mode)
     fun = lambda th: _residual_jacobian(prob, th)
     per_iteration = []
     for stack in (1, 7, 16):
@@ -1197,7 +1251,7 @@ def test_jacobians_only_at_starts_and_accepted_steps(make, mode, stack, monkeypa
         return jacobian(prob, a, *state)
 
     monkeypatch.setattr(search, "_jacobian", counting)
-    prob = _problem(alg.to_float().structure_array(), pmode, search.DEGENERACY_FLOOR)
+    prob = _problem(alg.to_float().structure_array(), pmode)
     _minimize(lambda th: search._residuals(prob, th), theta0, cfg.max_iters, cost_tol)
     assert sum(rows) == stack + accepted
 
@@ -1319,10 +1373,11 @@ def test_find_above_restart_zero_while_it_runs_keeps_the_sequential_log(monkeypa
     assert res.best_metric.matrix == ref.best_metric.matrix
 
 
-def reference_certificate(alg, metric, constraint):
+def reference_certificate(alg, metric, target):
     """The exact certificate through the public exact path: rationalize and
-    symmetrize, then the metric's determinant and signature, the product
-    and the residual, each in Fractions."""
+    symmetrize, then the metric's determinant, and the metric or its
+    negation, whichever has the target signature (any for "none"), then the
+    product and the residual, each in Fractions."""
     raw = [[rationalize(float(x)) for x in row]
            for row in metric.matrix]
     n = len(raw)
@@ -1330,17 +1385,16 @@ def reference_certificate(alg, metric, constraint):
                               for i in range(n)], exact=True)
     if exact.det() == 0:
         return None
-    p, q = exact.signature()
-    if (constraint == "positive_definite" and q) or (isinstance(constraint, tuple)
-                                                    and (p, q) != constraint):
+    exact = _seq_signed(exact, target)
+    if exact is None:
         return None
     return exact if compatibility_residual(alg, exact).exact_zero else None
 
 
 def test_exact_certificate_matches_the_public_exact_path():
     """Found metrics of several algebras, and the same metrics negated,
-    perturbed, made degenerate or replaced by a diagonal, under three
-    constraints: the certificate is the reference's, None or an equal
+    perturbed, made degenerate or replaced by a diagonal, under four
+    targets: the certificate is the reference's, None or an equal
     Metric."""
     rng = np.random.default_rng(21)
     certified = 0
@@ -1356,9 +1410,9 @@ def test_exact_certificate_matches_the_public_exact_path():
         for mat in (base, -base, base + noise + noise.T, np.outer(v, v),
                     np.diag(rng.choice([-1.0, 1.0, 2.0], size=n))):
             metric = Metric.from_rows(mat.tolist(), exact=False)
-            for constraint in ("none", "positive_definite", (1, n - 1)):
-                got = _try_exact_certificate(alg, metric, constraint)
-                want = reference_certificate(alg, metric, constraint)
+            for target in ("none", (n, 0), (0, n), (1, n - 1)):
+                got = _try_exact_certificate(alg, metric, target)
+                want = reference_certificate(alg, metric, target)
                 assert (got is None) == (want is None)
                 if want is not None:
                     certified += 1
@@ -1369,13 +1423,13 @@ def test_exact_certificate_matches_the_public_exact_path():
 # ------------------------------------------- the certificate's screen mod P ---
 
 def _attempts(monkeypatch, run):
-    """The (algebra, metric, constraint) of every certificate attempt that
+    """The (algebra, metric, target) of every certificate attempt that
     ``run`` makes through find_compatible_metric."""
     seen, attempt = [], search._try_exact_certificate
 
-    def record(alg, metric, constraint):
-        seen.append((alg, metric, constraint))
-        return attempt(alg, metric, constraint)
+    def record(alg, metric, target):
+        seen.append((alg, metric, target))
+        return attempt(alg, metric, target)
 
     monkeypatch.setattr(search, "_try_exact_certificate", record)
     run()
@@ -1418,9 +1472,9 @@ def test_screened_certificates_equal_the_unscreened_ones(monkeypatch, tmp_path):
 
     monkeypatch.setattr(search, "_may_be_compatible", recorded)
     certified = 0
-    for alg, metric, constraint in attempts:
-        want = reference_certificate(alg, metric, constraint)
-        assert _try_exact_certificate(alg, metric, constraint) == want
+    for alg, metric, target in attempts:
+        want = reference_certificate(alg, metric, target)
+        assert _try_exact_certificate(alg, metric, target) == want
         certified += want is not None
     assert len(attempts) >= 200 and certified >= 90 and verdicts.count(False) >= 110
 
@@ -1549,56 +1603,97 @@ def test_restart_records_carry_stop_reason_and_damping():
     assert cut.stop_reasons() == {"max_iters": 3}
 
 
-# --- the domain rule above dimension 6 (ROADMAP item 10) -------------------
-# The domain rule compares det(a / ||a||_F) with a fixed floor, and at unit
-# norm the determinant shrinks like n^(-n/2): every positive definite start
-# is off the domain from n = 8, most unconstrained ones from n = 12. These
-# searches of the abelian algebra, where every metric is compatible, pin
-# that defect; they pass once the rule no longer depends on the dimension.
-
-_ABELIAN_OFF_DOMAIN = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="the domain rule refuses every start at these dimensions")
-
+# --- the domain rule at every dimension up to the cap ----------------------
+# The domain rule reads m(a), which is 1 at the identity in every dimension,
+# so the abelian algebra, where every metric is compatible, is found at once
+# in every mode, and a start that is off the domain is logged left_domain.
 
 def _abelian_search(n, mode):
     return find_compatible_metric(abelian(n), quick(mode, restarts=2, iters=20))
 
 
-@_ABELIAN_OFF_DOMAIN
 def test_abelian8_has_a_positive_definite_find():
     assert _abelian_search(8, "positive_definite").found
 
 
-@_ABELIAN_OFF_DOMAIN
 def test_abelian12_has_an_unconstrained_find():
     assert _abelian_search(12, "none").found
 
 
-@_ABELIAN_OFF_DOMAIN
 def test_no_restart_is_logged_converged_off_the_domain():
     for n, mode in ((8, "positive_definite"), (12, "none")):
         log = _abelian_search(n, mode).log
         assert not [rec for rec in log if not rec.admissible and rec.stop_reason == "converged"]
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_abelian_is_found_and_certified_at_restart_zero_in_every_mode(n):
+    for mode in ("positive_definite", "none", (n, 0), (0, n)):
+        res = find_compatible_metric(abelian(n), SearchConfig(signature_constraint=mode))
+        assert res.found and res.exact_certificate and len(res.log) == 1, mode
+        if mode != "none":
+            assert res.best_metric.signature() == ((0, n) if mode == (0, n) else (n, 0))
+
+
+def test_an_end_point_off_the_domain_is_logged_left_domain_whatever_ended_it(monkeypatch):
+    """abelian(3) with the floor raised to 5e-2: its cost is 0 everywhere,
+    so every restart exits converged at iteration 0. At seed 2 restarts 0
+    to 4 start off the domain; they are logged left_domain instead, and
+    inadmissible, and restart 5 is the find."""
+    ends = []
+    minimize = search._minimize
+
+    def recording(fun, theta0, *args, on_exit=None, **kw):
+        def noting(k, theta, *end):
+            ends.append((theta, end[2]))
+            return on_exit(k, theta, *end)
+
+        return minimize(fun, theta0, *args, on_exit=noting, **kw)
+
+    monkeypatch.setattr(search, "_minimize", recording)
+    cfg = _config(monkeypatch, dict(floor=5e-2), restarts=64, max_iters=20, rng_seed=2)
+    res = find_compatible_metric(abelian(3), cfg)
+    assert res.found and len(res.log) == len(ends)
+    prob = _problem(np.zeros((3, 3, 3)), "unconstrained")
+    for rec, (theta, reason) in zip(res.log, ends):
+        assert reason == "converged"
+        off = _off_domain(prob, _decode(theta[None], prob)[0])[0]
+        assert rec.stop_reason == ("left_domain" if off else "converged")
+        assert rec.admissible is not off
+    assert res.stop_reasons() == {"converged": 1, "left_domain": 5}
+
+
+def test_the_search_refuses_a_dimension_above_its_cap():
+    n = search.MAX_SEARCH_DIM + 1
+    with pytest.raises(ValueError, match=f"dimension {n} is above the search's cap of {n - 1}"):
+        find_compatible_metric(abelian(n), SearchConfig(restarts=1, max_iters=0))
+    with pytest.raises(ValueError, match=f"cap of {n - 1}"):
+        compat_objective(abelian(n), np.zeros(param_count(n)))
+
+
 def test_an_exact_constant_past_the_float_cap_is_refused_not_searched():
-    """An exact algebra has no cap, but the search runs on its float copy,
-    which is capped: a constant of 10**60 raises InvalidStructureError with
-    the reason, instead of a not_found whose residual reads 1e117."""
-    alg = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 10**60]})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InvalidStructureError, match=r"c\[0\]\[1\]\[2\] is 1e\+60"):
-            find_compatible_metric(alg, SearchConfig())
+    """An exact algebra has no cap, but the search and its objective run on
+    its float copy, which is capped: a constant of 10**60 raises
+    InvalidStructureError with the reason, instead of a not_found whose
+    residual reads 1e117, and so does one past the float range, 10**400,
+    instead of an OverflowError."""
+    for v, shown in ((10**60, r"1e\+60"), (10**400, "inf")):
+        alg = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, v]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStructureError, match=rf"c\[0\]\[1\]\[2\] is {shown}"):
+                find_compatible_metric(alg, SearchConfig())
+            with pytest.raises(InvalidStructureError, match=rf"c\[0\]\[1\]\[2\] is {shown}"):
+                compat_objective(alg, np.zeros(param_count(3)))
 
 
-# --- two symmetries of compatibility that the search does not use ----------
+# --- two symmetries of compatibility --------------------------------------
 # Scaling the constants by t scales the product by t and the defect by t^2,
 # and a -> -a keeps both: neither changes which metrics are compatible. The
-# search at a fixed seed still answers differently across each. The premises
-# are exact and pass; the pinned searches pass once the search uses the
-# symmetry.
+# search uses the negation: an end point counts when its signature or its
+# negation's is the target. It does not use the scale, and at a fixed seed it
+# still answers differently across it: the premise is exact and passes, the
+# pinned search passes once the search uses that symmetry.
 
 _EIGHT_RESTARTS = SearchConfig(signature_constraint="none", restarts=8, max_iters=200)
 
@@ -1627,20 +1722,28 @@ def _split(signature):
     return SearchConfig(signature_constraint=signature, restarts=8, max_iters=200, rng_seed=0)
 
 
+def _negated(metric):
+    return [[-x for x in row] for row in metric.matrix]
+
+
 def test_the_negated_find_of_signature_1_2_has_signature_2_1():
     """With signature (1, 2) the search finds a metric on Heisenberg (restart
     2 at seed 0); its negation has signature (2, 1) and is exactly
     compatible."""
     res = find_compatible_metric(heisenberg(), _split((1, 2)))
     assert res.found and res.exact_certificate and len(res.log) == 3
-    negated = Metric.from_rows([[-x for x in row] for row in res.best_metric.rows()])
+    negated = Metric.from_rows(_negated(res.best_metric))
     assert negated.signature() == (2, 1)
     assert compatibility_residual(heisenberg(), negated).exact_zero
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the search negates candidates for signature (0, n) only: at (2, 1) "
-                          "restarts 2 and 6 converge on metrics it does not admit")
 def test_heisenberg_has_a_find_of_signature_2_1():
-    res = find_compatible_metric(heisenberg(), _split((2, 1)))
-    assert res.found
+    """(2, 1) and (1, 2) search the same symmetric metrics from the same
+    starts: restart 2 ends on a metric of signature (1, 2), and (2, 1)
+    admits its negation, exactly certified."""
+    res, mirror = (find_compatible_metric(heisenberg(), _split(sig)) for sig in ((2, 1), (1, 2)))
+    assert res.found and res.exact_certificate and len(res.log) == 3
+    assert res.best_metric.signature() == (2, 1)
+    assert compatibility_residual(heisenberg(), res.best_metric).exact_zero
+    assert res.log == mirror.log
+    assert res.best_metric.matrix == tuple(map(tuple, _negated(mirror.best_metric)))
