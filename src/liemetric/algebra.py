@@ -16,18 +16,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rational
-from .scalars import (DEFAULT_TOL, MAX_FLOAT_ENTRY, IntegerForm, _differ, _scaled, _unscaled,
-                      coerce, contract, infer_exact, within)
+from .scalars import (DEFAULT_TOL, DimensionMismatchError, IntegerForm, _scaled, _unscaled,
+                      coerce, contract, frozen, operand_mode, within)
 
 
 # the one float zero cutoff: a singular value (``_rank_null``) or the magnitude
 # of a symmetric form's eigenvalue (``metric._inertia``) is zero unless above
 # this share of the largest
 RANK_RTOL = 1e-9
-
-
-class DimensionMismatchError(ValueError):
-    pass
 
 
 class InvalidStructureError(ValueError):
@@ -45,10 +41,6 @@ class UnimodularityReport:
         return self.unimodular
 
 
-def _freeze_tensor(c):
-    return tuple(tuple(tuple(row) for row in plane) for plane in c)
-
-
 @dataclass(frozen=True)
 class LieAlgebra(IntegerForm):
     """Immutable structure-constant presentation of a Lie algebra.
@@ -58,9 +50,8 @@ class LieAlgebra(IntegerForm):
     dim >= 1, float entries are finite and at most MAX_FLOAT_ENTRY in
     magnitude, and c is exactly antisymmetric in its first two axes (the
     kernels rely on it): one that is not raises InvalidStructureError, except
-    that float entries may miss antisymmetry by DEFAULT_TOL, and such a
-    tensor is stored as (c - c^T) / 2. An exactly antisymmetric one keeps its
-    bits.
+    that a float tensor is stored as its antisymmetric part by the storage
+    rule of ``IntegerForm._hold_symmetric``.
     """
 
     dim: int
@@ -75,43 +66,30 @@ class LieAlgebra(IntegerForm):
         if len(self.c) != n or any(len(plane) != n or any(len(row) != n for row in plane)
                                    for plane in self.c):
             raise DimensionMismatchError("structure tensor is not dim x dim x dim")
-        self._hold(_scaled(self.c, self.exact))
-        t = self._form[0]
-        if not (self.exact or np.abs(t).max() <= MAX_FLOAT_ENTRY):  # NaN fails too
-            i, j, k = np.argwhere(~(np.abs(t) <= MAX_FLOAT_ENTRY))[0]
-            raise InvalidStructureError(
-                f"structure constant c[{i}][{j}][{k}] is {t[i, j, k]}; a float constant "
-                f"must be finite and at most {MAX_FLOAT_ENTRY:g} in magnitude")
-        mirror = t.transpose(1, 0, 2)
-        bad = np.argwhere(_differ(t, -mirror, self.exact, DEFAULT_TOL))
-        if len(bad):
-            i, j, k = bad[0]  # row-major order: the lexicographically first entry
-            raise InvalidStructureError(f"antisymmetry fails at c[{i}][{j}][{k}]")
-        if not self.exact and not (t == -mirror).all():
-            # halves first: no overflow, and each pair's two halves are negatives
-            t = np.where(t == -mirror, t, 0.5 * t - 0.5 * mirror)
-            object.__setattr__(self, "c", _freeze_tensor(t.tolist()))
-            self._hold((t, 1))
+        self._hold_symmetric("c", -1, InvalidStructureError, "structure constant c[{}][{}][{}]",
+                             "antisymmetry fails at c[{}][{}][{}]")
 
     @classmethod
-    def from_brackets(cls, dim: int, brackets: Mapping, *, exact: bool = True,
+    def from_brackets(cls, dim: int, brackets: Mapping, *, exact: bool | None = None,
                       check_jacobi: bool = True, name: str = ""):
-        """Build from ``{(i, j): coefficient vector of [e_i, e_j]}`` with i < j.
+        """Build from ``{(i, j): coefficient vector of [e_i, e_j]}`` with i < j,
+        exact when every coefficient is unless ``exact`` is given
+        (``operand_mode``).
 
         Unlisted pairs are zero. The remaining entries are materialized by
         antisymmetry, which removes one class of inconsistent input.
         """
+        inferred = operand_mode(dim, True, *brackets.values())
+        exact = inferred if exact is None else exact
         zero = coerce(0, exact)
         c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < dim):
                 raise InvalidStructureError(f"bracket pair {(i, j)} needs 0 <= i < j < dim")
-            if len(coeffs) != dim:
-                raise DimensionMismatchError(f"coefficient vector for {(i, j)} has wrong length")
             row = [coerce(x, exact) for x in coeffs]
             c[i][j] = row
             c[j][i] = [-x for x in row]
-        alg = cls(dim=dim, c=_freeze_tensor(c), exact=exact, name=name)
+        alg = cls(dim=dim, c=frozen(c), exact=exact, name=name)
         if check_jacobi:
             alg.require_jacobi()
         return alg
@@ -119,12 +97,13 @@ class LieAlgebra(IntegerForm):
     @classmethod
     def from_structure(cls, c, *, exact: bool | None = None,
                        check_jacobi: bool = True, name: str = ""):
-        """Build from a full rank-3 tensor; the constructor validates
-        shape and antisymmetry."""
+        """Build from a full rank-3 tensor, exact when every entry is unless
+        ``exact`` is given (``operand_mode``); the constructor validates
+        antisymmetry."""
         if exact is None:
-            exact = infer_exact(x for plane in c for row in plane for x in row)
+            exact = operand_mode(len(c), True, c)
         data = [[[coerce(x, exact) for x in row] for row in plane] for plane in c]
-        alg = cls(dim=len(c), c=_freeze_tensor(data), exact=exact, name=name)
+        alg = cls(dim=len(c), c=frozen(data), exact=exact, name=name)
         if check_jacobi:
             alg.require_jacobi()
         return alg
@@ -138,7 +117,8 @@ class LieAlgebra(IntegerForm):
 
     def bracket(self, u: Sequence, v: Sequence) -> list:
         """[u, v] by contraction of the structure tensor; bilinear, antisymmetric."""
-        return _bilinear(self.scaled(self.exact), u, v, self.exact)
+        exact = operand_mode(self.dim, self.exact, u, v)
+        return _bilinear(self.scaled(exact), u, v, exact)
 
     def jacobi_residual(self):
         """Max-norm of the Jacobi defect over basis triples; 0 iff a Lie algebra."""
@@ -179,10 +159,10 @@ class LieAlgebra(IntegerForm):
 
     def adjoint_matrix(self, u: Sequence):
         """Matrix of ad_u = [u, .]; column j is [u, e_j]."""
-        _check_lengths(self.dim, u)
-        c, sc = self.scaled(self.exact)
-        w, sw = _scaled(u, self.exact)
-        return _unscaled(np.einsum("i,ijk->kj", w, c), sc * sw, self.exact)
+        exact = operand_mode(self.dim, self.exact, u)
+        c, sc = self.scaled(exact)
+        w, sw = _scaled(u, exact)
+        return _unscaled(np.einsum("i,ijk->kj", w, c), sc * sw, exact)
 
     # -- derived structure --------------------------------------------------
 
@@ -211,26 +191,26 @@ class LieAlgebra(IntegerForm):
         """Structure tensor in the basis f_q = sum_i p[i][q] e_i.
 
         A congruence action: c'[p][q][l] picks up two copies of p and one of
-        its inverse. Exact algebras require exact p.
+        its inverse. The result is exact when the algebra and p are
+        (``operand_mode``).
         """
-        c, sc = self.scaled(self.exact)
-        if self.exact:
-            p = [[coerce(x, True) for x in row] for row in p]
-            pinv = rational.inverse(p)
+        exact = operand_mode(self.dim, self.exact, p)
+        c, sc = self.scaled(exact)
+        parr, sp = _scaled(p, exact)
+        if exact:
+            pinv, si = _scaled(rational.inverse(_unscaled(parr, sp, True)), True)
         else:
-            pinv = np.linalg.inv(np.array(p, dtype=float))
-        parr, sp = _scaled(p, self.exact)
-        pinv, si = _scaled(pinv, self.exact)
+            pinv, si = np.linalg.inv(parr), 1
         new = np.einsum("ijk,lk->ijl", c, pinv)
         new = np.einsum("ia,ijl->ajl", parr, new)
         new = np.einsum("jb,ajl->abl", parr, new)
-        new = _freeze_tensor(_unscaled(new, sc * sp * sp * si, self.exact))
-        return LieAlgebra(dim=self.dim, c=new, exact=self.exact, name=self.name)
+        new = frozen(_unscaled(new, sc * sp * sp * si, exact))
+        return LieAlgebra(dim=self.dim, c=new, exact=exact, name=self.name)
 
     def to_float(self) -> "LieAlgebra":
         if not self.exact:
             return self
-        return LieAlgebra(dim=self.dim, c=_freeze_tensor(self._float_entries()), exact=False,
+        return LieAlgebra(dim=self.dim, c=frozen(self._float_entries()), exact=False,
                           name=self.name)
 
     def structure_array(self) -> np.ndarray:
@@ -270,17 +250,11 @@ def _rank_null(m, exact: bool, what: str):
     return rank, vt[rank:]
 
 
-def _check_lengths(n: int, *vectors: Sequence):
-    for u in vectors:
-        if len(u) != n:
-            raise DimensionMismatchError(f"vector of length {len(u)} in dimension {n}")
-
-
 def _bilinear(form: tuple, u: Sequence, v: Sequence, exact: bool) -> list:
     """Contract a rank-3 tensor, given as its form ``(t, st)``, with two vectors:
-    sum_ij u_i v_j t[i][j] / st."""
+    sum_ij u_i v_j t[i][j] / st; the caller checks the lengths
+    (``operand_mode``)."""
     t, st = form
-    _check_lengths(len(t), u, v)
     u, su = _scaled(u, exact)
     v, sv = _scaled(v, exact)
     out = np.einsum("j,jk->k", v, np.einsum("i,ijk->jk", u, t))

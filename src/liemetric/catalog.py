@@ -7,10 +7,10 @@ basis e_1 .. e_n; only pairs i < j with a nonzero bracket are listed.
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 
 from .algebra import LieAlgebra
 from .metric import Metric
+from .scalars import coerce, is_exact
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -32,13 +32,12 @@ def solvable_family(alpha, beta, gamma) -> LieAlgebra:
     """Three-dimensional solvable family with derived algebra in span(e2, e3).
 
     [e1, e2] = alpha e2 + beta e3, [e1, e3] = gamma e2 - alpha e3,
-    [e2, e3] = 0. Parameters may be ints, Fractions, rational strings, or
-    floats (floats switch the algebra to float mode).
+    [e2, e3] = 0. The algebra is exact when every parameter is
+    (``scalars.is_exact``), and float otherwise.
     """
-    params = [alpha, beta, gamma]
-    exact = not any(isinstance(x, float) for x in params)
+    exact = all(map(is_exact, (alpha, beta, gamma)))
     if exact:
-        alpha, beta, gamma = (Fraction(x) for x in params)
+        alpha, beta, gamma = (coerce(x, True) for x in (alpha, beta, gamma))
     brackets = {
         (0, 1): [0, alpha, beta],
         (0, 2): [0, gamma, -alpha],

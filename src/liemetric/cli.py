@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 a check failed, 2 bad input, 3 search exhausted.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="residual tolerance (default %(default)g)")
     common.add_argument("--seed", type=_integer(0), default=0,
-                        help="random seed for anything sampled")
+                        help="random seed for anything sampled (default %(default)s)")
     common.add_argument("--json", dest="json_path", metavar="PATH",
                         help="also write the full report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -320,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "it if it exists (default: write no file)")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("classify", parents=[common],
+    # a copy: children share their parent's actions, and this seed default differs
+    p = sub.add_parser("classify", parents=[copy.deepcopy(common)],
                        help="compare search outcomes against the known "
                             "low-dimensional classification")
     p.add_argument("--dim", choices=["2", "3", "all"], default="all")
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family parameter triples to sample (default %(default)s)")
     p.add_argument("--restarts", type=_integer(1), default=16)
     p.add_argument("--max-iters", type=_integer(0), default=200)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, seed=classify.DEFAULT_SWEEP_CONFIG.rng_seed)
 
     p = sub.add_parser("dual-sweep", parents=[common],
                        help="evaluate the dual-space identities at sample points")

@@ -37,14 +37,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from . import metric
-from .algebra import DimensionMismatchError, LieAlgebra, _rank_null
+from .algebra import LieAlgebra, _rank_null
 from .metric import Metric
-from .scalars import _scaled, _unscaled, is_exact, report_float
+from .scalars import _scaled, _unscaled, frozen, operand_mode, report_float
 
 EIG_POSITIVITY_TOL = 1e-12
 
@@ -112,27 +113,18 @@ class LeafGeometryAt:
     frame: LeafFrame
 
 
-def _check_dim(alg: LieAlgebra, mu):
-    if len(mu) != alg.dim:
-        raise DimensionMismatchError("point has wrong number of coordinates")
-
-
 def bivector_at(alg: LieAlgebra, mu) -> BivectorAt:
     """Antisymmetric matrix pi[i][j] = mu([e_i, e_j])."""
-    _check_dim(alg, mu)
-    exact = alg.exact and all(is_exact(x) for x in mu)
+    exact = operand_mode(alg.dim, alg.exact, mu)
     c, sc = alg.scaled(exact)
     m, sm = _scaled(mu, exact)
     pi = _unscaled(np.einsum("ijk,k->ij", c, m), sc * sm, exact)
-    return BivectorAt(matrix=tuple(map(tuple, pi)), exact=exact)
+    return BivectorAt(matrix=frozen(pi), exact=exact)
 
 
 def sharp_pi(alg: LieAlgebra, mu, alpha) -> list:
     """Vector v with beta(v) = pi(alpha, beta) for every covector beta."""
-    _check_dim(alg, mu)
-    if len(alpha) != alg.dim:
-        raise DimensionMismatchError("covector has wrong length")
-    exact = alg.exact and all(is_exact(x) for x in (*mu, *alpha))
+    exact = operand_mode(alg.dim, alg.exact, mu, alpha)
     c, sc = alg.scaled(exact)
     m, sm = _scaled(mu, exact)
     w, sw = _scaled(alpha, exact)
@@ -158,11 +150,9 @@ class _DualFrame:
     """
 
     def __init__(self, alg: LieAlgebra, a: Metric):
-        self.exact = alg.exact and a.exact
+        self.exact = operand_mode(alg.dim, alg.exact, a)
         if not self.exact:
             alg, a = alg.to_float(), a.to_float()
-        if alg.dim != a.dim:
-            raise DimensionMismatchError("metric dimension does not match the algebra")
         self.alg, self.n = alg, alg.dim
         self.scaled_a = a.scaled(self.exact)
         self.half = a._half_inverse()
@@ -249,8 +239,7 @@ class _DualFrame:
         points = [list(pt) for pt in points]
         if not points:
             raise ValueError("no points to evaluate the identity at")
-        for pt in points:
-            _check_dim(self.alg, pt)
+        operand_mode(self.n, False, *points)
         mu = np.array([[*pt, 1] for pt in points], dtype=float)
         if scale.bit_length() <= 1074:
             try:
@@ -274,11 +263,12 @@ class _DualFrame:
 
 def _exact_at(rows, scale: int, pt: list) -> float:
     """The largest |defect| of exact rows at one point, as ``report_float``
-    shows it; NaN at a point with a non-finite coordinate."""
+    shows it, each float coordinate read as the Fraction of its bits; NaN at
+    a point with a non-finite coordinate."""
     if not all(map(math.isfinite, pt)):
         return math.nan
-    m, sm = _scaled(pt, True)
-    return report_float(_unscaled(np.max(np.abs(rows.dot(m))), scale * sm, True))
+    mu = np.array([Fraction(x) for x in pt], dtype=object)
+    return report_float(np.max(np.abs(rows.dot(mu))) / scale)
 
 
 def _frame(alg: LieAlgebra, a: Metric) -> _DualFrame:
@@ -348,21 +338,15 @@ def modular_field_value(alg: LieAlgebra, a: Metric, f, mu=None) -> float:
     1997), so mu is only checked for its length. Unless f and the pair are
     all exact, f pairs in floats with the exact trace rounded once.
     """
-    if len(f) != alg.dim:
-        raise DimensionMismatchError("linear function has wrong length")
-    if mu is not None:
-        _check_dim(alg, mu)
     fr = _frame(alg, a)
-    exact = fr.exact and all(is_exact(x) for x in f)
+    exact = operand_mode(fr.n, fr.exact, f)
+    if mu is not None:
+        operand_mode(fr.n, False, mu)
     m, sm = fr.trace
     if not exact:
         m, sm = np.array([report_float(t) for t in fr.modular]), 1
     w, sw = _scaled(f, exact)
     return report_float(_unscaled(np.einsum("k,k->", w, m), sw * sm, exact))
-
-
-def _frozen(rows) -> tuple:
-    return tuple(map(tuple, rows))
 
 
 def leaf_frame_at(alg: LieAlgebra, a: Metric, mu) -> LeafFrame:
@@ -377,11 +361,8 @@ def leaf_frame_at(alg: LieAlgebra, a: Metric, mu) -> LeafFrame:
     ``kahler_check_at`` from the algebra's generic rank (n - ind(g)), with the
     Schwartz-Zippel error bound stated there.
     """
-    _check_dim(alg, mu)
-    if alg.dim != a.dim:
-        raise DimensionMismatchError("metric dimension does not match the algebra")
+    exact = operand_mode(alg.dim, alg.exact, a, mu)
     p = bivector_at(alg, mu)
-    exact = p.exact and a.exact
     rank, kernel = _rank_null(p.matrix, exact, "the bivector at the point")
     pm, sp = _scaled(p.matrix, exact)
     am, sa = a.scaled(exact)
@@ -397,9 +378,9 @@ def leaf_frame_at(alg: LieAlgebra, a: Metric, mu) -> LeafFrame:
         complement = _rank_null(_unscaled(ka, sk * sa, exact), exact, "the kernel pairing")[1]
     c, sc = _scaled(complement, exact)
     tangents = np.einsum("si,ij->sj", c, pm)
-    return LeafFrame(kernel_basis=_frozen(_unscaled(k, sk, exact)),
-                     complement_basis=_frozen(_unscaled(c, sc, exact)),
-                     tangent_basis=_frozen(_unscaled(tangents, sc * sp, exact)),
+    return LeafFrame(kernel_basis=frozen(_unscaled(k, sk, exact)),
+                     complement_basis=frozen(_unscaled(c, sc, exact)),
+                     tangent_basis=frozen(_unscaled(tangents, sc * sp, exact)),
                      rank=rank, exact=exact)
 
 

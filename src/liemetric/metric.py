@@ -21,10 +21,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rational
-from .algebra import (RANK_RTOL, DimensionMismatchError, LieAlgebra, _bilinear,
-                      _check_lengths, _freeze_tensor)
-from .scalars import (DEFAULT_TOL, MAX_FLOAT_ENTRY, IntegerForm, _differ, _scaled, _unscaled,
-                      coerce, contract, infer_exact, report_float, within)
+from .algebra import RANK_RTOL, LieAlgebra, _bilinear
+from .scalars import (DEFAULT_TOL, DimensionMismatchError, IntegerForm, _scaled, _unscaled,
+                      coerce, contract, frozen, operand_mode, report_float, within)
 
 DEGENERATE_METRIC = "metric is degenerate or numerically near-degenerate"
 
@@ -63,9 +62,9 @@ class Metric(IntegerForm):
     """Symmetric nondegenerate bilinear form, exact or float entries.
 
     Carries the integer form of ``matrix`` (``scaled``), built once here.
-    However it is built, the matrix is square and symmetric (in float mode
-    within DEFAULT_TOL, with finite entries at most MAX_FLOAT_ENTRY in
-    magnitude), or construction raises.
+    However it is built, the matrix is square and symmetric, or construction
+    raises, except that a float matrix is stored as its symmetric part by the
+    storage rule of ``IntegerForm._hold_symmetric``.
     """
 
     matrix: tuple
@@ -73,24 +72,18 @@ class Metric(IntegerForm):
 
     def __post_init__(self):
         n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
-            raise DimensionMismatchError("metric matrix must be square")
-        self._hold(_scaled(self.matrix, self.exact))
-        m = self._form[0]
-        if not (self.exact or np.abs(m).max(initial=0.0) <= MAX_FLOAT_ENTRY):  # NaN fails too
-            i, j = np.argwhere(~(np.abs(m) <= MAX_FLOAT_ENTRY))[0]
-            raise ValueError(f"metric entry ({i}, {j}) is {m[i, j]}; a float entry must be "
-                             f"finite and at most {MAX_FLOAT_ENTRY:g} in magnitude")
-        # the mask is symmetric, so its row-major first entry has i < j
-        bad = np.argwhere(_differ(m, m.T, self.exact, DEFAULT_TOL))
-        if len(bad):
-            i, j = bad[0]
-            raise ValueError(f"metric is not symmetric at ({i}, {j})")
+        if not n or any(len(row) != n for row in self.matrix):
+            raise DimensionMismatchError("metric matrix must be square and nonempty")
+        # the mask of broken symmetry is symmetric: its first entry has i < j
+        self._hold_symmetric("matrix", 1, ValueError, "metric entry ({}, {})",
+                             "metric is not symmetric at ({}, {})")
 
     @classmethod
     def from_rows(cls, rows, *, exact: bool | None = None):
+        """Build from rows, exact when every entry is unless ``exact`` is
+        given (``operand_mode``)."""
         if exact is None:
-            exact = infer_exact(x for row in rows for x in row)
+            exact = operand_mode(len(rows), True, rows)
         return cls(matrix=tuple(tuple(coerce(x, exact) for x in row) for row in rows),
                    exact=exact)
 
@@ -122,12 +115,11 @@ class Metric(IntegerForm):
 
     def apply(self, u: Sequence, v: Sequence):
         """The value a(u, v)."""
-        _check_lengths(self.dim, u, v)
-        m, sm = self.scaled(self.exact)
-        u, su = _scaled(u, self.exact)
-        v, sv = _scaled(v, self.exact)
-        return _unscaled(np.einsum("j,j->", np.einsum("i,ij->j", u, m), v),
-                         sm * su * sv, self.exact)
+        exact = operand_mode(self.dim, self.exact, u, v)
+        m, sm = self.scaled(exact)
+        u, su = _scaled(u, exact)
+        v, sv = _scaled(v, exact)
+        return _unscaled(np.einsum("j,j->", np.einsum("i,ij->j", u, m), v), sm * su * sv, exact)
 
     def is_nondegenerate(self) -> bool:
         return not _inertia(self._form[0], self.exact)[2]
@@ -146,13 +138,13 @@ class Metric(IntegerForm):
         return _inertia(self._form[0], self.exact)[0] == self.dim
 
     def transported(self, p) -> "Metric":
-        """Pullback under the basis change f_q = sum_i p[i][q] e_i (congruence)."""
-        if self.exact:
-            p = [[coerce(x, True) for x in row] for row in p]
-        m, sm = self.scaled(self.exact)
-        p, sp = _scaled(p, self.exact)
+        """Pullback under the basis change f_q = sum_i p[i][q] e_i (congruence);
+        exact when the metric and p are (``operand_mode``)."""
+        exact = operand_mode(self.dim, self.exact, p)
+        m, sm = self.scaled(exact)
+        p, sp = _scaled(p, exact)
         moved = np.einsum("ia,ib->ab", p, np.einsum("ij,jb->ib", m, p))
-        return Metric.from_rows(_unscaled(moved, sm * sp * sp, self.exact), exact=self.exact)
+        return Metric.from_rows(_unscaled(moved, sm * sp * sp, exact), exact=exact)
 
     def to_float(self) -> "Metric":
         """The float copy, built directly as ``LieAlgebra.to_float`` builds its
@@ -195,7 +187,7 @@ class _TensorFromForm:
             raise AttributeError("tensor")  # a required field: no class default
         if "tensor" not in conn.__dict__:
             x, scale = conn._form
-            conn.__dict__["tensor"] = _freeze_tensor(_unscaled(x, scale, conn.exact))
+            conn.__dict__["tensor"] = frozen(_unscaled(x, scale, conn.exact))
         return conn.__dict__["tensor"]
 
     def __set__(self, conn, value):
@@ -235,20 +227,15 @@ class ConnectionTensor(IntegerForm):
 
     def apply(self, u: Sequence, v: Sequence) -> list:
         """A_u v by bilinearity."""
-        return _bilinear(self.scaled(self.exact), u, v, self.exact)
+        exact = operand_mode(self.dim, self.exact, u, v)
+        return _bilinear(self.scaled(exact), u, v, exact)
 
     def as_array(self) -> np.ndarray:
         return self.scaled(False)[0].copy()
 
-    def _check_dim(self, other):
-        if other.dim != self.dim:
-            raise DimensionMismatchError(
-                f"a product of dimension {self.dim} against dimension {other.dim}")
-
     def torsion_residual(self, alg: LieAlgebra):
         """Max-norm of A_{e_i}e_j - A_{e_j}e_i - [e_i, e_j] over basis pairs."""
-        self._check_dim(alg)
-        exact = self.exact and alg.exact
+        exact = operand_mode(self.dim, self.exact, alg)
         x, sx = self.scaled(exact)
         c, sc = alg.scaled(exact)
         d = (x - x.transpose(1, 0, 2)) * sc - c * sx
@@ -256,8 +243,7 @@ class ConnectionTensor(IntegerForm):
 
     def skew_residual(self, a: Metric):
         """Max-norm of a(A_{e_i}e_j, e_k) + a(e_j, A_{e_i}e_k) over triples."""
-        self._check_dim(a)
-        exact = self.exact and a.exact
+        exact = operand_mode(self.dim, self.exact, a)
         x, sx, bx = self.operand(exact)
         m, sm, bm = a.operand(exact)
         d = contract("ijm,mk->ijk", x, m, bx, bm) + contract("jm,ikm->ijk", m, x, bm, bx)
@@ -275,10 +261,8 @@ def levi_civita_product(alg: LieAlgebra, a: Metric) -> ConnectionTensor:
     as its integer form: the same Fractions, on ints small enough that the
     residual contractions mostly run in int64 (``contract``).
     """
-    if alg.dim != a.dim:
-        raise DimensionMismatchError("algebra and metric dimensions differ")
+    exact = operand_mode(alg.dim, alg.exact, a)
     n = alg.dim
-    exact = alg.exact and a.exact
     if exact:
         c, sc, bc = alg.operand(True)
         m, sm, bm = a.operand(True)
@@ -399,7 +383,7 @@ def compatibility_residual(alg: LieAlgebra, a: Metric,
         conn = levi_civita_product(alg, a)
     else:
         _require_product_of(conn, alg, a)
-    exact = conn.exact and alg.exact
+    exact = operand_mode(conn.dim, conn.exact, alg)
     c, sc, bc = alg.operand(exact)
     x, sx, bx = conn.operand(exact)
     sq = (_defect_array(c, x, bc, bx) ** 2).sum(axis=3)
@@ -432,14 +416,11 @@ def _require_product_of(conn: ConnectionTensor, alg: LieAlgebra, a: Metric):
     it that product: exactly when all three are exact, otherwise within
     DEFAULT_TOL relative to the size of the terms of each residual.
     """
-    if not conn.dim == alg.dim == a.dim:
-        raise DimensionMismatchError(
-            f"product, algebra and metric of dimensions {conn.dim}, {alg.dim}, {a.dim}")
+    exact = operand_mode(conn.dim, conn.exact, alg, a)
     if conn._pair is not None and conn._pair == (alg, a):
         return
     a.require_nondegenerate()
     torsion, skew = conn.torsion_residual(alg), conn.skew_residual(a)
-    exact = conn.exact and alg.exact and a.exact
     x, c, m = (np.max(np.abs(o.scaled(False)[0])) for o in (conn, alg, a))
     if not (within(torsion, exact, DEFAULT_TOL * max(1.0, x, c))
             and within(skew, exact, DEFAULT_TOL * max(1.0, x * m))):

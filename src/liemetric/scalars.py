@@ -1,12 +1,14 @@
 """Scalar handling for the two arithmetic modes.
 
-Exact mode holds ``fractions.Fraction`` entries (ints and 'p/q' strings
-coerce); float mode holds machine doubles and every zero test carries an
-explicit tolerance. ``within`` is that zero test, the one rule every residual
-verdict reads, and ``report_float`` the one rule for showing a value as a
-float, which reads 0.0 only for an exact zero. Mixed arithmetic silently
-degrades to float, so containers track an ``exact`` flag and coerce their
-entries up front.
+Exact mode holds ``fractions.Fraction`` entries; float mode holds machine
+doubles and every zero test carries an explicit tolerance. Each entry rule is
+decided here, once: ``is_exact`` tests an entry; ``operand_mode`` checks the
+operands of a public call and gives its mode, exact only when the value and
+every operand are exact, so a float is never promoted; and
+``IntegerForm._hold_symmetric`` is how an algebra or a metric stores float
+entries. ``within`` is the zero test every residual verdict reads, and
+``report_float`` the one rule for showing a value as a float, which reads 0.0
+only for an exact zero.
 
 Tensor operations run one contraction per tensor expression in both modes.
 In exact mode a tensor enters it as integers with one common denominator
@@ -19,9 +21,8 @@ which run one ``np.matmul`` each: BLAS, whose bits are fixed for one BLAS
 build but may differ between builds, within the rounding bound of exact
 arithmetic. The defect kernel reads c as exactly antisymmetric, which every
 ``LieAlgebra`` form is. An input of Python ints alone passes through
-``_scaled`` as it is, in one pass (scale 1, no Fraction per entry); other
-integers (bool, numpy integers) become Python ints, so no entry of the
-integer form can wrap.
+``_scaled`` as it is, in one pass (scale 1, no Fraction per entry); numpy
+integers become Python ints, so no entry of the integer form can wrap.
 
 The two-operand contractions of the Jacobi check, the product solve and the
 skew and compatibility residuals go through ``contract``. Given bounds on |x|
@@ -67,14 +68,43 @@ RATIONALIZE_MAX_DENOMINATOR = 10**6
 MAX_FLOAT_ENTRY = 1e50
 
 
+class DimensionMismatchError(ValueError):
+    pass
+
+
+_EXACT_TYPES = frozenset({int, Fraction, str})
+_NESTED = (list, tuple, np.ndarray)
+
+
 def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    """Whether an entry is exact: an integer (any ``numbers.Integral`` but
+    bool), a Fraction or a 'p/q' string, which ``Fraction`` parses."""
+    return type(x) in _EXACT_TYPES or (
+        isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
-def infer_exact(entries) -> bool:
-    """The mode of entries given without one: exact when every entry is an
-    int, a Fraction or a 'p/q' string, as ``coerce`` reads strings."""
-    return all(is_exact(x) or isinstance(x, str) for x in entries)
+def operand_mode(n: int, exact: bool, *operands) -> bool:
+    """The mode of a call on a value of dimension n and mode ``exact``.
+
+    An operand is a value with ``dim`` and ``exact`` (an ``IntegerForm``),
+    or a vector, matrix or tensor as nested sequences. A value must have
+    dimension n and a sequence length n on every axis, or
+    DimensionMismatchError is raised. The call is exact only when ``exact``
+    holds and every operand is exact: a value by its mode, a sequence when
+    every entry is (``is_exact``).
+    """
+    for x in operands:
+        if isinstance(x, IntegerForm):
+            if x.dim != n:
+                raise DimensionMismatchError(f"a value of dimension {x.dim} in dimension {n}")
+            exact = exact and x.exact
+        elif len(x) != n:
+            raise DimensionMismatchError(f"vector of length {len(x)} in dimension {n}")
+        elif n and isinstance(x[0], _NESTED):
+            exact = operand_mode(n, exact, *x)
+        else:  # entries of the three exact types are told apart in one pass
+            exact = exact and (_EXACT_TYPES.issuperset(map(type, x)) or all(map(is_exact, x)))
+    return exact
 
 
 def within(value, exact: bool, tol: float = DEFAULT_TOL) -> bool:
@@ -95,31 +125,17 @@ def report_float(x) -> float:
     return math.copysign(math.ulp(0.0), value) if value == 0 and x != 0 else value
 
 
-def _differ(x: np.ndarray, y: np.ndarray, exact: bool, tol: float) -> np.ndarray:
-    """Where two arrays of one shape differ: exactly (exact mode), or by more
-    than tol (float mode, finite entries). Arrays equal entry by entry skip
-    the tolerance pass."""
-    if exact:
-        return x != y
-    same = x == y
-    if same.all():
-        return ~same
-    return np.abs(x - y) > tol
-
-
 def coerce(x, exact: bool):
-    """Return x as Fraction (exact) or float; strings parse as rationals."""
+    """Return x as Fraction (exact) or float; strings parse as rationals. An
+    entry that is not exact (``is_exact``) raises TypeError in exact mode."""
     if exact:
-        if type(x) is Fraction:
-            return x
-        if isinstance(x, str):
-            return Fraction(x)
-        if is_exact(x):
-            return Fraction(x)
-        raise TypeError(f"float value {x!r} not allowed in exact mode")
-    if isinstance(x, str):
-        return float(Fraction(x))
-    return float(x)
+        return x if type(x) is Fraction else Fraction(_rational(x))
+    return float(Fraction(x)) if isinstance(x, str) else float(x)
+
+
+def frozen(x: list) -> tuple:
+    """Nested lists as nested tuples, the form of a value's public field."""
+    return tuple(map(frozen, x)) if x and isinstance(x[0], list) else tuple(x)
 
 
 def rationalize(x: float) -> Fraction:
@@ -132,11 +148,18 @@ def _scaled(values, exact: bool):
 
     Exact mode: an object array of Python ints and the lcm of the entry
     denominators; an int entry is its own numerator over 1, and an input of
-    Python ints alone is its own form over 1, found in one pass. Float mode:
-    a float64 array and scale 1.
+    Python ints alone is its own form over 1, found in one pass. An entry
+    that is not exact raises TypeError. Float mode: a float64 array and
+    scale 1; an input holding a string that numpy does not read, a 'p/q'
+    one, is read entry by entry by ``coerce``.
     """
     if not exact:
-        return np.asarray(values, dtype=float), 1
+        try:
+            return np.asarray(values, dtype=float), 1
+        except ValueError:
+            entries = np.array(values, dtype=object)
+            return np.array([coerce(x, False) for x in entries.ravel().tolist()],
+                            dtype=float).reshape(entries.shape), 1
     entries = np.array(values, dtype=object)
     flat = entries.ravel().tolist()
     if all(type(x) is int for x in flat):
@@ -148,8 +171,10 @@ def _scaled(values, exact: bool):
 
 
 def _rational(x):
-    """An entry other than a Python int or Fraction: integers (bool, numpy) as
-    Python ints, anything else (a 'p/q' string) as a Fraction."""
+    """An exact entry as a Python int (an integer) or a Fraction; any other
+    entry raises TypeError."""
+    if not is_exact(x):
+        raise TypeError(f"{x!r} is not an exact entry (an integer, a Fraction or a 'p/q' string)")
     return int(x) if isinstance(x, numbers.Integral) else Fraction(x)
 
 
@@ -227,6 +252,38 @@ class IntegerForm:
         array = np.ascontiguousarray(form[0])
         array.flags.writeable = False
         object.__setattr__(self, "_form", (array, form[1]))
+
+    def _hold_symmetric(self, field: str, sign: int, error: type, entry: str, broken: str):
+        """Hold the form of ``field``, which must be symmetric (sign 1) or
+        antisymmetric (sign -1) in its first two axes: the one storage rule of
+        the algebras and metrics.
+
+        Exact entries must be so exactly. A float entry must be finite and at
+        most MAX_FLOAT_ENTRY in magnitude, and a float value (anti)symmetric
+        within DEFAULT_TOL * max(1, largest |entry|) is stored, field and
+        form, as its (anti)symmetric part; a pair of entries that already is
+        keeps its bits. Otherwise ``error`` is raised, naming the first
+        failing entry in row-major order through the format strings ``entry``
+        (a bad entry) and ``broken`` (broken symmetry).
+        """
+        t, scale = _scaled(getattr(self, field), self.exact)
+        if not self.exact:
+            largest = np.abs(t).max(initial=0.0)
+            if not largest <= MAX_FLOAT_ENTRY:  # NaN fails too
+                at = tuple(np.argwhere(~(np.abs(t) <= MAX_FLOAT_ENTRY))[0])
+                raise error(f"{entry.format(*at)} is {t[at]}; a float entry must be finite "
+                            f"and at most {MAX_FLOAT_ENTRY:g} in magnitude")
+        mirror = t.swapaxes(0, 1) if sign > 0 else -t.swapaxes(0, 1)
+        same = t == mirror
+        if not same.all():
+            bad = ~same if self.exact else np.abs(t - mirror) > DEFAULT_TOL * max(1.0, largest)
+            if bad.any():
+                raise error(broken.format(*np.argwhere(bad)[0]))
+            # halves first: no overflow, and each pair's two halves are equal
+            # or negatives of each other
+            t = np.where(same, t, 0.5 * t + 0.5 * mirror)
+            object.__setattr__(self, field, frozen(t.tolist()))
+        self._hold((t, scale))
 
     def scaled(self, exact: bool) -> tuple:
         """The entries as ``(array, scale)`` in the given mode: the integer form

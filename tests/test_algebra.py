@@ -58,6 +58,35 @@ def test_float_constants_are_finite_and_capped_before_antisymmetry():
             assert LieAlgebra.from_structure(c, exact=False, check_jacobi=False).dim == 2
 
 
+def test_changed_basis_float_algebras_are_stored_antisymmetric():
+    """A float algebra moved by a large change of basis misses antisymmetry by
+    rounding relative to its constants: stored as its antisymmetric part, it
+    is accepted in every draw, where an absolute tolerance refused 21 of
+    these 300. A tensor off by more than the relative tolerance is still
+    refused, with the same message."""
+    alg = solvable_family(0.5, -0.7, 1.3)
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        moved = alg.changed_basis((1e4 * rng.standard_normal((3, 3))).tolist())
+        c = np.array(moved.c)
+        assert (c == -c.transpose(1, 0, 2)).all()
+    big = [[[0.0, 0.0], [1e6, 0.0]], [[-1e6 + 1e-5, 0.0], [0.0, 0.0]]]
+    kept = LieAlgebra.from_structure(big, check_jacobi=False)
+    assert kept.c[0][1][0] == -kept.c[1][0][0] == 0.5 * 1e6 + 0.5 * (1e6 - 1e-5)
+    big[1][0][0] = -1e6 + 1e-3
+    with pytest.raises(InvalidStructureError, match=r"^antisymmetry fails at c\[0\]\[1\]\[0\]$"):
+        LieAlgebra.from_structure(big, check_jacobi=False)
+
+
+def test_from_brackets_refuses_a_pair_out_of_order_and_a_short_vector():
+    with pytest.raises(InvalidStructureError, match=r"bracket pair \(1, 0\) needs 0 <= i < j < dim"):
+        LieAlgebra.from_brackets(2, {(1, 0): [0, 1]})
+    with pytest.raises(InvalidStructureError, match=r"bracket pair \(0, 2\)"):
+        LieAlgebra.from_brackets(2, {(0, 2): [0, 1]})
+    with pytest.raises(DimensionMismatchError, match="vector of length 2 in dimension 3"):
+        LieAlgebra.from_brackets(3, {(0, 1): [0, 1]})
+
+
 def test_library_built_float_algebras_are_capped_and_exact_ones_are_not():
     """The cap covers every way to build a float algebra, so a constant near
     1e200 raises instead of reaching a float kernel as inf or NaN; an exact

@@ -43,14 +43,13 @@ from liemetric import (
 )
 from liemetric.dual import (
     DegenerateRestrictionError,
-    DimensionMismatchError,
     IrregularPointError,
     LeafRankError,
     _DualFrame,
     _frame,
 )
 from liemetric import rational
-from liemetric.scalars import _unscaled
+from liemetric.scalars import DimensionMismatchError, _unscaled
 from conftest import random_algebra, random_antisymmetric, random_metric, random_shear
 from polynomial import Polynomial
 import poly_oracle

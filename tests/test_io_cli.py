@@ -47,12 +47,16 @@ def test_algebra_roundtrip_bytes(tmp_path, rng):
 
 
 def test_metric_roundtrip_bytes(tmp_path, rng):
-    a = random_metric(rng, 4)
-    p1 = tmp_path / "m.json"
-    p2 = tmp_path / "m2.json"
-    save_metric(a, p1)
-    save_metric(load_metric(p1), p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    """Exact and float metrics; a float one is written with every bit."""
+    g = rng.standard_normal((4, 4))
+    for a in (random_metric(rng, 4), Metric.from_rows((g + g.T).tolist(), exact=False)):
+        p1 = tmp_path / "m.json"
+        p2 = tmp_path / "m2.json"
+        save_metric(a, p1)
+        back = load_metric(p1)
+        save_metric(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert back == a
 
 
 def test_rational_strings_survive(tmp_path):
@@ -612,6 +616,23 @@ def test_cli_classify_rows_carry_search_telemetry(tmp_path, capsys):
         assert row["restarts_run"] >= 1 and row["iterations"] >= 0 and row["seconds"] >= 0.0
     assert rows["affine_line/none"]["restarts_run"] == 6
     assert isinstance(rows["affine_line/none"]["value"], float)
+
+
+def test_cli_classify_runs_the_sweep_of_verify_classification_by_default(tmp_path, capsys):
+    """Without --seed, classify runs the library's default sweep, whose seed
+    is DEFAULT_SWEEP_CONFIG's: its rows are those of verify_classification."""
+    from liemetric import classify
+
+    j = tmp_path / "rep.json"
+    assert main(["classify", "--dim", "2", "--json", str(j)]) == 0
+    capsys.readouterr()
+    doc = json.loads(j.read_text())
+    assert doc["seed"] == classify.DEFAULT_SWEEP_CONFIG.rng_seed
+    got = [(row["name"], row["status"], row["found"], row["restarts_run"], row["iterations"])
+           for row in doc["checks"][:-1]]
+    want = [(f"{case.name}/{case.mode}", case.outcome, case.found, case.restarts_run,
+             case.iterations) for case in classify.verify_classification(dims=(2,)).cases]
+    assert got == want
 
 
 @pytest.mark.parametrize("args", [

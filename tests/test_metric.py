@@ -502,6 +502,50 @@ def test_float_metric_entries_are_finite_and_capped_before_symmetry():
                 Metric.diagonal([1, v]).to_float()
 
 
+def test_transported_float_metrics_are_stored_symmetric():
+    """The congruence of a float metric by a large shear misses symmetry by
+    rounding relative to its entries: stored as its symmetric part, it is
+    accepted in every draw, where an absolute tolerance refused 150 of these
+    200. Its entries are the mean of each pair, so every one is within the
+    rounding of the float congruence."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        g = rng.standard_normal((4, 4))
+        p = 300 * rng.standard_normal((4, 4))
+        moved = Metric.from_rows((g + g.T).tolist(), exact=False).transported(p.tolist())
+        m = np.array(moved.matrix)
+        want = p.T @ (g + g.T) @ p
+        assert (m == m.T).all() and np.abs(m - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_float_metrics_are_stored_by_the_one_storage_rule():
+    """Within DEFAULT_TOL times max(1, largest |entry|) a float metric is
+    stored as its symmetric part, field and form alike; an exactly symmetric
+    one keeps its bits, as the search's metrics do; beyond it, it is refused
+    with the same message as before."""
+    a = Metric.from_rows([[1e6, 1e6 + 1e-5], [1e6, 1.0]], exact=False)
+    mean = 0.5 * 1e6 + 0.5 * (1e6 + 1e-5)
+    assert a.matrix == ((1e6, mean), (mean, 1.0))
+    assert a.scaled(False)[0].tolist() == [list(row) for row in a.matrix]
+    assert dataclasses.replace(a, matrix=((1e6, 1e6), (1e6 + 1e-5, 1.0))).matrix == a.matrix
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        g = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+        rows = (g + g.T).tolist()
+        kept = Metric.from_rows(rows, exact=False)
+        assert kept.matrix == tuple(map(tuple, rows))
+        assert kept.scaled(False)[0].tobytes() == np.array(rows).tobytes()
+    for rows, where in (([[1e6, 1e6 + 1e-3], [1e6, 1.0]], r"\(0, 1\)"),
+                        ([[1.0, 0.0, 0.0], [0.0, 1.0, 2e-10], [0.0, 0.0, 1.0]], r"\(1, 2\)")):
+        with pytest.raises(ValueError, match=rf"^metric is not symmetric at {where}$"):
+            Metric.from_rows(rows, exact=False)
+
+
+def test_float_metric_determinant_is_a_float():
+    a = Metric.from_rows([[2.0, 1.0], [1.0, 3.0]], exact=False)
+    assert type(a.det()) is float and a.det() == pytest.approx(5.0, abs=1e-12)
+
+
 def _reduced_pairs():
     """Catalog pairs, and seeded pairs n = 2..6 with dense shears."""
     rng = np.random.default_rng(20261102)

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liemetric.scalars import (DEFAULT_TOL, INT64_MAX, MAX_FLOAT_ENTRY, _bounded, _differ,
-                               _scaled, _summed_terms, _unscaled, contract, report_float,
-                               within)
+from liemetric import (LieAlgebra, Metric, affine_line, bivector_at, heisenberg,
+                       heisenberg_split_metric, leaf_frame_at, levi_civita_product,
+                       modular_field_value, sharp_pi)
+from liemetric.scalars import (DEFAULT_TOL, DimensionMismatchError, INT64_MAX, _bounded, _scaled, _summed_terms,
+                               _unscaled, coerce, contract, report_float, within)
 
 
 def _scaled_reference(values):
@@ -30,8 +32,8 @@ def _scaled_reference(values):
     [[Fraction(2, 3), 4, "-5/9"], [0, "7", Fraction(-1, 6)]],
     [[[Fraction(1, 3), 2], ["3/5", 0]], [[-1, Fraction(4, 7)], ["-2/3", 1]]],
     [Fraction(7, 10)],
-    [[True, False], [False, True]],
-    [[True, Fraction(-1, 2)], [3, False]],
+    np.array([[1, 0], [0, -1]], dtype=np.int8),
+    [[np.int64(-5), Fraction(-1, 2)], [3, np.int16(0)]],
     [[np.int64(3), np.int32(-2)], [np.uint8(7), Fraction(1, 3)]],
     np.arange(-3, 3).reshape(2, 3),
     [],
@@ -42,7 +44,7 @@ def _scaled_reference(values):
     [[2**65, Fraction(1, 3)], [Fraction(-5, 2**66), -(2**64)]],
 ])
 def test_scaled_is_unchanged_for_fraction_int_string_and_mixed_input(values):
-    """Also bool, numpy-integer, empty, nested-empty and beyond-64-bit input:
+    """Also numpy-integer, empty, nested-empty and beyond-64-bit input:
     every entry comes out a Python int, so no integer form can wrap."""
     got, scale = _scaled(values, True)
     want, want_scale = _scaled_reference(values)
@@ -109,28 +111,25 @@ def test_within_is_an_exact_zero_or_a_float_tolerance():
     assert type(within(np.float64(0.0), False)) is bool
 
 
-def _differ_reference(x, y, tol):
-    """The float tolerance pass alone, with no equality shortcut."""
-    return ~(np.abs(x - y) <= tol)
+@pytest.mark.parametrize("entry", [0.5, np.float64(2.0), 1.0, True, np.bool_(False), None])
+def test_an_entry_that_is_not_exact_is_refused_in_exact_mode(entry):
+    """A float is never read as exact, not even an integral one, and neither
+    is a bool: the integer form and ``coerce`` refuse it, where the form once
+    turned a float into the Fraction of its bits."""
+    with pytest.raises(TypeError, match="not an exact entry"):
+        _scaled([[1, entry], [Fraction(1, 3), "2/5"]], True)
+    with pytest.raises(TypeError, match="not an exact entry"):
+        coerce(entry, True)
 
 
-def test_equal_arrays_skip_the_tolerance_pass_with_the_same_mask():
-    """Float mode: the mask is the tolerance pass's on arrays with entries at
-    the cap (``MAX_FLOAT_ENTRY``: every float algebra and metric is finite
-    and within it, so no other entry reaches the check) and near-equal
-    entries, and on arrays equal entry by entry, which return before it."""
-    rng = np.random.default_rng(4)
-    specials = [-MAX_FLOAT_ENTRY, MAX_FLOAT_ENTRY, 0.0, -0.0, 1.0, 1.0 + 1e-11, 1.0 + 1e-9]
-    for _ in range(200):
-        shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
-        x = rng.choice(specials, size=shape)
-        near = x + rng.choice([0.0, 1e-11], size=shape)
-        for y in (x.copy(), rng.choice(specials, size=shape), near,
-                  np.where(rng.random(shape) < 0.2, -x, x)):
-            got = _differ(x, y, False, DEFAULT_TOL)
-            assert got.dtype == bool and np.array_equal(got, _differ_reference(x, y, DEFAULT_TOL))
-    flat = np.array([1.0, -MAX_FLOAT_ENTRY, MAX_FLOAT_ENTRY, 2.5])
-    assert not _differ(flat, flat.copy(), False, DEFAULT_TOL).any()
+def test_float_mode_parses_a_rational_string_where_numpy_cannot():
+    """The float form reads 'p/q' strings as ``coerce`` does, mixed with other
+    entries, and any other input through numpy as before."""
+    got, scale = _scaled([["1/3", 2], [Fraction(1, 4), "-0.5"]], False)
+    assert scale == 1 and got.dtype == float
+    assert got.tolist() == [[1 / 3, 2.0], [0.25, -0.5]]
+    values = [[0.1, 2], [np.int64(3), Fraction(1, 3)]]
+    assert _scaled(values, False)[0].tobytes() == np.asarray(values, dtype=float).tobytes()
 
 
 def test_report_float_reads_zero_only_for_an_exact_zero():
@@ -285,3 +284,87 @@ def test_contract_equals_the_object_einsum(data):
     assert got.dtype == object and got.shape == want.shape
     assert got.tolist() == want.tolist()
     assert all(type(v) is int for v in got.flat)
+
+
+# -- the one operand rule of the public functions ---------------------------
+
+ENTRIES = {"int": 2, "fraction": Fraction(1, 2), "string": "1/2", "numpy int": np.int64(2),
+           "float": 0.5, "numpy float": np.float64(0.5)}
+EXACT_KINDS = {"int", "fraction", "string", "numpy int"}
+
+
+def _negated(x):
+    return "-" + x if isinstance(x, str) else -x
+
+
+def _calls():
+    """Each public function on exact values with the entry x in one operand,
+    as (name, call(x), call with a wrong-length operand)."""
+    h, split, one = heisenberg(), heisenberg_split_metric(), Metric.identity(3)
+    conn = levi_civita_product(h, split)
+    p = lambda x: [[1, x, 0], [0, 1, 0], [0, 0, 1]]
+    return [
+        ("bracket", lambda x: h.bracket([x, 0, 0], [0, 1, 0]),
+         lambda: h.bracket([1, 0], [0, 1, 0])),
+        ("adjoint_matrix", lambda x: h.adjoint_matrix([x, 1, 0]), lambda: h.adjoint_matrix([1])),
+        ("Metric.apply", lambda x: split.apply([x, 0, 0], [0, 0, 1]),
+         lambda: split.apply([1, 0, 0], [0, 0, 1, 0])),
+        ("ConnectionTensor.apply", lambda x: conn.apply([x, 0, 0], [0, 1, 0]),
+         lambda: conn.apply([1, 0], [0, 1, 0])),
+        ("changed_basis", lambda x: h.changed_basis(p(x)), lambda: h.changed_basis([[1, 0], [0, 1]])),
+        ("transported", lambda x: split.transported(p(x)),
+         lambda: split.transported([[1, 0, 0], [0, 1], [0, 0, 1]])),
+        ("bivector_at", lambda x: bivector_at(h, [x, 0, 1]), lambda: bivector_at(h, [0, 1])),
+        ("sharp_pi", lambda x: sharp_pi(h, [0, 0, 1], [x, 1, 0]),
+         lambda: sharp_pi(h, [0, 0, 1], [1, 0])),
+        ("modular_field_value", lambda x: modular_field_value(affine_line(), Metric.identity(2),
+                                                              [x, 1]),
+         lambda: modular_field_value(affine_line(), Metric.identity(2), [1, 0, 0])),
+        ("leaf_frame_at", lambda x: leaf_frame_at(h, one, [x, 0, 1]),
+         lambda: leaf_frame_at(h, one, [0, 0, 1, 0])),
+        ("from_rows", lambda x: Metric.from_rows([[x, 0], [0, 1]]),
+         lambda: Metric.from_rows([[1, 0], [0]])),
+        ("from_brackets", lambda x: LieAlgebra.from_brackets(2, {(0, 1): [0, x]}),
+         lambda: LieAlgebra.from_brackets(2, {(0, 1): [0]})),
+        ("from_structure",
+         lambda x: LieAlgebra.from_structure([[[0, 0], [0, x]], [[0, _negated(x)], [0, 0]]]),
+         lambda: LieAlgebra.from_structure([[[0, 0], [0, 1]], [[0, -1], [0]]])),
+    ]
+
+
+def _mode(result):
+    """True (exact) or False (float) when every entry agrees, else None."""
+    if hasattr(result, "exact"):
+        return result.exact
+    flat = np.array(result, dtype=object).ravel().tolist()
+    kinds = {type(x) for x in flat}
+    return True if kinds == {Fraction} else False if kinds == {float} else None
+
+
+@pytest.mark.parametrize("kind", ENTRIES)
+@pytest.mark.parametrize("name, call, short", _calls(), ids=[c[0] for c in _calls()])
+def test_every_public_function_reads_its_operands_by_the_one_rule(name, call, short, kind):
+    """On exact values a call is exact exactly when every operand entry is an
+    integer (numpy ones too), a Fraction or a 'p/q' string: a float is never
+    promoted to the Fraction of its bits, a float operand is never refused,
+    a string never crashes. A wrong-length operand raises
+    DimensionMismatchError. ``modular_field_value`` always returns a float:
+    its value is checked instead."""
+    result = call(ENTRIES[kind])
+    if name == "modular_field_value":  # the modular vector of affine_line is (-1, 0)
+        assert type(result) is float and result == -float(Fraction(ENTRIES[kind]))
+    else:
+        assert _mode(result) is (kind in EXACT_KINDS)
+    with pytest.raises(DimensionMismatchError):
+        short()
+
+
+def test_a_float_value_makes_every_call_float():
+    """Exact operands on a float value give a float result."""
+    h = heisenberg().to_float()
+    a = heisenberg_split_metric().to_float()
+    assert _mode(h.bracket([1, 0, 0], ["0", 1, 0])) is False
+    assert not h.changed_basis([[1, 2, 0], [0, 1, 0], [0, 0, 1]]).exact
+    assert not a.transported([[1, "1/3", 0], [0, 1, 0], [0, 0, 1]]).exact
+    assert not bivector_at(h, [Fraction(1, 2), 0, 1]).exact
+    assert not leaf_frame_at(heisenberg(), Metric.identity(3, exact=False), [1, 0, 1]).exact
