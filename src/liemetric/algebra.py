@@ -58,6 +58,7 @@ class LieAlgebra(IntegerForm):
     c: tuple
     exact: bool
     name: str = ""
+    _entries = "c"
 
     def __post_init__(self):
         n = self.dim
@@ -66,7 +67,7 @@ class LieAlgebra(IntegerForm):
         if len(self.c) != n or any(len(plane) != n or any(len(row) != n for row in plane)
                                    for plane in self.c):
             raise DimensionMismatchError("structure tensor is not dim x dim x dim")
-        self._hold_symmetric("c", -1, InvalidStructureError, "structure constant c[{}][{}][{}]",
+        self._hold_symmetric(-1, InvalidStructureError, "structure constant c[{}][{}][{}]",
                              "antisymmetry fails at c[{}][{}][{}]")
 
     @classmethod
@@ -206,12 +207,6 @@ class LieAlgebra(IntegerForm):
         new = np.einsum("jb,ajl->abl", parr, new)
         new = frozen(_unscaled(new, sc * sp * sp * si, exact))
         return LieAlgebra(dim=self.dim, c=new, exact=exact, name=self.name)
-
-    def to_float(self) -> "LieAlgebra":
-        if not self.exact:
-            return self
-        return LieAlgebra(dim=self.dim, c=frozen(self._float_entries()), exact=False,
-                          name=self.name)
 
     def structure_array(self) -> np.ndarray:
         return self.scaled(False)[0].copy()

@@ -45,7 +45,7 @@ import numpy as np
 from . import metric
 from .algebra import LieAlgebra, _rank_null
 from .metric import Metric
-from .scalars import _scaled, _unscaled, frozen, operand_mode, report_float
+from .scalars import _floats, _scaled, _unscaled, frozen, operand_mode, report_float
 
 EIG_POSITIVITY_TOL = 1e-12
 
@@ -225,7 +225,7 @@ class _DualFrame:
 
     def sweep(self, identity: str, points=None):
         """``worst`` as a float (points=None), or the largest |defect| at each
-        of a nonempty list of points, taken as floats, from rows @ [mu, 1].
+        of a nonempty list of points, read by ``scalars._floats``, from rows @ [mu, 1].
         Rows meet their scale only here and in ``worst``: for points int /
         int, rounded as float() of a Fraction, when scale < 2**1074 (no
         nonzero coefficient reads 0.0) and no quotient overflows; otherwise
@@ -240,7 +240,7 @@ class _DualFrame:
         if not points:
             raise ValueError("no points to evaluate the identity at")
         operand_mode(self.n, False, *points)
-        mu = np.array([[*pt, 1] for pt in points], dtype=float)
+        mu = _floats([[*pt, 1] for pt in points])
         if scale.bit_length() <= 1074:
             try:
                 return np.max(np.abs((rows / scale).astype(float) @ mu.T), axis=0)
@@ -365,17 +365,17 @@ def leaf_frame_at(alg: LieAlgebra, a: Metric, mu) -> LeafFrame:
     p = bivector_at(alg, mu)
     rank, kernel = _rank_null(p.matrix, exact, "the bivector at the point")
     pm, sp = _scaled(p.matrix, exact)
-    am, sa = a.scaled(exact)
+    am = a.scaled(exact)[0]
     k, sk = _scaled(kernel, exact)
     complement = np.eye(alg.dim, dtype=int).tolist()
     if len(kernel):
-        ka = np.einsum("ui,ij->uj", k, am)
+        ka = np.einsum("ui,ij->uj", k, am)  # the pairing, scaled: the same null space
         gram = np.einsum("uj,vj->uv", ka, k)  # times a positive scale
         if metric._inertia(gram, exact)[2]:  # an exact degenerate form has det 0
             gdet = 0 if exact else f"{float(np.linalg.det(gram)):.3e}"
             raise DegenerateRestrictionError(
                 f"metric degenerates on the sharp kernel (Gram determinant {gdet})")
-        complement = _rank_null(_unscaled(ka, sk * sa, exact), exact, "the kernel pairing")[1]
+        complement = _rank_null(ka, exact, "the kernel pairing")[1]
     c, sc = _scaled(complement, exact)
     tangents = np.einsum("si,ij->sj", c, pm)
     return LeafFrame(kernel_basis=frozen(_unscaled(k, sk, exact)),

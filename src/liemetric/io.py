@@ -10,7 +10,10 @@ Metric files carry the full symmetric matrix and a scalar mode:
     {"matrix": [["1", "0"], ["0", "1"]], "scalar": "rational"}
 
 Rational entries are strings like "-3/2"; float mode uses JSON numbers.
-Save then load then save reproduces the file byte for byte.
+Every entry is read by ``scalars.coerce`` (a refusal is a FormatError naming
+its position), a string as ``Fraction(text)`` in both modes with at most
+``MAX_EXPONENT_DIGITS`` (3) exponent digits. Save then load then save
+reproduces the file byte for byte.
 
 An algebra file may declare at most ``MAX_DIM`` basis vectors: building the
 structure tensor allocates dim^3 entries and the Jacobi check costs dim^5
@@ -18,9 +21,10 @@ operations, so a one-line file with a huge ``dim`` is refused before any of
 that is allocated. A metric file may hold at most ``MAX_DIM`` rows, refused
 before any entry is parsed.
 
-A float-mode entry may be at most ``MAX_FLOAT_ENTRY`` (1e50) in magnitude:
-the cap under which every float algebra and metric is built, defined (with
-its reason) in ``scalars``. Exact files have no cap: their kernels do not
+A float-mode entry must be finite and at most ``MAX_FLOAT_ENTRY`` (1e50) in
+magnitude: the cap under which every float algebra and metric is built,
+defined (with its reason) in ``scalars`` and importable from here, as
+``MAX_EXPONENT_DIGITS`` is. Exact files have no cap: their kernels do not
 overflow.
 
 Points files (``dual-sweep --points-file``) hold a JSON list of length-n
@@ -35,12 +39,11 @@ is parsed; the largest points file the other caps admit is 7.7 MB.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 
 from .algebra import LieAlgebra
 from .metric import Metric
-from .scalars import MAX_FLOAT_ENTRY
+from .scalars import MAX_EXPONENT_DIGITS, MAX_FLOAT_ENTRY, coerce
 
 MAX_DIM = 32
 
@@ -58,34 +61,25 @@ def _require(cond: bool, msg: str):
         raise FormatError(msg)
 
 
-def _fraction(text: str, where: str) -> Fraction:
-    """Fraction(text), refusing an exponent of four or more digits: Fraction
-    builds the integer 10^exponent first, so "1e99999999" would run for
-    minutes."""
-    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
-    _require(len(exponent.lstrip("0")) <= 3, f"{where}: exponent too large in {text!r}")
-    return Fraction(text)
+def _entry(x, exact: bool, where: str):
+    try:
+        return coerce(x, exact)
+    except ValueError as exc:
+        raise FormatError(f"{where}: bad {'rational' if exact else 'number'} {x!r}") from exc
 
 
 def _parse_rational(x, where: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise FormatError(f"{where}: rational entries must be integers or strings, got {x!r}")
-    try:
-        return _fraction(x, where) if isinstance(x, str) else Fraction(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"{where}: bad rational {x!r}") from exc
+    return _entry(x, True, where)
 
 
 def _parse_float(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise FormatError(f"{where}: numeric entry expected, got {x!r}")
-    try:
-        value = float(_fraction(x, where)) if isinstance(x, str) else float(x)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise FormatError(f"{where}: bad number {x!r}") from exc
-    _require(math.isfinite(value), f"{where}: non-finite number {x!r}")
+    value = _entry(x, False, where)  # a JSON number past the double range is inf
     _require(abs(value) <= MAX_FLOAT_ENTRY,
-             f"{where}: {x!r} is above the float-mode cap of {MAX_FLOAT_ENTRY:g}")
+             f"{where}: {x!r} is not finite or above the float-mode cap of {MAX_FLOAT_ENTRY:g}")
     return value
 
 

@@ -69,13 +69,14 @@ class Metric(IntegerForm):
 
     matrix: tuple
     exact: bool
+    _entries = "matrix"
 
     def __post_init__(self):
         n = len(self.matrix)
         if not n or any(len(row) != n for row in self.matrix):
             raise DimensionMismatchError("metric matrix must be square and nonempty")
         # the mask of broken symmetry is symmetric: its first entry has i < j
-        self._hold_symmetric("matrix", 1, ValueError, "metric entry ({}, {})",
+        self._hold_symmetric(1, ValueError, "metric entry ({}, {})",
                              "metric is not symmetric at ({}, {})")
 
     @classmethod
@@ -146,13 +147,6 @@ class Metric(IntegerForm):
         moved = np.einsum("ia,ib->ab", p, np.einsum("ij,jb->ib", m, p))
         return Metric.from_rows(_unscaled(moved, sm * sp * sp, exact), exact=exact)
 
-    def to_float(self) -> "Metric":
-        """The float copy, built directly as ``LieAlgebra.to_float`` builds its
-        copy: equal Fractions round to equal floats, so it is symmetric."""
-        if not self.exact:
-            return self
-        return Metric(matrix=tuple(map(tuple, self._float_entries())), exact=False)
-
     def inverse_rows(self) -> list:
         if self.exact:
             return rational.inverse(self.rows())
@@ -205,6 +199,7 @@ class ConnectionTensor(IntegerForm):
 
     tensor: tuple = _TensorFromForm()
     exact: bool
+    _entries = "tensor"
     _pair = None  # the (algebra, metric) a solve built this product for
 
     def __post_init__(self):

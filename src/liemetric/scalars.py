@@ -2,13 +2,14 @@
 
 Exact mode holds ``fractions.Fraction`` entries; float mode holds machine
 doubles and every zero test carries an explicit tolerance. Each entry rule is
-decided here, once: ``is_exact`` tests an entry; ``operand_mode`` checks the
-operands of a public call and gives its mode, exact only when the value and
-every operand are exact, so a float is never promoted; and
-``IntegerForm._hold_symmetric`` is how an algebra or a metric stores float
-entries. ``within`` is the zero test every residual verdict reads, and
-``report_float`` the one rule for showing a value as a float, which reads 0.0
-only for an exact zero.
+decided here, once: ``is_exact`` tests an entry; ``coerce`` reads one, a
+string by one rule in both modes (``_rational``), and ``_floats`` an array;
+``operand_mode`` checks the operands of a public call and gives its mode,
+exact only when the value and every operand are exact, so a float is never
+promoted; and ``IntegerForm._hold_symmetric`` is how an algebra or a metric
+stores float entries. ``within`` is the zero test every residual verdict
+reads, and ``report_float`` the one rule for showing a value as a float,
+which reads 0.0 only for an exact zero.
 
 Tensor operations run one contraction per tensor expression in both modes.
 In exact mode a tensor enters it as integers with one common denominator
@@ -66,6 +67,9 @@ RATIONALIZE_MAX_DENOMINATOR = 10**6
 # degeneracy rule keeps below 1e9, so at the cap they stay near 1e220, inside
 # the double range; entries near 1e200 overflow to inf and then to NaN
 MAX_FLOAT_ENTRY = 1e50
+
+# the most digits of a string entry's exponent: Fraction builds 10**exponent first
+MAX_EXPONENT_DIGITS = 3
 
 
 class DimensionMismatchError(ValueError):
@@ -126,11 +130,18 @@ def report_float(x) -> float:
 
 
 def coerce(x, exact: bool):
-    """Return x as Fraction (exact) or float; strings parse as rationals. An
-    entry that is not exact (``is_exact``) raises TypeError in exact mode."""
+    """One entry as a Fraction (exact) or a float, a string by the string rule
+    of ``_rational`` in both modes. In exact mode an entry that is not exact
+    raises TypeError; in float mode bytes raise TypeError and a value past
+    the double range ValueError."""
     if exact:
         return x if type(x) is Fraction else Fraction(_rational(x))
-    return float(Fraction(x)) if isinstance(x, str) else float(x)
+    if isinstance(x, (bytes, bytearray, memoryview)):  # float() would parse them
+        raise TypeError(f"{x!r} is not an entry (a number or a 'p/q' string)")
+    try:
+        return float(_rational(x) if isinstance(x, str) else x)
+    except OverflowError:
+        raise ValueError("an entry past the double range") from None
 
 
 def frozen(x: list) -> tuple:
@@ -149,17 +160,10 @@ def _scaled(values, exact: bool):
     Exact mode: an object array of Python ints and the lcm of the entry
     denominators; an int entry is its own numerator over 1, and an input of
     Python ints alone is its own form over 1, found in one pass. An entry
-    that is not exact raises TypeError. Float mode: a float64 array and
-    scale 1; an input holding a string that numpy does not read, a 'p/q'
-    one, is read entry by entry by ``coerce``.
+    that is not exact raises TypeError. Float mode: ``_floats`` and scale 1.
     """
     if not exact:
-        try:
-            return np.asarray(values, dtype=float), 1
-        except ValueError:
-            entries = np.array(values, dtype=object)
-            return np.array([coerce(x, False) for x in entries.ravel().tolist()],
-                            dtype=float).reshape(entries.shape), 1
+        return _floats(values), 1
     entries = np.array(values, dtype=object)
     flat = entries.ravel().tolist()
     if all(type(x) is int for x in flat):
@@ -170,12 +174,32 @@ def _scaled(values, exact: bool):
     return ints.reshape(entries.shape), scale
 
 
+def _floats(values) -> np.ndarray:
+    """Nested entries as a float64 array: numbers in one pass, others by ``coerce``."""
+    array = np.asarray(values)
+    if array.dtype.kind in "biuf":
+        return array.astype(float, copy=False)
+    if array.dtype != object:  # numpy converted every entry, to text or complex: read the originals
+        array = np.array(values, dtype=object)
+    return np.array([coerce(x, False) for x in array.ravel().tolist()],
+                    dtype=float).reshape(array.shape)
+
+
 def _rational(x):
-    """An exact entry as a Python int (an integer) or a Fraction; any other
-    entry raises TypeError."""
+    """An exact entry as a Python int or a Fraction, a string by the one string
+    rule: ``Fraction(text)`` with at most MAX_EXPONENT_DIGITS exponent digits,
+    so "nan", "inf", "1/0" and "1e9999" raise ValueError; others TypeError."""
+    if isinstance(x, str):
+        exponent = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if len(exponent.lstrip("0")) > MAX_EXPONENT_DIGITS:
+            raise ValueError(f"exponent of more than {MAX_EXPONENT_DIGITS} digits in {x!r}")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if not is_exact(x):
         raise TypeError(f"{x!r} is not an exact entry (an integer, a Fraction or a 'p/q' string)")
-    return int(x) if isinstance(x, numbers.Integral) else Fraction(x)
+    return int(x) if isinstance(x, numbers.Integral) else x
 
 
 def _unscaled(x, scale: int, exact: bool):
@@ -243,7 +267,7 @@ class IntegerForm:
     field, so ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` see the
     fields alone, and a pickle holds the fields alone: loading one rebuilds
     the form. An exact form's bound and int64 copy (``operand``) are built on
-    first read and kept the same way.
+    first read and kept the same way. ``_entries`` names the entries' field.
     """
 
     def _hold(self, form: tuple):
@@ -253,8 +277,8 @@ class IntegerForm:
         array.flags.writeable = False
         object.__setattr__(self, "_form", (array, form[1]))
 
-    def _hold_symmetric(self, field: str, sign: int, error: type, entry: str, broken: str):
-        """Hold the form of ``field``, which must be symmetric (sign 1) or
+    def _hold_symmetric(self, sign: int, error: type, entry: str, broken: str):
+        """Hold the form of the entries, which must be symmetric (sign 1) or
         antisymmetric (sign -1) in its first two axes: the one storage rule of
         the algebras and metrics.
 
@@ -266,7 +290,7 @@ class IntegerForm:
         failing entry in row-major order through the format strings ``entry``
         (a bad entry) and ``broken`` (broken symmetry).
         """
-        t, scale = _scaled(getattr(self, field), self.exact)
+        t, scale = _scaled(getattr(self, self._entries), self.exact)
         if not self.exact:
             largest = np.abs(t).max(initial=0.0)
             if not largest <= MAX_FLOAT_ENTRY:  # NaN fails too
@@ -282,7 +306,7 @@ class IntegerForm:
             # halves first: no overflow, and each pair's two halves are equal
             # or negatives of each other
             t = np.where(same, t, 0.5 * t + 0.5 * mirror)
-            object.__setattr__(self, field, frozen(t.tolist()))
+            object.__setattr__(self, self._entries, frozen(t.tolist()))
         self._hold((t, scale))
 
     def scaled(self, exact: bool) -> tuple:
@@ -297,16 +321,19 @@ class IntegerForm:
             return (ints / scale).astype(float), 1
         return self._form
 
-    def _float_entries(self) -> list:
-        """The float view as nested lists, for the float copy (``to_float``):
-        an entry past the float range reads +-inf there, which the float
-        constructor's cap refuses, naming the entry."""
+    def to_float(self):
+        """The float copy, each entry rounded once, which keeps (anti)symmetry;
+        a float value is itself. An entry past the float range reads +-inf
+        there, which the cap of the storage rule refuses, naming it."""
+        if not self.exact:
+            return self
         try:
-            return self.scaled(False)[0].tolist()
+            entries = self.scaled(False)[0].tolist()
         except OverflowError:
             ints, scale = self._form
-            return np.array([report_float(Fraction(x, scale)) for x in ints.ravel().tolist()]
-                            ).reshape(ints.shape).tolist()
+            entries = np.array([report_float(Fraction(x, scale)) for x in ints.ravel().tolist()]
+                               ).reshape(ints.shape).tolist()
+        return dataclasses.replace(self, **{self._entries: frozen(entries), "exact": False})
 
     def operand(self, exact: bool) -> tuple:
         """``scaled(exact)`` for ``contract``, as ``(array, scale, bound)``: in

@@ -27,11 +27,12 @@ json_values = st.recursive(
                                                                 max_size=4),
     max_leaves=8)
 
+STRINGS = ["0", "1", "-2", "1/2", "-3/4", "1/0", "abc", "", "1e400", "nan", "inf", "0.5",
+           " 7 ", "1e99999999", "-2E-0012345", "1_0e1_0", "9" * 5000]
+
 scalars = st.one_of(
     st.integers(-3, 3),
-    st.sampled_from(["0", "1", "-2", "1/2", "-3/4", "1/0", "abc", "", "1e400", "nan",
-                     "inf", "0.5", " 7 ", "1e99999999", "-2E-0012345", "1_0e1_0",
-                     "9" * 5000]),
+    st.sampled_from(STRINGS),
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(min_value=-1e3, max_value=1e3),
     json_values)

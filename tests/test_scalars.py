@@ -2,18 +2,25 @@
 denominator, and the contraction that runs them in int64 under a proven
 bound."""
 
+import json
 import math
+import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liemetric import (LieAlgebra, Metric, affine_line, bivector_at, heisenberg,
+from liemetric import (LieAlgebra, Metric, affine_line, bivector_at, dpi_residual, heisenberg,
                        heisenberg_split_metric, leaf_frame_at, levi_civita_product,
-                       modular_field_value, sharp_pi)
-from liemetric.scalars import (DEFAULT_TOL, DimensionMismatchError, INT64_MAX, _bounded, _scaled, _summed_terms,
-                               _unscaled, coerce, contract, report_float, within)
+                       load_algebra, load_metric, modular_field_value, sharp_pi)
+from liemetric.io import FormatError, load_points
+from liemetric.scalars import (DEFAULT_TOL, MAX_EXPONENT_DIGITS, DimensionMismatchError, INT64_MAX,
+                               _bounded, _floats, _scaled, _summed_terms, _unscaled, coerce,
+                               contract, report_float, within)
+from test_parser_fuzz import STRINGS
 
 
 def _scaled_reference(values):
@@ -123,8 +130,8 @@ def test_an_entry_that_is_not_exact_is_refused_in_exact_mode(entry):
 
 
 def test_float_mode_parses_a_rational_string_where_numpy_cannot():
-    """The float form reads 'p/q' strings as ``coerce`` does, mixed with other
-    entries, and any other input through numpy as before."""
+    """The float form reads strings as ``coerce`` does, mixed with other
+    entries, and numbers to the bits numpy gives them."""
     got, scale = _scaled([["1/3", 2], [Fraction(1, 4), "-0.5"]], False)
     assert scale == 1 and got.dtype == float
     assert got.tolist() == [[1 / 3, 2.0], [0.25, -0.5]]
@@ -286,24 +293,92 @@ def test_contract_equals_the_object_einsum(data):
     assert all(type(v) is int for v in got.flat)
 
 
+# -- the one string rule ------------------------------------------------------
+
+_EXPONENT = re.compile(r"\s*[+-]?[\d_.]*[eE][+-]?(?P<digits>[\d_]*)\s*")
+
+
+def _exact_read(text: str):
+    """The string rule's oracle: Fraction(text), or None when Fraction
+    refuses the text or its exponent has more than MAX_EXPONENT_DIGITS
+    digits past leading zeros (asked first, as Fraction would build
+    10**exponent)."""
+    m = _EXPONENT.fullmatch(text)
+    if m and len(m["digits"].replace("_", "").lstrip("0")) > MAX_EXPONENT_DIGITS:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _float_read(text: str):
+    """float(q) of the exact read q, or None when there is no q or float(q)
+    overflows."""
+    q = _exact_read(text)
+    try:
+        return None if q is None else float(q)
+    except OverflowError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.sampled_from(STRINGS), st.text(max_size=6),
+                 st.from_regex(r"\s?[+-]?[0-9_]{0,4}(\.[0-9]{0,3})?([eE][+-]?0?[0-9]{1,4})?"
+                               r"(/[0-9]{1,3})?\s?", fullmatch=True)))
+def test_a_string_reads_by_one_rule_in_both_modes(text):
+    """The string samples of the file fuzzer and decimal-like strings, through
+    every reader of an entry (``coerce``, the integer form, ``_floats``): a
+    string reads exactly when its exact read q exists, as q; in float mode
+    also only when float(q) does not overflow, as float(q). So "nan", "inf",
+    "1/0" and a four-digit exponent are refused in both modes and "1e400" in
+    float mode, where numpy read "nan", "inf" and "1e400" as NaN and inf."""
+    q, f = _exact_read(text), _float_read(text)
+    exact_reads = (lambda: coerce(text, True), lambda: _unscaled(*_scaled([text], True), True)[0])
+    float_reads = (lambda: coerce(text, False), lambda: _scaled([text], False)[0][0],
+                   lambda: _floats([[0.5, text]])[0][1])
+    for read, want in [(r, q) for r in exact_reads] + [(r, f) for r in float_reads]:
+        if want is None:
+            with pytest.raises(ValueError):
+                read()
+        elif type(want) is Fraction:
+            assert read() == want and type(read()) is Fraction
+        else:  # the same bits, so +0.0 for "-0"
+            assert float(read()).hex() == want.hex()
+
+
 # -- the one operand rule of the public functions ---------------------------
 
 ENTRIES = {"int": 2, "fraction": Fraction(1, 2), "string": "1/2", "numpy int": np.int64(2),
-           "float": 0.5, "numpy float": np.float64(0.5)}
+           "float": 0.5, "numpy float": np.float64(0.5), "nan": "nan", "inf": "inf",
+           "1e400": "1e400", "1e9999": "1e9999", "bytes": b"nan"}
 EXACT_KINDS = {"int", "fraction", "string", "numpy int"}
+# strings no mode reads, and one that reads exactly but overflows a double
+REFUSED, PAST_DOUBLE = {"nan", "inf", "1e9999"}, {"1e400"}
 
 
 def _negated(x):
     return "-" + x if isinstance(x, str) else -x
 
 
-def _calls():
-    """Each public function on exact values with the entry x in one operand,
-    as (name, call(x), call with a wrong-length operand)."""
-    h, split, one = heisenberg(), heisenberg_split_metric(), Metric.identity(3)
+def _loaded(load, doc, *args):
+    """``load`` of a file holding doc; an entry JSON cannot hold is written as
+    its string (a Fraction as 'p/q', a numpy integer as its digits)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc, default=str))
+        return load(path, *args)
+
+
+def _calls_in_mode(exact: bool) -> list:
+    """The rows of ``_calls`` on exact or on float values."""
+    h, split, one, line, line_one = (v if exact else v.to_float() for v in (
+        heisenberg(), heisenberg_split_metric(), Metric.identity(3), affine_line(),
+        Metric.identity(2)))
     conn = levi_civita_product(h, split)
     p = lambda x: [[1, x, 0], [0, 1, 0], [0, 0, 1]]
-    return [
+    mode = None if exact else False
+    table = [
         ("bracket", lambda x: h.bracket([x, 0, 0], [0, 1, 0]),
          lambda: h.bracket([1, 0], [0, 1, 0])),
         ("adjoint_matrix", lambda x: h.adjoint_matrix([x, 1, 0]), lambda: h.adjoint_matrix([1])),
@@ -317,19 +392,43 @@ def _calls():
         ("bivector_at", lambda x: bivector_at(h, [x, 0, 1]), lambda: bivector_at(h, [0, 1])),
         ("sharp_pi", lambda x: sharp_pi(h, [0, 0, 1], [x, 1, 0]),
          lambda: sharp_pi(h, [0, 0, 1], [1, 0])),
-        ("modular_field_value", lambda x: modular_field_value(affine_line(), Metric.identity(2),
-                                                              [x, 1]),
-         lambda: modular_field_value(affine_line(), Metric.identity(2), [1, 0, 0])),
+        ("modular_field_value", lambda x: modular_field_value(line, line_one, [x, 1]),
+         lambda: modular_field_value(line, line_one, [1, 0, 0])),
         ("leaf_frame_at", lambda x: leaf_frame_at(h, one, [x, 0, 1]),
          lambda: leaf_frame_at(h, one, [0, 0, 1, 0])),
-        ("from_rows", lambda x: Metric.from_rows([[x, 0], [0, 1]]),
-         lambda: Metric.from_rows([[1, 0], [0]])),
-        ("from_brackets", lambda x: LieAlgebra.from_brackets(2, {(0, 1): [0, x]}),
-         lambda: LieAlgebra.from_brackets(2, {(0, 1): [0]})),
+        ("from_rows", lambda x: Metric.from_rows([[x, 0], [0, 1]], exact=mode),
+         lambda: Metric.from_rows([[1, 0], [0]], exact=mode)),
+        ("from_brackets", lambda x: LieAlgebra.from_brackets(2, {(0, 1): [0, x]}, exact=mode),
+         lambda: LieAlgebra.from_brackets(2, {(0, 1): [0]}, exact=mode)),
         ("from_structure",
-         lambda x: LieAlgebra.from_structure([[[0, 0], [0, x]], [[0, _negated(x)], [0, 0]]]),
-         lambda: LieAlgebra.from_structure([[[0, 0], [0, 1]], [[0, -1], [0]]])),
+         lambda x: LieAlgebra.from_structure([[[0, 0], [0, x]], [[0, _negated(x)], [0, 0]]],
+                                             exact=mode),
+         lambda: LieAlgebra.from_structure([[[0, 0], [0, 1]], [[0, -1], [0]]], exact=mode)),
     ]
+    suffix, read = ("", "operand") if exact else (" on float values", "float")
+    scalar, file_read = ("rational", "file") if exact else ("float", "float")
+    brackets = lambda v: {"dim": 2, "scalar": scalar, "brackets": [{"i": 1, "j": 2, "v": v}]}
+    return [(name + suffix, call, short, read) for name, call, short in table] + [
+        ("dpi_residual points" + suffix, lambda x: dpi_residual(h, one, [[0, 0, x]]),
+         lambda: dpi_residual(h, one, [[0, 1]]), "point"),
+        (f"load_algebra {scalar}", lambda x: _loaded(load_algebra, brackets([0, x])),
+         lambda: _loaded(load_algebra, brackets([0])), file_read),
+        (f"load_metric {scalar}",
+         lambda x: _loaded(load_metric, {"scalar": scalar, "matrix": [[x, 0], [0, 1]]}),
+         lambda: _loaded(load_metric, {"scalar": scalar, "matrix": [[1, 0], [0]]}), file_read),
+    ]
+
+
+def _calls():
+    """Each public function with the entry x in one operand, as (name,
+    call(x), call with a wrong-length operand, how it reads x). The
+    functions of values run on exact values, reading x by the operand rule
+    ("operand"), and on float values ("float"); dual points are read as
+    floats in either mode ("point"); a file reads x in its declared mode,
+    "file" (rational) or "float"."""
+    return _calls_in_mode(True) + _calls_in_mode(False) + [
+        ("load_points", lambda x: _loaded(load_points, [[0, 0, x]], 3),
+         lambda: _loaded(load_points, [[0, 1]], 3), "point")]
 
 
 def _mode(result):
@@ -342,21 +441,57 @@ def _mode(result):
 
 
 @pytest.mark.parametrize("kind", ENTRIES)
-@pytest.mark.parametrize("name, call, short", _calls(), ids=[c[0] for c in _calls()])
-def test_every_public_function_reads_its_operands_by_the_one_rule(name, call, short, kind):
-    """On exact values a call is exact exactly when every operand entry is an
-    integer (numpy ones too), a Fraction or a 'p/q' string: a float is never
-    promoted to the Fraction of its bits, a float operand is never refused,
-    a string never crashes. A wrong-length operand raises
-    DimensionMismatchError. ``modular_field_value`` always returns a float:
-    its value is checked instead."""
-    result = call(ENTRIES[kind])
-    if name == "modular_field_value":  # the modular vector of affine_line is (-1, 0)
-        assert type(result) is float and result == -float(Fraction(ENTRIES[kind]))
+@pytest.mark.parametrize("name, call, short, read", _calls(), ids=[c[0] for c in _calls()])
+def test_every_public_function_reads_its_operands_by_the_one_rule(name, call, short, read, kind):
+    """By the operand rule a call on exact values is exact exactly when every
+    operand entry is an integer (numpy ones too), a Fraction or a 'p/q'
+    string: a float is never promoted to the Fraction of its bits, nor
+    refused. On float values every call is float. A dual point is read as
+    floats, and a file in its declared mode: a rational file refuses a float
+    entry (FormatError). A string is read by one rule everywhere: "nan",
+    "inf" and a four-digit exponent are refused with ValueError, and "1e400"
+    wherever it is read as a float; bytes are refused with TypeError, as
+    float() would parse them. ``modular_field_value``, the dual
+    residual and the points file give floats: their value is checked
+    instead. A wrong-length operand raises DimensionMismatchError, and a
+    wrong-length file entry FormatError."""
+    x = ENTRIES[kind]
+    exact_entry = kind in EXACT_KINDS or isinstance(x, str)
+    exact = {"operand": exact_entry, "file": exact_entry or None}.get(read, False)
+    if kind == "bytes":  # no call reads bytes, and a file holds them as the string "b'nan'"
+        with pytest.raises(FormatError if name.startswith("load_") else TypeError):
+            call(x)
+    elif exact is None:  # a float entry in a rational file
+        with pytest.raises(FormatError, match="rational entries must be integers or strings"):
+            call(x)
+    elif kind in REFUSED or (kind in PAST_DOUBLE and not exact):
+        with pytest.raises(ValueError):
+            call(x)
+    elif name.startswith("modular_field_value"):  # affine_line's modular vector is (-1, 0)
+        got = call(x)
+        assert type(got) is float and got == report_float(-Fraction(x))
+    elif read == "point":
+        got = call(x)
+        assert got == call(float(Fraction(x))) and type(np.ravel(got)[0].item()) is float
     else:
-        assert _mode(result) is (kind in EXACT_KINDS)
-    with pytest.raises(DimensionMismatchError):
+        assert _mode(call(x)) is exact
+    with pytest.raises(FormatError if name.startswith("load_") else DimensionMismatchError):
         short()
+
+
+def test_to_float_is_one_copy_for_every_value():
+    """One ``to_float`` serves algebras, metrics and products: the copy rounds
+    each entry once, keeps every other field (the algebra's name), and a
+    float value is its own copy."""
+    alg = LieAlgebra.from_brackets(2, {(0, 1): [Fraction(1, 3), Fraction(-2, 7)]}, name="r2")
+    a = Metric.from_rows([[Fraction(1, 3), 1], [1, Fraction(-2, 7)]])
+    conn = levi_civita_product(alg, a)
+    for value, field in ((alg, "c"), (a, "matrix"), (conn, "tensor")):
+        copy = value.to_float()
+        want = [float(x) for x in np.ravel(np.array(getattr(value, field), dtype=object))]
+        assert not copy.exact and np.ravel(getattr(copy, field)).tolist() == want
+        assert copy.to_float() is copy
+    assert alg.to_float().name == "r2"
 
 
 def test_a_float_value_makes_every_call_float():
