@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rational
-from .scalars import (DEFAULT_TOL, DimensionMismatchError, IntegerForm, _scaled, _unscaled,
-                      coerce, contract, frozen, operand_mode, within)
+from .scalars import (DEFAULT_TOL, DimensionMismatchError, IntegerForm, _floats, _unscaled,
+                      coerce, contract, evaluate, frozen, operand_mode, within)
 
 
 # the one float zero cutoff: a singular value (``_rank_null``) or the magnitude
@@ -45,13 +45,12 @@ class UnimodularityReport:
 class LieAlgebra(IntegerForm):
     """Immutable structure-constant presentation of a Lie algebra.
 
-    Carries the integer form of ``c`` (``scaled``), built once here; every
-    kernel below reads it. However it is built, ``c`` is dim x dim x dim,
-    dim >= 1, float entries are finite and at most MAX_FLOAT_ENTRY in
-    magnitude, and c is exactly antisymmetric in its first two axes (the
-    kernels rely on it): one that is not raises InvalidStructureError, except
-    that a float tensor is stored as its antisymmetric part by the storage
-    rule of ``IntegerForm._hold_symmetric``.
+    However it is built, ``c`` is dim x dim x dim, dim >= 1, float entries are
+    finite and at most MAX_FLOAT_ENTRY in magnitude, and c is exactly
+    antisymmetric in its first two axes (the kernels rely on it): one that is
+    not raises InvalidStructureError, except that a float tensor is stored as
+    its antisymmetric part by the storage rule of
+    ``IntegerForm._hold_symmetric``.
     """
 
     dim: int
@@ -119,7 +118,7 @@ class LieAlgebra(IntegerForm):
     def bracket(self, u: Sequence, v: Sequence) -> list:
         """[u, v] by contraction of the structure tensor; bilinear, antisymmetric."""
         exact = operand_mode(self.dim, self.exact, u, v)
-        return _bilinear(self.scaled(exact), u, v, exact)
+        return evaluate(self, exact, ("ijk,i->jk", u), ("jk,j->k", v))
 
     def jacobi_residual(self):
         """Max-norm of the Jacobi defect over basis triples; 0 iff a Lie algebra."""
@@ -161,9 +160,7 @@ class LieAlgebra(IntegerForm):
     def adjoint_matrix(self, u: Sequence):
         """Matrix of ad_u = [u, .]; column j is [u, e_j]."""
         exact = operand_mode(self.dim, self.exact, u)
-        c, sc = self.scaled(exact)
-        w, sw = _scaled(u, exact)
-        return _unscaled(np.einsum("i,ijk->kj", w, c), sc * sw, exact)
+        return evaluate(self, exact, ("ijk,i->kj", u))
 
     # -- derived structure --------------------------------------------------
 
@@ -193,20 +190,17 @@ class LieAlgebra(IntegerForm):
 
         A congruence action: c'[p][q][l] picks up two copies of p and one of
         its inverse. The result is exact when the algebra and p are
-        (``operand_mode``).
+        (``operand_mode``). A p of rank below dim by ``_rank_null`` (exact, or
+        at RANK_RTOL) raises ``rational.SingularMatrixError`` in both modes.
         """
-        exact = operand_mode(self.dim, self.exact, p)
-        c, sc = self.scaled(exact)
-        parr, sp = _scaled(p, exact)
-        if exact:
-            pinv, si = _scaled(rational.inverse(_unscaled(parr, sp, True)), True)
-        else:
-            pinv, si = np.linalg.inv(parr), 1
-        new = np.einsum("ijk,lk->ijl", c, pinv)
-        new = np.einsum("ia,ijl->ajl", parr, new)
-        new = np.einsum("jb,ajl->abl", parr, new)
-        new = frozen(_unscaled(new, sc * sp * sp * si, exact))
-        return LieAlgebra(dim=self.dim, c=new, exact=exact, name=self.name)
+        n = self.dim
+        exact = operand_mode(n, self.exact, p)
+        rank = _rank_null(p, exact, "the change of basis")[0]
+        if rank < n:
+            raise rational.SingularMatrixError(f"the change of basis has rank {rank} < {n}")
+        pinv = rational.inverse(p) if exact else np.linalg.inv(_floats(p))
+        new = evaluate(self, exact, ("ijk,lk->ijl", pinv), ("ijl,ia->ajl", p), ("ajl,jb->abl", p))
+        return LieAlgebra(dim=n, c=frozen(new), exact=exact, name=self.name)
 
     def structure_array(self) -> np.ndarray:
         return self.scaled(False)[0].copy()
@@ -234,7 +228,7 @@ def _rank_null(m, exact: bool, what: str):
     if exact:
         rows = rational.nullspace([list(row) for row in m])
         return n - len(rows), np.array(rows, dtype=object).reshape(-1, n)
-    m = np.asarray(m, dtype=float)
+    m = _floats(m)
     bad = np.argwhere(~np.isfinite(m))
     if len(bad):
         i, j = bad[0]
@@ -244,13 +238,3 @@ def _rank_null(m, exact: bool, what: str):
     rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
     return rank, vt[rank:]
 
-
-def _bilinear(form: tuple, u: Sequence, v: Sequence, exact: bool) -> list:
-    """Contract a rank-3 tensor, given as its form ``(t, st)``, with two vectors:
-    sum_ij u_i v_j t[i][j] / st; the caller checks the lengths
-    (``operand_mode``)."""
-    t, st = form
-    u, su = _scaled(u, exact)
-    v, sv = _scaled(v, exact)
-    out = np.einsum("j,jk->k", v, np.einsum("i,ijk->jk", u, t))
-    return _unscaled(out, st * su * sv, exact)

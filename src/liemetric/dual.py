@@ -45,7 +45,7 @@ import numpy as np
 from . import metric
 from .algebra import LieAlgebra, _rank_null
 from .metric import Metric
-from .scalars import _floats, _scaled, _unscaled, frozen, operand_mode, report_float
+from .scalars import _floats, _scaled, _unscaled, evaluate, frozen, operand_mode, report_float
 
 EIG_POSITIVITY_TOL = 1e-12
 
@@ -116,19 +116,13 @@ class LeafGeometryAt:
 def bivector_at(alg: LieAlgebra, mu) -> BivectorAt:
     """Antisymmetric matrix pi[i][j] = mu([e_i, e_j])."""
     exact = operand_mode(alg.dim, alg.exact, mu)
-    c, sc = alg.scaled(exact)
-    m, sm = _scaled(mu, exact)
-    pi = _unscaled(np.einsum("ijk,k->ij", c, m), sc * sm, exact)
-    return BivectorAt(matrix=frozen(pi), exact=exact)
+    return BivectorAt(matrix=frozen(evaluate(alg, exact, ("ijk,k->ij", mu))), exact=exact)
 
 
 def sharp_pi(alg: LieAlgebra, mu, alpha) -> list:
     """Vector v with beta(v) = pi(alpha, beta) for every covector beta."""
     exact = operand_mode(alg.dim, alg.exact, mu, alpha)
-    c, sc = alg.scaled(exact)
-    m, sm = _scaled(mu, exact)
-    w, sw = _scaled(alpha, exact)
-    return _unscaled(np.einsum("i,ij->j", w, np.einsum("ijk,k->ij", c, m)), sc * sm * sw, exact)
+    return evaluate(alg, exact, ("ijk,k->ij", mu), ("ij,i->j", alpha))
 
 
 class _DualFrame:

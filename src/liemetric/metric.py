@@ -21,9 +21,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rational
-from .algebra import RANK_RTOL, LieAlgebra, _bilinear
+from .algebra import RANK_RTOL, LieAlgebra
 from .scalars import (DEFAULT_TOL, DimensionMismatchError, IntegerForm, _scaled, _unscaled,
-                      coerce, contract, frozen, operand_mode, report_float, within)
+                      coerce, contract, evaluate, frozen, operand_mode, report_float, within)
 
 DEGENERATE_METRIC = "metric is degenerate or numerically near-degenerate"
 
@@ -61,7 +61,6 @@ class Signature(NamedTuple):
 class Metric(IntegerForm):
     """Symmetric nondegenerate bilinear form, exact or float entries.
 
-    Carries the integer form of ``matrix`` (``scaled``), built once here.
     However it is built, the matrix is square and symmetric, or construction
     raises, except that a float matrix is stored as its symmetric part by the
     storage rule of ``IntegerForm._hold_symmetric``.
@@ -117,10 +116,7 @@ class Metric(IntegerForm):
     def apply(self, u: Sequence, v: Sequence):
         """The value a(u, v)."""
         exact = operand_mode(self.dim, self.exact, u, v)
-        m, sm = self.scaled(exact)
-        u, su = _scaled(u, exact)
-        v, sv = _scaled(v, exact)
-        return _unscaled(np.einsum("j,j->", np.einsum("i,ij->j", u, m), v), sm * su * sv, exact)
+        return evaluate(self, exact, ("ij,i->j", u), ("j,j->", v))
 
     def is_nondegenerate(self) -> bool:
         return not _inertia(self._form[0], self.exact)[2]
@@ -142,10 +138,8 @@ class Metric(IntegerForm):
         """Pullback under the basis change f_q = sum_i p[i][q] e_i (congruence);
         exact when the metric and p are (``operand_mode``)."""
         exact = operand_mode(self.dim, self.exact, p)
-        m, sm = self.scaled(exact)
-        p, sp = _scaled(p, exact)
-        moved = np.einsum("ia,ib->ab", p, np.einsum("ij,jb->ib", m, p))
-        return Metric.from_rows(_unscaled(moved, sm * sp * sp, exact), exact=exact)
+        return Metric.from_rows(evaluate(self, exact, ("ij,jb->ib", p), ("ib,ia->ab", p)),
+                                exact=exact)
 
     def inverse_rows(self) -> list:
         if self.exact:
@@ -192,9 +186,9 @@ class _TensorFromForm:
 class ConnectionTensor(IntegerForm):
     """The product A as a rank-3 tensor: A_{e_i} e_j = sum_k A[i][j][k] e_k.
 
-    Carries its integer form (``scaled``). ``levi_civita_product`` builds it
-    from the form alone and records the pair it was solved for; the public
-    ``tensor`` is built from the form on first read.
+    ``levi_civita_product`` builds it from the form alone and records the pair
+    it was solved for; the public ``tensor`` is built from the form on first
+    read.
     """
 
     tensor: tuple = _TensorFromForm()
@@ -223,7 +217,7 @@ class ConnectionTensor(IntegerForm):
     def apply(self, u: Sequence, v: Sequence) -> list:
         """A_u v by bilinearity."""
         exact = operand_mode(self.dim, self.exact, u, v)
-        return _bilinear(self.scaled(exact), u, v, exact)
+        return evaluate(self, exact, ("ijk,i->jk", u), ("jk,j->k", v))
 
     def as_array(self) -> np.ndarray:
         return self.scaled(False)[0].copy()

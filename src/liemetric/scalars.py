@@ -11,19 +11,26 @@ stores float entries. ``within`` is the zero test every residual verdict
 reads, and ``report_float`` the one rule for showing a value as a float,
 which reads 0.0 only for an exact zero.
 
-Tensor operations run one contraction per tensor expression in both modes.
-In exact mode a tensor enters it as integers with one common denominator
-(``_scaled``), so the contraction does integer arithmetic with no gcd per
-operation; the result is divided by its scale once, back into Fractions
-(``_unscaled``). In float mode the contraction is ``np.einsum``, except in
-the search's two hot kernels, the product's right sides and the
-compatibility defect (``metric._product_rhs``, ``metric._defect_array``),
-which run one ``np.matmul`` each: BLAS, whose bits are fixed for one BLAS
-build but may differ between builds, within the rounding bound of exact
-arithmetic. The defect kernel reads c as exactly antisymmetric, which every
-``LieAlgebra`` form is. An input of Python ints alone passes through
-``_scaled`` as it is, in one pass (scale 1, no Fraction per entry); numpy
-integers become Python ints, so no entry of the integer form can wrap.
+*Arithmetic*: a public call's result is computed by ``evaluate``, the one
+helper that knows the scaled format: the value's form and each operand as
+integers over one common denominator (``_scaled``), one contraction per step,
+so exact mode does integer arithmetic with no gcd per operation, and one
+division by the product of the scales, back into Fractions (``_unscaled``).
+Its calls are ``bracket``, ``adjoint_matrix``, ``changed_basis``,
+``Metric.apply``, ``transported``, ``ConnectionTensor.apply``,
+``dual.bivector_at`` and ``dual.sharp_pi``. ``ad_traces``,
+``modular_field_value`` (a kept trace), ``leaf_frame_at`` (kernel rows) and
+the kernels (``contract``, the dual frame, the product solve, on bounded
+int64 forms) keep their own scaling. In float mode a contraction is
+``np.einsum``, except in the search's two hot kernels, the product's right
+sides and the compatibility defect (``metric._product_rhs``,
+``metric._defect_array``), which run one ``np.matmul`` each: BLAS, whose bits
+are fixed for one BLAS build but may differ between builds, within the
+rounding bound of exact arithmetic. The defect kernel reads c as exactly
+antisymmetric, which every ``LieAlgebra`` form is. An input of Python ints
+alone passes through ``_scaled`` as it is, in one pass (scale 1, no Fraction
+per entry); numpy integers become Python ints, so no entry of the integer
+form can wrap.
 
 The two-operand contractions of the Jacobi check, the product solve and the
 skew and compatibility residuals go through ``contract``. Given bounds on |x|
@@ -175,8 +182,8 @@ def _scaled(values, exact: bool):
 
 
 def _floats(values) -> np.ndarray:
-    """Nested entries as a float64 array: numbers in one pass, others by ``coerce``."""
-    array = np.asarray(values)
+    """Nested entries as a new float64 array: numbers in one pass, others by ``coerce``."""
+    array = np.array(values)
     if array.dtype.kind in "biuf":
         return array.astype(float, copy=False)
     if array.dtype != object:  # numpy converted every entry, to text or complex: read the originals
@@ -210,6 +217,21 @@ def _unscaled(x, scale: int, exact: bool):
     if isinstance(x, np.ndarray):
         return [_unscaled(y, scale, exact) for y in x]
     return Fraction(x, scale) if exact else float(x)
+
+
+def evaluate(value: IntegerForm, exact: bool, *steps):
+    """A public call's arithmetic in the mode ``exact`` of its ``operand_mode``:
+    the value's form (``scaled``), one ``np.einsum`` per step ``(spec,
+    operand)`` of the running result and the operand read by ``_scaled``, and
+    one division by the product of the scales (``_unscaled``), to nested
+    lists. Kernel rows, a kept trace and int64 forms are scaled by their own
+    callers (the *Arithmetic* rule above)."""
+    out, scale = value.scaled(exact)
+    for spec, operand in steps:
+        x, s = _scaled(operand, exact)
+        out = np.einsum(spec, out, x)
+        scale *= s
+    return _unscaled(out, scale, exact)
 
 
 def _bounded(ints: np.ndarray) -> tuple:
@@ -267,7 +289,8 @@ class IntegerForm:
     field, so ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` see the
     fields alone, and a pickle holds the fields alone: loading one rebuilds
     the form. An exact form's bound and int64 copy (``operand``) are built on
-    first read and kept the same way. ``_entries`` names the entries' field.
+    first read and kept the same way. ``_entries`` names the entries' field,
+    which ``_hold`` stores as nested tuples when given an array or lists.
     """
 
     def _hold(self, form: tuple):
@@ -276,6 +299,8 @@ class IntegerForm:
         array = np.ascontiguousarray(form[0])
         array.flags.writeable = False
         object.__setattr__(self, "_form", (array, form[1]))
+        if not isinstance(self.__dict__.get(self._entries, ()), tuple):  # an array or lists
+            object.__setattr__(self, self._entries, frozen(_unscaled(*form, self.exact)))
 
     def _hold_symmetric(self, sign: int, error: type, entry: str, broken: str):
         """Hold the form of the entries, which must be symmetric (sign 1) or

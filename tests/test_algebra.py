@@ -19,6 +19,7 @@ from liemetric import (
     sol,
     solvable_family,
 )
+from liemetric import rational
 from liemetric.scalars import MAX_FLOAT_ENTRY
 from conftest import random_algebra, random_antisymmetric, random_metric, random_shear
 
@@ -78,6 +79,26 @@ def test_changed_basis_float_algebras_are_stored_antisymmetric():
         LieAlgebra.from_structure(big, check_jacobi=False)
 
 
+def test_a_singular_change_of_basis_is_refused_by_one_rule_in_both_modes():
+    """The rank of p is judged by ``_rank_null``, exactly in exact mode and at
+    RANK_RTOL in float mode, and a rank below dim raises one error with one
+    message in both modes: a float p that rule calls rank-deficient is
+    refused rather than giving constants near 1e-14. An exact p that is
+    nearly singular is not."""
+    h, near = heisenberg(), [[1, 1, 0], [1, 1 + 1e-14, 0], [0, 0, 1]]
+    singular = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
+    for alg, p in ((h, singular), (h.to_float(), singular), (h, near), (h.to_float(), near),
+                   (h, [[1, "1/2", 0], [2, 1, 0], [0, 0, 1]])):
+        with pytest.raises(rational.SingularMatrixError,
+                           match=r"^the change of basis has rank 2 < 3$"):
+            alg.changed_basis(p)
+    with pytest.raises(rational.SingularMatrixError,
+                       match=r"^the change of basis has rank 1 < 2$"):
+        affine_line().to_float().changed_basis([[1e30, 0.0], [0.0, 1.0]])
+    moved = h.changed_basis([[1, 1, 0], [1, 1 + Fraction(1, 10**14), 0], [0, 0, 1]])
+    assert moved.exact and moved.jacobi_residual() == 0
+
+
 def test_from_brackets_refuses_a_pair_out_of_order_and_a_short_vector():
     with pytest.raises(InvalidStructureError, match=r"bracket pair \(1, 0\) needs 0 <= i < j < dim"):
         LieAlgebra.from_brackets(2, {(1, 0): [0, 1]})
@@ -97,7 +118,7 @@ def test_library_built_float_algebras_are_capped_and_exact_ones_are_not():
             LieAlgebra.from_brackets(2, {(0, 1): [0.0, 1e200]}, exact=False)
         small = LieAlgebra.from_brackets(2, {(0, 1): [0.0, 1e30]}, exact=False)
         with pytest.raises(InvalidStructureError, match=r"at most 1e\+50"):
-            small.changed_basis([[1e30, 0.0], [0.0, 1.0]])
+            small.changed_basis([[1e21, 0.0], [0.0, 1e21]])
         with pytest.raises(InvalidStructureError, match=r"at most 1e\+50"):
             dataclasses.replace(small, c=((((0.0, 0.0), (0.0, 1e60)), ((0.0, -1e60), (0.0, 0.0)))))
         huge = LieAlgebra.from_brackets(2, {(0, 1): [0, 10**60]})

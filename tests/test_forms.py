@@ -146,6 +146,13 @@ def test_equality_hash_repr_pickle_and_replace_see_the_fields_alone():
         kind = type(x)
         fresh = kind(**_fields(x))
         assert fresh == x and hash(fresh) == hash(x) and repr(fresh) == repr(x)
+        # entries given as an array or lists are stored as nested tuples, and
+        # the form is a copy: the caller's array stays writeable
+        given = np.array(getattr(x, x._entries), dtype=object if x.exact else float)
+        for entries in (given, given.tolist()):
+            built = kind(**{**_fields(x), x._entries: entries})
+            assert built == x and hash(built) == hash(x) and repr(built) == repr(x)
+        assert given.flags.writeable
         assert "_form" not in repr(x) and "_pair" not in repr(x)
         # a pickle holds the fields alone, so it is the one of a value built
         # from its public entries; loading rebuilds the form
@@ -239,7 +246,9 @@ def test_exact_kernels_never_rescale_prebuilt_values(scaled_calls):
     """Product, torsion, skew and exact residual on pre-built exact objects:
     the one ``_scaled`` call left is the elimination's, on integer rows, so
     neither ``alg.c``, ``a.matrix`` nor the product is rescaled, and the
-    product's Fractions are never built."""
+    product's Fractions are never built. The eight calls that compute
+    through ``scalars.evaluate`` scale their operands alone: none passes
+    ``alg.c``, ``a.matrix`` or the product's Fractions to ``_scaled``."""
     for alg, a in PAIRS:
         scaled_calls.clear()
         conn = levi_civita_product(alg, a)
@@ -249,6 +258,14 @@ def test_exact_kernels_never_rescale_prebuilt_values(scaled_calls):
         assert len(scaled_calls) == 1
         assert not any(v is alg.c or v is a.matrix or _holds_fraction(v)
                        for v in scaled_calls)
+        n = alg.dim
+        u, v = [Fraction(k + 1, 3) for k in range(n)], list(range(n))
+        p = [[Fraction(1, j - i + 1) if i <= j else 0 for j in range(n)]
+             for i in range(n)]
+        alg.bracket(u, v), alg.adjoint_matrix(u), alg.changed_basis(p)
+        a.apply(u, v), a.transported(p), conn.apply(u, v)
+        dual.bivector_at(alg, u), dual.sharp_pi(alg, u, v)
+        assert not any(x is alg.c or x is a.matrix for x in scaled_calls)
         assert "tensor" not in conn.__dict__
 
 
@@ -262,8 +279,6 @@ def test_dual_frames_never_rescale_the_algebra_or_metric(scaled_calls):
         fr.modular
         assert not any(v is alg.c or v is a.matrix or _holds_fraction(v)
                        for v in scaled_calls)
-        dual.bivector_at(alg, [1] * alg.dim)
-        assert not any(v is alg.c for v in scaled_calls)
 
 
 def test_certificate_scales_the_rationalized_metric_once(scaled_calls):

@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liemetric import (LieAlgebra, Metric, affine_line, bivector_at, dpi_residual, heisenberg,
-                       heisenberg_split_metric, leaf_frame_at, levi_civita_product,
-                       load_algebra, load_metric, modular_field_value, sharp_pi)
+from liemetric import (ConnectionTensor, LieAlgebra, Metric, affine_line, bivector_at,
+                       dpi_residual, heisenberg, heisenberg_split_metric, leaf_frame_at,
+                       levi_civita_product, load_algebra, load_metric, modular_field_value,
+                       sharp_pi)
 from liemetric.io import FormatError, load_points
 from liemetric.scalars import (DEFAULT_TOL, MAX_EXPONENT_DIGITS, DimensionMismatchError, INT64_MAX,
                                _bounded, _floats, _scaled, _summed_terms, _unscaled, coerce,
                                contract, report_float, within)
+from conftest import random_shear
 from test_parser_fuzz import STRINGS
 
 
@@ -503,3 +505,104 @@ def test_a_float_value_makes_every_call_float():
     assert not a.transported([[1, "1/3", 0], [0, 1, 0], [0, 0, 1]]).exact
     assert not bivector_at(h, [Fraction(1, 2), 0, 1]).exact
     assert not leaf_frame_at(heisenberg(), Metric.identity(3, exact=False), [1, 0, 1]).exact
+
+
+def _given(values: np.ndarray, kind: str) -> list:
+    """Fraction entries as an operand holds them: "exact" entries are by turns
+    a Fraction, a 'p/q' string and an int (when integral); "float" ones are
+    floats; "mixed" ones alternate a float with an exact entry."""
+    def entry(k, x):
+        if kind == "float" or (kind == "mixed" and k % 2 == 0):
+            return float(x)
+        return (x, str(x), int(x) if x.denominator == 1 else x)[k % 3]
+    flat = [entry(k, x) for k, x in enumerate(values.ravel().tolist())]
+    return np.array(flat, dtype=object).reshape(values.shape).tolist()
+
+
+def _eight(alg, a, conn, u, v, p) -> dict:
+    """The eight calls that compute through ``scalars.evaluate``."""
+    return {"bracket": alg.bracket(u, v), "adjoint_matrix": alg.adjoint_matrix(u),
+            "changed_basis": alg.changed_basis(p).c, "Metric.apply": a.apply(u, v),
+            "transported": a.transported(p).matrix,
+            "ConnectionTensor.apply": conn.apply(u, v), "bivector_at": bivector_at(alg, u).matrix,
+            "sharp_pi": sharp_pi(alg, u, v)}
+
+
+def _float_reference(c, m, t, u, v, p) -> dict:
+    """The eight results from float arrays, by the einsum steps in the order
+    each call ran them before ``scalars.evaluate``."""
+    e = np.einsum
+    moved = e("jb,ajl->abl", p, e("ia,ijl->ajl", p, e("ijk,lk->ijl", c, np.linalg.inv(p))))
+    return {"bracket": e("j,jk->k", v, e("i,ijk->jk", u, c)),
+            "adjoint_matrix": e("i,ijk->kj", u, c),
+            "changed_basis": LieAlgebra.from_structure(moved.tolist(), exact=False,
+                                                       check_jacobi=False).c,
+            "Metric.apply": e("j,j->", e("i,ij->j", u, m), v),
+            "transported": Metric.from_rows(e("ia,ib->ab", p, e("ij,jb->ib", m, p)).tolist(),
+                                            exact=False).matrix,
+            "ConnectionTensor.apply": e("j,jk->k", v, e("i,ijk->jk", u, t)),
+            "bivector_at": e("ijk,k->ij", c, u), "sharp_pi": e("i,ij->j", v, e("ijk,k->ij", c, u))}
+
+
+def _exact_reference(c, m, t, u, v, p) -> dict:
+    """The eight results by explicit Fraction loops. The new constants c' of
+    ``changed_basis`` are defined through the inverse of p, so they are
+    compared as c' p^T, which equals p^T p^T c without it."""
+    r = range(len(c))
+    add = lambda terms: sum(terms, Fraction(0))
+    return {"bracket": [add(u[i] * v[j] * c[i][j][k] for i in r for j in r) for k in r],
+            "adjoint_matrix": [[add(u[i] * c[i][j][k] for i in r) for j in r] for k in r],
+            "changed_basis": [[[add(p[i][a] * p[j][b] * c[i][j][k] for i in r for j in r)
+                                for k in r] for b in r] for a in r],
+            "Metric.apply": add(u[i] * m[i][j] * v[j] for i in r for j in r),
+            "transported": [[add(p[i][a] * m[i][j] * p[j][b] for i in r for j in r) for b in r]
+                            for a in r],
+            "ConnectionTensor.apply": [add(u[i] * v[j] * t[i][j][k] for i in r for j in r)
+                                       for k in r],
+            "bivector_at": [[add(c[i][j][k] * u[k] for k in r) for j in r] for i in r],
+            "sharp_pi": [add(v[i] * c[i][j][k] * u[k] for i in r for k in r) for j in r]}
+
+
+def _plain(x):
+    """Nested sequences and numpy scalars as nested lists of Python numbers."""
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_plain(y) for y in x]
+    return x.item() if isinstance(x, np.generic) else x
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_eight_calls_equal_a_reference(n):
+    """Each call through ``scalars.evaluate`` on exact and float values, with
+    exact (Fractions, 'p/q' strings, ints), float and mixed operands: an exact
+    call gives the Fractions of explicit loops, a float one the bits of its
+    einsum steps on the float entries (``repr``), whatever mix of entry
+    types the operands hold."""
+    rng = np.random.default_rng(n)
+    fraction = lambda *shape: np.array(
+        [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+         for _ in range(math.prod(shape))], dtype=object).reshape(shape)
+    for _ in range(2):
+        c = fraction(n, n, n)
+        c = c - c.transpose(1, 0, 2)
+        m = fraction(n, n)
+        m = m + m.T
+        t, u, v = fraction(n, n, n), fraction(n), fraction(n)
+        p = np.array(random_shear(rng, n), dtype=object)
+        exact_ref = _exact_reference(c, m, t, u, v, p)
+        float_ref = _float_reference(*(np.array(x.tolist(), dtype=float)
+                                       for x in (c, m, t, u, v, p)))
+        values = (LieAlgebra(dim=n, c=c, exact=True), Metric(matrix=m, exact=True),
+                  ConnectionTensor(tensor=t, exact=True))
+        for value_exact in (True, False):
+            if not value_exact:
+                values = tuple(x.to_float() for x in values)
+            for kind in ("exact", "float", "mixed"):
+                got = _eight(*values, *(_given(x, kind) for x in (u, v, p)))
+                want = float_ref
+                if value_exact and kind == "exact":
+                    moved, want = got["changed_basis"], exact_ref
+                    got["changed_basis"] = [[[sum(moved[a][b][l] * p[k][l] for l in range(n))
+                                              for k in range(n)] for b in range(n)]
+                                            for a in range(n)]
+                for name, result in got.items():
+                    assert repr(_plain(result)) == repr(_plain(want[name])), (name, kind)
