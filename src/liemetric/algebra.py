@@ -190,14 +190,11 @@ class LieAlgebra(IntegerForm):
 
         A congruence action: c'[p][q][l] picks up two copies of p and one of
         its inverse. The result is exact when the algebra and p are
-        (``operand_mode``). A p of rank below dim by ``_rank_null`` (exact, or
-        at RANK_RTOL) raises ``rational.SingularMatrixError`` in both modes.
+        (``operand_mode``). A singular p is refused (``_require_invertible``).
         """
         n = self.dim
         exact = operand_mode(n, self.exact, p)
-        rank = _rank_null(p, exact, "the change of basis")[0]
-        if rank < n:
-            raise rational.SingularMatrixError(f"the change of basis has rank {rank} < {n}")
+        _require_invertible(p, n, exact)
         pinv = rational.inverse(p) if exact else np.linalg.inv(_floats(p))
         new = evaluate(self, exact, ("ijk,lk->ijl", pinv), ("ijl,ia->ajl", p), ("ajl,jb->abl", p))
         return LieAlgebra(dim=n, c=frozen(new), exact=exact, name=self.name)
@@ -214,6 +211,13 @@ def _jacobi_slab(c: np.ndarray, i: int, b: int | None) -> np.ndarray:
     first = contract("jm,mkt->jkt", c[i, rest], c[:, rest], b, b)
     return (first + contract("jkm,mt->jkt", c[rest, rest], c[:, i], b, b)
             - first.transpose(1, 0, 2))
+
+
+def _require_invertible(p, n: int, exact: bool):
+    """SingularMatrixError for a change of basis p of rank below n (``_rank_null``)."""
+    rank = _rank_null(p, exact, "the change of basis")[0]
+    if rank < n:
+        raise rational.SingularMatrixError(f"the change of basis has rank {rank} < {n}")
 
 
 def _rank_null(m, exact: bool, what: str):

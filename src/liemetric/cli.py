@@ -11,9 +11,7 @@ Exit codes: 0 success, 1 a check failed, 2 bad input, 3 search exhausted.
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
-import json
 import math
 import sys
 import time
@@ -80,6 +78,11 @@ class Report:
         row.update({k: _jsonable(v) for k, v in extra.items()})
         self.doc["checks"].append(row)
 
+    def verdict(self, name: str, ok: bool, value=None, failure: str = "failed", **extra) -> bool:
+        """Add a row that says "ok" or the command's failure word; return ok."""
+        self.add(name, "ok" if ok else failure, value, **extra)
+        return ok
+
     def finish(self, json_path=None) -> None:
         self.doc["wall_time_s"] = round(time.monotonic() - self.started, 3)
         for row in self.doc["checks"]:
@@ -87,9 +90,7 @@ class Report:
             tail = "" if value is None else f"  {value}"
             print(f"{row['name']:<28} {row['status']:<12}{tail}")
         if json_path:
-            with open(json_path, "w") as fh:
-                json.dump(_jsonable(self.doc), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            io._dump(_jsonable(self.doc), json_path)
             print(f"report written to {json_path}")
 
 
@@ -97,10 +98,8 @@ def _load_algebra(path, rep: Report, tol: float):
     rep.add_input(path)
     alg = io.load_algebra(path, check_jacobi=False)
     residual, triple = alg.worst_jacobi_triple()
-    ok = within(residual, alg.exact, tol)
-    rep.add("jacobi_identity", "ok" if ok else "failed",
-            report_float(residual), worst_triple=[t + 1 for t in triple])
-    if not ok:
+    if not rep.verdict("jacobi_identity", within(residual, alg.exact, tol),
+                       report_float(residual), worst_triple=[t + 1 for t in triple]):
         raise InvalidStructureError(
             f"Jacobi identity fails at basis triple {tuple(t + 1 for t in triple)}")
     return alg
@@ -112,10 +111,6 @@ def cmd_validate(args, rep: Report) -> int:
             note="enforced by the bracket file format")
     rep.add("dimension", "ok", alg.dim)
     return EXIT_OK
-
-
-def _status(value, exact: bool, tol: float) -> str:
-    return "ok" if within(value, exact, tol) else "failed"
 
 
 # report row names of the dual-side identities and their frame rows, in report order
@@ -145,24 +140,24 @@ def cmd_check(args, rep: Report) -> int:
     alg, a = _load_pair(args, rep)
     sig = a.signature()
     rep.add("signature", "ok", [sig.p, sig.q])
+
+    def residual(name, value, exact):
+        return rep.verdict(name, within(value, exact, args.tol), report_float(value))
+
     conn = metric.levi_civita_product(alg, a)
-    torsion, skew = conn.torsion_residual(alg), conn.skew_residual(a)
-    rep.add("product_torsion", _status(torsion, conn.exact, args.tol), report_float(torsion))
-    rep.add("product_metric_skew", _status(skew, conn.exact, args.tol), report_float(skew))
+    ok = [residual("product_torsion", conn.torsion_residual(alg), conn.exact),
+          residual("product_metric_skew", conn.skew_residual(a), conn.exact)]
     res = metric.compatibility_residual(alg, a, conn)
-    rep.add("compatibility_residual", "ok" if res.passes(args.tol) else "failed",
-            res.value, worst_triple=[t + 1 for t in res.worst_triple])
+    ok.append(rep.verdict("compatibility_residual", res.passes(args.tol), res.value,
+                          worst_triple=[t + 1 for t in res.worst_triple]))
     uni = alg.is_unimodular(args.tol)
     rep.add("unimodular", "yes" if uni.unimodular else "no",
             [report_float(t) for t in uni.traces])
     fr = dual._frame(alg, a)
-    for name, identity in DUAL_IDENTITIES:
-        value = fr.worst(identity)
-        rep.add(name, _status(value, fr.exact, args.tol), report_float(value))
+    ok += [residual(name, fr.worst(identity), fr.exact) for name, identity in DUAL_IDENTITIES]
     worst_mod, modular_ok = _modular_verdict(fr, uni.traces, args.tol)
-    rep.add("modular_sweep_max", "ok" if modular_ok else "failed", worst_mod)
-    failed = any(row["status"] == "failed" for row in rep.doc["checks"])
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    ok.append(rep.verdict("modular_sweep_max", modular_ok, worst_mod))
+    return EXIT_OK if all(ok) else EXIT_CHECK_FAILED
 
 
 def _parse_signature(text: str, n: int):
@@ -191,20 +186,17 @@ def cmd_search(args, rep: Report) -> int:
         residual_tol=args.tol,
         rng_seed=args.seed)
     result = search.find_compatible_metric(alg, cfg)
-    if result.found:
-        if args.out is not None:
-            io.save_metric(result.best_metric, args.out)
-        rep.add("search", "found", result.best_residual,
-                exact_certificate=result.exact_certificate,
-                metric=[[x for x in row] for row in result.best_metric.matrix],
-                **({} if args.out is None else {"metric_file": str(args.out)}),
-                restarts_run=len(result.log), stop_reasons=result.stop_reasons())
-        return EXIT_OK
-    rep.add("search", "not_found", result.best_residual,
-            restarts_run=len(result.log), stop_reasons=result.stop_reasons(),
-            seed=cfg.rng_seed,
-            note="failure is evidence, not a certificate of nonexistence")
-    return EXIT_NOT_FOUND
+    telemetry = {"restarts_run": len(result.log), "stop_reasons": result.stop_reasons()}
+    if not result.found:
+        rep.add("search", "not_found", result.best_residual, seed=cfg.rng_seed,
+                note="failure is evidence, not a certificate of nonexistence", **telemetry)
+        return EXIT_NOT_FOUND
+    if args.out is not None:
+        io.save_metric(result.best_metric, args.out)
+    rep.add("search", "found", result.best_residual, exact_certificate=result.exact_certificate,
+            metric=[[x for x in row] for row in result.best_metric.matrix],
+            **({} if args.out is None else {"metric_file": str(args.out)}), **telemetry)
+    return EXIT_OK
 
 
 def cmd_classify(args, rep: Report) -> int:
@@ -218,12 +210,11 @@ def cmd_classify(args, rep: Report) -> int:
                 predicted=case.predicted, found=case.found, note=case.note,
                 restarts_run=case.restarts_run, iterations=case.iterations,
                 seconds=round(case.seconds, 4))
-    rep.add("classification", "ok" if report.ok else "failed",
-            None, agreements=report.tally("agree"),
-            soft_disagreements=report.tally("soft_disagree"),
-            basis_variances=report.tally("basis_variance"),
-            hard_disagreements=report.hard_disagreements)
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+    ok = rep.verdict("classification", report.ok, None, agreements=report.tally("agree"),
+                     soft_disagreements=report.tally("soft_disagree"),
+                     basis_variances=report.tally("basis_variance"),
+                     hard_disagreements=report.hard_disagreements)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_dual_sweep(args, rep: Report) -> int:
@@ -243,17 +234,16 @@ def cmd_dual_sweep(args, rep: Report) -> int:
         entries += [{"point": pt, "check": name, "value": float(v)}
                     for pt, v in zip(points, values)]
         worst = float(np.max(values))
-        ok = within(worst, False, args.tol)
+        ok = rep.verdict(name + "_max", within(worst, False, args.tol), worst, "above_tol")
         if name != "dual_compatibility":
             consistent = consistent and ok
-        rep.add(name + "_max", "ok" if ok else "above_tol", worst)
     # the modular value does not depend on the point; it is listed at each one
     for k, value in enumerate(fr.modular):
         entries += [{"point": pt, "check": f"modular_e{k + 1}", "value": report_float(value)}
                     for pt in points]
     worst_mod, modular_ok = _modular_verdict(fr, alg.ad_traces(), args.tol)
-    rep.add("modular_sweep_max", "ok" if modular_ok else "above_tol", worst_mod)
-    rep.doc["sweep"] = _jsonable(entries)
+    rep.verdict("modular_sweep_max", modular_ok, worst_mod, "above_tol")
+    rep.doc["sweep"] = entries
     return EXIT_OK if consistent and modular_ok else EXIT_CHECK_FAILED
 
 
@@ -284,6 +274,12 @@ def _integer(low: int, high: int | None = None):
     return parse
 
 
+def _seed(p, default: int):
+    """--seed, on the subcommands that sample."""
+    p.add_argument("--seed", type=_integer(0), default=default,
+                   help="random seed for anything sampled (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liemetric",
@@ -293,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="residual tolerance (default %(default)g)")
-    common.add_argument("--seed", type=_integer(0), default=0,
-                        help="random seed for anything sampled (default %(default)s)")
     common.add_argument("--json", dest="json_path", metavar="PATH",
                         help="also write the full report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -319,10 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=_integer(0), default=500)
     p.add_argument("--out", help="write a found metric to this file, replacing "
                                  "it if it exists (default: write no file)")
+    _seed(p, 0)
     p.set_defaults(func=cmd_search)
 
-    # a copy: children share their parent's actions, and this seed default differs
-    p = sub.add_parser("classify", parents=[copy.deepcopy(common)],
+    p = sub.add_parser("classify", parents=[common],
                        help="compare search outcomes against the known "
                             "low-dimensional classification")
     p.add_argument("--dim", choices=["2", "3", "all"], default="all")
@@ -330,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family parameter triples to sample (default %(default)s)")
     p.add_argument("--restarts", type=_integer(1), default=16)
     p.add_argument("--max-iters", type=_integer(0), default=200)
-    p.set_defaults(func=cmd_classify, seed=classify.DEFAULT_SWEEP_CONFIG.rng_seed)
+    _seed(p, classify.DEFAULT_SWEEP_CONFIG.rng_seed)
+    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("dual-sweep", parents=[common],
                        help="evaluate the dual-space identities at sample points")
@@ -340,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"random points to draw, at most {io.MAX_POINTS} (default %(default)s)")
     p.add_argument("--points-file",
                    help="JSON list of points to use instead of random ones")
+    _seed(p, 0)
     p.set_defaults(func=cmd_dual_sweep)
     return parser
 

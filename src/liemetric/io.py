@@ -10,10 +10,12 @@ Metric files carry the full symmetric matrix and a scalar mode:
     {"matrix": [["1", "0"], ["0", "1"]], "scalar": "rational"}
 
 Rational entries are strings like "-3/2"; float mode uses JSON numbers.
-Every entry is read by ``scalars.coerce`` (a refusal is a FormatError naming
-its position), a string as ``Fraction(text)`` in both modes with at most
-``MAX_EXPONENT_DIGITS`` (3) exponent digits. Save then load then save
-reproduces the file byte for byte.
+Every entry, points included, is read by one reader, ``_entry``: a JSON
+type of the file's mode, then ``scalars.coerce``, a string as
+``Fraction(text)`` in both modes with at most ``MAX_EXPONENT_DIGITS`` (3)
+exponent digits, then in float mode the cap below; a refusal is a
+FormatError naming its position. ``_dump`` writes every file, reports too:
+save then load then save reproduces a file byte for byte.
 
 An algebra file may declare at most ``MAX_DIM`` basis vectors: building the
 structure tensor allocates dim^3 entries and the Jacobi check costs dim^5
@@ -39,7 +41,6 @@ is parsed; the largest points file the other caps admit is 7.7 MB.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .algebra import LieAlgebra
 from .metric import Metric
@@ -61,26 +62,34 @@ def _require(cond: bool, msg: str):
         raise FormatError(msg)
 
 
+_MODES = ("float", "rational")  # the "scalar" field's values, indexed by exactness
+
+
+def _exact(doc: dict) -> bool:
+    """The mode of a file: its "scalar" field, "rational" when absent."""
+    mode = doc.get("scalar", "rational")
+    _require(mode in _MODES, f"unknown scalar mode {mode!r}")
+    return mode == "rational"
+
+
 def _entry(x, exact: bool, where: str):
+    """One entry of a file in its mode, read as the module docstring says."""
+    if isinstance(x, bool) or not isinstance(x, (int, str) if exact else (int, float, str)):
+        raise FormatError(f"{where}: rational entries must be integers or strings, got {x!r}"
+                          if exact else f"{where}: numeric entry expected, got {x!r}")
     try:
-        return coerce(x, exact)
+        value = coerce(x, exact)
     except ValueError as exc:
         raise FormatError(f"{where}: bad {'rational' if exact else 'number'} {x!r}") from exc
-
-
-def _parse_rational(x, where: str) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise FormatError(f"{where}: rational entries must be integers or strings, got {x!r}")
-    return _entry(x, True, where)
-
-
-def _parse_float(x, where: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
-        raise FormatError(f"{where}: numeric entry expected, got {x!r}")
-    value = _entry(x, False, where)  # a JSON number past the double range is inf
-    _require(abs(value) <= MAX_FLOAT_ENTRY,
+    # a JSON number past the double range is inf
+    _require(exact or abs(value) <= MAX_FLOAT_ENTRY,
              f"{where}: {x!r} is not finite or above the float-mode cap of {MAX_FLOAT_ENTRY:g}")
     return value
+
+
+def _written(values, exact: bool) -> list:
+    """Entries as a file in that mode holds them: strings, or JSON numbers."""
+    return [str(x) if exact else float(x) for x in values]
 
 
 def algebra_to_dict(alg: LieAlgebra) -> dict:
@@ -89,10 +98,8 @@ def algebra_to_dict(alg: LieAlgebra) -> dict:
         for j in range(i + 1, alg.dim):
             coeffs = alg.c[i][j]
             if any(x != 0 for x in coeffs):
-                v = [str(x) if alg.exact else float(x) for x in coeffs]
-                entries.append({"i": i + 1, "j": j + 1, "v": v})
-    out = {"dim": alg.dim, "scalar": "rational" if alg.exact else "float",
-           "brackets": entries}
+                entries.append({"i": i + 1, "j": j + 1, "v": _written(coeffs, alg.exact)})
+    out = {"dim": alg.dim, "scalar": _MODES[alg.exact], "brackets": entries}
     if alg.name:
         out["name"] = alg.name
     return out
@@ -105,10 +112,7 @@ def algebra_from_dict(doc: dict, *, check_jacobi: bool = True) -> LieAlgebra:
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
              "'dim' must be a positive integer")
     _require(n <= MAX_DIM, f"'dim' {n} is above the cap of {MAX_DIM}")
-    mode = doc.get("scalar", "rational")
-    _require(mode in ("rational", "float"), f"unknown scalar mode {mode!r}")
-    exact = mode == "rational"
-    parse = _parse_rational if exact else _parse_float
+    exact = _exact(doc)
     entries = doc.get("brackets", [])
     _require(isinstance(entries, list), "'brackets' must be a list")
     brackets = {}
@@ -124,7 +128,7 @@ def algebra_from_dict(doc: dict, *, check_jacobi: bool = True) -> LieAlgebra:
         v = entry["v"]
         _require(isinstance(v, list) and len(v) == n,
                  f"{where}: 'v' must list {n} coefficients")
-        brackets[(i - 1, j - 1)] = [parse(x, where) for x in v]
+        brackets[(i - 1, j - 1)] = [_entry(x, exact, where) for x in v]
     name = doc.get("name", "")
     _require(isinstance(name, str), "'name' must be a string")
     # the file was well formed; anything from_brackets rejects now is a
@@ -134,27 +138,20 @@ def algebra_from_dict(doc: dict, *, check_jacobi: bool = True) -> LieAlgebra:
 
 
 def metric_to_dict(a: Metric) -> dict:
-    if a.exact:
-        rows = [[str(x) for x in row] for row in a.matrix]
-    else:
-        rows = [[float(x) for x in row] for row in a.matrix]
-    return {"matrix": rows, "scalar": "rational" if a.exact else "float"}
+    return {"matrix": [_written(row, a.exact) for row in a.matrix], "scalar": _MODES[a.exact]}
 
 
 def metric_from_dict(doc: dict) -> Metric:
     _require(isinstance(doc, dict), "metric document must be an object")
     _require("matrix" in doc, "metric document needs a 'matrix' field")
-    mode = doc.get("scalar", "rational")
-    _require(mode in ("rational", "float"), f"unknown scalar mode {mode!r}")
-    exact = mode == "rational"
-    parse = _parse_rational if exact else _parse_float
+    exact = _exact(doc)
     rows = doc["matrix"]
     _require(isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows),
              "'matrix' must be a nonempty list of rows")
     n = len(rows)
     _require(n <= MAX_DIM, f"'matrix' has {n} rows, above the cap of {MAX_DIM}")
     _require(all(len(r) == n for r in rows), "'matrix' must be square")
-    data = [[parse(x, f"matrix[{i}][{j}]") for j, x in enumerate(row)]
+    data = [[_entry(x, exact, f"matrix[{i}][{j}]") for j, x in enumerate(row)]
             for i, row in enumerate(rows)]
     try:
         return Metric.from_rows(data, exact=exact)
@@ -162,8 +159,10 @@ def metric_from_dict(doc: dict) -> Metric:
         raise FormatError(str(exc)) from exc
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _dump(doc: dict, path):
+    """Write doc to path as JSON in the one layout: indent 2, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _reject_constant(name: str):
@@ -186,8 +185,7 @@ def _load_json(path):
 
 
 def save_algebra(alg: LieAlgebra, path):
-    with open(path, "w") as fh:
-        fh.write(_dump(algebra_to_dict(alg)))
+    _dump(algebra_to_dict(alg), path)
 
 
 def load_algebra(path, *, check_jacobi: bool = True) -> LieAlgebra:
@@ -195,8 +193,7 @@ def load_algebra(path, *, check_jacobi: bool = True) -> LieAlgebra:
 
 
 def save_metric(a: Metric, path):
-    with open(path, "w") as fh:
-        fh.write(_dump(metric_to_dict(a)))
+    _dump(metric_to_dict(a), path)
 
 
 def load_metric(path) -> Metric:
@@ -211,5 +208,5 @@ def load_points(path, dim: int) -> list:
     _require(isinstance(doc, list) and doc
              and all(isinstance(p, list) and len(p) == dim for p in doc),
              "points file must hold a non-empty list of length-n points")
-    return [[_parse_float(x, f"points[{i}][{j}]") for j, x in enumerate(p)]
+    return [[_entry(x, False, f"points[{i}][{j}]") for j, x in enumerate(p)]
             for i, p in enumerate(doc)]

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import rational
-from .algebra import RANK_RTOL, LieAlgebra
+from .algebra import RANK_RTOL, LieAlgebra, _require_invertible
 from .scalars import (DEFAULT_TOL, DimensionMismatchError, IntegerForm, _scaled, _unscaled,
                       coerce, contract, evaluate, frozen, operand_mode, report_float, within)
 
@@ -136,8 +136,9 @@ class Metric(IntegerForm):
 
     def transported(self, p) -> "Metric":
         """Pullback under the basis change f_q = sum_i p[i][q] e_i (congruence);
-        exact when the metric and p are (``operand_mode``)."""
+        exact when the metric and p are (``operand_mode``). A singular p is refused."""
         exact = operand_mode(self.dim, self.exact, p)
+        _require_invertible(p, self.dim, exact)
         return Metric.from_rows(evaluate(self, exact, ("ij,jb->ib", p), ("ib,ia->ab", p)),
                                 exact=exact)
 

@@ -13,9 +13,11 @@ from liemetric import (
     DimensionMismatchError,
     InvalidStructureError,
     LieAlgebra,
+    Metric,
     abelian,
     affine_line,
     heisenberg,
+    heisenberg_split_metric,
     sol,
     solvable_family,
 )
@@ -82,21 +84,30 @@ def test_changed_basis_float_algebras_are_stored_antisymmetric():
 def test_a_singular_change_of_basis_is_refused_by_one_rule_in_both_modes():
     """The rank of p is judged by ``_rank_null``, exactly in exact mode and at
     RANK_RTOL in float mode, and a rank below dim raises one error with one
-    message in both modes: a float p that rule calls rank-deficient is
-    refused rather than giving constants near 1e-14. An exact p that is
-    nearly singular is not."""
-    h, near = heisenberg(), [[1, 1, 0], [1, 1 + 1e-14, 0], [0, 0, 1]]
+    message in both modes, for an algebra and for a metric: a float p that
+    rule calls rank-deficient is refused rather than giving constants near
+    1e-14 or a degenerate metric. An exact p that is nearly singular is not."""
+    h, ha = heisenberg(), heisenberg_split_metric()
+    near = [[1, 1, 0], [1, 1 + 1e-14, 0], [0, 0, 1]]
     singular = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
-    for alg, p in ((h, singular), (h.to_float(), singular), (h, near), (h.to_float(), near),
-                   (h, [[1, "1/2", 0], [2, 1, 0], [0, 0, 1]])):
+    for moves, p in (((h.changed_basis, ha.transported), singular),
+                     ((h.to_float().changed_basis, ha.to_float().transported), singular),
+                     ((h.changed_basis, ha.transported), near),
+                     ((h.to_float().changed_basis, ha.to_float().transported), near),
+                     ((h.changed_basis, ha.transported), [[1, "1/2", 0], [2, 1, 0], [0, 0, 1]])):
+        for move in moves:
+            with pytest.raises(rational.SingularMatrixError,
+                               match=r"^the change of basis has rank 2 < 3$"):
+                move(p)
+    for move in (affine_line().to_float().changed_basis,
+                 Metric.identity(2).to_float().transported):
         with pytest.raises(rational.SingularMatrixError,
-                           match=r"^the change of basis has rank 2 < 3$"):
-            alg.changed_basis(p)
-    with pytest.raises(rational.SingularMatrixError,
-                       match=r"^the change of basis has rank 1 < 2$"):
-        affine_line().to_float().changed_basis([[1e30, 0.0], [0.0, 1.0]])
-    moved = h.changed_basis([[1, 1, 0], [1, 1 + Fraction(1, 10**14), 0], [0, 0, 1]])
+                           match=r"^the change of basis has rank 1 < 2$"):
+            move([[1e30, 0.0], [0.0, 1.0]])
+    nearly = [[1, 1, 0], [1, 1 + Fraction(1, 10**14), 0], [0, 0, 1]]
+    moved = h.changed_basis(nearly)
     assert moved.exact and moved.jacobi_residual() == 0
+    assert ha.transported(nearly).is_nondegenerate()
 
 
 def test_from_brackets_refuses_a_pair_out_of_order_and_a_short_vector():

@@ -31,7 +31,7 @@ from liemetric import dual
 from liemetric.algebra import LieAlgebra
 from liemetric.cli import build_parser, main
 from liemetric.io import MAX_DIM, MAX_FILE_BYTES, MAX_FLOAT_ENTRY, MAX_POINTS, load_points
-from liemetric.metric import ConnectionTensor
+from liemetric.metric import CompatibilityResidual, ConnectionTensor
 from conftest import random_algebra, random_metric
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "liemetric" / "data"
@@ -345,6 +345,7 @@ _nonzero_rows = property(lambda fr: (np.full((1, fr.n + 1), 1, dtype=object), 7)
 @pytest.mark.parametrize("row, owner, attr, fake", [
     ("product_torsion", ConnectionTensor, "torsion_residual", lambda self, alg: Fraction(1)),
     ("product_metric_skew", ConnectionTensor, "skew_residual", lambda self, a: Fraction(1)),
+    ("compatibility_residual", CompatibilityResidual, "passes", lambda self, tol: False),
     ("dual_compatibility", dual._DualFrame, "dpi", _nonzero_rows),
     ("jacobi_cyclic_identity", dual._DualFrame, "cyclic", _nonzero_rows),
     ("metric_transport_identity", dual._DualFrame, "transport", _nonzero_rows),
@@ -355,8 +356,7 @@ def test_cli_check_row_judged_by_its_value(tmp_path, capsys, monkeypatch,
                                            row, owner, attr, fake):
     monkeypatch.setattr(owner, attr, fake)
     code, rows = _check_rows(tmp_path)
-    assert rows[row] == "failed"
-    assert rows["compatibility_residual"] == "ok"
+    assert [name for name, status in rows.items() if status == "failed"] == [row]
     assert code == 1
 
 
@@ -652,6 +652,8 @@ def test_cli_classify_runs_the_sweep_of_verify_classification_by_default(tmp_pat
     ["search", "ALG", "--seed", "-1"],
     ["dual-sweep", "ALG", "ALG", "--seed", "-2"],
     ["dual-sweep", "ALG", "ALG", "--count", "0"],
+    ["validate", "ALG", "--seed", "1"],
+    ["check", "ALG", "ALG", "--seed", "1"],
 ])
 def test_cli_bad_numeric_arguments_are_input_errors(tmp_path, capsys, monkeypatch, args):
     def refuse(*a, **kw):
@@ -661,7 +663,28 @@ def test_cli_bad_numeric_arguments_are_input_errors(tmp_path, capsys, monkeypatc
     alg = algebra_file(tmp_path, heisenberg())
     assert main([alg if a == "ALG" else a for a in args]) == 2
     err = capsys.readouterr().err
-    assert "error: argument" in err and "Traceback" not in err
+    # validate and check sample nothing, so --seed is not one of their options
+    unsampled = args[0] in ("validate", "check") and "--seed" in args
+    assert ("error: unrecognized arguments: --seed 1" if unsampled else "error: argument") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, seed", [
+    (["validate", "ALG"], None),
+    (["check", "ALG", "MET"], None),
+    (["search", "ALG", "--restarts", "2"], 0),
+    (["dual-sweep", "ALG", "MET", "--count", "2"], 0),
+])
+def test_the_report_records_the_seed_default_where_something_is_sampled(tmp_path, capsys,
+                                                                         args, seed):
+    """classify's default is checked with its sweep above. A search that
+    finds nothing (exit 3) still records its seed."""
+    files = {"ALG": algebra_file(tmp_path, heisenberg()),
+             "MET": metric_file(tmp_path, heisenberg_split_metric())}
+    j = tmp_path / "rep.json"
+    assert main([files.get(a, a) for a in args] + ["--json", str(j)]) in (0, 3)
+    capsys.readouterr()
+    assert json.loads(j.read_text())["seed"] == seed
 
 
 def test_cli_classify_passes_tol_to_the_search(capsys, monkeypatch):
@@ -773,10 +796,15 @@ def test_points_file_above_the_cap_is_refused_before_parsing(tmp_path, capsys, m
     pts.write_text(json.dumps([[0.5]] * MAX_POINTS))
     assert len(load_points(pts, 1)) == MAX_POINTS
 
-    def refuse(x, where):
-        raise AssertionError("a point was parsed past the points cap")
+    from liemetric.io import _entry
 
-    monkeypatch.setattr("liemetric.io._parse_float", refuse)
+    def refuse(x, exact, where):
+        # the algebra and metric files are rational; only points are float
+        if not exact:
+            raise AssertionError("a point was parsed past the points cap")
+        return _entry(x, exact, where)
+
+    monkeypatch.setattr("liemetric.io._entry", refuse)
     pts.write_text(json.dumps([[0.5]] * (MAX_POINTS + 1)))
     assert main(["dual-sweep", *_line_pair(tmp_path), "--points-file", str(pts)]) == 2
     assert f"more points than the cap of {MAX_POINTS}" in capsys.readouterr().out
@@ -830,10 +858,10 @@ def test_metric_dim_cap_admits_the_cap_itself(tmp_path):
 
 
 def test_metric_above_the_dim_cap_is_refused_before_parsing(tmp_path, monkeypatch):
-    def refuse(x, where):
+    def refuse(x, exact, where):
         raise AssertionError("an entry was parsed past the row cap")
 
-    monkeypatch.setattr("liemetric.io._parse_rational", refuse)
+    monkeypatch.setattr("liemetric.io._entry", refuse)
     n = MAX_DIM + 1
     path = tmp_path / "huge.metric.json"
     path.write_text(json.dumps({"matrix": [["1" if i == j else "0" for j in range(n)]
